@@ -19,10 +19,10 @@ Commands
               ``--compare-policies`` run the same seeded arrivals under
               several scaling policies and print/export the comparison;
               with ``--trace-file`` replay an Azure Functions invocations-
-              per-minute trace; with ``--parallel-nodes`` simulate the
-              cluster's nodes in parallel over sharded per-node ledgers
-              (identical results, better wall-clock on multi-node
-              workloads).
+              per-minute trace; with ``--parallel-nodes`` run the compared
+              ``--modes`` or ``--compare-policies`` simulations in worker
+              processes (identical results; each simulation itself stays
+              serial).
 """
 
 from __future__ import annotations
@@ -318,7 +318,6 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
         nodes=args.nodes,
         initial_replicas=args.initial_replicas,
         queue_timeout_s=args.timeout,
-        parallel_nodes=args.parallel_nodes,
         retain_records=not args.sketch_mode,
         node_memory_mb=args.node_memory_mb,
         replica_rss_mb=args.replica_rss_mb,
@@ -414,7 +413,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
         )
         return 2
     wants_telemetry = _wants_telemetry(args)
-    if wants_telemetry and args.parallel_nodes and len(modes) > 1:
+    if wants_telemetry and args.parallel and len(modes) > 1:
         print(
             "note: telemetry sinks cannot cross process boundaries; "
             "running the mode comparison serially",
@@ -444,7 +443,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
             config=TrafficConfig(**config_kwargs),
             pattern="azure" if args.trace_file else args.pattern,
             intra=intra,
-            parallel=args.parallel_nodes and not wants_telemetry,
+            parallel=args.parallel and not wants_telemetry,
             telemetry_factory=telemetry_for if wants_telemetry else None,
             waterfalls_out=waterfalls,
             middleware_factory=(lambda mode: _build_middleware(args)) if args.middleware else None,
@@ -635,7 +634,7 @@ def _cmd_compare_policies(
             starvation_guard=args.starvation_guard,
             intra=intra,
             oversubscription=args.oversubscription,
-            parallel=args.parallel_nodes,
+            parallel=args.parallel,
         )
     except (ValueError, TenantError, TrafficEngineError, AutoscalerError) as exc:
         print("invalid traffic parameters: %s" % exc, file=sys.stderr)
@@ -729,13 +728,11 @@ def build_parser() -> argparse.ArgumentParser:
     traffic.add_argument("--initial-replicas", type=int, default=1)
     traffic.add_argument("--nodes", type=int, default=4)
     traffic.add_argument(
-        "--parallel-nodes", action="store_true",
-        help="simulate in parallel over the sharded per-node ledgers: "
-        "service-time measurements and whole compared runs (--modes, "
-        "--compare-policies) execute in worker processes, and node-local "
-        "completion phases run through the partitioned event loop; "
-        "summaries and figures are identical to a serial run under the "
-        "same seeds",
+        "--parallel-nodes", action="store_true", dest="parallel",
+        help="run each compared simulation (several --modes, or "
+        "--compare-policies) in its own worker process; every simulation "
+        "still executes serially, and summaries and figures are identical "
+        "to a serial comparison under the same seeds",
     )
     traffic.add_argument("--timeout", type=float, default=30.0, help="queueing timeout per request")
     traffic.add_argument(
@@ -907,8 +904,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     traffic.add_argument(
         "--sketch-mode", action="store_true",
-        help="streaming summaries: fold every request into P2 quantile "
-        "sketches instead of retaining per-request records — constant "
+        help="streaming summaries: fold every request into log-histogram "
+        "quantile sketches instead of retaining per-request records — constant "
         "memory however long the run, percentiles estimated (typically "
         "within 1%% at 100k requests)",
     )

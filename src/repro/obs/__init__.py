@@ -4,7 +4,7 @@ The package threads one telemetry layer through the whole request path:
 
 * :mod:`repro.obs.sketch` — streaming quantile sketches (percentiles
   without retained samples): a log-bucketed histogram with bounded relative
-  error, plus a P² estimator for single quantiles.
+  error.
 * :mod:`repro.obs.registry` — an engine-owned metrics registry of counters,
   gauges and sketch-backed summaries.
 * :mod:`repro.obs.spans` — request-lifecycle traces (queue / cold-start /
@@ -25,7 +25,7 @@ from repro.obs.exporters import (
 )
 from repro.obs.progress import ProgressReporter
 from repro.obs.registry import MetricsError, MetricsRegistry
-from repro.obs.sketch import LogHistogram, P2Quantile, QuantileSketch, SketchError
+from repro.obs.sketch import LogHistogram, QuantileSketch, SketchError
 from repro.obs.spans import (
     STAGES,
     RequestTrace,
@@ -42,7 +42,6 @@ __all__ = [
     "LogHistogram",
     "MetricsError",
     "MetricsRegistry",
-    "P2Quantile",
     "ProgressReporter",
     "QuantileSketch",
     "RequestTrace",

@@ -55,7 +55,7 @@ class Gauge:
 
 
 class Summary:
-    """A streaming distribution (Prometheus summary type, P² quantiles)."""
+    """A streaming distribution (Prometheus summary type, sketch quantiles)."""
 
     def __init__(self) -> None:
         self.sketch = QuantileSketch()

@@ -1,132 +1,35 @@
 """Streaming quantile sketches: percentiles without retaining the samples.
 
 A sustained-load run at production scale produces millions of per-request
-latencies; keeping them all in a list just to read off p99 at the end is the
-memory hog the ROADMAP wants gone.  Two constant-memory estimators replace
-the list:
+latencies; keeping them all in a list just to read off p99 at the end costs
+memory in proportion to the run.  A constant-memory estimator replaces the
+list:
 
-* :class:`P2Quantile` — the P² algorithm (Jain & Chlamtac, CACM 1985):
-  one quantile tracked online with **five markers**, updated per observation
-  with a piecewise-parabolic interpolation.  A few hundred bytes, exact
-  until the sixth sample, and within a fraction of a percent on i.i.d.
-  streams — but markers seeded by an unrepresentative prefix (a cold-start
-  transient, say) recover only O(n) slowly, so it is the wrong primary
-  estimator for *arrival-ordered* traffic, whose latencies are strongly
-  autocorrelated (queues build and drain in waves).
 * :class:`LogHistogram` — fixed-size log-spaced buckets (the HDR-histogram
   idea): every observation lands in the bucket whose bounds are within a
   fixed *relative* growth factor of each other, so any quantile reads back
   within ``sqrt(growth) - 1`` relative error (≈0.4% at the default growth)
   regardless of sample order, autocorrelation, or distribution shape.
-
-:class:`QuantileSketch` — the summary object everything else consumes —
-uses the histogram, because the engine's sketch mode
-(``TrafficConfig.retain_records=False``) feeds it latencies in arrival
-order and the ``benchmarks/test_obs_overhead.py`` gate pins its
-p50/p95/p99 to within 1% of the exact order statistics on a 100k-request
-run.  P² remains the right tool for tracking a *single* arbitrary quantile
-of a well-mixed stream in O(1) memory and is exported alongside.
+  Order-insensitivity matters here: the engine's sketch mode
+  (``TrafficConfig.retain_records=False``) feeds latencies in arrival
+  order, and those are strongly autocorrelated (queues build and drain in
+  waves).
+* :class:`QuantileSketch` — the summary object everything else consumes:
+  one histogram plus the exact running sum, min and max.  The
+  ``benchmarks/test_obs_overhead.py`` gate pins its p50/p95/p99 to within
+  1% of the exact order statistics on a 100k-request run.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-from repro.metrics.stats import LatencySummary, percentile
+from repro.metrics.stats import LatencySummary
 
 
 class SketchError(ValueError):
     """Raised for invalid sketch parameters."""
-
-
-class P2Quantile:
-    """One streaming quantile estimate via the P² algorithm.
-
-    Five marker heights track (min, two interpolation points, the target
-    quantile, max); positions drift toward their desired ranks as samples
-    arrive, adjusted by a parabolic fit (falling back to linear when the
-    parabola would break marker order).  Until five samples exist the
-    estimate is the exact percentile of the buffered observations.
-    """
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise SketchError("quantile must be in (0, 1), got %r" % q)
-        self.q = q
-        self._count = 0
-        self._heights: List[float] = []           # marker heights q0..q4
-        self._positions: List[float] = []         # actual marker positions n_i
-        self._desired: List[float] = []           # desired positions n'_i
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def add(self, value: float) -> None:
-        """Fold one observation into the sketch."""
-        self._count += 1
-        if self._count <= 5:
-            self._heights.append(float(value))
-            self._heights.sort()
-            if self._count == 5:
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                q = self.q
-                self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-            return
-
-        heights, positions = self._heights, self._positions
-        # Which cell the observation lands in; the extremes clamp to the
-        # outer markers, which always track the running min and max.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while cell < 3 and value >= heights[cell + 1]:
-                cell += 1
-        for index in range(cell + 1, 5):
-            positions[index] += 1.0
-        for index in range(5):
-            self._desired[index] += self._increments[index]
-
-        # Nudge each interior marker toward its desired position.
-        for index in range(1, 4):
-            delta = self._desired[index] - positions[index]
-            if (delta >= 1.0 and positions[index + 1] - positions[index] > 1.0) or (
-                delta <= -1.0 and positions[index - 1] - positions[index] < -1.0
-            ):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(index, step)
-                if heights[index - 1] < candidate < heights[index + 1]:
-                    heights[index] = candidate
-                else:
-                    heights[index] = self._linear(index, step)
-                positions[index] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    def value(self) -> float:
-        """The current quantile estimate (0.0 before any sample)."""
-        if self._count == 0:
-            return 0.0
-        if self._count <= 5:
-            return percentile(self._heights, self.q * 100.0)
-        return self._heights[2]
 
 
 class LogHistogram:
@@ -228,8 +131,8 @@ class QuantileSketch:
     retained sample list: feed observations one at a time, read a
     :class:`~repro.metrics.stats.LatencySummary` off at any point.  One
     log-bucketed histogram plus four scalars — constant memory at any
-    sample count, and (unlike P²) insensitive to the heavy autocorrelation
-    of arrival-ordered latency streams.
+    sample count, and insensitive to the heavy autocorrelation of
+    arrival-ordered latency streams.
     """
 
     #: Quantiles every summary/exposition prints (any (0, 1) quantile works).

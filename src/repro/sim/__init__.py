@@ -5,7 +5,7 @@ the time, CPU and memory consequences of its operations to a
 :class:`~repro.sim.ledger.CostLedger` using rates from a
 :class:`~repro.sim.costs.CostModel`.  Cluster accounting is sharded: each
 node charges its own :class:`~repro.sim.ledger.NodeLedger` and a
-:class:`~repro.sim.ledger.ClusterLedger` merges the shards into one
+:class:`~repro.sim.ledger.ClusterLedger` aggregates the shards into one
 deterministic view.  The experiment harness reads the (merged) ledger to
 produce the latency / throughput / CPU / RAM series reported in the paper.
 """
@@ -22,7 +22,7 @@ from repro.sim.ledger import (
     MemoryMeter,
     NodeLedger,
 )
-from repro.sim.engine import Event, EventLoop, ParallelTracks, PartitionedEventLoop
+from repro.sim.engine import Event, EventLoop, ParallelTracks
 
 __all__ = [
     "SimClock",
@@ -38,5 +38,4 @@ __all__ = [
     "Event",
     "EventLoop",
     "ParallelTracks",
-    "PartitionedEventLoop",
 ]

@@ -46,29 +46,6 @@ class SimClock:
             self._now = deadline
         return self._now
 
-    def fork(self) -> "SimClock":
-        """An independent clock starting at this clock's current time.
-
-        Parallel node simulation gives each worker a forked clock so nodes
-        advance without sharing (and contending on) one timeline; the
-        partitions re-synchronize at cross-node boundaries via
-        :meth:`sync_to`.
-        """
-        return SimClock(start=self._now)
-
-    def sync_to(self, *clocks: "SimClock") -> float:
-        """Advance this clock to the furthest of ``clocks`` (a merge barrier).
-
-        Synchronization points — a network transfer landing on another node,
-        per-node shards folding into the cluster ledger — advance the shared
-        timeline to the maximum of the partitioned ones.  Clocks never move
-        backwards, so syncing is monotonic and idempotent.
-        """
-        for clock in clocks:
-            if clock.now > self._now:
-                self._now = clock.now
-        return self._now
-
     def reset(self, start: float = 0.0) -> None:
         """Reset the clock, e.g. between benchmark iterations."""
         if start < 0:

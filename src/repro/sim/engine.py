@@ -1,4 +1,4 @@
-"""Discrete-event loops plus a parallel-track makespan helper.
+"""A discrete-event loop, a process-parallel map and a makespan helper.
 
 Most of the reproduction is sequential accounting on a shared ledger, but
 several places need genuine concurrency semantics:
@@ -7,19 +7,16 @@ several places need genuine concurrency semantics:
   N targets and the runtimes differ in how much of that work can overlap;
 * the network link, where transmissions from different connections share
   bandwidth;
-* multi-node simulation, where per-node work charges per-node ledger shards
-  and whole nodes can execute concurrently on the host.
+* compared runs (runtime modes, scaling policies), which are independent
+  simulations and can execute in separate worker processes.
 
-:class:`EventLoop` is a classic time-ordered event queue.
-:class:`PartitionedEventLoop` extends it with node partitions: events tagged
-with a partition run their node-local stage concurrently (thread phases)
-while cross-node boundaries — gateway dispatch, network transfers, anything
-scheduled on the global partition — stay serialized in exact time order, so
-a parallel run is event-for-event identical to a serial one.  For fan-out we
-use the simpler :class:`ParallelTracks` helper, which computes the makespan
-of N per-branch duration profiles under a bounded concurrency model — this
-mirrors how a 4-core node executes N sandboxes, or how a single-threaded
-Wasm VM serialises all branches.
+:class:`EventLoop` is a classic time-ordered event queue; every traffic run
+executes on one, serially.  :func:`parallel_map` ships whole independent
+simulations to worker processes.  For fan-out we use the simpler
+:class:`ParallelTracks` helper, which computes the makespan of N per-branch
+duration profiles under a bounded concurrency model — this mirrors how a
+4-core node executes N sandboxes, or how a single-threaded Wasm VM
+serialises all branches.
 """
 
 from __future__ import annotations
@@ -28,13 +25,10 @@ import atexit
 import heapq
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
-
-#: Partition label of events that must run serialized (cross-node work).
-GLOBAL_PARTITION = ""
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 
 class EngineError(RuntimeError):
@@ -45,13 +39,6 @@ class EngineError(RuntimeError):
 class Event:
     """An event scheduled at an absolute simulated time.
 
-    ``action`` may return a callable: a *join* executed at the same event
-    slot.  In a serial run the join fires immediately after the action; in a
-    partitioned run the node-local action may have run early (concurrently)
-    while the join is still executed at the event's exact place in the
-    global time order — that split is what lets whole nodes simulate in
-    parallel without reordering any cross-node effect.
-
     ``args`` are passed positionally to ``action`` when the event fires.
     Hot callers schedule one shared function with per-event ``args`` instead
     of allocating a closure per event.
@@ -61,7 +48,6 @@ class Event:
     order: int
     action: Callable[..., Any]
     label: str = ""
-    partition: str = GLOBAL_PARTITION
     args: Tuple = ()
 
 
@@ -110,22 +96,18 @@ class EventLoop:
         delay: float,
         action: Callable[..., Any],
         label: str = "",
-        partition: str = GLOBAL_PARTITION,
         args: Tuple = (),
     ) -> Event:
         """Schedule ``action`` to run ``delay`` seconds from the current time."""
         if delay < 0:
             raise EngineError("cannot schedule an event in the past (delay=%r)" % delay)
-        return self.schedule_at(
-            self._now + delay, action, label=label, partition=partition, args=args
-        )
+        return self.schedule_at(self._now + delay, action, label=label, args=args)
 
     def schedule_at(
         self,
         time: float,
         action: Callable[..., Any],
         label: str = "",
-        partition: str = GLOBAL_PARTITION,
         args: Tuple = (),
         order: Optional[int] = None,
     ) -> Event:
@@ -146,17 +128,10 @@ class EventLoop:
             order=order,
             action=action,
             label=label,
-            partition=partition,
             args=args,
         )
         heapq.heappush(self._queue, (time, order, event))
         return event
-
-    def _execute(self, event: Event) -> None:
-        """Run one event in place: its action, then any join it returned."""
-        result = event.action(*event.args)
-        if callable(result):
-            result()
 
     def run(self, until: Optional[float] = None) -> float:
         """Run events until the queue drains or ``until`` is reached.
@@ -171,9 +146,7 @@ class EventLoop:
                 return self._now
             time, _, event = pop(queue)
             self._now = time
-            result = event.action(*event.args)
-            if callable(result):
-                result()
+            event.action(*event.args)
             self._executed += 1
         if until is not None and until > self._now:
             self._now = until
@@ -185,7 +158,7 @@ class EventLoop:
             return None
         time, _, event = heapq.heappop(self._queue)
         self._now = time
-        self._execute(event)
+        event.action(*event.args)
         self._executed += 1
         return event
 
@@ -193,105 +166,9 @@ class EventLoop:
         return len(self._queue)
 
 
-class PartitionedEventLoop(EventLoop):
-    """An event loop whose node-partitioned events can execute concurrently.
-
-    Events scheduled with a non-empty ``partition`` (a node name) promise
-    that their *action* touches only state owned by that partition — per-node
-    ledger shards, per-replica bookkeeping — plus values captured at schedule
-    time.  Cross-node effects go into the *join* the action returns, or into
-    events on the global partition.
-
-    ``run_parallel`` pops maximal runs of consecutive events that sit on
-    distinct node partitions, executes their node-local actions concurrently
-    in a thread phase, then re-enqueues each event's join at its original
-    ``(time, order)`` slot.  Joins and global events therefore interleave in
-    exactly the serial order — a parallel run is deterministic and produces
-    results identical to :meth:`run` — while node-local work (and its ledger
-    charges, which land on per-node shards) overlaps across host threads.
-    A global event is the synchronization boundary: batch collection stops
-    there, mirroring how gateway dispatch and network transfers serialize
-    cross-node state.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        super().__init__()
-        self.max_workers = max_workers
-        self.parallel_batches = 0
-
-    def _collect_batch(self, until: Optional[float]) -> List[Event]:
-        """Pop a maximal run of same-phase events on distinct partitions."""
-        batch: List[Event] = []
-        seen = set()
-        while self._queue:
-            head = self._queue[0][2]
-            if until is not None and head.time > until:
-                break
-            if head.partition == GLOBAL_PARTITION or head.partition in seen:
-                break
-            batch.append(heapq.heappop(self._queue)[2])
-            seen.add(head.partition)
-        return batch
-
-    def run_parallel(self, until: Optional[float] = None) -> float:
-        """Like :meth:`run`, with node partitions executing in thread phases."""
-        workers = self.max_workers or min(32, os.cpu_count() or 1)
-        pool: Optional[ThreadPoolExecutor] = None
-        try:
-            while self._queue:
-                if until is not None and self._queue[0][0] > until:
-                    self._now = until
-                    return self._now
-                batch = self._collect_batch(until)
-                if not batch:
-                    _, _, event = heapq.heappop(self._queue)
-                    self._now = event.time
-                    self._execute(event)
-                    self._executed += 1
-                    continue
-                if len(batch) == 1:
-                    event = batch[0]
-                    self._now = event.time
-                    self._execute(event)
-                    self._executed += 1
-                    continue
-                if pool is None:
-                    pool = ThreadPoolExecutor(max_workers=workers)
-                self.parallel_batches += 1
-                joins = list(pool.map(lambda event: event.action(*event.args), batch))
-                # Re-enqueue each event's join at its original slot so joins
-                # interleave with later (and newly scheduled) global events
-                # in exactly the serial order.
-                for event, join in zip(batch, joins):
-                    heapq.heappush(
-                        self._queue,
-                        (
-                            event.time,
-                            event.order,
-                            Event(
-                                time=event.time,
-                                order=event.order,
-                                action=join if callable(join) else _noop,
-                                label=event.label,
-                                partition=GLOBAL_PARTITION,
-                            ),
-                        ),
-                    )
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
-
-
-def _noop() -> None:
-    return None
-
-
-#: Long-lived worker pool shared by every default-sized :func:`parallel_map`
-#: call, so repeated comparisons (``run_comparison``, policy sweeps) stop
-#: paying process spin-up per invocation.  Recreated on demand after a
+#: Long-lived worker pool shared by every :func:`parallel_map` call, so
+#: repeated comparisons (``run_comparison``, policy sweeps) stop paying
+#: process spin-up per invocation.  Recreated on demand after a
 #: worker crash; shut down at interpreter exit.
 _shared_pool: Optional[ProcessPoolExecutor] = None
 
@@ -311,11 +188,7 @@ def _get_shared_pool() -> ProcessPoolExecutor:
     return _shared_pool
 
 
-def parallel_map(
-    fn: Callable[..., Any],
-    items: Sequence[Tuple],
-    max_workers: Optional[int] = None,
-) -> List[Any]:
+def parallel_map(fn: Callable[..., Any], items: Sequence[Tuple]) -> List[Any]:
     """Run ``fn(*item)`` for every item, concurrently, results in input order.
 
     The process-pool path is for *independent simulations* — each call must
@@ -323,13 +196,10 @@ def parallel_map(
     the arguments and the result must pickle.  Falls back to a serial map
     when there is nothing to parallelize or worker processes cannot be
     spawned, so callers never need a fallback of their own; either way the
-    result list is deterministic and ordered like ``items``.
-
-    Calls without an explicit ``max_workers`` share one long-lived process
-    pool across the interpreter; passing ``max_workers`` runs a one-off pool
-    of exactly that size.
+    result list is deterministic and ordered like ``items``.  Every call
+    shares one long-lived process pool across the interpreter.
     """
-    if len(items) <= 1 or max_workers == 1 or (os.cpu_count() or 1) < 2:
+    if len(items) <= 1 or (os.cpu_count() or 1) < 2:
         return [fn(*item) for item in items]
     try:
         # The function and its arguments must cross the process boundary; a
@@ -338,19 +208,13 @@ def parallel_map(
         pickle.dumps((fn, tuple(items)))
     except Exception:
         return [fn(*item) for item in items]
-    if max_workers is None:
-        try:
-            return list(_get_shared_pool().map(fn, *zip(*items)))
-        except (OSError, BrokenProcessPool):
-            # A dead worker poisons the whole executor: drop it so the next
-            # call starts fresh, and finish this one serially.  Exceptions
-            # raised by ``fn`` itself still propagate to the caller.
-            _discard_shared_pool()
-            return [fn(*item) for item in items]
     try:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(fn, *zip(*items)))
+        return list(_get_shared_pool().map(fn, *zip(*items)))
     except (OSError, BrokenProcessPool):
+        # A dead worker poisons the whole executor: drop it so the next
+        # call starts fresh, and finish this one serially.  Exceptions
+        # raised by ``fn`` itself still propagate to the caller.
+        _discard_shared_pool()
         return [fn(*item) for item in items]
 
 

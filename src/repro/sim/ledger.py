@@ -13,11 +13,11 @@ paper's metrics from the ledger:
 
 Accounting is *sharded per node*: each cluster node charges its own
 :class:`NodeLedger`, and a :class:`ClusterLedger` aggregates the shards into
-one mergeable view.  Charges carry ``(timestamp, node, seq)``, so the merged
-timeline is a deterministic total order however the shards were filled —
-including by concurrent workers simulating whole nodes in parallel.  Code
-that only ever charges and queries one ledger (a kernel, a Wasm runtime, a
-unit test) keeps using the plain :class:`CostLedger` it always did.
+one view.  Charges carry ``(timestamp, node, seq)``, so the merged timeline
+is a deterministic total order however the charges interleaved across
+shards.  Code that only ever charges and queries one ledger (a kernel, a
+Wasm runtime, a unit test) keeps using the plain :class:`CostLedger` it
+always did.
 """
 
 from __future__ import annotations
@@ -397,8 +397,8 @@ class NodeLedger(CostLedger):
 
     A :class:`NodeLedger` is a plain :class:`CostLedger` that knows which
     node it accounts for: every charge is stamped with the node name and a
-    per-shard sequence number, so shards filled independently (even by
-    concurrent workers) merge into one deterministic cluster timeline.
+    per-shard sequence number, so the shards merge into one deterministic
+    cluster timeline.
     Shard names are ``ledger:<node>`` and must be unique within a cluster.
     """
 
@@ -415,7 +415,7 @@ class NodeLedger(CostLedger):
 
 
 class ClusterLedger:
-    """The mergeable cluster view over per-node ledger shards.
+    """The cluster view over per-node ledger shards.
 
     The cluster ledger *is not* an append log: every node charges its own
     :class:`NodeLedger` (no contention on one append path), and this view
@@ -430,10 +430,7 @@ class ClusterLedger:
     Parameters
     ----------
     clock:
-        Simulated clock shared by every shard (serial simulation).  Shards
-        built elsewhere with forked clocks can be folded in via
-        :meth:`merge`, which re-synchronizes this clock to the furthest
-        shard.
+        Simulated clock shared by every shard.
     backing:
         Optional existing :class:`CostLedger` to adopt as the cluster
         shard — how a cluster wraps a caller-supplied ledger so charges the
@@ -472,22 +469,6 @@ class ClusterLedger:
         shard = NodeLedger(node_name=node_name, clock=self.clock)
         self._shards[node_name] = shard
         return shard
-
-    def merge(self, *shards: NodeLedger) -> None:
-        """Fold externally-filled shards into the view (deterministic).
-
-        Used after a parallel section: workers fill detached shards (each
-        with a forked clock), and the merge adopts them, asserts shard-name
-        uniqueness and advances the shared clock to the furthest shard.
-        Merging is commutative — any adoption order yields the same view,
-        because ordering lives in the ``(timestamp, node, seq)`` keys.
-        """
-        for shard in shards:
-            self._check_unique(shard.node_name)
-        for shard in shards:
-            self._shards[shard.node_name] = shard
-            if shard.clock is not self.clock:
-                self.clock.sync_to(shard.clock)
 
     def _check_unique(self, node_name: str) -> None:
         if not node_name:

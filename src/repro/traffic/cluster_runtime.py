@@ -16,7 +16,7 @@ replica/dispatch bookkeeping — behind a narrow interface:
 The single-cluster :class:`~repro.traffic.engine.MultiTenantTrafficEngine`
 is now a thin driver over one runtime; the federation layer
 (:mod:`repro.traffic.federation`) instantiates several over one shared
-:class:`~repro.sim.engine.PartitionedEventLoop` behind a global router.
+:class:`~repro.sim.engine.EventLoop` behind a global router.
 
 The request path is deliberately closure-based: every hot name is bound
 once per run into local cells (the million-request regime pays for every
@@ -61,9 +61,8 @@ MB = 1024 * 1024
 def _measure_service_time(mode: str, payload_bytes: int, cost_model: CostModel) -> float:
     """Workflow latency of one (mode, payload size): one isolated simulation.
 
-    Module-level (and self-contained: fresh cluster, fresh ledger shards,
-    fresh clock) so worker processes can run measurements concurrently for
-    the parallel-nodes path; the result is deterministic either way.
+    Self-contained (fresh cluster, fresh ledger shards, fresh clock), so
+    the result depends only on its arguments.
     """
     setup = build_pair_setup(mode, cost_model=cost_model)
     payload = make_payload(payload_bytes / MB)
@@ -291,7 +290,6 @@ class ClusterRuntime:
         retain = config.retain_records
         queue = gateway.queue
         per_replica_concurrency = config.per_replica_concurrency
-        parallel_nodes = config.parallel_nodes
         max_queue = config.max_queue
         queue_timeout_s = config.queue_timeout_s
         cores = {name: cluster.node(name).cores for name in cluster.nodes}
@@ -312,10 +310,7 @@ class ClusterRuntime:
 
             The single funnel for all four outcome paths — retained as a
             record or folded into the streaming accumulators, counted down,
-            and fanned out to the telemetry sinks.  Always called from a
-            serialized context (the join stage for completions; arrivals,
-            expiries and sheds are never node-partitioned), so sketch
-            updates and telemetry stay deterministic under parallel nodes.
+            and fanned out to the telemetry sinks.
             """
             if retain:
                 state.records.append(record)
@@ -432,15 +427,13 @@ class ClusterRuntime:
         def evict_over_budget(now: float) -> None:
             """Kill the coldest idle replica on every node over its budget.
 
-            Runs only from serialized stages (scale-ups are never
-            node-partitioned), so the eviction order is deterministic: per
-            over-budget node, the idle warm replica with the smallest
-            ``idle_since`` goes first, ties broken by tenant registration
-            order and then replica name.  A node whose budget excess is
-            pinned by busy replicas stays over budget — nothing to kill —
-            and pays through service-time inflation instead.  Each eviction
-            is a forced future cold start: the tenant's next scale-up pays
-            the full warm-up again.
+            The eviction order is deterministic: per over-budget node, the
+            idle warm replica with the smallest ``idle_since`` goes first,
+            ties broken by tenant registration order and then replica name.
+            A node whose budget excess is pinned by busy replicas stays over
+            budget — nothing to kill — and pays through service-time
+            inflation instead.  Each eviction is a forced future cold start:
+            the tenant's next scale-up pays the full warm-up again.
             """
             while True:
                 evicted = False
@@ -469,15 +462,32 @@ class ClusterRuntime:
                 if not evicted:
                     return
 
-        def finish_completion(
+        def complete(
             state: _TenantState,
-            record: RequestRecord,
+            request: Request,
             replica: _Replica,
             loser: Optional[_Replica],
+            dispatched: float,
             completion: float,
+            cold_wait: float,
         ) -> None:
-            # Cross-node stage, serialized in exact time order: gateway
-            # bookkeeping and re-dispatch.
+            """One request's completion event: account it, free its replicas.
+
+            One shared function fed per-event ``args`` — no closure
+            allocated per request.
+            """
+            record = RequestRecord(
+                request_id=request.request_id,
+                function=state.function,
+                outcome=RequestOutcome.COMPLETED,
+                arrival_s=request.arrival_s,
+                dispatch_s=dispatched,
+                completion_s=completion,
+                replica=replica.deployed.name,
+                cold_start_wait_s=cold_wait,
+                request_class=request.request_class,
+                deadline_s=request.deadline_s,
+            )
             gateway.release_state(state.function, replica.gw_state)
             node_busy[replica.node] -= 1
             replica.idle_since = completion
@@ -495,31 +505,6 @@ class ClusterRuntime:
                     state.cpu_seconds += record.service_s
             resolve(state, record, node=replica.node)
             dispatch(loop.now)
-
-        def complete_event(
-            state: _TenantState,
-            request: Request,
-            replica: _Replica,
-            loser: Optional[_Replica],
-            dispatched: float,
-            completion: float,
-            cold_wait: float,
-        ) -> None:
-            # Serial completion path: one shared function fed per-event
-            # ``args`` — no closure pair allocated per request.
-            record = RequestRecord(
-                request_id=request.request_id,
-                function=state.function,
-                outcome=RequestOutcome.COMPLETED,
-                arrival_s=request.arrival_s,
-                dispatch_s=dispatched,
-                completion_s=completion,
-                replica=replica.deployed.name,
-                cold_start_wait_s=cold_wait,
-                request_class=request.request_class,
-                deadline_s=request.deadline_s,
-            )
-            finish_completion(state, record, replica, loser, completion)
 
         def dispatch(now: float) -> None:
             """Move queued requests onto available replicas.
@@ -639,57 +624,12 @@ class ClusterRuntime:
                     # dispatch] with the warm-up window, not the whole delay.
                     cold_wait = max(0.0, min(replica.cold_s, replica.ready_at - request.arrival_s))
                     note(completion)
-
-                    if parallel_nodes:
-                        # Parallel nodes need the action/join split: the
-                        # record is built node-locally (concurrently), the
-                        # gateway bookkeeping joins in global time order.
-                        # Both paths produce the identical record.
-                        def complete(
-                            state: _TenantState = state,
-                            request: Request = request,
-                            replica: _Replica = replica,
-                            loser: Optional[_Replica] = loser,
-                            dispatched: float = now,
-                            completion: float = completion,
-                            cold_wait: float = cold_wait,
-                        ):
-                            # Node-local stage: build the completion record
-                            # from values captured at dispatch, charging
-                            # (and touching) nothing shared.
-                            record = RequestRecord(
-                                request_id=request.request_id,
-                                function=state.function,
-                                outcome=RequestOutcome.COMPLETED,
-                                arrival_s=request.arrival_s,
-                                dispatch_s=dispatched,
-                                completion_s=completion,
-                                replica=replica.deployed.name,
-                                cold_start_wait_s=cold_wait,
-                                request_class=request.request_class,
-                                deadline_s=request.deadline_s,
-                            )
-
-                            def join() -> None:
-                                finish_completion(
-                                    state, record, replica, loser, completion
-                                )
-
-                            return join
-
-                        loop.schedule_at(
-                            completion,
-                            complete,
-                            label="complete",
-                            partition=replica.node,
-                        )
-                    else:
-                        loop.schedule_at(
-                            completion,
-                            complete_event,
-                            label="complete",
-                            args=(state, request, replica, loser, now, completion, cold_wait),
-                        )
+                    loop.schedule_at(
+                        completion,
+                        complete,
+                        label="complete",
+                        args=(state, request, replica, loser, now, completion, cold_wait),
+                    )
                     served = True
                     break  # re-evaluate fair order after every dispatch
                 if not served:
@@ -886,7 +826,7 @@ class ClusterRuntime:
         # The narrow public interface.
         self.admit = arrive
         self.dispatch = dispatch
-        self.complete = complete_event
+        self.complete = complete
         self.tick = control_tick
         self.add_replicas = add_replicas
         self._halt = halt

@@ -27,20 +27,16 @@ per-request cost of a given transfer never varies.  Contention is then
 modelled by the engine's concurrency bounds rather than by re-simulating
 every transfer, which keeps hundred-thousand-request runs cheap.
 
-Everything is driven by one
-:class:`~repro.sim.engine.PartitionedEventLoop`, so a seeded run is exactly
-reproducible: same arrivals, same scaling decisions, same percentiles.
-Cost accounting is sharded per node (each node of the serving cluster
-charges its own :class:`~repro.sim.ledger.NodeLedger`), and with
-``parallel_nodes`` the engine exploits that: per-node completion work runs
-in concurrent thread phases between cross-node synchronization points
-(gateway dispatch), the per-(mode, payload) service-time measurements —
-each an isolated simulation — are computed in parallel worker processes
-up front, and whole compared runs (:func:`run_comparison`,
-:func:`~repro.traffic.policies.compare_scaling_policies`) ship entire
-cluster simulations to worker processes, which is where multi-core hosts
-win their wall-clock.  A parallel run produces summaries and figures
-identical to the serial one under the same seeds.
+Everything is driven by one serial :class:`~repro.sim.engine.EventLoop`,
+so a seeded run is exactly reproducible: same arrivals, same scaling
+decisions, same percentiles.  Cost accounting is sharded per node (each
+node of the serving cluster charges its own
+:class:`~repro.sim.ledger.NodeLedger`), which is what per-node usage
+rollups read.  Compared runs (:func:`run_comparison`,
+:func:`~repro.traffic.policies.compare_scaling_policies`) are independent
+simulations and can ship whole to worker processes, which is where
+multi-core hosts win their wall-clock; the results are identical to the
+serial comparison under the same seeds.
 """
 
 from __future__ import annotations
@@ -48,7 +44,7 @@ from __future__ import annotations
 import heapq
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from typing import TYPE_CHECKING
 
@@ -59,7 +55,7 @@ from repro.platform.gateway import (
 )
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
-from repro.sim.engine import PartitionedEventLoop, parallel_map
+from repro.sim.engine import EventLoop, parallel_map
 from repro.traffic.arrivals import Request
 
 # The per-cluster machinery lives in repro.traffic.cluster_runtime; the
@@ -126,13 +122,10 @@ class TrafficConfig:
     #: Load-balancer policy at the gateway.
     routing: RoutingPolicy = RoutingPolicy.LEAST_LOADED
     cost_model: CostModel = DEFAULT_COST_MODEL
-    #: Simulate nodes in parallel: pre-measure service times in worker
-    #: processes and run per-node completion phases concurrently.  Results
-    #: are identical to a serial run under the same seeds.
-    parallel_nodes: bool = False
     #: Keep one RequestRecord per request (exact percentiles, O(requests)
-    #: memory).  False switches the engine to streaming accumulators and P²
-    #: quantile sketches: summaries keep their shape, memory stays constant.
+    #: memory).  False switches the engine to streaming accumulators and
+    #: log-histogram quantile sketches: summaries keep their shape, memory
+    #: stays constant.
     retain_records: bool = True
     #: Per-node RSS budget in MB.  0 (the default) disables the memory
     #: model entirely: replicas carry no footprint, services never inflate,
@@ -175,8 +168,38 @@ class TrafficConfig:
         return self.node_memory_mb > 0
 
 
+def validate_tenants(
+    tenants: Sequence[TenantSpec],
+    error: Type[TrafficEngineError] = TrafficEngineError,
+) -> List[str]:
+    """Check an engine's tenant list; return the tenant names in order.
+
+    Every engine needs the same guarantees: at least one tenant, unique
+    names (``cluster`` is reserved for the cluster-wide rollup), unique
+    functions and known modes.  Failures raise ``error``, so each engine
+    reports them under its own exception class.
+    """
+    if not tenants:
+        raise error("need at least one tenant")
+    names = [tenant.name for tenant in tenants]
+    if len(set(names)) != len(names):
+        raise error("tenant names must be unique, got %s" % names)
+    if "cluster" in names:
+        raise error("tenant name 'cluster' is reserved for the cluster-wide rollup")
+    functions = [tenant.function_name for tenant in tenants]
+    if len(set(functions)) != len(functions):
+        raise error("tenant functions must be unique, got %s" % functions)
+    for tenant in tenants:
+        if tenant.mode not in TRAFFIC_MODES:
+            raise error(
+                "tenant %r: unknown traffic mode %r (known: %s)"
+                % (tenant.name, tenant.mode, ", ".join(TRAFFIC_MODES))
+            )
+    return names
+
+
 def schedule_arrivals(
-    loop: PartitionedEventLoop,
+    loop: EventLoop,
     states: Sequence[_TenantState],
     admit: Callable[[_TenantState, Request], None],
     total_requests: int,
@@ -255,24 +278,7 @@ class MultiTenantTrafficEngine:
         telemetry: Optional[Telemetry] = None,
         middleware: Optional[MiddlewarePipeline] = None,
     ) -> None:
-        if not tenants:
-            raise TrafficEngineError("need at least one tenant")
-        names = [tenant.name for tenant in tenants]
-        if len(set(names)) != len(names):
-            raise TrafficEngineError("tenant names must be unique, got %s" % names)
-        if "cluster" in names:
-            raise TrafficEngineError(
-                "tenant name 'cluster' is reserved for the cluster-wide rollup"
-            )
-        functions = [tenant.function_name for tenant in tenants]
-        if len(set(functions)) != len(functions):
-            raise TrafficEngineError("tenant functions must be unique, got %s" % functions)
-        for tenant in tenants:
-            if tenant.mode not in TRAFFIC_MODES:
-                raise TrafficEngineError(
-                    "tenant %r: unknown traffic mode %r (known: %s)"
-                    % (tenant.name, tenant.mode, ", ".join(TRAFFIC_MODES))
-                )
+        validate_tenants(tenants)
         if oversubscription < 1.0:
             raise TrafficEngineError("oversubscription must be >= 1.0")
         if starvation_guard < 1:
@@ -307,14 +313,6 @@ class MultiTenantTrafficEngine:
         #: Latency-waterfall rows of the last run (per tenant + cluster).
         self.waterfall: List[WaterfallRow] = []
         self._cluster_stream: Optional[StreamingTrafficStats] = None
-        #: Memoized (mode, payload) key sets per tenant spec, so repeated
-        #: runs of one engine skip re-scanning every request to learn which
-        #: service times to pre-measure.  Keyed by spec identity (the stored
-        #: spec reference keeps the id stable); sound because a spec's
-        #: seeded generation always yields the same payload set.
-        self._tenant_keys_cache: Dict[int, Tuple[TenantSpec, frozenset]] = {}
-        #: How many key-set derivations actually ran (tests pin the memo).
-        self.prefill_key_derivations = 0
 
     # -- public API -----------------------------------------------------------------
 
@@ -351,11 +349,9 @@ class MultiTenantTrafficEngine:
             else:
                 self._cluster_stream = StreamingTrafficStats()
         telemetry = self.telemetry
-        if self.config.parallel_nodes:
-            self._prefill_service_cache(states)
 
         self.clock.reset()
-        loop = PartitionedEventLoop()
+        loop = EventLoop()
         counter = [total_requests]
         runtime = ClusterRuntime(
             states=states,
@@ -387,10 +383,7 @@ class MultiTenantTrafficEngine:
         runtime.bootstrap(self.config.initial_replicas)
         schedule_arrivals(loop, states, runtime.admit, total_requests)
         runtime.start_ticks()
-        if self.config.parallel_nodes:
-            loop.run_parallel()
-        else:
-            loop.run()
+        loop.run()
 
         if counter[0] != 0:
             raise TrafficEngineError(
@@ -429,38 +422,6 @@ class MultiTenantTrafficEngine:
             cached = _measure_service_time(mode, payload_bytes, self.config.cost_model)
             self._service_cache[key] = cached
         return cached
-
-    def _prefill_service_cache(self, states: Sequence[_TenantState]) -> None:
-        """Measure every (mode, payload) the run will need, in parallel.
-
-        Each measurement is an isolated simulation (own cluster, own ledger
-        shards, own clock), so worker processes compute them concurrently
-        and deterministically.  The win scales with the number of distinct
-        (mode, payload) pairs the tenants exercise; runs dominated by the
-        event loop itself parallelize at the whole-run level instead
-        (:func:`run_comparison` / ``compare_scaling_policies``).
-        """
-        wanted: set = set()
-        for state in states:
-            cached = self._tenant_keys_cache.get(id(state.spec))
-            if cached is not None and cached[0] is state.spec:
-                wanted |= cached[1]
-                continue
-            keys = frozenset(
-                (state.spec.mode, request.payload_bytes) for request in state.requests
-            )
-            self._tenant_keys_cache[id(state.spec)] = (state.spec, keys)
-            self.prefill_key_derivations += 1
-            wanted |= keys
-        needed = sorted(wanted - set(self._service_cache))
-        if not needed:
-            return
-        results = parallel_map(
-            _measure_service_time,
-            [(mode, payload_bytes, self.config.cost_model) for mode, payload_bytes in needed],
-        )
-        for key, value in zip(needed, results):
-            self._service_cache[key] = value
 
 
 def _ordered_requests(requests: Sequence[Request]) -> Tuple[Request, ...]:

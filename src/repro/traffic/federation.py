@@ -2,7 +2,7 @@
 
 The single-cluster engine (:mod:`repro.traffic.engine`) drives one
 :class:`~repro.traffic.cluster_runtime.ClusterRuntime`; this module drives
-*several* over one shared :class:`~repro.sim.engine.PartitionedEventLoop`
+*several* over one shared :class:`~repro.sim.engine.EventLoop`
 and one :class:`~repro.sim.clock.SimClock`, which is what makes the
 federation a single coherent simulation: cross-region placements, WAN
 transfers and regional failures interleave with every cluster's dispatch
@@ -60,7 +60,7 @@ from typing import (
 from repro.net.topology import Topology
 from repro.platform.gateway import FairnessPolicy, IntraTenantOrder
 from repro.sim.clock import SimClock
-from repro.sim.engine import PartitionedEventLoop, parallel_map
+from repro.sim.engine import EventLoop
 from repro.traffic.arrivals import Request
 from repro.traffic.autoscaler import Autoscaler, TargetConcurrencyPolicy
 from repro.traffic.cluster_runtime import (
@@ -71,10 +71,10 @@ from repro.traffic.cluster_runtime import (
     _TenantState,
 )
 from repro.traffic.engine import (
-    TRAFFIC_MODES,
     TrafficConfig,
     TrafficEngineError,
     schedule_arrivals,
+    validate_tenants,
 )
 from repro.traffic.slo import RequestRecord, TrafficSummary, summarize
 from repro.traffic.tenants import MultiTenantSummary, TenantSpec
@@ -397,26 +397,9 @@ class FederatedTrafficEngine:
         fail_at: Optional[Mapping[str, float]] = None,
         service_cache: Optional[Dict[Tuple[str, int], float]] = None,
     ) -> None:
-        if not tenants:
-            raise FederationError("need at least one tenant")
+        names = validate_tenants(tenants, FederationError)
         if not clusters:
             raise FederationError("need at least one cluster")
-        names = [tenant.name for tenant in tenants]
-        if len(set(names)) != len(names):
-            raise FederationError("tenant names must be unique, got %s" % names)
-        if "cluster" in names:
-            raise FederationError(
-                "tenant name 'cluster' is reserved for the cluster-wide rollup"
-            )
-        functions = [tenant.function_name for tenant in tenants]
-        if len(set(functions)) != len(functions):
-            raise FederationError("tenant functions must be unique, got %s" % functions)
-        for tenant in tenants:
-            if tenant.mode not in TRAFFIC_MODES:
-                raise FederationError(
-                    "tenant %r: unknown traffic mode %r (known: %s)"
-                    % (tenant.name, tenant.mode, ", ".join(TRAFFIC_MODES))
-                )
         regions = [cluster.region for cluster in clusters]
         if len(set(regions)) != len(regions):
             raise FederationError("region names must be unique, got %s" % regions)
@@ -490,22 +473,6 @@ class FederatedTrafficEngine:
             self._service_cache[key] = cached
         return cached
 
-    def _prefill_service_cache(self, streams: Mapping[str, List[Request]]) -> None:
-        wanted = {
-            (tenant.mode, request.payload_bytes)
-            for tenant in self.tenants
-            for request in streams[tenant.name]
-        }
-        needed = sorted(wanted - set(self._service_cache))
-        if not needed:
-            return
-        results = parallel_map(
-            _measure_service_time,
-            [(mode, payload, self.config.cost_model) for mode, payload in needed],
-        )
-        for key, value in zip(needed, results):
-            self._service_cache[key] = value
-
     # -- the run ---------------------------------------------------------------------
 
     def run(self) -> FederationSummary:
@@ -517,11 +484,9 @@ class FederatedTrafficEngine:
         if total_requests == 0:
             raise FederationError("cannot run with zero requests across all tenants")
         retain = self.config.retain_records
-        if self.config.parallel_nodes:
-            self._prefill_service_cache(streams)
 
         self.clock.reset()
-        loop = PartitionedEventLoop()
+        loop = EventLoop()
         counter = [total_requests]
         regions = self.regions
         single_region = len(regions) == 1
@@ -751,10 +716,7 @@ class FederatedTrafficEngine:
             )
         for region in regions:
             runtimes[region].start_ticks()
-        if self.config.parallel_nodes:
-            loop.run_parallel()
-        else:
-            loop.run()
+        loop.run()
 
         if counter[0] != 0:
             raise FederationError(

@@ -1,30 +1,14 @@
-"""Tests for the streaming quantile sketches (P² and the log histogram)."""
+"""Tests for the streaming quantile sketch and its log histogram."""
 
 import random
 
 import pytest
 
 from repro.metrics.stats import percentile
-from repro.obs.sketch import LogHistogram, P2Quantile, QuantileSketch, SketchError
-
-
-def test_rejects_out_of_range_quantiles():
-    with pytest.raises(SketchError):
-        P2Quantile(0.0)
-    with pytest.raises(SketchError):
-        P2Quantile(1.0)
-
-
-def test_exact_for_five_or_fewer_samples():
-    estimator = P2Quantile(0.5)
-    values = [5.0, 1.0, 3.0]
-    for value in values:
-        estimator.add(value)
-    assert estimator.value() == percentile(values, 50.0)
+from repro.obs.sketch import LogHistogram, QuantileSketch, SketchError
 
 
 def test_empty_sketch_reads_zero():
-    assert P2Quantile(0.9).value() == 0.0
     sketch = QuantileSketch()
     assert sketch.count == 0
     assert sketch.mean == 0.0
@@ -35,22 +19,20 @@ def test_empty_sketch_reads_zero():
 def test_uniform_distribution_within_one_percent(q):
     rng = random.Random(42)
     values = [rng.uniform(0.0, 1.0) for _ in range(100_000)]
-    estimator = P2Quantile(q)
-    for value in values:
-        estimator.add(value)
+    sketch = QuantileSketch()
+    sketch.observe_many(values)
     exact = percentile(values, q * 100.0)
-    assert estimator.value() == pytest.approx(exact, rel=0.01)
+    assert sketch.quantile(q) == pytest.approx(exact, rel=0.01)
 
 
 @pytest.mark.parametrize("q", [0.5, 0.95, 0.99])
 def test_exponential_distribution_within_one_percent(q):
     rng = random.Random(7)
     values = [rng.expovariate(10.0) for _ in range(100_000)]
-    estimator = P2Quantile(q)
-    for value in values:
-        estimator.add(value)
+    sketch = QuantileSketch()
+    sketch.observe_many(values)
     exact = percentile(values, q * 100.0)
-    assert estimator.value() == pytest.approx(exact, rel=0.01)
+    assert sketch.quantile(q) == pytest.approx(exact, rel=0.01)
 
 
 def test_sketch_tracks_exact_scalars():
@@ -100,10 +82,9 @@ def test_histogram_rejects_bad_parameters():
 
 
 def test_histogram_is_insensitive_to_sample_order():
-    # P²'s known pathology: an unrepresentative prefix (a cold-start
-    # transient) poisons its markers.  The histogram must not care — the
-    # same multiset in sorted, reversed, and transient-first order answers
-    # identically, and within 1% of exact.
+    # An unrepresentative prefix (a cold-start transient) must not poison
+    # the estimate: the same multiset in sorted, reversed, and
+    # transient-first order answers identically, and within 1% of exact.
     rng = random.Random(19)
     transient = [0.06 + rng.uniform(0.0, 0.01) for _ in range(500)]
     steady = [rng.expovariate(400.0) + 0.0005 for _ in range(99_500)]

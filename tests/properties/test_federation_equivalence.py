@@ -4,8 +4,7 @@ The federation layer's core refactoring invariant, checked over random
 workloads: wrapping the extracted :class:`ClusterRuntime` in a single-region
 federation with a zero-cost loopback "WAN" must produce request-for-request
 identical results to the unfederated ``MultiTenantTrafficEngine`` — same
-records, same rollups, same repr.  And within the federation, serial and
-``parallel_nodes`` execution must agree.
+records, same rollups, same repr.
 """
 
 from hypothesis import given, settings
@@ -48,12 +47,8 @@ def _tenants(params):
     return [TenantSpec(name="app", mode="roadrunner-user", arrivals=arrivals)]
 
 
-def _config(params, parallel=False):
-    return TrafficConfig(
-        nodes=params["nodes"],
-        queue_timeout_s=params["timeout"],
-        parallel_nodes=parallel,
-    )
+def _config(params):
+    return TrafficConfig(nodes=params["nodes"], queue_timeout_s=params["timeout"])
 
 
 @given(params=workload)
@@ -74,19 +69,3 @@ def test_single_cluster_federation_is_request_for_request_identical(params):
     assert repr(summary.tenants["app"]) == repr(expected.tenants["app"])
     assert summary.router.remote == 0
     assert summary.router.wan_bytes == 0
-
-
-@given(params=workload)
-@settings(max_examples=8, deadline=None)
-def test_federation_serial_matches_parallel_nodes(params):
-    serial = FederatedTrafficEngine(
-        _tenants(params),
-        [ClusterSpec(region="traffic", nodes=params["nodes"])],
-        config=_config(params),
-    ).run()
-    parallel = FederatedTrafficEngine(
-        _tenants(params),
-        [ClusterSpec(region="traffic", nodes=params["nodes"])],
-        config=_config(params, parallel=True),
-    ).run()
-    assert repr(serial) == repr(parallel)

@@ -9,7 +9,6 @@ from repro.sim.ledger import (
     CostLedger,
     CpuDomain,
     LedgerError,
-    NodeLedger,
 )
 
 
@@ -23,17 +22,6 @@ def test_shards_get_unique_ledger_names():
         cluster.shard("edge")
     with pytest.raises(LedgerError):
         cluster.shard("cluster")  # reserved for the cluster shard
-
-
-def test_merge_rejects_duplicate_shard_names():
-    cluster = ClusterLedger()
-    cluster.shard("n1")
-    with pytest.raises(LedgerError):
-        cluster.merge(NodeLedger("n1"))
-    # A failed merge adopts nothing, even when only one of several collides.
-    with pytest.raises(LedgerError):
-        cluster.merge(NodeLedger("n2"), NodeLedger("n1"))
-    assert sorted(cluster.shards()) == ["n1"]
 
 
 def test_charges_stamp_node_and_sequence():
@@ -118,17 +106,6 @@ def test_shared_clock_gives_one_timeline_in_serial_runs():
     charge = b.charge(CostCategory.SYSCALL, 0.25)
     assert charge.timestamp == pytest.approx(0.25)  # saw a's advance
     assert cluster.clock.now == pytest.approx(0.5)
-
-
-def test_merge_of_detached_shards_syncs_the_clock():
-    cluster = ClusterLedger()
-    forked = cluster.clock.fork()
-    detached = NodeLedger("worker", clock=forked)
-    detached.charge(CostCategory.COMPUTE, 1.5)
-    cluster.merge(detached)
-    assert cluster.clock.now == pytest.approx(1.5)
-    assert cluster.node_shard("worker") is detached
-    assert cluster.total_seconds() == pytest.approx(1.5)
 
 
 def test_backing_ledger_becomes_the_cluster_shard():

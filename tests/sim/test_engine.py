@@ -1,8 +1,8 @@
-"""Unit tests for the event loop and the parallel-tracks makespan helper."""
+"""Unit tests for the event loop, the parallel map and the makespan helper."""
 
 import pytest
 
-from repro.sim.engine import EngineError, EventLoop, ParallelTracks
+from repro.sim.engine import EngineError, EventLoop, ParallelTracks, parallel_map
 
 
 def test_events_run_in_time_order():
@@ -69,6 +69,19 @@ def test_step_executes_exactly_one_event():
     assert event is not None and fired == ["a"]
     assert loop.step() is not None and fired == ["a", "b"]
     assert loop.step() is None
+
+
+def _square(value):
+    return value * value
+
+
+def test_parallel_map_preserves_input_order():
+    items = [(n,) for n in range(12)]
+    assert parallel_map(_square, items) == [n * n for n in range(12)]
+
+
+def test_parallel_map_single_item_runs_inline():
+    assert parallel_map(_square, [(7,)]) == [49]
 
 
 def test_parallel_tracks_single_worker_sums_cpu():

@@ -113,14 +113,6 @@ def test_single_cluster_federation_matches_unfederated_engine():
     assert summary.router.remote == 0 and summary.router.wan_bytes == 0
 
 
-def test_serial_matches_parallel_nodes_per_region():
-    serial = _two_region_engine(config=TrafficConfig(nodes=4)).run()
-    parallel = _two_region_engine(
-        config=TrafficConfig(nodes=4, parallel_nodes=True)
-    ).run()
-    assert repr(serial) == repr(parallel)
-
-
 # -- routing policies ---------------------------------------------------------------
 
 

@@ -1,10 +1,8 @@
 """Regression pins for the hot-path rework's order-preserving helpers.
 
-Three pieces of the throughput work changed *how* the engine computes
+Two pieces of the throughput work changed *how* the engine computes
 without being allowed to change *what* it computes:
 
-* ``_prefill_service_cache`` memoizes each tenant spec's (mode, payload)
-  key set, so repeated runs of one engine stop re-scanning every request;
 * ``_merge_timelines`` replaced a global sort with an N-way
   ``heapq.merge`` over the per-tenant step functions;
 * ``_ordered_requests`` replaced the unconditional per-engine sort with a
@@ -24,45 +22,11 @@ from hypothesis import strategies as st
 from repro.traffic.arrivals import MB, PoissonArrivals, Request
 from repro.traffic.autoscaler import Autoscaler, FixedReplicasPolicy
 from repro.traffic.engine import (
-    MultiTenantTrafficEngine,
     TrafficConfig,
     TrafficEngine,
     _merge_timelines,
     _ordered_requests,
 )
-from repro.traffic.tenants import TenantSpec
-
-
-# -- _prefill_service_cache memo ---------------------------------------------------
-
-
-def _tenant(name, seed):
-    return TenantSpec(
-        name=name,
-        mode="roadrunner-user",
-        weight=1,
-        arrivals=PoissonArrivals(
-            rate_rps=20.0, duration_s=2.0, payload_mb=1.0, seed=seed
-        ),
-    )
-
-
-def test_prefill_key_sets_are_memoized_across_runs():
-    engine = MultiTenantTrafficEngine(
-        [_tenant("steady", 1), _tenant("noisy", 2)],
-        config=TrafficConfig(nodes=2, initial_replicas=1, parallel_nodes=True),
-        # Pre-seed the only (mode, payload) pair so prefill never has to
-        # measure anything — the test isolates the key-set derivation.
-        service_cache={("roadrunner-user", int(1.0 * MB)): 0.05},
-    )
-    first = engine.run()
-    assert engine.prefill_key_derivations == 2  # one scan per tenant spec
-    second = engine.run()
-    assert engine.prefill_key_derivations == 2  # memo hit: no re-scan
-    # The memo must not perturb the runs themselves.
-    for name in ("steady", "noisy"):
-        assert first.tenants[name].offered == second.tenants[name].offered
-        assert first.tenants[name].completed == second.tenants[name].completed
 
 
 # -- _merge_timelines vs the global sort it replaced -------------------------------

@@ -262,6 +262,18 @@ def test_two_tenants_complete_on_a_shared_cluster():
         result.tenant("ghost")
 
 
+def test_node_usage_rollup_covers_every_node_and_the_cluster_shard():
+    engine = MultiTenantTrafficEngine(
+        [_tenant("a", count=6), _tenant("b", count=4, mode="runc-http")],
+        config=TrafficConfig(nodes=4),
+    )
+    summary = engine.run()
+    assert set(summary.nodes) == {"cluster", "traffic-0", "traffic-1", "traffic-2", "traffic-3"}
+    cluster_row = summary.nodes["cluster"]
+    assert cluster_row.charges > 0  # ingress routing charges are node-less
+    assert sum(usage.charges for usage in summary.nodes.values()) > cluster_row.charges
+
+
 def test_zero_request_tenant_gets_an_empty_summary():
     empty = TenantSpec(name="idle", requests=(), mode="roadrunner-user")
     engine = MultiTenantTrafficEngine(
