@@ -15,15 +15,24 @@ list:
   order, and those are strongly autocorrelated (queues build and drain in
   waves).
 * :class:`QuantileSketch` — the summary object everything else consumes:
-  one histogram plus the exact running sum, min and max.  The
+  a default-shaped histogram read back as p50/p95/p99, mean and max.  The
   ``benchmarks/test_obs_overhead.py`` gate pins its p50/p95/p99 to within
   1% of the exact order statistics on a 100k-request run.
+
+Every :class:`QuantileSketch` has the same histogram shape, so a value's
+bucket is the same in all of them: :func:`bucket_index` computes it once and
+:meth:`QuantileSketch.observe_at` folds the value in at that bucket, which
+is how one finished request feeds several streams for the price of one
+``log`` per stage.
 """
 
 from __future__ import annotations
 
+import bisect
+import copy
+import itertools
 import math
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 from repro.metrics.stats import LatencySummary
 
@@ -43,6 +52,7 @@ class LogHistogram:
     bucket (for latencies, sub-nanosecond — exactly where relative error
     stops mattering); values beyond the last bucket clamp into it, and the
     exact running min/max bound every answer, so the extremes never drift.
+    The exact running sum rides along for means.
     """
 
     def __init__(self, floor: float = 1e-9, growth: float = 1.008, buckets: int = 4096) -> None:
@@ -55,9 +65,11 @@ class LogHistogram:
         self.floor = floor
         self.growth = growth
         self._counts = [0] * buckets
+        self._last = buckets - 1
         self._inv_log_growth = 1.0 / math.log(growth)
         self._log_floor = math.log(floor)
         self._count = 0
+        self._sum = 0.0
         self._min = 0.0
         self._max = 0.0
 
@@ -65,14 +77,24 @@ class LogHistogram:
     def count(self) -> int:
         return self._count
 
-    def _index(self, value: float) -> int:
+    def index(self, value: float) -> int:
+        """The bucket ``value`` falls in (below ``floor``: 0; past the end: the last)."""
         if value < self.floor:
             return 0
         index = int((math.log(value) - self._log_floor) * self._inv_log_growth) + 1
-        return min(index, len(self._counts) - 1)
+        return index if index < self._last else self._last
 
     def add(self, value: float) -> None:
         value = float(value)
+        # index() and add_at() unrolled: this method runs a dozen times per
+        # simulated request, and each extra frame per observation is
+        # measurable there.
+        if value < self.floor:
+            index = 0
+        else:
+            index = int((math.log(value) - self._log_floor) * self._inv_log_growth) + 1
+            if index > self._last:
+                index = self._last
         if self._count == 0:
             self._min = self._max = value
         else:
@@ -81,70 +103,82 @@ class LogHistogram:
             if value > self._max:
                 self._max = value
         self._count += 1
-        # _index() unrolled: this method runs a dozen times per simulated
-        # request, and the extra frame per observation is measurable there.
-        counts = self._counts
-        if value < self.floor:
-            index = 0
+        self._sum += value
+        self._counts[index] += 1
+
+    def add_at(self, value: float, index: int) -> None:
+        """Count a float ``value`` into bucket ``index``, which must be ``self.index(value)``."""
+        if self._count == 0:
+            self._min = self._max = value
         else:
-            index = int((math.log(value) - self._log_floor) * self._inv_log_growth) + 1
-            last = len(counts) - 1
-            if index > last:
-                index = last
-        counts[index] += 1
+            if value < self._min:
+                self._min = value
+            if value > self._max:
+                self._max = value
+        self._count += 1
+        self._sum += value
+        self._counts[index] += 1
 
     def clone(self) -> "LogHistogram":
         """An independent copy with identical contents (copy-on-write forks)."""
-        other = LogHistogram(
-            floor=self.floor, growth=self.growth, buckets=len(self._counts)
-        )
+        other = copy.copy(self)
         other._counts = list(self._counts)
-        other._count = self._count
-        other._min = self._min
-        other._max = self._max
         return other
 
     def quantile(self, q: float) -> float:
         """The estimated ``q``-quantile (0.0 before any sample)."""
-        if not 0.0 < q < 1.0:
-            raise SketchError("quantile must be in (0, 1), got %r" % q)
+        return self.quantile_many((q,))[0]
+
+    def quantile_many(self, qs: Sequence[float]) -> List[float]:
+        """The estimates for several quantiles from one walk over the buckets.
+
+        Each answer is the bucket holding the target rank (the first whose
+        running count reaches it), read back as the bucket's geometric
+        midpoint and clamped to the exact min/max.
+        """
+        for q in qs:
+            if not 0.0 < q < 1.0:
+                raise SketchError("quantile must be in (0, 1), got %r" % q)
         if self._count == 0:
-            return 0.0
-        rank = q * (self._count - 1) + 1.0  # same convention as stats.percentile
-        seen = 0
-        for index, bucket_count in enumerate(self._counts):
-            seen += bucket_count
-            if seen >= rank:
-                if index == 0:
-                    estimate = self._min
-                else:
-                    # Geometric midpoint of [floor*g^(i-1), floor*g^i).
-                    estimate = self.floor * self.growth ** (index - 0.5)
-                return min(max(estimate, self._min), self._max)
-        return self._max
+            return [0.0 for _ in qs]
+        running = list(itertools.accumulate(self._counts))
+        last = self._count - 1
+        # Same rank convention as stats.percentile.
+        return [self._estimate(bisect.bisect_left(running, q * last + 1.0)) for q in qs]
+
+    def _estimate(self, index: int) -> float:
+        if index > self._last:
+            return self._max
+        if index == 0:
+            estimate = self._min
+        else:
+            # Geometric midpoint of [floor*g^(i-1), floor*g^i).
+            estimate = self.floor * self.growth ** (index - 0.5)
+        return min(max(estimate, self._min), self._max)
 
 
-class QuantileSketch:
+class QuantileSketch(LogHistogram):
     """A full streaming distribution summary: p50/p95/p99, mean, min, max.
 
     The streaming replacement for ``LatencySummary.from_samples`` over a
     retained sample list: feed observations one at a time, read a
-    :class:`~repro.metrics.stats.LatencySummary` off at any point.  One
-    log-bucketed histogram plus four scalars — constant memory at any
-    sample count, and insensitive to the heavy autocorrelation of
-    arrival-ordered latency streams.
+    :class:`~repro.metrics.stats.LatencySummary` off at any point.  A
+    default-shaped log histogram with its exact count, sum, min and max —
+    constant memory at any sample count, and insensitive to the heavy
+    autocorrelation of arrival-ordered latency streams.
     """
 
     #: Quantiles every summary/exposition prints (any (0, 1) quantile works).
     QUANTILES = (0.5, 0.95, 0.99)
 
     def __init__(self) -> None:
-        self._histogram = LogHistogram()
-        self._sum = 0.0
+        # Always the default shape, so bucket_index() holds for every sketch.
+        super().__init__()
 
-    @property
-    def count(self) -> int:
-        return self._histogram.count
+    #: Fold in one value; ``observe_at(value, bucket_index(value))`` is the
+    #: same for a float whose bucket the caller already knows.
+    observe = LogHistogram.add
+    observe_at = LogHistogram.add_at
 
     @property
     def sum(self) -> float:
@@ -152,47 +186,38 @@ class QuantileSketch:
 
     @property
     def mean(self) -> float:
-        return self._sum / self.count if self.count else 0.0
+        return self._sum / self._count if self._count else 0.0
 
     @property
     def max(self) -> float:
-        return self._histogram._max
+        return self._max
 
     @property
     def min(self) -> float:
-        return self._histogram._min
-
-    def observe(self, value: float) -> None:
-        self._sum += float(value)
-        self._histogram.add(value)
+        return self._min
 
     def observe_many(self, values: Sequence[float]) -> None:
         for value in values:
             self.observe(value)
 
-    def clone(self) -> "QuantileSketch":
-        """An independent copy with identical contents (copy-on-write forks)."""
-        other = QuantileSketch()
-        other._histogram = self._histogram.clone()
-        other._sum = self._sum
-        return other
-
-    def quantile(self, q: float) -> float:
-        """The estimate for any quantile in (0, 1)."""
-        return self._histogram.quantile(q)
-
     def quantiles(self) -> Dict[float, float]:
-        return {q: self._histogram.quantile(q) for q in self.QUANTILES}
+        return dict(zip(self.QUANTILES, self.quantile_many(self.QUANTILES)))
 
     def summary(self) -> LatencySummary:
         """Collapse the sketch to the same shape record-based rollups use."""
-        if self.count == 0:
+        if self._count == 0:
             return LatencySummary.empty()
+        p50, p95, p99 = self.quantile_many(self.QUANTILES)
         return LatencySummary(
-            count=self.count,
+            count=self._count,
             mean_s=self.mean,
-            p50_s=self.quantile(0.5),
-            p95_s=self.quantile(0.95),
-            p99_s=self.quantile(0.99),
-            max_s=self.max,
+            p50_s=p50,
+            p95_s=p95,
+            p99_s=p99,
+            max_s=self._max,
         )
+
+
+#: The bucket a value falls in, in every :class:`QuantileSketch` (they all
+#: have the default histogram shape).
+bucket_index = LogHistogram().index

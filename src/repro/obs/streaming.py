@@ -15,11 +15,11 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Sequence, Tuple
 
 from repro.metrics.stats import LatencySummary
-from repro.obs.sketch import QuantileSketch
+from repro.obs.sketch import QuantileSketch, bucket_index
 from repro.obs.spans import WaterfallRow
 from repro.traffic.slo import (
     SERVED_OUTCOMES,
@@ -28,6 +28,56 @@ from repro.traffic.slo import (
     RequestRecord,
     TrafficSummary,
 )
+
+
+class Observation:
+    """One finished request, reduced once for every stream it belongs to.
+
+    The stage durations mirror the :class:`~repro.traffic.slo.RequestRecord`
+    property definitions float for float, and each duration a sketch will
+    receive carries its :func:`~repro.obs.sketch.bucket_index`, so folding
+    the same request into a tenant, a cluster and a federation rollup costs
+    one ``log`` per stage rather than one per stage per rollup.
+    """
+
+    __slots__ = (
+        "outcome", "served", "request_class", "deadline_s", "deadline_met",
+        "latency", "queueing", "service", "cold_wait",
+        "latency_bucket", "queueing_bucket", "service_bucket", "cold_wait_bucket",
+    )
+
+    def __init__(self, record: RequestRecord) -> None:
+        arrival = record.arrival_s
+        dispatch = record.dispatch_s
+        completion = record.completion_s
+        outcome = record.outcome
+        served = outcome in SERVED_OUTCOMES
+        deadline_s = record.deadline_s
+        self.outcome = outcome
+        self.served = served
+        self.request_class = record.request_class
+        self.deadline_s = deadline_s
+        self.deadline_met = (
+            None if deadline_s is None else (served and completion <= deadline_s)
+        )
+        latency = 0.0 if completion is None else float(completion - arrival)
+        self.latency = latency
+        self.latency_bucket = bucket_index(latency) if served else 0
+        if outcome is RequestOutcome.COMPLETED:
+            # Completed means dispatched and finished: both stamps exist.
+            queueing = float(dispatch - arrival)
+            service = float(completion - dispatch)
+            cold_wait = float(record.cold_start_wait_s)
+            self.queueing_bucket = bucket_index(queueing)
+            self.service_bucket = bucket_index(service)
+            self.cold_wait_bucket = bucket_index(cold_wait)
+        else:
+            # Only completed requests reach the stage sketches.
+            queueing = service = cold_wait = 0.0
+            self.queueing_bucket = self.service_bucket = self.cold_wait_bucket = 0
+        self.queueing = queueing
+        self.service = service
+        self.cold_wait = cold_wait
 
 
 @dataclass
@@ -39,22 +89,12 @@ class StageSketches:
     service: QuantileSketch = field(default_factory=QuantileSketch)
     cold_wait: QuantileSketch = field(default_factory=QuantileSketch)
 
-    def observe(self, record: RequestRecord) -> None:
-        self.observe_values(
-            record.latency_s,
-            record.queueing_delay_s,
-            record.service_s,
-            record.cold_start_wait_s,
-        )
-
-    def observe_values(
-        self, latency: float, queueing: float, service: float, cold_wait: float
-    ) -> None:
-        """Fold pre-computed stage durations in (the engine's hot path)."""
-        self.latency.observe(latency)
-        self.queueing.observe(queueing)
-        self.service.observe(service)
-        self.cold_wait.observe(cold_wait)
+    def fold(self, obs: Observation) -> None:
+        """Fold one completed request's stage durations in."""
+        self.latency.observe_at(obs.latency, obs.latency_bucket)
+        self.queueing.observe_at(obs.queueing, obs.queueing_bucket)
+        self.service.observe_at(obs.service, obs.service_bucket)
+        self.cold_wait.observe_at(obs.cold_wait, obs.cold_wait_bucket)
 
     def clone(self) -> "StageSketches":
         return StageSketches(
@@ -85,43 +125,13 @@ class _ClassStats:
     #: stay completed-only so waterfalls keep their backend-stage meaning.
     latency_served: QuantileSketch = field(default_factory=QuantileSketch)
 
-    def observe(self, record: RequestRecord) -> None:
-        self.observe_values(
-            record.outcome,
-            record.served,
-            record.latency_s,
-            record.queueing_delay_s,
-            record.service_s,
-            record.cold_start_wait_s,
-            record.deadline_s,
-            record.deadline_met,
-        )
-
-    def observe_values(
-        self,
-        outcome: RequestOutcome,
-        served: bool,
-        latency: float,
-        queueing: float,
-        service: float,
-        cold_wait: float,
-        deadline_s: "Optional[float]",
-        deadline_met: "Optional[bool]",
-        track_stages: bool = True,
-        track_served: bool = True,
-    ) -> None:
-        """Fold one outcome with its pre-computed stage durations.
-
-        ``track_stages=False`` / ``track_served=False`` skip sketch updates
-        for scopes whose sketches are shared with (or never read instead
-        of) the owning :class:`StreamingTrafficStats` — the caller promises
-        the shared object is updated exactly once elsewhere.
-        """
+    def fold(self, obs: Observation) -> None:
+        """Count one outcome and fold its durations into the sketches."""
         self.offered += 1
+        outcome = obs.outcome
         if outcome is RequestOutcome.COMPLETED:
             self.completed += 1
-            if track_stages:
-                self.stages.observe_values(latency, queueing, service, cold_wait)
+            self.stages.fold(obs)
         elif outcome is RequestOutcome.TIMED_OUT:
             self.timed_out += 1
         elif outcome is RequestOutcome.DROPPED:
@@ -136,11 +146,11 @@ class _ClassStats:
             self.rate_limited += 1
         elif outcome is RequestOutcome.REJECTED:
             self.rejected += 1
-        if served and track_served:
-            self.latency_served.observe(latency)
-        if deadline_s is not None:
+        if obs.served:
+            self.latency_served.observe_at(obs.latency, obs.latency_bucket)
+        if obs.deadline_s is not None:
             self.deadline_total += 1
-            if deadline_met:
+            if obs.deadline_met:
                 self.deadline_met += 1
 
     def summary(self, name: str) -> ClassSummary:
@@ -160,101 +170,63 @@ class _ClassStats:
             latency=self.latency_served.summary(),
         )
 
+    def clone(self) -> "_ClassStats":
+        return replace(
+            self, stages=self.stages.clone(), latency_served=self.latency_served.clone()
+        )
+
 
 class StreamingTrafficStats:
     """Constant-memory rollup of one request stream (a tenant or the cluster)."""
 
     def __init__(self, declared_classes: Sequence[str] = ()) -> None:
-        self.offered = 0
-        self.stages = StageSketches()
+        #: Every outcome across classes; its stage sketches are the scope's.
+        self._totals = _ClassStats()
         self._classes: Dict[str, _ClassStats] = {}
-        self._totals = _ClassStats()  # outcome/deadline counters across classes
         for name in declared_classes:
             self._class_stats(name)
+
+    @property
+    def offered(self) -> int:
+        return self._totals.offered
+
+    @property
+    def stages(self) -> StageSketches:
+        """The scope-wide stage sketches (completed requests only)."""
+        return self._totals.stages
 
     def _class_stats(self, name: str) -> _ClassStats:
         """The per-class accumulator, creating it on first sight.
 
-        While exactly one class exists its sketches would hold exactly the
-        scope-wide contents, so the sole class *shares* the scope's sketch
-        objects (and ``observe`` skips the duplicate updates).  The moment a
-        second class appears, the sole class's sketches are forked into
-        independent copies — identical content, tracked separately from
-        then on.
+        While exactly one class exists it holds exactly the scope-wide
+        contents, so the sole class *is* the totals object (and ``fold``
+        updates it once).  The moment a second class appears, the sole
+        class forks into an independent copy — identical content, tracked
+        separately from then on.
         """
         per_class = self._classes.get(name)
-        if per_class is not None:
-            return per_class
-        if not self._classes:
-            per_class = _ClassStats(
-                stages=self.stages, latency_served=self._totals.latency_served
-            )
-        else:
+        if per_class is None:
             if len(self._classes) == 1:
-                (sole,) = self._classes.values()
-                if sole.stages is self.stages:
-                    sole.stages = self.stages.clone()
-                if sole.latency_served is self._totals.latency_served:
-                    sole.latency_served = self._totals.latency_served.clone()
-            per_class = _ClassStats()
-        self._classes[name] = per_class
+                (sole,) = self._classes
+                if self._classes[sole] is self._totals:
+                    self._classes[sole] = self._totals.clone()
+            per_class = _ClassStats() if self._classes else self._totals
+            self._classes[name] = per_class
         return per_class
 
     def observe(self, record: RequestRecord) -> None:
-        """Fold one finished request in; the record is not retained.
+        """Fold one finished request in; the record is not retained."""
+        self.fold(Observation(record))
 
-        The stage durations are computed once here (mirroring the
-        :class:`~repro.traffic.slo.RequestRecord` property definitions) and
-        fanned out as plain floats — the record's derived properties are
-        never re-evaluated per scope, and the cross-class totals skip the
-        stage sketches nobody reads off them.
-        """
-        arrival = record.arrival_s
-        dispatch = record.dispatch_s
-        completion = record.completion_s
-        latency = 0.0 if completion is None else completion - arrival
-        queueing = 0.0 if dispatch is None else dispatch - arrival
-        service = (
-            0.0
-            if dispatch is None or completion is None
-            else completion - dispatch
-        )
-        cold_wait = record.cold_start_wait_s
-        outcome = record.outcome
-        served = outcome in SERVED_OUTCOMES
-        deadline_s = record.deadline_s
-        deadline_met = (
-            None if deadline_s is None else (served and completion <= deadline_s)
-        )
-        self.offered += 1
-        self._totals.observe_values(
-            outcome,
-            served,
-            latency,
-            queueing,
-            service,
-            cold_wait,
-            deadline_s,
-            deadline_met,
-            track_stages=False,
-        )
-        if outcome is RequestOutcome.COMPLETED:
-            self.stages.observe_values(latency, queueing, service, cold_wait)
-        per_class = self._classes.get(record.request_class)
+    def fold(self, obs: Observation) -> None:
+        """Fold one reduced request in (the engine builds one per request)."""
+        totals = self._totals
+        totals.fold(obs)
+        per_class = self._classes.get(obs.request_class)
         if per_class is None:
-            per_class = self._class_stats(record.request_class)
-        per_class.observe_values(
-            outcome,
-            served,
-            latency,
-            queueing,
-            service,
-            cold_wait,
-            deadline_s,
-            deadline_met,
-            track_stages=per_class.stages is not self.stages,
-            track_served=per_class.latency_served is not self._totals.latency_served,
-        )
+            per_class = self._class_stats(obs.request_class)
+        if per_class is not totals:
+            per_class.fold(obs)
 
     @property
     def completed(self) -> int:
@@ -325,7 +297,7 @@ class StreamingTrafficStats:
         return rows
 
 
-def _queue_only(stages: StageSketches) -> Tuple[float, float]:
+def _queue_only(stages: StageSketches, cold_p95: float) -> Tuple[float, float]:
     """Mean/p95 of the pure-queue wait, approximated from the two sketches.
 
     The record path subtracts cold wait per request; streaming can only
@@ -333,14 +305,15 @@ def _queue_only(stages: StageSketches) -> Tuple[float, float]:
     estimate for the tail (cold waits are near-constant per runtime).
     """
     mean_q = max(0.0, stages.queueing.mean - stages.cold_wait.mean)
-    p95_q = max(0.0, stages.queueing.quantile(0.95) - stages.cold_wait.quantile(0.95))
+    p95_q = max(0.0, stages.queueing.quantile(0.95) - cold_p95)
     return mean_q, p95_q
 
 
 def _row_from_stages(
     label: str, request_class: str, completed: int, stages: StageSketches
 ) -> WaterfallRow:
-    queue_mean, queue_p95 = _queue_only(stages)
+    cold_p95 = stages.cold_wait.quantile(0.95)
+    queue_mean, queue_p95 = _queue_only(stages, cold_p95)
     return WaterfallRow(
         label=label,
         request_class=request_class,
@@ -348,7 +321,7 @@ def _row_from_stages(
         queue_mean_s=queue_mean,
         queue_p95_s=queue_p95,
         cold_mean_s=stages.cold_wait.mean,
-        cold_p95_s=stages.cold_wait.quantile(0.95),
+        cold_p95_s=cold_p95,
         service_mean_s=stages.service.mean,
         service_p95_s=stages.service.quantile(0.95),
         total_mean_s=stages.latency.mean,

@@ -154,6 +154,10 @@ class FairQueue:
     the head — except that a cancelled *head* is pruned eagerly, so the
     next dispatch decision (head arrival seq for global FIFO, head deadline
     for EDF, head cost for cost-weighted tags) never keys off a ghost.
+
+    A running count of live items across all tenants backs
+    :meth:`total_depth` and lets :meth:`dispatch_order` answer an empty
+    queue without visiting any tenant.
     """
 
     def __init__(
@@ -174,6 +178,7 @@ class FairQueue:
         self._tenants: Dict[str, _TenantQueue] = {}
         self._seq = itertools.count()
         self._virtual = 0.0
+        self._depth = 0  # live items across tenants: sum of len(queue.live)
 
     # -- tenant management ---------------------------------------------------------
 
@@ -296,6 +301,7 @@ class FairQueue:
             )
         heapq.heappush(queue.items, entry)
         queue.live.add(item_id)
+        self._depth += 1
         queue.stats.enqueued += 1
         return True
 
@@ -305,6 +311,7 @@ class FairQueue:
         if item_id not in queue.live:
             return False
         queue.live.discard(item_id)
+        self._depth -= 1
         queue.stats.timed_out += 1
         # Eagerly prune a cancelled head: leaving the ghost in place would
         # let the next dispatch decision key off its seq/deadline/cost until
@@ -320,7 +327,7 @@ class FairQueue:
         return item_id in self._require(tenant).live
 
     def total_depth(self) -> int:
-        return sum(len(queue.live) for queue in self._tenants.values())
+        return self._depth
 
     def dispatch_order(self) -> List[str]:
         """Backlogged tenants in the order dispatch should try them.
@@ -329,16 +336,18 @@ class FairQueue:
         replica (work conservation); committing a dispatch goes through
         :meth:`pop`, which is where tags, skip counters and stats advance.
         """
+        if not self._depth:
+            return []
         if len(self._tenants) == 1:
             # One tenant (the whole single-stream engine): every policy
-            # reduces to "that tenant, if backlogged" — skip the sorts.
+            # reduces to "that tenant", which the count says is backlogged.
             (queue,) = self._tenants.values()
-            return [queue.name] if self._head(queue) is not None else []
-        backlogged = [queue for queue in self._tenants.values() if self._head(queue) is not None]
+            return [queue.name]
+        backlogged = [queue for queue in self._tenants.values() if queue.live]
         if self.policy is FairnessPolicy.FIFO:
             # With EDF inside a tenant, "arrival order" means the arrival
             # seq of whichever entry the tenant would dispatch next.
-            backlogged.sort(key=lambda queue: queue.items[0].seq)
+            backlogged.sort(key=lambda queue: self._head(queue).seq)
             return [queue.name for queue in backlogged]
         starved = [queue for queue in backlogged if queue.skipped >= self.starvation_guard]
         rest = [queue for queue in backlogged if queue.skipped < self.starvation_guard]
@@ -378,6 +387,7 @@ class FairQueue:
             raise GatewayError("tenant %r has no queued requests" % tenant)
         heapq.heappop(queue.items)
         queue.live.discard(entry.item_id)
+        self._depth -= 1
         queue.stats.shed += 1
         return entry.item
 
@@ -388,6 +398,7 @@ class FairQueue:
             raise GatewayError("tenant %r has no queued requests" % tenant)
         entry = heapq.heappop(queue.items)
         queue.live.discard(entry.item_id)
+        self._depth -= 1
         queue.stats.dispatched += 1
         if self.policy is not FairnessPolicy.FIFO:
             self._virtual = max(self._virtual, queue.finish_tag)
@@ -416,6 +427,7 @@ class FairQueue:
                 break
             entry = heapq.heappop(queue.items)
             queue.live.discard(entry.item_id)
+            self._depth -= 1
             drained.append((entry.item_id, entry.item))
         return drained
 
@@ -484,6 +496,9 @@ class IngressGateway:
         self._round_robin_cursor: Dict[str, int] = {}
         self._replica_serial: Dict[str, int] = {}
         self._deferred_ingress: Dict[str, int] = {}
+        #: Requests in flight across every pool: the sum of every replica's
+        #: ``in_flight``, kept at each site that changes one.
+        self._in_flight = 0
         self.requests_routed = 0
         self.cold_starts = 0
         self.scale_downs = 0
@@ -620,6 +635,7 @@ class IngressGateway:
             state = min(candidates, key=lambda replica: replica.in_flight)
         state.in_flight += 1
         state.served += 1
+        self._in_flight += 1
         self.requests_routed += 1
         ledger = self.orchestrator.cluster.ledger
         ledger.charge(
@@ -662,6 +678,7 @@ class IngressGateway:
             state = min(candidates, key=_in_flight_of)
         state.in_flight += 1
         state.served += 1
+        self._in_flight += 1
         self.requests_routed += 1
         self._deferred_ingress[function] = self._deferred_ingress.get(function, 0) + 1
         return state
@@ -678,6 +695,7 @@ class IngressGateway:
                 "replica %r has no requests in flight to release" % state.deployed.name
             )
         state.in_flight -= 1
+        self._in_flight -= 1
 
     def flush_deferred_ingress(self) -> None:
         """Charge the ingress overhead accumulated by :meth:`select_replica`.
@@ -716,6 +734,7 @@ class IngressGateway:
                         "replica %r has no requests in flight to release" % deployed.name
                     )
                 state.in_flight -= 1
+                self._in_flight -= 1
                 return
         raise GatewayError("replica %r does not belong to function %r" % (deployed.name, function))
 
@@ -728,6 +747,10 @@ class IngressGateway:
 
     def total_in_flight(self, function: str) -> int:
         return sum(state.in_flight for state in self._require_pool(function))
+
+    def in_flight_total(self) -> int:
+        """Requests currently executing across every function's pool."""
+        return self._in_flight
 
     def pool_size(self, function: str) -> int:
         return len(self._pools.get(function, []))

@@ -121,8 +121,10 @@ class _TenantState:
     replicas: List[_Replica] = field(default_factory=list)
     by_name: Dict[str, _Replica] = field(default_factory=dict)
     records: List[RequestRecord] = field(default_factory=list)
-    #: Streaming accumulators, built instead of ``records`` in sketch mode.
-    stream: Optional[StreamingTrafficStats] = None
+    #: Streaming accumulators, built instead of ``records`` in sketch mode
+    #: by :func:`attach_streams`: every rollup this tenant's finished
+    #: requests fold into, each object once.  The first is the tenant's own.
+    streams: Tuple[StreamingTrafficStats, ...] = ()
     timeline: List[Tuple[float, int]] = field(default_factory=list)
     cold_starts: int = 0
     cold_start_seconds: float = 0.0
@@ -142,6 +144,35 @@ class _TenantState:
     def __post_init__(self) -> None:
         self.name = self.spec.name
         self.function = self.spec.function_name
+
+
+def attach_streams(
+    states: Sequence[_TenantState],
+    outer_tenants: Optional[Dict[str, StreamingTrafficStats]] = None,
+    outer_cluster: Optional[StreamingTrafficStats] = None,
+) -> StreamingTrafficStats:
+    """Give each tenant the sketch-mode rollups it folds into; return the cluster's.
+
+    Each tenant folds into its own rollup and the cluster's, then — when a
+    federation passes them — into its federation-wide tenant rollup
+    (``outer_tenants[name]``) and the federation-wide ``outer_cluster``.
+    A single classless tenant's cluster rollup would fold exactly the
+    tenant's requests into an identical accumulator, so the two are one
+    object, folded once per request.
+    """
+    from repro.obs.streaming import StreamingTrafficStats
+
+    own = [StreamingTrafficStats(declared_classes=state.spec.class_names) for state in states]
+    if len(states) == 1 and not states[0].spec.class_names:
+        cluster = own[0]
+    else:
+        cluster = StreamingTrafficStats()
+    for state, stream in zip(states, own):
+        streams = (stream,) if stream is cluster else (stream, cluster)
+        if outer_cluster is not None:
+            streams += (outer_tenants[state.name], outer_cluster)
+        state.streams = streams
+    return cluster
 
 
 def _merge_timelines(
@@ -201,7 +232,6 @@ class ClusterRuntime:
         cluster_stream: Optional[StreamingTrafficStats] = None,
         region: str = "",
         node_prefix: str = "traffic",
-        on_record: Optional[Callable[[RequestRecord], None]] = None,
     ) -> None:
         self.states = list(states)
         self.config = config
@@ -293,7 +323,8 @@ class ClusterRuntime:
         max_queue = config.max_queue
         queue_timeout_s = config.queue_timeout_s
         cores = {name: cluster.node(name).cores for name in cluster.nodes}
-        cluster_stream = self._cluster_stream
+        if not retain:
+            from repro.obs.streaming import Observation
         #: Busy requests per node across all tenants, maintained incrementally
         #: (+1 at every replica selection, -1 at every release) instead of
         #: being rebuilt from gateway pool scans on every dispatch pass.
@@ -309,17 +340,16 @@ class ClusterRuntime:
             """One request reached a terminal outcome: account it exactly once.
 
             The single funnel for all four outcome paths — retained as a
-            record or folded into the streaming accumulators, counted down,
-            and fanned out to the telemetry sinks.
+            record or reduced once and folded into every streaming
+            accumulator it belongs to, counted down, and fanned out to the
+            telemetry sinks.
             """
             if retain:
                 state.records.append(record)
             else:
-                state.stream.observe(record)
-                if cluster_stream is not state.stream:
-                    cluster_stream.observe(record)
-            if on_record is not None:
-                on_record(record)
+                observation = Observation(record)
+                for stream in state.streams:
+                    stream.fold(observation)
             counter[0] -= 1
             if telemetry is not None:
                 telemetry.on_request(state.name, record, node)
@@ -872,13 +902,14 @@ class ClusterRuntime:
         return self.gateway.queue.depth(tenant)
 
     def load(self) -> int:
-        """In-flight + queued across every tenant (the least-loaded signal)."""
-        total = 0
-        for state in self.states:
-            total += self.gateway.queue.depth(state.name)
-            if state.replicas:
-                total += self.gateway.total_in_flight(state.function)
-        return total
+        """In-flight + queued across every tenant (the least-loaded signal).
+
+        Both terms are running counters the gateway keeps, so the router
+        reads a region's load in O(1) however many tenants and replicas
+        it holds.
+        """
+        gateway = self.gateway
+        return gateway.queue.total_depth() + gateway.in_flight_total()
 
     def warm_ready(self, tenant: str, now: float) -> int:
         """Warm replicas of ``tenant`` with spare concurrency right now."""
@@ -1008,7 +1039,7 @@ class ClusterRuntime:
                 waterfall.extend(waterfall_from_records(state.name, state.records))
             else:
                 self.records[state.name] = []
-                tenants[state.name] = state.stream.summary(
+                tenants[state.name] = state.streams[0].summary(
                     mode=state.spec.mode,
                     pattern=state.spec.pattern_name,
                     duration_s=duration,
@@ -1020,7 +1051,7 @@ class ClusterRuntime:
                     rss_mb_seconds=state.rss_mb_seconds,
                     cpu_seconds=state.cpu_seconds,
                 )
-                waterfall.extend(state.stream.waterfall(state.name))
+                waterfall.extend(state.streams[0].waterfall(state.name))
         if retain:
             cluster = summarize(
                 mode="cluster",

@@ -69,6 +69,7 @@ from repro.traffic.cluster_runtime import (
     _Replica,
     _spec_for_mode,
     _TenantState,
+    attach_streams,
 )
 from repro.traffic.autoscaler import Autoscaler, TargetConcurrencyPolicy
 from repro.traffic.slo import RequestRecord, TrafficSummary
@@ -79,7 +80,6 @@ if TYPE_CHECKING:  # pragma: no cover - runtime imports are lazy to avoid a
     # __init__ imports this module.
     from repro.gateway.middleware import MiddlewarePipeline
     from repro.obs.spans import WaterfallRow
-    from repro.obs.streaming import StreamingTrafficStats
     from repro.obs.telemetry import Telemetry
 
 __all__ = [
@@ -312,7 +312,6 @@ class MultiTenantTrafficEngine:
         self.evictions: List[Tuple[float, str, str]] = []
         #: Latency-waterfall rows of the last run (per tenant + cluster).
         self.waterfall: List[WaterfallRow] = []
-        self._cluster_stream: Optional[StreamingTrafficStats] = None
 
     # -- public API -----------------------------------------------------------------
 
@@ -332,22 +331,7 @@ class MultiTenantTrafficEngine:
             raise TrafficEngineError("cannot run with zero requests across all tenants")
         self.records = {}
         self.waterfall = []
-        retain = self.config.retain_records
-        if not retain:
-            from repro.obs.streaming import StreamingTrafficStats
-
-            for state in states:
-                state.stream = StreamingTrafficStats(
-                    declared_classes=state.spec.class_names
-                )
-            if len(states) == 1 and not states[0].spec.class_names:
-                # Single classless tenant: the cluster rollup would observe
-                # exactly the tenant's records into an identical accumulator,
-                # so share one object and halve the sketch updates per
-                # request.  finish() skips the second observe on identity.
-                self._cluster_stream = states[0].stream
-            else:
-                self._cluster_stream = StreamingTrafficStats()
+        cluster_stream = None if self.config.retain_records else attach_streams(states)
         telemetry = self.telemetry
 
         self.clock.reset()
@@ -368,7 +352,7 @@ class MultiTenantTrafficEngine:
             total_requests=total_requests,
             telemetry=telemetry,
             pipeline=self.middleware,
-            cluster_stream=self._cluster_stream,
+            cluster_stream=cluster_stream,
         )
         self.evictions = runtime.evictions
 

@@ -69,6 +69,7 @@ from repro.traffic.cluster_runtime import (
     _merge_timelines,
     _spec_for_mode,
     _TenantState,
+    attach_streams,
 )
 from repro.traffic.engine import (
     TrafficConfig,
@@ -491,13 +492,9 @@ class FederatedTrafficEngine:
         regions = self.regions
         single_region = len(regions) == 1
 
-        # Global (cross-region) rollup accumulators for sketch mode, fed by
-        # each runtime's on_record hook; record.function keys the tenant.
+        # Federation-wide (cross-region) rollups for sketch mode: every
+        # region's tenants fold each finished request into these too.
         tenant_streams = cluster_stream = None
-        by_function = {tenant.function_name: tenant.name for tenant in self.tenants}
-        observers: Dict[str, Optional[Callable[[RequestRecord], None]]] = {
-            region: None for region in regions
-        }
         if not retain:
             from repro.obs.streaming import StreamingTrafficStats
 
@@ -506,12 +503,6 @@ class FederatedTrafficEngine:
                 for tenant in self.tenants
             }
             cluster_stream = StreamingTrafficStats()
-
-            def observe_global(record: RequestRecord) -> None:
-                tenant_streams[by_function[record.function]].observe(record)
-                cluster_stream.observe(record)
-
-            observers = {region: observe_global for region in regions}
 
         # One runtime per region, all over the shared clock and loop.
         runtimes: Dict[str, ClusterRuntime] = {}
@@ -533,13 +524,7 @@ class FederatedTrafficEngine:
             ]
             region_cluster_stream = None
             if not retain:
-                from repro.obs.streaming import StreamingTrafficStats
-
-                for state in states:
-                    state.stream = StreamingTrafficStats(
-                        declared_classes=state.spec.class_names
-                    )
-                region_cluster_stream = StreamingTrafficStats()
+                region_cluster_stream = attach_streams(states, tenant_streams, cluster_stream)
             telemetry = (
                 self.telemetry_factory(region) if self.telemetry_factory else None
             )
@@ -566,7 +551,6 @@ class FederatedTrafficEngine:
                 cluster_stream=region_cluster_stream,
                 region=region,
                 node_prefix=region,
-                on_record=observers[region],
             )
             region_states[region] = states
         self.evictions = {region: runtimes[region].evictions for region in regions}
