@@ -11,8 +11,6 @@ of Figs. 7-10.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.sim.ledger import CpuDomain, MemoryMeter
 
 
@@ -28,28 +26,27 @@ class Cgroup:
             raise CgroupError("cgroup name must be non-empty")
         self.name = name
         self.memory = memory
-        self._cpu_seconds: Dict[CpuDomain, float] = {
-            CpuDomain.USER: 0.0,
-            CpuDomain.KERNEL: 0.0,
-        }
+        self._user_seconds = 0.0
+        self._kernel_seconds = 0.0
 
     def charge_cpu(self, domain: CpuDomain, seconds: float) -> None:
         """Add ``seconds`` of CPU time in ``domain`` (USER or KERNEL)."""
         if seconds < 0:
             raise CgroupError("cpu charge must be non-negative, got %r" % seconds)
-        if domain is CpuDomain.NONE:
-            return
-        if domain not in self._cpu_seconds:
+        if domain is CpuDomain.KERNEL:
+            self._kernel_seconds += seconds
+        elif domain is CpuDomain.USER:
+            self._user_seconds += seconds
+        elif domain is not CpuDomain.NONE:
             raise CgroupError("unknown CPU domain %r" % (domain,))
-        self._cpu_seconds[domain] += seconds
 
     @property
     def user_cpu_seconds(self) -> float:
-        return self._cpu_seconds[CpuDomain.USER]
+        return self._user_seconds
 
     @property
     def kernel_cpu_seconds(self) -> float:
-        return self._cpu_seconds[CpuDomain.KERNEL]
+        return self._kernel_seconds
 
     @property
     def total_cpu_seconds(self) -> float:
@@ -72,8 +69,8 @@ class Cgroup:
         return 100.0 * self.kernel_cpu_seconds / (wall_seconds * cores)
 
     def reset(self) -> None:
-        for domain in self._cpu_seconds:
-            self._cpu_seconds[domain] = 0.0
+        self._user_seconds = 0.0
+        self._kernel_seconds = 0.0
         self.memory.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

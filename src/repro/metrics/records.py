@@ -11,7 +11,7 @@ RAM, copies).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.ledger import (
     SERIALIZATION_CATEGORIES,
@@ -123,6 +123,14 @@ _TRANSFER_CATEGORIES = (
     CostCategory.HTTP,
 )
 
+#: Float metric slot of each category's seconds in ``LedgerWindow._build``.
+_CATEGORY_METRIC: Dict[CostCategory, int] = {category: 3 for category in CostCategory}
+_CATEGORY_METRIC.update(dict.fromkeys(SERIALIZATION_CATEGORIES, 0))
+_CATEGORY_METRIC[CostCategory.WASM_IO] = 1
+_CATEGORY_METRIC.update(dict.fromkeys(_TRANSFER_CATEGORIES, 2))
+#: CPU-time slot of each domain's seconds in ``LedgerWindow._build``.
+_DOMAIN_METRIC: Dict[CpuDomain, int] = {CpuDomain.USER: 0, CpuDomain.KERNEL: 1, CpuDomain.NONE: 2}
+
 
 class LedgerWindow:
     """Context manager measuring the ledger activity inside a ``with`` block.
@@ -158,36 +166,52 @@ class LedgerWindow:
         return self._metrics
 
     def _build(self) -> TransferMetrics:
+        """Reduce the window's charges in one pass.
+
+        Each float metric collects its operands in charge order and sums
+        them with ``sum()`` at the end, so it equals the per-metric
+        ``sum(<generator>)`` scan exactly on every Python version (3.12's
+        ``sum()`` compensates rounding, a running ``+=`` would not).
+        """
         charges = self.ledger.charges_since(self._start)
         total = self.ledger.clock.now - self._start_time
-        serialization = sum(c.seconds for c in charges if c.category in SERIALIZATION_CATEGORIES)
-        wasm_io = sum(c.seconds for c in charges if c.category is CostCategory.WASM_IO)
-        transfer = sum(c.seconds for c in charges if c.category in _TRANSFER_CATEGORIES)
-        cpu_user = sum(c.seconds for c in charges if c.cpu_domain is CpuDomain.USER)
-        cpu_kernel = sum(c.seconds for c in charges if c.cpu_domain is CpuDomain.KERNEL)
-        copied = sum(c.nbytes for c in charges if c.copied)
-        referenced = sum(c.nbytes for c in charges if not c.copied and c.nbytes)
-        syscalls = sum(c.units for c in charges if c.category is CostCategory.SYSCALL)
-        switches = sum(1 for c in charges if c.category is CostCategory.CONTEXT_SWITCH)
-        breakdown: Dict[str, float] = {}
+        # Operands of each float metric, in charge order: serialization,
+        # Wasm VM I/O, transfer, none (by category); user, kernel, none
+        # (by CPU domain).
+        by_metric: Tuple[List[float], ...] = ([], [], [], [])
+        by_domain: Tuple[List[float], ...] = ([], [], [])
+        copied = referenced = syscalls = switches = 0
+        by_category: Dict[CostCategory, float] = {}
         node_seconds: Dict[str, float] = {}
-        for c in charges:
-            breakdown[c.category.value] = breakdown.get(c.category.value, 0.0) + c.seconds
-            node_seconds[c.node] = node_seconds.get(c.node, 0.0) + c.seconds
+        for category, seconds, domain, nbytes, was_copied, _, _, units, node, _ in charges:
+            by_metric[_CATEGORY_METRIC[category]].append(seconds)
+            by_domain[_DOMAIN_METRIC[domain]].append(seconds)
+            if category is CostCategory.SYSCALL:
+                syscalls += units
+            elif category is CostCategory.CONTEXT_SWITCH:
+                switches += 1
+            if was_copied:
+                copied += nbytes
+            elif nbytes:
+                referenced += nbytes
+            by_category[category] = by_category.get(category, 0.0) + seconds
+            node_seconds[node] = node_seconds.get(node, 0.0) + seconds
         return TransferMetrics(
             mode=self.mode,
             payload_bytes=self.payload_bytes,
             total_latency_s=total,
-            serialization_s=serialization,
-            wasm_io_s=wasm_io,
-            transfer_s=transfer,
-            cpu_user_s=cpu_user,
-            cpu_kernel_s=cpu_kernel,
+            serialization_s=sum(by_metric[0]),
+            wasm_io_s=sum(by_metric[1]),
+            transfer_s=sum(by_metric[2]),
+            cpu_user_s=sum(by_domain[0]),
+            cpu_kernel_s=sum(by_domain[1]),
             copied_bytes=copied,
             reference_bytes=referenced,
             syscalls=syscalls,
             context_switches=switches,
             peak_memory_mb=self.ledger.peak_memory_mb(),
-            breakdown=breakdown,
+            # Keyed by member while folding: same first-seen key order and
+            # per-key addition order as keying by ``category.value``.
+            breakdown={category.value: seconds for category, seconds in by_category.items()},
             node_seconds=node_seconds,
         )

@@ -23,9 +23,9 @@ always did.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+import operator
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.sim.clock import SimClock
 
@@ -48,6 +48,11 @@ class CostCategory(enum.Enum):
     COMPUTE = "compute"
     OTHER = "other"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality; it replaces Enum's Python-level
+    # ``hash(self._name_)`` on every dict probe the accounting path makes.
+    __hash__ = object.__hash__
+
 
 #: Categories counted as "serialization overhead" in the paper's plots.
 SERIALIZATION_CATEGORIES = (CostCategory.SERIALIZATION, CostCategory.DESERIALIZATION)
@@ -61,14 +66,16 @@ class CpuDomain(enum.Enum):
     #: Work that consumes wall time but no local CPU (e.g. wire propagation).
     NONE = "none"
 
+    __hash__ = object.__hash__  # identity hash, as for CostCategory
+
 
 class LedgerError(ValueError):
     """Raised for invalid charges."""
 
 
-@dataclass(frozen=True)
-class Charge:
-    """A single accounted operation."""
+class _ChargeFields(NamedTuple):
+    """The fields of :class:`Charge`, which adds validation (a NamedTuple
+    class body may not override ``__new__``)."""
 
     category: CostCategory
     seconds: float
@@ -85,13 +92,49 @@ class Charge:
     #: orders the merged cluster timeline.
     seq: int = 0
 
-    def __post_init__(self) -> None:
-        if self.seconds < 0:
-            raise LedgerError("charge duration must be non-negative, got %r" % self.seconds)
-        if self.nbytes < 0:
-            raise LedgerError("charge nbytes must be non-negative, got %r" % self.nbytes)
-        if self.units < 1:
-            raise LedgerError("charge units must be >= 1, got %r" % self.units)
+
+class Charge(_ChargeFields):
+    """A single accounted operation: an immutable, validated tuple record."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        category: CostCategory,
+        seconds: float,
+        cpu_domain: CpuDomain = CpuDomain.USER,
+        nbytes: int = 0,
+        copied: bool = False,
+        label: str = "",
+        timestamp: float = 0.0,
+        units: int = 1,
+        node: str = "",
+        seq: int = 0,
+    ) -> "Charge":
+        if seconds < 0:
+            raise LedgerError("charge duration must be non-negative, got %r" % seconds)
+        if nbytes < 0:
+            raise LedgerError("charge nbytes must be non-negative, got %r" % nbytes)
+        if units < 1:
+            raise LedgerError("charge units must be >= 1, got %r" % units)
+        return tuple.__new__(
+            cls,
+            (category, seconds, cpu_domain, nbytes, copied, label, timestamp, units, node, seq),
+        )
+
+
+class _PeakTotal:
+    """The running sum of one ledger's meter peaks, shared with its meters.
+
+    Meters hold this cell rather than the ledger, so no reference cycle
+    keeps a finished ledger (and every charge on it) alive until the
+    cyclic garbage collector happens to run.
+    """
+
+    __slots__ = ("bytes",)
+
+    def __init__(self) -> None:
+        self.bytes = 0
 
 
 class MemoryMeter:
@@ -99,6 +142,9 @@ class MemoryMeter:
 
     The meter follows a simple high-watermark model: allocations raise the
     current level, frees lower it, and ``peak_bytes`` records the maximum.
+    A meter created by :meth:`CostLedger.meter` also keeps that ledger's
+    running peak total in step whenever its own peak moves, until the
+    ledger's :meth:`~CostLedger.reset` detaches it.
     """
 
     def __init__(self, baseline_bytes: int = 0, name: str = "") -> None:
@@ -108,6 +154,8 @@ class MemoryMeter:
         self._baseline = int(baseline_bytes)
         self._current = int(baseline_bytes)
         self._peak = int(baseline_bytes)
+        #: The peak total of the ledger that created this meter, if any.
+        self._total: Optional[_PeakTotal] = None
 
     @property
     def current_bytes(self) -> int:
@@ -124,9 +172,12 @@ class MemoryMeter:
     def allocate(self, nbytes: int) -> None:
         if nbytes < 0:
             raise LedgerError("cannot allocate a negative amount")
-        self._current += nbytes
-        if self._current > self._peak:
-            self._peak = self._current
+        current = self._current + nbytes
+        self._current = current
+        if current > self._peak:
+            if self._total is not None:
+                self._total.bytes += current - self._peak
+            self._peak = current
 
     def free(self, nbytes: int) -> None:
         """Release ``nbytes`` of a previous allocation.
@@ -148,6 +199,8 @@ class MemoryMeter:
         self._current -= nbytes
 
     def reset(self) -> None:
+        if self._total is not None:
+            self._total.bytes -= self._peak - self._baseline
         self._current = self._baseline
         self._peak = self._baseline
 
@@ -183,6 +236,8 @@ class CostLedger:
         self._category_seconds: Dict[CostCategory, float] = {}
         self._domain_seconds: Dict[CpuDomain, float] = {}
         self._cpu_seconds_all = 0.0
+        #: Sum of the attached meters' peaks, kept by the meters themselves.
+        self._peak_total = _PeakTotal()
 
     # -- recording -------------------------------------------------------------
 
@@ -204,51 +259,35 @@ class CostLedger:
         clock — used for work that overlaps another already-charged wait (for
         example the receiver-side copy that proceeds while the wire is busy).
         ``units`` records how many underlying operations the charge batches
-        (e.g. chunked syscalls).
+        (e.g. chunked syscalls); every unit counts as one syscall.
         """
+        charges = self._charges
+        clock = self.clock
         entry = Charge(
-            category=category,
-            seconds=seconds,
-            cpu_domain=cpu_domain,
-            nbytes=nbytes,
-            copied=copied,
-            label=label,
-            timestamp=self.clock.now,
-            units=units,
-            node=self.node_name,
-            seq=len(self._charges),
+            category, seconds, cpu_domain, nbytes, copied, label,
+            clock.now, units, self.node_name, len(charges),
         )
-        self._charges.append(entry)
-        self._account(entry)
-        if wall_time and seconds:
-            self.clock.advance(seconds)
-        if category is CostCategory.SYSCALL:
-            # charge() counts every batched unit; merge() folds the entry as
-            # one syscall (the pre-existing convention _account preserves).
-            self._syscalls += units - 1
-        return entry
-
-    def _account(self, entry: Charge) -> None:
-        """Fold one charge into the running totals (in append order)."""
-        seconds = entry.seconds
-        category = entry.category
-        domain = entry.cpu_domain
+        charges.append(entry)
+        # Running totals fold in append order (see __init__).
         self._total_seconds += seconds
-        self._category_seconds[category] = (
-            self._category_seconds.get(category, 0.0) + seconds
-        )
-        self._domain_seconds[domain] = self._domain_seconds.get(domain, 0.0) + seconds
-        if domain is not CpuDomain.NONE:
+        totals = self._category_seconds
+        totals[category] = totals.get(category, 0.0) + seconds
+        totals = self._domain_seconds
+        totals[cpu_domain] = totals.get(cpu_domain, 0.0) + seconds
+        if cpu_domain is not CpuDomain.NONE:
             self._cpu_seconds_all += seconds
-        if entry.nbytes:
-            if entry.copied:
-                self._copied_bytes += entry.nbytes
+        if nbytes:
+            if copied:
+                self._copied_bytes += nbytes
             else:
-                self._reference_bytes += entry.nbytes
+                self._reference_bytes += nbytes
         if category is CostCategory.SYSCALL:
-            self._syscalls += 1
-        if category is CostCategory.CONTEXT_SWITCH:
+            self._syscalls += units
+        elif category is CostCategory.CONTEXT_SWITCH:
             self._context_switches += 1
+        if wall_time and seconds:
+            clock.advance(seconds)
+        return entry
 
     def count_syscalls(self, count: int) -> None:
         """Record additional syscalls batched into a single charge."""
@@ -258,9 +297,12 @@ class CostLedger:
 
     def meter(self, name: str, baseline_bytes: int = 0) -> MemoryMeter:
         """Return (creating if needed) the memory meter for a sandbox."""
-        if name not in self._meters:
-            self._meters[name] = MemoryMeter(baseline_bytes=baseline_bytes, name=name)
-        return self._meters[name]
+        meter = self._meters.get(name)
+        if meter is None:
+            meter = self._meters[name] = MemoryMeter(baseline_bytes=baseline_bytes, name=name)
+            meter._total = self._peak_total
+            self._peak_total.bytes += meter._peak
+        return meter
 
     # -- queries -----------------------------------------------------------------
 
@@ -325,8 +367,8 @@ class CostLedger:
         return self._context_switches
 
     def peak_memory_bytes(self) -> int:
-        """Sum of per-sandbox memory peaks."""
-        return sum(m.peak_bytes for m in self._meters.values())
+        """Sum of per-sandbox memory peaks (a running total, O(1))."""
+        return self._peak_total.bytes
 
     def peak_memory_mb(self) -> float:
         return self.peak_memory_bytes() / (1024.0 * 1024.0)
@@ -343,18 +385,12 @@ class CostLedger:
             for category, seconds in self._category_seconds.items()
         }
 
-    def merge(self, other: "CostLedger") -> None:
-        """Fold another ledger's charges into this one (no clock interaction)."""
-        for c in other.charges:
-            self._charges.append(c)
-            self._account(c)
-        for name, meter in other.meters().items():
-            mine = self.meter(name)
-            mine.allocate(meter.peak_bytes)
-
     def reset(self) -> None:
         self._charges.clear()
+        for meter in self._meters.values():
+            meter._total = None  # a Cgroup may still hold it
         self._meters.clear()
+        self._peak_total.bytes = 0
         self._copied_bytes = 0
         self._reference_bytes = 0
         self._syscalls = 0
@@ -387,9 +423,8 @@ class LedgerSnapshot:
     positions: Tuple[Tuple[str, int], ...]
 
 
-def _merge_key(charge: Charge) -> Tuple[float, str, int]:
-    """The deterministic total order of the merged cluster timeline."""
-    return (charge.timestamp, charge.node, charge.seq)
+#: The deterministic total order of the merged cluster timeline.
+_merge_key = operator.attrgetter("timestamp", "node", "seq")
 
 
 class NodeLedger(CostLedger):
@@ -454,6 +489,8 @@ class ClusterLedger:
             self._cluster_shard = CostLedger(clock=self.clock, name="%s:cluster" % name)
             self._cluster_shard.node_name = "cluster"
         self._shards: Dict[str, NodeLedger] = {}
+        #: The cluster shard, then the node shards in creation order.
+        self._shard_list: List[CostLedger] = [self._cluster_shard]
         self._merged_cache: Tuple[Charge, ...] = ()
         self._merged_cache_len = 0
 
@@ -468,6 +505,7 @@ class ClusterLedger:
         self._check_unique(node_name)
         shard = NodeLedger(node_name=node_name, clock=self.clock)
         self._shards[node_name] = shard
+        self._shard_list.append(shard)
         return shard
 
     def _check_unique(self, node_name: str) -> None:
@@ -495,9 +533,6 @@ class ClusterLedger:
             raise LedgerError("no ledger shard for node %r" % node_name)
         return self._shards[node_name]
 
-    def _all_shards(self) -> List[CostLedger]:
-        return [self._cluster_shard] + list(self._shards.values())
-
     # -- recording (cluster-scoped; the pre-shard CostLedger surface) -------------
 
     def charge(self, *args, **kwargs) -> Charge:
@@ -517,26 +552,23 @@ class ClusterLedger:
         total = len(self)
         if total != self._merged_cache_len:
             merged: List[Charge] = []
-            for shard in self._all_shards():
-                merged.extend(shard.charges)
+            for shard in self._shard_list:
+                merged.extend(shard._charges)
             merged.sort(key=_merge_key)
             self._merged_cache = tuple(merged)
             self._merged_cache_len = total
         return self._merged_cache
 
-    def merged_charges(self) -> Tuple[Charge, ...]:
-        return self.charges
-
     def __iter__(self) -> Iterator[Charge]:
         return iter(self.charges)
 
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self._all_shards())
+        return sum(len(shard) for shard in self._shard_list)
 
     def snapshot(self) -> LedgerSnapshot:
         return LedgerSnapshot(
             positions=tuple(
-                (shard.node_name, len(shard)) for shard in self._all_shards()
+                (shard.node_name, len(shard)) for shard in self._shard_list
             )
         )
 
@@ -547,42 +579,42 @@ class ClusterLedger:
         """
         positions = dict(snapshot.positions)
         fresh: List[Charge] = []
-        for shard in self._all_shards():
-            fresh.extend(shard.charges[positions.get(shard.node_name, 0):])
+        for shard in self._shard_list:
+            fresh.extend(shard._charges[positions.get(shard.node_name, 0):])
         fresh.sort(key=_merge_key)
         return tuple(fresh)
 
     def total_seconds(self) -> float:
-        return sum(shard.total_seconds() for shard in self._all_shards())
+        return sum(shard.total_seconds() for shard in self._shard_list)
 
     def seconds(self, *categories: CostCategory) -> float:
-        return sum(shard.seconds(*categories) for shard in self._all_shards())
+        return sum(shard.seconds(*categories) for shard in self._shard_list)
 
     def serialization_seconds(self) -> float:
         return self.seconds(*SERIALIZATION_CATEGORIES)
 
     def cpu_seconds(self, domain: Optional[CpuDomain] = None) -> float:
-        return sum(shard.cpu_seconds(domain) for shard in self._all_shards())
+        return sum(shard.cpu_seconds(domain) for shard in self._shard_list)
 
     @property
     def copied_bytes(self) -> int:
-        return sum(shard.copied_bytes for shard in self._all_shards())
+        return sum(shard.copied_bytes for shard in self._shard_list)
 
     @property
     def reference_bytes(self) -> int:
-        return sum(shard.reference_bytes for shard in self._all_shards())
+        return sum(shard.reference_bytes for shard in self._shard_list)
 
     @property
     def syscalls(self) -> int:
-        return sum(shard.syscalls for shard in self._all_shards())
+        return sum(shard.syscalls for shard in self._shard_list)
 
     @property
     def context_switches(self) -> int:
-        return sum(shard.context_switches for shard in self._all_shards())
+        return sum(shard.context_switches for shard in self._shard_list)
 
     def peak_memory_bytes(self) -> int:
         """Cluster RAM: per-node peaks aggregate (sum of shard peaks)."""
-        return sum(shard.peak_memory_bytes() for shard in self._all_shards())
+        return sum(shard._peak_total.bytes for shard in self._shard_list)
 
     def peak_memory_mb(self) -> float:
         return self.peak_memory_bytes() / (1024.0 * 1024.0)
@@ -590,28 +622,28 @@ class ClusterLedger:
     def peak_memory_by_node(self) -> Dict[str, int]:
         """Per-shard memory peaks (cluster shard under its own label)."""
         return {
-            shard.node_name: shard.peak_memory_bytes() for shard in self._all_shards()
+            shard.node_name: shard.peak_memory_bytes() for shard in self._shard_list
         }
 
     def meters(self) -> Dict[str, MemoryMeter]:
         out: Dict[str, MemoryMeter] = {}
-        for shard in self._all_shards():
+        for shard in self._shard_list:
             out.update(shard.meters())
         return out
 
     def breakdown(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
-        for shard in self._all_shards():
+        for shard in self._shard_list:
             for key, value in shard.breakdown().items():
                 out[key] = out.get(key, 0.0) + value
         return out
 
     def node_breakdown(self) -> Dict[str, Dict[str, float]]:
         """Seconds per category, per shard (the per-node metric series)."""
-        return {shard.node_name: shard.breakdown() for shard in self._all_shards()}
+        return {shard.node_name: shard.breakdown() for shard in self._shard_list}
 
     def reset(self) -> None:
-        for shard in self._all_shards():
+        for shard in self._shard_list:
             shard.reset()  # resetting the shared clock repeatedly is harmless
         self._merged_cache = ()
         self._merged_cache_len = 0

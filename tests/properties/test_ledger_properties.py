@@ -1,6 +1,6 @@
 """Property-based tests for the cost ledger's accounting invariants."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import pytest
@@ -51,21 +51,3 @@ def test_byte_accounting_partitions_copied_and_referenced(charges):
         ledger.charge(category, seconds, cpu_domain=domain, nbytes=nbytes, copied=copied)
         total_bytes += nbytes
     assert ledger.copied_bytes + ledger.reference_bytes == total_bytes
-
-
-@given(
-    first=st.lists(charge_strategy, max_size=25),
-    second=st.lists(charge_strategy, max_size=25),
-)
-@settings(max_examples=50)
-def test_merge_preserves_charge_count_and_byte_totals(first, second):
-    a, b = CostLedger(), CostLedger()
-    for category, seconds, domain, nbytes, copied in first:
-        a.charge(category, seconds, cpu_domain=domain, nbytes=nbytes, copied=copied)
-    for category, seconds, domain, nbytes, copied in second:
-        b.charge(category, seconds, cpu_domain=domain, nbytes=nbytes, copied=copied)
-    copied_before = a.copied_bytes + b.copied_bytes
-    count_before = len(a) + len(b)
-    a.merge(b)
-    assert len(a) == count_before
-    assert a.copied_bytes == copied_before

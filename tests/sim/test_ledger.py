@@ -130,17 +130,6 @@ def test_meter_is_reused_by_name():
     assert first is second
 
 
-def test_merge_folds_charges_and_counters():
-    main = CostLedger()
-    other = CostLedger()
-    other.charge(CostCategory.SYSCALL, 1e-6, nbytes=10, copied=True)
-    other.meter("m").allocate(50)
-    main.merge(other)
-    assert main.syscalls == 1
-    assert main.copied_bytes == 10
-    assert main.peak_memory_bytes() == 50
-
-
 def test_reset_clears_everything():
     ledger = CostLedger()
     ledger.charge(CostCategory.MEMCPY, 1.0, nbytes=10, copied=True)
