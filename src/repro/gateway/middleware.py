@@ -36,6 +36,7 @@ Shipped stages, in the order :func:`build_pipeline` registers them:
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import random
 from dataclasses import dataclass, field
@@ -48,13 +49,15 @@ class MiddlewareError(RuntimeError):
     """Raised for invalid pipeline configurations or stage parameters."""
 
 
+@functools.lru_cache(maxsize=4096)
 def response_key(function: str, payload_bytes: int) -> str:
     """The response-identity digest cache/coalesce stages key on.
 
     Two requests with the same function and payload produce the same
     deterministic response, so the digest of those two fields *is* the
     response identity.  (Scheduling class and deadline affect *when* a
-    request is served, never *what* it returns.)
+    request is served, never *what* it returns.)  Memoised: a run sees few
+    distinct (function, payload) pairs and asks for each many times.
     """
     return hashlib.sha1(
         ("%s:%d" % (function, payload_bytes)).encode("utf-8")
@@ -209,6 +212,9 @@ class MiddlewarePipeline:
     def __init__(self, stages: Sequence[MiddlewareStage] = ()) -> None:
         self._stages: Dict[str, MiddlewareStage] = {}
         self._enabled: Dict[str, bool] = {}
+        #: The enabled stages in registration order: the admission walk,
+        #: rebuilt whenever a stage is registered, enabled or disabled.
+        self._active: List[MiddlewareStage] = []
         for stage in stages:
             self.register(stage)
 
@@ -221,15 +227,23 @@ class MiddlewarePipeline:
             raise MiddlewareError("middleware %r is already registered" % stage.name)
         self._stages[stage.name] = stage
         self._enabled[stage.name] = enable
+        self._rebuild()
         return stage
 
     def enable(self, name: str) -> None:
         self._require(name)
         self._enabled[name] = True
+        self._rebuild()
 
     def disable(self, name: str) -> None:
         self._require(name)
         self._enabled[name] = False
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        self._active = [
+            stage for name, stage in self._stages.items() if self._enabled[name]
+        ]
 
     def stage(self, name: str) -> MiddlewareStage:
         return self._require(name)
@@ -243,7 +257,7 @@ class MiddlewarePipeline:
         return list(self._stages)
 
     def enabled_stages(self) -> List[MiddlewareStage]:
-        return [stage for name, stage in self._stages.items() if self._enabled[name]]
+        return list(self._active)
 
     # -- the request path ----------------------------------------------------------
 
@@ -256,7 +270,7 @@ class MiddlewarePipeline:
 
     def admit(self, ctx: RequestContext, now: float) -> Admission:
         """Walk the enabled stages; return the first stopping decision."""
-        for stage in self.enabled_stages():
+        for stage in self._active:
             ctx.entered.append(stage)
             decision = stage.on_admit(ctx, now)
             if decision.action in (AdmitAction.SHORT_CIRCUIT, AdmitAction.PARK):

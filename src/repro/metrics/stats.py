@@ -27,7 +27,11 @@ def percentile(values: Sequence[float], q: float) -> float:
         raise StatsError("cannot take a percentile of zero samples")
     if not 0.0 <= q <= 100.0:
         raise StatsError("percentile must be in [0, 100], got %r" % q)
-    ordered = sorted(values)
+    return _interpolate(sorted(values), q)
+
+
+def _interpolate(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile of already-sorted, non-empty ``ordered``."""
     rank = (len(ordered) - 1) * (q / 100.0)
     low = int(rank)
     high = min(low + 1, len(ordered) - 1)
@@ -70,15 +74,21 @@ class LatencySummary:
 
     @classmethod
     def from_samples(cls, values: Sequence[float]) -> "LatencySummary":
+        """Summarize ``values`` with one sort.
+
+        The mean sums ``values`` in their given order, not the sorted copy,
+        so it matches :func:`mean` to the last bit.
+        """
         if not values:
             raise StatsError("cannot summarize zero samples")
+        ordered = sorted(values)
         return cls(
             count=len(values),
-            mean_s=mean(values),
-            p50_s=p50(values),
-            p95_s=p95(values),
-            p99_s=p99(values),
-            max_s=max(values),
+            mean_s=sum(values) / len(values),
+            p50_s=_interpolate(ordered, 50.0),
+            p95_s=_interpolate(ordered, 95.0),
+            p99_s=_interpolate(ordered, 99.0),
+            max_s=ordered[-1],
         )
 
     @classmethod

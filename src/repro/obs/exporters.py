@@ -18,6 +18,7 @@ tooling understands:
 from __future__ import annotations
 
 import json
+import math
 from typing import IO, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.obs.registry import Counter, Gauge, MetricFamily, MetricsRegistry, Summary
@@ -42,7 +43,12 @@ def _label_block(names: Tuple[str, ...], values: Tuple[str, ...], extra: str = "
 
 
 def _format_value(value: float) -> str:
-    # Integral values print as integers (the conventional exposition style).
+    # Non-finite values use the exposition format's spellings; integral
+    # values print as integers (the conventional exposition style).
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
     if float(value) == int(value):
         return str(int(value))
     return repr(float(value))
@@ -104,6 +110,11 @@ def parse_prometheus(text: str) -> Dict[str, Dict[str, float]]:
     return out
 
 
+#: One shared encoder: ``json.dumps(..., sort_keys=True)`` would build a new
+#: ``JSONEncoder`` per event, since ``sort_keys`` is not its default.
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
 class JsonlEventWriter:
     """A streaming JSONL sink: ``emit`` one structured event per line.
 
@@ -125,8 +136,7 @@ class JsonlEventWriter:
     def emit(self, event: Dict[str, object]) -> None:
         if self._handle is None:
             raise ExporterError("event writer is closed")
-        self._handle.write(json.dumps(event, sort_keys=True))
-        self._handle.write("\n")
+        self._handle.write(_encode_sorted(event) + "\n")
         self.events_written += 1
 
     def close(self) -> None:

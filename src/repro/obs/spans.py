@@ -193,20 +193,28 @@ def waterfall_from_records(
 def _row_from_records(
     label: str, request_class: str, records: Sequence[RequestRecord]
 ) -> WaterfallRow:
-    queues = [max(0.0, r.queueing_delay_s - r.cold_start_wait_s) for r in records]
-    colds = [r.cold_start_wait_s for r in records]
-    services = [r.service_s for r in records]
-    totals = [r.latency_s for r in records]
+    # One sample list at a time: the cluster-wide row of a long run would
+    # otherwise hold all four at once, at the run's memory peak.
+    queue_mean, queue_p95 = _mean_p95(
+        [max(0.0, r.queueing_delay_s - r.cold_start_wait_s) for r in records]
+    )
+    cold_mean, cold_p95 = _mean_p95([r.cold_start_wait_s for r in records])
+    service_mean, service_p95 = _mean_p95([r.service_s for r in records])
+    total_mean, total_p95 = _mean_p95([r.latency_s for r in records])
     return WaterfallRow(
         label=label,
         request_class=request_class,
         completed=len(records),
-        queue_mean_s=mean(queues),
-        queue_p95_s=percentile(queues, 95.0),
-        cold_mean_s=mean(colds),
-        cold_p95_s=percentile(colds, 95.0),
-        service_mean_s=mean(services),
-        service_p95_s=percentile(services, 95.0),
-        total_mean_s=mean(totals),
-        total_p95_s=percentile(totals, 95.0),
+        queue_mean_s=queue_mean,
+        queue_p95_s=queue_p95,
+        cold_mean_s=cold_mean,
+        cold_p95_s=cold_p95,
+        service_mean_s=service_mean,
+        service_p95_s=service_p95,
+        total_mean_s=total_mean,
+        total_p95_s=total_p95,
     )
+
+
+def _mean_p95(values: Sequence[float]) -> Tuple[float, float]:
+    return mean(values), percentile(values, 95.0)

@@ -16,14 +16,21 @@ seeded simulation cannot change its results.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.obs.exporters import JsonlEventWriter
 from repro.obs.progress import ProgressReporter
-from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import RequestTrace, TraceLog
+from repro.obs.registry import Counter, MetricsRegistry, Summary
+from repro.obs.spans import STAGES, RequestTrace, TraceLog
 from repro.traffic.autoscaler import LoadSample
-from repro.traffic.slo import RequestOutcome, RequestRecord
+from repro.traffic.slo import SERVED_OUTCOMES, RequestOutcome, RequestRecord
+
+#: One (tenant, outcome)'s children: the request counter, the latency
+#: summary (served outcomes) and the queue/cold-start/service summaries
+#: (completed requests).
+_RequestChildren = Tuple[
+    Counter, Optional[Summary], Optional[Tuple[Summary, Summary, Summary]]
+]
 
 
 class Telemetry:
@@ -103,6 +110,7 @@ class Telemetry:
             help="Autoscaler pool changes, by direction.",
             labels=self._region_labels + ("tenant", "direction"),
         )
+        self._request_children: Dict[Tuple[str, RequestOutcome], _RequestChildren] = {}
 
     def _labelled(self, family, **labels):
         """The family's child for ``labels``, region-qualified when set."""
@@ -144,19 +152,42 @@ class Telemetry:
 
     # -- per-request ------------------------------------------------------------------
 
+    def _children_for(self, tenant: str, outcome: RequestOutcome) -> _RequestChildren:
+        """Resolve (once) every child a ``(tenant, outcome)`` request updates.
+
+        They are resolved in the order a request with that outcome first
+        touches them, so each family's children keep their creation order.
+        """
+        counter = self._labelled(self._requests, tenant=tenant, outcome=outcome.value)
+        latency = stages = None
+        if outcome in SERVED_OUTCOMES:
+            latency = self._labelled(self._latency, tenant=tenant)
+        if outcome is RequestOutcome.COMPLETED:
+            stages = tuple(
+                self._labelled(self._stages, tenant=tenant, stage=stage)
+                for stage in STAGES
+            )
+        children = (counter, latency, stages)
+        self._request_children[(tenant, outcome)] = children
+        return children
+
     def on_request(self, tenant: str, record: RequestRecord, node: str = "") -> None:
         """One request reached a terminal outcome; fan it out everywhere."""
-        self._labelled(self._requests, tenant=tenant, outcome=record.outcome.value).inc()
+        outcome = record.outcome
+        children = self._request_children.get((tenant, outcome))
+        if children is None:
+            children = self._children_for(tenant, outcome)
+        counter, latency, stages = children
+        counter.inc()
         trace = RequestTrace.from_record(tenant, record, node=node)
-        if record.served:
+        if latency is not None:
             # Cached/coalesced responses count toward client-observed latency
             # even though they never produced backend stage durations.
-            self._labelled(self._latency, tenant=tenant).observe(record.latency_s)
-        if record.outcome is RequestOutcome.COMPLETED:
-            for stage, _, duration in trace.stages():
-                self._labelled(self._stages, tenant=tenant, stage=stage).observe(
-                    duration
-                )
+            latency.observe(record.latency_s)
+        if stages is not None:
+            durations = (trace.queue_s, trace.cold_start_s, trace.service_s)
+            for summary, duration in zip(stages, durations):
+                summary.observe(duration)
         if self.trace_log is not None:
             self.trace_log.record(trace)
         if self.events is not None:
@@ -165,19 +196,21 @@ class Telemetry:
                 "tenant": tenant,
                 "id": record.request_id,
                 "class": record.request_class,
-                "outcome": record.outcome.value,
+                "outcome": outcome.value,
                 "arrival_s": round(record.arrival_s, 9),
             }
-            if record.served:
+            if latency is not None:
                 event["latency_s"] = round(record.latency_s, 9)
-            if record.outcome is RequestOutcome.COMPLETED:
-                event["queue_s"] = round(trace.queue_s, 9)
-                event["cold_start_s"] = round(trace.cold_start_s, 9)
-                event["service_s"] = round(trace.service_s, 9)
+            if stages is not None:
+                event["queue_s"] = round(durations[0], 9)
+                event["cold_start_s"] = round(durations[1], 9)
+                event["service_s"] = round(durations[2], 9)
                 event["replica"] = record.replica
                 if node:
                     event["node"] = node
-            self._emit(event)
+            if self.region:
+                event["region"] = self.region
+            self.events.emit(event)
 
     def on_progress(self, sim_now_s: float, finished: int, replicas: int) -> None:
         if self.progress is not None:

@@ -21,10 +21,11 @@ wasted replica seconds.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.traffic.arrivals import Request
@@ -97,13 +98,18 @@ def assign_classes(
     if not mix:
         return list(requests)
     rng = random.Random(seed)
-    shares = [cls.share for cls in mix]
+    # ``choices`` accumulates ``weights`` on every call; passing the running
+    # totals once draws the same classes from the same random numbers.
+    cum_shares = list(itertools.accumulate(cls.share for cls in mix))
     stamped: List[Request] = []
     for request in requests:
-        chosen = rng.choices(mix, weights=shares, k=1)[0]
+        chosen = rng.choices(mix, cum_weights=cum_shares, k=1)[0]
         stamped.append(
-            replace(
-                request,
+            Request(
+                request_id=request.request_id,
+                arrival_s=request.arrival_s,
+                function=request.function,
+                payload_bytes=request.payload_bytes,
                 request_class=chosen.name,
                 priority=chosen.priority,
                 deadline_s=(

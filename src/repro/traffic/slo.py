@@ -18,7 +18,8 @@ a zero row, so exports always carry the full class list.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.stats import LatencySummary
@@ -39,6 +40,11 @@ class RequestOutcome(enum.Enum):
     COALESCED = "coalesced"   # served by fan-out from an identical in-flight request
     RATE_LIMITED = "rate_limited"  # refused by the per-tenant token bucket
     REJECTED = "rejected"     # refused by auth / quota middleware
+
+    # Identity hash, as for ``repro.sim.ledger.CostCategory``: members are
+    # singletons, and every record is hashed into ``SERVED_OUTCOMES`` and
+    # the rollups' outcome counts.
+    __hash__ = object.__hash__
 
 
 #: Outcomes where the client got a good response.  CACHED and COALESCED
@@ -176,36 +182,49 @@ def summarize_classes(
     ``declared`` lists class names that must appear even with zero
     requests, so a quiet class still exports (and round-trips) its row.
     """
-    names = sorted(set(declared) | {record.request_class for record in records})
-    summaries = []
-    for name in names:
-        mine = [record for record in records if record.request_class == name]
-        served = [r for r in mine if r.served]
-        with_deadline = [r for r in mine if r.deadline_s is not None]
-        summaries.append(
-            ClassSummary(
-                name=name,
-                offered=len(mine),
-                completed=sum(1 for r in mine if r.outcome is RequestOutcome.COMPLETED),
-                timed_out=sum(1 for r in mine if r.outcome is RequestOutcome.TIMED_OUT),
-                dropped=sum(1 for r in mine if r.outcome is RequestOutcome.DROPPED),
-                shed=sum(1 for r in mine if r.outcome is RequestOutcome.SHED),
-                cached=sum(1 for r in mine if r.outcome is RequestOutcome.CACHED),
-                coalesced=sum(1 for r in mine if r.outcome is RequestOutcome.COALESCED),
-                rate_limited=sum(
-                    1 for r in mine if r.outcome is RequestOutcome.RATE_LIMITED
-                ),
-                rejected=sum(1 for r in mine if r.outcome is RequestOutcome.REJECTED),
-                deadline_total=len(with_deadline),
-                deadline_met=sum(1 for r in with_deadline if r.deadline_met),
-                latency=(
-                    LatencySummary.from_samples([r.latency_s for r in served])
-                    if served
-                    else LatencySummary.empty()
-                ),
-            )
-        )
-    return tuple(summaries)
+    groups: Dict[str, List[RequestRecord]] = {name: [] for name in declared}
+    for record in records:
+        mine = groups.get(record.request_class)
+        if mine is None:
+            mine = groups[record.request_class] = []
+        mine.append(record)
+    return tuple(_class_summary(name, groups[name]) for name in sorted(groups))
+
+
+def _class_summary(name: str, records: Sequence[RequestRecord]) -> ClassSummary:
+    """One class's row, from one walk over its records."""
+    counts = dict.fromkeys(RequestOutcome, 0)
+    latencies = array("d")
+    deadline_total = deadline_met = 0
+    for record in records:
+        outcome = record.outcome
+        counts[outcome] += 1
+        served = outcome in SERVED_OUTCOMES
+        if served:
+            latencies.append(record.latency_s)
+        if record.deadline_s is not None:
+            deadline_total += 1
+            if served and record.completion_s <= record.deadline_s:
+                deadline_met += 1
+    return ClassSummary(
+        name=name,
+        offered=len(records),
+        **_outcome_fields(counts),
+        deadline_total=deadline_total,
+        deadline_met=deadline_met,
+        latency=_latency_summary(latencies),
+    )
+
+
+def _outcome_fields(counts: Dict[RequestOutcome, int]) -> Dict[str, int]:
+    """Per-outcome counts as summary fields, each named after its outcome."""
+    return {outcome.value: count for outcome, count in counts.items()}
+
+
+def _latency_summary(samples: Sequence[float]) -> LatencySummary:
+    if samples:
+        return LatencySummary.from_samples(samples)
+    return LatencySummary.empty()
 
 
 @dataclass(frozen=True)
@@ -324,41 +343,31 @@ def summarize(
     """Roll per-request records into one :class:`TrafficSummary`."""
     if duration_s <= 0:
         raise SloError("duration must be positive")
-    completed = [r for r in records if r.outcome is RequestOutcome.COMPLETED]
-    served = [r for r in records if r.served]
-    timed_out = sum(1 for r in records if r.outcome is RequestOutcome.TIMED_OUT)
-    dropped = sum(1 for r in records if r.outcome is RequestOutcome.DROPPED)
-    shed = sum(1 for r in records if r.outcome is RequestOutcome.SHED)
+    counts = dict.fromkeys(RequestOutcome, 0)
     # End-to-end latency covers everything the client saw served (cache
     # hits and coalesced responses included); queueing and service remain
     # backend-only — middleware-resolved requests never held a replica.
-    if served:
-        latency = LatencySummary.from_samples([r.latency_s for r in served])
-    else:
-        latency = LatencySummary.empty()
-    if completed:
-        queueing = LatencySummary.from_samples([r.queueing_delay_s for r in completed])
-        service = LatencySummary.from_samples([r.service_s for r in completed])
-    else:
-        queueing = service = LatencySummary.empty()
+    # Samples are packed doubles (8 bytes, against 32 for a float in a
+    # list): all three are held at once, at the end of a run, when memory
+    # peaks.
+    latencies, queueing, service = array("d"), array("d"), array("d")
+    for record in records:
+        outcome = record.outcome
+        counts[outcome] += 1
+        if outcome in SERVED_OUTCOMES:
+            latencies.append(record.latency_s)
+            if outcome is RequestOutcome.COMPLETED:
+                queueing.append(record.queueing_delay_s)
+                service.append(record.service_s)
     return TrafficSummary(
         mode=mode,
         pattern=pattern,
         duration_s=duration_s,
         offered=len(records),
-        completed=len(completed),
-        timed_out=timed_out,
-        dropped=dropped,
-        shed=shed,
-        cached=sum(1 for r in records if r.outcome is RequestOutcome.CACHED),
-        coalesced=sum(1 for r in records if r.outcome is RequestOutcome.COALESCED),
-        rate_limited=sum(
-            1 for r in records if r.outcome is RequestOutcome.RATE_LIMITED
-        ),
-        rejected=sum(1 for r in records if r.outcome is RequestOutcome.REJECTED),
-        latency=latency,
-        queueing=queueing,
-        service=service,
+        **_outcome_fields(counts),
+        latency=_latency_summary(latencies),
+        queueing=_latency_summary(queueing),
+        service=_latency_summary(service),
         cold_starts=cold_starts,
         cold_start_seconds=cold_start_seconds,
         replica_seconds=_replica_seconds(replica_timeline, duration_s),

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.platform.gateway import TenantQueueStats
@@ -116,7 +116,18 @@ class TenantSpec:
         base = list(self.requests) if self.requests is not None else self.arrivals.generate()
         function = self.function_name
         stream = [
-            request if request.function == function else replace(request, function=function)
+            request
+            if request.function == function
+            else Request(
+                request_id=request.request_id,
+                arrival_s=request.arrival_s,
+                function=function,
+                payload_bytes=request.payload_bytes,
+                request_class=request.request_class,
+                priority=request.priority,
+                deadline_s=request.deadline_s,
+                hard=request.hard,
+            )
             for request in base
         ]
         if self.classes:

@@ -241,6 +241,32 @@ def test_cache_misses_fills_then_hits_until_ttl_expiry():
     assert stage.counters == {"misses": 2, "fills": 1, "hits": 1, "expired": 1}
 
 
+def test_disabling_the_cache_stops_hits_and_reenabling_restores_its_slot():
+    pipeline = build_pipeline(["auth", "cache", "coalesce"], cache_ttl_s=100.0)
+    cache = pipeline.stage("cache")
+    first = pipeline.context("t", _request())
+    pipeline.admit(first, 0.0)
+    pipeline.complete(first, _record(first.request, completion_s=1.0), 1.0)  # fill
+    assert pipeline.admit(pipeline.context("t", _request(1, 2.0)), 2.0).outcome is (
+        RequestOutcome.CACHED
+    )
+
+    pipeline.disable("cache")
+    assert [stage.name for stage in pipeline.enabled_stages()] == ["auth", "coalesce"]
+    ctx = pipeline.context("t", _request(2, 3.0))
+    assert pipeline.admit(ctx, 3.0).action is AdmitAction.PASS  # the cache never saw it
+    assert [stage.name for stage in ctx.entered] == ["auth", "coalesce"]
+    assert cache.counters["hits"] == 1
+
+    pipeline.enable("cache")
+    assert [stage.name for stage in pipeline.enabled_stages()] == ["auth", "cache", "coalesce"]
+    ctx = pipeline.context("t", _request(3, 4.0))
+    decision = pipeline.admit(ctx, 4.0)
+    assert decision.outcome is RequestOutcome.CACHED and decision.stage == "cache"
+    assert [stage.name for stage in ctx.entered] == ["auth", "cache"]
+    assert cache.counters["hits"] == 2
+
+
 def test_cache_hit_latency_delays_the_served_completion():
     stage = ResponseCacheStage(ttl_s=10.0, hit_latency_s=0.25)
     pipeline = MiddlewarePipeline([stage])

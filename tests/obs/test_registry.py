@@ -1,5 +1,7 @@
 """Tests for the metrics registry and the Prometheus exposition."""
 
+import math
+
 import pytest
 
 from repro.obs.exporters import parse_prometheus, render_prometheus, write_prometheus
@@ -67,6 +69,29 @@ def test_prometheus_exposition_format(tmp_path):
     parsed = parse_prometheus(text)
     assert parsed["requests_total"]['{tenant="a"}'] == 5.0
     assert parsed["latency_seconds_sum"]['{tenant="a"}'] == 0.25
+
+
+def test_non_finite_values_render_and_round_trip():
+    registry = MetricsRegistry()
+    gauge = registry.gauge("g", labels=("v",))
+    gauge.labels(v="pos").set(float("inf"))
+    gauge.labels(v="neg").set(float("-inf"))
+    gauge.labels(v="nan").set(float("nan"))
+    overflow = registry.summary("s").child()
+    overflow.observe(1e308)
+    overflow.observe(1e308)  # the sum overflows to +Inf
+
+    text = render_prometheus(registry)
+    assert 'g{v="pos"} +Inf' in text
+    assert 'g{v="neg"} -Inf' in text
+    assert 'g{v="nan"} NaN' in text
+    assert "s_sum +Inf" in text
+
+    parsed = parse_prometheus(text)
+    assert parsed["g"]['{v="pos"}'] == math.inf
+    assert parsed["g"]['{v="neg"}'] == -math.inf
+    assert math.isnan(parsed["g"]['{v="nan"}'])
+    assert parsed["s_sum"][""] == math.inf
 
 
 def test_exposition_is_deterministic_registration_order():
