@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -652,6 +653,23 @@ def _cmd_compare_policies(
     return 0
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for numeric flags: a float that is neither NaN nor ±inf.
+
+    ``float()`` accepts ``nan`` and ``inf``, which no traffic knob can take:
+    a NaN rate or an infinite duration never ends the arrival stream, and an
+    infinite payload overflows the byte count.  argparse names the flag and
+    exits with status 2.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid number: %r" % text) from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be a finite number, got %r" % text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -679,9 +697,9 @@ def build_parser() -> argparse.ArgumentParser:
         "traffic", help="sustained arrival streams with autoscaling across runtimes"
     )
     traffic.add_argument("--pattern", choices=("poisson", "bursty", "diurnal"), default="poisson")
-    traffic.add_argument("--rps", type=float, default=50.0, help="arrival rate (peak rate for bursty/diurnal)")
-    traffic.add_argument("--duration", type=float, default=60.0, help="simulated seconds of arrivals")
-    traffic.add_argument("--payload-mb", type=float, default=1.0)
+    traffic.add_argument("--rps", type=_finite_float, default=50.0, help="arrival rate (peak rate for bursty/diurnal)")
+    traffic.add_argument("--duration", type=_finite_float, default=60.0, help="simulated seconds of arrivals")
+    traffic.add_argument("--payload-mb", type=_finite_float, default=1.0)
     traffic.add_argument("--seed", type=int, default=0)
     traffic.add_argument(
         "--modes",
@@ -702,29 +720,29 @@ def build_parser() -> argparse.ArgumentParser:
         "(e.g. 'target,step,predictive') and print/export one comparison "
         "figure: p99, deadline-met ratio, cold starts, replica-seconds",
     )
-    traffic.add_argument("--target-concurrency", type=float, default=1.0)
+    traffic.add_argument("--target-concurrency", type=_finite_float, default=1.0)
     traffic.add_argument("--fixed-replicas", type=int, default=4)
     traffic.add_argument("--step", type=int, default=1, help="step policy: replicas per action")
     traffic.add_argument(
-        "--high-utilisation", type=float, default=2.0,
+        "--high-utilisation", type=_finite_float, default=2.0,
         help="step policy: scale up above this demand per replica",
     )
     traffic.add_argument(
-        "--low-utilisation", type=float, default=0.5,
+        "--low-utilisation", type=_finite_float, default=0.5,
         help="step policy: scale down below this demand per replica",
     )
     traffic.add_argument(
-        "--cooldown", type=float, default=10.0,
+        "--cooldown", type=_finite_float, default=10.0,
         help="step policy: seconds between scaling actions",
     )
     traffic.add_argument(
-        "--horizon", type=float, default=10.0,
+        "--horizon", type=_finite_float, default=10.0,
         help="predictive policy: seconds of arrival-rate forecast to pre-warm for",
     )
     traffic.add_argument("--min-replicas", type=int, default=1)
     traffic.add_argument("--max-replicas", type=int, default=64)
-    traffic.add_argument("--keep-alive", type=float, default=30.0, help="idle seconds before scale-down")
-    traffic.add_argument("--control-interval", type=float, default=1.0, help="autoscaler tick period")
+    traffic.add_argument("--keep-alive", type=_finite_float, default=30.0, help="idle seconds before scale-down")
+    traffic.add_argument("--control-interval", type=_finite_float, default=1.0, help="autoscaler tick period")
     traffic.add_argument("--initial-replicas", type=int, default=1)
     traffic.add_argument("--nodes", type=int, default=4)
     traffic.add_argument(
@@ -734,9 +752,9 @@ def build_parser() -> argparse.ArgumentParser:
         "still executes serially, and summaries and figures are identical "
         "to a serial comparison under the same seeds",
     )
-    traffic.add_argument("--timeout", type=float, default=30.0, help="queueing timeout per request")
+    traffic.add_argument("--timeout", type=_finite_float, default=30.0, help="queueing timeout per request")
     traffic.add_argument(
-        "--node-memory-mb", type=float, default=0.0,
+        "--node-memory-mb", type=_finite_float, default=0.0,
         help="per-node RSS budget in MB; 0 (default) disables the memory "
         "model entirely, keeping every output byte-identical to a "
         "memory-free run.  With a budget, replicas carry their runtime "
@@ -746,13 +764,13 @@ def build_parser() -> argparse.ArgumentParser:
         "over-budget node",
     )
     traffic.add_argument(
-        "--replica-rss-mb", type=float, default=None,
+        "--replica-rss-mb", type=_finite_float, default=None,
         help="override the per-replica RSS (MB) for every tenant; default "
         "is the runtime profile's baseline (container for runc-http, Wasm "
         "otherwise)",
     )
     traffic.add_argument(
-        "--pressure-knee", type=float, default=0.85,
+        "--pressure-knee", type=_finite_float, default=0.85,
         help="fraction of the node memory budget above which service "
         "times inflate (only with --node-memory-mb)",
     )
@@ -766,9 +784,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-minutes", type=int, default=None,
         help="with --trace-file: only replay the first N minutes of the trace",
     )
-    traffic.add_argument("--burst-on", type=float, default=5.0, help="bursty: seconds per on-window")
-    traffic.add_argument("--burst-off", type=float, default=15.0, help="bursty: silent seconds between bursts")
-    traffic.add_argument("--diurnal-period", type=float, default=60.0, help="diurnal: seconds per cycle")
+    traffic.add_argument("--burst-on", type=_finite_float, default=5.0, help="bursty: seconds per on-window")
+    traffic.add_argument("--burst-off", type=_finite_float, default=15.0, help="bursty: silent seconds between bursts")
+    traffic.add_argument("--diurnal-period", type=_finite_float, default=60.0, help="diurnal: seconds per cycle")
     traffic.add_argument(
         "--tenants",
         help="multi-tenant run over one shared cluster: a JSON array (inline or a "
@@ -800,12 +818,12 @@ def build_parser() -> argparse.ArgumentParser:
         "next-best region on saturation or regional failure",
     )
     traffic.add_argument(
-        "--wan-ms", type=float, default=None,
+        "--wan-ms", type=_finite_float, default=None,
         help="federated runs: WAN round-trip time between any two regions, "
         "in milliseconds (default: the net model's WAN profile)",
     )
     traffic.add_argument(
-        "--wan-mbps", type=float, default=None,
+        "--wan-mbps", type=_finite_float, default=None,
         help="federated runs: WAN bandwidth between any two regions, in "
         "megabits per second (default: the net model's WAN profile)",
     )
@@ -847,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="WFQ: serve any tenant passed over this many consecutive dispatches",
     )
     traffic.add_argument(
-        "--oversubscription", type=float, default=2.0,
+        "--oversubscription", type=_finite_float, default=2.0,
         help="multi-tenant: replica slots per core (pools overlap on cores above 1.0)",
     )
     traffic.add_argument(
@@ -861,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out/--events-out" % ", ".join(STAGE_NAMES),
     )
     traffic.add_argument(
-        "--cache-ttl", type=float, default=60.0,
+        "--cache-ttl", type=_finite_float, default=60.0,
         help="cache stage: seconds a cached response stays fresh",
     )
     traffic.add_argument(
@@ -869,28 +887,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache stage: max entries before LRU eviction",
     )
     traffic.add_argument(
-        "--cache-hit-latency", type=float, default=0.0,
+        "--cache-hit-latency", type=_finite_float, default=0.0,
         help="cache stage: seconds a cache hit takes to serve",
     )
     traffic.add_argument(
-        "--rate-limit-rps", type=float, default=50.0,
+        "--rate-limit-rps", type=_finite_float, default=50.0,
         help="rate-limit stage: sustained tokens per second per tenant",
     )
     traffic.add_argument(
-        "--rate-limit-burst", type=float, default=None,
+        "--rate-limit-burst", type=_finite_float, default=None,
         help="rate-limit stage: bucket depth (default: one second of rate)",
     )
     traffic.add_argument(
-        "--hedge-budget", type=float, default=1.0,
+        "--hedge-budget", type=_finite_float, default=1.0,
         help="hedge stage: latency budget (s); a second attempt fires on a "
         "spare replica when the primary attempt threatens it",
     )
     traffic.add_argument(
-        "--hedge-straggler-prob", type=float, default=0.05,
+        "--hedge-straggler-prob", type=_finite_float, default=0.05,
         help="hedge stage: fraction of attempts that straggle",
     )
     traffic.add_argument(
-        "--hedge-straggler-factor", type=float, default=4.0,
+        "--hedge-straggler-factor", type=_finite_float, default=4.0,
         help="hedge stage: service-time multiplier for stragglers",
     )
     traffic.add_argument(
@@ -932,7 +950,7 @@ def build_parser() -> argparse.ArgumentParser:
         "wall time) to stderr while the run executes",
     )
     traffic.add_argument(
-        "--progress-interval", type=float, default=10.0,
+        "--progress-interval", type=_finite_float, default=10.0,
         help="simulated seconds between --progress heartbeats",
     )
     traffic.add_argument(

@@ -157,7 +157,9 @@ class FairQueue:
 
     A running count of live items across all tenants backs
     :meth:`total_depth` and lets :meth:`dispatch_order` answer an empty
-    queue without visiting any tenant.
+    queue without visiting any tenant.  An item that would be dispatched
+    (or shed) the moment it reaches an empty queue is accounted by
+    :meth:`pass_through` instead, without touching the heap.
     """
 
     def __init__(
@@ -409,6 +411,41 @@ class FairQueue:
                 if other is not queue and other.live:
                     other.skipped += 1
         return entry.item
+
+    def pass_through(self, tenant: str, shed: bool = False) -> None:
+        """Account one item that meets an empty queue and leaves it at once.
+
+        Exactly :meth:`enqueue` followed by :meth:`pop` (or, with ``shed``,
+        :meth:`shed_head`) on an empty queue — stats, the idle tenant's
+        catch-up to the virtual time, the skip reset, the cost snapshot and
+        the tag advance — without touching the heap.  The engine calls it
+        for a request that finds a free replica on arrival.  Raises unless
+        every tenant's queue is empty, since only then is the item the
+        head :meth:`pop` would take.
+        """
+        if self._depth:
+            raise GatewayError(
+                "pass_through needs an empty queue; %d items are waiting" % self._depth
+            )
+        queue = self._require(tenant)
+        stats = queue.stats
+        stats.enqueued += 1
+        if shed:
+            stats.shed += 1
+        else:
+            stats.dispatched += 1
+        if self.policy is FairnessPolicy.FIFO:
+            return
+        queue.finish_tag = max(queue.finish_tag, self._virtual)
+        queue.skipped = 0
+        if shed:
+            return
+        self._virtual = max(self._virtual, queue.finish_tag)
+        if self.policy is FairnessPolicy.WFQ_COST:
+            cost = queue.cost_estimate if queue.cost_estimate is not None else self._default_cost()
+            queue.finish_tag += cost / queue.weight
+        else:
+            queue.finish_tag += 1.0 / queue.weight
 
     def drain(self, tenant: str) -> List[object]:
         """Evacuate every waiting item in dispatch order, without accounting.

@@ -22,11 +22,36 @@ The request path is deliberately closure-based: every hot name is bound
 once per run into local cells (the million-request regime pays for every
 attribute chase), and the extraction keeps single-cluster runs
 byte-identical to the pre-split engine.
+
+Dispatch costs O(1) queue work per request and never scans a pool:
+
+* **The free index.**  Each tenant keeps the replicas that are ready and
+  under ``per_replica_concurrency``, in pool (registration) order, keyed
+  by a registration serial.  Selection takes a replica out when it fills,
+  release puts it back, dropping it removes it.  Registered replicas wait
+  in a pending list until a scan sees their ``ready_at`` pass — lazily,
+  not at their ``warm`` event, so every event at that instant sees them
+  exactly as a pool scan would.  A dispatch attempt's candidates are the
+  index filtered by free node cores, handed to the same load balancer,
+  so the round-robin cursor and the least-loaded tie-break are unchanged.
+* **The empty-queue pass-through.**  A request that arrives at an empty
+  queue while its tenant has a candidate is the head the next dispatch
+  pass would take, so :attr:`admit` serves (or sheds) it directly, and
+  the queue accounts it with one
+  :meth:`~repro.platform.gateway.FairQueue.pass_through` — the same stats,
+  tags and cost snapshot as an enqueue plus a pop, without a heap push, a
+  timeout slot or a re-scan.  Only the relative order of events and queue
+  entries matters, so skipping those draws leaves every output unchanged.
+  Queued work goes through :attr:`dispatch`, which shares everything after
+  the queue decision (``start``, or the shed record) with the
+  pass-through, and which a completion calls only when work is waiting.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+from bisect import bisect_left
 
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -108,6 +133,9 @@ class _Replica:
     #: ``deployed.node_name`` cached as a plain attribute (property calls on
     #: the deployment object showed up in million-request profiles).
     node: str = ""
+    #: Registration serial: pool order is registration order, so it keys
+    #: the replica's place in its tenant's free index.
+    serial: int = 0
 
 
 @dataclass
@@ -120,6 +148,14 @@ class _TenantState:
     requests: List[Request]
     replicas: List[_Replica] = field(default_factory=list)
     by_name: Dict[str, _Replica] = field(default_factory=dict)
+    #: The free index: replicas that are ready and under their concurrency
+    #: limit, in pool order, with their serials in ``free_keys`` (the
+    #: parallel list ``bisect`` searches).
+    free: List[_Replica] = field(default_factory=list)
+    free_keys: List[int] = field(default_factory=list)
+    #: Registered replicas not yet seen ready, in pool order; a scan
+    #: promotes each into ``free`` once its ``ready_at`` has passed.
+    pending: List[_Replica] = field(default_factory=list)
     records: List[RequestRecord] = field(default_factory=list)
     #: Streaming accumulators, built instead of ``records`` in sketch mode
     #: by :func:`attach_streams`: every rollup this tenant's finished
@@ -329,6 +365,41 @@ class ClusterRuntime:
         #: (+1 at every replica selection, -1 at every release) instead of
         #: being rebuilt from gateway pool scans on every dispatch pass.
         node_busy = {name: 0 for name in cluster.nodes}
+        serials = itertools.count()
+
+        def index_free(state: _TenantState, replica: _Replica) -> None:
+            """Put ``replica`` into ``state``'s free index at its pool position."""
+            at = bisect_left(state.free_keys, replica.serial)
+            state.free_keys.insert(at, replica.serial)
+            state.free.insert(at, replica)
+
+        def unindex_free(state: _TenantState, replica: _Replica) -> None:
+            at = bisect_left(state.free_keys, replica.serial)
+            del state.free_keys[at]
+            del state.free[at]
+
+        def candidates(state: _TenantState, now: float) -> List[_Replica]:
+            """The replicas a request of ``state`` may start on, in pool order.
+
+            Ready, under their concurrency limit (the free index) and on a
+            node with a free core.  Warmed-up replicas join the index here,
+            at the first scan that sees them ready, so any event at their
+            ``ready_at`` instant finds them, whether or not it fires before
+            their ``warm`` event.
+            """
+            if state.pending:
+                waiting = []
+                for replica in state.pending:
+                    if replica.ready_at <= now:
+                        index_free(state, replica)
+                    else:
+                        waiting.append(replica)
+                state.pending = waiting
+            return [
+                replica
+                for replica in state.free
+                if node_busy[replica.node] < cores[replica.node]
+            ]
 
         def note(now: float) -> None:
             nonlocal last_event_s
@@ -421,6 +492,7 @@ class ClusterRuntime:
                     rss_mb=state.rss_mb,
                     born_s=now,
                     node=deployed.node_name,
+                    serial=next(serials),
                 )
                 # Bind the gateway's load-balancer state both ways: the
                 # dispatch loop reads in-flight counts off the replica and
@@ -430,6 +502,7 @@ class ClusterRuntime:
                 replica.gw_state = gw_state
                 state.replicas.append(replica)
                 state.by_name[deployed.name] = replica
+                state.pending.append(replica)
                 if memory is not None:
                     memory.allocate(deployed.node_name, state.rss_mb)
                 loop.schedule_at(now + cold, warm_dispatch, label="warm")
@@ -450,6 +523,12 @@ class ClusterRuntime:
             gateway.remove_replica(state.function, replica.deployed)
             state.replicas.remove(replica)
             del state.by_name[replica.deployed.name]
+            # Only idle replicas are dropped, so it is in the free index
+            # unless no scan has seen it ready yet.
+            if any(other is replica for other in state.pending):
+                state.pending = [other for other in state.pending if other is not replica]
+            else:
+                unindex_free(state, replica)
             if memory is not None:
                 state.rss_mb_seconds += replica.rss_mb * max(0.0, now - replica.born_s)
                 memory.free(replica.deployed.node_name, replica.rss_mb)
@@ -520,6 +599,8 @@ class ClusterRuntime:
             )
             gateway.release_state(state.function, replica.gw_state)
             node_busy[replica.node] -= 1
+            if replica.gw_state.in_flight == per_replica_concurrency - 1:
+                index_free(state, replica)
             replica.idle_since = completion
             if memory is not None:
                 # Replica-busy CPU: the loser of a hedge burned the same
@@ -530,11 +611,138 @@ class ClusterRuntime:
                 # frees the moment the winner answers the client.
                 gateway.release_state(state.function, loser.gw_state)
                 node_busy[loser.node] -= 1
+                if loser.gw_state.in_flight == per_replica_concurrency - 1:
+                    index_free(state, loser)
                 loser.idle_since = completion
                 if memory is not None:
                     state.cpu_seconds += record.service_s
             resolve(state, record, node=replica.node)
-            dispatch(loop.now)
+            if queue.total_depth():
+                dispatch(loop.now)
+
+        def service_for(state: _TenantState, request: Request, now: float) -> Optional[float]:
+            """The request's service time if started at ``now``; ``None`` to shed it.
+
+            A request with a *hard* deadline that can no longer be met is
+            shed — admission control refuses to burn a replica on output
+            nobody can use.
+            """
+            key = (state.spec.mode, request.payload_bytes)
+            service = service_cache.get(key)
+            if service is None:
+                service = service_time(key[0], key[1])
+            if (
+                request.hard
+                and request.deadline_s is not None
+                and now + service > request.deadline_s
+            ):
+                return None
+            return service
+
+        def shed(state: _TenantState, request: Request) -> None:
+            """Refuse a hard-deadline request that can no longer finish in time."""
+            resolve(
+                state,
+                RequestRecord(
+                    request_id=request.request_id,
+                    function=state.function,
+                    outcome=RequestOutcome.SHED,
+                    arrival_s=request.arrival_s,
+                    request_class=request.request_class,
+                    deadline_s=request.deadline_s,
+                ),
+            )
+
+        def start(
+            state: _TenantState,
+            tenant: str,
+            request: Request,
+            candidates: List[_Replica],
+            service: float,
+            now: float,
+        ) -> None:
+            """Serve one request the queue let go, on one of ``candidates``.
+
+            The queued path (:func:`dispatch`) and the empty-queue path
+            (:func:`arrive`) share this body after their queue decision.
+            """
+            # Give the pipeline's dispatch hooks a say: the hedge stage
+            # applies its seeded straggler jitter and decides whether a
+            # backup attempt races on a spare replica.
+            plan = None
+            if pipeline is not None:
+                ctx = contexts.get((tenant, request.request_id))
+                if ctx is not None:
+                    plan = pipeline.plan_dispatch(
+                        ctx, now, service, spare_replica=len(candidates) > 1
+                    )
+                    service = plan.service_s
+            loser: Optional[_Replica] = None
+            if plan is not None and plan.hedged and len(candidates) > 1:
+                primary_gw = gateway.select_replica(
+                    state.function,
+                    [replica.gw_state for replica in candidates],
+                )
+                primary = primary_gw.handle
+                hedge_gw = gateway.select_replica(
+                    state.function,
+                    [
+                        replica.gw_state
+                        for replica in candidates
+                        if replica.gw_state is not primary_gw
+                    ],
+                )
+                hedge = hedge_gw.handle
+                if primary_gw.in_flight == per_replica_concurrency:
+                    unindex_free(state, primary)
+                if hedge_gw.in_flight == per_replica_concurrency:
+                    unindex_free(state, hedge)
+                node_busy[primary.node] += 1
+                node_busy[hedge.node] += 1
+                primary_done, hedge_offset = plan.completion_offsets()
+                if memory is not None:
+                    # Each attempt slows by its own node's pressure.
+                    primary_done *= memory.inflation(primary.node)
+                    hedge_offset *= memory.inflation(hedge.node)
+                # First finisher wins; the loser is cancelled (and its
+                # replica released) at the winner's completion.
+                if now + hedge_offset < now + primary_done:
+                    replica, loser = hedge, primary
+                    completion = now + hedge_offset
+                else:
+                    replica, loser = primary, hedge
+                    completion = now + primary_done
+            else:
+                chosen = gateway.select_replica(
+                    state.function,
+                    [replica.gw_state for replica in candidates],
+                )
+                replica = chosen.handle
+                if chosen.in_flight == per_replica_concurrency:
+                    unindex_free(state, replica)
+                node_busy[replica.node] += 1
+                if memory is not None:
+                    # Memory pressure on the chosen node slows the service;
+                    # the EWMA below sees the inflated time, so scaling
+                    # decisions feel the pressure too.
+                    service = service * memory.inflation(replica.node)
+                completion = now + service
+            # Feed the measured service time back into the queue's
+            # per-tenant EWMA: later enqueues snapshot it as their wfq-cost
+            # tag advance, and the autoscaler reads it as the Little's-law
+            # service-time estimate.
+            queue.record_service_cost(tenant, service)
+            # The part of this request's wait actually spent watching its
+            # replica cold-start: the overlap of [arrival, dispatch] with
+            # the warm-up window, not the whole delay.
+            cold_wait = max(0.0, min(replica.cold_s, replica.ready_at - request.arrival_s))
+            note(completion)
+            loop.schedule_at(
+                completion,
+                complete,
+                label="complete",
+                args=(state, request, replica, loser, now, completion, cold_wait),
+            )
 
         def dispatch(now: float) -> None:
             """Move queued requests onto available replicas.
@@ -542,9 +750,7 @@ class ClusterRuntime:
             The gateway's fair queue decides which tenant to try first; a
             tenant whose pool has no eligible replica is passed over (work
             conservation) without losing its place in the fair order.  A
-            head request with a *hard* deadline that can no longer be met
-            is shed here — admission control refuses to burn a replica on
-            output nobody can use.
+            head request that :func:`service_for` refuses is shed here.
             """
             if halted:
                 # A failed region assigns no new work: in-flight requests
@@ -552,117 +758,23 @@ class ClusterRuntime:
                 # with nowhere alive to go) rejects via its queue timeout.
                 return
             while True:
-                served = False
                 for tenant_name in queue.dispatch_order():
                     state = by_tenant[tenant_name]
-                    candidates = [
-                        replica
-                        for replica in state.replicas
-                        if replica.ready_at <= now
-                        and replica.gw_state.in_flight < per_replica_concurrency
-                        and node_busy[replica.node] < cores[replica.node]
-                    ]
-                    if not candidates:
+                    eligible = candidates(state, now)
+                    if not eligible:
                         continue
                     request = queue.peek(tenant_name)
-                    key = (state.spec.mode, request.payload_bytes)
-                    service = service_cache.get(key)
+                    service = service_for(state, request, now)
                     if service is None:
-                        service = service_time(key[0], key[1])
-                    if (
-                        request.hard
-                        and request.deadline_s is not None
-                        and now + service > request.deadline_s
-                    ):
                         queue.shed_head(tenant_name)
-                        resolve(
-                            state,
-                            RequestRecord(
-                                request_id=request.request_id,
-                                function=state.function,
-                                outcome=RequestOutcome.SHED,
-                                arrival_s=request.arrival_s,
-                                request_class=request.request_class,
-                                deadline_s=request.deadline_s,
-                            ),
-                        )
-                        served = True
-                        break  # re-evaluate: the tenant's next head may serve
-                    queue.pop(tenant_name)
-                    # Give the pipeline's dispatch hooks a say: the hedge
-                    # stage applies its seeded straggler jitter and decides
-                    # whether a backup attempt races on a spare replica.
-                    plan = None
-                    if pipeline is not None:
-                        ctx = contexts.get((tenant_name, request.request_id))
-                        if ctx is not None:
-                            plan = pipeline.plan_dispatch(
-                                ctx, now, service, spare_replica=len(candidates) > 1
-                            )
-                            service = plan.service_s
-                    loser: Optional[_Replica] = None
-                    if plan is not None and plan.hedged and len(candidates) > 1:
-                        primary_gw = gateway.select_replica(
-                            state.function,
-                            [replica.gw_state for replica in candidates],
-                        )
-                        primary = primary_gw.handle
-                        hedge_gw = gateway.select_replica(
-                            state.function,
-                            [
-                                replica.gw_state
-                                for replica in candidates
-                                if replica.gw_state is not primary_gw
-                            ],
-                        )
-                        hedge = hedge_gw.handle
-                        node_busy[primary.node] += 1
-                        node_busy[hedge.node] += 1
-                        primary_done, hedge_offset = plan.completion_offsets()
-                        if memory is not None:
-                            # Each attempt slows by its own node's pressure.
-                            primary_done *= memory.inflation(primary.node)
-                            hedge_offset *= memory.inflation(hedge.node)
-                        # First finisher wins; the loser is cancelled (and
-                        # its replica released) at the winner's completion.
-                        if now + hedge_offset < now + primary_done:
-                            replica, loser = hedge, primary
-                            completion = now + hedge_offset
-                        else:
-                            replica, loser = primary, hedge
-                            completion = now + primary_done
+                        shed(state, request)
                     else:
-                        chosen = gateway.select_replica(
-                            state.function,
-                            [replica.gw_state for replica in candidates],
-                        )
-                        replica = chosen.handle
-                        node_busy[replica.node] += 1
-                        if memory is not None:
-                            # Memory pressure on the chosen node slows the
-                            # service; the EWMA below sees the inflated time,
-                            # so scaling decisions feel the pressure too.
-                            service = service * memory.inflation(replica.node)
-                        completion = now + service
-                    # Feed the measured service time back into the queue's
-                    # per-tenant EWMA: later enqueues snapshot it as their
-                    # wfq-cost tag advance, and the autoscaler reads it as
-                    # the Little's-law service-time estimate.
-                    queue.record_service_cost(tenant_name, service)
-                    # The part of this request's wait actually spent watching
-                    # its replica cold-start: the overlap of [arrival,
-                    # dispatch] with the warm-up window, not the whole delay.
-                    cold_wait = max(0.0, min(replica.cold_s, replica.ready_at - request.arrival_s))
-                    note(completion)
-                    loop.schedule_at(
-                        completion,
-                        complete,
-                        label="complete",
-                        args=(state, request, replica, loser, now, completion, cold_wait),
-                    )
-                    served = True
-                    break  # re-evaluate fair order after every dispatch
-                if not served:
+                        queue.pop(tenant_name)
+                        start(state, tenant_name, request, eligible, service, now)
+                    break  # re-evaluate fair order after every dispatch or shed
+                else:
+                    return
+                if not queue.total_depth():
                     return
 
         def arrive(state: _TenantState, request: Request) -> None:
@@ -703,6 +815,22 @@ class ClusterRuntime:
                 # Transformed requests dispatch under their overridden keys.
                 priority = ctx.data.get("priority", priority)
                 deadline = ctx.data.get("deadline_s", deadline)
+            if not halted and not queue.total_depth():
+                # Nothing waits ahead of this request: if a replica is free
+                # it is the head a dispatch pass would take, so serve it
+                # straight away — the queue accounts it as an enqueue plus
+                # a pop (or shed) without ever holding it.
+                now = loop.now
+                eligible = candidates(state, now)
+                if eligible:
+                    service = service_for(state, request, now)
+                    if service is None:
+                        queue.pass_through(state.name, shed=True)
+                        shed(state, request)
+                    else:
+                        queue.pass_through(state.name)
+                        start(state, state.name, request, eligible, service, now)
+                    return
             admitted = queue.enqueue(
                 state.name,
                 request.request_id,
@@ -725,8 +853,7 @@ class ClusterRuntime:
                 )
                 return
             # The timeout event is only materialized if the request is still
-            # waiting after the dispatch pass — most requests dispatch
-            # immediately and never need one.  Its tie-break slot is
+            # waiting after the dispatch pass.  Its tie-break slot is
             # reserved *before* dispatching, so when it is scheduled it
             # sorts exactly where an eagerly scheduled timeout would have.
             timeout_order = loop.reserve_orders(1)
@@ -857,6 +984,11 @@ class ClusterRuntime:
         self.admit = arrive
         self.dispatch = dispatch
         self.complete = complete
+        #: Read-only test hook: ``candidates(state, now)`` is the replica
+        #: list a dispatch attempt for ``state`` at ``now`` would offer the
+        #: load balancer (it may promote warmed-up replicas into the index,
+        #: as any scan does).
+        self.candidates = candidates
         self.tick = control_tick
         self.add_replicas = add_replicas
         self._halt = halt
@@ -912,14 +1044,14 @@ class ClusterRuntime:
         return gateway.queue.total_depth() + gateway.in_flight_total()
 
     def warm_ready(self, tenant: str, now: float) -> int:
-        """Warm replicas of ``tenant`` with spare concurrency right now."""
+        """Warm replicas of ``tenant`` with spare concurrency at ``now``.
+
+        Read off the free index plus the pending replicas whose warm-up is
+        over by ``now``, the current simulated instant (the index only
+        ever holds replicas a scan at or before it saw ready).
+        """
         state = self.by_tenant[tenant]
-        limit = self.config.per_replica_concurrency
-        return sum(
-            1
-            for replica in state.replicas
-            if replica.ready_at <= now and replica.gw_state.in_flight < limit
-        )
+        return len(state.free) + sum(1 for replica in state.pending if replica.ready_at <= now)
 
     def saturated(self, tenant: str) -> bool:
         """Whether the next enqueue for ``tenant`` would be dropped."""
