@@ -44,13 +44,16 @@ def gateway_demo() -> None:
     # the three replicas, then they are released as they complete.
     in_flight = []
     for request in range(6):
-        replica = gateway.route("detector")
-        outcome = channel.transfer(ingest, replica, payload)
-        in_flight.append((request, replica, outcome))
+        replica = gateway.select_replica("detector", gateway.pool_states("detector"))
+        outcome = channel.transfer(ingest, replica.deployed, payload)
+        in_flight.append(replica)
         print("request %d -> %-12s %.6f s (mode=%s)"
-              % (request, replica.name, outcome.metrics.total_latency_s, outcome.metrics.mode))
-    for _, replica, _ in in_flight:
-        gateway.release("detector", replica)
+              % (request, replica.deployed.name, outcome.metrics.total_latency_s,
+                 outcome.metrics.mode))
+    for replica in in_flight:
+        gateway.release_state("detector", replica)
+    # Settle the per-request ingress overhead, batched into one ledger charge.
+    gateway.flush_deferred_ingress()
     print("requests served per replica:", gateway.served_per_replica("detector"))
 
 

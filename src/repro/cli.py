@@ -300,6 +300,13 @@ def _write_manifest(args: argparse.Namespace, outputs: List[str], started_wall: 
 
 
 def _cmd_traffic(args: argparse.Namespace) -> int:
+    if args.fail_region and not args.clusters:
+        print(
+            "invalid traffic parameters: --fail-region needs --clusters "
+            "(a single-cluster run has no region to fail)",
+            file=sys.stderr,
+        )
+        return 2
     try:
         classes = parse_classes(args.classes) if args.classes else ()
     except RequestClassError as exc:

@@ -9,10 +9,11 @@ scales from zero by paying the runtime's cold-start cost, and charges the
 ingress routing overhead per request.
 
 The traffic engine (:mod:`repro.traffic`) drives the gateway under sustained
-load: :meth:`IngressGateway.route_among` is the admission hook that routes
+load: :meth:`IngressGateway.select_replica` is the admission hook that routes
 only to replicas the engine considers ready and under their concurrency
-limit, and :meth:`IngressGateway.remove_replica` is the scale-down hook the
-autoscaler uses to reclaim idle replicas after their keep-alive expires.
+limit (:meth:`IngressGateway.release_state` hands each back), and
+:meth:`IngressGateway.remove_replica` is the scale-down hook the autoscaler
+uses to reclaim idle replicas after their keep-alive expires.
 
 Admission queueing also lives here: :class:`FairQueue` keeps one bounded
 queue per tenant and decides dispatch order either globally FIFO (arrival
@@ -495,14 +496,18 @@ class _ReplicaState:
     deployed: DeployedFunction
     in_flight: int = 0
     served: int = 0
-    #: Set when the replica leaves the pool, so holders of a direct state
-    #: reference (the traffic engine's O(1) release path) still get the
-    #: stale-handle error a pool scan used to produce.
+    #: Set when the replica leaves the pool, so releasing a held handle
+    #: after scale-down raises instead of corrupting in-flight counts.
     retired: bool = False
     #: Opaque caller attachment: the traffic engine stores its own replica
     #: view here so :meth:`IngressGateway.select_replica` results map back
     #: without a name lookup.
     handle: Optional[object] = None
+    #: The owning gateway's token and function name, so a handle released
+    #: to another gateway or function raises instead of corrupting its
+    #: counts.
+    owner: Optional[object] = None
+    function: str = ""
 
 
 def _in_flight_of(state: _ReplicaState) -> int:
@@ -536,6 +541,8 @@ class IngressGateway:
         #: Requests in flight across every pool: the sum of every replica's
         #: ``in_flight``, kept at each site that changes one.
         self._in_flight = 0
+        #: Identifies this gateway's replica states (see :meth:`release_state`).
+        self._token = object()
         self.requests_routed = 0
         self.cold_starts = 0
         self.scale_downs = 0
@@ -571,7 +578,10 @@ class IngressGateway:
             deployed_replicas.append(deployed)
             if charge_cold_start:
                 self.cold_starts += 1
-        pool.extend(_ReplicaState(deployed=replica) for replica in deployed_replicas)
+        pool.extend(
+            _ReplicaState(deployed=replica, owner=self._token, function=spec.name)
+            for replica in deployed_replicas
+        )
         self._round_robin_cursor.setdefault(spec.name, 0)
         return deployed_replicas
 
@@ -627,74 +637,21 @@ class IngressGateway:
 
     # -- routing --------------------------------------------------------------------
 
-    def route(self, function: str) -> DeployedFunction:
-        """Pick a replica for one request and charge the ingress overhead."""
-        return self.route_among(function, None)
-
-    def route_among(
-        self,
-        function: str,
-        eligible: Optional[Sequence[DeployedFunction]],
-    ) -> DeployedFunction:
-        """Admission hook: route one request over a subset of the pool.
-
-        ``eligible`` restricts the choice to replicas the caller considers
-        available (warmed up, under their concurrency limit); ``None`` means
-        the whole pool.  The routing policy applies within the subset, and
-        the per-request ingress overhead is charged either way.
-        """
-        pool = self._require_pool(function)
-        if eligible is None:
-            candidates = pool
-        else:
-            wanted = {id(deployed) for deployed in eligible}
-            candidates = [state for state in pool if id(state.deployed) in wanted]
-            if not candidates:
-                raise GatewayError("no eligible replicas for function %r" % function)
-        if self.policy is RoutingPolicy.ROUND_ROBIN:
-            # The cursor walks the *pool* and skips ineligible members, so
-            # rotation order is stable even when the eligible subset changes
-            # between requests (indexing the cursor into a changing subset
-            # would not be round-robin at all).
-            cursor = self._round_robin_cursor[function]
-            eligible_ids = {id(state) for state in candidates}
-            state = candidates[0]
-            for offset in range(len(pool)):
-                probe = pool[(cursor + offset) % len(pool)]
-                if id(probe) in eligible_ids:
-                    state = probe
-                    # Normalized modulo the pool: the raw cursor otherwise
-                    # grows one per request, forever, and overflows the
-                    # useful integer range on genuinely long runs.
-                    self._round_robin_cursor[function] = (cursor + offset + 1) % len(pool)
-                    break
-        else:
-            state = min(candidates, key=lambda replica: replica.in_flight)
-        state.in_flight += 1
-        state.served += 1
-        self._in_flight += 1
-        self.requests_routed += 1
-        ledger = self.orchestrator.cluster.ledger
-        ledger.charge(
-            CostCategory.HTTP,
-            INGRESS_OVERHEAD_S,
-            cpu_domain=CpuDomain.USER,
-            label="ingress:%s" % function,
-        )
-        return state.deployed
-
     def select_replica(
         self, function: str, candidates: Sequence[_ReplicaState]
     ) -> _ReplicaState:
-        """The traffic engine's hot routing path: pick among live states.
+        """Route one request to one of ``candidates``; return its state.
 
-        Policy-identical to :meth:`route_among` (the round-robin cursor walks
-        the pool; least-loaded takes the first minimum in pool order), but
-        works directly on :class:`_ReplicaState` handles the caller already
-        holds, and *defers* the per-request ingress ledger charge: the count
-        accumulates per function and :meth:`flush_deferred_ingress` emits one
-        batched charge per function, so million-request runs do not allocate
-        a million Charge rows.
+        ``candidates`` are the pool's :class:`_ReplicaState` handles (from
+        :meth:`pool_states`) the caller considers available — warmed up,
+        under their concurrency limit.  Round-robin walks a cursor over the
+        *pool* and skips non-candidates, so rotation stays stable while the
+        candidate subset changes; least-loaded takes the first minimum in
+        pool order.  The per-request ingress ledger charge is *deferred*:
+        the count accumulates per function and :meth:`flush_deferred_ingress`
+        emits one batched charge per function, so million-request runs do
+        not allocate a million Charge rows.  The caller gives the handle
+        back with :meth:`release_state` when the request finishes.
         """
         if not candidates:
             raise GatewayError("no eligible replicas for function %r" % function)
@@ -707,6 +664,8 @@ class IngressGateway:
                 probe = pool[(cursor + offset) % len(pool)]
                 if id(probe) in eligible_ids:
                     state = probe
+                    # Normalized modulo the pool: the raw cursor otherwise
+                    # grows one per request, forever.
                     self._round_robin_cursor[function] = (cursor + offset + 1) % len(pool)
                     break
         elif len(candidates) == 1:
@@ -721,8 +680,15 @@ class IngressGateway:
         return state
 
     def release_state(self, function: str, state: _ReplicaState) -> None:
-        """O(1) counterpart of :meth:`release` for held state handles."""
-        if state.retired:
+        """Mark a routed request as finished (load-balancer bookkeeping).
+
+        Releasing a handle whose replica left the pool (a stale handle after
+        scale-down), that belongs to another function or gateway, or that
+        has nothing in flight (a double release) raises: each would
+        otherwise decay silently into corrupted in-flight accounting, which
+        the autoscaler then trusts.
+        """
+        if state.retired or state.owner is not self._token or state.function != function:
             raise GatewayError(
                 "replica %r does not belong to function %r"
                 % (state.deployed.name, function)
@@ -755,25 +721,6 @@ class IngressGateway:
     def pool_states(self, function: str) -> List[_ReplicaState]:
         """The live per-replica states, in pool order (engine fast path)."""
         return self._require_pool(function)
-
-    def release(self, function: str, deployed: DeployedFunction) -> None:
-        """Mark a routed request as finished (load-balancer bookkeeping).
-
-        Releasing a replica that is not in the pool (a stale handle after
-        scale-down) or that has nothing in flight (a double release) raises:
-        both used to decay silently into corrupted in-flight accounting,
-        which the autoscaler then trusted.
-        """
-        for state in self._require_pool(function):
-            if state.deployed is deployed:
-                if state.in_flight <= 0:
-                    raise GatewayError(
-                        "replica %r has no requests in flight to release" % deployed.name
-                    )
-                state.in_flight -= 1
-                self._in_flight -= 1
-                return
-        raise GatewayError("replica %r does not belong to function %r" % (deployed.name, function))
 
     def served_per_replica(self, function: str) -> Dict[str, int]:
         return {state.deployed.name: state.served for state in self._require_pool(function)}

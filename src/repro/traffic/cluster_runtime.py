@@ -13,15 +13,17 @@ replica/dispatch bookkeeping — behind a narrow interface:
 * :attr:`tick` — one tenant's autoscaler control interval;
 * :meth:`snapshot` — the cluster's :class:`~repro.traffic.tenants.MultiTenantSummary`.
 
-The single-cluster :class:`~repro.traffic.engine.MultiTenantTrafficEngine`
-is now a thin driver over one runtime; the federation layer
-(:mod:`repro.traffic.federation`) instantiates several over one shared
-:class:`~repro.sim.engine.EventLoop` behind a global router.
+Its one driver is the federation layer (:mod:`repro.traffic.federation`),
+which instantiates one runtime per region over one shared
+:class:`~repro.sim.engine.EventLoop` behind a global router; the
+single-cluster :class:`~repro.traffic.engine.MultiTenantTrafficEngine` is
+a one-region federation that returns its region's :meth:`snapshot`.
+Every summary — per tenant, per cluster, federation-wide — goes through
+:func:`rollup`.
 
 The request path is deliberately closure-based: every hot name is bound
 once per run into local cells (the million-request regime pays for every
-attribute chase), and the extraction keeps single-cluster runs
-byte-identical to the pre-split engine.
+attribute chase).
 
 Dispatch costs O(1) queue work per request and never scans a pool:
 
@@ -83,15 +85,23 @@ if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy to avoid
 MB = 1024 * 1024
 
 
-def _measure_service_time(mode: str, payload_bytes: int, cost_model: CostModel) -> float:
-    """Workflow latency of one (mode, payload size): one isolated simulation.
+def calibrated_service_time(
+    cache: Dict[Tuple[str, int], float], mode: str, payload_bytes: int, cost_model: CostModel
+) -> float:
+    """Workflow latency for one (mode, payload size), measured once into ``cache``.
 
-    Self-contained (fresh cluster, fresh ledger shards, fresh clock), so
-    the result depends only on its arguments.
+    The measurement invokes the canonical two-function chain through a
+    fresh isolated environment (fresh cluster, ledger shards and clock) —
+    the path every figure in the reproduction uses — so it depends only on
+    its arguments and a cached value never goes stale.
     """
-    setup = build_pair_setup(mode, cost_model=cost_model)
-    payload = make_payload(payload_bytes / MB)
-    return setup.invoker.invoke(setup.workflow, payload).total_latency_s
+    key = (mode, payload_bytes)
+    latency = cache.get(key)
+    if latency is None:
+        setup = build_pair_setup(mode, cost_model=cost_model)
+        payload = make_payload(payload_bytes / MB)
+        latency = cache[key] = setup.invoker.invoke(setup.workflow, payload).total_latency_s
+    return latency
 
 
 def _spec_for_mode(mode: str, function: str, tenant: str = "tenant-1") -> FunctionSpec:
@@ -239,13 +249,45 @@ def _merge_timelines(
     return merged
 
 
+def rollup(
+    mode: str,
+    pattern: str,
+    duration: float,
+    states: Sequence[_TenantState],
+    declared: Sequence[str],
+    timeline: Sequence[Tuple[float, int]],
+    stream: Optional[StreamingTrafficStats],
+    records: Sequence[RequestRecord],
+) -> TrafficSummary:
+    """One summary over ``states``: the path every rollup takes.
+
+    Sketch mode reads ``stream``, the accumulator these states folded
+    into; exact mode (``stream`` is ``None``) summarizes ``records``.  The
+    states' counters are summed, which over a single state is its own
+    value bit for bit.
+    """
+    aggregates = dict(
+        mode=mode,
+        pattern=pattern,
+        duration_s=duration,
+        cold_starts=sum(state.cold_starts for state in states),
+        cold_start_seconds=sum(state.cold_start_seconds for state in states),
+        replica_timeline=timeline,
+        declared_classes=declared,
+        oom_evictions=sum(state.oom_evictions for state in states),
+        rss_mb_seconds=sum(state.rss_mb_seconds for state in states),
+        cpu_seconds=sum(state.cpu_seconds for state in states),
+    )
+    if stream is not None:
+        return stream.summary(**aggregates)
+    return summarize(records=records, **aggregates)
+
+
 class ClusterRuntime:
     """One cluster's gateway, pools, scaling loop and accounting.
 
     Built over a shared clock and event loop, so several runtimes can
-    coexist in one simulation (the federation layer); with exactly one
-    runtime the behaviour — every event, every tie-break, every float — is
-    identical to the pre-extraction engine.
+    coexist in one simulation (the federation layer).
     """
 
     def __init__(
@@ -284,7 +326,8 @@ class ClusterRuntime:
         self.waterfall: List[WaterfallRow] = []
         #: Per-stage middleware counters (filled by :meth:`finalize`).
         self.middleware_stats: Dict[str, Dict[str, int]] = {}
-        self._cluster_stream = cluster_stream
+        #: The cluster-wide sketch-mode rollup (``None`` in exact mode).
+        self.cluster_stream = cluster_stream
         self._pipeline = pipeline
         self._telemetry = telemetry
 
@@ -998,19 +1041,14 @@ class ClusterRuntime:
 
     # -- driver hooks ----------------------------------------------------------------
 
-    def bootstrap(self, initial_replicas, now: float = 0.0) -> None:
-        """Register every tenant's initial pool (arbitrated like growth).
+    def bootstrap(self, initial_replicas: Dict[str, int], now: float = 0.0) -> None:
+        """Register each tenant's initial pool (arbitrated like growth).
 
-        ``initial_replicas`` is an int applied to every tenant, or a
-        mapping ``tenant name -> count`` (the federation layer homes each
-        tenant's initial pool in one region).
+        ``initial_replicas`` maps tenant name -> count; a tenant it omits
+        starts from zero (the federation homes each pool in one region).
         """
         for state in self.states:
-            count = (
-                initial_replicas.get(state.name, 0)
-                if hasattr(initial_replicas, "get")
-                else initial_replicas
-            )
+            count = initial_replicas.get(state.name, 0)
             if count:
                 self.add_replicas(
                     state,
@@ -1029,9 +1067,6 @@ class ClusterRuntime:
             )
 
     # -- federation probes -----------------------------------------------------------
-
-    def queue_depth(self, tenant: str) -> int:
-        return self.gateway.queue.depth(tenant)
 
     def load(self) -> int:
         """In-flight + queued across every tenant (the least-loaded signal).
@@ -1138,83 +1173,52 @@ class ClusterRuntime:
         """Roll the run up into per-tenant and cluster summaries.
 
         Also materializes :attr:`records` (per tenant, sorted by request
-        id) and :attr:`waterfall` for the driver to re-expose.
+        id; empty in sketch mode) and :attr:`waterfall` for the driver to
+        re-expose.  Each tenant's summary keeps its raw timeline.
         """
         from repro.obs.spans import waterfall_from_records
 
         states = self.states
         tenants: Dict[str, TrafficSummary] = {}
-        all_records: List[RequestRecord] = []
-        declared_union: List[str] = []
         waterfall: List[WaterfallRow] = []
-        retain = self.config.retain_records
         self.records = {}
         for state in states:
-            declared_union.extend(state.spec.class_names)
-            if retain:
-                state.records.sort(key=lambda record: record.request_id)
-                self.records[state.name] = state.records
-                all_records.extend(state.records)
-                tenants[state.name] = summarize(
-                    mode=state.spec.mode,
-                    pattern=state.spec.pattern_name,
-                    duration_s=duration,
-                    records=state.records,
-                    cold_starts=state.cold_starts,
-                    cold_start_seconds=state.cold_start_seconds,
-                    replica_timeline=state.timeline,
-                    declared_classes=state.spec.class_names,
-                    oom_evictions=state.oom_evictions,
-                    rss_mb_seconds=state.rss_mb_seconds,
-                    cpu_seconds=state.cpu_seconds,
-                )
-                waterfall.extend(waterfall_from_records(state.name, state.records))
-            else:
-                self.records[state.name] = []
-                tenants[state.name] = state.streams[0].summary(
-                    mode=state.spec.mode,
-                    pattern=state.spec.pattern_name,
-                    duration_s=duration,
-                    cold_starts=state.cold_starts,
-                    cold_start_seconds=state.cold_start_seconds,
-                    replica_timeline=state.timeline,
-                    declared_classes=state.spec.class_names,
-                    oom_evictions=state.oom_evictions,
-                    rss_mb_seconds=state.rss_mb_seconds,
-                    cpu_seconds=state.cpu_seconds,
-                )
-                waterfall.extend(state.streams[0].waterfall(state.name))
-        if retain:
-            cluster = summarize(
-                mode="cluster",
-                pattern="multi-tenant",
-                duration_s=duration,
-                records=all_records,
-                cold_starts=sum(state.cold_starts for state in states),
-                cold_start_seconds=sum(state.cold_start_seconds for state in states),
-                replica_timeline=_merge_timelines([state.timeline for state in states]),
-                declared_classes=sorted(set(declared_union)),
-                oom_evictions=sum(state.oom_evictions for state in states),
-                rss_mb_seconds=sum(state.rss_mb_seconds for state in states),
-                cpu_seconds=sum(state.cpu_seconds for state in states),
+            state.records.sort(key=lambda record: record.request_id)
+            self.records[state.name] = state.records
+            stream = state.streams[0] if state.streams else None
+            tenants[state.name] = rollup(
+                state.spec.mode,
+                state.spec.pattern_name,
+                duration,
+                [state],
+                state.spec.class_names,
+                state.timeline,
+                stream,
+                state.records,
             )
-            if len(states) > 1:
-                waterfall.extend(waterfall_from_records("cluster", all_records))
-        else:
-            cluster = self._cluster_stream.summary(
-                mode="cluster",
-                pattern="multi-tenant",
-                duration_s=duration,
-                cold_starts=sum(state.cold_starts for state in states),
-                cold_start_seconds=sum(state.cold_start_seconds for state in states),
-                replica_timeline=_merge_timelines([state.timeline for state in states]),
-                declared_classes=sorted(set(declared_union)),
-                oom_evictions=sum(state.oom_evictions for state in states),
-                rss_mb_seconds=sum(state.rss_mb_seconds for state in states),
-                cpu_seconds=sum(state.cpu_seconds for state in states),
+            waterfall.extend(
+                stream.waterfall(state.name)
+                if stream is not None
+                else waterfall_from_records(state.name, state.records)
             )
-            if len(states) > 1:
-                waterfall.extend(self._cluster_stream.waterfall("cluster"))
+        all_records = [record for state in states for record in state.records]
+        stream = self.cluster_stream
+        cluster = rollup(
+            "cluster",
+            "multi-tenant",
+            duration,
+            states,
+            sorted({name for state in states for name in state.spec.class_names}),
+            _merge_timelines([state.timeline for state in states]),
+            stream,
+            all_records,
+        )
+        if len(states) > 1:
+            waterfall.extend(
+                stream.waterfall("cluster")
+                if stream is not None
+                else waterfall_from_records("cluster", all_records)
+            )
         self.waterfall = waterfall
         return MultiTenantSummary(
             fairness=self.fairness.value,

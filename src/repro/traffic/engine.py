@@ -16,8 +16,14 @@ their replica pools contend for the same node cores.  Queueing lives in the
 gateway's :class:`~repro.platform.gateway.FairQueue` — per-tenant queues
 dispatched either globally FIFO or by weighted fair queueing — and a
 :class:`~repro.traffic.tenants.CapacityArbiter` keeps any one tenant's
-autoscaler from absorbing the whole cluster.  The single-stream
-:class:`TrafficEngine` is the one-tenant special case of the same machine.
+autoscaler from absorbing the whole cluster.
+
+One driver runs all of it.  The single-stream :class:`TrafficEngine` is the
+one-tenant case of :class:`MultiTenantTrafficEngine`, which in turn is a
+one-region federation: its run is the
+:class:`~repro.traffic.federation.FederatedTrafficEngine` simulation over
+one region named ``traffic``, and its summary is that region's
+:class:`~repro.traffic.cluster_runtime.ClusterRuntime` snapshot.
 
 Service times come from the same machinery as every figure in the
 reproduction: each distinct (mode, payload size) is invoked once through an
@@ -58,19 +64,7 @@ from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 from repro.sim.engine import EventLoop, parallel_map
 from repro.traffic.arrivals import Request
 
-# The per-cluster machinery lives in repro.traffic.cluster_runtime; the
-# engine is its single-cluster driver.  The underscored names are
-# re-exported here because callers (benchmarks, tests) predate the split.
-from repro.traffic.cluster_runtime import (
-    MB,
-    ClusterRuntime,
-    _measure_service_time,
-    _merge_timelines,
-    _Replica,
-    _spec_for_mode,
-    _TenantState,
-    attach_streams,
-)
+from repro.traffic.cluster_runtime import MB, _TenantState, calibrated_service_time
 from repro.traffic.autoscaler import Autoscaler, TargetConcurrencyPolicy
 from repro.traffic.slo import RequestRecord, TrafficSummary
 from repro.traffic.tenants import MultiTenantSummary, TenantSpec
@@ -316,96 +310,46 @@ class MultiTenantTrafficEngine:
     # -- public API -----------------------------------------------------------------
 
     def run(self) -> MultiTenantSummary:
-        """Admit, queue, execute and account every tenant's stream."""
-        states = [
-            _TenantState(
-                spec=tenant,
-                function_spec=_spec_for_mode(tenant.mode, tenant.function_name, tenant.name),
-                autoscaler=self.autoscaler_factory(),
-                requests=tenant.generate(),
-            )
-            for tenant in self.tenants
-        ]
-        total_requests = sum(len(state.requests) for state in states)
-        if total_requests == 0:
-            raise TrafficEngineError("cannot run with zero requests across all tenants")
-        self.records = {}
-        self.waterfall = []
-        cluster_stream = None if self.config.retain_records else attach_streams(states)
-        telemetry = self.telemetry
+        """Admit, queue, execute and account every tenant's stream.
 
-        self.clock.reset()
-        loop = EventLoop()
-        counter = [total_requests]
-        runtime = ClusterRuntime(
-            states=states,
+        The run is a one-region federation — region ``traffic`` with this
+        config's nodes — driven by the federation's own simulation; the
+        summary is that region's snapshot, and no federation-wide rollup
+        is built.
+        """
+        from repro.traffic.federation import ClusterSpec, FederatedTrafficEngine
+
+        federation = FederatedTrafficEngine(
+            self.tenants,
+            [ClusterSpec(region="traffic", nodes=self.config.nodes)],
             config=self.config,
             fairness=self.fairness,
             starvation_guard=self.starvation_guard,
-            intra=self.intra,
+            autoscaler_factory=self.autoscaler_factory,
             oversubscription=self.oversubscription,
-            clock=self.clock,
-            loop=loop,
-            service_time=self._service_time,
+            intra=self.intra,
+            telemetry_factory=lambda region: self.telemetry,
+            middleware_factory=lambda region: self.middleware,
             service_cache=self._service_cache,
-            counter=counter,
-            total_requests=total_requests,
-            telemetry=telemetry,
-            pipeline=self.middleware,
-            cluster_stream=cluster_stream,
         )
-        self.evictions = runtime.evictions
-
-        # Bootstrap: initial pools (arbitrated like autoscaled growth),
-        # arrival events in deterministic order, one control loop per tenant.
-        if telemetry is not None:
-            last_arrival_hint = max(
-                (request.arrival_s for state in states for request in state.requests),
-                default=0.0,
-            )
-            telemetry.on_run_start(total_requests, duration_hint_s=last_arrival_hint)
-        runtime.bootstrap(self.config.initial_replicas)
-        schedule_arrivals(loop, states, runtime.admit, total_requests)
-        runtime.start_ticks()
-        loop.run()
-
-        if counter[0] != 0:
-            raise TrafficEngineError(
-                "engine finished with %d unresolved requests" % counter[0]
-            )
-        last_arrival = max(
-            (request.arrival_s for state in states for request in state.requests),
-            default=0.0,
-        )
-        duration = max(runtime.last_event_s, last_arrival)
-        runtime.finalize(duration)
-        self.middleware_stats = runtime.middleware_stats
-        if telemetry is not None:
-            telemetry.on_run_end(
-                duration,
-                total_requests,
-                sum(len(state.replicas) for state in states),
-            )
+        runtimes, duration, _ = federation._simulate(self.clock, self._service_time)
+        runtime = runtimes["traffic"]
         summary = runtime.snapshot(duration)
         self.records = runtime.records
         self.waterfall = runtime.waterfall
+        self.evictions = runtime.evictions
+        self.middleware_stats = runtime.middleware_stats
         return summary
 
     # -- service times ---------------------------------------------------------------
 
     def _service_time(self, mode: str, payload_bytes: int) -> float:
-        """Workflow latency for one (mode, payload size), measured once and cached.
-
-        The measurement invokes the canonical two-function chain through a
-        fresh isolated environment for the tenant's mode — the same path
-        every figure in the reproduction uses.
-        """
-        key = (mode, payload_bytes)
-        cached = self._service_cache.get(key)
-        if cached is None:
-            cached = _measure_service_time(mode, payload_bytes, self.config.cost_model)
-            self._service_cache[key] = cached
-        return cached
+        # This is the one-region simulation's calibration entry point;
+        # FederatedTrafficEngine has its own only because bench/trace.py
+        # names each in its own class body.
+        return calibrated_service_time(
+            self._service_cache, mode, payload_bytes, self.config.cost_model
+        )
 
 
 def _ordered_requests(requests: Sequence[Request]) -> Tuple[Request, ...]:

@@ -1,9 +1,8 @@
 """Multi-region federation: N clusters behind one global front door.
 
-The single-cluster engine (:mod:`repro.traffic.engine`) drives one
-:class:`~repro.traffic.cluster_runtime.ClusterRuntime`; this module drives
-*several* over one shared :class:`~repro.sim.engine.EventLoop`
-and one :class:`~repro.sim.clock.SimClock`, which is what makes the
+This module drives one :class:`~repro.traffic.cluster_runtime.ClusterRuntime`
+per region over one shared :class:`~repro.sim.engine.EventLoop` and one
+:class:`~repro.sim.clock.SimClock`, which is what makes the
 federation a single coherent simulation: cross-region placements, WAN
 transfers and regional failures interleave with every cluster's dispatch
 and scaling events in exact time order, and a seeded run is byte-for-byte
@@ -21,10 +20,10 @@ The pieces:
   ``random``), deterministic tie-breaks (home region first, then cluster
   registration order) and spillover whenever the preferred region is
   saturated or failed;
-* :class:`FederatedTrafficEngine` — the driver: it generates the global
-  arrival streams, routes each request, delivers it (possibly over the
-  WAN), injects regional failures (``fail_at``), and rolls every region up
-  into one :class:`FederationSummary`.
+* :class:`FederatedTrafficEngine` — the one traffic driver: it generates
+  the global arrival streams, routes each request, delivers it (possibly
+  over the WAN), injects regional failures (``fail_at``), and rolls every
+  region up into one :class:`FederationSummary`.
 
 Failure semantics: a failed region halts its control plane and admits no
 new work; its in-flight requests drain gracefully (completions still fire
@@ -34,15 +33,19 @@ the failed region and counts as a failover.  A request already in WAN
 transit toward a region that dies before it lands is bounced onward the
 same way.
 
-A federation of exactly one cluster whose region name matches the engine's
-node prefix (``"traffic"``) reproduces the unfederated engine request for
-request: same events, same tie-breaks, same floats (a property test pins
-this).
+The single-cluster :class:`~repro.traffic.engine.MultiTenantTrafficEngine`
+runs through this module's driver as a one-region federation named
+``"traffic"``, so a federation of exactly one cluster of that name
+reproduces it request for request by construction (a contract test pins
+it).  A sole region never asks the router for a placement and builds no
+WAN; the engine, which returns only the region's own summary, also
+builds no federation-wide accumulators.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 
 from dataclasses import dataclass, field, replace
@@ -65,11 +68,12 @@ from repro.traffic.arrivals import Request
 from repro.traffic.autoscaler import Autoscaler, TargetConcurrencyPolicy
 from repro.traffic.cluster_runtime import (
     ClusterRuntime,
-    _measure_service_time,
     _merge_timelines,
     _spec_for_mode,
     _TenantState,
     attach_streams,
+    calibrated_service_time,
+    rollup,
 )
 from repro.traffic.engine import (
     TrafficConfig,
@@ -77,11 +81,12 @@ from repro.traffic.engine import (
     schedule_arrivals,
     validate_tenants,
 )
-from repro.traffic.slo import RequestRecord, TrafficSummary, summarize
+from repro.traffic.slo import RequestRecord, TrafficSummary
 from repro.traffic.tenants import MultiTenantSummary, TenantSpec
 
 if TYPE_CHECKING:  # pragma: no cover - lazy to avoid the obs import cycle
     from repro.gateway.middleware import MiddlewarePipeline
+    from repro.obs.streaming import StreamingTrafficStats
     from repro.obs.telemetry import Telemetry
 
 
@@ -151,6 +156,23 @@ _CLUSTER_KEYS = frozenset(
 )
 
 
+def _cluster_number(
+    entry: Mapping[str, object], key: str, integer: bool = True, default=None
+):
+    """``entry[key]`` checked as a JSON integer (or any finite number)."""
+    if key not in entry:
+        return default
+    value = entry[key]
+    kinds = int if integer else (int, float)
+    # The chained comparison is False for NaN and both infinities.
+    if isinstance(value, bool) or not isinstance(value, kinds) or not -math.inf < value < math.inf:
+        raise FederationError(
+            "--clusters region %r: %r must be %s, got %r"
+            % (entry["region"], key, "an integer" if integer else "a finite number", value)
+        )
+    return value
+
+
 def parse_clusters(source) -> Tuple[ClusterSpec, ...]:
     """Parse the ``repro traffic --clusters`` format.
 
@@ -184,16 +206,10 @@ def parse_clusters(source) -> Tuple[ClusterSpec, ...]:
         specs.append(
             ClusterSpec(
                 region=entry["region"],
-                nodes=int(entry.get("nodes", 4)),
-                node_memory_mb=(
-                    float(entry["memory_mb"]) if "memory_mb" in entry else None
-                ),
-                initial_replicas=(
-                    int(entry["initial_replicas"]) if "initial_replicas" in entry else None
-                ),
-                per_replica_concurrency=(
-                    int(entry["concurrency"]) if "concurrency" in entry else None
-                ),
+                nodes=_cluster_number(entry, "nodes", default=4),
+                node_memory_mb=_cluster_number(entry, "memory_mb", integer=False),
+                initial_replicas=_cluster_number(entry, "initial_replicas"),
+                per_replica_concurrency=_cluster_number(entry, "concurrency"),
                 tenants=tuple(entry.get("tenants", ())),
             )
         )
@@ -213,8 +229,10 @@ def parse_fail_spec(source: str) -> Tuple[str, float]:
         raise FederationError(
             "--fail-region %r: %r is not a time in seconds" % (source, at)
         ) from exc
-    if time_s < 0:
-        raise FederationError("--fail-region %r: time must be non-negative" % source)
+    if not math.isfinite(time_s) or time_s < 0:
+        raise FederationError(
+            "--fail-region %r: time must be a finite non-negative number of seconds" % source
+        )
     return name, time_s
 
 
@@ -467,17 +485,99 @@ class FederatedTrafficEngine:
     # -- service times ---------------------------------------------------------------
 
     def _service_time(self, mode: str, payload_bytes: int) -> float:
-        key = (mode, payload_bytes)
-        cached = self._service_cache.get(key)
-        if cached is None:
-            cached = _measure_service_time(mode, payload_bytes, self.config.cost_model)
-            self._service_cache[key] = cached
-        return cached
+        # This and MultiTenantTrafficEngine._service_time are each their
+        # run's calibration entry point; both exist because bench/trace.py
+        # names each in its own class body.
+        return calibrated_service_time(
+            self._service_cache, mode, payload_bytes, self.config.cost_model
+        )
 
     # -- the run ---------------------------------------------------------------------
 
     def run(self) -> FederationSummary:
         """Route, deliver, execute and account every tenant's stream."""
+        # Federation-wide rollups for sketch mode: every region's tenants
+        # fold each finished request into these too.
+        tenant_streams: Dict[str, StreamingTrafficStats] = {}
+        cluster_stream = None
+        if not self.config.retain_records:
+            from repro.obs.streaming import StreamingTrafficStats
+
+            tenant_streams = {
+                tenant.name: StreamingTrafficStats(declared_classes=tenant.class_names)
+                for tenant in self.tenants
+            }
+            cluster_stream = StreamingTrafficStats()
+        runtimes, duration, failed_regions = self._simulate(
+            self.clock, self._service_time, tenant_streams, cluster_stream
+        )
+        region_summaries = {
+            region: runtimes[region].snapshot(duration) for region in self.regions
+        }
+        self.records = {region: runtimes[region].records for region in self.regions}
+
+        # Federation-wide rollups: each tenant across every region, then
+        # every tenant and region together.
+        region_states = [runtimes[region].states for region in self.regions]
+        tenants: Dict[str, TrafficSummary] = {}
+        for index, tenant in enumerate(self.tenants):
+            states = [per_region[index] for per_region in region_states]
+            tenants[tenant.name] = rollup(
+                tenant.mode,
+                tenant.pattern_name,
+                duration,
+                states,
+                tenant.class_names,
+                _merge_timelines([state.timeline for state in states]),
+                tenant_streams.get(tenant.name),
+                _by_request_id(states),
+            )
+        every = [state for per_region in region_states for state in per_region]
+        cluster = rollup(
+            "federation",
+            "multi-region",
+            duration,
+            every,
+            sorted({name for tenant in self.tenants for name in tenant.class_names}),
+            _merge_timelines([state.timeline for state in every]),
+            cluster_stream,
+            _by_request_id(every),
+        )
+        return FederationSummary(
+            fairness=self.fairness.value,
+            router=self.router.stats,
+            regions=region_summaries,
+            tenants=tenants,
+            cluster=cluster,
+            failed_regions=failed_regions,
+            home=dict(self.home),
+        )
+
+    def _simulate(
+        self,
+        clock: SimClock,
+        service_time: Callable[[str, int], float],
+        tenant_streams: Optional[Dict[str, StreamingTrafficStats]] = None,
+        cluster_stream: Optional[StreamingTrafficStats] = None,
+    ) -> Tuple[Dict[str, ClusterRuntime], float, Tuple[str, ...]]:
+        """Build the regions, run every arrival to its outcome, settle the charges.
+
+        This is the one traffic simulation, shared by :meth:`run` and by
+        :meth:`MultiTenantTrafficEngine.run
+        <repro.traffic.engine.MultiTenantTrafficEngine.run>`, which drives
+        a one-region federation through it on its own ``clock`` and
+        calibrates through its own ``service_time``.  Returns the runtimes
+        by region, the run's duration and the regions failed during it;
+        rolling up is left to the caller (the single-cluster engine only
+        snapshots its one region).  In sketch mode every tenant also folds
+        into ``tenant_streams[name]`` and ``cluster_stream`` when given
+        (the federation-wide rollups).
+
+        A sole region has no routing decision to make, so its arrivals go
+        straight to :attr:`ClusterRuntime.admit` (unless it can fail, when
+        the failover accounting needs the front door), and it builds no
+        WAN.  The router is built either way: its stats are the summary's.
+        """
         streams: Dict[str, List[Request]] = {
             tenant.name: tenant.generate() for tenant in self.tenants
         }
@@ -486,31 +586,20 @@ class FederatedTrafficEngine:
             raise FederationError("cannot run with zero requests across all tenants")
         retain = self.config.retain_records
 
-        self.clock.reset()
+        clock.reset()
         loop = EventLoop()
         counter = [total_requests]
         regions = self.regions
         single_region = len(regions) == 1
+        home = self.home
 
-        # Federation-wide (cross-region) rollups for sketch mode: every
-        # region's tenants fold each finished request into these too.
-        tenant_streams = cluster_stream = None
-        if not retain:
-            from repro.obs.streaming import StreamingTrafficStats
-
-            tenant_streams = {
-                tenant.name: StreamingTrafficStats(declared_classes=tenant.class_names)
-                for tenant in self.tenants
-            }
-            cluster_stream = StreamingTrafficStats()
-
-        # One runtime per region, all over the shared clock and loop.
+        # One runtime per region, all over the shared clock and loop.  Each
+        # tenant's stream rides on its state in its home region, where its
+        # clients enter the federation.
         runtimes: Dict[str, ClusterRuntime] = {}
-        region_states: Dict[str, List[_TenantState]] = {}
         self.telemetries = {}
         for spec in self.clusters:
             region = spec.region
-            cfg = spec.config_for(self.config)
             states = [
                 _TenantState(
                     spec=tenant,
@@ -518,7 +607,7 @@ class FederatedTrafficEngine:
                         tenant.mode, tenant.function_name, tenant.name
                     ),
                     autoscaler=self.autoscaler_factory(),
-                    requests=[],  # the driver owns the global streams
+                    requests=streams[tenant.name] if home[tenant.name] == region else [],
                 )
                 for tenant in self.tenants
             ]
@@ -535,14 +624,14 @@ class FederatedTrafficEngine:
             )
             runtimes[region] = ClusterRuntime(
                 states=states,
-                config=cfg,
+                config=spec.config_for(self.config),
                 fairness=self.fairness,
                 starvation_guard=self.starvation_guard,
                 intra=self.intra,
                 oversubscription=self.oversubscription,
-                clock=self.clock,
+                clock=clock,
                 loop=loop,
-                service_time=self._service_time,
+                service_time=service_time,
                 service_cache=self._service_cache,
                 counter=counter,
                 total_requests=total_requests,
@@ -552,57 +641,68 @@ class FederatedTrafficEngine:
                 region=region,
                 node_prefix=region,
             )
-            region_states[region] = states
         self.evictions = {region: runtimes[region].evictions for region in regions}
 
-        # The WAN: a full mesh, one topology node per region.  A federation
-        # of one region never crosses it and never builds a link.
-        topology = Topology(cost_model=self.config.cost_model)
-        for region in regions:
-            topology.add_node(region)
-        for left_index, left in enumerate(regions):
-            for right in regions[left_index + 1 :]:
-                topology.connect(
-                    left,
-                    right,
-                    bandwidth=self.wan_bandwidth_Bps,
-                    rtt=self.wan_rtt_s,
-                )
+        # The WAN: a full mesh, one topology node per region.  A sole region
+        # never ships a request anywhere, so it builds none.
+        topology = None
+        if not single_region:
+            topology = Topology(cost_model=self.config.cost_model)
+            for region in regions:
+                topology.add_node(region)
+            for left_index, left in enumerate(regions):
+                for right in regions[left_index + 1 :]:
+                    topology.connect(
+                        left,
+                        right,
+                        bandwidth=self.wan_bandwidth_Bps,
+                        rtt=self.wan_rtt_s,
+                    )
 
         router = GlobalRouter(
             self.router_policy,
             regions,
-            self.home,
+            home,
             runtimes,
             seed=self.router_seed,
         )
         self.router = router
         stats = router.stats
-        home = self.home
         failed_regions: List[str] = []
 
         last_arrival = max(
             (request.arrival_s for stream in streams.values() for request in stream),
             default=0.0,
         )
-        for region, telemetry in self.telemetries.items():
+        for telemetry in self.telemetries.values():
             telemetry.on_run_start(total_requests, duration_hint_s=last_arrival)
 
         # Bootstrap each region before any arrival: home tenants get their
         # initial pool where their clients enter; everyone else scales from
         # zero on demand (warmth/locality make that visible).
         for spec in self.clusters:
-            region = spec.region
             initial = (
                 spec.initial_replicas
                 if spec.initial_replicas is not None
                 else self.config.initial_replicas
             )
-            runtimes[region].bootstrap(
+            runtimes[spec.region].bootstrap(
                 {
-                    tenant.name: (initial if home[tenant.name] == region else 0)
+                    tenant.name: initial
                     for tenant in self.tenants
+                    if home[tenant.name] == spec.region
                 }
+            )
+
+        def ship(origin: str, target: str, tenant_name: str, request: Request) -> None:
+            """Send one request over the WAN from ``origin`` to land in ``target``."""
+            delay = topology.link_between(origin, target).transfer_seconds(
+                request.payload_bytes
+            )
+            stats.wan_seconds += delay
+            stats.wan_bytes += request.payload_bytes
+            loop.schedule_at(
+                loop.now + delay, deliver, label="wan", args=(target, tenant_name, request)
             )
 
         def deliver(region: str, tenant_name: str, request: Request) -> None:
@@ -617,83 +717,55 @@ class FederatedTrafficEngine:
             if runtime.halted:
                 target = router.reroute(tenant_name, request, loop.now, exclude=region)
                 if target is not None and target != region:
-                    hop = topology.link_between(region, target)
-                    delay = hop.transfer_seconds(request.payload_bytes)
-                    stats.wan_seconds += delay
-                    stats.wan_bytes += request.payload_bytes
-                    loop.schedule_at(
-                        loop.now + delay,
-                        deliver,
-                        label="wan",
-                        args=(target, tenant_name, request),
-                    )
+                    ship(region, target, tenant_name, request)
                     return
             runtime.admit(runtime.by_tenant[tenant_name], request)
 
-        def route(tenant_name: str, request: Request) -> None:
+        def route(state: _TenantState, request: Request) -> None:
             """The front door: place one arrival and start its delivery."""
+            tenant_name = state.name
             if single_region:
-                # One region: no routing decision exists and no WAN is
-                # crossed — the fast path is exactly the engine's admit.
+                # No routing decision exists; a failed sole region still
+                # accounts each later arrival as a failover with nowhere
+                # to go.
                 deliver(regions[0], tenant_name, request)
                 return
-            now = loop.now
-            region = router.place(tenant_name, request, now)
+            region = router.place(tenant_name, request, loop.now)
             origin = home[tenant_name]
             if region is None:
                 # Every region is down; land at home and let its queue
                 # timeout account the rejection.
                 stats.placements[origin] += 1
                 deliver(origin, tenant_name, request)
-                return
-            if region == origin:
+            elif region == origin:
                 deliver(region, tenant_name, request)
-                return
-            link = topology.link_between(origin, region)
-            delay = link.transfer_seconds(request.payload_bytes)
-            stats.wan_seconds += delay
-            stats.wan_bytes += request.payload_bytes
-            loop.schedule_at(
-                now + delay, deliver, label="wan", args=(region, tenant_name, request)
-            )
+            else:
+                ship(origin, region, tenant_name, request)
 
         def fail_region(region: str) -> None:
             runtime = runtimes[region]
             if runtime.halted:
                 return
             failed_regions.append(region)
-            now = loop.now
-            for state, request in runtime.fail(now):
-                target = router.reroute(state.name, request, now, exclude=region)
+            for state, request in runtime.fail(loop.now):
+                target = router.reroute(state.name, request, loop.now, exclude=region)
                 if target is None or target == region:
                     # Nowhere alive to go: re-admit locally; the queue
                     # timeout (patience already spent) rejects it.
                     runtime.admit(state, request)
-                    continue
-                hop = topology.link_between(region, target)
-                delay = hop.transfer_seconds(request.payload_bytes)
-                stats.wan_seconds += delay
-                stats.wan_bytes += request.payload_bytes
-                loop.schedule_at(
-                    now + delay,
-                    deliver,
-                    label="wan",
-                    args=(target, state.name, request),
-                )
+                else:
+                    ship(region, target, state.name, request)
 
-        # The driver-side arrival merge reuses the engine's scheduling
-        # discipline verbatim (reserved order slots, lazy chaining); its
-        # admit hook is the router instead of a cluster.
-        route_states = [
-            _RouteState(name=tenant.name, requests=streams[tenant.name])
-            for tenant in self.tenants
+        # Every arrival enters at its tenant's home region: the router is
+        # the admit hook, except for a sole region that never fails, whose
+        # runtime admits directly.
+        home_states = [
+            runtimes[home[tenant.name]].by_tenant[tenant.name] for tenant in self.tenants
         ]
-        schedule_arrivals(
-            loop,
-            route_states,
-            lambda route_state, request: route(route_state.name, request),
-            total_requests,
-        )
+        admit = route
+        if single_region and not self.fail_at:
+            admit = runtimes[regions[0]].admit
+        schedule_arrivals(loop, home_states, admit, total_requests)
         for region, time_s in sorted(self.fail_at.items(), key=lambda item: item[1]):
             loop.schedule_at(
                 time_s, fail_region, label="fail:%s" % region, args=(region,)
@@ -715,112 +787,14 @@ class FederatedTrafficEngine:
             telemetry.on_run_end(
                 duration,
                 total_requests,
-                sum(len(state.replicas) for state in region_states[region]),
+                sum(len(state.replicas) for state in runtimes[region].states),
             )
-        region_summaries = {
-            region: runtimes[region].snapshot(duration) for region in regions
-        }
-        self.records = {region: runtimes[region].records for region in regions}
-
-        return FederationSummary(
-            fairness=self.fairness.value,
-            router=stats,
-            regions=region_summaries,
-            tenants=self._global_tenants(duration, region_states, tenant_streams),
-            cluster=self._global_cluster(
-                duration, region_states, cluster_stream
-            ),
-            failed_regions=tuple(failed_regions),
-            home=dict(home),
-        )
-
-    # -- global rollups --------------------------------------------------------------
-
-    def _global_tenants(
-        self,
-        duration: float,
-        region_states: Mapping[str, List[_TenantState]],
-        tenant_streams,
-    ) -> Dict[str, TrafficSummary]:
-        """Per-tenant rollups across every region."""
-        out: Dict[str, TrafficSummary] = {}
-        for index, tenant in enumerate(self.tenants):
-            states = [region_states[region][index] for region in self.regions]
-            aggregates = dict(
-                cold_starts=sum(state.cold_starts for state in states),
-                cold_start_seconds=sum(state.cold_start_seconds for state in states),
-                replica_timeline=_merge_timelines([state.timeline for state in states]),
-                declared_classes=tenant.class_names,
-                oom_evictions=sum(state.oom_evictions for state in states),
-                rss_mb_seconds=sum(state.rss_mb_seconds for state in states),
-                cpu_seconds=sum(state.cpu_seconds for state in states),
-            )
-            if tenant_streams is not None:
-                out[tenant.name] = tenant_streams[tenant.name].summary(
-                    mode=tenant.mode,
-                    pattern=tenant.pattern_name,
-                    duration_s=duration,
-                    **aggregates,
-                )
-            else:
-                records = sorted(
-                    (record for state in states for record in state.records),
-                    key=lambda record: record.request_id,
-                )
-                out[tenant.name] = summarize(
-                    mode=tenant.mode,
-                    pattern=tenant.pattern_name,
-                    duration_s=duration,
-                    records=records,
-                    **aggregates,
-                )
-        return out
-
-    def _global_cluster(
-        self,
-        duration: float,
-        region_states: Mapping[str, List[_TenantState]],
-        cluster_stream,
-    ) -> TrafficSummary:
-        """The federation-wide aggregate over all tenants and regions."""
-        states = [
-            state for region in self.regions for state in region_states[region]
-        ]
-        declared = sorted(
-            {name for tenant in self.tenants for name in tenant.class_names}
-        )
-        aggregates = dict(
-            cold_starts=sum(state.cold_starts for state in states),
-            cold_start_seconds=sum(state.cold_start_seconds for state in states),
-            replica_timeline=_merge_timelines([state.timeline for state in states]),
-            declared_classes=declared,
-            oom_evictions=sum(state.oom_evictions for state in states),
-            rss_mb_seconds=sum(state.rss_mb_seconds for state in states),
-            cpu_seconds=sum(state.cpu_seconds for state in states),
-        )
-        if cluster_stream is not None:
-            return cluster_stream.summary(
-                mode="federation",
-                pattern="multi-region",
-                duration_s=duration,
-                **aggregates,
-            )
-        records = sorted(
-            (record for state in states for record in state.records),
-            key=lambda record: record.request_id,
-        )
-        return summarize(
-            mode="federation",
-            pattern="multi-region",
-            duration_s=duration,
-            records=records,
-            **aggregates,
-        )
+        return runtimes, duration, tuple(failed_regions)
 
 
-@dataclass
-class _RouteState:
-    """The driver-side stand-in :func:`schedule_arrivals` iterates over."""
-
-    name: str
-    requests: List[Request]
+def _by_request_id(states: Sequence[_TenantState]) -> List[RequestRecord]:
+    """Every retained record of ``states`` in request-id order ([] in sketch mode)."""
+    return sorted(
+        (record for state in states for record in state.records),
+        key=lambda record: record.request_id,
+    )

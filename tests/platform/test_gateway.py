@@ -6,7 +6,12 @@ from repro.core.router import RoadrunnerChannel
 from repro.payload import Payload
 from repro.platform.cluster import Cluster
 from repro.platform.function import FunctionSpec
-from repro.platform.gateway import GatewayError, IngressGateway, RoutingPolicy
+from repro.platform.gateway import (
+    INGRESS_OVERHEAD_S,
+    GatewayError,
+    IngressGateway,
+    RoutingPolicy,
+)
 from repro.platform.orchestrator import Orchestrator
 from repro.sim.ledger import CostCategory
 from repro.wasm.runtime import RuntimeKind
@@ -22,6 +27,18 @@ def _spec(name="worker"):
     return FunctionSpec(name, runtime=RuntimeKind.ROADRUNNER, workflow="wf")
 
 
+def _route(gateway, among=None, function="worker"):
+    """Route one request through the handle API; return the chosen state.
+
+    ``among`` restricts the candidates to those deployments (default: the
+    whole pool, in pool order).
+    """
+    states = gateway.pool_states(function)
+    if among is not None:
+        states = [state for state in states if any(state.deployed is d for d in among)]
+    return gateway.select_replica(function, states)
+
+
 def test_register_deploys_replicas_and_charges_cold_start():
     cluster, orchestrator, gateway = _gateway()
     replicas = gateway.register(_spec(), replicas=3)
@@ -35,8 +52,7 @@ def test_round_robin_spreads_requests_evenly():
     _, _, gateway = _gateway()
     gateway.register(_spec(), replicas=3, charge_cold_start=False)
     for _ in range(9):
-        chosen = gateway.route("worker")
-        gateway.release("worker", chosen)
+        gateway.release_state("worker", _route(gateway))
     assert set(gateway.served_per_replica("worker").values()) == {3}
     assert gateway.requests_routed == 9
 
@@ -44,11 +60,11 @@ def test_round_robin_spreads_requests_evenly():
 def test_least_loaded_prefers_idle_replicas():
     _, _, gateway = _gateway(policy=RoutingPolicy.LEAST_LOADED)
     gateway.register(_spec(), replicas=2, charge_cold_start=False)
-    first = gateway.route("worker")   # stays in flight
-    second = gateway.route("worker")
+    first = _route(gateway)   # stays in flight
+    second = _route(gateway)
     assert second is not first
-    gateway.release("worker", first)
-    third = gateway.route("worker")
+    gateway.release_state("worker", first)
+    third = _route(gateway)
     assert third is first  # the released replica is now least loaded
 
 
@@ -56,8 +72,14 @@ def test_routing_charges_ingress_overhead():
     cluster, _, gateway = _gateway()
     gateway.register(_spec(), replicas=1, charge_cold_start=False)
     before = cluster.ledger.seconds(CostCategory.HTTP)
-    gateway.route("worker")
-    assert cluster.ledger.seconds(CostCategory.HTTP) > before
+    for _ in range(3):
+        _route(gateway)
+    # The per-request charge is deferred, then settled as one batched charge.
+    assert cluster.ledger.seconds(CostCategory.HTTP) == before
+    gateway.flush_deferred_ingress()
+    assert cluster.ledger.seconds(CostCategory.HTTP) == pytest.approx(
+        before + 3 * INGRESS_OVERHEAD_S
+    )
 
 
 def test_scale_to_grows_but_never_shrinks():
@@ -72,14 +94,22 @@ def test_scale_to_grows_but_never_shrinks():
 def test_errors_for_unknown_functions_and_replicas():
     _, _, gateway = _gateway()
     with pytest.raises(GatewayError):
-        gateway.route("ghost")
+        _route(gateway, function="ghost")
     with pytest.raises(GatewayError):
         gateway.register(_spec(), replicas=0)
     gateway.register(_spec(), replicas=1, charge_cold_start=False)
+    gateway.register(_spec("sibling"), replicas=1, charge_cold_start=False)
     other_cluster, other_orchestrator, other_gateway = _gateway()
-    other_replica = other_gateway.register(_spec("other"), replicas=1, charge_cold_start=False)[0]
-    with pytest.raises(GatewayError):
-        gateway.release("worker", other_replica)
+    other_gateway.register(_spec("worker"), replicas=1, charge_cold_start=False)
+    # Busy handles of another gateway, or of another function, are refused
+    # and leave every in-flight count as it was.
+    foreign = _route(other_gateway)
+    sibling = _route(gateway, function="sibling")
+    for function, state in (("worker", foreign), ("worker", sibling)):
+        with pytest.raises(GatewayError, match="does not belong"):
+            gateway.release_state(function, state)
+    assert foreign.in_flight == 1 and other_gateway.in_flight_total() == 1
+    assert sibling.in_flight == 1 and gateway.in_flight_total() == 1
 
 
 def test_routed_replica_can_receive_data_through_roadrunner():
@@ -94,10 +124,10 @@ def test_routed_replica_can_receive_data_through_roadrunner():
                      charge_cold_start=False)
     channel = RoadrunnerChannel(cluster)
     payload = Payload.random(32 * 1024, seed=55)
-    target = gateway.route("worker")
-    outcome = channel.transfer(source, target, payload)
+    target = _route(gateway)
+    outcome = channel.transfer(source, target.deployed, payload)
     payload.require_match(outcome.delivered)
-    gateway.release("worker", target)
+    gateway.release_state("worker", target)
 
 
 def _route_under_skew(policy):
@@ -107,11 +137,10 @@ def _route_under_skew(policy):
     # Three long-running requests pile onto whatever the policy picks first;
     # none are released, so in-flight load stays skewed.
     for _ in range(3):
-        gateway.route("worker")
+        _route(gateway)
     # Six short requests follow, each released immediately.
     for _ in range(6):
-        chosen = gateway.route("worker")
-        gateway.release("worker", chosen)
+        gateway.release_state("worker", _route(gateway))
     return gateway.served_per_replica("worker"), gateway.in_flight("worker")
 
 
@@ -134,10 +163,10 @@ def test_least_loaded_avoids_a_hot_replica():
     first, second = gateway.register(_spec(), replicas=2, charge_cold_start=False)
     # Pin three requests on one replica via the admission hook.
     for _ in range(3):
-        assert gateway.route_among("worker", [first]) is first
+        assert _route(gateway, among=[first]).deployed is first
     # Free-choice routing now prefers the idle replica until loads equalize.
     for _ in range(3):
-        assert gateway.route("worker") is second
+        assert _route(gateway).deployed is second
     assert gateway.in_flight("worker") == {first.name: 3, second.name: 3}
 
 
@@ -176,11 +205,11 @@ def test_remove_replica_reclaims_idle_capacity():
 def test_remove_replica_refuses_in_flight_and_foreign_replicas():
     _, _, gateway = _gateway()
     replicas = gateway.register(_spec(), replicas=2, charge_cold_start=False)
-    busy = gateway.route("worker")
+    busy = _route(gateway)
     with pytest.raises(GatewayError):
-        gateway.remove_replica("worker", busy)
-    gateway.release("worker", busy)
-    gateway.remove_replica("worker", busy)
+        gateway.remove_replica("worker", busy.deployed)
+    gateway.release_state("worker", busy)
+    gateway.remove_replica("worker", busy.deployed)
     other_cluster, other_orchestrator, other_gateway = _gateway()
     foreign = other_gateway.register(_spec(), replicas=1, charge_cold_start=False)[0]
     with pytest.raises(GatewayError):
@@ -190,10 +219,10 @@ def test_remove_replica_refuses_in_flight_and_foreign_replicas():
 def test_route_among_requires_eligible_pool_members():
     _, _, gateway = _gateway()
     replicas = gateway.register(_spec(), replicas=2, charge_cold_start=False)
-    chosen = gateway.route_among("worker", replicas[:1])
-    assert chosen is replicas[0]
+    chosen = _route(gateway, among=replicas[:1])
+    assert chosen.deployed is replicas[0]
     with pytest.raises(GatewayError):
-        gateway.route_among("worker", [])
+        gateway.select_replica("worker", [])
 
 
 def test_route_over_emptied_pool_raises_gateway_error():
@@ -203,21 +232,22 @@ def test_route_over_emptied_pool_raises_gateway_error():
     for deployed in replicas:
         gateway.remove_replica("worker", deployed)
     with pytest.raises(GatewayError):
-        gateway.route("worker")
+        gateway.pool_states("worker")
     with pytest.raises(GatewayError):
-        gateway.route_among("worker", None)
+        gateway.select_replica("worker", [])
 
 
 def test_double_release_raises_instead_of_corrupting_in_flight():
     """Releasing more than was routed used to silently no-op; now it raises."""
     _, _, gateway = _gateway()
     gateway.register(_spec(), replicas=1, charge_cold_start=False)
-    chosen = gateway.route("worker")
-    gateway.release("worker", chosen)
+    chosen = _route(gateway)
+    gateway.release_state("worker", chosen)
     with pytest.raises(GatewayError):
-        gateway.release("worker", chosen)
+        gateway.release_state("worker", chosen)
     # Accounting stayed sane: the replica is idle, not negative.
-    assert gateway.in_flight("worker") == {chosen.name: 0}
+    assert gateway.in_flight("worker") == {chosen.deployed.name: 0}
+    assert gateway.in_flight_total() == 0
 
 
 def test_release_after_scale_down_shrink_race_raises():
@@ -230,11 +260,11 @@ def test_release_after_scale_down_shrink_race_raises():
     """
     _, _, gateway = _gateway()
     replicas = gateway.register(_spec(), replicas=2, charge_cold_start=False)
-    stale = gateway.route_among("worker", replicas[:1])
-    gateway.release("worker", stale)
-    gateway.remove_replica("worker", stale)
+    stale = _route(gateway, among=replicas[:1])
+    gateway.release_state("worker", stale)
+    gateway.remove_replica("worker", stale.deployed)
     with pytest.raises(GatewayError):
-        gateway.release("worker", stale)
+        gateway.release_state("worker", stale)
     # The surviving replica's accounting is untouched.
     assert gateway.in_flight("worker") == {replicas[1].name: 0}
 
@@ -244,8 +274,7 @@ def test_round_robin_cursor_stays_bounded_and_rotation_survives():
     _, _, gateway = _gateway()
     gateway.register(_spec(), replicas=3, charge_cold_start=False)
     for _ in range(1000):
-        chosen = gateway.route("worker")
-        gateway.release("worker", chosen)
+        gateway.release_state("worker", _route(gateway))
     assert 0 <= gateway._round_robin_cursor["worker"] < 3
     # Rotation is still even after the long run.
     assert set(gateway.served_per_replica("worker").values()) == {1000 // 3 + 1} or (
@@ -255,5 +284,5 @@ def test_round_robin_cursor_stays_bounded_and_rotation_survives():
     )
     # The normalized cursor stays a valid index when the pool then grows.
     gateway.register(_spec(), replicas=2, charge_cold_start=False)
-    seen = {gateway.route("worker").name for _ in range(5)}
+    seen = {_route(gateway).deployed.name for _ in range(5)}
     assert len(seen) == 5  # one full rotation over the grown pool

@@ -162,18 +162,19 @@ def test_bookkeeping_consistent_across_remove_replica_under_queued_load():
     gateway.queue.register_tenant("t1")
     for index in range(6):
         gateway.queue.enqueue("t1", index, "req-%d" % index)
-    busy_a = gateway.route_among("worker", [replicas[0]])
-    busy_b = gateway.route_among("worker", [replicas[1]])
+    states = gateway.pool_states("worker")
+    busy_a = gateway.select_replica("worker", [states[0]])
+    busy_b = gateway.select_replica("worker", [states[1]])
     gateway.queue.pop("t1"), gateway.queue.pop("t1")
     # The idle replica can be reclaimed mid-load; the busy ones cannot.
     gateway.remove_replica("worker", replicas[2])
     with pytest.raises(GatewayError):
-        gateway.remove_replica("worker", busy_a)
+        gateway.remove_replica("worker", busy_a.deployed)
     in_flight = gateway.in_flight("worker")
     assert in_flight == {replicas[0].name: 1, replicas[1].name: 1}
     assert gateway.total_in_flight("worker") == 2
-    gateway.release("worker", busy_a)
-    gateway.release("worker", busy_b)
+    gateway.release_state("worker", busy_a)
+    gateway.release_state("worker", busy_b)
     served = gateway.served_per_replica("worker")
     assert served == {replicas[0].name: 1, replicas[1].name: 1}
     assert gateway.total_in_flight("worker") == 0
@@ -184,13 +185,13 @@ def test_scale_to_can_shrink_idle_pools_to_zero():
     _, gateway = _gateway()
     spec = FunctionSpec("worker", runtime=RuntimeKind.ROADRUNNER, workflow="wf")
     gateway.register(spec, replicas=3, charge_cold_start=False)
-    busy = gateway.route("worker")
+    busy = gateway.select_replica("worker", gateway.pool_states("worker"))
     with pytest.raises(GatewayError):
         gateway.scale_to(spec, 0, allow_shrink=True)  # one replica is busy
     gateway.scale_to(spec, 1, allow_shrink=True)
     assert gateway.pool_size("worker") == 1
-    assert gateway.replicas("worker") == [busy]
-    gateway.release("worker", busy)
+    assert gateway.replicas("worker") == [busy.deployed]
+    gateway.release_state("worker", busy)
     gateway.scale_to(spec, 0, allow_shrink=True)
     assert gateway.pool_size("worker") == 0
 

@@ -22,6 +22,7 @@ from repro.platform.function import FunctionSpec
 from repro.platform.gateway import (
     FairnessPolicy,
     FairQueue,
+    GatewayError,
     IngressGateway,
     IntraTenantOrder,
     RoutingPolicy,
@@ -76,7 +77,7 @@ def test_fair_queue_live_count_equals_sum_of_depths(ops, policy, intra):
 
 
 gateway_op = st.tuples(
-    st.sampled_from(("select", "route_among", "release_state", "release", "remove")),
+    st.sampled_from(("select", "release_state", "release_stale", "remove", "register")),
     st.sampled_from(("f", "g")),
     st.integers(min_value=0, max_value=3),
 )
@@ -89,27 +90,32 @@ gateway_op = st.tuples(
 @settings(max_examples=100, deadline=None)
 def test_gateway_in_flight_total_equals_sum_over_pools(ops, policy):
     gateway = IngressGateway(Orchestrator(Cluster.single_node()), policy=policy)
-    for function in ("f", "g"):
-        gateway.register(
-            FunctionSpec(function, runtime=RuntimeKind.ROADRUNNER, workflow="wf"),
-            replicas=4,
-            charge_cold_start=False,
-        )
+    specs = {
+        function: FunctionSpec(function, runtime=RuntimeKind.ROADRUNNER, workflow="wf")
+        for function in ("f", "g")
+    }
+    for spec in specs.values():
+        gateway.register(spec, replicas=4, charge_cold_start=False)
+    retired = {"f": [], "g": []}
     for op, function, pick in ops:
         states = gateway.pool_states(function) if gateway.pool_size(function) else []
         busy = [state for state in states if state.in_flight]
         if op == "select" and states:
             gateway.select_replica(function, states[: pick + 1])
-        elif op == "route_among" and states:
-            gateway.route_among(function, [state.deployed for state in states[: pick + 1]])
         elif op == "release_state" and busy:
             gateway.release_state(function, busy[pick % len(busy)])
-        elif op == "release" and busy:
-            gateway.release(function, busy[pick % len(busy)].deployed)
+        elif op == "release_stale" and retired[function]:
+            # A handle whose replica left the pool is refused, untouched.
+            with pytest.raises(GatewayError):
+                gateway.release_state(function, retired[function][pick % len(retired[function])])
         elif op == "remove" and len(states) > 1:
             idle = [state for state in states if not state.in_flight]
             if idle:
-                gateway.remove_replica(function, idle[pick % len(idle)].deployed)
+                victim = idle[pick % len(idle)]
+                gateway.remove_replica(function, victim.deployed)
+                retired[function].append(victim)
+        elif op == "register":
+            gateway.register(specs[function], replicas=1 + pick % 2, charge_cold_start=False)
         expected = sum(
             gateway.total_in_flight(name) for name in ("f", "g") if gateway.pool_size(name)
         )
