@@ -9,8 +9,8 @@ The package threads one telemetry layer through the whole request path:
   gauges and sketch-backed summaries.
 * :mod:`repro.obs.spans` — request-lifecycle traces (queue / cold-start /
   service stage decomposition) and the latency-waterfall rollup.
-* :mod:`repro.obs.streaming` — constant-memory traffic summaries for the
-  engine's ``retain_records=False`` mode.
+* :mod:`repro.obs.streaming` — the one traffic-summary accumulator, over
+  sketches (the engine's ``retain_records=False`` mode) or exact samples.
 * :mod:`repro.obs.exporters` — Prometheus text exposition and JSONL events.
 * :mod:`repro.obs.progress` — the periodic heartbeat reporter.
 * :mod:`repro.obs.telemetry` — the facade the traffic engine calls.

@@ -20,9 +20,8 @@ per-tenant/per-class latency-waterfall table
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.metrics.stats import mean, percentile
 from repro.traffic.slo import RequestOutcome, RequestRecord
 
 
@@ -178,43 +177,6 @@ def waterfall_from_records(
     has no meaningful waterfall.  With more than one class in play an
     ``(all)`` rollup row closes the group.
     """
-    completed = [r for r in records if r.outcome is RequestOutcome.COMPLETED]
-    by_class: Dict[str, List[RequestRecord]] = {}
-    for record in completed:
-        by_class.setdefault(record.request_class, []).append(record)
-    rows = [
-        _row_from_records(label, name, mine) for name, mine in sorted(by_class.items())
-    ]
-    if len(rows) > 1:
-        rows.append(_row_from_records(label, "(all)", completed))
-    return rows
+    from repro.obs.streaming import StreamingTrafficStats
 
-
-def _row_from_records(
-    label: str, request_class: str, records: Sequence[RequestRecord]
-) -> WaterfallRow:
-    # One sample list at a time: the cluster-wide row of a long run would
-    # otherwise hold all four at once, at the run's memory peak.
-    queue_mean, queue_p95 = _mean_p95(
-        [max(0.0, r.queueing_delay_s - r.cold_start_wait_s) for r in records]
-    )
-    cold_mean, cold_p95 = _mean_p95([r.cold_start_wait_s for r in records])
-    service_mean, service_p95 = _mean_p95([r.service_s for r in records])
-    total_mean, total_p95 = _mean_p95([r.latency_s for r in records])
-    return WaterfallRow(
-        label=label,
-        request_class=request_class,
-        completed=len(records),
-        queue_mean_s=queue_mean,
-        queue_p95_s=queue_p95,
-        cold_mean_s=cold_mean,
-        cold_p95_s=cold_p95,
-        service_mean_s=service_mean,
-        service_p95_s=service_p95,
-        total_mean_s=total_mean,
-        total_p95_s=total_p95,
-    )
-
-
-def _mean_p95(values: Sequence[float]) -> Tuple[float, float]:
-    return mean(values), percentile(values, 95.0)
+    return StreamingTrafficStats.of_records(records).waterfall(label)

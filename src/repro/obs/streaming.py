@@ -1,24 +1,30 @@
-"""Streaming SLO accounting: summaries without retaining per-request records.
+"""SLO accounting: the one rollup behind every summary and waterfall.
 
-The default engine keeps one :class:`~repro.traffic.slo.RequestRecord` per
-admitted request and rolls them up at the end — exact, but O(requests)
-memory.  :class:`StreamingTrafficStats` is the constant-memory replacement
-behind ``TrafficConfig(retain_records=False)``: every would-be record is
-folded into counters and :class:`~repro.obs.sketch.QuantileSketch` instances
-(overall and per scheduling class) at completion time and then forgotten.
-``summary()`` produces the same :class:`~repro.traffic.slo.TrafficSummary`
-shape the exact path does, with sketch-estimated percentiles, and
-``waterfall()`` produces the same per-class stage rows the waterfall table
-renders — so reports, exporters and figures are agnostic to which mode fed
-them.
+:class:`StreamingTrafficStats` folds each finished request (reduced once to
+an :class:`Observation`) into outcome counters and one distribution per
+stage, for the whole scope and per scheduling class.  ``summary()`` reads
+off the :class:`~repro.traffic.slo.TrafficSummary` and ``waterfall()`` the
+per-class stage rows the waterfall table renders.  The formulas exist only
+here; the two modes differ only in the distribution object:
+
+* **sketch mode** (``TrafficConfig(retain_records=False)``) folds every
+  request at completion into :class:`~repro.obs.sketch.QuantileSketch`
+  instances and forgets it — constant memory, sketch-estimated percentiles;
+* **exact mode** keeps its records (the exports need them) and folds them
+  at rollup time, in request-id order, through
+  :meth:`StreamingTrafficStats.of_records` into :class:`ExactSamples`,
+  which retain every sample packed — the exact means and percentiles.
+
+Reports, exporters and figures are therefore agnostic to which mode fed them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Sequence, Tuple
+from array import array
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.metrics.stats import LatencySummary
+from repro.metrics.stats import LatencySummary, _interpolate
 from repro.obs.sketch import QuantileSketch, bucket_index
 from repro.obs.spans import WaterfallRow
 from repro.traffic.slo import (
@@ -26,7 +32,9 @@ from repro.traffic.slo import (
     ClassSummary,
     RequestOutcome,
     RequestRecord,
+    SloError,
     TrafficSummary,
+    _replica_seconds,
 )
 
 
@@ -80,14 +88,49 @@ class Observation:
         self.cold_wait = cold_wait
 
 
+class ExactSamples:
+    """An exact distribution: every sample, packed, in fold order.
+
+    The exact-mode backend of :class:`StreamingTrafficStats`, with the part
+    of the :class:`~repro.obs.sketch.QuantileSketch` surface the rollup
+    uses.  The mean sums the samples in fold order and a quantile
+    interpolates one sort, exactly as ``LatencySummary.from_samples`` does.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: Optional[array] = None) -> None:
+        self.values = array("d") if values is None else values
+
+    def observe_at(self, value: float, bucket: int) -> None:
+        """Keep ``value`` (an exact distribution needs no bucket)."""
+        self.values.append(value)
+
+    @property
+    def mean(self) -> float:
+        values = self.values
+        return sum(values) / len(values) if values else 0.0
+
+    def quantile(self, q: float) -> float:
+        """The ``q``-quantile (0.0 before any sample)."""
+        return _interpolate(sorted(self.values), q * 100.0) if self.values else 0.0
+
+    def summary(self) -> LatencySummary:
+        values = self.values
+        return LatencySummary.from_samples(values) if values else LatencySummary.empty()
+
+    def clone(self) -> "ExactSamples":
+        return ExactSamples(array("d", self.values))
+
+
 @dataclass
 class StageSketches:
     """The four stage distributions one scope (tenant or class) tracks."""
 
-    latency: QuantileSketch = field(default_factory=QuantileSketch)
-    queueing: QuantileSketch = field(default_factory=QuantileSketch)
-    service: QuantileSketch = field(default_factory=QuantileSketch)
-    cold_wait: QuantileSketch = field(default_factory=QuantileSketch)
+    latency: QuantileSketch
+    queueing: QuantileSketch
+    service: QuantileSketch
+    cold_wait: QuantileSketch
 
     def fold(self, obs: Observation) -> None:
         """Fold one completed request's stage durations in."""
@@ -109,6 +152,10 @@ class StageSketches:
 class _ClassStats:
     """Streaming counterpart of one :class:`ClassSummary`."""
 
+    stages: StageSketches
+    #: Served latency (completed + cached + coalesced) — the stage sketches
+    #: stay completed-only so waterfalls keep their backend-stage meaning.
+    latency_served: QuantileSketch
     offered: int = 0
     completed: int = 0
     timed_out: int = 0
@@ -120,10 +167,6 @@ class _ClassStats:
     rejected: int = 0
     deadline_total: int = 0
     deadline_met: int = 0
-    stages: StageSketches = field(default_factory=StageSketches)
-    #: Served latency (completed + cached + coalesced) — the stage sketches
-    #: stay completed-only so waterfalls keep their backend-stage meaning.
-    latency_served: QuantileSketch = field(default_factory=QuantileSketch)
 
     def fold(self, obs: Observation) -> None:
         """Count one outcome and fold its durations into the sketches."""
@@ -175,13 +218,24 @@ class _ClassStats:
             self, stages=self.stages.clone(), latency_served=self.latency_served.clone()
         )
 
+    @classmethod
+    def over(cls, make: Callable[[], QuantileSketch]) -> "_ClassStats":
+        """Zeroed counters over fresh ``make()`` distributions."""
+        return cls(
+            stages=StageSketches(make(), make(), make(), make()), latency_served=make()
+        )
+
 
 class StreamingTrafficStats:
-    """Constant-memory rollup of one request stream (a tenant or the cluster)."""
+    """The rollup of one request stream (a tenant, a cluster or a federation)."""
+
+    #: The distribution every stage and class folds into; sketches unless
+    #: built by :meth:`of_records`.
+    _distribution: Callable[[], QuantileSketch] = QuantileSketch
 
     def __init__(self, declared_classes: Sequence[str] = ()) -> None:
         #: Every outcome across classes; its stage sketches are the scope's.
-        self._totals = _ClassStats()
+        self._totals = _ClassStats.over(self._distribution)
         self._classes: Dict[str, _ClassStats] = {}
         for name in declared_classes:
             self._class_stats(name)
@@ -210,9 +264,25 @@ class StreamingTrafficStats:
                 (sole,) = self._classes
                 if self._classes[sole] is self._totals:
                     self._classes[sole] = self._totals.clone()
-            per_class = _ClassStats() if self._classes else self._totals
+            per_class = (
+                _ClassStats.over(self._distribution) if self._classes else self._totals
+            )
             self._classes[name] = per_class
         return per_class
+
+    @staticmethod
+    def of_records(
+        records: Iterable[RequestRecord], declared: Sequence[str] = ()
+    ) -> "StreamingTrafficStats":
+        """The exact accumulator: ``records`` folded, in the order given.
+
+        Its distributions are :class:`ExactSamples`, so every mean sums in
+        record order and every percentile is read off the retained samples.
+        """
+        stats = _ExactTrafficStats(declared)
+        for record in records:
+            stats.fold(Observation(record))
+        return stats
 
     def observe(self, record: RequestRecord) -> None:
         """Fold one finished request in; the record is not retained."""
@@ -220,11 +290,13 @@ class StreamingTrafficStats:
 
     def fold(self, obs: Observation) -> None:
         """Fold one reduced request in (the engine builds one per request)."""
-        totals = self._totals
-        totals.fold(obs)
+        # Resolve the class first: a new class forks the sole class off the
+        # totals, and that copy must not include this request yet.
         per_class = self._classes.get(obs.request_class)
         if per_class is None:
             per_class = self._class_stats(obs.request_class)
+        totals = self._totals
+        totals.fold(obs)
         if per_class is not totals:
             per_class.fold(obs)
 
@@ -250,9 +322,9 @@ class StreamingTrafficStats:
         rss_mb_seconds: float = 0.0,
         cpu_seconds: float = 0.0,
     ) -> TrafficSummary:
-        """The streaming analogue of :func:`repro.traffic.slo.summarize`."""
-        from repro.traffic.slo import _replica_seconds  # shared step integration
-
+        """The scope's :class:`TrafficSummary`, with the run-level aggregates."""
+        if duration_s <= 0:
+            raise SloError("duration must be positive")
         for name in declared_classes:  # zero-request classes still export rows
             self._class_stats(name)
         totals = self._totals
@@ -284,7 +356,11 @@ class StreamingTrafficStats:
         )
 
     def waterfall(self, label: str) -> List[WaterfallRow]:
-        """Sketch-estimated waterfall rows, matching the record-based shape."""
+        """Per-class waterfall rows (completed requests only), plus ``(all)``.
+
+        Only classes with completions get a row; with more than one row an
+        ``(all)`` rollup row closes the group.
+        """
         rows = [
             _row_from_stages(label, name, stats.completed, stats.stages)
             for name, stats in sorted(self._classes.items())
@@ -297,15 +373,27 @@ class StreamingTrafficStats:
         return rows
 
 
-def _queue_only(stages: StageSketches, cold_p95: float) -> Tuple[float, float]:
-    """Mean/p95 of the pure-queue wait, approximated from the two sketches.
+class _ExactTrafficStats(StreamingTrafficStats):
+    """The accumulator over :class:`ExactSamples` (see ``of_records``)."""
 
-    The record path subtracts cold wait per request; streaming can only
-    subtract the aggregates, which is exact for the mean and a serviceable
-    estimate for the tail (cold waits are near-constant per runtime).
+    _distribution = ExactSamples
+
+
+def _queue_only(stages: StageSketches, cold_p95: float) -> Tuple[float, float]:
+    """Mean/p95 of the pure-queue wait: queueing minus cold wait, floored at 0.
+
+    Exact samples subtract per request (both stage arrays are in fold
+    order).  Sketches can only subtract the aggregates, which is a
+    serviceable estimate (cold waits are near-constant per runtime).
     """
-    mean_q = max(0.0, stages.queueing.mean - stages.cold_wait.mean)
-    p95_q = max(0.0, stages.queueing.quantile(0.95) - cold_p95)
+    queueing, cold_wait = stages.queueing, stages.cold_wait
+    if isinstance(queueing, ExactSamples):
+        pure = ExactSamples(
+            array("d", (max(0.0, q - c) for q, c in zip(queueing.values, cold_wait.values)))
+        )
+        return pure.mean, pure.quantile(0.95)
+    mean_q = max(0.0, queueing.mean - cold_wait.mean)
+    p95_q = max(0.0, queueing.quantile(0.95) - cold_p95)
     return mean_q, p95_q
 
 
@@ -327,8 +415,3 @@ def _row_from_stages(
         total_mean_s=stages.latency.mean,
         total_p95_s=stages.latency.quantile(0.95),
     )
-
-
-def latency_summary_or_empty(values: Sequence[float]) -> LatencySummary:
-    """``LatencySummary.from_samples`` that tolerates zero samples."""
-    return LatencySummary.from_samples(values) if values else LatencySummary.empty()

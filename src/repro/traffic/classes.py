@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple, Type
 
 from repro.traffic.arrivals import Request
 
@@ -125,6 +126,35 @@ def assign_classes(
 
 # -- config parsing (the ``repro traffic --classes`` format) ------------------------
 
+
+def json_number(
+    entry: Mapping[str, object],
+    key: str,
+    where: str,
+    error: Type[Exception],
+    integer: bool = True,
+    default=None,
+):
+    """``entry[key]`` checked as a JSON integer (or any finite number).
+
+    The one number check of the JSON configs (``--classes``, ``--tenants``,
+    ``--clusters``): a boolean, a string, ``null``, NaN or an infinity
+    raises ``error`` naming ``where`` and ``key``.  A missing key gives
+    ``default``.
+    """
+    if key not in entry:
+        return default
+    value = entry[key]
+    kinds = int if integer else (int, float)
+    # The chained comparison is False for NaN and both infinities.
+    if isinstance(value, bool) or not isinstance(value, kinds) or not -math.inf < value < math.inf:
+        raise error(
+            "%s: %r must be %s, got %r"
+            % (where, key, "an integer" if integer else "a finite number", value)
+        )
+    return value
+
+
 #: Recognised keys of one class object in a ``--classes`` config.
 _CLASS_KEYS = frozenset({"name", "share", "priority", "deadline", "hard"})
 
@@ -165,20 +195,20 @@ def parse_classes(source: str) -> Tuple[RequestClass, ...]:
             )
         if "name" not in entry:
             raise RequestClassError("class #%d is missing 'name'" % index)
-        try:
-            classes.append(
-                RequestClass(
-                    name=str(entry["name"]),
-                    share=float(entry.get("share", 1.0)),
-                    priority=int(entry.get("priority", 0)),
-                    deadline_s=(
-                        float(entry["deadline"]) if entry.get("deadline") is not None else None
-                    ),
-                    hard=bool(entry.get("hard", False)),
-                )
+        name = str(entry["name"])
+
+        def number(key, default=None, integer=False):
+            return json_number(entry, key, "class %r" % name, RequestClassError, integer, default)
+
+        classes.append(
+            RequestClass(
+                name=name,
+                share=float(number("share", 1.0)),
+                priority=number("priority", 0, integer=True),
+                deadline_s=(
+                    None if entry.get("deadline") is None else float(number("deadline"))
+                ),
+                hard=bool(entry.get("hard", False)),
             )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, RequestClassError):
-                raise
-            raise RequestClassError("class #%d has a malformed value: %s" % (index, exc))
+        )
     return validate_mix(classes)

@@ -19,7 +19,9 @@ which instantiates one runtime per region over one shared
 single-cluster :class:`~repro.traffic.engine.MultiTenantTrafficEngine` is
 a one-region federation that returns its region's :meth:`snapshot`.
 Every summary — per tenant, per cluster, federation-wide — goes through
-:func:`rollup`.
+:func:`rollup`, which reads one
+:class:`~repro.obs.streaming.StreamingTrafficStats` accumulator in either
+mode.
 
 The request path is deliberately closure-based: every hot name is bound
 once per run into local cells (the million-request regime pays for every
@@ -70,7 +72,7 @@ from repro.sim.costs import CostModel
 from repro.sim.ledger import CostCategory, CostLedger
 from repro.traffic.arrivals import Request
 from repro.traffic.autoscaler import Autoscaler, LoadSample
-from repro.traffic.slo import RequestOutcome, RequestRecord, TrafficSummary, summarize
+from repro.traffic.slo import RequestOutcome, RequestRecord, TrafficSummary
 from repro.traffic.tenants import CapacityArbiter, MultiTenantSummary, NodeUsage, TenantSpec
 from repro.wasm.runtime import RuntimeKind
 from repro.workloads.generators import make_payload
@@ -256,17 +258,17 @@ def rollup(
     states: Sequence[_TenantState],
     declared: Sequence[str],
     timeline: Sequence[Tuple[float, int]],
-    stream: Optional[StreamingTrafficStats],
-    records: Sequence[RequestRecord],
+    stream: StreamingTrafficStats,
 ) -> TrafficSummary:
     """One summary over ``states``: the path every rollup takes.
 
-    Sketch mode reads ``stream``, the accumulator these states folded
-    into; exact mode (``stream`` is ``None``) summarizes ``records``.  The
-    states' counters are summed, which over a single state is its own
-    value bit for bit.
+    ``stream`` is the accumulator of these states' requests — the one they
+    folded into (sketch mode) or one folded from their records
+    (:meth:`~repro.obs.streaming.StreamingTrafficStats.of_records`, exact
+    mode).  The states' counters are summed, which over a single state is
+    its own value bit for bit.
     """
-    aggregates = dict(
+    return stream.summary(
         mode=mode,
         pattern=pattern,
         duration_s=duration,
@@ -278,9 +280,6 @@ def rollup(
         rss_mb_seconds=sum(state.rss_mb_seconds for state in states),
         cpu_seconds=sum(state.cpu_seconds for state in states),
     )
-    if stream is not None:
-        return stream.summary(**aggregates)
-    return summarize(records=records, **aggregates)
 
 
 class ClusterRuntime:
@@ -1174,9 +1173,12 @@ class ClusterRuntime:
 
         Also materializes :attr:`records` (per tenant, sorted by request
         id; empty in sketch mode) and :attr:`waterfall` for the driver to
-        re-expose.  Each tenant's summary keeps its raw timeline.
+        re-expose.  Each tenant's summary keeps its raw timeline.  Each
+        scope's accumulator feeds both its summary and its waterfall; exact
+        mode folds one scope's records at a time, since each exact
+        accumulator holds every sample of its scope.
         """
-        from repro.obs.spans import waterfall_from_records
+        from repro.obs.streaming import StreamingTrafficStats
 
         states = self.states
         tenants: Dict[str, TrafficSummary] = {}
@@ -1185,7 +1187,11 @@ class ClusterRuntime:
         for state in states:
             state.records.sort(key=lambda record: record.request_id)
             self.records[state.name] = state.records
-            stream = state.streams[0] if state.streams else None
+            stream = (
+                state.streams[0]
+                if state.streams
+                else StreamingTrafficStats.of_records(state.records, state.spec.class_names)
+            )
             tenants[state.name] = rollup(
                 state.spec.mode,
                 state.spec.pattern_name,
@@ -1194,31 +1200,26 @@ class ClusterRuntime:
                 state.spec.class_names,
                 state.timeline,
                 stream,
-                state.records,
             )
-            waterfall.extend(
-                stream.waterfall(state.name)
-                if stream is not None
-                else waterfall_from_records(state.name, state.records)
-            )
-        all_records = [record for state in states for record in state.records]
+            waterfall.extend(stream.waterfall(state.name))
+            del stream
+        declared = sorted({name for state in states for name in state.spec.class_names})
         stream = self.cluster_stream
+        if stream is None:
+            stream = StreamingTrafficStats.of_records(
+                (record for state in states for record in state.records), declared
+            )
         cluster = rollup(
             "cluster",
             "multi-tenant",
             duration,
             states,
-            sorted({name for state in states for name in state.spec.class_names}),
+            declared,
             _merge_timelines([state.timeline for state in states]),
             stream,
-            all_records,
         )
         if len(states) > 1:
-            waterfall.extend(
-                stream.waterfall("cluster")
-                if stream is not None
-                else waterfall_from_records("cluster", all_records)
-            )
+            waterfall.extend(stream.waterfall("cluster"))
         self.waterfall = waterfall
         return MultiTenantSummary(
             fairness=self.fairness.value,

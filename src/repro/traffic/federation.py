@@ -66,6 +66,7 @@ from repro.sim.clock import SimClock
 from repro.sim.engine import EventLoop
 from repro.traffic.arrivals import Request
 from repro.traffic.autoscaler import Autoscaler, TargetConcurrencyPolicy
+from repro.traffic.classes import json_number
 from repro.traffic.cluster_runtime import (
     ClusterRuntime,
     _merge_timelines,
@@ -156,23 +157,6 @@ _CLUSTER_KEYS = frozenset(
 )
 
 
-def _cluster_number(
-    entry: Mapping[str, object], key: str, integer: bool = True, default=None
-):
-    """``entry[key]`` checked as a JSON integer (or any finite number)."""
-    if key not in entry:
-        return default
-    value = entry[key]
-    kinds = int if integer else (int, float)
-    # The chained comparison is False for NaN and both infinities.
-    if isinstance(value, bool) or not isinstance(value, kinds) or not -math.inf < value < math.inf:
-        raise FederationError(
-            "--clusters region %r: %r must be %s, got %r"
-            % (entry["region"], key, "an integer" if integer else "a finite number", value)
-        )
-    return value
-
-
 def parse_clusters(source) -> Tuple[ClusterSpec, ...]:
     """Parse the ``repro traffic --clusters`` format.
 
@@ -203,13 +187,16 @@ def parse_clusters(source) -> Tuple[ClusterSpec, ...]:
             )
         if "region" not in entry:
             raise FederationError("each cluster needs a 'region' name")
+        where = "--clusters region %r" % (entry["region"],)
         specs.append(
             ClusterSpec(
                 region=entry["region"],
-                nodes=_cluster_number(entry, "nodes", default=4),
-                node_memory_mb=_cluster_number(entry, "memory_mb", integer=False),
-                initial_replicas=_cluster_number(entry, "initial_replicas"),
-                per_replica_concurrency=_cluster_number(entry, "concurrency"),
+                nodes=json_number(entry, "nodes", where, FederationError, default=4),
+                node_memory_mb=json_number(
+                    entry, "memory_mb", where, FederationError, integer=False
+                ),
+                initial_replicas=json_number(entry, "initial_replicas", where, FederationError),
+                per_replica_concurrency=json_number(entry, "concurrency", where, FederationError),
                 tenants=tuple(entry.get("tenants", ())),
             )
         )
@@ -496,13 +483,14 @@ class FederatedTrafficEngine:
 
     def run(self) -> FederationSummary:
         """Route, deliver, execute and account every tenant's stream."""
+        from repro.obs.streaming import StreamingTrafficStats
+
         # Federation-wide rollups for sketch mode: every region's tenants
         # fold each finished request into these too.
+        exact = self.config.retain_records
         tenant_streams: Dict[str, StreamingTrafficStats] = {}
         cluster_stream = None
-        if not self.config.retain_records:
-            from repro.obs.streaming import StreamingTrafficStats
-
+        if not exact:
             tenant_streams = {
                 tenant.name: StreamingTrafficStats(declared_classes=tenant.class_names)
                 for tenant in self.tenants
@@ -517,7 +505,8 @@ class FederatedTrafficEngine:
         self.records = {region: runtimes[region].records for region in self.regions}
 
         # Federation-wide rollups: each tenant across every region, then
-        # every tenant and region together.
+        # every tenant and region together.  Exact mode folds each scope's
+        # records in request-id order, one scope at a time.
         region_states = [runtimes[region].states for region in self.regions]
         tenants: Dict[str, TrafficSummary] = {}
         for index, tenant in enumerate(self.tenants):
@@ -529,19 +518,22 @@ class FederatedTrafficEngine:
                 states,
                 tenant.class_names,
                 _merge_timelines([state.timeline for state in states]),
-                tenant_streams.get(tenant.name),
-                _by_request_id(states),
+                StreamingTrafficStats.of_records(_by_request_id(states), tenant.class_names)
+                if exact
+                else tenant_streams[tenant.name],
             )
         every = [state for per_region in region_states for state in per_region]
+        declared = sorted({name for tenant in self.tenants for name in tenant.class_names})
         cluster = rollup(
             "federation",
             "multi-region",
             duration,
             every,
-            sorted({name for tenant in self.tenants for name in tenant.class_names}),
+            declared,
             _merge_timelines([state.timeline for state in every]),
-            cluster_stream,
-            _by_request_id(every),
+            StreamingTrafficStats.of_records(_by_request_id(every), declared)
+            if exact
+            else cluster_stream,
         )
         return FederationSummary(
             fairness=self.fairness.value,
@@ -793,7 +785,7 @@ class FederatedTrafficEngine:
 
 
 def _by_request_id(states: Sequence[_TenantState]) -> List[RequestRecord]:
-    """Every retained record of ``states`` in request-id order ([] in sketch mode)."""
+    """Every retained record of ``states`` in request-id order."""
     return sorted(
         (record for state in states for record in state.records),
         key=lambda record: record.request_id,

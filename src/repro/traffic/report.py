@@ -206,8 +206,8 @@ def render_waterfall_table(
     One row per (tenant-or-mode, class): mean and p95 of the pure queue
     wait, the cold-start wait, and the service time, plus the end-to-end
     total they roll up into.  Rows come from
-    :func:`repro.obs.spans.waterfall_from_records` (exact) or the streaming
-    accumulators (sketch mode) — the table doesn't care which.
+    :meth:`repro.obs.streaming.StreamingTrafficStats.waterfall`, over exact
+    samples or sketches — the table doesn't care which.
     """
     if not rows:
         return "%s\n(no completed requests)" % title

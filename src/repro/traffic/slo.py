@@ -1,7 +1,7 @@
-"""SLO accounting: per-request records rolled into tail-latency summaries.
+"""SLO accounting: per-request records and the summary shapes they roll into.
 
 The traffic engine emits one :class:`RequestRecord` per admitted request.
-This module rolls them into what an operator actually watches: p50/p95/p99
+A :class:`TrafficSummary` is what an operator actually watches: p50/p95/p99
 end-to-end latency, queueing delay separated from service time, timeout and
 drop counts, and goodput (completed requests per second of simulated time —
 dropped or timed-out requests produce no good output, however much CPU they
@@ -13,14 +13,18 @@ volume counters, its latency distribution and its deadline-met ratio — the
 SLO attainment number deadline-aware scheduling (EDF at the gateway) is
 supposed to move.  Classes a tenant declared but never exercised still get
 a zero row, so exports always carry the full class list.
+
+The records and the summary shapes live here; the rollup formulas live in
+one place, :class:`repro.obs.streaming.StreamingTrafficStats`.
+:func:`summarize` and :func:`summarize_classes` fold records into its exact
+backend.
 """
 
 from __future__ import annotations
 
 import enum
-from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.metrics.stats import LatencySummary
 
@@ -182,49 +186,9 @@ def summarize_classes(
     ``declared`` lists class names that must appear even with zero
     requests, so a quiet class still exports (and round-trips) its row.
     """
-    groups: Dict[str, List[RequestRecord]] = {name: [] for name in declared}
-    for record in records:
-        mine = groups.get(record.request_class)
-        if mine is None:
-            mine = groups[record.request_class] = []
-        mine.append(record)
-    return tuple(_class_summary(name, groups[name]) for name in sorted(groups))
+    from repro.obs.streaming import StreamingTrafficStats
 
-
-def _class_summary(name: str, records: Sequence[RequestRecord]) -> ClassSummary:
-    """One class's row, from one walk over its records."""
-    counts = dict.fromkeys(RequestOutcome, 0)
-    latencies = array("d")
-    deadline_total = deadline_met = 0
-    for record in records:
-        outcome = record.outcome
-        counts[outcome] += 1
-        served = outcome in SERVED_OUTCOMES
-        if served:
-            latencies.append(record.latency_s)
-        if record.deadline_s is not None:
-            deadline_total += 1
-            if served and record.completion_s <= record.deadline_s:
-                deadline_met += 1
-    return ClassSummary(
-        name=name,
-        offered=len(records),
-        **_outcome_fields(counts),
-        deadline_total=deadline_total,
-        deadline_met=deadline_met,
-        latency=_latency_summary(latencies),
-    )
-
-
-def _outcome_fields(counts: Dict[RequestOutcome, int]) -> Dict[str, int]:
-    """Per-outcome counts as summary fields, each named after its outcome."""
-    return {outcome.value: count for outcome, count in counts.items()}
-
-
-def _latency_summary(samples: Sequence[float]) -> LatencySummary:
-    if samples:
-        return LatencySummary.from_samples(samples)
-    return LatencySummary.empty()
+    return StreamingTrafficStats.of_records(records, declared).class_summaries()
 
 
 @dataclass(frozen=True)
@@ -340,43 +304,17 @@ def summarize(
     rss_mb_seconds: float = 0.0,
     cpu_seconds: float = 0.0,
 ) -> TrafficSummary:
-    """Roll per-request records into one :class:`TrafficSummary`."""
-    if duration_s <= 0:
-        raise SloError("duration must be positive")
-    counts = dict.fromkeys(RequestOutcome, 0)
-    # End-to-end latency covers everything the client saw served (cache
-    # hits and coalesced responses included); queueing and service remain
-    # backend-only — middleware-resolved requests never held a replica.
-    # Samples are packed doubles (8 bytes, against 32 for a float in a
-    # list): all three are held at once, at the end of a run, when memory
-    # peaks.
-    latencies, queueing, service = array("d"), array("d"), array("d")
-    for record in records:
-        outcome = record.outcome
-        counts[outcome] += 1
-        if outcome in SERVED_OUTCOMES:
-            latencies.append(record.latency_s)
-            if outcome is RequestOutcome.COMPLETED:
-                queueing.append(record.queueing_delay_s)
-                service.append(record.service_s)
-    return TrafficSummary(
-        mode=mode,
-        pattern=pattern,
-        duration_s=duration_s,
-        offered=len(records),
-        **_outcome_fields(counts),
-        latency=_latency_summary(latencies),
-        queueing=_latency_summary(queueing),
-        service=_latency_summary(service),
-        cold_starts=cold_starts,
-        cold_start_seconds=cold_start_seconds,
-        replica_seconds=_replica_seconds(replica_timeline, duration_s),
-        max_replicas=max((count for _, count in replica_timeline), default=0),
-        replica_timeline=tuple(replica_timeline),
-        classes=summarize_classes(records, declared=declared_classes),
-        oom_evictions=oom_evictions,
-        rss_mb_seconds=rss_mb_seconds,
-        cpu_seconds=cpu_seconds,
+    """Roll per-request records into one :class:`TrafficSummary`.
+
+    End-to-end latency covers everything the client saw served (cache
+    hits and coalesced responses included); queueing and service remain
+    backend-only — middleware-resolved requests never held a replica.
+    """
+    from repro.obs.streaming import StreamingTrafficStats
+
+    return StreamingTrafficStats.of_records(records, declared_classes).summary(
+        mode, pattern, duration_s, cold_starts, cold_start_seconds, replica_timeline,
+        declared_classes, oom_evictions, rss_mb_seconds, cpu_seconds,
     )
 
 

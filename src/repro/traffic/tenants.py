@@ -33,7 +33,13 @@ from repro.traffic.arrivals import (
     PoissonArrivals,
     Request,
 )
-from repro.traffic.classes import RequestClass, assign_classes, parse_classes, validate_mix
+from repro.traffic.classes import (
+    RequestClass,
+    assign_classes,
+    json_number,
+    parse_classes,
+    validate_mix,
+)
 from repro.traffic.slo import TrafficSummary
 
 
@@ -321,19 +327,20 @@ def parse_tenants(
             raise TenantError("tenant #%d is missing 'name'" % index)
         name = str(entry["name"])
         pattern = str(entry.get("pattern", "poisson"))
-        try:
-            rps = float(entry.get("rps", 20.0))
-            duration = float(entry.get("duration", default_duration))
-            payload_mb = float(entry.get("payload_mb", 1.0))
-            seed = int(entry.get("seed", derived_seed(base_seed, name)))
-            weight = int(entry.get("weight", 1))
-            burst_on = float(entry.get("burst_on", 5.0))
-            burst_off = float(entry.get("burst_off", 15.0))
-            period = float(entry.get("period", 60.0))
-            trough_rps = float(entry.get("trough_rps", min(rps, max(rps / 10.0, 0.1))))
-            rss_mb = None if entry.get("rss_mb") is None else float(entry["rss_mb"])
-        except (TypeError, ValueError) as exc:
-            raise TenantError("tenant %r has a malformed numeric value: %s" % (name, exc))
+
+        def number(key, default=None, integer=False):
+            return json_number(entry, key, "tenant %r" % name, TenantError, integer, default)
+
+        rps = float(number("rps", 20.0))
+        duration = float(number("duration", default_duration))
+        payload_mb = float(number("payload_mb", 1.0))
+        seed = number("seed", derived_seed(base_seed, name), integer=True)
+        weight = number("weight", 1, integer=True)
+        burst_on = float(number("burst_on", 5.0))
+        burst_off = float(number("burst_off", 15.0))
+        period = float(number("period", 60.0))
+        trough_rps = float(number("trough_rps", min(rps, max(rps / 10.0, 0.1))))
+        rss_mb = None if entry.get("rss_mb") is None else float(number("rss_mb"))
         if pattern == "poisson":
             arrivals: ArrivalProcess = PoissonArrivals(
                 rate_rps=rps, duration_s=duration, function=name, payload_mb=payload_mb, seed=seed

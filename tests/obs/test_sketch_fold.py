@@ -112,6 +112,31 @@ def test_fold_matches_observe_for_every_outcome():
     assert folded.waterfall("t") == observed.waterfall("t")
 
 
+def test_a_new_class_does_not_fork_the_request_into_the_sole_declared_class():
+    # While "quiet" is the only class it is the totals object; the first
+    # "batch" request forks it off, and that copy must not count the request.
+    stats = StreamingTrafficStats(declared_classes=["quiet"])
+    for request_id, name in enumerate(("batch", "batch", "interactive")):
+        stats.observe(
+            RequestRecord(
+                request_id=request_id,
+                function="f",
+                outcome=RequestOutcome.COMPLETED,
+                arrival_s=0.0,
+                dispatch_s=0.1,
+                completion_s=0.2,
+                request_class=name,
+            )
+        )
+    rows = {row.name: row for row in stats.summary("m", "p", 1.0).classes}
+    assert (rows["quiet"].offered, rows["quiet"].completed) == (0, 0)
+    assert rows["quiet"].latency.count == 0
+    assert (rows["batch"].offered, rows["interactive"].offered) == (2, 1)
+    assert [row.request_class for row in stats.waterfall("t")] == [
+        "batch", "interactive", "(all)"
+    ]
+
+
 # -- federation: sketch mode against exact mode ----------------------------------------
 
 

@@ -1,18 +1,26 @@
-"""Property tests: the one-pass SLO rollups equal the per-metric scans.
+"""Property tests: the SLO rollups equal the per-metric scans.
 
-``summarize`` and ``summarize_classes`` walk the records once (once per
-class group), and ``LatencySummary.from_samples`` sorts once.  Their
-contract is that every field is *exactly* (``==``, not approximately) what
-one list pass per field gives: the counts, the samples in record order, the
-mean summed in sample order (not sorted order), and the percentiles of
-three separate sorts.  The reference formulas below are kept verbatim from
-the multi-pass implementation.
+``summarize``, ``summarize_classes`` and ``waterfall_from_records`` fold
+the records once into the exact backend of the streaming accumulator, and
+``LatencySummary.from_samples`` sorts once.  Their contract is that every
+field is *exactly* (``==``, not approximately) what one list pass per field
+gives: the counts, the samples in record order, the mean summed in sample
+order (not sorted order), and the percentiles of separate sorts.  The
+reference formulas below are kept verbatim from the multi-pass
+implementation and from the record-walking waterfall.  Sketch mode folds
+the same requests into sketches, so its counts must equal the reference
+too.
 """
+
+import dataclasses
+from typing import Dict, List, Sequence, Tuple
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.stats import LatencySummary
+from repro.metrics.stats import LatencySummary, mean, percentile
+from repro.obs.spans import WaterfallRow, waterfall_from_records
+from repro.obs.streaming import StreamingTrafficStats
 from repro.traffic.slo import (
     RequestOutcome,
     RequestRecord,
@@ -96,6 +104,51 @@ def _fields(obj, names):
     return {name: getattr(obj, name) for name in names}
 
 
+def _ref_waterfall_from_records(
+    label: str, records: Sequence[RequestRecord]
+) -> List[WaterfallRow]:
+    completed = [r for r in records if r.outcome is RequestOutcome.COMPLETED]
+    by_class: Dict[str, List[RequestRecord]] = {}
+    for record in completed:
+        by_class.setdefault(record.request_class, []).append(record)
+    rows = [
+        _ref_row_from_records(label, name, mine) for name, mine in sorted(by_class.items())
+    ]
+    if len(rows) > 1:
+        rows.append(_ref_row_from_records(label, "(all)", completed))
+    return rows
+
+
+def _ref_row_from_records(
+    label: str, request_class: str, records: Sequence[RequestRecord]
+) -> WaterfallRow:
+    # One sample list at a time: the cluster-wide row of a long run would
+    # otherwise hold all four at once, at the run's memory peak.
+    queue_mean, queue_p95 = _ref_mean_p95(
+        [max(0.0, r.queueing_delay_s - r.cold_start_wait_s) for r in records]
+    )
+    cold_mean, cold_p95 = _ref_mean_p95([r.cold_start_wait_s for r in records])
+    service_mean, service_p95 = _ref_mean_p95([r.service_s for r in records])
+    total_mean, total_p95 = _ref_mean_p95([r.latency_s for r in records])
+    return WaterfallRow(
+        label=label,
+        request_class=request_class,
+        completed=len(records),
+        queue_mean_s=queue_mean,
+        queue_p95_s=queue_p95,
+        cold_mean_s=cold_mean,
+        cold_p95_s=cold_p95,
+        service_mean_s=service_mean,
+        service_p95_s=service_p95,
+        total_mean_s=total_mean,
+        total_p95_s=total_p95,
+    )
+
+
+def _ref_mean_p95(values: Sequence[float]) -> Tuple[float, float]:
+    return mean(values), percentile(values, 95.0)
+
+
 # -- strategies -----------------------------------------------------------------------
 
 # Durations whose sums round differently in different orders, plus zeros.
@@ -149,6 +202,34 @@ UNSORTED_SUM = [
 declared_lists = st.lists(st.sampled_from(CLASS_NAMES + ("quiet", "idle")), max_size=4)
 
 
+@st.composite
+def cold_records(draw):
+    """A record whose cold-start wait may exceed its queueing delay."""
+    return dataclasses.replace(draw(records()), cold_start_wait_s=draw(durations))
+
+
+def _completed(request_id, request_class, queueing, cold_wait, service=0.25):
+    return RequestRecord(
+        request_id=request_id,
+        function="f",
+        outcome=RequestOutcome.COMPLETED,
+        arrival_s=1.0,
+        dispatch_s=1.0 + queueing,
+        completion_s=1.0 + queueing + service,
+        cold_start_wait_s=cold_wait,
+        request_class=request_class,
+    )
+
+
+#: One class only, half the cold waits longer than the queueing delay.
+ONE_CLASS = [_completed(i, "batch", 0.1 * i, 0.3) for i in range(6)]
+#: Two classes: an ``(all)`` row closes the group.
+TWO_CLASSES = ONE_CLASS + [_completed(9, "interactive", 0.7, 0.05, service=1.0 / 3.0)]
+#: A declared class forked off the totals when a second class first appears.
+FORK_LEAK = [_completed(i, name, 0.1, 0.0) for i, name in enumerate(
+    ("batch", "batch", "interactive"))]
+
+
 # -- properties -----------------------------------------------------------------------
 
 
@@ -187,3 +268,34 @@ def test_empty_input_gives_zero_rows_for_declared_classes_only():
     assert all(row.offered == 0 and row.latency == LatencySummary.empty()
                for row in summary.classes)
     assert summarize_classes([]) == ()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(cold_records(), max_size=40))
+@example([])
+@example(UNSORTED_SUM)  # no completions: no rows
+@example(ONE_CLASS)
+@example(TWO_CLASSES)
+def test_waterfall_equals_the_record_walk(rows):
+    assert waterfall_from_records("t", rows) == _ref_waterfall_from_records("t", rows)
+
+
+COUNT_FIELDS = (
+    "offered", "completed", "timed_out", "dropped", "shed", "cached",
+    "coalesced", "rate_limited", "rejected", "deadline_total", "deadline_met",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(record_lists, declared_lists)
+@example(FORK_LEAK, ["quiet"])
+def test_sketch_class_counts_equal_per_class_scans(rows, declared):
+    stats = StreamingTrafficStats(declared_classes=declared)
+    for record in rows:
+        stats.observe(record)
+    got = stats.summary("m", "p", 10.0, declared_classes=declared).classes
+    expected = _ref_classes(rows, declared)
+    assert [row.name for row in got] == [ref["name"] for ref in expected]
+    assert [_fields(row, COUNT_FIELDS) for row in got] == [
+        {name: ref[name] for name in COUNT_FIELDS} for ref in expected
+    ]
