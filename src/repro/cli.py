@@ -33,7 +33,7 @@ import math
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import repro
 from repro.experiments.claims import evaluate_claims, render_claims
@@ -63,12 +63,7 @@ from repro.obs import (
 )
 from repro.platform.gateway import FairnessPolicy, IntraTenantOrder
 from repro.platform.runtime_selector import RuntimeSelector, WorkflowProfile
-from repro.traffic.arrivals import (
-    BurstyArrivals,
-    DiurnalArrivals,
-    PoissonArrivals,
-    load_azure_trace,
-)
+from repro.traffic.arrivals import ARRIVAL_PATTERNS, load_azure_trace, make_arrivals
 from repro.traffic.autoscaler import AutoscalerError
 from repro.traffic.classes import RequestClassError, assign_classes, parse_classes
 from repro.traffic.engine import (
@@ -146,30 +141,50 @@ def _make_arrivals(args: argparse.Namespace):
             payload_mb=args.payload_mb,
             max_minutes=args.trace_minutes,
         )
-    if args.pattern == "poisson":
-        return PoissonArrivals(
-            rate_rps=args.rps,
-            duration_s=args.duration,
-            payload_mb=args.payload_mb,
-            seed=args.seed,
-        )
-    if args.pattern == "bursty":
-        return BurstyArrivals(
-            on_rate_rps=args.rps,
-            duration_s=args.duration,
-            on_s=args.burst_on,
-            off_s=args.burst_off,
-            payload_mb=args.payload_mb,
-            seed=args.seed,
-        )
-    return DiurnalArrivals(
-        peak_rps=args.rps,
-        trough_rps=min(args.rps, max(args.rps / 10.0, 0.1)),
-        duration_s=args.duration,
+    return make_arrivals(
+        args.pattern,
+        args.rps,
+        args.duration,
+        on_s=args.burst_on,
+        off_s=args.burst_off,
         period_s=args.diurnal_period,
         payload_mb=args.payload_mb,
         seed=args.seed,
     )
+
+
+def _tenant_list(
+    args: argparse.Namespace, classes
+) -> Tuple[List[TenantSpec], IntraTenantOrder]:
+    """The run's tenants and their intra-tenant dispatch order.
+
+    ``--tenants`` parses into several tenants, which inherit ``--duration``
+    and the first ``--modes`` entry unless they pin their own keys; without
+    it the run's one arrival stream becomes the single tenant ``app``.
+    Tenants may declare their own class mixes: those enable the EDF default
+    exactly like a global ``--classes`` does.
+    """
+    default_mode = args.modes.split(",")[0].strip() or "roadrunner-user"
+    if args.tenants:
+        tenants = parse_tenants(
+            args.tenants,
+            default_mode=default_mode,
+            base_seed=args.seed,
+            default_duration=args.duration,
+            default_classes=classes,
+        )
+    else:
+        tenants = [
+            TenantSpec(
+                name="app",
+                mode=default_mode,
+                arrivals=_make_arrivals(args),
+                classes=classes,
+                pattern=args.pattern,
+            )
+        ]
+    classes_in_play = bool(classes) or any(tenant.classes for tenant in tenants)
+    return tenants, _intra_order(args, classes_in_play)
 
 
 def _policy_kwargs(args: argparse.Namespace) -> dict:
@@ -358,23 +373,9 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
 
     if args.tenants:
         # Multi-tenant path: several named functions over one shared cluster,
-        # with weighted fair queueing (or FIFO) at the gateway.  Tenants
-        # inherit --duration and the first --modes entry unless they pin
-        # their own "duration"/"mode" keys.
+        # with weighted fair queueing (or FIFO) at the gateway.
         try:
-            default_mode = args.modes.split(",")[0].strip() or "roadrunner-user"
-            tenants = parse_tenants(
-                args.tenants,
-                default_mode=default_mode,
-                base_seed=args.seed,
-                default_duration=args.duration,
-                default_classes=classes,
-            )
-            # Tenants may declare their own class mixes: those enable the
-            # EDF default exactly like a global --classes does.
-            intra = _intra_order(
-                args, bool(classes) or any(tenant.classes for tenant in tenants)
-            )
+            tenants, intra = _tenant_list(args, classes)
             telemetry = _build_telemetry(args)
             engine = MultiTenantTrafficEngine(
                 tenants,
@@ -502,28 +503,7 @@ def _cmd_federation(
         for spec in args.fail_region or []:
             region, time_s = parse_fail_spec(spec)
             fail_at[region] = time_s
-        default_mode = args.modes.split(",")[0].strip() or "roadrunner-user"
-        if args.tenants:
-            tenants = parse_tenants(
-                args.tenants,
-                default_mode=default_mode,
-                base_seed=args.seed,
-                default_duration=args.duration,
-                default_classes=classes,
-            )
-        else:
-            tenants = [
-                TenantSpec(
-                    name="app",
-                    mode=default_mode,
-                    arrivals=_make_arrivals(args),
-                    classes=classes,
-                    pattern=args.pattern,
-                )
-            ]
-        intra = _intra_order(
-            args, bool(classes) or any(tenant.classes for tenant in tenants)
-        )
+        tenants, intra = _tenant_list(args, classes)
         wants_telemetry = _wants_telemetry(args)
         # One telemetry stack per region over ONE shared registry: every
         # family carries a region label, so --metrics-out stays a single
@@ -612,28 +592,7 @@ def _cmd_compare_policies(
         )
         return 2
     try:
-        default_mode = args.modes.split(",")[0].strip() or "roadrunner-user"
-        if args.tenants:
-            tenants = parse_tenants(
-                args.tenants,
-                default_mode=default_mode,
-                base_seed=args.seed,
-                default_duration=args.duration,
-                default_classes=classes,
-            )
-        else:
-            tenants = [
-                TenantSpec(
-                    name="app",
-                    mode=default_mode,
-                    arrivals=_make_arrivals(args),
-                    classes=classes,
-                    pattern=args.pattern,
-                )
-            ]
-        intra = _intra_order(
-            args, bool(classes) or any(tenant.classes for tenant in tenants)
-        )
+        tenants, intra = _tenant_list(args, classes)
         results = compare_scaling_policies(
             tenants,
             {name: _autoscaler_factory(args, name) for name in names},
@@ -703,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     traffic = subparsers.add_parser(
         "traffic", help="sustained arrival streams with autoscaling across runtimes"
     )
-    traffic.add_argument("--pattern", choices=("poisson", "bursty", "diurnal"), default="poisson")
+    traffic.add_argument("--pattern", choices=ARRIVAL_PATTERNS, default="poisson")
     traffic.add_argument("--rps", type=_finite_float, default=50.0, help="arrival rate (peak rate for bursty/diurnal)")
     traffic.add_argument("--duration", type=_finite_float, default=60.0, help="simulated seconds of arrivals")
     traffic.add_argument("--payload-mb", type=_finite_float, default=1.0)

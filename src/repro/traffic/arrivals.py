@@ -20,18 +20,6 @@ All generators are seeded and produce identical streams for identical
 parameters, so two runtimes can be compared under *the same* arrivals — the
 new scenario axis (load level x arrival pattern x runtime) the paper never
 swept.
-
-Generation is batched: when numpy is importable the per-event RNG calls are
-replaced by one bulk uniform draw per :data:`_VECTOR_BATCH` events, produced
-by transplanting ``random.Random(seed)``'s Mersenne-Twister state into a
-``numpy.random.MT19937`` bit generator — the uniform stream is bit-identical
-to sequential ``random()`` calls, so vectorized and scalar paths agree
-draw-for-draw.  The *transforms* on those uniforms (``log`` for exponential
-gaps, ``cos`` for the diurnal rate) only vectorize when a startup probe shows
-numpy's elementwise kernels agree bitwise with :mod:`math` on this build;
-otherwise the bulk uniforms are walked with the scalar transform, and without
-numpy the original pure-python generators run unchanged
-(:meth:`ArrivalProcess.arrival_times_scalar` exposes them directly).
 """
 
 from __future__ import annotations
@@ -45,133 +33,7 @@ from typing import List, Optional
 
 from repro.workloads.traces import Invocation, InvocationTrace
 
-try:  # numpy accelerates generation but is never required
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
-
 MB = 1024 * 1024
-
-#: Events generated per bulk RNG draw.
-_VECTOR_BATCH = 8192
-
-#: Samples for the bitwise transform probes.  When a numpy kernel disagrees
-#: with :mod:`math` the mismatches are systematic (one-ulp differences at a
-#: ~0.1-1% rate), so 2**16 samples detect divergence essentially surely.
-_PROBE_SAMPLES = 1 << 16
-
-_LOG_EXACT: Optional[bool] = None
-_COS_EXACT: Optional[bool] = None
-
-
-def _mirror_generator(seed: int):
-    """A numpy Generator emitting ``random.Random(seed)``'s uniform stream.
-
-    ``random.Random`` and ``numpy.random.MT19937`` share the same Mersenne
-    Twister core; copying the 624-word key and cursor across makes
-    ``Generator.random(n)`` bit-identical to ``n`` successive
-    ``Random.random()`` calls.  Returns ``None`` when numpy is missing or the
-    CPython state layout is not the expected version-3 tuple.
-    """
-    if _np is None:
-        return None
-    state = random.Random(seed).getstate()
-    if state[0] != 3 or len(state[1]) != 625:  # pragma: no cover - layout guard
-        return None
-    bit_generator = _np.random.MT19937()
-    raw = bit_generator.state
-    raw["state"]["key"] = _np.asarray(state[1][:-1], dtype=_np.uint32)
-    raw["state"]["pos"] = state[1][-1]
-    bit_generator.state = raw
-    return _np.random.Generator(bit_generator)
-
-
-def _log_transform_exact() -> bool:
-    """True when ``-numpy.log(1 - u)`` matches the scalar expovariate bitwise."""
-    global _LOG_EXACT
-    if _LOG_EXACT is None:
-        if _np is None:
-            _LOG_EXACT = False
-        else:
-            uniforms = _np.random.Generator(_np.random.MT19937(12345)).random(_PROBE_SAMPLES)
-            vectorized = -_np.log(1.0 - uniforms)
-            _LOG_EXACT = all(
-                vec == -math.log(1.0 - u)
-                for vec, u in zip(vectorized.tolist(), uniforms.tolist())
-            )
-    return _LOG_EXACT
-
-
-def _cos_transform_exact() -> bool:
-    """True when ``numpy.cos`` matches ``math.cos`` bitwise on this build."""
-    global _COS_EXACT
-    if _COS_EXACT is None:
-        if _np is None:
-            _COS_EXACT = False
-        else:
-            # Cover the phase range arrival thinning actually feeds cos():
-            # long runs against short periods reach phases in the thousands.
-            phases = _np.random.Generator(_np.random.MT19937(54321)).random(_PROBE_SAMPLES)
-            phases = phases * 20000.0
-            vectorized = _np.cos(phases)
-            _COS_EXACT = all(
-                vec == math.cos(phase)
-                for vec, phase in zip(vectorized.tolist(), phases.tolist())
-            )
-    return _COS_EXACT
-
-
-class _UniformStream:
-    """A batched, bit-exact view of ``random.Random(seed)``'s uniform stream.
-
-    ``view(n)`` exposes the next ``n`` uniforms without consuming them and
-    ``consume(k)`` advances the cursor, so callers that stop mid-batch (a
-    bursty window ending, a diurnal run hitting its horizon) retain the
-    unconsumed draws for the next window in exact stream order.  Overdraw is
-    only ever discarded at end of generation, where the underlying RNG state
-    is no longer observable.
-    """
-
-    def __init__(self, generator, batch: int = _VECTOR_BATCH) -> None:
-        self._generator = generator
-        self._batch = batch
-        self._buffer = generator.random(0)
-        self._pos = 0
-
-    def view(self, n: int):
-        available = len(self._buffer) - self._pos
-        if available < n:
-            draw = max(self._batch, n - available)
-            self._buffer = _np.concatenate(
-                [self._buffer[self._pos:], self._generator.random(draw)]
-            )
-            self._pos = 0
-        return self._buffer[self._pos : self._pos + n]
-
-    def consume(self, n: int) -> None:
-        self._pos += n
-
-    def take(self, n: int):
-        out = self.view(n)
-        self._pos += n
-        return out
-
-
-def _uniform_stream(seed: int) -> Optional[_UniformStream]:
-    generator = _mirror_generator(seed)
-    return None if generator is None else _UniformStream(generator)
-
-
-def _cumulative(carry: float, gaps):
-    """Sequential running sum of ``gaps`` starting from ``carry``.
-
-    ``numpy.cumsum`` accumulates strictly left-to-right, so seeding slot 0
-    with the carry reproduces the scalar ``now += gap`` loop bit-for-bit.
-    """
-    staged = _np.empty(len(gaps) + 1)
-    staged[0] = carry
-    staged[1:] = gaps
-    return _np.cumsum(staged)[1:]
 
 
 class ArrivalError(ValueError):
@@ -224,16 +86,6 @@ class ArrivalProcess(ABC):
     def arrival_times(self) -> List[float]:
         """The raw arrival instants in seconds, non-decreasing."""
 
-    def arrival_times_scalar(self) -> List[float]:
-        """The pure-python reference generator (one RNG call per event).
-
-        Subclasses with a vectorized :meth:`arrival_times` override this with
-        the original scalar loop; both must produce identical streams for
-        identical seeds.  The default covers passthrough processes where the
-        two are the same.
-        """
-        return self.arrival_times()
-
     def generate(self) -> List[Request]:
         """Materialize the stream as :class:`Request` objects."""
         times = self.arrival_times()
@@ -271,34 +123,6 @@ class PoissonArrivals(ArrivalProcess):
         self.seed = seed
 
     def arrival_times(self) -> List[float]:
-        stream = _uniform_stream(self.seed)
-        if stream is None:
-            return self.arrival_times_scalar()
-        rate = self.rate_rps
-        duration = self.duration_s
-        times: List[float] = []
-        if _log_transform_exact():
-            carry = 0.0
-            while True:
-                gaps = -_np.log(1.0 - stream.take(_VECTOR_BATCH)) / rate
-                instants = _cumulative(carry, gaps)
-                cut = int(_np.searchsorted(instants, duration, side="right"))
-                if cut < len(instants):
-                    times.extend(instants[:cut].tolist())
-                    return times
-                times.extend(instants.tolist())
-                carry = float(instants[-1])
-        # Bulk uniforms, scalar transform: numpy's log kernel is not
-        # bit-identical to math.log on this build.
-        now = 0.0
-        while True:
-            for uniform in stream.take(_VECTOR_BATCH).tolist():
-                now += -math.log(1.0 - uniform) / rate
-                if now > duration:
-                    return times
-                times.append(now)
-
-    def arrival_times_scalar(self) -> List[float]:
         rng = random.Random(self.seed)
         now, times = 0.0, []
         while True:
@@ -336,49 +160,6 @@ class BurstyArrivals(ArrivalProcess):
         self.seed = seed
 
     def arrival_times(self) -> List[float]:
-        stream = _uniform_stream(self.seed)
-        if stream is None:
-            return self.arrival_times_scalar()
-        rate = self.on_rate_rps
-        log_exact = _log_transform_exact()
-        times: List[float] = []
-        window_start = 0.0
-        # Unlike the end-of-run case, a window boundary is mid-stream: the
-        # draw that overshoots the window is consumed, everything after it
-        # must survive for the next window, hence view()/consume().
-        while window_start < self.duration_s:
-            window_end = min(window_start + self.on_s, self.duration_s)
-            now = window_start
-            while True:
-                uniforms = stream.view(_VECTOR_BATCH)
-                if log_exact:
-                    gaps = -_np.log(1.0 - uniforms) / rate
-                    instants = _cumulative(now, gaps)
-                    cut = int(_np.searchsorted(instants, window_end, side="right"))
-                    if cut < len(instants):
-                        times.extend(instants[:cut].tolist())
-                        stream.consume(cut + 1)
-                        break
-                    times.extend(instants.tolist())
-                    now = float(instants[-1])
-                    stream.consume(len(instants))
-                else:
-                    used = 0
-                    overshot = False
-                    for uniform in uniforms.tolist():
-                        used += 1
-                        now += -math.log(1.0 - uniform) / rate
-                        if now > window_end:
-                            overshot = True
-                            break
-                        times.append(now)
-                    stream.consume(used)
-                    if overshot:
-                        break
-            window_start += self.on_s + self.off_s
-        return times
-
-    def arrival_times_scalar(self) -> List[float]:
         rng = random.Random(self.seed)
         times: List[float] = []
         window_start = 0.0
@@ -441,52 +222,6 @@ class DiurnalArrivals(ArrivalProcess):
         return midpoint - amplitude * math.cos(phase)
 
     def arrival_times(self) -> List[float]:
-        stream = _uniform_stream(self.seed)
-        if stream is None:
-            return self.arrival_times_scalar()
-        duration = self.duration_s
-        peak = self.peak_rps
-        times: List[float] = []
-        if _log_transform_exact() and _cos_transform_exact():
-            midpoint = (self.peak_rps + self.trough_rps) / 2.0
-            amplitude = (self.peak_rps - self.trough_rps) / 2.0
-            carry = 0.0
-            while True:
-                # The scalar loop strictly alternates gap draw / thinning
-                # draw, so candidates live at even offsets, accepts at odd.
-                pairs = stream.view(2 * _VECTOR_BATCH)
-                gaps = -_np.log(1.0 - pairs[0::2]) / peak
-                instants = _cumulative(carry, gaps)
-                cut = int(_np.searchsorted(instants, duration, side="right"))
-                kept = instants[:cut] if cut < len(instants) else instants
-                rates = midpoint - amplitude * _np.cos(
-                    (2.0 * math.pi) * (kept + self.phase_s) / self.period_s
-                )
-                accepted = pairs[1::2][: len(kept)] <= rates / peak
-                times.extend(kept[accepted].tolist())
-                if cut < len(instants):
-                    # The overshooting candidate consumed its gap draw but
-                    # never reached the thinning draw.
-                    stream.consume(2 * cut + 1)
-                    return times
-                carry = float(instants[-1])
-                stream.consume(2 * len(instants))
-        now = 0.0
-        while True:
-            chunk = stream.view(2 * _VECTOR_BATCH).tolist()
-            used = 0
-            while used + 2 <= len(chunk):
-                now += -math.log(1.0 - chunk[used]) / peak
-                used += 1
-                if now > duration:
-                    stream.consume(used)
-                    return times
-                if chunk[used] <= self.rate_at(now) / peak:
-                    times.append(now)
-                used += 1
-            stream.consume(used)
-
-    def arrival_times_scalar(self) -> List[float]:
         rng = random.Random(self.seed)
         now, times = 0.0, []
         while True:
@@ -496,6 +231,43 @@ class DiurnalArrivals(ArrivalProcess):
             if rng.random() <= self.rate_at(now) / self.peak_rps:
                 times.append(now)
         return times
+
+
+#: The synthetic patterns :func:`make_arrivals` builds by name.
+ARRIVAL_PATTERNS = ("poisson", "bursty", "diurnal")
+
+
+def make_arrivals(
+    pattern: str,
+    rate_rps: float,
+    duration_s: float,
+    on_s: float = 5.0,
+    off_s: float = 15.0,
+    period_s: float = 60.0,
+    trough_rps: Optional[float] = None,
+    function: str = "app",
+    payload_mb: float = 1.0,
+    seed: int = 0,
+) -> ArrivalProcess:
+    """The arrival process a pattern name denotes.
+
+    ``rate_rps`` is the Poisson rate, the bursty on-window rate or the
+    diurnal peak.  ``on_s``/``off_s`` shape bursty windows, ``period_s``
+    and ``trough_rps`` the diurnal cycle; the trough defaults to a tenth of
+    the peak, at least 0.1 rps and at most the peak.
+    """
+    common = dict(duration_s=duration_s, function=function, payload_mb=payload_mb, seed=seed)
+    if pattern == "poisson":
+        return PoissonArrivals(rate_rps=rate_rps, **common)
+    if pattern == "bursty":
+        return BurstyArrivals(on_rate_rps=rate_rps, on_s=on_s, off_s=off_s, **common)
+    if pattern == "diurnal":
+        if trough_rps is None:
+            trough_rps = min(rate_rps, max(rate_rps / 10.0, 0.1))
+        return DiurnalArrivals(
+            peak_rps=rate_rps, trough_rps=trough_rps, period_s=period_s, **common
+        )
+    raise ArrivalError("unknown pattern %r (use poisson, bursty or diurnal)" % pattern)
 
 
 class TraceArrivals(ArrivalProcess):

@@ -155,12 +155,44 @@ def json_number(
     return value
 
 
+def read_json_array(
+    source,
+    what: str,
+    error: Type[Exception],
+    invalid: str = "%s is not valid JSON: %s",
+    empty: str = "%s must be a non-empty JSON array",
+) -> list:
+    """A JSON-array config given inline, as a file path or already decoded.
+
+    The one reader of the JSON configs (``--classes``, ``--tenants``,
+    ``--clusters``): a string naming an existing file is read from it, any
+    other string is parsed as JSON.  An unreadable file, invalid JSON and
+    anything but a non-empty array raise ``error``; ``invalid`` and
+    ``empty`` format those messages from ``what`` (and the decode error).
+    """
+    if isinstance(source, str):
+        text = source
+        if os.path.exists(source):
+            try:
+                with open(source, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+            except OSError as exc:
+                raise error("cannot read %s %r: %s" % (what, source, exc))
+        try:
+            source = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise error(invalid % (what, exc))
+    if not isinstance(source, list) or not source:
+        raise error(empty % what)
+    return source
+
+
 #: Recognised keys of one class object in a ``--classes`` config.
 _CLASS_KEYS = frozenset({"name", "share", "priority", "deadline", "hard"})
 
 
-def parse_classes(source: str) -> Tuple[RequestClass, ...]:
-    """Parse a ``--classes`` config: a JSON array, inline or a file path.
+def parse_classes(source) -> Tuple[RequestClass, ...]:
+    """Parse a ``--classes`` config: a JSON array, inline, a file path or decoded.
 
     Each element describes one class::
 
@@ -171,19 +203,7 @@ def parse_classes(source: str) -> Tuple[RequestClass, ...]:
     (relative seconds) to none and ``hard`` (shed at dispatch when the
     deadline cannot be met) to false.
     """
-    text = source
-    if os.path.exists(source):
-        try:
-            with open(source, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise RequestClassError("cannot read classes config %r: %s" % (source, exc))
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise RequestClassError("classes config is not valid JSON: %s" % exc)
-    if not isinstance(raw, list) or not raw:
-        raise RequestClassError("classes config must be a non-empty JSON array")
+    raw = read_json_array(source, "classes config", RequestClassError)
     classes: List[RequestClass] = []
     for index, entry in enumerate(raw):
         if not isinstance(entry, dict):

@@ -164,13 +164,16 @@ class TrafficConfig:
 
 def validate_tenants(
     tenants: Sequence[TenantSpec],
-    error: Type[TrafficEngineError] = TrafficEngineError,
+    error: Type[TrafficEngineError],
+    oversubscription: float,
+    starvation_guard: int,
 ) -> List[str]:
-    """Check an engine's tenant list; return the tenant names in order.
+    """Check an engine's tenants and gateway knobs; return the tenant names.
 
     Every engine needs the same guarantees: at least one tenant, unique
     names (``cluster`` is reserved for the cluster-wide rollup), unique
-    functions and known modes.  Failures raise ``error``, so each engine
+    functions, known modes, ``oversubscription >= 1`` and
+    ``starvation_guard >= 1``.  Failures raise ``error``, so each engine
     reports them under its own exception class.
     """
     if not tenants:
@@ -189,6 +192,10 @@ def validate_tenants(
                 "tenant %r: unknown traffic mode %r (known: %s)"
                 % (tenant.name, tenant.mode, ", ".join(TRAFFIC_MODES))
             )
+    if oversubscription < 1.0:
+        raise error("oversubscription must be >= 1.0")
+    if starvation_guard < 1:
+        raise error("starvation_guard must be >= 1")
     return names
 
 
@@ -272,11 +279,7 @@ class MultiTenantTrafficEngine:
         telemetry: Optional[Telemetry] = None,
         middleware: Optional[MiddlewarePipeline] = None,
     ) -> None:
-        validate_tenants(tenants)
-        if oversubscription < 1.0:
-            raise TrafficEngineError("oversubscription must be >= 1.0")
-        if starvation_guard < 1:
-            raise TrafficEngineError("starvation_guard must be >= 1")
+        validate_tenants(tenants, TrafficEngineError, oversubscription, starvation_guard)
         self.tenants = list(tenants)
         self.config = config or TrafficConfig()
         self.fairness = fairness

@@ -44,7 +44,6 @@ builds no federation-wide accumulators.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 
@@ -66,7 +65,7 @@ from repro.sim.clock import SimClock
 from repro.sim.engine import EventLoop
 from repro.traffic.arrivals import Request
 from repro.traffic.autoscaler import Autoscaler, TargetConcurrencyPolicy
-from repro.traffic.classes import json_number
+from repro.traffic.classes import json_number, read_json_array
 from repro.traffic.cluster_runtime import (
     ClusterRuntime,
     _merge_timelines,
@@ -160,7 +159,8 @@ _CLUSTER_KEYS = frozenset(
 def parse_clusters(source) -> Tuple[ClusterSpec, ...]:
     """Parse the ``repro traffic --clusters`` format.
 
-    ``source`` is a JSON array (or an already-decoded list) of objects::
+    ``source`` is a JSON array of objects — inline, a file path or an
+    already-decoded list::
 
         [{"region": "us-east", "nodes": 4, "memory_mb": 512,
           "initial_replicas": 2, "concurrency": 1, "tenants": ["checkout"]}]
@@ -168,15 +168,15 @@ def parse_clusters(source) -> Tuple[ClusterSpec, ...]:
     Only ``region`` is required; unknown keys are rejected so typos fail
     loudly instead of silently running the default shape.
     """
-    if isinstance(source, str):
-        try:
-            source = json.loads(source)
-        except ValueError as exc:
-            raise FederationError("invalid --clusters JSON: %s" % exc) from exc
-    if not isinstance(source, list) or not source:
-        raise FederationError("--clusters must be a non-empty JSON array of objects")
+    raw = read_json_array(
+        source,
+        "--clusters",
+        FederationError,
+        invalid="invalid %s JSON: %s",
+        empty="%s must be a non-empty JSON array of objects",
+    )
     specs: List[ClusterSpec] = []
-    for entry in source:
+    for entry in raw:
         if not isinstance(entry, dict):
             raise FederationError("each cluster must be a JSON object, got %r" % (entry,))
         unknown = set(entry) - _CLUSTER_KEYS
@@ -403,7 +403,7 @@ class FederatedTrafficEngine:
         fail_at: Optional[Mapping[str, float]] = None,
         service_cache: Optional[Dict[Tuple[str, int], float]] = None,
     ) -> None:
-        names = validate_tenants(tenants, FederationError)
+        names = validate_tenants(tenants, FederationError, oversubscription, starvation_guard)
         if not clusters:
             raise FederationError("need at least one cluster")
         regions = [cluster.region for cluster in clusters]

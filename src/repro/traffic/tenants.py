@@ -19,25 +19,18 @@ arrivals of the others.
 
 from __future__ import annotations
 
-import json
-import os
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.platform.gateway import TenantQueueStats
-from repro.traffic.arrivals import (
-    ArrivalProcess,
-    BurstyArrivals,
-    DiurnalArrivals,
-    PoissonArrivals,
-    Request,
-)
+from repro.traffic.arrivals import ARRIVAL_PATTERNS, ArrivalProcess, Request, make_arrivals
 from repro.traffic.classes import (
     RequestClass,
     assign_classes,
     json_number,
     parse_classes,
+    read_json_array,
     validate_mix,
 )
 from repro.traffic.slo import TrafficSummary
@@ -303,19 +296,7 @@ def parse_tenants(
     format (see :func:`repro.traffic.classes.parse_classes`); tenants
     without one inherit ``default_classes``.
     """
-    text = source
-    if os.path.exists(source):
-        try:
-            with open(source, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise TenantError("cannot read tenants config %r: %s" % (source, exc))
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TenantError("tenants config is not valid JSON: %s" % exc)
-    if not isinstance(raw, list) or not raw:
-        raise TenantError("tenants config must be a non-empty JSON array")
+    raw = read_json_array(source, "tenants config", TenantError)
     specs: List[TenantSpec] = []
     for index, entry in enumerate(raw):
         if not isinstance(entry, dict):
@@ -339,45 +320,30 @@ def parse_tenants(
         burst_on = float(number("burst_on", 5.0))
         burst_off = float(number("burst_off", 15.0))
         period = float(number("period", 60.0))
-        trough_rps = float(number("trough_rps", min(rps, max(rps / 10.0, 0.1))))
+        trough_rps = number("trough_rps")
         rss_mb = None if entry.get("rss_mb") is None else float(number("rss_mb"))
-        if pattern == "poisson":
-            arrivals: ArrivalProcess = PoissonArrivals(
-                rate_rps=rps, duration_s=duration, function=name, payload_mb=payload_mb, seed=seed
-            )
-        elif pattern == "bursty":
-            arrivals = BurstyArrivals(
-                on_rate_rps=rps,
-                duration_s=duration,
-                on_s=burst_on,
-                off_s=burst_off,
-                function=name,
-                payload_mb=payload_mb,
-                seed=seed,
-            )
-        elif pattern == "diurnal":
-            arrivals = DiurnalArrivals(
-                peak_rps=rps,
-                trough_rps=trough_rps,
-                duration_s=duration,
-                period_s=period,
-                function=name,
-                payload_mb=payload_mb,
-                seed=seed,
-            )
-        else:
+        if pattern not in ARRIVAL_PATTERNS:
             raise TenantError(
                 "tenant %r: unknown pattern %r (use poisson, bursty or diurnal)" % (name, pattern)
             )
+        arrivals = make_arrivals(
+            pattern,
+            rps,
+            duration,
+            on_s=burst_on,
+            off_s=burst_off,
+            period_s=period,
+            trough_rps=None if trough_rps is None else float(trough_rps),
+            function=name,
+            payload_mb=payload_mb,
+            seed=seed,
+        )
         classes = default_classes
         if entry.get("classes") is not None:
-            raw_classes = entry["classes"]
             try:
                 # A string is the --classes format itself (inline JSON or a
-                # file path); an inline array re-serialises into it.
-                classes = parse_classes(
-                    raw_classes if isinstance(raw_classes, str) else json.dumps(raw_classes)
-                )
+                # file path); an inline array is parsed as already decoded.
+                classes = parse_classes(entry["classes"])
             except ValueError as exc:
                 raise TenantError("tenant %r: invalid classes: %s" % (name, exc))
         specs.append(

@@ -8,6 +8,7 @@ from repro.traffic.arrivals import (
     DiurnalArrivals,
     PoissonArrivals,
     TraceArrivals,
+    make_arrivals,
 )
 from repro.workloads.traces import mixed_size_trace
 
@@ -74,3 +75,16 @@ def test_invalid_parameters_raise():
         BurstyArrivals(on_rate_rps=10, duration_s=10, on_s=0)
     with pytest.raises(ArrivalError):
         DiurnalArrivals(peak_rps=10, trough_rps=20, duration_s=10)
+
+
+def test_make_arrivals_builds_each_pattern_with_its_defaults():
+    bursty = make_arrivals("bursty", 30.0, 40.0, seed=2)
+    assert bursty.arrival_times() == BurstyArrivals(
+        on_rate_rps=30.0, duration_s=40.0, on_s=5.0, off_s=15.0, seed=2
+    ).arrival_times()
+    diurnal = make_arrivals("diurnal", 0.5, 10.0)
+    assert (diurnal.peak_rps, diurnal.trough_rps, diurnal.period_s) == (0.5, 0.1, 60.0)
+    assert make_arrivals("diurnal", 50.0, 10.0).trough_rps == 5.0
+    assert make_arrivals("poisson", 4.0, 10.0, function="f").function == "f"
+    with pytest.raises(ArrivalError, match="unknown pattern 'spiky'"):
+        make_arrivals("spiky", 4.0, 10.0)

@@ -3,8 +3,10 @@
 Each of these used to run to exit status 0 or surface a bare Python
 message: a NaN failure time, a ``--fail-region`` with no ``--clusters`` to
 fail, a fractional or boolean node count silently coerced by ``int()``, a
-NaN memory budget, and a non-numeric node count reported as ``invalid
-literal for int()``.  Each must now exit with status 2 and a message that
+NaN memory budget, a non-numeric node count reported as ``invalid literal
+for int()``, a ``--clusters`` file path parsed as inline JSON, and gateway
+knobs (``--oversubscription``, ``--starvation-guard``) checked only on the
+single-cluster path.  Each must now exit with status 2 and a message that
 names the flag or the field.  The CLI runs in a child process with a
 timeout, so a regression to a hang fails the test instead of blocking the
 suite.
@@ -67,3 +69,26 @@ def test_bad_cluster_field_is_refused_naming_it(field, value, message):
     clusters = json.dumps([{"region": "a", field: value}, {"region": "b"}])
     result = _traffic("--clusters", clusters)
     _assert_refused(result, "--clusters region 'a': " + message)
+
+
+def test_clusters_config_is_read_from_a_file_path(tmp_path):
+    path = tmp_path / "clusters.json"
+    path.write_text(TWO_REGIONS, encoding="utf-8")
+    from_file = _traffic("--clusters", str(path))
+    inline = _traffic("--clusters", TWO_REGIONS)
+    assert from_file.returncode == 0, from_file.stderr
+    assert from_file.stdout == inline.stdout
+    assert "Federated load: 2 regions" in from_file.stdout
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--oversubscription", "0.5", "oversubscription must be >= 1.0"),
+        ("--starvation-guard", "0", "starvation_guard must be >= 1"),
+    ],
+    ids=["oversubscription", "starvation-guard"],
+)
+def test_federated_run_refuses_bad_gateway_knobs(flag, value, message):
+    result = _traffic("--clusters", json.dumps([{"region": "a", "nodes": 2}]), flag, value)
+    _assert_refused(result, message)
