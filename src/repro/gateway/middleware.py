@@ -16,8 +16,8 @@ The pipeline is registration-order deterministic: stages run in the order
 they were registered, a short-circuit skips the *later* stages' admission
 hooks but still unwinds the *earlier* stages' completion hooks, and every
 stage owns plain integer counters the traffic report and the telemetry
-registry render.  An empty (or fully disabled) pipeline is an exact no-op:
-a run through it is byte-identical to a run without one.
+registry render.  An empty pipeline is an exact no-op: a run through it
+is byte-identical to a run without one.
 
 Shipped stages, in the order :func:`build_pipeline` registers them:
 
@@ -200,64 +200,44 @@ class MiddlewareStage:
 class MiddlewarePipeline:
     """An ordered, name-addressable chain of middleware stages.
 
-    Stages register under their ``name`` and run in registration order;
-    ``enable``/``disable`` toggle a stage without losing its slot, so a
-    re-enabled stage runs exactly where it was registered.  The admission
-    walk stops at the first stage that short-circuits or parks the request
-    — later stages never see it — but completion always unwinds every stage
-    the request *entered*, in reverse order, so earlier stages (cache
-    fills, token refunds) observe every outcome they admitted.
+    Stages run in registration order.  The admission walk stops at the
+    first stage that short-circuits or parks the request — later stages
+    never see it — but completion always unwinds every stage the request
+    *entered*, in reverse order, so earlier stages (cache fills, token
+    refunds) observe every outcome they admitted.
     """
 
     def __init__(self, stages: Sequence[MiddlewareStage] = ()) -> None:
-        self._stages: Dict[str, MiddlewareStage] = {}
-        self._enabled: Dict[str, bool] = {}
-        #: The enabled stages in registration order: the admission walk,
-        #: rebuilt whenever a stage is registered, enabled or disabled.
-        self._active: List[MiddlewareStage] = []
+        #: The stages in registration (execution) order.
+        self.stages: List[MiddlewareStage] = []
         for stage in stages:
             self.register(stage)
 
     # -- registration --------------------------------------------------------------
 
-    def register(self, stage: MiddlewareStage, enable: bool = True) -> MiddlewareStage:
+    def register(self, stage: MiddlewareStage) -> MiddlewareStage:
         if not stage.name:
             raise MiddlewareError("middleware stages need a non-empty name")
-        if stage.name in self._stages:
+        if stage.name in self:
             raise MiddlewareError("middleware %r is already registered" % stage.name)
-        self._stages[stage.name] = stage
-        self._enabled[stage.name] = enable
-        self._rebuild()
+        self.stages.append(stage)
         return stage
 
-    def enable(self, name: str) -> None:
-        self._require(name)
-        self._enabled[name] = True
-        self._rebuild()
-
-    def disable(self, name: str) -> None:
-        self._require(name)
-        self._enabled[name] = False
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        self._active = [
-            stage for name, stage in self._stages.items() if self._enabled[name]
-        ]
-
     def stage(self, name: str) -> MiddlewareStage:
-        return self._require(name)
+        for stage in self.stages:
+            if stage.name == name:
+                return stage
+        raise MiddlewareError(
+            "no middleware named %r (registered: %s)" % (name, ", ".join(self.names) or "none")
+        )
 
     def __contains__(self, name: str) -> bool:
-        return name in self._stages
+        return any(stage.name == name for stage in self.stages)
 
     @property
     def names(self) -> List[str]:
         """Every registered stage name, in registration (execution) order."""
-        return list(self._stages)
-
-    def enabled_stages(self) -> List[MiddlewareStage]:
-        return list(self._active)
+        return [stage.name for stage in self.stages]
 
     # -- the request path ----------------------------------------------------------
 
@@ -269,8 +249,8 @@ class MiddlewarePipeline:
         )
 
     def admit(self, ctx: RequestContext, now: float) -> Admission:
-        """Walk the enabled stages; return the first stopping decision."""
-        for stage in self._active:
+        """Walk the stages; return the first stopping decision."""
+        for stage in self.stages:
             ctx.entered.append(stage)
             decision = stage.on_admit(ctx, now)
             if decision.action in (AdmitAction.SHORT_CIRCUIT, AdmitAction.PARK):
@@ -309,18 +289,7 @@ class MiddlewarePipeline:
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Per-stage counters, stages in registration order, keys sorted."""
-        return {
-            name: dict(sorted(stage.counters.items()))
-            for name, stage in self._stages.items()
-        }
-
-    def _require(self, name: str) -> MiddlewareStage:
-        if name not in self._stages:
-            raise MiddlewareError(
-                "no middleware named %r (registered: %s)"
-                % (name, ", ".join(self._stages) or "none")
-            )
-        return self._stages[name]
+        return {stage.name: dict(sorted(stage.counters.items())) for stage in self.stages}
 
 
 # -- shipped stages ------------------------------------------------------------------

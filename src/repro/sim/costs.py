@@ -29,6 +29,9 @@ from typing import Dict
 #: Wasm page size in bytes (the Wasm spec fixes this at 64 KiB).
 WASM_PAGE_SIZE = 64 * 1024
 
+#: Most pages a 32-bit Wasm linear memory can hold (4 GiB in all).
+WASM_MAX_PAGES = 65536
+
 #: Host (kernel) page size in bytes.
 HOST_PAGE_SIZE = 4096
 

@@ -71,6 +71,18 @@ class Request:
             raise ArrivalError("deadline must fall after the arrival time")
 
 
+def _payload_bytes(payload_mb: float) -> int:
+    """``payload_mb`` in whole bytes; a size too large to count is refused.
+
+    How large a payload a run can carry depends on its runtime mode: see
+    :func:`repro.traffic.cluster_runtime.max_payload_bytes`.
+    """
+    size = payload_mb * MB
+    if size == math.inf:
+        raise ArrivalError("payload_mb %g is too large to count in bytes" % payload_mb)
+    return int(size)
+
+
 class ArrivalProcess(ABC):
     """A generator of time-ordered request streams against one function."""
 
@@ -80,7 +92,7 @@ class ArrivalProcess(ABC):
         if payload_mb <= 0:
             raise ArrivalError("payload_mb must be positive")
         self.function = function
-        self.payload_bytes = int(payload_mb * MB)
+        self.payload_bytes = _payload_bytes(payload_mb)
 
     @abstractmethod
     def arrival_times(self) -> List[float]:
@@ -354,7 +366,7 @@ def load_azure_trace(
         if max_minutes < 1:
             raise ArrivalError("max_minutes must be >= 1")
         minute_columns = minute_columns[:max_minutes]
-    payload_bytes = int(payload_mb * MB)
+    payload_bytes = _payload_bytes(payload_mb)
     if payload_bytes <= 0:
         raise ArrivalError("payload_mb must be positive")
     invocations: List[Invocation] = []

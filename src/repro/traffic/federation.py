@@ -566,7 +566,7 @@ class FederatedTrafficEngine:
         (the federation-wide rollups).
 
         A sole region has no routing decision to make, so its arrivals go
-        straight to :attr:`ClusterRuntime.admit` (unless it can fail, when
+        straight to :meth:`ClusterRuntime.admit` (unless it can fail, when
         the failover accounting needs the front door), and it builds no
         WAN.  The router is built either way: its stats are the summary's.
         """

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
+from repro.sim.costs import CostModel, DEFAULT_COST_MODEL, WASM_MAX_PAGES
 from repro.sim.ledger import CostCategory, CostLedger, CpuDomain
 from repro.wasm.module import WasmModule
 from repro.wasm.vm import WasmVM
@@ -46,7 +46,7 @@ class WasmRuntime:
         tenant: str = "default",
         workflow: str = "default",
         materialize: bool = True,
-        max_pages: int = 65536,
+        max_pages: int = WASM_MAX_PAGES,
         charge_cold_start: bool = False,
     ) -> WasmVM:
         """Create a sandboxed VM, optionally charging the VM setup cost."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.payload import Payload
-from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
+from repro.sim.costs import CostModel, DEFAULT_COST_MODEL, WASM_MAX_PAGES
 from repro.sim.ledger import CostCategory, CostLedger, CpuDomain, MemoryMeter
 from repro.wasm.linear_memory import LinearMemory, MemoryAccessError
 from repro.wasm.module import ModuleError, WasmInstance, WasmModule
@@ -35,7 +35,7 @@ class WasmVM:
         workflow: str = "default",
         materialize: bool = True,
         initial_pages: int = 2,
-        max_pages: int = 65536,
+        max_pages: int = WASM_MAX_PAGES,
     ) -> None:
         self.name = name
         self.ledger = ledger

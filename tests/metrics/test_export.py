@@ -7,7 +7,20 @@ import json
 import pytest
 
 from repro.experiments.results import FigureResult
-from repro.metrics.export import ExportError, figure_to_csv, figure_to_dict, figure_to_json, write_figure
+from repro.metrics.export import (
+    ExportError,
+    figure_from_csv,
+    figure_from_json,
+    figure_to_csv,
+    figure_to_dict,
+    figure_to_json,
+    node_usage_from_figure,
+    node_usage_to_figure,
+    write_figure,
+)
+from repro.traffic.arrivals import PoissonArrivals
+from repro.traffic.engine import MultiTenantTrafficEngine, TrafficConfig
+from repro.traffic.tenants import TenantSpec
 
 
 @pytest.fixture
@@ -50,3 +63,23 @@ def test_write_figure_formats(tmp_path, figure):
         assert content
     with pytest.raises(ExportError):
         write_figure(figure, str(tmp_path / "out.xml"), fmt="xml")
+
+
+def test_node_usage_round_trips_through_csv_and_json():
+    # A real run's per-node ledger rollups, as --export-nodes writes them.
+    tenants = [
+        TenantSpec(
+            name=name,
+            mode=mode,
+            arrivals=PoissonArrivals(
+                rate_rps=30.0, duration_s=3.0, function=name, payload_mb=2.0, seed=index
+            ),
+        )
+        for index, (name, mode) in enumerate((("web", "roadrunner-user"), ("etl", "runc-http")))
+    ]
+    nodes = MultiTenantTrafficEngine(tenants, config=TrafficConfig(nodes=2)).run().nodes
+    assert len(nodes) == 3  # the node-less cluster shard plus both nodes
+    assert all(usage.charges > 0 for usage in nodes.values())
+    figure = node_usage_to_figure(nodes)
+    assert node_usage_from_figure(figure_from_csv(figure_to_csv(figure))) == nodes
+    assert node_usage_from_figure(figure_from_json(figure_to_json(figure))) == nodes

@@ -10,6 +10,9 @@ after any sequence of the operations that change it, and the federation's
 dispatch attempt does not scan the pool: the candidates it offers the load
 balancer must equal the pool scan they replaced at every dispatch attempt,
 and the ``warmth`` router's probe must equal its scan at every decision.
+Every run must also end back at baseline: no node busy, nothing in flight
+or queued, and each replica in exactly one of its tenant's free index or
+pending list.
 """
 
 import pytest
@@ -178,6 +181,7 @@ def test_federation_load_matches_the_scan_at_every_router_decision(monkeypatch):
     assert sorted(seen) == sorted(regions)
     for runtime in seen.values():
         assert runtime.load() == 0 == _scan_load(runtime)
+        _assert_back_to_baseline(runtime)
 
 
 def _scan_candidates(runtime, state, now):
@@ -313,6 +317,20 @@ def _new_seen():
     return {"checks": 0, "pass_through": 0, "pop": 0, "runtimes": []}
 
 
+def _assert_back_to_baseline(runtime):
+    """A finished run leaves no work anywhere: every node idle, nothing in
+    flight or queued, and every replica idle in exactly one of its
+    tenant's free index or pending list."""
+    assert all(busy == 0 for busy in runtime.node_busy.values()), runtime.node_busy
+    assert runtime.gateway.in_flight_total() == 0
+    assert runtime.gateway.queue.total_depth() == 0
+    for state in runtime.states:
+        free = list(map(id, state.free))
+        pending = list(map(id, state.pending))
+        assert len(set(free)) == len(free) and len(set(pending)) == len(pending)
+        assert sorted(free + pending) == sorted(map(id, state.replicas))
+
+
 @given(
     concurrency=st.integers(min_value=1, max_value=3),
     oversubscription=st.sampled_from((1.0, 2.0)),
@@ -331,6 +349,8 @@ def test_free_index_equals_the_pool_scan_at_every_dispatch(
         _check_candidates_at_every_dispatch(mp, seen)
         _index_run(concurrency, oversubscription, routing, hedge, memory, federated, seed)
     assert seen["checks"] > 0
+    for runtime in seen["runtimes"]:
+        _assert_back_to_baseline(runtime)
 
 
 def test_the_index_property_run_reaches_every_index_transition():
@@ -350,6 +370,7 @@ def test_the_index_property_run_reaches_every_index_transition():
         for runtime in (single, regions[0])
     )
     for runtime in seen["runtimes"]:  # every replica ends idle: free or pending
+        _assert_back_to_baseline(runtime)
         for state in runtime.states:
             pending = set(map(id, state.pending))
             assert list(map(id, state.free)) == [
@@ -403,15 +424,19 @@ def _warmth_federation(seed):
 def test_federation_warmth_router_matches_the_scan(monkeypatch, seed):
     indexed_probe = ClusterRuntime.warm_ready
     values = []
+    runtimes = {}
 
     def checked(runtime, tenant, now):
         value = indexed_probe(runtime, tenant, now)
         assert value == _scan_warm_ready(runtime, tenant, now)
         values.append(value)
+        runtimes[runtime.region] = runtime
         return value
 
     monkeypatch.setattr(ClusterRuntime, "warm_ready", checked)
     indexed = _warmth_federation(seed).run()
+    for runtime in runtimes.values():
+        _assert_back_to_baseline(runtime)
     monkeypatch.setattr(ClusterRuntime, "warm_ready", _scan_warm_ready)
     scanned = _warmth_federation(seed).run()
     assert repr(indexed) == repr(scanned)

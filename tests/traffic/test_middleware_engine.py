@@ -246,21 +246,6 @@ def test_no_pipeline_and_empty_pipeline_are_byte_identical():
     )
 
 
-def test_fully_disabled_pipeline_is_byte_identical_too():
-    requests = _herd(25, spacing_s=0.1)
-    pipeline = build_pipeline(["cache", "coalesce", "rate-limit"])
-    for name in pipeline.names:
-        pipeline.disable(name)
-    baseline = _run(requests, middleware=None)
-    disabled = _run(requests, middleware=pipeline)
-    assert baseline[1] == disabled[1]
-    assert _full_output({"roadrunner-user": baseline}) == _full_output(
-        {"roadrunner-user": disabled}
-    )
-    # Disabled stages observed nothing.
-    assert all(not counters for counters in disabled[0].middleware_stats.values())
-
-
 # -- report and export round-trips ----------------------------------------------------
 
 
