@@ -314,6 +314,10 @@ def _write_manifest(args: argparse.Namespace, outputs: List[str], started_wall: 
     return path
 
 
+def _note_ignored(flag: str, runs: str) -> None:
+    print("note: %s is not wired into %s runs; ignoring it" % (flag, runs), file=sys.stderr)
+
+
 def _cmd_traffic(args: argparse.Namespace) -> int:
     if args.fail_region and not args.clusters:
         print(
@@ -334,8 +338,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
         return 2
     started_wall = time.time()
     intra = _intra_order(args, bool(classes))
-    policy_name = args.scaling_policy or args.policy
-    factory = _autoscaler_factory(args, policy_name)
+    factory = _autoscaler_factory(args, args.scaling_policy)
 
     config_kwargs = dict(
         nodes=args.nodes,
@@ -347,6 +350,9 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
         pressure_knee=args.pressure_knee,
     )
 
+    if args.tenants and args.trace_file:
+        _note_ignored("--trace-file", "--tenants")
+
     if args.compare_policies:
         if _wants_telemetry(args):
             print(
@@ -355,20 +361,18 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         if args.middleware:
-            print(
-                "note: --middleware is not wired into --compare-policies runs; "
-                "ignoring it",
-                file=sys.stderr,
-            )
+            _note_ignored("--middleware", "--compare-policies")
         if args.clusters:
-            print(
-                "note: --clusters is not wired into --compare-policies runs; "
-                "ignoring it",
-                file=sys.stderr,
-            )
+            _note_ignored("--clusters", "--compare-policies")
+        if args.export_nodes:
+            _note_ignored("--export-nodes", "--compare-policies")
         return _cmd_compare_policies(args, classes, config_kwargs, started_wall)
 
     if args.clusters:
+        if args.export_nodes:
+            _note_ignored("--export-nodes", "--clusters")
+        if args.progress:
+            _note_ignored("--progress", "--clusters")
         return _cmd_federation(args, classes, config_kwargs, factory, started_wall)
 
     if args.tenants:
@@ -421,6 +425,8 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.export_nodes:
+        _note_ignored("--export-nodes", "--modes")
     wants_telemetry = _wants_telemetry(args)
     if wants_telemetry and args.parallel and len(modes) > 1:
         print(
@@ -672,10 +678,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="roadrunner-user,runc-http",
         help="comma-separated runtimes to compare under the same arrivals",
     )
-    traffic.add_argument("--policy", choices=SCALING_POLICIES, default="target")
     traffic.add_argument(
-        "--scaling-policy", choices=SCALING_POLICIES, default=None,
-        help="autoscaling policy (alias of --policy, wins when both are given): "
+        "--scaling-policy", choices=SCALING_POLICIES, default="target",
+        help="autoscaling policy: "
         "target (Knative-style reactive), fixed, none, step (threshold bands "
         "with --cooldown), predictive (Holt arrival-rate forecast pre-warming "
         "--horizon seconds ahead)",
@@ -744,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-file", metavar="PATH",
         help="replay an Azure Functions invocations-per-minute CSV as the "
         "arrival stream (overrides --pattern/--rps/--duration); payload "
-        "size comes from --payload-mb",
+        "size comes from --payload-mb; --tenants runs ignore it with a note",
     )
     traffic.add_argument(
         "--trace-minutes", type=int, default=None,
@@ -913,7 +918,8 @@ def build_parser() -> argparse.ArgumentParser:
     traffic.add_argument(
         "--progress", action="store_true",
         help="print a heartbeat line (simulated time, requests/s, replicas, "
-        "wall time) to stderr while the run executes",
+        "wall time) to stderr while the run executes; --clusters runs "
+        "ignore it with a note",
     )
     traffic.add_argument(
         "--progress-interval", type=_finite_float, default=10.0,
@@ -925,8 +931,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     traffic.add_argument(
         "--export-nodes", metavar="PATH",
-        help="multi-tenant runs: also write the per-node ledger-shard usage "
-        "figure (charges, seconds, CPU, peak RAM per node)",
+        help="--tenants runs on one cluster: also write the per-node "
+        "ledger-shard usage figure (charges, seconds, CPU, peak RAM per "
+        "node); other runs ignore it with a note",
     )
     traffic.add_argument("--format", choices=("csv", "json"), default="csv",
                          help="format for --export")

@@ -2,16 +2,15 @@
 
 Containerd sits between the orchestrator and the low-level runtimes.  Its job
 here is dispatch: a bundle whose runtime class is ``runc`` becomes a container
-sandbox, a bundle whose runtime class names a Wasm shim is handed to the shim
-factory registered for it.  It also keeps the snapshot/worfklow metadata the
-Roadrunner shim consults when validating user-space (same-VM) colocation
-(Sec. 4.1: "the shim validates using the containerd snapshot").
+sandbox (Wasm VMs are deployed by the node's Wasm runtime directly).  It also
+keeps the per-workflow snapshot of running sandboxes (Sec. 4.1: "the shim
+validates using the containerd snapshot").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 from repro.container.oci import OciBundle
 from repro.container.runc import ContainerSandbox, RunCRuntime
@@ -28,8 +27,7 @@ class SandboxHandle:
     name: str
     runtime_class: str
     bundle: OciBundle
-    #: The concrete sandbox object (ContainerSandbox or a shim-specific type).
-    sandbox: object
+    sandbox: ContainerSandbox
     workflow: str = "default"
     tenant: str = "default"
 
@@ -39,14 +37,7 @@ class Containerd:
 
     def __init__(self, runc: RunCRuntime) -> None:
         self._runc = runc
-        self._shim_factories: Dict[str, Callable[[OciBundle], object]] = {}
         self._handles: Dict[str, SandboxHandle] = {}
-
-    def register_shim(self, runtime_class: str, factory: Callable[[OciBundle], object]) -> None:
-        """Register a shim (e.g. Roadrunner) for a runtime class."""
-        if not runtime_class:
-            raise ContainerdError("runtime_class must be non-empty")
-        self._shim_factories[runtime_class] = factory
 
     def start(
         self,
@@ -58,12 +49,9 @@ class Containerd:
         """Start a workload from ``bundle`` using the appropriate runtime."""
         if bundle.name in self._handles:
             raise ContainerdError("a sandbox named %r is already running" % bundle.name)
-        if bundle.runtime_class == "runc":
-            sandbox: object = self._runc.create(bundle, charge_cold_start=charge_cold_start)
-        elif bundle.runtime_class in self._shim_factories:
-            sandbox = self._shim_factories[bundle.runtime_class](bundle)
-        else:
+        if bundle.runtime_class != "runc":
             raise ContainerdError("no runtime registered for class %r" % bundle.runtime_class)
+        sandbox = self._runc.create(bundle, charge_cold_start=charge_cold_start)
         handle = SandboxHandle(
             name=bundle.name,
             runtime_class=bundle.runtime_class,
@@ -78,9 +66,7 @@ class Containerd:
     def stop(self, name: str) -> None:
         if name not in self._handles:
             raise ContainerdError("no sandbox named %r" % name)
-        handle = self._handles.pop(name)
-        if isinstance(handle.sandbox, ContainerSandbox):
-            handle.sandbox.stop()
+        self._handles.pop(name).sandbox.stop()
 
     def handle(self, name: str) -> SandboxHandle:
         if name not in self._handles:
@@ -90,11 +76,6 @@ class Containerd:
     def snapshot(self, workflow: str) -> List[SandboxHandle]:
         """All sandboxes belonging to one workflow (the colocation snapshot)."""
         return [h for h in self._handles.values() if h.workflow == workflow]
-
-    def same_workflow_and_tenant(self, a: str, b: str) -> bool:
-        """The trust check behind Roadrunner's user-space mode."""
-        ha, hb = self.handle(a), self.handle(b)
-        return ha.workflow == hb.workflow and ha.tenant == hb.tenant
 
     @property
     def running(self) -> List[str]:

@@ -10,7 +10,7 @@ into, so the orchestrator treats them identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Tuple, Union
 
 from repro.container.image import ContainerImage, WasmImage
 
@@ -25,7 +25,6 @@ class OciRuntimeSpec:
 
     memory_limit_bytes: int = 512 * 1024 * 1024
     cpu_quota_cores: float = 1.0
-    env: Tuple[Tuple[str, str], ...] = ()
     args: Tuple[str, ...] = ("/entrypoint",)
 
     def __post_init__(self) -> None:
@@ -33,9 +32,6 @@ class OciRuntimeSpec:
             raise OciError("memory limit must be positive")
         if self.cpu_quota_cores <= 0:
             raise OciError("cpu quota must be positive")
-
-    def env_dict(self) -> Dict[str, str]:
-        return dict(self.env)
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,6 @@ class OciBundle:
     spec: OciRuntimeSpec = field(default_factory=OciRuntimeSpec)
     #: "runc" for containers, "roadrunner-shim" / "wasmedge-shim" for Wasm VMs.
     runtime_class: str = "runc"
-    annotations: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -58,9 +53,3 @@ class OciBundle:
     @property
     def is_wasm(self) -> bool:
         return isinstance(self.image, WasmImage)
-
-    def annotation(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        for k, v in self.annotations:
-            if k == key:
-                return v
-        return default

@@ -11,7 +11,7 @@ advantage grows, shrinks or crosses zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.experiments.harness import measure_pair
 from repro.metrics.report import format_table, improvement_percent
@@ -46,17 +46,6 @@ class SensitivityResult:
     payload_mb: float
     internode: bool
     points: Sequence[SensitivityPoint]
-
-    @property
-    def improvements_pct(self) -> List[float]:
-        return [point.improvement_pct for point in self.points]
-
-    def crossover_value(self) -> Optional[float]:
-        """The first parameter value where Roadrunner stops winning, if any."""
-        for point in self.points:
-            if point.improvement_pct <= 0:
-                return point.value
-        return None
 
     def to_text(self) -> str:
         rows = [

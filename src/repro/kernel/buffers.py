@@ -19,10 +19,6 @@ from repro.sim.costs import HOST_PAGE_SIZE
 from repro.sim.ledger import MemoryMeter
 
 
-class BufferError_(RuntimeError):
-    """Raised for invalid buffer operations."""
-
-
 @dataclass
 class KernelBuffer:
     """A chunk of payload held in kernel space."""

@@ -4,9 +4,8 @@ Functions that are not purely compute-bound read inputs from the host
 filesystem — the paper's "Resize Image" motivation workload does exactly this
 through WASI, which is where Wasm's extra execution latency in Fig. 2a comes
 from.  The filesystem charges the kernel-side costs of file I/O (syscalls and
-kernel/user copies through the page cache); the additional WASI boundary cost
-is charged by :class:`repro.wasm.wasi.WasiInterface` when a Wasm module is
-the caller.
+kernel/user copies through the page cache).  None of the paper's transfer
+modes touches a file, so no transfer path calls it.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pipes import us)
 
 from repro.kernel.cgroups import Cgroup
 from repro.kernel.process import Process
-from repro.payload import Payload
 from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 from repro.sim.ledger import CostCategory, CostLedger, CpuDomain, MemoryMeter
 
@@ -136,20 +135,6 @@ class Kernel:
             label=label or "%s:kernel->user" % process.name,
         )
         process.charge_cpu(CpuDomain.KERNEL, seconds)
-        return seconds
-
-    def user_memcpy(self, process: Process, nbytes: int, label: str = "") -> float:
-        """Copy ``nbytes`` entirely within user space."""
-        seconds = self.cost_model.memcpy_time(nbytes)
-        self.ledger.charge(
-            CostCategory.MEMCPY,
-            seconds,
-            cpu_domain=CpuDomain.USER,
-            nbytes=nbytes,
-            copied=True,
-            label=label or "%s:memcpy" % process.name,
-        )
-        process.charge_cpu(CpuDomain.USER, seconds)
         return seconds
 
     def splice_pages(self, process: Process, nbytes: int, label: str = "") -> float:

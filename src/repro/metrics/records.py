@@ -61,19 +61,6 @@ class TransferMetrics:
             return float("inf")
         return 1.0 / self.serialization_s
 
-    @property
-    def serialization_share(self) -> float:
-        """Fraction of total latency spent (de)serializing."""
-        if self.total_latency_s <= 0:
-            return 0.0
-        return self.serialization_s / self.total_latency_s
-
-    @property
-    def wasm_io_share(self) -> float:
-        if self.total_latency_s <= 0:
-            return 0.0
-        return self.wasm_io_s / self.total_latency_s
-
     def cpu_percent(self, cores: int = 1) -> float:
         if self.total_latency_s <= 0:
             return 0.0
@@ -88,26 +75,6 @@ class TransferMetrics:
         if self.total_latency_s <= 0:
             return 0.0
         return 100.0 * self.cpu_kernel_s / (self.total_latency_s * cores)
-
-    def with_total_latency(self, total_latency_s: float) -> "TransferMetrics":
-        """A copy with an overridden total latency (fan-out makespans)."""
-        return TransferMetrics(
-            mode=self.mode,
-            payload_bytes=self.payload_bytes,
-            total_latency_s=total_latency_s,
-            serialization_s=self.serialization_s,
-            wasm_io_s=self.wasm_io_s,
-            transfer_s=self.transfer_s,
-            cpu_user_s=self.cpu_user_s,
-            cpu_kernel_s=self.cpu_kernel_s,
-            copied_bytes=self.copied_bytes,
-            reference_bytes=self.reference_bytes,
-            syscalls=self.syscalls,
-            context_switches=self.context_switches,
-            peak_memory_mb=self.peak_memory_mb,
-            breakdown=dict(self.breakdown),
-            node_seconds=dict(self.node_seconds),
-        )
 
 
 #: Categories counted as "transfer" (everything that moves bytes, minus

@@ -20,10 +20,6 @@ from repro.payload import Payload
 from repro.sim.ledger import CostCategory, CpuDomain
 
 
-class HttpError(RuntimeError):
-    """Raised for malformed exchanges."""
-
-
 @dataclass(frozen=True)
 class HttpResponse:
     """Result of one request/response exchange."""

@@ -34,9 +34,6 @@ class Topology:
             raise TopologyError("node %r already exists" % name)
         self._nodes[name] = LoopbackLink(self.cost_model, name="lo:%s" % name)
 
-    def has_node(self, name: str) -> bool:
-        return name in self._nodes
-
     @property
     def nodes(self) -> Tuple[str, ...]:
         return tuple(self._nodes)

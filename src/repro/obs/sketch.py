@@ -196,10 +196,6 @@ class QuantileSketch(LogHistogram):
     def min(self) -> float:
         return self._min
 
-    def observe_many(self, values: Sequence[float]) -> None:
-        for value in values:
-            self.observe(value)
-
     def quantiles(self) -> Dict[float, float]:
         return dict(zip(self.QUANTILES, self.quantile_many(self.QUANTILES)))
 

@@ -1,28 +1,21 @@
 """Function specifications.
 
 A :class:`FunctionSpec` describes a serverless function independent of where
-or how it runs: its name, its handler (a Python callable standing in for the
-compiled guest code), which runtime packaging it targets and whether it needs
-WASI capabilities.  Deployment turns a spec into a
+or how it runs: its name, which runtime packaging it targets and whether it
+needs WASI capabilities.  Every function is the paper's I/O-bound workload,
+which forwards its payload unchanged.  Deployment turns a spec into a
 :class:`~repro.platform.deployment.DeployedFunction`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
-from repro.payload import Payload
 from repro.wasm.runtime import RuntimeKind
 
 
 class FunctionSpecError(ValueError):
     """Raised for invalid function definitions."""
-
-
-def passthrough_handler(payload: Payload) -> Payload:
-    """The paper's I/O-bound workload: forward the payload unchanged."""
-    return payload
 
 
 @dataclass(frozen=True)
@@ -31,7 +24,6 @@ class FunctionSpec:
 
     name: str
     runtime: RuntimeKind = RuntimeKind.WASMEDGE
-    handler: Callable[[Payload], Payload] = passthrough_handler
     requires_wasi: bool = True
     memory_limit_mb: int = 512
     binary_size: int = 3_190_000
@@ -55,7 +47,6 @@ class FunctionSpec:
         return FunctionSpec(
             name=name,
             runtime=self.runtime,
-            handler=self.handler,
             requires_wasi=self.requires_wasi,
             memory_limit_mb=self.memory_limit_mb,
             binary_size=self.binary_size,

@@ -39,15 +39,12 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.platform.deployment import DeployedFunction
 from repro.platform.function import FunctionSpec
 from repro.platform.orchestrator import Orchestrator
 from repro.sim.ledger import CostCategory, CpuDomain
-
-if TYPE_CHECKING:  # imported lazily to keep platform free of traffic imports
-    from repro.gateway.middleware import MiddlewarePipeline
 
 
 class GatewayError(RuntimeError):
@@ -524,14 +521,9 @@ class IngressGateway:
         fairness: FairnessPolicy = FairnessPolicy.FIFO,
         starvation_guard: int = 32,
         intra: IntraTenantOrder = IntraTenantOrder.FIFO,
-        pipeline: Optional["MiddlewarePipeline"] = None,
     ) -> None:
         self.orchestrator = orchestrator
         self.policy = policy
-        #: Optional middleware chain (:mod:`repro.gateway.middleware`) the
-        #: traffic engine threads every request through.  ``None`` (or an
-        #: empty pipeline) leaves the request path exactly as before.
-        self.pipeline = pipeline
         #: Admission queues (per tenant); drivers register tenants and weights.
         self.queue = FairQueue(policy=fairness, starvation_guard=starvation_guard, intra=intra)
         self._pools: Dict[str, List[_ReplicaState]] = {}
@@ -543,7 +535,6 @@ class IngressGateway:
         self._in_flight = 0
         #: Identifies this gateway's replica states (see :meth:`release_state`).
         self._token = object()
-        self.requests_routed = 0
         self.cold_starts = 0
         self.scale_downs = 0
 
@@ -587,32 +578,6 @@ class IngressGateway:
 
     def replicas(self, function: str) -> List[DeployedFunction]:
         return [state.deployed for state in self._require_pool(function)]
-
-    def scale_to(self, spec: FunctionSpec, replicas: int, allow_shrink: bool = False) -> None:
-        """Grow (or, with ``allow_shrink``, shrink) the pool to ``replicas``.
-
-        By default scale-down is a separate, per-replica operation
-        (:meth:`remove_replica`) because only the caller knows which replicas
-        are idle and safe to reclaim.  ``allow_shrink=True`` reclaims idle
-        replicas (newest first) down to the target, raising if too many
-        still have requests in flight.
-        """
-        if replicas < 0:
-            raise GatewayError("replicas must be non-negative")
-        current = len(self._pools.get(spec.name, []))
-        if replicas > current:
-            self.register(spec, replicas=replicas - current)
-        elif replicas < current and allow_shrink:
-            pool = self._require_pool(spec.name)
-            idle = [state.deployed for state in reversed(pool) if state.in_flight == 0]
-            needed = current - replicas
-            if len(idle) < needed:
-                raise GatewayError(
-                    "cannot shrink %r to %d replicas: only %d of %d are idle"
-                    % (spec.name, replicas, len(idle), current)
-                )
-            for deployed in idle[:needed]:
-                self.remove_replica(spec.name, deployed)
 
     def remove_replica(self, function: str, deployed: DeployedFunction) -> None:
         """Reclaim one replica (autoscaler keep-alive expiry).
@@ -675,7 +640,6 @@ class IngressGateway:
         state.in_flight += 1
         state.served += 1
         self._in_flight += 1
-        self.requests_routed += 1
         self._deferred_ingress[function] = self._deferred_ingress.get(function, 0) + 1
         return state
 

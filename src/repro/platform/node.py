@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.container.containerd import Containerd
-from repro.container.image import ContainerImage, WasmImage
+from repro.container.image import ContainerImage
 from repro.container.oci import OciBundle
 from repro.container.runc import RunCRuntime
 from repro.kernel.kernel import Kernel
@@ -28,7 +28,7 @@ from repro.serialization.serializer import ExecutionEnvironment, Serializer
 from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 from repro.sim.ledger import CostLedger
 from repro.wasm.module import WasmModule
-from repro.wasm.runtime import RuntimeKind, WasmRuntime
+from repro.wasm.runtime import WasmRuntime
 from repro.wasm.vm import WasmVM
 from repro.wasm.wasi import WasiInterface
 
@@ -114,7 +114,6 @@ class ClusterNode:
             name=spec.name,
             binary_size=spec.binary_size,
             requires_wasi=spec.requires_wasi,
-            handler=spec.handler,
         )
         if shared_vm is not None:
             if shared_vm.tenant != spec.tenant or shared_vm.workflow != spec.workflow:

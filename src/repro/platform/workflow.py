@@ -10,7 +10,7 @@ deployed functions and a data-passing channel.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 
@@ -80,13 +80,6 @@ class FanOutWorkflow(Workflow):
             raise WorkflowError("a fan-out needs at least one target")
         edges = tuple((source, target) for target in targets)
         super().__init__(name=name, pattern=InvocationPattern.FAN_OUT, edges=edges)
-
-    @classmethod
-    def of_degree(cls, source: str, degree: int, prefix: str = "fn-b") -> "FanOutWorkflow":
-        if degree < 1:
-            raise WorkflowError("fan-out degree must be >= 1")
-        targets = ["%s-%d" % (prefix, i) for i in range(degree)]
-        return cls(source=source, targets=targets, name="fan-out-%d" % degree)
 
 
 class FanInWorkflow(Workflow):

@@ -23,7 +23,7 @@ per figure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict
 
 #: Wasm page size in bytes (the Wasm spec fixes this at 64 KiB).
@@ -208,9 +208,6 @@ class CostModel:
             raise CostModelError("nbytes must be non-negative, got %r" % nbytes)
         _require_positive("bandwidth", bandwidth)
         return nbytes / bandwidth
-
-    def memcpy_time(self, nbytes: int) -> float:
-        return self.transfer_time(nbytes, self.memcpy_bandwidth)
 
     def user_kernel_copy_time(self, nbytes: int) -> float:
         return self.transfer_time(nbytes, self.user_kernel_copy_bandwidth)

@@ -165,10 +165,6 @@ class MemoryMeter:
     def peak_bytes(self) -> int:
         return self._peak
 
-    @property
-    def peak_mb(self) -> float:
-        return self._peak / (1024.0 * 1024.0)
-
     def allocate(self, nbytes: int) -> None:
         if nbytes < 0:
             raise LedgerError("cannot allocate a negative amount")
@@ -619,12 +615,6 @@ class ClusterLedger:
     def peak_memory_mb(self) -> float:
         return self.peak_memory_bytes() / (1024.0 * 1024.0)
 
-    def peak_memory_by_node(self) -> Dict[str, int]:
-        """Per-shard memory peaks (cluster shard under its own label)."""
-        return {
-            shard.node_name: shard.peak_memory_bytes() for shard in self._shard_list
-        }
-
     def meters(self) -> Dict[str, MemoryMeter]:
         out: Dict[str, MemoryMeter] = {}
         for shard in self._shard_list:
@@ -637,10 +627,6 @@ class ClusterLedger:
             for key, value in shard.breakdown().items():
                 out[key] = out.get(key, 0.0) + value
         return out
-
-    def node_breakdown(self) -> Dict[str, Dict[str, float]]:
-        """Seconds per category, per shard (the per-node metric series)."""
-        return {shard.node_name: shard.breakdown() for shard in self._shard_list}
 
     def reset(self) -> None:
         for shard in self._shard_list:

@@ -72,7 +72,7 @@ from repro.experiments.environment import build_pair_setup
 from repro.platform.deployment import DeployedFunction
 from repro.platform.cluster import Cluster
 from repro.platform.function import FunctionSpec
-from repro.platform.gateway import IngressGateway
+from repro.platform.gateway import IngressGateway, RoutingPolicy
 from repro.platform.orchestrator import Orchestrator
 from repro.sim.costs import WASM_MAX_PAGES, WASM_PAGE_SIZE, CostModel
 from repro.sim.ledger import CostCategory, CostLedger
@@ -195,7 +195,6 @@ class _TenantState:
     autoscaler: Autoscaler
     requests: List[Request]
     replicas: List[_Replica] = field(default_factory=list)
-    by_name: Dict[str, _Replica] = field(default_factory=dict)
     #: The free index: replicas that are ready and under their concurrency
     #: limit, in pool order, with their serials in ``free_keys`` (the
     #: parallel list ``bisect`` searches).
@@ -432,7 +431,6 @@ class ClusterRuntime:
             memory = NodeMemoryModel(
                 budget_mb=config.node_memory_mb,
                 knee=config.pressure_knee,
-                slope=config.pressure_slope,
                 ledger=cluster.ledger,
             )
             for state in self.states:
@@ -444,11 +442,10 @@ class ClusterRuntime:
         self.memory = memory
         self.gateway = IngressGateway(
             Orchestrator(cluster),
-            policy=config.routing,
+            policy=RoutingPolicy.LEAST_LOADED,
             fairness=fairness,
             starvation_guard=starvation_guard,
             intra=intra,
-            pipeline=pipeline,
         )
         for state in self.states:
             self.gateway.queue.register_tenant(state.name, state.spec.weight)
@@ -818,7 +815,6 @@ class ClusterRuntime:
             gw_state.handle = replica
             replica.gw_state = gw_state
             state.replicas.append(replica)
-            state.by_name[deployed.name] = replica
             state.pending.append(replica)
             if self.memory is not None:
                 self.memory.allocate(deployed.node_name, state.rss_mb)
@@ -839,7 +835,6 @@ class ClusterRuntime:
         """Deregister one warm replica (reclaim and eviction share this)."""
         self.gateway.remove_replica(state.function, replica.deployed)
         state.replicas.remove(replica)
-        del state.by_name[replica.deployed.name]
         # Only idle replicas are dropped, so it is in the free index
         # unless no scan has seen it ready yet.
         if any(other is replica for other in state.pending):

@@ -54,11 +54,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Ty
 
 from typing import TYPE_CHECKING
 
-from repro.platform.gateway import (
-    FairnessPolicy,
-    IntraTenantOrder,
-    RoutingPolicy,
-)
+from repro.platform.gateway import FairnessPolicy, IntraTenantOrder
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 from repro.sim.engine import EventLoop, parallel_map
@@ -113,8 +109,6 @@ class TrafficConfig:
     max_queue: int = 10_000
     #: Requests queued longer than this time out (never reach a replica).
     queue_timeout_s: float = 30.0
-    #: Load-balancer policy at the gateway.
-    routing: RoutingPolicy = RoutingPolicy.LEAST_LOADED
     cost_model: CostModel = DEFAULT_COST_MODEL
     #: Keep one RequestRecord per request (exact percentiles, O(requests)
     #: memory).  False switches the engine to streaming accumulators and
@@ -130,11 +124,10 @@ class TrafficConfig:
     #: profile default: the container baseline for runc, the Wasm baseline
     #: otherwise).  Tenant specs can override per tenant via ``rss_mb``.
     replica_rss_mb: Optional[float] = None
-    #: Fraction of the node budget above which service times inflate.
+    #: Fraction of the node budget above which service times inflate (the
+    #: multiplier then climbs linearly to ``1 + DEFAULT_PRESSURE_SLOPE`` at
+    #: the budget; see :mod:`repro.traffic.memory`).
     pressure_knee: float = 0.85
-    #: Inflation slope: the service multiplier reaches ``1 + slope`` when a
-    #: node sits exactly at its budget.
-    pressure_slope: float = 1.0
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
@@ -153,8 +146,6 @@ class TrafficConfig:
             raise TrafficEngineError("replica_rss_mb must be positive")
         if not 0.0 < self.pressure_knee < 1.0:
             raise TrafficEngineError("pressure_knee must be in (0, 1)")
-        if self.pressure_slope < 0:
-            raise TrafficEngineError("pressure_slope must be non-negative")
 
     @property
     def memory_enabled(self) -> bool:

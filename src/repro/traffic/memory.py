@@ -11,8 +11,9 @@ against a per-node memory budget.
 Pressure matters in three ways, all driven from the traffic engine:
 
 * **service-time inflation** — past a configurable *pressure knee* (a
-  fraction of the budget) services slow down linearly, modelling page-cache
-  erosion and allocator contention on a crowded node;
+  fraction of the budget) services slow down linearly at a fixed slope
+  (:data:`DEFAULT_PRESSURE_SLOPE`), modelling page-cache erosion and
+  allocator contention on a crowded node;
 * **keep-alive economics** — a warm idle replica costs RSS-seconds, so the
   autoscaler's keep-alive window shrinks with node pressure
   (:meth:`~repro.traffic.autoscaler.Autoscaler.effective_keep_alive_s`);
@@ -38,8 +39,8 @@ MB = 1024 * 1024
 #: Default fraction of the node budget above which services inflate.
 DEFAULT_PRESSURE_KNEE = 0.85
 
-#: Default service-time inflation slope: the multiplier reaches
-#: ``1 + slope`` when a node is exactly at its budget.
+#: Service-time inflation slope: the multiplier reaches ``1 + slope`` when a
+#: node is exactly at its budget.
 DEFAULT_PRESSURE_SLOPE = 1.0
 
 
@@ -75,18 +76,14 @@ class NodeMemoryModel:
         self,
         budget_mb: float,
         knee: float = DEFAULT_PRESSURE_KNEE,
-        slope: float = DEFAULT_PRESSURE_SLOPE,
         ledger: Optional[ClusterLedger] = None,
     ) -> None:
         if budget_mb <= 0:
             raise MemoryModelError("node memory budget must be positive (MB)")
         if not 0.0 < knee < 1.0:
             raise MemoryModelError("pressure knee must be in (0, 1), got %r" % knee)
-        if slope < 0:
-            raise MemoryModelError("pressure slope must be non-negative")
         self.budget_mb = float(budget_mb)
         self.knee = float(knee)
-        self.slope = float(slope)
         self._ledger = ledger
         self._used_mb: Dict[str, float] = {}
 
@@ -126,11 +123,12 @@ class NodeMemoryModel:
     def inflation(self, node: str) -> float:
         """Service-time multiplier for work dispatched to ``node``.
 
-        1.0 at or below the knee; linear above it, reaching ``1 + slope``
-        at exactly the budget and climbing further for a node pinned over
-        budget by unevictable (busy) replicas.
+        1.0 at or below the knee; linear above it, reaching
+        ``1 + DEFAULT_PRESSURE_SLOPE`` at exactly the budget and climbing
+        further for a node pinned over budget by unevictable (busy)
+        replicas.
         """
         pressure = self.pressure(node)
         if pressure <= self.knee:
             return 1.0
-        return 1.0 + self.slope * (pressure - self.knee) / (1.0 - self.knee)
+        return 1.0 + DEFAULT_PRESSURE_SLOPE * (pressure - self.knee) / (1.0 - self.knee)

@@ -166,10 +166,6 @@ class ClassSummary:
         return self.completed + self.cached + self.coalesced
 
     @property
-    def deadline_missed(self) -> int:
-        return self.deadline_total - self.deadline_met
-
-    @property
     def deadline_met_ratio(self) -> float:
         """Fraction of deadline-carrying requests served in time (1.0 if none)."""
         if self.deadline_total == 0:
@@ -272,16 +268,6 @@ class TrafficSummary:
         if self.duration_s <= 0:
             return 0.0
         return self.served / self.duration_s
-
-    @property
-    def failure_fraction(self) -> float:
-        if self.offered == 0:
-            return 0.0
-        failed = (
-            self.timed_out + self.dropped + self.shed
-            + self.rate_limited + self.rejected
-        )
-        return failed / self.offered
 
     @property
     def mean_replicas(self) -> float:

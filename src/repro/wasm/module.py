@@ -1,15 +1,15 @@
 """Wasm modules and module instances.
 
 A :class:`WasmModule` is the compiled artifact (the ``.wasm`` binary): a name,
-a binary size, exported functions and whether it needs WASI.  A
-:class:`WasmInstance` is that module instantiated inside a VM, owning its own
-linear memory — the unit Roadrunner's shim talks to.
+a binary size and whether it needs WASI.  A :class:`WasmInstance` is that
+module instantiated inside a VM, owning its own linear memory — the unit
+Roadrunner's shim talks to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.payload import Payload
 from repro.wasm.linear_memory import LinearMemory
@@ -25,23 +25,13 @@ class WasmModule:
 
     name: str
     binary_size: int = 3_190_000  # ~3.19 MB, the paper's Fig. 2a example binary
-    exports: Tuple[str, ...] = ("handle",)
     requires_wasi: bool = False
-    #: Guest handler invoked by the platform; receives and returns a Payload.
-    handler: Optional[Callable[[Payload], Payload]] = None
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ModuleError("module name must be non-empty")
         if self.binary_size <= 0:
             raise ModuleError("binary_size must be positive")
-        if not self.exports:
-            raise ModuleError("a module must export at least one function")
-
-    @classmethod
-    def passthrough(cls, name: str, requires_wasi: bool = False) -> "WasmModule":
-        """A module whose handler returns its input unchanged (I/O-bound)."""
-        return cls(name=name, requires_wasi=requires_wasi, handler=lambda payload: payload)
 
 
 class WasmInstance:
@@ -51,7 +41,6 @@ class WasmInstance:
         self.module = module
         self.memory = memory
         self.vm_name = vm_name
-        self._exports: Dict[str, Callable[..., object]] = {}
         self._input_address: Optional[int] = None
         self._output_address: Optional[int] = None
 
@@ -59,30 +48,11 @@ class WasmInstance:
     def name(self) -> str:
         return self.module.name
 
-    # -- exports -----------------------------------------------------------------
-
-    def register_export(self, name: str, func: Callable[..., object]) -> None:
-        """Register a host-callable export (used by the guest-side API)."""
-        if name not in self.module.exports:
-            raise ModuleError(
-                "module %r does not declare export %r" % (self.module.name, name)
-            )
-        self._exports[name] = func
-
-    def call_export(self, name: str, *args: object) -> object:
-        if name not in self._exports:
-            raise ModuleError("export %r is not registered on %r" % (name, self.module.name))
-        return self._exports[name](*args)
-
     # -- guest-visible data slots --------------------------------------------------
 
     def set_input(self, address: int) -> None:
         """Record where the shim placed this instance's input payload."""
         self._input_address = address
-
-    def set_output(self, address: int) -> None:
-        """Record where the guest placed its output payload."""
-        self._output_address = address
 
     @property
     def input_address(self) -> Optional[int]:
@@ -92,26 +62,11 @@ class WasmInstance:
     def output_address(self) -> Optional[int]:
         return self._output_address
 
-    def read_input(self) -> Payload:
-        """Guest-side helper: read the payload the shim delivered."""
-        if self._input_address is None:
-            raise ModuleError("instance %r has no input payload" % self.module.name)
-        length = self.memory.allocation_size(self._input_address)
-        return self.memory.read_payload(self._input_address, length)
-
     def produce_output(self, payload: Payload) -> int:
         """Guest-side helper: store an output payload and remember its address."""
         address = self.memory.store_payload(payload)
         self._output_address = address
         return address
-
-    def run_handler(self) -> Payload:
-        """Execute the module's handler on its input and store the result."""
-        if self.module.handler is None:
-            raise ModuleError("module %r has no handler" % self.module.name)
-        result = self.module.handler(self.read_input())
-        self.produce_output(result)
-        return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "WasmInstance(module=%r, vm=%r)" % (self.module.name, self.vm_name)

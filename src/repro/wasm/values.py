@@ -56,9 +56,6 @@ _FORMATS = {
 I32_MIN, I32_MAX = -(2 ** 31), 2 ** 31 - 1
 I64_MIN, I64_MAX = -(2 ** 63), 2 ** 63 - 1
 
-#: Unsigned 32-bit ceiling, used for pointer/length validation.
-U32_MAX = 2 ** 32 - 1
-
 
 def pack_value(value_type: WasmValueType, value: Number) -> bytes:
     """Encode ``value`` as the little-endian byte representation of its type."""
@@ -80,20 +77,3 @@ def unpack_value(value_type: WasmValueType, data: bytes) -> Number:
             "expected %d bytes for %s, got %d" % (value_type.size, value_type.value, len(data))
         )
     return struct.unpack(value_type.struct_format, data)[0]
-
-
-def pack_pointer_length(address: int, length: int) -> bytes:
-    """Encode the (pointer, length) pair returned by ``locate_memory_region``."""
-    if not 0 <= address <= U32_MAX:
-        raise WasmValueError("address %r does not fit u32" % (address,))
-    if not 0 <= length <= U32_MAX:
-        raise WasmValueError("length %r does not fit u32" % (length,))
-    return struct.pack("<II", address, length)
-
-
-def unpack_pointer_length(data: bytes) -> "tuple[int, int]":
-    """Decode a (pointer, length) pair."""
-    if len(data) != 8:
-        raise WasmValueError("expected 8 bytes for a pointer/length pair, got %d" % len(data))
-    address, length = struct.unpack("<II", data)
-    return address, length

@@ -106,31 +106,6 @@ class WasiInterface:
         """``sock_recv``: copy a received buffer into the VM."""
         return self.copy_in(instance, payload)
 
-    # -- file access (path_open / fd_read over a virtual filesystem) ------------------
-
-    def read_host_file(self, instance: WasmInstance, filesystem, path: str) -> int:
-        """Read a host file into linear memory (``path_open`` + ``fd_read``).
-
-        The filesystem charges the kernel-side costs (syscalls, page-cache
-        copy); this call adds the WASI host-call and VM-boundary-copy costs —
-        the combination the paper's Fig. 2a identifies as the Wasm execution
-        penalty for file-bound workloads.
-        """
-        self._require_wasi(instance)
-        self._charge_call("path_open:%s" % path)
-        payload = filesystem.read_file(self.process, path)
-        return self.copy_in(instance, payload)
-
-    def write_host_file(self, instance: WasmInstance, filesystem, path: str,
-                        address: int, length: int) -> None:
-        """Write a region of linear memory to a host file (``fd_write``)."""
-        self._require_wasi(instance)
-        self._charge_call("path_create:%s" % path)
-        payload = self.copy_out(instance, address, length)
-        filesystem.write_file(self.process, path, payload)
-        # The staging buffer dies once the kernel has the bytes.
-        self.release_host_buffer(payload)
-
     def _require_wasi(self, instance: WasmInstance) -> None:
         if not instance.module.requires_wasi:
             raise WasiError(

@@ -40,15 +40,8 @@ def test_oci_spec_and_bundle_validation():
         OciRuntimeSpec(cpu_quota_cores=0)
     with pytest.raises(OciError):
         OciBundle(name="", image=ContainerImage.hello_world())
-    bundle = OciBundle(
-        name="fn",
-        image=WasmImage.hello_world(),
-        runtime_class="roadrunner-shim",
-        annotations=(("workflow", "wf-1"),),
-    )
+    bundle = OciBundle(name="fn", image=WasmImage.hello_world(), runtime_class="roadrunner-shim")
     assert bundle.is_wasm
-    assert bundle.annotation("workflow") == "wf-1"
-    assert bundle.annotation("missing", "default") == "default"
 
 
 def test_runc_cold_start_scales_with_image_size(runc):
@@ -76,16 +69,13 @@ def test_runc_refuses_wasm_bundles(runc):
 
 def test_containerd_dispatches_by_runtime_class(runc):
     containerd = Containerd(runc)
-    created = []
-    containerd.register_shim("roadrunner-shim", lambda bundle: created.append(bundle.name) or "shim")
-    runc_handle = containerd.start(OciBundle(name="native", image=ContainerImage.hello_world()))
-    shim_handle = containerd.start(
-        OciBundle(name="wasm-fn", image=WasmImage.hello_world(), runtime_class="roadrunner-shim")
-    )
-    assert runc_handle.runtime_class == "runc"
-    assert shim_handle.sandbox == "shim"
-    assert created == ["wasm-fn"]
-    assert containerd.running == ["native", "wasm-fn"]
+    handle = containerd.start(OciBundle(name="native", image=ContainerImage.hello_world()))
+    assert handle.runtime_class == "runc"
+    assert handle.sandbox.running
+    assert containerd.running == ["native"]
+    wasm = OciBundle(name="wasm-fn", image=WasmImage.hello_world(), runtime_class="roadrunner-shim")
+    with pytest.raises(ContainerdError):
+        containerd.start(wasm)
 
 
 def test_containerd_rejects_unknown_runtime_and_duplicates(runc):
@@ -104,26 +94,14 @@ def test_containerd_rejects_unknown_runtime_and_duplicates(runc):
 
 def test_containerd_workflow_snapshot_and_trust(runc):
     containerd = Containerd(runc)
-    containerd.register_shim("roadrunner-shim", lambda bundle: object())
-    containerd.start(
-        OciBundle(name="a", image=WasmImage.hello_world(), runtime_class="roadrunner-shim"),
-        workflow="wf-1",
-        tenant="t1",
-    )
-    containerd.start(
-        OciBundle(name="b", image=WasmImage.hello_world(), runtime_class="roadrunner-shim"),
-        workflow="wf-1",
-        tenant="t1",
-    )
-    containerd.start(
-        OciBundle(name="c", image=WasmImage.hello_world(), runtime_class="roadrunner-shim"),
-        workflow="wf-2",
-        tenant="t2",
-    )
+    for name, workflow in (("a", "wf-1"), ("b", "wf-1"), ("c", "wf-2")):
+        containerd.start(
+            OciBundle(name=name, image=ContainerImage.hello_world()), workflow=workflow
+        )
     assert {h.name for h in containerd.snapshot("wf-1")} == {"a", "b"}
-    assert containerd.same_workflow_and_tenant("a", "b")
-    assert not containerd.same_workflow_and_tenant("a", "c")
+    sandbox = containerd.handle("a").sandbox
     containerd.stop("a")
+    assert not sandbox.running
     assert "a" not in containerd.running
     with pytest.raises(ContainerdError):
         containerd.stop("a")

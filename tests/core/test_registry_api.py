@@ -77,7 +77,7 @@ def test_clear_by_function_and_globally():
 @pytest.fixture
 def guest_api():
     vm = WasmVM(name="vm", ledger=CostLedger())
-    instance = vm.instantiate(WasmModule.passthrough("fn-a"))
+    instance = vm.instantiate(WasmModule(name="fn-a"))
     registry = MemoryRegionRegistry()
     return FunctionDataApi(instance, registry, workflow="wf", tenant="t1"), instance, registry
 

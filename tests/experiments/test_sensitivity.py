@@ -24,12 +24,11 @@ def test_network_bandwidth_sweep_shrinks_the_gap_on_slow_links():
         [base * 0.1, base, base * 10],
         payload_mb=50,
     )
-    improvements = result.improvements_pct
+    improvements = [point.improvement_pct for point in result.points]
     # Roadrunner always wins, but the advantage over WasmEdge is smallest when
     # the wire is slow (everything is wire-bound) and largest when it is fast.
     assert all(value > 0 for value in improvements)
     assert improvements[0] < improvements[-1]
-    assert result.crossover_value() is None
     assert "Sensitivity" in result.to_text()
 
 
@@ -43,12 +42,12 @@ def test_wasm_io_bandwidth_sweep_can_flip_the_runc_comparison():
         internode=False,
         payload_mb=100,
     )
-    improvements = result.improvements_pct
+    improvements = [point.improvement_pct for point in result.points]
     # When host access to linear memory is made pathologically slow, the
     # user-space mode loses to RunC; at the calibrated value it wins.
     assert improvements[0] < improvements[1] < improvements[2]
     assert improvements[0] <= 0 < improvements[1]
-    assert result.crossover_value() == pytest.approx(base * 0.02)
+    assert result.points[0].value == pytest.approx(base * 0.02)
 
 
 def test_default_suite_contains_three_sweeps():

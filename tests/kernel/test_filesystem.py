@@ -1,4 +1,4 @@
-"""Tests for the virtual filesystem and WASI file access."""
+"""Tests for the virtual filesystem."""
 
 import pytest
 
@@ -6,9 +6,6 @@ from repro.kernel.filesystem import FileSystemError, VirtualFileSystem
 from repro.kernel.kernel import Kernel
 from repro.payload import Payload
 from repro.sim.ledger import CostCategory, CostLedger
-from repro.wasm.module import WasmModule
-from repro.wasm.runtime import WasmRuntime
-from repro.wasm.wasi import WasiError, WasiInterface
 
 
 @pytest.fixture
@@ -56,42 +53,3 @@ def test_namespace_operations_and_errors(kernel, filesystem):
         filesystem.write_file(process, "relative/path", Payload.random(8))
     with pytest.raises(FileSystemError):
         filesystem.write_file(process, "/empty", Payload.from_bytes(b""))
-
-
-def _wasi_with_fs(requires_wasi=True):
-    ledger = CostLedger()
-    runtime = WasmRuntime(ledger=ledger)
-    vm = runtime.create_vm()
-    instance = runtime.load_module(
-        vm, WasmModule(name="resize", requires_wasi=requires_wasi, handler=lambda p: p)
-    )
-    kernel = Kernel(ledger=ledger, cost_model=vm.cost_model)
-    process = kernel.create_process("shim")
-    return ledger, instance, WasiInterface(vm=vm, process=process, kernel=kernel), VirtualFileSystem(kernel), process
-
-
-def test_wasi_file_read_pays_boundary_cost_on_top_of_kernel_cost():
-    ledger, instance, wasi, filesystem, process = _wasi_with_fs()
-    payload = Payload.random(256 * 1024, seed=43)
-    filesystem.write_file(process, "/frames/0001.raw", payload)
-    before_wasm_io = ledger.seconds(CostCategory.WASM_IO)
-    address = wasi.read_host_file(instance, filesystem, "/frames/0001.raw")
-    after_wasm_io = ledger.seconds(CostCategory.WASM_IO)
-    payload.require_match(instance.memory.read_payload(address, payload.size))
-    assert after_wasm_io > before_wasm_io  # the penalty containers do not pay
-
-
-def test_wasi_file_write_round_trip():
-    ledger, instance, wasi, filesystem, process = _wasi_with_fs()
-    payload = Payload.random(8 * 1024, seed=44)
-    address = instance.memory.store_payload(payload)
-    wasi.write_host_file(instance, filesystem, "/out/result.bin", address, payload.size)
-    stored = filesystem.read_file(process, "/out/result.bin")
-    payload.require_match(stored)
-
-
-def test_wasi_file_access_requires_capability():
-    ledger, instance, wasi, filesystem, process = _wasi_with_fs(requires_wasi=False)
-    filesystem.write_file(process, "/secret.bin", Payload.random(16))
-    with pytest.raises(WasiError):
-        wasi.read_host_file(instance, filesystem, "/secret.bin")

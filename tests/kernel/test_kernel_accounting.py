@@ -47,13 +47,6 @@ def test_boundary_copies_are_charged_as_copies(kernel):
     assert process.cgroup.kernel_cpu_seconds > 0
 
 
-def test_user_memcpy_charges_user_cpu(kernel):
-    process = kernel.create_process("fn")
-    kernel.user_memcpy(process, 1024)
-    assert process.cgroup.user_cpu_seconds > 0
-    assert process.cgroup.kernel_cpu_seconds == 0
-
-
 def test_splice_moves_bytes_by_reference(kernel):
     process = kernel.create_process("fn")
     nbytes = 10 * 1024 * 1024

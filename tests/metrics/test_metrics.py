@@ -30,18 +30,10 @@ def test_transfer_metrics_derived_quantities():
     metrics = make_metrics(latency=2.0, serialization=0.5)
     assert metrics.throughput_rps == pytest.approx(0.5)
     assert metrics.serialization_throughput_rps == pytest.approx(2.0)
-    assert metrics.serialization_share == pytest.approx(0.25)
     assert metrics.cpu_total_s == pytest.approx(0.4)
     assert metrics.cpu_percent(cores=4) == pytest.approx(100 * 0.4 / 8.0)
     assert metrics.user_cpu_percent(cores=1) == pytest.approx(15.0)
     assert metrics.kernel_cpu_percent(cores=1) == pytest.approx(5.0)
-
-
-def test_with_total_latency_overrides_only_latency():
-    metrics = make_metrics(latency=2.0)
-    adjusted = metrics.with_total_latency(4.0)
-    assert adjusted.total_latency_s == 4.0
-    assert adjusted.serialization_s == metrics.serialization_s
 
 
 def test_ledger_window_measures_only_enclosed_charges():

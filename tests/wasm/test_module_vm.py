@@ -18,28 +18,20 @@ def test_module_validation():
         WasmModule(name="")
     with pytest.raises(ModuleError):
         WasmModule(name="m", binary_size=0)
-    with pytest.raises(ModuleError):
-        WasmModule(name="m", exports=())
-
-
-def test_passthrough_module_returns_input():
-    module = WasmModule.passthrough("echo")
-    payload = Payload.from_text("hello")
-    assert module.handler(payload) is payload
 
 
 def test_instantiate_creates_per_module_memory(vm):
-    a = vm.instantiate(WasmModule.passthrough("a"))
-    b = vm.instantiate(WasmModule.passthrough("b"))
+    a = vm.instantiate(WasmModule(name="a"))
+    b = vm.instantiate(WasmModule(name="b"))
     assert a.memory is not b.memory
     assert vm.instance("a") is a
     assert len(vm.instances) == 2
 
 
 def test_duplicate_instantiation_rejected(vm):
-    vm.instantiate(WasmModule.passthrough("a"))
+    vm.instantiate(WasmModule(name="a"))
     with pytest.raises(VmError):
-        vm.instantiate(WasmModule.passthrough("a"))
+        vm.instantiate(WasmModule(name="a"))
 
 
 def test_unknown_instance_lookup_rejected(vm):
@@ -48,7 +40,7 @@ def test_unknown_instance_lookup_rejected(vm):
 
 
 def test_terminate_removes_instance(vm):
-    vm.instantiate(WasmModule.passthrough("a"))
+    vm.instantiate(WasmModule(name="a"))
     vm.terminate("a")
     with pytest.raises(VmError):
         vm.instance("a")
@@ -57,42 +49,19 @@ def test_terminate_removes_instance(vm):
 
 
 def test_guest_input_output_flow(vm):
-    instance = vm.instantiate(WasmModule.passthrough("fn"))
+    instance = vm.instantiate(WasmModule(name="fn"))
+    assert instance.input_address is None
     payload = Payload.from_text("input data")
     address = instance.memory.store_payload(payload)
     instance.set_input(address)
-    result = instance.run_handler()
-    assert result.data == payload.data
-    assert instance.output_address is not None
+    assert instance.input_address == address
+    assert instance.produce_output(payload) == instance.output_address
     stored = instance.memory.read_payload(instance.output_address, payload.size)
     payload.require_match(stored)
 
 
-def test_run_handler_without_input_fails(vm):
-    instance = vm.instantiate(WasmModule.passthrough("fn"))
-    with pytest.raises(ModuleError):
-        instance.run_handler()
-
-
-def test_handlerless_module_cannot_run(vm):
-    instance = vm.instantiate(WasmModule(name="raw", handler=None))
-    instance.set_input(instance.memory.store_payload(Payload.random(16)))
-    with pytest.raises(ModuleError):
-        instance.run_handler()
-
-
-def test_exports_registration_and_call(vm):
-    instance = vm.instantiate(WasmModule.passthrough("fn"))
-    instance.register_export("handle", lambda x: x * 2)
-    assert instance.call_export("handle", 21) == 42
-    with pytest.raises(ModuleError):
-        instance.register_export("not-exported", lambda: None)
-    with pytest.raises(ModuleError):
-        instance.call_export("unregistered")
-
-
 def test_host_api_read_write_charges_wasm_io(vm):
-    instance = vm.instantiate(WasmModule.passthrough("fn"))
+    instance = vm.instantiate(WasmModule(name="fn"))
     api = vm.host_api()
     payload = Payload.random(8192)
     before = vm.ledger.seconds(CostCategory.WASM_IO)
@@ -106,7 +75,7 @@ def test_host_api_read_write_charges_wasm_io(vm):
 
 
 def test_host_api_locate_and_deallocate(vm):
-    instance = vm.instantiate(WasmModule.passthrough("fn"))
+    instance = vm.instantiate(WasmModule(name="fn"))
     address = instance.memory.store_payload(Payload.random(100))
     api = vm.host_api()
     assert api.locate_memory_region("fn", address) == (address, 100)

@@ -31,7 +31,7 @@ def test_cold_start_scales_with_binary_size(runtime):
 
 def test_cold_start_charges_ledger_when_requested(runtime):
     vm = runtime.create_vm(charge_cold_start=True)
-    runtime.load_module(vm, WasmModule.passthrough("fn"), charge_cold_start=True)
+    runtime.load_module(vm, WasmModule(name="fn"), charge_cold_start=True)
     assert runtime.ledger.seconds(CostCategory.COLD_START) > 0
 
 
@@ -55,7 +55,7 @@ def _wasi_setup(requires_wasi=True):
     runtime = WasmRuntime(ledger=ledger)
     vm = runtime.create_vm()
     instance = runtime.load_module(
-        vm, WasmModule(name="fn", requires_wasi=requires_wasi, handler=lambda p: p)
+        vm, WasmModule(name="fn", requires_wasi=requires_wasi)
     )
     kernel = Kernel(ledger=ledger, cost_model=vm.cost_model)
     process = kernel.create_process("shim-fn")

@@ -5,9 +5,7 @@ import pytest
 from repro.wasm.values import (
     WasmValueError,
     WasmValueType,
-    pack_pointer_length,
     pack_value,
-    unpack_pointer_length,
     unpack_value,
 )
 
@@ -55,18 +53,3 @@ def test_non_numeric_rejected():
 def test_unpack_wrong_length_rejected():
     with pytest.raises(WasmValueError):
         unpack_value(WasmValueType.I32, b"\x00\x00")
-
-
-def test_pointer_length_round_trip():
-    packed = pack_pointer_length(0x1000, 4096)
-    assert len(packed) == 8
-    assert unpack_pointer_length(packed) == (0x1000, 4096)
-
-
-def test_pointer_length_validation():
-    with pytest.raises(WasmValueError):
-        pack_pointer_length(-1, 10)
-    with pytest.raises(WasmValueError):
-        pack_pointer_length(0, 2 ** 33)
-    with pytest.raises(WasmValueError):
-        unpack_pointer_length(b"\x00" * 7)
