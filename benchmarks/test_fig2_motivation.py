@@ -5,7 +5,7 @@ Wasm binary; Fig. 2b — normalized transfer vs serialization share at 1, 60
 and 100 MB for the container and Wasm runtimes.
 """
 
-from repro.experiments.fig2 import FIG2B_SIZES_MB, run_fig2a, run_fig2b
+from repro.experiments.fig2 import run_fig2a, run_fig2b
 
 
 def test_fig2a_cold_start_and_execution(benchmark, save_result):
@@ -22,9 +22,7 @@ def test_fig2a_cold_start_and_execution(benchmark, save_result):
 
 
 def test_fig2b_normalized_io_breakdown(benchmark, save_result):
-    result = benchmark.pedantic(
-        run_fig2b, kwargs={"sizes_mb": FIG2B_SIZES_MB}, rounds=3, iterations=1
-    )
+    result = benchmark.pedantic(run_fig2b, rounds=3, iterations=1)
     save_result("fig2b", result)
     # Serialization weighs far more on the Wasm runtime than on containers.
     for size in result.x_values:

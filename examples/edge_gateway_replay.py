@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro import Cluster, FunctionSpec, Orchestrator, RuntimeKind
 from repro.core.router import RoadrunnerChannel
-from repro.platform.gateway import IngressGateway, RoutingPolicy
+from repro.platform.gateway import IngressGateway
 from repro.workloads.generators import make_payload
 from repro.workloads.traces import bursty_trace, compare_modes_on_trace
 
@@ -30,7 +30,7 @@ def gateway_demo() -> None:
         share_vm_key="wf",
         materialize=True,
     )
-    gateway = IngressGateway(orchestrator, policy=RoutingPolicy.LEAST_LOADED)
+    gateway = IngressGateway(orchestrator)
     gateway.register(
         FunctionSpec("detector", runtime=RuntimeKind.ROADRUNNER, workflow="wf"),
         replicas=3,

@@ -38,7 +38,7 @@ from repro.platform.cluster import Cluster
 from repro.platform.function import FunctionSpec
 from repro.platform.orchestrator import Orchestrator
 from repro.platform.invoker import Invoker, WorkflowResult
-from repro.platform.workflow import FanInWorkflow, FanOutWorkflow, SequenceWorkflow, Workflow
+from repro.platform.workflow import FanOutWorkflow, SequenceWorkflow, Workflow
 from repro.core.config import RoadrunnerConfig
 from repro.core.router import RoadrunnerChannel, TransferMode, TransferModeRouter
 from repro.core.user_space import UserSpaceChannel
@@ -68,7 +68,6 @@ __all__ = [
     "Workflow",
     "SequenceWorkflow",
     "FanOutWorkflow",
-    "FanInWorkflow",
     "RoadrunnerConfig",
     "RoadrunnerChannel",
     "TransferMode",

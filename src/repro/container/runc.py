@@ -9,7 +9,6 @@ whose CPU and memory land in their own cgroups.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.container.image import ContainerImage
 from repro.container.oci import OciBundle, OciError
@@ -66,7 +65,6 @@ class RunCRuntime:
         self,
         bundle: OciBundle,
         charge_cold_start: bool = False,
-        name: Optional[str] = None,
     ) -> ContainerSandbox:
         """Create (and optionally cold-start) a sandbox for ``bundle``."""
         if bundle.is_wasm:
@@ -83,7 +81,7 @@ class RunCRuntime:
                 label="runc-cold-start:%s" % bundle.name,
             )
         self.sandboxes_created += 1
-        sandbox_name = name or "%s-%d" % (bundle.name, self.sandboxes_created)
+        sandbox_name = "%s-%d" % (bundle.name, self.sandboxes_created)
         baseline = int(self.cost_model.container_baseline_rss_mb * 1024 * 1024)
         process = self.kernel.create_process(sandbox_name, baseline_rss_bytes=baseline)
         return ContainerSandbox(name=sandbox_name, bundle=bundle, process=process)

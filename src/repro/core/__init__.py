@@ -3,8 +3,9 @@
 This is the paper's primary contribution.  The public surface is:
 
 * :class:`~repro.core.api.FunctionDataApi` — the guest-side data access API
-  (Table 1): ``allocate_memory``, ``deallocate_memory``, ``read_memory_wasm``,
-  ``locate_memory_region``, ``send_to_host``;
+  (Table 1): ``allocate_memory``, ``deallocate_memory``,
+  ``locate_memory_region``, ``send_to_host`` (the guest reads delivered
+  data straight from its own linear memory);
 * :class:`~repro.core.shim.RoadrunnerShim` — the sidecar that mediates all
   memory access, enforces region registration and bounds checks, and moves
   data in and out of the Wasm VM;

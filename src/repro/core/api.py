@@ -5,7 +5,6 @@ These are the calls a function compiled to Wasm makes from *inside* the VM:
 ==============================  =====================================================
 ``allocate_memory(len)``        reserve linear memory for incoming data
 ``deallocate_memory(address)``  release it again
-``read_memory_wasm(addr, len)`` read data the shim delivered
 ``locate_memory_region(data)``  find the (pointer, length) of data to be sent
 ``send_to_host(addr, len)``     hand that region to the shim for transfer
 ==============================  =====================================================
@@ -49,10 +48,6 @@ class FunctionDataApi:
         self.instance.memory.deallocate(address)
 
     # -- data management --------------------------------------------------------------
-
-    def read_memory_wasm(self, address: int, length: int) -> Payload:
-        """Read data from the function's own linear memory."""
-        return self.instance.memory.read_payload(address, length)
 
     def locate_memory_region(self, data: Payload) -> Tuple[int, int]:
         """Return the (pointer, length) of ``data`` inside linear memory.

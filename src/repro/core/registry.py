@@ -10,7 +10,7 @@ access is validated against this registry before touching linear memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 
 class RegistryError(RuntimeError):
@@ -114,11 +114,8 @@ class MemoryRegionRegistry:
             % (address, address + length, function)
         )
 
-    def clear(self, function: Optional[str] = None) -> None:
-        if function is None:
-            self._regions.clear()
-        else:
-            self._regions.pop(function, None)
+    def clear(self) -> None:
+        self._regions.clear()
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._regions.values())

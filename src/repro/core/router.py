@@ -58,10 +58,10 @@ class RoadrunnerChannel(DataPassingChannel):
     single_threaded = False
     fanout_overhead_s = 0.0
 
-    def __init__(self, cluster: Cluster, config: Optional[RoadrunnerConfig] = None) -> None:
+    def __init__(self, cluster: Cluster) -> None:
         super().__init__(cluster.ledger)
         self.cluster = cluster
-        self.config = config if config is not None else RoadrunnerConfig.default()
+        self.config = RoadrunnerConfig.default()
         self.router = TransferModeRouter(self.config)
         self._channels = {
             TransferMode.USER_SPACE: UserSpaceChannel(cluster, self.config),

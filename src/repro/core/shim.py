@@ -33,7 +33,6 @@ class RoadrunnerShim:
         self,
         deployed: DeployedFunction,
         cluster: Cluster,
-        registry: Optional[MemoryRegionRegistry] = None,
         config: Optional[RoadrunnerConfig] = None,
     ) -> None:
         if not deployed.is_wasm or deployed.vm is None or deployed.instance is None:
@@ -42,7 +41,7 @@ class RoadrunnerShim:
             )
         self.deployed = deployed
         self.cluster = cluster
-        self.registry = registry if registry is not None else MemoryRegionRegistry()
+        self.registry = MemoryRegionRegistry()
         self.config = config if config is not None else RoadrunnerConfig.default()
         self.host_api: HostMemoryApi = deployed.vm.host_api()
 

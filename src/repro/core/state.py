@@ -12,7 +12,7 @@ it back through the ordinary registered-region path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.shim import RoadrunnerShim, ShimError
 from repro.payload import Payload
@@ -20,6 +20,10 @@ from repro.payload import Payload
 
 class StateError(RuntimeError):
     """Raised for unknown keys or trust violations."""
+
+
+#: Bytes of linear memory the store may hold (across all keys).
+STATE_CAPACITY_BYTES = 64 * 1024 * 1024
 
 
 @dataclass
@@ -33,11 +37,8 @@ class _StateEntry:
 class ShimStateStore:
     """Named, versioned state slots kept in the function's linear memory."""
 
-    def __init__(self, shim: RoadrunnerShim, capacity_bytes: int = 64 * 1024 * 1024) -> None:
-        if capacity_bytes <= 0:
-            raise StateError("capacity_bytes must be positive")
+    def __init__(self, shim: RoadrunnerShim) -> None:
         self.shim = shim
-        self.capacity_bytes = capacity_bytes
         self._entries: Dict[str, _StateEntry] = {}
         self._used_bytes = 0
 
@@ -50,10 +51,10 @@ class ShimStateStore:
         if payload.size <= 0:
             raise StateError("state payloads must be non-empty")
         new_used = self._used_bytes - self._size_of(key) + payload.size
-        if new_used > self.capacity_bytes:
+        if new_used > STATE_CAPACITY_BYTES:
             raise StateError(
                 "state store over capacity: %d bytes needed, %d available"
-                % (new_used, self.capacity_bytes)
+                % (new_used, STATE_CAPACITY_BYTES)
             )
         previous = self._entries.get(key)
         if previous is not None:

@@ -24,18 +24,13 @@ from repro.experiments.fig9 import run_fig9
 from repro.experiments.fig10 import run_fig10
 from repro.experiments.runner import run_all
 from repro.experiments.claims import ClaimCheck, evaluate_claims, render_claims
-from repro.experiments.sensitivity import (
-    SensitivityResult,
-    default_sensitivity_suite,
-    sweep_parameter,
-)
+from repro.experiments.sensitivity import SensitivityResult, sweep_parameter
 
 __all__ = [
     "ClaimCheck",
     "evaluate_claims",
     "render_claims",
     "SensitivityResult",
-    "default_sensitivity_suite",
     "sweep_parameter",
     "FigureResult",
     "TransferSetup",

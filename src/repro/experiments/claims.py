@@ -14,7 +14,7 @@ from typing import List
 
 from repro.experiments.harness import measure_fanout, measure_pair
 from repro.metrics.report import format_table, improvement_percent, speedup
-from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
+from repro.workloads.generators import FANOUT_PAYLOAD_MB
 
 
 @dataclass(frozen=True)
@@ -36,20 +36,15 @@ def _x(value: float) -> str:
     return "%.1fx" % value
 
 
-def evaluate_claims(
-    payload_mb: float = 100,
-    fanout_degree: int = 50,
-    fanout_payload_mb: float = 10,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-) -> List[ClaimCheck]:
+def evaluate_claims(payload_mb: float = 100, fanout_degree: int = 50) -> List[ClaimCheck]:
     """Run the minimal experiments behind each headline claim and grade them."""
     checks: List[ClaimCheck] = []
 
     # Intra-node pair -----------------------------------------------------------
-    rr_user = measure_pair("roadrunner-user", payload_mb, cost_model=cost_model)
-    rr_kernel = measure_pair("roadrunner-kernel", payload_mb, cost_model=cost_model)
-    runc = measure_pair("runc-http", payload_mb, cost_model=cost_model)
-    wasm = measure_pair("wasmedge-http", payload_mb, cost_model=cost_model)
+    rr_user = measure_pair("roadrunner-user", payload_mb)
+    rr_kernel = measure_pair("roadrunner-kernel", payload_mb)
+    runc = measure_pair("runc-http", payload_mb)
+    wasm = measure_pair("wasmedge-http", payload_mb)
 
     user_vs_wasm = improvement_percent(wasm.mean_latency_s, rr_user.mean_latency_s)
     checks.append(ClaimCheck(
@@ -89,9 +84,9 @@ def evaluate_claims(
     ))
 
     # Inter-node pair ---------------------------------------------------------------
-    rr_net = measure_pair("roadrunner-network", payload_mb, internode=True, cost_model=cost_model)
-    runc_net = measure_pair("runc-http", payload_mb, internode=True, cost_model=cost_model)
-    wasm_net = measure_pair("wasmedge-http", payload_mb, internode=True, cost_model=cost_model)
+    rr_net = measure_pair("roadrunner-network", payload_mb, internode=True)
+    runc_net = measure_pair("runc-http", payload_mb, internode=True)
+    wasm_net = measure_pair("wasmedge-http", payload_mb, internode=True)
 
     net_vs_wasm = improvement_percent(wasm_net.mean_latency_s, rr_net.mean_latency_s)
     checks.append(ClaimCheck(
@@ -119,8 +114,8 @@ def evaluate_claims(
     ))
 
     # Throughput -----------------------------------------------------------------------
-    rr_small = measure_pair("roadrunner-user", 1, cost_model=cost_model)
-    wasm_small = measure_pair("wasmedge-http", 1, cost_model=cost_model)
+    rr_small = measure_pair("roadrunner-user", 1)
+    wasm_small = measure_pair("wasmedge-http", 1)
     throughput_gain = speedup(wasm_small.mean_latency_s, rr_small.mean_latency_s)
     checks.append(ClaimCheck(
         "throughput",
@@ -129,9 +124,9 @@ def evaluate_claims(
     ))
 
     # Fan-out --------------------------------------------------------------------------
-    rr_fan = measure_fanout("roadrunner-user", fanout_degree, fanout_payload_mb, cost_model=cost_model)
-    runc_fan = measure_fanout("runc-http", fanout_degree, fanout_payload_mb, cost_model=cost_model)
-    wasm_fan = measure_fanout("wasmedge-http", fanout_degree, fanout_payload_mb, cost_model=cost_model)
+    rr_fan = measure_fanout("roadrunner-user", fanout_degree, FANOUT_PAYLOAD_MB)
+    runc_fan = measure_fanout("runc-http", fanout_degree, FANOUT_PAYLOAD_MB)
+    wasm_fan = measure_fanout("wasmedge-http", fanout_degree, FANOUT_PAYLOAD_MB)
     fan_latency = improvement_percent(runc_fan.mean_branch_latency_s, rr_fan.mean_branch_latency_s)
     checks.append(ClaimCheck(
         "fanout-latency-vs-runc",

@@ -18,7 +18,7 @@ measurement so repetitions never share state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.baselines.runc_http import RunCHttpChannel
 from repro.baselines.wasmedge_http import WasmEdgeHttpChannel
@@ -167,19 +167,12 @@ def build_pair_setup(
     )
 
 
-def build_fanout_setup(
-    mode: str,
-    degree: int,
-    internode: bool = False,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    config: Optional[RoadrunnerConfig] = None,
-    materialize: bool = False,
-) -> TransferSetup:
+def build_fanout_setup(mode: str, degree: int, internode: bool = False) -> TransferSetup:
     """A fan-out workflow: function a feeding ``degree`` replicas of b."""
     if degree < 1:
         raise EnvironmentError_("fan-out degree must be >= 1")
     _validate_mode(mode, internode)
-    cluster = _make_cluster(internode, cost_model)
+    cluster = _make_cluster(internode, DEFAULT_COST_MODEL)
     orchestrator = Orchestrator(cluster)
     target_names = ["fn-b-%d" % i for i in range(degree)]
     specs = _specs(mode, ["fn-a"] + target_names)
@@ -189,9 +182,9 @@ def build_fanout_setup(
     placement.update({name: target_node for name in target_names})
     share_vm_key = "shared-vm" if mode == "roadrunner-user" else None
     deployments = orchestrator.deploy_all(
-        specs, placement=placement, share_vm_key=share_vm_key, materialize=materialize
+        specs, placement=placement, share_vm_key=share_vm_key, materialize=False
     )
-    channel = _make_channel(mode, cluster, config)
+    channel = _make_channel(mode, cluster, None)
     workflow = FanOutWorkflow(source="fn-a", targets=target_names, name="fan-out-%d" % degree)
     invoker = Invoker(orchestrator, channel)
     return TransferSetup(

@@ -10,39 +10,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.environment import INTER_NODE_MODES
-from repro.experiments.harness import sweep_fanout
-from repro.experiments.panels import add_fanout_panel_point
+from repro.experiments.panels import fanout_sweep_figure
 from repro.experiments.results import FigureResult
-from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
-from repro.workloads.generators import FANOUT_PAYLOAD_MB, fanout_degrees
 
 
-def run_fig10(
-    degrees: Optional[Sequence[int]] = None,
-    payload_mb: float = FANOUT_PAYLOAD_MB,
-    repetitions: int = 1,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    modes: Sequence[str] = INTER_NODE_MODES,
-) -> FigureResult:
+def run_fig10(degrees: Optional[Sequence[int]] = None) -> FigureResult:
     """Reproduce Fig. 10 and return its eight panels."""
-    swept_degrees = list(degrees) if degrees is not None else fanout_degrees()
-    result = FigureResult(
-        figure="fig10",
-        title="Inter-node fan-out scalability with %g MB transfers" % payload_mb,
-        x_label="Fanout Degree",
-        x_values=list(swept_degrees),
-    )
-    sweep = sweep_fanout(
-        modes,
-        swept_degrees,
-        payload_mb=payload_mb,
-        internode=True,
-        repetitions=repetitions,
-        cost_model=cost_model,
-    )
-    cores = cost_model.cores_per_node
-    for degree in swept_degrees:
-        reference = max(sweep[mode][degree].makespan_s for mode in modes)
-        for mode in modes:
-            add_fanout_panel_point(result, mode, sweep[mode][degree], cores, reference_wall_s=reference)
-    return result
+    return fanout_sweep_figure("fig10", "Inter-node", INTER_NODE_MODES, internode=True, degrees=degrees)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.container.image import ContainerImage, WasmImage
-from repro.container.oci import OciBundle
 from repro.container.runc import RunCRuntime
 from repro.experiments.harness import measure_pair
 from repro.experiments.results import FigureResult
@@ -69,8 +68,9 @@ def _wasm_execution(cost_model: CostModel, reads_file: bool) -> float:
     return seconds
 
 
-def run_fig2a(cost_model: CostModel = DEFAULT_COST_MODEL) -> FigureResult:
+def run_fig2a() -> FigureResult:
     """Reproduce Fig. 2a: cold start, execution latency and image size."""
+    cost_model = DEFAULT_COST_MODEL
     ledger = CostLedger(name="fig2a")
     kernel = Kernel(ledger=ledger, cost_model=cost_model, node_name="motivation")
     runc = RunCRuntime(kernel=kernel, ledger=ledger, cost_model=cost_model)
@@ -98,20 +98,17 @@ def run_fig2a(cost_model: CostModel = DEFAULT_COST_MODEL) -> FigureResult:
     return result
 
 
-def run_fig2b(
-    sizes_mb: Sequence[int] = FIG2B_SIZES_MB,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-) -> FigureResult:
+def run_fig2b() -> FigureResult:
     """Reproduce Fig. 2b: normalized transfer vs serialization share."""
     result = FigureResult(
         figure="fig2b",
         title="Normalized I/O breakdown: transfer vs serialization",
         x_label="Input Size (MB)",
-        x_values=list(sizes_mb),
+        x_values=list(FIG2B_SIZES_MB),
     )
-    for size in sizes_mb:
+    for size in FIG2B_SIZES_MB:
         for label, mode in (("Cont", "runc-http"), ("Wasm", "wasmedge-http")):
-            aggregate = measure_pair(mode, payload_mb=size, internode=False, cost_model=cost_model)
+            aggregate = measure_pair(mode, payload_mb=size, internode=False)
             total = aggregate.mean_latency_s
             serialization = aggregate.mean_serialization_s
             transfer = max(total - serialization, 0.0)

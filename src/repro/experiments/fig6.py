@@ -10,11 +10,8 @@ Three panels:
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
 from repro.experiments.harness import measure_pair
 from repro.experiments.results import FigureResult
-from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 from repro.workloads.generators import BREAKDOWN_PAYLOAD_MB
 
 #: Runtime axis of Fig. 6, using the paper's abbreviations.
@@ -31,27 +28,17 @@ PANEL_SERIALIZATION = "b_serialization_latency_s"
 PANEL_NORMALIZED = "c_normalized_share_pct"
 
 
-def run_fig6(
-    payload_mb: float = BREAKDOWN_PAYLOAD_MB,
-    repetitions: int = 1,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-) -> FigureResult:
+def run_fig6() -> FigureResult:
     """Reproduce Fig. 6 and return its three panels."""
     result = FigureResult(
         figure="fig6",
-        title="Inter-node transfer breakdown for a %g MB payload" % payload_mb,
+        title="Inter-node transfer breakdown for a %g MB payload" % BREAKDOWN_PAYLOAD_MB,
         x_label="Runtime",
         x_values=list(FIG6_RUNTIMES),
     )
     for runtime in FIG6_RUNTIMES:
         mode = _MODE_BY_RUNTIME[runtime]
-        aggregate = measure_pair(
-            mode,
-            payload_mb=payload_mb,
-            internode=True,
-            repetitions=repetitions,
-            cost_model=cost_model,
-        )
+        aggregate = measure_pair(mode, BREAKDOWN_PAYLOAD_MB, internode=True)
         total = aggregate.mean_latency_s
         serialization = aggregate.mean_serialization_s
         wasm_io = aggregate.mean_wasm_io_s

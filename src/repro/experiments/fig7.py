@@ -11,33 +11,16 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.environment import INTRA_NODE_MODES
-from repro.experiments.harness import sweep_pair
-from repro.experiments.panels import add_eight_panel_point
+from repro.experiments.panels import payload_sweep_figure
 from repro.experiments.results import FigureResult
-from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
-from repro.workloads.generators import payload_sweep_sizes_mb
 
 
-def run_fig7(
-    sizes_mb: Optional[Sequence[float]] = None,
-    repetitions: int = 1,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    modes: Sequence[str] = INTRA_NODE_MODES,
-) -> FigureResult:
+def run_fig7(sizes_mb: Optional[Sequence[float]] = None) -> FigureResult:
     """Reproduce Fig. 7 and return its eight panels."""
-    sizes = list(sizes_mb) if sizes_mb is not None else payload_sweep_sizes_mb()
-    result = FigureResult(
-        figure="fig7",
-        title="Intra-node latency/throughput/resources for varying payload sizes",
-        x_label="Input Size (MB)",
-        x_values=list(sizes),
+    return payload_sweep_figure(
+        "fig7",
+        "Intra-node latency/throughput/resources for varying payload sizes",
+        INTRA_NODE_MODES,
+        internode=False,
+        sizes_mb=sizes_mb,
     )
-    sweep = sweep_pair(modes, sizes, internode=False, repetitions=repetitions, cost_model=cost_model)
-    cores = cost_model.cores_per_node
-    for size in sizes:
-        # CPU percentages are reported over a common measurement window: the
-        # slowest runtime at this payload size.
-        reference = max(sweep[mode][size].mean_latency_s for mode in modes)
-        for mode in modes:
-            add_eight_panel_point(result, mode, sweep[mode][size], cores, reference_wall_s=reference)
-    return result

@@ -1,28 +1,21 @@
-"""Measurement harness: run setups, aggregate repetitions, build sweeps.
+"""Measurement harness: run setups, measure one configuration, build sweeps.
 
 The paper executes every configuration 10 times and reports the mean
-(Sec. 6.2).  The reproduction is deterministic, so the default repetition
-count is small; it is kept as a parameter so stability can still be checked.
-Every repetition uses a freshly built environment — nothing is shared between
-runs.
+(Sec. 6.2).  The reproduction is deterministic, so every repetition would
+yield the same sample: each configuration runs once, in a freshly built
+environment — nothing is shared between measurements.
 """
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.experiments.environment import TransferSetup, build_fanout_setup, build_pair_setup
 from repro.metrics.collector import AggregateMetrics, aggregate_samples
-from repro.metrics.records import TransferMetrics
 from repro.platform.invoker import WorkflowResult
 from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 from repro.workloads.generators import make_payload
-
-
-class HarnessError(RuntimeError):
-    """Raised for invalid harness parameters."""
 
 
 @dataclass(frozen=True)
@@ -40,7 +33,6 @@ class FanoutAggregate:
     mean_branch_latency_s: float
     makespan_s: float
     serialization_s_total: float
-    wasm_io_s_total: float
     cpu_user_s_total: float
     cpu_kernel_s_total: float
     peak_memory_mb: float
@@ -62,103 +54,59 @@ class FanoutAggregate:
         return self.cpu_user_s_total + self.cpu_kernel_s_total
 
 
-def run_setup(setup: TransferSetup, payload_mb: float, real_payload: bool = False) -> WorkflowResult:
+def run_setup(setup: TransferSetup, payload_mb: float) -> WorkflowResult:
     """Execute the setup's workflow once with a payload of ``payload_mb``."""
-    payload = make_payload(payload_mb, real=real_payload)
-    return setup.invoker.invoke(setup.workflow, payload)
+    return setup.invoker.invoke(setup.workflow, make_payload(payload_mb))
 
 
 def measure_pair(
     mode: str,
     payload_mb: float,
     internode: bool = False,
-    repetitions: int = 1,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    real_payload: bool = False,
 ) -> AggregateMetrics:
-    """Mean metrics for a chained a->b transfer in ``mode``."""
-    if repetitions < 1:
-        raise HarnessError("repetitions must be >= 1")
-    samples: List[TransferMetrics] = []
-    for _ in range(repetitions):
-        setup = build_pair_setup(mode, internode=internode, cost_model=cost_model)
-        result = run_setup(setup, payload_mb, real_payload=real_payload)
-        samples.append(result.aggregate)
-    return aggregate_samples(samples)
+    """Metrics for a chained a->b transfer in ``mode``."""
+    setup = build_pair_setup(mode, internode=internode, cost_model=cost_model)
+    return aggregate_samples([run_setup(setup, payload_mb).aggregate])
 
 
 def measure_fanout(
-    mode: str,
-    degree: int,
-    payload_mb: float,
-    internode: bool = False,
-    repetitions: int = 1,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
+    mode: str, degree: int, payload_mb: float, internode: bool = False
 ) -> FanoutAggregate:
     """Aggregated metrics for a fan-out of ``degree`` transfers in ``mode``."""
-    if repetitions < 1:
-        raise HarnessError("repetitions must be >= 1")
-    results: List[WorkflowResult] = []
-    for _ in range(repetitions):
-        setup = build_fanout_setup(mode, degree=degree, internode=internode, cost_model=cost_model)
-        results.append(run_setup(setup, payload_mb))
+    result = run_setup(build_fanout_setup(mode, degree=degree, internode=internode), payload_mb)
+    aggregate = result.aggregate
     return FanoutAggregate(
         mode=mode,
         degree=degree,
-        payload_bytes=results[0].aggregate.payload_bytes,
-        mean_branch_latency_s=statistics.fmean(r.mean_branch_latency_s for r in results),
-        makespan_s=statistics.fmean(r.total_latency_s for r in results),
-        serialization_s_total=statistics.fmean(r.aggregate.serialization_s for r in results),
-        wasm_io_s_total=statistics.fmean(r.aggregate.wasm_io_s for r in results),
-        cpu_user_s_total=statistics.fmean(r.aggregate.cpu_user_s for r in results),
-        cpu_kernel_s_total=statistics.fmean(r.aggregate.cpu_kernel_s for r in results),
-        peak_memory_mb=statistics.fmean(r.aggregate.peak_memory_mb for r in results),
+        payload_bytes=aggregate.payload_bytes,
+        mean_branch_latency_s=result.mean_branch_latency_s,
+        makespan_s=result.total_latency_s,
+        serialization_s_total=aggregate.serialization_s,
+        cpu_user_s_total=aggregate.cpu_user_s,
+        cpu_kernel_s_total=aggregate.cpu_kernel_s,
+        peak_memory_mb=aggregate.peak_memory_mb,
     )
 
 
 def sweep_pair(
-    modes: Sequence[str],
-    sizes_mb: Sequence[float],
-    internode: bool = False,
-    repetitions: int = 1,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
+    modes: Sequence[str], sizes_mb: Sequence[float], internode: bool = False
 ) -> Dict[str, Dict[float, AggregateMetrics]]:
     """Run the payload-size sweep for every mode; keyed by mode then size."""
-    results: Dict[str, Dict[float, AggregateMetrics]] = {}
-    for mode in modes:
-        per_size: Dict[float, AggregateMetrics] = {}
-        for size in sizes_mb:
-            per_size[size] = measure_pair(
-                mode,
-                payload_mb=size,
-                internode=internode,
-                repetitions=repetitions,
-                cost_model=cost_model,
-            )
-        results[mode] = per_size
-    return results
+    return {
+        mode: {size: measure_pair(mode, size, internode=internode) for size in sizes_mb}
+        for mode in modes
+    }
 
 
 def sweep_fanout(
-    modes: Sequence[str],
-    degrees: Sequence[int],
-    payload_mb: float,
-    internode: bool = False,
-    repetitions: int = 1,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
+    modes: Sequence[str], degrees: Sequence[int], payload_mb: float, internode: bool = False
 ) -> Dict[str, Dict[int, FanoutAggregate]]:
     """Run the fan-out sweep for every mode; keyed by mode then degree."""
-    results: Dict[str, Dict[int, FanoutAggregate]] = {}
-    for mode in modes:
-        per_degree: Dict[int, FanoutAggregate] = {}
-        for degree in degrees:
-            per_degree[degree] = measure_fanout(
-                mode,
-                degree=degree,
-                payload_mb=payload_mb,
-                internode=internode,
-                repetitions=repetitions,
-                cost_model=cost_model,
-            )
-        results[mode] = per_degree
-    return results
+    return {
+        mode: {
+            degree: measure_fanout(mode, degree, payload_mb, internode=internode)
+            for degree in degrees
+        }
+        for mode in modes
+    }

@@ -1,11 +1,23 @@
-"""Shared panel definitions for the eight-panel sweep figures (7-10)."""
+"""The eight-panel sweep figures (7-10): panel definitions and one builder per shape.
+
+Figs. 7 and 8 sweep the payload size of an a->b chain, Figs. 9 and 10 the
+degree of a 10 MB fan-out; each pair differs only in its modes and in
+whether the functions share a node.
+"""
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional, Sequence
 
+from repro.experiments.harness import sweep_fanout, sweep_pair
 from repro.experiments.results import FigureResult
 from repro.metrics.collector import AggregateMetrics
+from repro.sim.costs import DEFAULT_COST_MODEL
+from repro.workloads.generators import (
+    DEFAULT_FANOUT_DEGREES,
+    DEFAULT_SWEEP_SIZES_MB,
+    FANOUT_PAYLOAD_MB,
+)
 
 #: Mode label -> the series name the paper uses in its legends.
 MODE_LABELS: Dict[str, str] = {
@@ -119,3 +131,48 @@ def add_fanout_panel_point(
         PANEL_KERNEL_CPU, label, _cpu_percent(aggregate.cpu_kernel_s_total, reference, cores)
     )
     result.add_point(PANEL_RAM, label, aggregate.peak_memory_mb)
+
+
+def payload_sweep_figure(
+    figure: str,
+    title: str,
+    modes: Sequence[str],
+    internode: bool,
+    sizes_mb: Optional[Sequence[float]],
+) -> FigureResult:
+    """Figs. 7 and 8: the eight panels over payload sizes (all sizes when ``None``)."""
+    sizes = list(sizes_mb) if sizes_mb is not None else list(DEFAULT_SWEEP_SIZES_MB)
+    result = FigureResult(figure=figure, title=title, x_label="Input Size (MB)", x_values=sizes)
+    sweep = sweep_pair(modes, sizes, internode=internode)
+    cores = DEFAULT_COST_MODEL.cores_per_node
+    for size in sizes:
+        # CPU percentages are reported over a common measurement window: the
+        # slowest runtime at this payload size.
+        reference = max(sweep[mode][size].mean_latency_s for mode in modes)
+        for mode in modes:
+            add_eight_panel_point(result, mode, sweep[mode][size], cores, reference_wall_s=reference)
+    return result
+
+
+def fanout_sweep_figure(
+    figure: str,
+    placement: str,
+    modes: Sequence[str],
+    internode: bool,
+    degrees: Optional[Sequence[int]],
+) -> FigureResult:
+    """Figs. 9 and 10: the eight panels over fan-out degrees (all degrees when ``None``)."""
+    swept = list(degrees) if degrees is not None else list(DEFAULT_FANOUT_DEGREES)
+    result = FigureResult(
+        figure=figure,
+        title="%s fan-out scalability with %g MB transfers" % (placement, FANOUT_PAYLOAD_MB),
+        x_label="Fanout Degree",
+        x_values=swept,
+    )
+    sweep = sweep_fanout(modes, swept, FANOUT_PAYLOAD_MB, internode=internode)
+    cores = DEFAULT_COST_MODEL.cores_per_node
+    for degree in swept:
+        reference = max(sweep[mode][degree].makespan_s for mode in modes)
+        for mode in modes:
+            add_fanout_panel_point(result, mode, sweep[mode][degree], cores, reference_wall_s=reference)
+    return result

@@ -10,7 +10,7 @@ asserts the paper's headline ratios against them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Union
 
 from repro.metrics.report import format_figure_result
 

@@ -16,7 +16,6 @@ from repro.experiments.fig8 import run_fig8
 from repro.experiments.fig9 import run_fig9
 from repro.experiments.fig10 import run_fig10
 from repro.experiments.results import FigureResult
-from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 
 #: Reduced sweeps used by the quick run (full sweeps are the default of each
 #: run_figX function).
@@ -24,21 +23,18 @@ QUICK_SIZES_MB = (1, 10, 100, 500)
 QUICK_DEGREES = (1, 10, 50, 100)
 
 
-def run_all(
-    quick: bool = True,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-) -> Dict[str, FigureResult]:
+def run_all(quick: bool = True) -> Dict[str, FigureResult]:
     """Run every figure; ``quick=True`` trims the sweeps to a few points."""
     sizes: Optional[Sequence[float]] = QUICK_SIZES_MB if quick else None
     degrees: Optional[Sequence[int]] = QUICK_DEGREES if quick else None
     return {
-        "fig2a": run_fig2a(cost_model=cost_model),
-        "fig2b": run_fig2b(cost_model=cost_model),
-        "fig6": run_fig6(cost_model=cost_model),
-        "fig7": run_fig7(sizes_mb=sizes, cost_model=cost_model),
-        "fig8": run_fig8(sizes_mb=sizes, cost_model=cost_model),
-        "fig9": run_fig9(degrees=degrees, cost_model=cost_model),
-        "fig10": run_fig10(degrees=degrees, cost_model=cost_model),
+        "fig2a": run_fig2a(),
+        "fig2b": run_fig2b(),
+        "fig6": run_fig6(),
+        "fig7": run_fig7(sizes_mb=sizes),
+        "fig8": run_fig8(sizes_mb=sizes),
+        "fig9": run_fig9(degrees=degrees),
+        "fig10": run_fig10(degrees=degrees),
     }
 
 

@@ -23,7 +23,7 @@ Shipped stages, in the order :func:`build_pipeline` registers them:
 
 ``auth``        allow-list + per-tenant admission quota (REJECTED)
 ``rate-limit``  per-tenant token bucket (RATE_LIMITED)
-``cache``       response cache, TTL + explicit invalidation, keyed on the
+``cache``       response cache, TTL + LRU capacity, keyed on the
                 function + payload digest (CACHED)
 ``coalesce``    duplicate-request coalescing: one backend invocation fans
                 its result out to every identical concurrent waiter
@@ -68,7 +68,6 @@ class AdmitAction(enum.Enum):
     """What one stage decided about an arriving request."""
 
     PASS = "pass"                    # unchanged, on to the next stage
-    TRANSFORM = "transform"          # mutated in place, on to the next stage
     SHORT_CIRCUIT = "short_circuit"  # terminal outcome right now
     PARK = "park"                    # held by the stage until a peer resolves it
 
@@ -91,10 +90,6 @@ class Admission:
         return _PASS
 
     @classmethod
-    def transformed(cls) -> "Admission":
-        return _TRANSFORM
-
-    @classmethod
     def short_circuit(
         cls, outcome: RequestOutcome, completion_s: Optional[float] = None
     ) -> "Admission":
@@ -106,7 +101,6 @@ class Admission:
 
 
 _PASS = Admission(AdmitAction.PASS)
-_TRANSFORM = Admission(AdmitAction.TRANSFORM)
 
 
 @dataclass
@@ -114,10 +108,8 @@ class RequestContext:
     """One request's trip through the pipeline.
 
     ``request`` stays the engine's opaque request object (anything with
-    ``request_id``/``arrival_s``/``function``/``payload_bytes``); stages
-    that transform it mutate ``priority``/``deadline_s`` style fields via
-    ``override`` entries read back by the engine, never the frozen request
-    itself.  ``entered`` records which stages admitted the request, so the
+    ``request_id``/``arrival_s``/``function``/``payload_bytes``); no stage
+    changes it.  ``entered`` records which stages admitted the request, so the
     completion unwind runs exactly those stages' hooks in reverse order.
     """
 
@@ -125,8 +117,6 @@ class RequestContext:
     request: object
     key: str  # response-identity digest (function + payload)
     entered: List["MiddlewareStage"] = field(default_factory=list)
-    #: Stage-to-stage scratch space (e.g. transform overrides).
-    data: Dict[str, object] = field(default_factory=dict)
 
     @property
     def request_id(self) -> int:
@@ -141,7 +131,7 @@ class RequestContext:
 class DispatchPlan:
     """The pipeline's verdict on one dispatch: service time, maybe a hedge.
 
-    ``service_s`` is the primary attempt's (possibly transformed) service
+    ``service_s`` is the primary attempt's (possibly straggler-inflated) service
     time.  When a hedge fires, the second attempt launches
     ``hedge_delay_s`` after dispatch and runs for ``hedge_service_s``; the
     first finisher wins and the loser is cancelled at the winner's
@@ -176,8 +166,8 @@ class MiddlewareStage:
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
 
-    def count(self, event: str, amount: int = 1) -> None:
-        self.counters[event] = self.counters.get(event, 0) + amount
+    def count(self, event: str) -> None:
+        self.counters[event] = self.counters.get(event, 0) + 1
 
     # -- hooks ---------------------------------------------------------------------
 
@@ -207,7 +197,7 @@ class MiddlewarePipeline:
     refunds) observe every outcome they admitted.
     """
 
-    def __init__(self, stages: Sequence[MiddlewareStage] = ()) -> None:
+    def __init__(self, stages: Sequence[MiddlewareStage]) -> None:
         #: The stages in registration (execution) order.
         self.stages: List[MiddlewareStage] = []
         for stage in stages:
@@ -336,18 +326,12 @@ class TokenBucketStage(MiddlewareStage):
     Each tenant's bucket refills at ``rate_rps`` tokens per simulated
     second up to ``burst`` tokens (the bucket starts full, so a cold tenant
     can burst).  An arrival with no whole token available is refused with
-    :attr:`RequestOutcome.RATE_LIMITED`.  ``per_tenant`` overrides the
-    default rate for named tenants.
+    :attr:`RequestOutcome.RATE_LIMITED`.
     """
 
     name = "rate-limit"
 
-    def __init__(
-        self,
-        rate_rps: float,
-        burst: Optional[float] = None,
-        per_tenant: Optional[Dict[str, float]] = None,
-    ) -> None:
+    def __init__(self, rate_rps: float, burst: Optional[float] = None) -> None:
         super().__init__()
         if rate_rps <= 0:
             raise MiddlewareError("rate_rps must be positive, got %r" % rate_rps)
@@ -355,19 +339,12 @@ class TokenBucketStage(MiddlewareStage):
         self.burst = burst if burst is not None else max(1.0, rate_rps)
         if self.burst < 1.0:
             raise MiddlewareError("burst must allow at least one token")
-        self.per_tenant = dict(per_tenant or {})
-        for tenant, rate in self.per_tenant.items():
-            if rate <= 0:
-                raise MiddlewareError("tenant %r rate must be positive" % tenant)
         self._buckets: Dict[str, Tuple[float, float]] = {}  # tenant -> (tokens, asof)
-
-    def _rate(self, tenant: str) -> float:
-        return self.per_tenant.get(tenant, self.rate_rps)
 
     def tokens(self, tenant: str, now: float) -> float:
         """The tenant's current token balance (refilled to ``now``)."""
         tokens, asof = self._buckets.get(tenant, (self.burst, now))
-        return min(self.burst, tokens + (now - asof) * self._rate(tenant))
+        return min(self.burst, tokens + (now - asof) * self.rate_rps)
 
     def on_admit(self, ctx: RequestContext, now: float) -> Admission:
         balance = self.tokens(ctx.tenant, now)
@@ -393,9 +370,7 @@ class ResponseCacheStage(MiddlewareStage):
     ``hit_latency_s`` after arrival (default: instantly — the ingress
     answers from memory).  Entries fill from completed backend responses on
     the unwind path, expire ``ttl_s`` simulated seconds later, and evict
-    least-recently-used beyond ``capacity``.  :meth:`invalidate` drops one
-    key or the whole cache — the explicit-invalidation path a deploy or a
-    data change would trigger.
+    least-recently-used beyond ``capacity``.
     """
 
     name = "cache"
@@ -449,16 +424,6 @@ class ResponseCacheStage(MiddlewareStage):
                 self._entries.pop(next(iter(self._entries)))
                 self.count("evicted")
         return ()
-
-    def invalidate(self, key: Optional[str] = None) -> int:
-        """Drop one cached response (or all of them); returns entries removed."""
-        if key is None:
-            removed = len(self._entries)
-            self._entries.clear()
-        else:
-            removed = 1 if self._entries.pop(key, None) is not None else 0
-        self.count("invalidated", removed)
-        return removed
 
 
 class CoalesceStage(MiddlewareStage):
@@ -630,7 +595,7 @@ def build_pipeline(
             seed=hedge_seed,
         ),
     }
-    pipeline = MiddlewarePipeline()
+    stages = []
     for raw in names:
         name = raw.strip()
         if not name:
@@ -639,5 +604,5 @@ def build_pipeline(
             raise MiddlewareError(
                 "unknown middleware %r (known: %s)" % (name, ", ".join(STAGE_NAMES))
             )
-        pipeline.register(factories[name]())
-    return pipeline
+        stages.append(factories[name]())
+    return MiddlewarePipeline(stages)

@@ -48,26 +48,6 @@ class Cgroup:
     def kernel_cpu_seconds(self) -> float:
         return self._kernel_seconds
 
-    @property
-    def total_cpu_seconds(self) -> float:
-        return self.user_cpu_seconds + self.kernel_cpu_seconds
-
-    def cpu_percent(self, wall_seconds: float, cores: int = 1) -> float:
-        """CPU usage as a percentage of available core-seconds."""
-        if wall_seconds <= 0 or cores < 1:
-            return 0.0
-        return 100.0 * self.total_cpu_seconds / (wall_seconds * cores)
-
-    def user_cpu_percent(self, wall_seconds: float, cores: int = 1) -> float:
-        if wall_seconds <= 0 or cores < 1:
-            return 0.0
-        return 100.0 * self.user_cpu_seconds / (wall_seconds * cores)
-
-    def kernel_cpu_percent(self, wall_seconds: float, cores: int = 1) -> float:
-        if wall_seconds <= 0 or cores < 1:
-            return 0.0
-        return 100.0 * self.kernel_cpu_seconds / (wall_seconds * cores)
-
     def reset(self) -> None:
         self._user_seconds = 0.0
         self._kernel_seconds = 0.0

@@ -35,9 +35,9 @@ class VirtualFileSystem:
     def exists(self, path: str) -> bool:
         return path in self._files
 
-    def listdir(self, prefix: str = "/") -> List[str]:
-        """Paths under ``prefix`` (flat namespace, no real directories)."""
-        return sorted(path for path in self._files if path.startswith(prefix))
+    def listdir(self) -> List[str]:
+        """Every path, sorted (flat namespace, no real directories)."""
+        return sorted(self._files)
 
     def size(self, path: str) -> int:
         return self._require(path).size

@@ -9,7 +9,7 @@ every data path (HTTP baseline, Unix-socket IPC, spliced network transfer).
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pipes import us)
     from repro.kernel.buffers import KernelBuffer
@@ -77,7 +77,7 @@ class Kernel:
 
     # -- accounting primitives ----------------------------------------------------------
 
-    def syscall(self, process: Process, name: str, count: int = 1, wall_time: bool = True) -> float:
+    def syscall(self, process: Process, name: str, count: int = 1) -> float:
         """Charge ``count`` syscall entries made by ``process``."""
         if count < 1:
             raise KernelError("syscall count must be >= 1")
@@ -87,14 +87,13 @@ class Kernel:
             seconds,
             cpu_domain=CpuDomain.KERNEL,
             label="%s:%s" % (process.name, name),
-            wall_time=wall_time,
             units=count,
         )
         process.charge_cpu(CpuDomain.KERNEL, seconds)
         process.note_syscall(count)
         return seconds
 
-    def context_switch(self, from_process: Process, to_process: Optional[Process] = None) -> float:
+    def context_switch(self, from_process: Process) -> float:
         """Charge one context switch away from ``from_process``."""
         seconds = self.cost_model.context_switch_overhead
         self.ledger.charge(
@@ -105,8 +104,6 @@ class Kernel:
         )
         from_process.charge_cpu(CpuDomain.KERNEL, seconds)
         from_process.note_context_switch()
-        if to_process is not None:
-            to_process.note_context_switch()
         return seconds
 
     def copy_user_to_kernel(self, process: Process, nbytes: int, label: str = "") -> float:

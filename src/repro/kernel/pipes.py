@@ -5,8 +5,8 @@ A pipe is the kernel object behind Roadrunner's *virtual data hose*
 
 * ``vmsplice_in`` maps user pages into the pipe — the payload enters kernel
   space without a copy;
-* ``splice_to`` moves the pipe's buffers to another file descriptor (a socket
-  or another pipe) by reference;
+* ``pop_buffer`` / ``adopt_buffer`` move a buffer to another kernel object
+  (a socket or another pipe) by reference;
 * the conventional ``write`` / ``read`` calls copy, and are what the HTTP
   baselines pay.
 
@@ -54,9 +54,6 @@ class Pipe:
         self.capacity = capacity
         self.name = name
         self._buffers: Deque[KernelBuffer] = deque()
-        self.total_bytes_in = 0
-        self.total_bytes_out = 0
-        self.copied_bytes_in = 0
 
     # -- producer side --------------------------------------------------------------
 
@@ -68,7 +65,6 @@ class Pipe:
         self.kernel.copy_user_to_kernel(process, payload.size, label="pipe-write:%s" % self.name)
         buffer = KernelBuffer(payload=payload.copy(), copied=True, producer=process.name)
         self._push(buffer, process)
-        self.copied_bytes_in += payload.size
         return buffer
 
     def vmsplice_in(self, process: Process, payload: Payload) -> KernelBuffer:
@@ -93,17 +89,7 @@ class Pipe:
                             count=self.kernel.cost_model.syscall_count(buffer.size))
         self.kernel.copy_kernel_to_user(process, buffer.size, label="pipe-read:%s" % self.name)
         self.kernel.release_kernel_buffer(buffer)
-        self.total_bytes_out += buffer.size
         return buffer.payload
-
-    def splice_to(self, process: Process, target: "Pipe") -> KernelBuffer:
-        """``splice``: move the next buffer to another pipe by reference."""
-        buffer = self._pop()
-        self.kernel.syscall(process, "splice(%s->%s)" % (self.name, target.name))
-        self.kernel.splice_pages(process, buffer.size, label="splice:%s" % self.name)
-        target._adopt(buffer, process)
-        self.total_bytes_out += buffer.size
-        return buffer
 
     def pop_buffer(self, process: Process) -> KernelBuffer:
         """Hand the next buffer to another kernel object (socket splice).
@@ -112,14 +98,12 @@ class Pipe:
         it (``buffer.owner``); the adopting object releases it when the
         buffer finally leaves the kernel.
         """
-        buffer = self._pop()
-        self.total_bytes_out += buffer.size
-        return buffer
+        return self._pop()
 
     def adopt_buffer(self, process: Process, buffer: KernelBuffer) -> None:
         """Accept a buffer spliced in from another kernel object."""
         self._check_fits(buffer.size)
-        self._adopt(buffer, process)
+        self._push(buffer, process)
 
     # -- inspection -----------------------------------------------------------------------
 
@@ -145,12 +129,6 @@ class Pipe:
 
     def _push(self, buffer: KernelBuffer, process: Process) -> None:
         self._buffers.append(buffer)
-        self.total_bytes_in += buffer.size
-        self.kernel.track_kernel_buffer(process, buffer)
-
-    def _adopt(self, buffer: KernelBuffer, process: Process) -> None:
-        self._buffers.append(buffer)
-        self.total_bytes_in += buffer.size
         # A spliced-in buffer that is already owned moves by reference: no
         # new pages, no second charge.
         self.kernel.track_kernel_buffer(process, buffer)

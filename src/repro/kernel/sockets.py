@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
 
 from repro.kernel.buffers import KernelBuffer
 from repro.kernel.kernel import Kernel
@@ -143,7 +143,6 @@ class TcpConnection:
         self.name = name
         self._in_flight: Deque[KernelBuffer] = deque()
         self._established = False
-        self.wire_bytes = 0
 
     def establish(self, client: Process, server: Process) -> None:
         """Three-way handshake: one RTT plus socket setup on both ends."""
@@ -173,13 +172,13 @@ class TcpConnection:
         buffer = KernelBuffer(payload=payload.copy(), copied=True, producer=sender.name)
         self._transmit(sender, buffer, wasi_mediated)
 
-    def send_spliced(self, sender: Process, source_pipe: Pipe, wasi_mediated: bool = False) -> None:
+    def send_spliced(self, sender: Process, source_pipe: Pipe) -> None:
         """Roadrunner path: splice the pipe's buffer into the socket (no copy)."""
         self._require_established()
         buffer = source_pipe.pop_buffer(sender)
         self.source_kernel.syscall(sender, "splice(%s->%s)" % (source_pipe.name, self.name))
         self.source_kernel.splice_pages(sender, buffer.size, label="splice-to-socket:%s" % self.name)
-        self._transmit(sender, buffer, wasi_mediated)
+        self._transmit(sender, buffer, False)
 
     def _transmit(self, sender: Process, buffer: KernelBuffer, wasi_mediated: bool) -> None:
         wire_seconds = self.link.transfer_seconds(buffer.size, wasi_mediated=wasi_mediated)
@@ -191,7 +190,6 @@ class TcpConnection:
             copied=False,
             label="wire:%s" % self.name,
         )
-        self.wire_bytes += buffer.size
         self._in_flight.append(buffer)
 
     # -- receive paths ------------------------------------------------------------------

@@ -2,12 +2,12 @@
 
 :class:`~repro.metrics.records.TransferMetrics` captures one data transfer;
 :class:`~repro.metrics.records.LedgerWindow` measures it by snapshotting the
-cost ledger around the transfer; collectors aggregate repetitions and fan-out
-branches; the report module renders the tables the experiment harness prints.
+cost ledger around the transfer; the collector folds samples into means; the
+report module renders the tables the experiment harness prints.
 """
 
 from repro.metrics.records import LedgerWindow, TransferMetrics
-from repro.metrics.collector import MetricsCollector, AggregateMetrics
+from repro.metrics.collector import AggregateMetrics
 from repro.metrics.report import format_latency_summaries, format_table, format_figure_result
 from repro.metrics.stats import LatencySummary, mean, p50, p95, p99, percentile
 from repro.metrics.export import (
@@ -22,14 +22,10 @@ from repro.metrics.export import (
     traffic_to_figure,
     write_figure,
 )
-from repro.metrics.timeline import export_chrome_trace, ledger_to_spans
 
 __all__ = [
-    "export_chrome_trace",
-    "ledger_to_spans",
     "LedgerWindow",
     "TransferMetrics",
-    "MetricsCollector",
     "AggregateMetrics",
     "LatencySummary",
     "percentile",

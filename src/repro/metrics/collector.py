@@ -1,16 +1,15 @@
-"""Aggregation of repeated measurements and fan-out branches.
+"""Aggregation of repeated transfer measurements.
 
 The paper runs every configuration 10 times and reports means (Sec. 6.2).
-:class:`MetricsCollector` accumulates :class:`TransferMetrics` samples and
-produces an :class:`AggregateMetrics` with mean / min / max per field, plus a
-makespan-aware aggregate for fan-out experiments.
+:func:`aggregate_samples` folds :class:`TransferMetrics` samples of one mode
+and payload size into an :class:`AggregateMetrics` of means.
 """
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.metrics.records import TransferMetrics
 
@@ -27,19 +26,12 @@ class AggregateMetrics:
     payload_bytes: int
     samples: int
     mean_latency_s: float
-    min_latency_s: float
     max_latency_s: float
-    stdev_latency_s: float
     mean_serialization_s: float
     mean_wasm_io_s: float
-    mean_transfer_s: float
     mean_cpu_user_s: float
     mean_cpu_kernel_s: float
     mean_peak_memory_mb: float
-    mean_copied_bytes: float
-    mean_syscalls: float
-    #: Mean charged seconds per ledger shard (per-node attribution).
-    mean_node_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
     def mean_throughput_rps(self) -> float:
@@ -57,54 +49,6 @@ class AggregateMetrics:
     def mean_cpu_total_s(self) -> float:
         return self.mean_cpu_user_s + self.mean_cpu_kernel_s
 
-    def cpu_percent(self, cores: int = 1) -> float:
-        if self.mean_latency_s <= 0:
-            return 0.0
-        return 100.0 * self.mean_cpu_total_s / (self.mean_latency_s * cores)
-
-    def user_cpu_percent(self, cores: int = 1) -> float:
-        if self.mean_latency_s <= 0:
-            return 0.0
-        return 100.0 * self.mean_cpu_user_s / (self.mean_latency_s * cores)
-
-    def kernel_cpu_percent(self, cores: int = 1) -> float:
-        if self.mean_latency_s <= 0:
-            return 0.0
-        return 100.0 * self.mean_cpu_kernel_s / (self.mean_latency_s * cores)
-
-
-class MetricsCollector:
-    """Accumulates per-transfer samples grouped by (mode, payload size)."""
-
-    def __init__(self) -> None:
-        self._samples: Dict[tuple, List[TransferMetrics]] = {}
-
-    def add(self, metrics: TransferMetrics) -> None:
-        key = (metrics.mode, metrics.payload_bytes)
-        self._samples.setdefault(key, []).append(metrics)
-
-    def extend(self, samples: Sequence[TransferMetrics]) -> None:
-        for sample in samples:
-            self.add(sample)
-
-    def samples(self, mode: str, payload_bytes: int) -> List[TransferMetrics]:
-        return list(self._samples.get((mode, payload_bytes), []))
-
-    def aggregate(self, mode: str, payload_bytes: int) -> AggregateMetrics:
-        samples = self._samples.get((mode, payload_bytes))
-        if not samples:
-            raise CollectorError(
-                "no samples for mode=%r payload=%d" % (mode, payload_bytes)
-            )
-        return aggregate_samples(samples)
-
-    def aggregates(self) -> List[AggregateMetrics]:
-        return [aggregate_samples(v) for v in self._samples.values()]
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._samples.values())
-
-
 def aggregate_samples(samples: Sequence[TransferMetrics]) -> AggregateMetrics:
     """Collapse a list of samples (same mode and size) into summary statistics."""
     if not samples:
@@ -116,26 +60,15 @@ def aggregate_samples(samples: Sequence[TransferMetrics]) -> AggregateMetrics:
             "samples mix modes (%s) or sizes (%s); aggregate them separately" % (modes, sizes)
         )
     latencies = [s.total_latency_s for s in samples]
-    nodes = sorted({node for s in samples for node in s.node_seconds})
-    node_means = {
-        node: statistics.fmean(s.node_seconds.get(node, 0.0) for s in samples)
-        for node in nodes
-    }
     return AggregateMetrics(
         mode=samples[0].mode,
         payload_bytes=samples[0].payload_bytes,
         samples=len(samples),
         mean_latency_s=statistics.fmean(latencies),
-        min_latency_s=min(latencies),
         max_latency_s=max(latencies),
-        stdev_latency_s=statistics.pstdev(latencies) if len(latencies) > 1 else 0.0,
         mean_serialization_s=statistics.fmean(s.serialization_s for s in samples),
         mean_wasm_io_s=statistics.fmean(s.wasm_io_s for s in samples),
-        mean_transfer_s=statistics.fmean(s.transfer_s for s in samples),
         mean_cpu_user_s=statistics.fmean(s.cpu_user_s for s in samples),
         mean_cpu_kernel_s=statistics.fmean(s.cpu_kernel_s for s in samples),
         mean_peak_memory_mb=statistics.fmean(s.peak_memory_mb for s in samples),
-        mean_copied_bytes=statistics.fmean(s.copied_bytes for s in samples),
-        mean_syscalls=statistics.fmean(s.syscalls for s in samples),
-        mean_node_seconds=node_means,
     )

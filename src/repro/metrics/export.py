@@ -77,9 +77,9 @@ def figure_to_dict(result) -> Dict[str, Any]:
     }
 
 
-def figure_to_json(result, indent: int = 2) -> str:
+def figure_to_json(result) -> str:
     """Serialise a FigureResult to JSON text."""
-    return json.dumps(figure_to_dict(result), indent=indent, sort_keys=True)
+    return json.dumps(figure_to_dict(result), indent=2, sort_keys=True)
 
 
 def figure_to_csv(result) -> str:
@@ -249,7 +249,7 @@ def traffic_to_figure(
     return result
 
 
-def multi_tenant_to_figure(summary, figure: str = "traffic", **kwargs):
+def multi_tenant_to_figure(summary):
     """Export a MultiTenantSummary: every tenant plus the cluster rollup.
 
     The fairness policy and per-tenant weights travel as ``meta`` panel
@@ -264,7 +264,7 @@ def multi_tenant_to_figure(summary, figure: str = "traffic", **kwargs):
         summary.fairness,
         json.dumps(dict(summary.weights), sort_keys=True),
     )
-    result = traffic_to_figure(labelled, figure=figure, notes=notes, **kwargs)
+    result = traffic_to_figure(labelled, notes=notes)
     for label in result.x_values:
         result.add_point("meta", "fairness", summary.fairness)
         result.add_point(
@@ -277,12 +277,7 @@ def multi_tenant_to_figure(summary, figure: str = "traffic", **kwargs):
 _NODE_USAGE_SERIES = ("charges", "total_seconds", "cpu_seconds", "peak_memory_mb")
 
 
-def node_usage_to_figure(
-    summary,
-    figure: str = "traffic-nodes",
-    title: str = "Per-node ledger usage",
-    notes: str = "",
-):
+def node_usage_to_figure(summary):
     """Flatten a run's per-node cost rollups into an exportable figure.
 
     ``summary`` is a :class:`~repro.traffic.tenants.MultiTenantSummary`
@@ -297,11 +292,10 @@ def node_usage_to_figure(
     if not nodes:
         raise ExportError("no per-node usage to export")
     result = FigureResult(
-        figure=figure,
-        title=title,
+        figure="traffic-nodes",
+        title="Per-node ledger usage",
         x_label="node",
         x_values=list(nodes),
-        notes=notes,
     )
     for usage in nodes.values():
         for series in _NODE_USAGE_SERIES:
@@ -328,12 +322,7 @@ def node_usage_from_figure(figure) -> Dict[str, Any]:
     return usage
 
 
-def policies_to_figure(
-    results: Mapping[str, Any],
-    figure: str = "traffic-policies",
-    title: str = "Scaling-policy comparison (same seeded arrivals)",
-    notes: str = "",
-):
+def policies_to_figure(results: Mapping[str, Any]):
     """Flatten a policy comparison into one exportable figure.
 
     ``results`` maps a policy label to that run's :class:`TrafficSummary`
@@ -345,7 +334,12 @@ def policies_to_figure(
     round-trips through CSV/JSON and :func:`traffic_from_figure` like any
     other.
     """
-    return traffic_to_figure(results, figure=figure, title=title, x_label="policy", notes=notes)
+    return traffic_to_figure(
+        results,
+        figure="traffic-policies",
+        title="Scaling-policy comparison (same seeded arrivals)",
+        x_label="policy",
+    )
 
 
 #: Per-region series of a federation figure's ``regions`` panel.  The
@@ -363,12 +357,7 @@ _FEDERATION_REGION_SERIES = (
 )
 
 
-def federation_to_figure(
-    summary,
-    figure: str = "traffic-federation",
-    title: str = "Federated multi-region traffic summary",
-    notes: str = "",
-):
+def federation_to_figure(summary):
     """Flatten a FederationSummary: one x position per region plus the rollup.
 
     Each region's cluster-wide :class:`~repro.traffic.slo.TrafficSummary`
@@ -387,13 +376,13 @@ def federation_to_figure(
         raise ExportError("region name 'federation' collides with the rollup row")
     labelled["federation"] = summary.cluster
     stats = summary.router
-    if not notes:
-        notes = "router=%s home=%s" % (
-            stats.policy,
-            json.dumps(dict(summary.home), sort_keys=True),
-        )
+    notes = "router=%s home=%s" % (stats.policy, json.dumps(dict(summary.home), sort_keys=True))
     result = traffic_to_figure(
-        labelled, figure=figure, title=title, x_label="region", notes=notes
+        labelled,
+        figure="traffic-federation",
+        title="Federated multi-region traffic summary",
+        x_label="region",
+        notes=notes,
     )
     total_placed = sum(stats.placements.values())
     for label in result.x_values:
@@ -434,11 +423,11 @@ def federation_from_figure(figure) -> Dict[str, Any]:
     regions_panel = figure.panels.get("regions", {})
     meta = figure.panels.get("meta", {})
 
-    def region_value(series: str, index: int, default: float = 0.0) -> float:
+    def region_value(series: str, index: int) -> float:
         try:
             return float(regions_panel[series][index])
         except (KeyError, IndexError, TypeError, ValueError):
-            return default
+            return 0.0
 
     labels = [str(label) for label in figure.x_values]
     placements: Dict[str, int] = {}

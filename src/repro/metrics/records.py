@@ -61,21 +61,6 @@ class TransferMetrics:
             return float("inf")
         return 1.0 / self.serialization_s
 
-    def cpu_percent(self, cores: int = 1) -> float:
-        if self.total_latency_s <= 0:
-            return 0.0
-        return 100.0 * self.cpu_total_s / (self.total_latency_s * cores)
-
-    def user_cpu_percent(self, cores: int = 1) -> float:
-        if self.total_latency_s <= 0:
-            return 0.0
-        return 100.0 * self.cpu_user_s / (self.total_latency_s * cores)
-
-    def kernel_cpu_percent(self, cores: int = 1) -> float:
-        if self.total_latency_s <= 0:
-            return 0.0
-        return 100.0 * self.cpu_kernel_s / (self.total_latency_s * cores)
-
 
 #: Categories counted as "transfer" (everything that moves bytes, minus
 #: serialization and Wasm VM I/O which the paper breaks out separately).

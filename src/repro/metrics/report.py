@@ -7,20 +7,20 @@ tables stay consistent across figures.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Union
+from typing import Iterable, List, Mapping, Sequence, Union
 
 from repro.metrics.stats import LatencySummary
 
 Number = Union[int, float]
 
 
-def _format_cell(value: object, precision: int = 4) -> str:
+def _format_cell(value: object) -> str:
     if isinstance(value, float):
         if value == 0:
             return "0"
         if abs(value) >= 1000 or abs(value) < 0.001:
             return "%.3e" % value
-        return ("%." + str(precision) + "g") % value
+        return "%.4g" % value
     return str(value)
 
 
@@ -47,10 +47,9 @@ def format_figure_result(
     x_label: str,
     x_values: Sequence[Number],
     series: Mapping[str, Sequence[Number]],
-    unit: str = "",
 ) -> str:
     """Render one figure panel: x values down the rows, one column per series."""
-    headers = [x_label] + ["%s%s" % (name, " (%s)" % unit if unit else "") for name in series]
+    headers = [x_label] + list(series)
     rows = []
     for i, x in enumerate(x_values):
         row: List[object] = [x]
@@ -65,7 +64,6 @@ def format_latency_summaries(
     summaries: Mapping[str, LatencySummary],
     title: str = "",
     label: str = "series",
-    unit: str = "s",
 ) -> str:
     """Render one row of distribution statistics per labelled summary.
 
@@ -77,7 +75,7 @@ def format_latency_summaries(
     or class that saw zero requests has no distribution, and printing zeros
     would read as "instant", not "absent".
     """
-    headers = [label, "count"] + ["%s (%s)" % (h, unit) for h in ("mean", "p50", "p95", "p99", "max")]
+    headers = [label, "count"] + ["%s (s)" % h for h in ("mean", "p50", "p95", "p99", "max")]
     rows = [
         [name, s.count, s.mean_s, s.p50_s, s.p95_s, s.p99_s, s.max_s]
         if s.count

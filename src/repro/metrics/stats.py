@@ -14,7 +14,7 @@ experiments produce and monotone in the requested quantile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Sequence
 
 
 class StatsError(ValueError):
@@ -95,13 +95,3 @@ class LatencySummary:
     def empty(cls) -> "LatencySummary":
         """The all-zero summary (no requests completed)."""
         return cls(count=0, mean_s=0.0, p50_s=0.0, p95_s=0.0, p99_s=0.0, max_s=0.0)
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean_s": self.mean_s,
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-            "p99_s": self.p99_s,
-            "max_s": self.max_s,
-        }

@@ -1,116 +1,18 @@
-"""Timeline export: turn ledger charges into an inspectable trace.
+"""Timeline export: request lifecycles as an inspectable trace.
 
-The cost ledger already records every operation with a timestamp, category,
-duration and label; this module turns that into (a) a flat list of span
-dictionaries for programmatic inspection and (b) Chrome-trace JSON
-(``chrome://tracing`` / Perfetto "trace event" format), which is the easiest
-way to *see* where a transfer spends its time — serialization blocks for the
-baselines, wire time for everyone, thin splice slivers for Roadrunner.
+Each traced request becomes Chrome-trace JSON (``chrome://tracing`` /
+Perfetto "trace event" format): an async track per request with its queue,
+cold-start and service stages nested inside, one process lane per node (and
+per region, for a federated run).
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
-
-from repro.sim.ledger import Charge, CostLedger
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a hard obs dependency
     from repro.obs.spans import RequestTrace
-
-
-class TimelineError(ValueError):
-    """Raised for invalid export requests."""
-
-
-def charges_to_spans(
-    charges: Sequence[Charge],
-    minimum_seconds: float = 0.0,
-) -> List[Dict[str, object]]:
-    """Flatten charges into span dictionaries (start, duration, category, label)."""
-    if minimum_seconds < 0:
-        raise TimelineError("minimum_seconds must be non-negative")
-    spans: List[Dict[str, object]] = []
-    for charge in charges:
-        if charge.seconds < minimum_seconds:
-            continue
-        spans.append(
-            {
-                "start_s": charge.timestamp,
-                "duration_s": charge.seconds,
-                "category": charge.category.value,
-                "cpu_domain": charge.cpu_domain.value,
-                "label": charge.label,
-                "bytes": charge.nbytes,
-                "copied": charge.copied,
-                "units": charge.units,
-                "node": charge.node,
-            }
-        )
-    return spans
-
-
-def ledger_to_spans(ledger: CostLedger, minimum_seconds: float = 0.0) -> List[Dict[str, object]]:
-    """Spans for every charge recorded on ``ledger``."""
-    return charges_to_spans(ledger.charges, minimum_seconds=minimum_seconds)
-
-
-def spans_to_chrome_trace(spans: Sequence[Dict[str, object]], process_name: str = "repro") -> str:
-    """Serialise spans as Chrome trace-event JSON (complete events, "X" phase).
-
-    Spans from a sharded cluster ledger carry a ``node``; each node (the
-    ``cluster`` shard included) becomes its own trace process (pid) in
-    first-seen order, so Perfetto renders one swimlane per shard.  Spans
-    from a standalone ledger have no node and ride a single lane named
-    ``process_name``.
-    """
-    pids: Dict[str, int] = {}
-    events: List[Dict[str, object]] = []
-
-    def pid_for(node: str) -> int:
-        if node not in pids:
-            pids[node] = len(pids) + 1
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pids[node],
-                    "args": {
-                        "name": "%s/%s" % (process_name, node) if node else process_name
-                    },
-                }
-            )
-        return pids[node]
-
-    if not spans:
-        pid_for("")  # an empty trace still names its process
-    for span in spans:
-        events.append(
-            {
-                "name": span.get("label") or span["category"],
-                "cat": span["category"],
-                "ph": "X",
-                "pid": pid_for(str(span.get("node", "") or "")),
-                "tid": 1 if span.get("cpu_domain") == "user" else 2,
-                "ts": float(span["start_s"]) * 1e6,   # microseconds
-                "dur": max(float(span["duration_s"]) * 1e6, 0.01),
-                "args": {
-                    "bytes": span.get("bytes", 0),
-                    "copied": span.get("copied", False),
-                    "node": span.get("node", ""),
-                },
-            }
-        )
-    return json.dumps({"traceEvents": events, "displayTimeUnit": "ms"}, indent=2)
-
-
-def export_chrome_trace(ledger: CostLedger, path: str, minimum_seconds: float = 0.0) -> str:
-    """Write the ledger's timeline to ``path`` as Chrome-trace JSON."""
-    spans = ledger_to_spans(ledger, minimum_seconds=minimum_seconds)
-    content = spans_to_chrome_trace(spans, process_name=ledger.name or "repro")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(content)
-    return path
 
 
 # -- request-lifecycle traces --------------------------------------------------------
@@ -172,33 +74,10 @@ def request_trace_events(
     return events
 
 
-def export_traffic_trace(
-    path: str,
-    traces: Sequence["RequestTrace"],
-    ledger: Optional[CostLedger] = None,
-    minimum_seconds: float = 0.0,
-    process_name: str = "traffic",
-) -> str:
-    """Write request traces (plus, optionally, the ledger timeline) to ``path``.
-
-    The request-stage slices nest inside per-request async tracks; when a
-    ledger is given its charge spans ride along as the usual per-node "X"
-    lanes, so one Perfetto view shows both what the *requests* experienced
-    and what the *nodes* were charged for.
-    """
-    combined = request_trace_events(traces, process_name=process_name)
-    if ledger is not None:
-        ledger_json = json.loads(
-            spans_to_chrome_trace(
-                ledger_to_spans(ledger, minimum_seconds=minimum_seconds),
-                process_name=ledger.name or "repro",
-            )
-        )
-        offset = max((e["pid"] for e in combined), default=0)
-        for event in ledger_json["traceEvents"]:
-            event["pid"] += offset  # keep node lanes distinct from request lanes
-            combined.append(event)
-    content = json.dumps({"traceEvents": combined, "displayTimeUnit": "ms"}, indent=2)
+def export_traffic_trace(path: str, traces: Sequence["RequestTrace"]) -> str:
+    """Write request traces to ``path`` as Chrome-trace JSON."""
+    events = request_trace_events(traces)
+    content = json.dumps({"traceEvents": events, "displayTimeUnit": "ms"}, indent=2)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(content)
     return path

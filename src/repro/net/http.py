@@ -26,8 +26,6 @@ class HttpResponse:
 
     status: int
     body: Payload
-    request_bytes: int
-    wire_seconds: float
 
 
 class HttpTransport:
@@ -39,17 +37,15 @@ class HttpTransport:
         target_kernel: Kernel,
         link: NetworkLink,
         name: str = "http",
-        reuse_connections: bool = True,
     ) -> None:
         self.source_kernel = source_kernel
         self.target_kernel = target_kernel
         self.link = link
         self.name = name
-        self.reuse_connections = reuse_connections
         self.requests = 0
         self._source_nic = Nic(source_kernel, name="%s-src-nic" % name)
         self._target_nic = Nic(target_kernel, name="%s-dst-nic" % name)
-        self._connection: TcpConnection = None  # created lazily per connection policy
+        self._connection: TcpConnection = None  # opened by the first request, then reused
 
     def post(
         self,
@@ -82,20 +78,18 @@ class HttpTransport:
             body.data + b"\r\n" * (cost_model.http_header_bytes // 2)
         )
 
-        if self._connection is None or not self.reuse_connections:
+        if self._connection is None:
             self._connection = TcpConnection(
                 self.source_kernel, self.target_kernel, self.link, name="%s-conn" % self.name
             )
             self._connection.establish(sender, receiver)
         connection = self._connection
 
-        before = self.source_kernel.ledger.clock.now
         connection.send(sender, on_wire, wasi_mediated=sender_in_wasm)
         if self.link.is_remote:
             self._source_nic.transmit(sender, request_bytes)
             self._target_nic.receive(receiver, request_bytes)
         delivered = connection.recv(receiver, wasi_mediated=receiver_in_wasm)
-        wire_seconds = self.source_kernel.ledger.clock.now - before
 
         self.requests += 1
         # Strip the synthetic header bytes again so the receiver sees the body.
@@ -103,9 +97,4 @@ class HttpTransport:
             response_body = body
         else:
             response_body = Payload.from_bytes(delivered.data[: body.size], body.content_type)
-        return HttpResponse(
-            status=200,
-            body=response_body,
-            request_bytes=request_bytes,
-            wire_seconds=wire_seconds,
-        )
+        return HttpResponse(status=200, body=response_body)

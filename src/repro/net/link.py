@@ -47,7 +47,6 @@ class NetworkLink:
             raise LinkError(
                 "link %r RTT must be non-negative and finite, got %r" % (name, self.rtt)
             )
-        self.transferred_bytes = 0
 
     @property
     def is_remote(self) -> bool:
@@ -63,7 +62,6 @@ class NetworkLink:
         """One-way latency for ``nbytes``: propagation plus transmission."""
         if nbytes < 0:
             raise LinkError("nbytes must be non-negative")
-        self.transferred_bytes += nbytes
         return self.rtt / 2.0 + nbytes / self.effective_bandwidth(wasi_mediated)
 
     def packets(self, nbytes: int) -> int:

@@ -1,8 +1,7 @@
 """Network interface cards.
 
-The NIC's role in the reproduction is bookkeeping: it counts packets and
-bytes handed to the wire and charges the (small) per-packet kernel work of
-driving the device.  Roadrunner explicitly does *not* bypass the NIC/kernel
+The NIC's role in the reproduction is to charge the (small) per-packet
+kernel work of driving the device for the bytes handed to the wire.  Roadrunner explicitly does *not* bypass the NIC/kernel
 the way RDMA does (Sec. 4.3), so both Roadrunner and the baselines pass
 through here.
 """
@@ -16,28 +15,24 @@ from repro.sim.ledger import CostCategory, CpuDomain
 #: Per-packet driver/interrupt cost, folded across interrupt coalescing.
 PER_PACKET_SECONDS = 0.15e-6
 
+#: Ethernet MTU: the payload bytes of one packet.
+MTU_BYTES = 1500
+
 
 class Nic:
     """A node's network interface."""
 
-    def __init__(self, kernel: Kernel, name: str = "eth0", mtu: int = 1500) -> None:
-        if mtu <= 0:
-            raise ValueError("mtu must be positive")
+    def __init__(self, kernel: Kernel, name: str = "eth0") -> None:
         self.kernel = kernel
         self.name = name
-        self.mtu = mtu
-        self.tx_bytes = 0
-        self.rx_bytes = 0
-        self.tx_packets = 0
-        self.rx_packets = 0
 
     def _packets(self, nbytes: int) -> int:
         if nbytes <= 0:
             return 1
-        return -(-nbytes // self.mtu)
+        return -(-nbytes // MTU_BYTES)
 
     def transmit(self, process: Process, nbytes: int) -> float:
-        """Charge the driver work of sending ``nbytes`` and count packets."""
+        """Charge the driver work of sending ``nbytes``."""
         packets = self._packets(nbytes)
         seconds = packets * PER_PACKET_SECONDS
         self.kernel.ledger.charge(
@@ -47,12 +42,10 @@ class Nic:
             label="nic-tx:%s" % self.name,
         )
         process.charge_cpu(CpuDomain.KERNEL, seconds)
-        self.tx_bytes += nbytes
-        self.tx_packets += packets
         return seconds
 
     def receive(self, process: Process, nbytes: int) -> float:
-        """Charge the driver work of receiving ``nbytes`` and count packets."""
+        """Charge the driver work of receiving ``nbytes``."""
         packets = self._packets(nbytes)
         seconds = packets * PER_PACKET_SECONDS
         self.kernel.ledger.charge(
@@ -62,6 +55,4 @@ class Nic:
             label="nic-rx:%s" % self.name,
         )
         process.charge_cpu(CpuDomain.KERNEL, seconds)
-        self.rx_bytes += nbytes
-        self.rx_packets += packets
         return seconds

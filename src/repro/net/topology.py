@@ -82,27 +82,3 @@ class Topology:
     def _require(self, name: str) -> None:
         if name not in self._nodes:
             raise TopologyError("unknown node %r" % name)
-
-    # -- convenience constructors ------------------------------------------------
-
-    @classmethod
-    def single_node(cls, cost_model: CostModel = DEFAULT_COST_MODEL, name: str = "node-a") -> "Topology":
-        topo = cls(cost_model)
-        topo.add_node(name)
-        return topo
-
-    @classmethod
-    def edge_cloud_pair(
-        cls,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        edge: str = "edge",
-        cloud: str = "cloud",
-        bandwidth: Optional[float] = None,
-        rtt: Optional[float] = None,
-    ) -> "Topology":
-        """The paper's two-node testbed."""
-        topo = cls(cost_model)
-        topo.add_node(edge)
-        topo.add_node(cloud)
-        topo.connect(edge, cloud, bandwidth=bandwidth, rtt=rtt)
-        return topo

@@ -32,7 +32,6 @@ from repro.obs.spans import (
     SpanError,
     TraceLog,
     WaterfallRow,
-    waterfall_from_records,
 )
 from repro.obs.streaming import StreamingTrafficStats
 from repro.obs.telemetry import Telemetry
@@ -55,6 +54,5 @@ __all__ = [
     "parse_prometheus",
     "read_jsonl",
     "render_prometheus",
-    "waterfall_from_records",
     "write_prometheus",
 ]

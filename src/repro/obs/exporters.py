@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, Dict, Iterable, List, Optional, Tuple, Union
+from typing import IO, Dict, List, Optional, Tuple, Union
 
-from repro.obs.registry import Counter, Gauge, MetricFamily, MetricsRegistry, Summary
+from repro.obs.registry import Counter, Gauge, MetricsRegistry, Summary
 
 
 class ExporterError(ValueError):
@@ -131,13 +131,11 @@ class JsonlEventWriter:
             self._handle = target
             self._owns = False
             self.path = getattr(target, "name", None)
-        self.events_written = 0
 
     def emit(self, event: Dict[str, object]) -> None:
         if self._handle is None:
             raise ExporterError("event writer is closed")
         self._handle.write(_encode_sorted(event) + "\n")
-        self.events_written += 1
 
     def close(self) -> None:
         if self._handle is not None and self._owns:

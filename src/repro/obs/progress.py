@@ -28,22 +28,20 @@ class ProgressReporter:
 
     def __init__(
         self,
-        total_requests: int = 0,
-        duration_s: float = 0.0,
         interval_s: float = 10.0,
         stream: Optional[IO[str]] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if interval_s <= 0:
             raise ProgressError("progress interval must be positive, got %r" % interval_s)
-        self.total_requests = total_requests
-        self.duration_s = duration_s
+        #: The run's totals, set by the telemetry layer when the run starts.
+        self.total_requests = 0
+        self.duration_s = 0.0
         self.interval_s = interval_s
         self.stream = stream if stream is not None else sys.stderr
         self._clock = clock
         self._started_wall: Optional[float] = None
         self._next_due_s = 0.0
-        self.lines_emitted = 0
 
     def start(self) -> None:
         self._started_wall = self._clock()
@@ -86,4 +84,3 @@ class ProgressReporter:
         parts.append("| wall %.1fs" % wall_s)
         self.stream.write(" ".join(parts) + "\n")
         self.stream.flush()
-        self.lines_emitted += 1

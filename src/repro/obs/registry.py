@@ -167,16 +167,3 @@ class MetricsRegistry:
         if isinstance(child, Summary):
             raise MetricsError("metric %r is a summary; read its sketch instead" % name)
         return child.value
-
-    def as_dict(self) -> Dict[str, Dict[Tuple[str, ...], float]]:
-        """A plain snapshot {name: {label values: value}} for tests/tools.
-
-        Summaries snapshot their count (the scalar that is always exact).
-        """
-        out: Dict[str, Dict[Tuple[str, ...], float]] = {}
-        for family in self._families.values():
-            series: Dict[Tuple[str, ...], float] = {}
-            for key, child in family.children():
-                series[key] = float(child.count if isinstance(child, Summary) else child.value)
-            out[family.name] = series
-        return out

@@ -41,33 +41,34 @@ class SketchError(ValueError):
     """Raised for invalid sketch parameters."""
 
 
+#: Lower edge of the first histogram bucket, the bucket growth factor and
+#: the bucket count: 4096 buckets of 0.8% cover 1 ns to beyond 10^5 s.
+HISTOGRAM_FLOOR = 1e-9
+HISTOGRAM_GROWTH = 1.008
+HISTOGRAM_BUCKETS = 4096
+
+
 class LogHistogram:
     """Log-spaced bucket counts: any quantile within a fixed relative error.
 
     Bucket ``i`` covers ``[floor * growth**(i-1), floor * growth**i)``; an
     observation costs one ``log`` and one increment, and a quantile read
     returns the geometric midpoint of the bucket holding the target rank —
-    off by at most ``sqrt(growth) - 1`` relative (≈0.4% at the default
-    growth of 1.008).  Values below ``floor`` collapse into the first
+    off by at most ``sqrt(growth) - 1`` relative (≈0.4% at a growth of
+    1.008).  Values below ``floor`` collapse into the first
     bucket (for latencies, sub-nanosecond — exactly where relative error
     stops mattering); values beyond the last bucket clamp into it, and the
     exact running min/max bound every answer, so the extremes never drift.
     The exact running sum rides along for means.
     """
 
-    def __init__(self, floor: float = 1e-9, growth: float = 1.008, buckets: int = 4096) -> None:
-        if floor <= 0.0:
-            raise SketchError("histogram floor must be positive, got %r" % floor)
-        if growth <= 1.0:
-            raise SketchError("histogram growth must exceed 1, got %r" % growth)
-        if buckets < 2:
-            raise SketchError("histogram needs at least 2 buckets, got %r" % buckets)
-        self.floor = floor
-        self.growth = growth
-        self._counts = [0] * buckets
-        self._last = buckets - 1
-        self._inv_log_growth = 1.0 / math.log(growth)
-        self._log_floor = math.log(floor)
+    def __init__(self) -> None:
+        self.floor = HISTOGRAM_FLOOR
+        self.growth = HISTOGRAM_GROWTH
+        self._counts = [0] * HISTOGRAM_BUCKETS
+        self._last = HISTOGRAM_BUCKETS - 1
+        self._inv_log_growth = 1.0 / math.log(HISTOGRAM_GROWTH)
+        self._log_floor = math.log(HISTOGRAM_FLOOR)
         self._count = 0
         self._sum = 0.0
         self._min = 0.0

@@ -20,7 +20,7 @@ per-tenant/per-class latency-waterfall table
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.traffic.slo import RequestOutcome, RequestRecord
 
@@ -117,24 +117,12 @@ class RequestTrace:
 
 
 class TraceLog:
-    """A bounded collector of request traces (opt-in: only built for export).
+    """The request traces of a run, in record order (opt-in: only built for export)."""
 
-    ``capacity`` caps memory on very long runs: once full, later traces are
-    counted but not retained, and the exporters surface the dropped count so
-    a truncated trace never reads as a complete one.
-    """
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise SpanError("trace-log capacity must be >= 1")
-        self.capacity = capacity
-        self.dropped = 0
+    def __init__(self) -> None:
         self._traces: List[RequestTrace] = []
 
     def record(self, trace: RequestTrace) -> None:
-        if self.capacity is not None and len(self._traces) >= self.capacity:
-            self.dropped += 1
-            return
         self._traces.append(trace)
 
     @property
@@ -166,17 +154,3 @@ class WaterfallRow:
     service_p95_s: float
     total_mean_s: float
     total_p95_s: float
-
-
-def waterfall_from_records(
-    label: str, records: Sequence[RequestRecord]
-) -> List[WaterfallRow]:
-    """Exact waterfall rows from retained records, one per class (+ rollup).
-
-    Only completed requests contribute stage durations — a dropped request
-    has no meaningful waterfall.  With more than one class in play an
-    ``(all)`` rollup row closes the group.
-    """
-    from repro.obs.streaming import StreamingTrafficStats
-
-    return StreamingTrafficStats.of_records(records).waterfall(label)

@@ -146,8 +146,6 @@ class Telemetry:
                 "finished": finished,
                 "replicas": replicas,
             }
-            if self.trace_log is not None and self.trace_log.dropped:
-                payload["traces_dropped"] = self.trace_log.dropped
             self._emit(payload)
 
     # -- per-request ------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 
@@ -32,8 +32,8 @@ def _fingerprint_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:24]
 
 
-def _fingerprint_virtual(size: int, seed: int) -> str:
-    return "virtual-%d-%d" % (size, seed)
+def _fingerprint_virtual(size: int) -> str:
+    return "virtual-%d-0" % size
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class Payload:
             if self.data is not None:
                 object.__setattr__(self, "fingerprint", _fingerprint_bytes(self.data))
             else:
-                object.__setattr__(self, "fingerprint", _fingerprint_virtual(self.size, 0))
+                object.__setattr__(self, "fingerprint", _fingerprint_virtual(self.size))
         if not self.origin_fingerprint:
             object.__setattr__(self, "origin_fingerprint", self.fingerprint)
 
@@ -92,16 +92,9 @@ class Payload:
         return cls.from_bytes(b"".join(chunks))
 
     @classmethod
-    def virtual(cls, size: int, seed: int = 0, content_type: str = "application/octet-stream") -> "Payload":
+    def virtual(cls, size: int) -> "Payload":
         """A size-only payload used for large modeled experiments."""
-        if size < 0:
-            raise PayloadError("size must be non-negative")
-        return cls(
-            size=size,
-            data=None,
-            fingerprint=_fingerprint_virtual(size, seed),
-            content_type=content_type,
-        )
+        return cls(size=size)
 
     # -- predicates --------------------------------------------------------------
 

@@ -14,7 +14,6 @@ from repro.platform.channel import DataPassingChannel, TransferOutcome, ChannelE
 from repro.platform.node import ClusterNode
 from repro.platform.cluster import Cluster
 from repro.platform.workflow import (
-    FanInWorkflow,
     FanOutWorkflow,
     InvocationPattern,
     SequenceWorkflow,
@@ -22,12 +21,11 @@ from repro.platform.workflow import (
 )
 from repro.platform.orchestrator import Orchestrator, PlacementError
 from repro.platform.invoker import Invoker, WorkflowResult
-from repro.platform.gateway import IngressGateway, RoutingPolicy
+from repro.platform.gateway import IngressGateway
 from repro.platform.runtime_selector import RuntimeSelector, WorkflowProfile
 
 __all__ = [
     "IngressGateway",
-    "RoutingPolicy",
     "RuntimeSelector",
     "WorkflowProfile",
     "FunctionSpec",
@@ -40,7 +38,6 @@ __all__ = [
     "Workflow",
     "SequenceWorkflow",
     "FanOutWorkflow",
-    "FanInWorkflow",
     "InvocationPattern",
     "Orchestrator",
     "PlacementError",

@@ -52,7 +52,7 @@ class Cluster:
         self.topology = Topology(cost_model)
         self._nodes: Dict[str, ClusterNode] = {}
 
-    def add_node(self, name: str, cores: Optional[int] = None) -> ClusterNode:
+    def add_node(self, name: str) -> ClusterNode:
         if name in self._nodes:
             raise ClusterError("node %r already exists" % name)
         self.topology.add_node(name)
@@ -60,7 +60,6 @@ class Cluster:
             name=name,
             ledger=self.ledger.shard(name),
             cost_model=self.cost_model,
-            cores=cores,
         )
         self._nodes[name] = node
         return node
@@ -96,30 +95,17 @@ class Cluster:
     # -- canonical shapes -----------------------------------------------------------
 
     @classmethod
-    def single_node(
-        cls,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        ledger: Optional[CostLedger] = None,
-        name: str = "node-a",
-    ) -> "Cluster":
-        """One node: the intra-node experiments (Figs. 7 and 9)."""
-        cluster = cls(cost_model=cost_model, ledger=ledger)
-        cluster.add_node(name)
+    def single_node(cls, cost_model: CostModel = DEFAULT_COST_MODEL) -> "Cluster":
+        """One node, ``node-a``: the intra-node experiments (Figs. 7 and 9)."""
+        cluster = cls(cost_model=cost_model)
+        cluster.add_node("node-a")
         return cluster
 
     @classmethod
-    def edge_cloud_pair(
-        cls,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        ledger: Optional[CostLedger] = None,
-        edge: str = "edge",
-        cloud: str = "cloud",
-        bandwidth: Optional[float] = None,
-        rtt: Optional[float] = None,
-    ) -> "Cluster":
-        """Two nodes joined by a shaped link (Figs. 6, 8 and 10)."""
-        cluster = cls(cost_model=cost_model, ledger=ledger)
-        cluster.add_node(edge)
-        cluster.add_node(cloud)
-        cluster.connect(edge, cloud, bandwidth=bandwidth, rtt=rtt)
+    def edge_cloud_pair(cls, cost_model: CostModel = DEFAULT_COST_MODEL) -> "Cluster":
+        """Nodes ``edge`` and ``cloud`` joined by the testbed link (Figs. 6, 8 and 10)."""
+        cluster = cls(cost_model=cost_model)
+        cluster.add_node("edge")
+        cluster.add_node("cloud")
+        cluster.connect("edge", "cloud")
         return cluster

@@ -24,7 +24,6 @@ from repro.serialization.serializer import ExecutionEnvironment, Serializer
 from repro.wasm.module import WasmInstance
 from repro.wasm.vm import WasmVM
 from repro.wasm.wasi import WasiInterface
-from repro.wasm.runtime import RuntimeKind
 
 
 class DeploymentError(RuntimeError):

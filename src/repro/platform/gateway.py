@@ -4,7 +4,7 @@
 cannot be directly addressed.  Therefore, clients rely on the platform
 ingress and Load Balancers to access the serverless function" (Sec. 1).  The
 gateway models that front door: it keeps a pool of replicas per function,
-routes each client request to one of them (round-robin or least-loaded),
+routes each client request to the least-loaded one,
 scales from zero by paying the runtime's cold-start cost, and charges the
 ingress routing overhead per request.
 
@@ -48,14 +48,7 @@ from repro.sim.ledger import CostCategory, CpuDomain
 
 
 class GatewayError(RuntimeError):
-    """Raised for unknown functions or invalid routing policies."""
-
-
-class RoutingPolicy(enum.Enum):
-    """How the load balancer spreads requests over replicas."""
-
-    ROUND_ROBIN = "round_robin"
-    LEAST_LOADED = "least_loaded"
+    """Raised for unknown functions or invalid gateway operations."""
 
 
 class FairnessPolicy(enum.Enum):
@@ -123,6 +116,10 @@ class _TenantQueue:
     stats: TenantQueueStats = None  # type: ignore[assignment]
 
 
+#: Weight of the newest measurement in a tenant's service-cost EWMA.
+COST_EWMA_ALPHA = 0.3
+
+
 class FairQueue:
     """Per-tenant admission queues with FIFO or weighted-fair dispatch.
 
@@ -165,16 +162,12 @@ class FairQueue:
         policy: FairnessPolicy = FairnessPolicy.FIFO,
         starvation_guard: int = 32,
         intra: IntraTenantOrder = IntraTenantOrder.FIFO,
-        cost_alpha: float = 0.3,
     ) -> None:
         if starvation_guard < 1:
             raise GatewayError("starvation_guard must be >= 1")
-        if not 0.0 < cost_alpha <= 1.0:
-            raise GatewayError("cost_alpha must be in (0, 1]")
         self.policy = policy
         self.starvation_guard = starvation_guard
         self.intra = intra
-        self.cost_alpha = cost_alpha
         self._tenants: Dict[str, _TenantQueue] = {}
         self._seq = itertools.count()
         self._virtual = 0.0
@@ -227,7 +220,7 @@ class FairQueue:
             queue.cost_estimate = service_s
         else:
             queue.cost_estimate = (
-                self.cost_alpha * service_s + (1.0 - self.cost_alpha) * queue.cost_estimate
+                COST_EWMA_ALPHA * service_s + (1.0 - COST_EWMA_ALPHA) * queue.cost_estimate
             )
 
     def cost_estimate(self, tenant: str) -> Optional[float]:
@@ -260,16 +253,14 @@ class FairQueue:
         limit: Optional[int] = None,
         priority: int = 0,
         deadline: Optional[float] = None,
-        cost: Optional[float] = None,
     ) -> bool:
         """Admit one item; ``False`` means the tenant's queue was full (drop).
 
         ``priority`` (lower = more urgent) and ``deadline`` (absolute, in
         engine time) only order dispatch under :attr:`IntraTenantOrder.EDF`.
-        ``cost`` overrides the tenant's EWMA estimate for this item's
-        ``wfq-cost`` tag advance (defaults to the estimate, or the fleet
-        mean — see :meth:`_default_cost` — before the tenant's first
-        measurement arrives).
+        The item's ``wfq-cost`` tag advance is the tenant's EWMA estimate,
+        or the fleet mean (see :meth:`_default_cost`) before the tenant's
+        first measurement arrives.
         """
         queue = self._require(tenant)
         if limit is not None and len(queue.live) >= limit:
@@ -282,8 +273,7 @@ class FairQueue:
             # starvation-guard promotion.
             queue.finish_tag = max(queue.finish_tag, self._virtual)
             queue.skipped = 0
-        if cost is None:
-            cost = queue.cost_estimate if queue.cost_estimate is not None else self._default_cost()
+        cost = queue.cost_estimate if queue.cost_estimate is not None else self._default_cost()
         if self.intra is IntraTenantOrder.EDF:
             entry = _Entry(
                 priority=priority,
@@ -517,17 +507,14 @@ class IngressGateway:
     def __init__(
         self,
         orchestrator: Orchestrator,
-        policy: RoutingPolicy = RoutingPolicy.ROUND_ROBIN,
         fairness: FairnessPolicy = FairnessPolicy.FIFO,
         starvation_guard: int = 32,
         intra: IntraTenantOrder = IntraTenantOrder.FIFO,
     ) -> None:
         self.orchestrator = orchestrator
-        self.policy = policy
         #: Admission queues (per tenant); drivers register tenants and weights.
         self.queue = FairQueue(policy=fairness, starvation_guard=starvation_guard, intra=intra)
         self._pools: Dict[str, List[_ReplicaState]] = {}
-        self._round_robin_cursor: Dict[str, int] = {}
         self._replica_serial: Dict[str, int] = {}
         self._deferred_ingress: Dict[str, int] = {}
         #: Requests in flight across every pool: the sum of every replica's
@@ -573,7 +560,6 @@ class IngressGateway:
             _ReplicaState(deployed=replica, owner=self._token, function=spec.name)
             for replica in deployed_replicas
         )
-        self._round_robin_cursor.setdefault(spec.name, 0)
         return deployed_replicas
 
     def replicas(self, function: str) -> List[DeployedFunction]:
@@ -609,10 +595,8 @@ class IngressGateway:
 
         ``candidates`` are the pool's :class:`_ReplicaState` handles (from
         :meth:`pool_states`) the caller considers available — warmed up,
-        under their concurrency limit.  Round-robin walks a cursor over the
-        *pool* and skips non-candidates, so rotation stays stable while the
-        candidate subset changes; least-loaded takes the first minimum in
-        pool order.  The per-request ingress ledger charge is *deferred*:
+        under their concurrency limit.  The least-loaded candidate wins, the
+        first in pool order on a tie.  The per-request ingress ledger charge is *deferred*:
         the count accumulates per function and :meth:`flush_deferred_ingress`
         emits one batched charge per function, so million-request runs do
         not allocate a million Charge rows.  The caller gives the handle
@@ -620,20 +604,7 @@ class IngressGateway:
         """
         if not candidates:
             raise GatewayError("no eligible replicas for function %r" % function)
-        if self.policy is RoutingPolicy.ROUND_ROBIN:
-            pool = self._require_pool(function)
-            cursor = self._round_robin_cursor[function]
-            eligible_ids = {id(state) for state in candidates}
-            state = candidates[0]
-            for offset in range(len(pool)):
-                probe = pool[(cursor + offset) % len(pool)]
-                if id(probe) in eligible_ids:
-                    state = probe
-                    # Normalized modulo the pool: the raw cursor otherwise
-                    # grows one per request, forever.
-                    self._round_robin_cursor[function] = (cursor + offset + 1) % len(pool)
-                    break
-        elif len(candidates) == 1:
+        if len(candidates) == 1:
             state = candidates[0]
         else:
             state = min(candidates, key=_in_flight_of)

@@ -11,8 +11,8 @@ overlap — work does not disappear by being parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Sequence
 
 from repro.metrics.records import TransferMetrics
 from repro.payload import Payload
@@ -21,7 +21,6 @@ from repro.platform.deployment import DeployedFunction
 from repro.platform.orchestrator import Orchestrator
 from repro.platform.workflow import InvocationPattern, Workflow
 from repro.sim.engine import ParallelTracks
-from repro.sim.ledger import CostCategory, CpuDomain
 
 
 class InvokerError(RuntimeError):

@@ -45,14 +45,11 @@ class ClusterNode:
         name: str,
         ledger: CostLedger,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        cores: Optional[int] = None,
     ) -> None:
         self.name = name
         self.ledger = ledger
         self.cost_model = cost_model
-        self.cores = cores if cores is not None else cost_model.cores_per_node
-        if self.cores < 1:
-            raise NodeError("a node needs at least one core")
+        self.cores = cost_model.cores_per_node
         self.kernel = Kernel(ledger=ledger, cost_model=cost_model, node_name=name)
         self.runc = RunCRuntime(kernel=self.kernel, ledger=ledger, cost_model=cost_model)
         self.wasm_runtime = WasmRuntime(ledger=ledger, cost_model=cost_model)
@@ -143,7 +140,7 @@ class ClusterNode:
             process = self.kernel.create_process("shim-%s" % spec.name, baseline_rss_bytes=baseline)
             self._vm_processes[vm.name] = process
         instance = self.wasm_runtime.load_module(vm, module, charge_cold_start=charge_cold_start)
-        wasi = WasiInterface(vm=vm, process=process, kernel=self.kernel) if spec.requires_wasi else None
+        wasi = WasiInterface(vm=vm, process=process) if spec.requires_wasi else None
         serializer = Serializer(
             ledger=self.ledger,
             cost_model=self.cost_model,

@@ -10,7 +10,7 @@ evaluation needs: deploy several Wasm functions into one shared VM
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.platform.cluster import Cluster
 from repro.platform.deployment import DeployedFunction

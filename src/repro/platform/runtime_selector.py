@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
+from repro.sim.costs import DEFAULT_COST_MODEL
 from repro.wasm.runtime import RuntimeKind
 
 
@@ -78,13 +78,10 @@ class RuntimeRecommendation:
 class RuntimeSelector:
     """Estimates per-invocation latency for each candidate and picks the best."""
 
-    def __init__(self, cost_model: CostModel = DEFAULT_COST_MODEL) -> None:
-        self.cost_model = cost_model
-
     # -- per-candidate estimators ------------------------------------------------
 
     def _cold_start(self, profile: WorkflowProfile, runtime: RuntimeKind) -> float:
-        model = self.cost_model
+        model = DEFAULT_COST_MODEL
         if runtime is RuntimeKind.RUNC:
             unpack = model.transfer_time(profile.container_image_bytes, model.image_unpack_bandwidth)
             per_start = unpack + model.container_sandbox_setup
@@ -95,7 +92,7 @@ class RuntimeSelector:
         return per_start * profile.cold_start_fraction
 
     def _http_hop(self, profile: WorkflowProfile, in_wasm: bool) -> float:
-        model = self.cost_model
+        model = DEFAULT_COST_MODEL
         size = profile.payload_bytes
         serialization = model.serialize_time(size, in_wasm) + model.deserialize_time(size, in_wasm)
         overhead = (
@@ -111,7 +108,7 @@ class RuntimeSelector:
         return serialization + overhead + wire + copies + boundary
 
     def _roadrunner_hop(self, profile: WorkflowProfile, mode: DataPassingMode) -> float:
-        model = self.cost_model
+        model = DEFAULT_COST_MODEL
         size = profile.payload_bytes
         wasm_io = 2 * model.wasm_io_time(size)
         preparation = model.region_metadata_overhead + model.transfer_time(

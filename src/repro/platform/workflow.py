@@ -23,7 +23,6 @@ class InvocationPattern(enum.Enum):
 
     SEQUENTIAL = "sequential"
     FAN_OUT = "fan_out"
-    FAN_IN = "fan_in"
 
 
 @dataclass(frozen=True)
@@ -80,13 +79,3 @@ class FanOutWorkflow(Workflow):
             raise WorkflowError("a fan-out needs at least one target")
         edges = tuple((source, target) for target in targets)
         super().__init__(name=name, pattern=InvocationPattern.FAN_OUT, edges=edges)
-
-
-class FanInWorkflow(Workflow):
-    """N sources feeding one target (aggregation)."""
-
-    def __init__(self, sources: Sequence[str], target: str, name: str = "fan-in") -> None:
-        if not sources:
-            raise WorkflowError("a fan-in needs at least one source")
-        edges = tuple((source, target) for source in sources)
-        super().__init__(name=name, pattern=InvocationPattern.FAN_IN, edges=edges)

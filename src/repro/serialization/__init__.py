@@ -15,7 +15,6 @@ from repro.serialization.codec import (
     CodecError,
     JsonCodec,
     StringCodec,
-    codec_for,
 )
 from repro.serialization.serializer import ExecutionEnvironment, Serializer
 
@@ -25,7 +24,6 @@ __all__ = [
     "CodecError",
     "JsonCodec",
     "StringCodec",
-    "codec_for",
     "ExecutionEnvironment",
     "Serializer",
 ]

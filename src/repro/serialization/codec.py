@@ -135,11 +135,5 @@ class BinaryFrameCodec(Codec):
         return StringCodec().encoded_size(payload) + self._TRAILER.size
 
 
-_CODECS = {codec.name: codec for codec in (StringCodec(), JsonCodec(), BinaryFrameCodec())}
 
 
-def codec_for(name: str) -> Codec:
-    """Look up a codec by name (``string``, ``json`` or ``binary``)."""
-    if name not in _CODECS:
-        raise CodecError("unknown codec %r (available: %s)" % (name, ", ".join(sorted(_CODECS))))
-    return _CODECS[name]

@@ -14,7 +14,7 @@ import enum
 from typing import Optional
 
 from repro.payload import Payload
-from repro.serialization.codec import Codec, StringCodec
+from repro.serialization.codec import StringCodec
 from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 from repro.sim.ledger import CostCategory, CostLedger, CpuDomain
 
@@ -34,14 +34,11 @@ class Serializer:
         ledger: CostLedger,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         environment: ExecutionEnvironment = ExecutionEnvironment.NATIVE,
-        codec: Optional[Codec] = None,
     ) -> None:
         self.ledger = ledger
         self.cost_model = cost_model
         self.environment = environment
-        self.codec = codec if codec is not None else StringCodec()
-        self.serialized_messages = 0
-        self.deserialized_messages = 0
+        self.codec = StringCodec()
 
     @property
     def in_wasm(self) -> bool:
@@ -61,7 +58,6 @@ class Serializer:
         if cgroup is not None:
             cgroup.charge_cpu(CpuDomain.USER, seconds)
             cgroup.memory.allocate(self.cost_model.serialized_size(payload.size))
-        self.serialized_messages += 1
         if payload.is_real:
             return Payload.from_bytes(self.codec.encode(payload), content_type="application/x-frame")
         return payload.with_size(self.cost_model.serialized_size(payload.size))
@@ -81,7 +77,6 @@ class Serializer:
         if cgroup is not None:
             cgroup.charge_cpu(CpuDomain.USER, seconds)
             cgroup.memory.allocate(size)
-        self.deserialized_messages += 1
         if wire_payload.is_real:
             return self.codec.decode(wire_payload.data)  # type: ignore[arg-type]
         if original_size is None:

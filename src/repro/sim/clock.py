@@ -19,10 +19,8 @@ class SimClock:
 
     __slots__ = ("_now",)
 
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ClockError("clock cannot start before t=0, got %r" % start)
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:
@@ -46,11 +44,9 @@ class SimClock:
             self._now = deadline
         return self._now
 
-    def reset(self, start: float = 0.0) -> None:
-        """Reset the clock, e.g. between benchmark iterations."""
-        if start < 0:
-            raise ClockError("clock cannot be reset before t=0, got %r" % start)
-        self._now = float(start)
+    def reset(self) -> None:
+        """Reset the clock to t=0, e.g. between benchmark iterations."""
+        self._now = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SimClock(now=%.9f)" % self._now

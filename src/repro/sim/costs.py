@@ -57,8 +57,6 @@ class CostModel:
     """
 
     # ---- raw memory movement -------------------------------------------------
-    #: Plain user-space memcpy bandwidth.
-    memcpy_bandwidth: float = 8.0 * GiB
     #: Copy across the user/kernel boundary (read/write syscalls, socket buffers).
     user_kernel_copy_bandwidth: float = 6.0 * GiB
     #: Copy in or out of Wasm linear memory through the runtime host API
@@ -160,7 +158,6 @@ class CostModel:
 
     def __post_init__(self) -> None:
         for name in (
-            "memcpy_bandwidth",
             "user_kernel_copy_bandwidth",
             "wasm_memory_copy_bandwidth",
             "native_serialize_bandwidth",

@@ -284,8 +284,5 @@ class ParallelTracks:
             return 0.0
         return sum(completions) / len(completions)
 
-    def total_cpu_seconds(self) -> float:
-        return sum(cpu for cpu, _ in self._tracks)
-
     def total_wait_seconds(self) -> float:
         return sum(wait for _, wait in self._tracks)

@@ -336,9 +336,6 @@ class CostLedger:
         wanted = set(categories)
         return sum(c.seconds for c in self._charges if c.category in wanted)
 
-    def serialization_seconds(self) -> float:
-        return self.seconds(*SERIALIZATION_CATEGORIES)
-
     def cpu_seconds(self, domain: Optional[CpuDomain] = None) -> float:
         if domain is None:
             return self._cpu_seconds_all
@@ -433,15 +430,10 @@ class NodeLedger(CostLedger):
     Shard names are ``ledger:<node>`` and must be unique within a cluster.
     """
 
-    def __init__(
-        self,
-        node_name: str,
-        clock: Optional[SimClock] = None,
-        name: Optional[str] = None,
-    ) -> None:
+    def __init__(self, node_name: str, clock: Optional[SimClock] = None) -> None:
         if not node_name:
             raise LedgerError("a node ledger needs a non-empty node name")
-        super().__init__(clock=clock, name=name if name is not None else "ledger:%s" % node_name)
+        super().__init__(clock=clock, name="ledger:%s" % node_name)
         self.node_name = node_name
 
 
@@ -458,22 +450,17 @@ class ClusterLedger:
     ``CostLedger`` API (``charge``/``meter``/``count_syscalls``) lands, so
     existing callers keep working against ``Cluster.ledger`` unchanged.
 
+    Every shard shares the cluster's simulated clock.
+
     Parameters
     ----------
-    clock:
-        Simulated clock shared by every shard.
     backing:
         Optional existing :class:`CostLedger` to adopt as the cluster
         shard — how a cluster wraps a caller-supplied ledger so charges the
         caller records on their handle stay visible in the merged view.
     """
 
-    def __init__(
-        self,
-        clock: Optional[SimClock] = None,
-        name: str = "cluster",
-        backing: Optional[CostLedger] = None,
-    ) -> None:
+    def __init__(self, name: str = "cluster", backing: Optional[CostLedger] = None) -> None:
         self.name = name
         if backing is not None:
             self.clock = backing.clock
@@ -481,7 +468,7 @@ class ClusterLedger:
                 backing.node_name = "cluster"
             self._cluster_shard = backing
         else:
-            self.clock = clock if clock is not None else SimClock()
+            self.clock = SimClock()
             self._cluster_shard = CostLedger(clock=self.clock, name="%s:cluster" % name)
             self._cluster_shard.node_name = "cluster"
         self._shards: Dict[str, NodeLedger] = {}
@@ -585,9 +572,6 @@ class ClusterLedger:
 
     def seconds(self, *categories: CostCategory) -> float:
         return sum(shard.seconds(*categories) for shard in self._shard_list)
-
-    def serialization_seconds(self) -> float:
-        return self.seconds(*SERIALIZATION_CATEGORIES)
 
     def cpu_seconds(self, domain: Optional[CpuDomain] = None) -> float:
         return sum(shard.cpu_seconds(domain) for shard in self._shard_list)

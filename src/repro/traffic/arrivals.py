@@ -40,6 +40,13 @@ class ArrivalError(ValueError):
     """Raised for invalid arrival-process parameters."""
 
 
+#: Bound on a pattern's expected offered load, ``rate_rps * duration_s``.
+#: Every arrival is generated up front, so a stream past it would exhaust
+#: memory or run for hours before the first event; it is far above any run
+#: the CLI, the examples or the benchmark make.
+MAX_OFFERED_REQUESTS = 10 ** 8
+
+
 @dataclass(frozen=True)
 class Request:
     """One client request: when it arrives and what it asks for.
@@ -266,8 +273,15 @@ def make_arrivals(
     ``rate_rps`` is the Poisson rate, the bursty on-window rate or the
     diurnal peak.  ``on_s``/``off_s`` shape bursty windows, ``period_s``
     and ``trough_rps`` the diurnal cycle; the trough defaults to a tenth of
-    the peak, at least 0.1 rps and at most the peak.
+    the peak, at least 0.1 rps and at most the peak.  A pattern whose
+    ``rate_rps * duration_s`` exceeds :data:`MAX_OFFERED_REQUESTS` raises
+    :class:`ArrivalError`.
     """
+    if rate_rps * duration_s > MAX_OFFERED_REQUESTS:
+        raise ArrivalError(
+            "rate_rps * duration_s = %g * %g exceeds the offered-load bound of %d requests"
+            % (rate_rps, duration_s, MAX_OFFERED_REQUESTS)
+        )
     common = dict(duration_s=duration_s, function=function, payload_mb=payload_mb, seed=seed)
     if pattern == "poisson":
         return PoissonArrivals(rate_rps=rate_rps, **common)
@@ -312,21 +326,16 @@ _AZURE_META_COLUMNS = ("HashOwner", "HashApp", "HashFunction", "Trigger")
 
 
 def load_azure_trace(
-    path: str,
-    function: str = "app",
-    payload_mb: float = 1.0,
-    function_hash: Optional[str] = None,
-    max_minutes: Optional[int] = None,
-    name: str = "azure",
+    path: str, payload_mb: float = 1.0, max_minutes: Optional[int] = None
 ) -> TraceArrivals:
     """Load an Azure Functions invocations-per-minute CSV as arrivals.
 
     The public Azure Functions traces (Shahrad et al., "Serverless in the
     Wild") ship one row per function: hashed owner/app/function ids, the
     trigger type, then 1440 columns of per-minute invocation counts.  This
-    loader sums the counts per minute — across all rows, or only the row(s)
-    whose ``HashFunction`` matches ``function_hash`` — and spreads each
-    minute's ``n`` invocations evenly over that minute, which is the
+    loader sums the counts per minute across all rows, as the invocations
+    of one function ``app``, and spreads each minute's ``n`` invocations
+    evenly over that minute, which is the
     deterministic, parameter-free way to recover sub-minute timestamps the
     format does not carry.  ``max_minutes`` truncates long traces so a
     day-long file can drive a short run.
@@ -344,12 +353,6 @@ def load_azure_trace(
             "Azure trace %r is missing metadata columns: %s (expected the "
             "invocations-per-minute format)" % (path, ", ".join(missing))
         )
-    if function_hash is not None:
-        rows = [row for row in rows if row.get("HashFunction") == function_hash]
-        if not rows:
-            raise ArrivalError(
-                "Azure trace %r has no rows with HashFunction=%r" % (path, function_hash)
-            )
     # Minute columns are the numeric headers; anything else (extra metadata
     # columns, the empty header a trailing comma leaves, DictReader's None
     # restkey) is ignored rather than crashing the parse.
@@ -392,5 +395,5 @@ def load_azure_trace(
             )
     if not invocations:
         raise ArrivalError("Azure trace %r contains zero invocations" % path)
-    trace = InvocationTrace(name=name, invocations=tuple(invocations))
-    return TraceArrivals(trace, function=function)
+    trace = InvocationTrace(name="azure", invocations=tuple(invocations))
+    return TraceArrivals(trace, function="app")

@@ -185,22 +185,16 @@ class PredictiveScalingPolicy(ScalingPolicy):
 
     name = "predictive"
 
-    def __init__(
-        self,
-        horizon_s: float = 10.0,
-        alpha: float = 0.5,
-        beta: float = 0.3,
-        target_concurrency: float = 1.0,
-    ) -> None:
+    #: Holt smoothing weights of the newest level and trend observations.
+    ALPHA = 0.5
+    BETA = 0.3
+
+    def __init__(self, horizon_s: float = 10.0, target_concurrency: float = 1.0) -> None:
         if horizon_s < 0:
             raise AutoscalerError("horizon_s must be non-negative")
-        if not 0.0 < alpha <= 1.0 or not 0.0 < beta <= 1.0:
-            raise AutoscalerError("alpha and beta must be in (0, 1]")
         if target_concurrency <= 0:
             raise AutoscalerError("target_concurrency must be positive")
         self.horizon_s = horizon_s
-        self.alpha = alpha
-        self.beta = beta
         self.target_concurrency = target_concurrency
         self._level: Optional[float] = None
         self._trend = 0.0
@@ -221,14 +215,14 @@ class PredictiveScalingPolicy(ScalingPolicy):
             if self._last_time_s is not None and sample.time_s > self._last_time_s:
                 interval = sample.time_s - self._last_time_s
             previous = self._level
-            self._level = self.alpha * rate + (1.0 - self.alpha) * (
+            self._level = self.ALPHA * rate + (1.0 - self.ALPHA) * (
                 previous + self._trend * interval
             )
             # Trend is kept per second so the horizon extrapolation is
             # independent of the control interval.
             self._trend = (
-                self.beta * ((self._level - previous) / interval)
-                + (1.0 - self.beta) * self._trend
+                self.BETA * ((self._level - previous) / interval)
+                + (1.0 - self.BETA) * self._trend
             )
         self._last_time_s = sample.time_s
         reactive = int(math.ceil(sample.demand / self.target_concurrency))

@@ -42,7 +42,7 @@ Dispatch costs O(1) queue work per request and never scans a pool:
   not at their ``warm`` event, so every event at that instant sees them
   exactly as a pool scan would.  A dispatch attempt's candidates are the
   index filtered by free node cores, handed to the same load balancer,
-  so the round-robin cursor and the least-loaded tie-break are unchanged.
+  so the least-loaded tie-break is unchanged.
 * **The empty-queue pass-through.**  A request that arrives at an empty
   queue while its tenant has a candidate is the head the next dispatch
   pass would take, so :meth:`~ClusterRuntime.admit` serves (or sheds) it
@@ -72,7 +72,7 @@ from repro.experiments.environment import build_pair_setup
 from repro.platform.deployment import DeployedFunction
 from repro.platform.cluster import Cluster
 from repro.platform.function import FunctionSpec
-from repro.platform.gateway import IngressGateway, RoutingPolicy
+from repro.platform.gateway import IngressGateway
 from repro.platform.orchestrator import Orchestrator
 from repro.sim.costs import WASM_MAX_PAGES, WASM_PAGE_SIZE, CostModel
 from repro.sim.ledger import CostCategory, CostLedger
@@ -442,7 +442,6 @@ class ClusterRuntime:
         self.memory = memory
         self.gateway = IngressGateway(
             Orchestrator(cluster),
-            policy=RoutingPolicy.LEAST_LOADED,
             fairness=fairness,
             starvation_guard=starvation_guard,
             intra=intra,
@@ -494,9 +493,6 @@ class ClusterRuntime:
                 # slot, no timeout event — the leader's completion (or
                 # failure) resolves it through the pipeline unwind.
                 return
-            # Transformed requests dispatch under their overridden keys.
-            priority = ctx.data.get("priority", priority)
-            deadline = ctx.data.get("deadline_s", deadline)
         queue = self.gateway.queue
         loop = self.loop
         if not self.halted and not queue.total_depth():
@@ -1020,8 +1016,8 @@ class ClusterRuntime:
 
     # -- driver hooks ----------------------------------------------------------------
 
-    def bootstrap(self, initial_replicas: Dict[str, int], now: float = 0.0) -> None:
-        """Register each tenant's initial pool (arbitrated like growth).
+    def bootstrap(self, initial_replicas: Dict[str, int]) -> None:
+        """Register each tenant's initial pool at t=0 (arbitrated like growth).
 
         ``initial_replicas`` maps tenant name -> count; a tenant it omits
         starts from zero (the federation homes each pool in one region).
@@ -1032,9 +1028,9 @@ class ClusterRuntime:
                 self.add_replicas(
                     state,
                     self.arbiter.grant(state.name, count, self._pool_sizes()),
-                    now,
+                    0.0,
                 )
-            state.timeline.append((now, len(state.replicas)))
+            state.timeline.append((0.0, len(state.replicas)))
 
     def start_ticks(self) -> None:
         """Schedule every tenant's first autoscaler control tick."""

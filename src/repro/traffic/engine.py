@@ -190,6 +190,21 @@ def validate_tenants(
     return names
 
 
+def _ordered_requests(requests: Sequence[Request]) -> Sequence[Request]:
+    """The stream in canonical (arrival, id) order, without a needless copy.
+
+    Generators emit arrivals in order, so an already-ordered stream (the
+    common case) passes through untouched; explicit request lists may
+    arrive unordered and are sorted.
+    """
+    if all(
+        (left.arrival_s, left.request_id) <= (right.arrival_s, right.request_id)
+        for left, right in zip(requests, requests[1:])
+    ):
+        return requests
+    return sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+
+
 def schedule_arrivals(
     loop: EventLoop,
     states: Sequence[_TenantState],
@@ -212,19 +227,10 @@ def schedule_arrivals(
         for request in requests:
             yield (request.arrival_s, index, request.request_id, state, request)
 
-    streams = []
-    for index, state in enumerate(states):
-        requests = state.requests
-        if any(
-            (left.arrival_s, left.request_id) > (right.arrival_s, right.request_id)
-            for left, right in zip(requests, requests[1:])
-        ):
-            # Explicit request lists may arrive unordered; generated
-            # streams never do and skip the copy.
-            requests = sorted(
-                requests, key=lambda request: (request.arrival_s, request.request_id)
-            )
-        streams.append(tenant_entries(index, state, requests))
+    streams = [
+        tenant_entries(index, state, _ordered_requests(state.requests))
+        for index, state in enumerate(states)
+    ]
     # ``heapq.merge`` with already-sorted streams reproduces the old
     # ``sorted(all_entries, key=entry[:3])`` order: keys differ across
     # tenants (the index is part of the key) and within a tenant the
@@ -346,22 +352,6 @@ class MultiTenantTrafficEngine:
         )
 
 
-def _ordered_requests(requests: Sequence[Request]) -> Tuple[Request, ...]:
-    """The stream in canonical (arrival, id) order, without a needless copy.
-
-    ``run_comparison`` orders the stream once and hands the same tuple to
-    every compared engine; each engine re-checks instead of re-sorting, so
-    an already-ordered stream (the common case — generators emit arrivals
-    in order) passes through untouched.
-    """
-    if all(
-        (left.arrival_s, left.request_id) <= (right.arrival_s, right.request_id)
-        for left, right in zip(requests, requests[1:])
-    ):
-        return requests if isinstance(requests, tuple) else tuple(requests)
-    return tuple(sorted(requests, key=lambda r: (r.arrival_s, r.request_id)))
-
-
 class TrafficEngine:
     """Drives one arrival stream against one runtime mode.
 
@@ -393,7 +383,6 @@ class TrafficEngine:
         self.records: List[RequestRecord] = []
         self.waterfall: List[WaterfallRow] = []
         self.evictions: List[Tuple[float, str, str]] = []
-        self.clock = SimClock()
         self._service_cache: Dict[Tuple[str, int], float] = {}
 
     def run(self, requests: Sequence[Request], pattern: str = "trace") -> TrafficSummary:
@@ -406,14 +395,13 @@ class TrafficEngine:
                 "the engine serves one function per run, got %s" % sorted(functions)
             )
         function = requests[0].function
-        ordered = _ordered_requests(requests)
         # Internal tenant label (the old engine's spec tenant): the caller's
         # function name stays free of the multi-tenant name rules.
         tenant = TenantSpec(
             name="tenant-1",
             mode=self.mode,
             weight=1,
-            requests=ordered,
+            requests=requests,
             function=function,
             pattern=pattern,
         )
@@ -428,7 +416,6 @@ class TrafficEngine:
             telemetry=self.telemetry,
             middleware=self.middleware,
         )
-        engine.clock = self.clock  # one simulated timeline across runs
         result = engine.run()
         self.middleware_stats = engine.middleware_stats
         self.records = engine.records["tenant-1"]
@@ -444,20 +431,20 @@ class TrafficEngine:
 
 def _run_single_mode(
     mode: str,
-    requests: Tuple[Request, ...],
+    requests: Sequence[Request],
     autoscaler: Optional[Autoscaler],
     config: Optional[TrafficConfig],
     pattern: str,
     intra: IntraTenantOrder,
     telemetry: Optional[Telemetry] = None,
     middleware: Optional[MiddlewarePipeline] = None,
-) -> Tuple[TrafficSummary, List[RequestRecord], List[WaterfallRow], Dict[str, Dict[str, int]]]:
+) -> Tuple[TrafficSummary, List[WaterfallRow], Dict[str, Dict[str, int]]]:
     """One mode's complete simulation — the unit of process-level parallelism.
 
     Module-level and built from plain data, so a worker process can run an
     entire cluster (nodes, ledger shards, clock and all) independently.
-    Returns the summary plus the run's records, waterfall rows and
-    middleware counters, which pickle back to the parent alongside it.
+    Returns the summary plus the run's waterfall rows and middleware
+    counters, which pickle back to the parent alongside it.
     """
     engine = TrafficEngine(
         mode,
@@ -468,7 +455,7 @@ def _run_single_mode(
         middleware=middleware,
     )
     summary = engine.run(requests, pattern=pattern)
-    return summary, engine.records, engine.waterfall, engine.middleware_stats
+    return summary, engine.waterfall, engine.middleware_stats
 
 
 def run_comparison(
@@ -480,7 +467,6 @@ def run_comparison(
     intra: IntraTenantOrder = IntraTenantOrder.FIFO,
     parallel: bool = False,
     telemetry_factory: Optional[Callable[[str], Telemetry]] = None,
-    records_out: Optional[Dict[str, List[RequestRecord]]] = None,
     waterfalls_out: Optional[Dict[str, List[WaterfallRow]]] = None,
     middleware_factory: Optional[Callable[[str], MiddlewarePipeline]] = None,
     middleware_out: Optional[Dict[str, Dict[str, Dict[str, int]]]] = None,
@@ -497,8 +483,8 @@ def run_comparison(
 
     ``telemetry_factory`` builds one :class:`~repro.obs.telemetry.Telemetry`
     per mode (called with the mode name); its sinks hold open file handles,
-    so it requires the serial path.  ``records_out`` / ``waterfalls_out``
-    collect each mode's per-request records and waterfall rows.
+    so it requires the serial path.  ``waterfalls_out`` collects each
+    mode's waterfall rows.
     ``middleware_factory`` builds one fresh
     :class:`~repro.gateway.middleware.MiddlewarePipeline` per mode (stage
     state like caches and token buckets must not leak between compared
@@ -509,11 +495,10 @@ def run_comparison(
             "telemetry sinks cannot cross process boundaries; "
             "run the comparison serially to attach telemetry"
         )
-    ordered = _ordered_requests(requests)
     jobs = [
         (
             mode,
-            ordered,
+            requests,
             autoscaler_factory() if autoscaler_factory else None,
             config,
             pattern,
@@ -528,10 +513,8 @@ def run_comparison(
     else:
         results = [_run_single_mode(*job) for job in jobs]
     summaries: Dict[str, TrafficSummary] = {}
-    for mode, (summary, records, waterfall, middleware_stats) in zip(modes, results):
+    for mode, (summary, waterfall, middleware_stats) in zip(modes, results):
         summaries[mode] = summary
-        if records_out is not None:
-            records_out[mode] = records
         if waterfalls_out is not None:
             waterfalls_out[mode] = waterfall
         if middleware_out is not None:

@@ -108,18 +108,21 @@ def render_latency_tables(results: Mapping[str, TrafficSummary], label: str = "m
     )
 
 
-def render_replica_timeline(
-    summary: TrafficSummary, buckets: int = 12, width: int = 40, label: str = ""
-) -> str:
+#: Rows and full bar width of a replica strip chart.
+TIMELINE_BUCKETS = 12
+TIMELINE_WIDTH = 40
+
+
+def render_replica_timeline(summary: TrafficSummary, label: str = "") -> str:
     """An ASCII strip chart of pool size over the run for one mode/tenant."""
     name = label or summary.mode
     if not summary.replica_timeline or summary.duration_s <= 0:
         return "%s: no replica timeline" % name
-    samples = _bucketize(summary.replica_timeline, summary.duration_s, buckets)
+    samples = _bucketize(summary.replica_timeline, summary.duration_s, TIMELINE_BUCKETS)
     peak = max(count for _, count in samples) or 1
     lines = ["replicas over time — %s" % name]
     for start, count in samples:
-        bar = "#" * max(1 if count > 0 else 0, int(round(width * count / peak)))
+        bar = "#" * max(1 if count > 0 else 0, int(round(TIMELINE_WIDTH * count / peak)))
         lines.append("  t=%7.1fs  %3d  %s" % (start, count, bar))
     return "\n".join(lines)
 
@@ -152,11 +155,7 @@ def _bucketize(
     return samples
 
 
-def render_class_table(
-    results: Mapping[str, TrafficSummary],
-    title: str = "Scheduling classes",
-    label: str = "tenant",
-) -> str:
+def render_class_table(results: Mapping[str, TrafficSummary], label: str = "tenant") -> str:
     """Per-class SLO attainment: one row per (tenant/mode, class).
 
     A class with no completions has no latency distribution; its p50/p99
@@ -194,13 +193,14 @@ def render_class_table(
         for key, summary in results.items()
         for cls in summary.classes
     ]
-    return format_table(headers, rows, title=title)
+    return format_table(headers, rows, title="Scheduling classes")
 
 
-def render_waterfall_table(
-    rows: Sequence["WaterfallRow"],
-    title: str = "Latency waterfall (where completed requests spent their time)",
-) -> str:
+#: Title of the latency-waterfall table.
+WATERFALL_TITLE = "Latency waterfall (where completed requests spent their time)"
+
+
+def render_waterfall_table(rows: Sequence["WaterfallRow"]) -> str:
     """The per-tenant/per-class stage decomposition of end-to-end latency.
 
     One row per (tenant-or-mode, class): mean and p95 of the pure queue
@@ -210,7 +210,7 @@ def render_waterfall_table(
     samples or sketches — the table doesn't care which.
     """
     if not rows:
-        return "%s\n(no completed requests)" % title
+        return "%s\n(no completed requests)" % WATERFALL_TITLE
     headers = [
         "scope",
         "class",
@@ -240,7 +240,7 @@ def render_waterfall_table(
         ]
         for row in rows
     ]
-    return format_table(headers, table_rows, title=title)
+    return format_table(headers, table_rows, title=WATERFALL_TITLE)
 
 
 def _has_class_structure(results: Mapping[str, TrafficSummary]) -> bool:

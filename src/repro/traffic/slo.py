@@ -282,25 +282,19 @@ def summarize(
     pattern: str,
     duration_s: float,
     records: Sequence[RequestRecord],
-    cold_starts: int = 0,
-    cold_start_seconds: float = 0.0,
-    replica_timeline: Sequence[Tuple[float, int]] = (),
     declared_classes: Sequence[str] = (),
-    oom_evictions: int = 0,
-    rss_mb_seconds: float = 0.0,
-    cpu_seconds: float = 0.0,
 ) -> TrafficSummary:
     """Roll per-request records into one :class:`TrafficSummary`.
 
     End-to-end latency covers everything the client saw served (cache
     hits and coalesced responses included); queueing and service remain
     backend-only — middleware-resolved requests never held a replica.
+    The scaling and memory counters are zero: records do not carry them.
     """
     from repro.obs.streaming import StreamingTrafficStats
 
     return StreamingTrafficStats.of_records(records, declared_classes).summary(
-        mode, pattern, duration_s, cold_starts, cold_start_seconds, replica_timeline,
-        declared_classes, oom_evictions, rss_mb_seconds, cpu_seconds,
+        mode, pattern, duration_s, declared_classes=declared_classes
     )
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.platform.gateway import TenantQueueStats
 from repro.traffic.arrivals import ARRIVAL_PATTERNS, ArrivalProcess, Request, make_arrivals

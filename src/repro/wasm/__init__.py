@@ -14,7 +14,6 @@ depends on:
   identifies as the main Wasm I/O overhead.
 """
 
-from repro.wasm.values import WasmValueType, pack_value, unpack_value
 from repro.wasm.linear_memory import LinearMemory, MemoryAccessError, OutOfMemoryError
 from repro.wasm.module import WasmModule, WasmInstance
 from repro.wasm.vm import WasmVM, HostMemoryApi
@@ -22,9 +21,6 @@ from repro.wasm.runtime import WasmRuntime, RuntimeKind
 from repro.wasm.wasi import WasiInterface
 
 __all__ = [
-    "WasmValueType",
-    "pack_value",
-    "unpack_value",
     "LinearMemory",
     "MemoryAccessError",
     "OutOfMemoryError",

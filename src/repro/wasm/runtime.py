@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-from repro.sim.costs import CostModel, DEFAULT_COST_MODEL, WASM_MAX_PAGES
+from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 from repro.sim.ledger import CostCategory, CostLedger, CpuDomain
 from repro.wasm.module import WasmModule
 from repro.wasm.vm import WasmVM
@@ -33,11 +33,9 @@ class WasmRuntime:
         self,
         ledger: CostLedger,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        kind: RuntimeKind = RuntimeKind.WASMEDGE,
     ) -> None:
         self.ledger = ledger
         self.cost_model = cost_model
-        self.kind = kind
         self._vm_counter = 0
 
     def create_vm(
@@ -46,12 +44,11 @@ class WasmRuntime:
         tenant: str = "default",
         workflow: str = "default",
         materialize: bool = True,
-        max_pages: int = WASM_MAX_PAGES,
         charge_cold_start: bool = False,
     ) -> WasmVM:
         """Create a sandboxed VM, optionally charging the VM setup cost."""
         self._vm_counter += 1
-        vm_name = name or "%s-vm-%d" % (self.kind.value, self._vm_counter)
+        vm_name = name or "wasmedge-vm-%d" % self._vm_counter
         if charge_cold_start:
             self.ledger.charge(
                 CostCategory.COLD_START,
@@ -66,7 +63,6 @@ class WasmRuntime:
             tenant=tenant,
             workflow=workflow,
             materialize=materialize,
-            max_pages=max_pages,
         )
 
     def load_module(self, vm: WasmVM, module: WasmModule, charge_cold_start: bool = False):

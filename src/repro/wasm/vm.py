@@ -10,13 +10,13 @@ shim) never touches linear memory directly — it goes through
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.payload import Payload
 from repro.sim.costs import CostModel, DEFAULT_COST_MODEL, WASM_MAX_PAGES
 from repro.sim.ledger import CostCategory, CostLedger, CpuDomain, MemoryMeter
-from repro.wasm.linear_memory import LinearMemory, MemoryAccessError
-from repro.wasm.module import ModuleError, WasmInstance, WasmModule
+from repro.wasm.linear_memory import LinearMemory
+from repro.wasm.module import WasmInstance, WasmModule
 
 
 class VmError(RuntimeError):
@@ -34,8 +34,6 @@ class WasmVM:
         tenant: str = "default",
         workflow: str = "default",
         materialize: bool = True,
-        initial_pages: int = 2,
-        max_pages: int = WASM_MAX_PAGES,
     ) -> None:
         self.name = name
         self.ledger = ledger
@@ -43,8 +41,6 @@ class WasmVM:
         self.tenant = tenant
         self.workflow = workflow
         self.materialize = materialize
-        self.initial_pages = initial_pages
-        self.max_pages = max_pages
         self._instances: Dict[str, WasmInstance] = {}
         baseline = int(cost_model.wasm_baseline_rss_mb * 1024 * 1024)
         self.meter: MemoryMeter = ledger.meter(name, baseline_bytes=baseline)
@@ -56,8 +52,8 @@ class WasmVM:
         if module.name in self._instances:
             raise VmError("module %r is already instantiated in VM %r" % (module.name, self.name))
         memory = LinearMemory(
-            initial_pages=self.initial_pages,
-            max_pages=self.max_pages,
+            initial_pages=2,
+            max_pages=WASM_MAX_PAGES,
             materialize=self.materialize,
             meter=self.meter,
             name="%s/%s" % (self.name, module.name),

@@ -9,7 +9,6 @@ sends or receives over HTTP.
 
 from __future__ import annotations
 
-from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.payload import Payload
 from repro.sim.ledger import CostCategory, CpuDomain
@@ -24,16 +23,13 @@ class WasiError(RuntimeError):
 class WasiInterface:
     """WASI host-call layer for one VM, bound to the host process running it."""
 
-    def __init__(self, vm: WasmVM, process: Process, kernel: Kernel) -> None:
+    def __init__(self, vm: WasmVM, process: Process) -> None:
         self.vm = vm
         self.process = process
-        self.kernel = kernel
-        self.host_calls = 0
 
     # -- internals ------------------------------------------------------------
 
     def _charge_call(self, label: str) -> None:
-        self.host_calls += 1
         seconds = self.vm.cost_model.wasi_call_overhead
         self.vm.ledger.charge(
             CostCategory.WASM_IO,
@@ -89,14 +85,6 @@ class WasiInterface:
         self.process.cgroup.memory.free(payload.size)
 
     # -- classic WASI entry points (thin wrappers used by examples/tests) ----------------
-
-    def fd_write(self, instance: WasmInstance, address: int, length: int) -> Payload:
-        """``fd_write``-like call: guest hands (ptr, len) to the host."""
-        return self.copy_out(instance, address, length)
-
-    def fd_read(self, instance: WasmInstance, payload: Payload) -> int:
-        """``fd_read``-like call: host delivers data into guest memory."""
-        return self.copy_in(instance, payload)
 
     def sock_send(self, instance: WasmInstance, address: int, length: int) -> Payload:
         """``sock_send``: copy out of the VM; the caller pushes it to a socket."""

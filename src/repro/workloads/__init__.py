@@ -10,14 +10,11 @@ sweeps — plus the domain-flavoured generators the examples use.
 from repro.workloads.generators import (
     DEFAULT_FANOUT_DEGREES,
     DEFAULT_SWEEP_SIZES_MB,
-    fanout_degrees,
     make_payload,
-    payload_sweep_sizes_mb,
 )
 from repro.workloads.scenarios import (
     image_frame,
     sensor_batch,
-    video_frame_stream,
     traffic_records,
 )
 from repro.workloads.traces import (
@@ -25,7 +22,6 @@ from repro.workloads.traces import (
     bursty_trace,
     compare_modes_on_trace,
     mixed_size_trace,
-    poisson_trace,
     replay_trace,
 )
 
@@ -34,15 +30,11 @@ __all__ = [
     "bursty_trace",
     "compare_modes_on_trace",
     "mixed_size_trace",
-    "poisson_trace",
     "replay_trace",
     "DEFAULT_FANOUT_DEGREES",
     "DEFAULT_SWEEP_SIZES_MB",
-    "fanout_degrees",
     "make_payload",
-    "payload_sweep_sizes_mb",
     "image_frame",
     "sensor_batch",
-    "video_frame_stream",
     "traffic_records",
 ]

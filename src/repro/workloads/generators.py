@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.payload import Payload
 
@@ -25,25 +25,7 @@ class WorkloadError(ValueError):
     """Raised for invalid workload parameters."""
 
 
-def payload_sweep_sizes_mb(
-    maximum_mb: int = 500, sizes: Sequence[int] = DEFAULT_SWEEP_SIZES_MB
-) -> List[int]:
-    """The sweep sizes, truncated to ``maximum_mb`` (useful for quick runs)."""
-    if maximum_mb <= 0:
-        raise WorkloadError("maximum_mb must be positive")
-    return [size for size in sizes if size <= maximum_mb]
-
-
-def fanout_degrees(
-    maximum: int = 100, degrees: Sequence[int] = DEFAULT_FANOUT_DEGREES
-) -> List[int]:
-    """The fan-out degrees, truncated to ``maximum``."""
-    if maximum <= 0:
-        raise WorkloadError("maximum must be positive")
-    return [degree for degree in degrees if degree <= maximum]
-
-
-def make_payload(size_mb: float, real: bool = False, seed: int = 0) -> Payload:
+def make_payload(size_mb: float, real: bool = False) -> Payload:
     """A payload of ``size_mb`` megabytes.
 
     ``real=True`` materialises actual bytes (keep it small); the default
@@ -53,5 +35,5 @@ def make_payload(size_mb: float, real: bool = False, seed: int = 0) -> Payload:
         raise WorkloadError("size_mb must be positive")
     size = int(size_mb * MB)
     if real:
-        return Payload.random(size, seed=seed)
-    return Payload.virtual(size, seed=seed)
+        return Payload.random(size)
+    return Payload.virtual(size)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Iterator, List
 
 from repro.payload import Payload
 
@@ -20,21 +19,18 @@ class ScenarioError(ValueError):
     """Raised for invalid scenario parameters."""
 
 
-def image_frame(width: int = 640, height: int = 360, channels: int = 3, seed: int = 0) -> Payload:
-    """A synthetic raw image frame (deterministic pixel pattern)."""
-    if width <= 0 or height <= 0 or channels not in (1, 3, 4):
+#: Colour channels of a synthetic frame (RGB).
+FRAME_CHANNELS = 3
+
+
+def image_frame(width: int = 640, height: int = 360) -> Payload:
+    """A synthetic raw RGB image frame (deterministic pixel pattern)."""
+    if width <= 0 or height <= 0:
         raise ScenarioError("invalid frame geometry")
-    row = bytes((x * 7 + seed) % 256 for x in range(width * channels))
+    row = bytes((x * 7) % 256 for x in range(width * FRAME_CHANNELS))
     data = b"".join(bytes((byte + y) % 256 for byte in row) for y in range(height))
-    header = struct.pack("<HHB", width, height, channels)
+    header = struct.pack("<HHB", width, height, FRAME_CHANNELS)
     return Payload.from_bytes(header + data, content_type="image/raw")
-
-
-def video_frame_stream(frames: int = 8, width: int = 320, height: int = 180) -> List[Payload]:
-    """A short stream of frames, as produced by a frame-extraction function."""
-    if frames <= 0:
-        raise ScenarioError("frames must be positive")
-    return [image_frame(width=width, height=height, seed=i) for i in range(frames)]
 
 
 def sensor_batch(readings: int = 256, sensor_id: str = "edge-sensor-1") -> Payload:
@@ -53,13 +49,13 @@ def sensor_batch(readings: int = 256, sensor_id: str = "edge-sensor-1") -> Paylo
     return Payload.from_text(json.dumps({"readings": records}, separators=(",", ":")))
 
 
-def traffic_records(vehicles: int = 500, intersection: str = "A-12") -> Payload:
+def traffic_records(vehicles: int = 500) -> Payload:
     """Traffic analytics records (the paper's second motivating workload)."""
     if vehicles <= 0:
         raise ScenarioError("vehicles must be positive")
     rows = [
         {
-            "intersection": intersection,
+            "intersection": "A-12",
             "vehicle": i,
             "speed_kmh": 30 + (i * 13) % 70,
             "lane": i % 4,

@@ -2,8 +2,8 @@
 
 The paper's evaluation uses fixed-size sweeps; production serverless traffic
 is bursty and skewed (Shahrad et al., "Serverless in the Wild").  This module
-generates deterministic synthetic invocation traces (Poisson arrivals, bursty
-on/off periods, payload-size mixes) and replays them against any data-passing
+generates deterministic synthetic invocation traces (bursty on/off periods,
+payload-size mixes) and replays them against any data-passing
 mode, reporting the latency distribution and resource totals.  It is used by
 tests and available to downstream users who want to evaluate Roadrunner under
 their own traffic shape rather than the paper's sweeps.
@@ -12,13 +12,12 @@ their own traffic shape rather than the paper's sweeps.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from repro.experiments.environment import build_pair_setup
 from repro.metrics.records import TransferMetrics
 from repro.metrics.stats import mean, p95
-from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 from repro.workloads.generators import make_payload
 
 MB = 1024 * 1024
@@ -68,38 +67,10 @@ class InvocationTrace:
         return sum(inv.payload_bytes for inv in self.invocations)
 
 
-def poisson_trace(
-    rate_per_s: float,
-    duration_s: float,
-    payload_mb: float = 10.0,
-    seed: int = 0,
-    name: str = "poisson",
-) -> InvocationTrace:
-    """Poisson arrivals at ``rate_per_s`` with a fixed payload size."""
-    if rate_per_s <= 0 or duration_s <= 0:
-        raise TraceError("rate and duration must be positive")
-    rng = random.Random(seed)
-    now = 0.0
-    invocations: List[Invocation] = []
-    while True:
-        now += rng.expovariate(rate_per_s)
-        if now > duration_s:
-            break
-        invocations.append(Invocation(arrival_s=now, payload_bytes=int(payload_mb * MB)))
-    if not invocations:
-        invocations.append(Invocation(arrival_s=0.0, payload_bytes=int(payload_mb * MB)))
-    return InvocationTrace(name=name, invocations=tuple(invocations))
-
-
 def bursty_trace(
-    bursts: int = 5,
-    burst_size: int = 20,
-    gap_s: float = 10.0,
-    payload_mb: float = 10.0,
-    intra_burst_gap_s: float = 0.05,
-    name: str = "bursty",
+    bursts: int = 5, burst_size: int = 20, payload_mb: float = 10.0
 ) -> InvocationTrace:
-    """On/off traffic: ``bursts`` bursts of ``burst_size`` back-to-back calls."""
+    """On/off traffic: ``bursts`` bursts of ``burst_size`` calls 50 ms apart, 10 s between bursts."""
     if bursts <= 0 or burst_size <= 0:
         raise TraceError("bursts and burst_size must be positive")
     invocations: List[Invocation] = []
@@ -107,32 +78,21 @@ def bursty_trace(
     for _ in range(bursts):
         for _ in range(burst_size):
             invocations.append(Invocation(arrival_s=clock, payload_bytes=int(payload_mb * MB)))
-            clock += intra_burst_gap_s
-        clock += gap_s
-    return InvocationTrace(name=name, invocations=tuple(invocations))
+            clock += 0.05
+        clock += 10.0
+    return InvocationTrace(name="bursty", invocations=tuple(invocations))
 
 
-def mixed_size_trace(
-    count: int = 100,
-    sizes_mb: Sequence[float] = (1, 10, 60, 100),
-    weights: Sequence[float] = (0.6, 0.25, 0.1, 0.05),
-    inter_arrival_s: float = 0.5,
-    seed: int = 0,
-    name: str = "mixed",
-) -> InvocationTrace:
-    """A skewed payload-size mix (mostly small, occasionally large)."""
+def mixed_size_trace(count: int = 100, seed: int = 0) -> InvocationTrace:
+    """A skewed payload-size mix (mostly small, occasionally large), one call per 0.5 s."""
     if count <= 0:
         raise TraceError("count must be positive")
-    if len(sizes_mb) != len(weights):
-        raise TraceError("sizes_mb and weights must have the same length")
     rng = random.Random(seed)
     invocations = []
     for i in range(count):
-        size_mb = rng.choices(list(sizes_mb), weights=list(weights))[0]
-        invocations.append(
-            Invocation(arrival_s=i * inter_arrival_s, payload_bytes=int(size_mb * MB))
-        )
-    return InvocationTrace(name=name, invocations=tuple(invocations))
+        size_mb = rng.choices([1, 10, 60, 100], weights=[0.6, 0.25, 0.1, 0.05])[0]
+        invocations.append(Invocation(arrival_s=i * 0.5, payload_bytes=int(size_mb * MB)))
+    return InvocationTrace(name="mixed", invocations=tuple(invocations))
 
 
 @dataclass(frozen=True)
@@ -146,7 +106,6 @@ class TraceReplayResult:
     p95_latency_s: float
     max_latency_s: float
     total_cpu_s: float
-    total_copied_bytes: int
     busy_fraction: float
 
     def summary(self) -> str:
@@ -166,12 +125,7 @@ class TraceReplayResult:
         )
 
 
-def replay_trace(
-    trace: InvocationTrace,
-    mode: str,
-    internode: bool = False,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-) -> TraceReplayResult:
+def replay_trace(trace: InvocationTrace, mode: str) -> TraceReplayResult:
     """Replay every invocation of ``trace`` through a fresh environment.
 
     Transfers with the same payload size share a cached measurement (the
@@ -180,17 +134,15 @@ def replay_trace(
     cache: Dict[int, TransferMetrics] = {}
     latencies: List[float] = []
     total_cpu = 0.0
-    total_copied = 0
     for invocation in trace.invocations:
         metrics = cache.get(invocation.payload_bytes)
         if metrics is None:
-            setup = build_pair_setup(mode, internode=internode, cost_model=cost_model)
+            setup = build_pair_setup(mode)
             payload = make_payload(invocation.payload_bytes / MB)
             metrics = setup.channel.transfer(setup.source, setup.target, payload).metrics
             cache[invocation.payload_bytes] = metrics
         latencies.append(metrics.total_latency_s)
         total_cpu += metrics.cpu_total_s
-        total_copied += metrics.copied_bytes
     slowest = max(latencies)
     window = max(trace.duration_s + slowest, slowest)
     busy = min(1.0, sum(latencies) / window) if window > 0 else 1.0
@@ -202,19 +154,12 @@ def replay_trace(
         p95_latency_s=p95(latencies),
         max_latency_s=slowest,
         total_cpu_s=total_cpu,
-        total_copied_bytes=total_copied,
         busy_fraction=busy,
     )
 
 
 def compare_modes_on_trace(
-    trace: InvocationTrace,
-    modes: Sequence[str],
-    internode: bool = False,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
+    trace: InvocationTrace, modes: Sequence[str]
 ) -> Dict[str, TraceReplayResult]:
-    """Replay the same trace in several modes (keyed by mode)."""
-    return {
-        mode: replay_trace(trace, mode, internode=internode, cost_model=cost_model)
-        for mode in modes
-    }
+    """Replay the same trace in several modes, on one node (keyed by mode)."""
+    return {mode: replay_trace(trace, mode) for mode in modes}

@@ -63,13 +63,11 @@ def test_latest_returns_most_recent_registration():
         registry.latest("fn-z")
 
 
-def test_clear_by_function_and_globally():
+def test_clear_empties_the_registry():
     registry = MemoryRegionRegistry()
     registry.register("fn-a", 0, 10)
     registry.register("fn-b", 0, 10)
-    registry.clear("fn-a")
-    assert registry.regions("fn-a") == []
-    assert len(registry) == 1
+    assert len(registry) == 2
     registry.clear()
     assert len(registry) == 0
 
@@ -100,7 +98,7 @@ def test_api_locate_and_send_to_host_registers_region(guest_api):
     region = registry.latest("fn-a")
     assert (region.address, region.length) == (address, length)
     assert region.workflow == "wf" and region.tenant == "t1"
-    read_back = api.read_memory_wasm(address, length)
+    read_back = api.instance.memory.read_payload(address, length)
     payload.require_match(read_back)
 
 

@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.core.state import ShimStateStore, StateError
+from repro.core.state import STATE_CAPACITY_BYTES, ShimStateStore, StateError
 from repro.core.user_space import UserSpaceChannel
 from repro.payload import Payload
 
 
-def make_stores(pair, capacity=64 * 1024 * 1024):
+def make_stores(pair):
     cluster, _, (a, b) = pair
     channel = UserSpaceChannel(cluster)
     return (
-        ShimStateStore(channel.shim_for(a), capacity_bytes=capacity),
-        ShimStateStore(channel.shim_for(b), capacity_bytes=capacity),
+        ShimStateStore(channel.shim_for(a)),
+        ShimStateStore(channel.shim_for(b)),
     )
 
 
@@ -43,18 +43,17 @@ def test_missing_key_and_invalid_inputs(shared_vm_pair):
         store.put("", Payload.from_text("x"))
     with pytest.raises(StateError):
         store.put("k", Payload.from_bytes(b""))
-    with pytest.raises(StateError):
-        ShimStateStore(None, capacity_bytes=0)  # type: ignore[arg-type]
 
 
 def test_capacity_is_enforced(shared_vm_pair):
-    store, _ = make_stores(shared_vm_pair, capacity=1024)
-    store.put("small", Payload.random(512))
+    store, _ = make_stores(shared_vm_pair)
+    half = STATE_CAPACITY_BYTES // 2
+    store.put("small", Payload.virtual(half))
     with pytest.raises(StateError):
-        store.put("big", Payload.random(2048))
+        store.put("big", Payload.virtual(half + 1))
     # Replacing within capacity still works.
-    store.put("small", Payload.random(900))
-    assert store.used_bytes == 900
+    store.put("small", Payload.virtual(STATE_CAPACITY_BYTES - 100))
+    assert store.used_bytes == STATE_CAPACITY_BYTES - 100
 
 
 def test_delete_and_clear(shared_vm_pair):

@@ -48,7 +48,7 @@ def test_fig2a_shows_wasm_cold_start_and_size_advantage():
 
 
 def test_fig2b_serialization_share_is_higher_for_wasm():
-    result = run_fig2b(sizes_mb=[1, 60])
+    result = run_fig2b()
     for size in result.x_values:
         wasm_share = result.value("normalized_breakdown_pct", "Wasm Serialization", size)
         cont_share = result.value("normalized_breakdown_pct", "Cont Serialization", size)
@@ -60,7 +60,7 @@ def test_fig2b_serialization_share_is_higher_for_wasm():
 
 
 def test_fig6_breakdown_structure_and_ordering():
-    result = run_fig6(payload_mb=50)
+    result = run_fig6()
     totals = result.panel("a_latency_breakdown_s")["Total"]
     rr, rc, wasm = totals
     assert rr < rc < wasm

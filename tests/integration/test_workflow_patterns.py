@@ -10,7 +10,7 @@ from repro.platform.cluster import Cluster
 from repro.platform.function import FunctionSpec
 from repro.platform.invoker import Invoker
 from repro.platform.orchestrator import Orchestrator
-from repro.platform.workflow import FanInWorkflow, FanOutWorkflow, SequenceWorkflow
+from repro.platform.workflow import FanOutWorkflow, SequenceWorkflow
 from repro.wasm.runtime import RuntimeKind
 
 
@@ -19,21 +19,6 @@ def _deploy(cluster, names, placement=None, share_vm_key=None):
     specs = [FunctionSpec(name, runtime=RuntimeKind.ROADRUNNER, workflow="wf") for name in names]
     orchestrator.deploy_all(specs, placement=placement, share_vm_key=share_vm_key, materialize=True)
     return orchestrator
-
-
-def test_fan_in_aggregation_over_kernel_space():
-    cluster = Cluster.single_node()
-    sources = ["mapper-%d" % i for i in range(4)]
-    orchestrator = _deploy(cluster, sources + ["reducer"])
-    invoker = Invoker(orchestrator, KernelSpaceChannel(cluster))
-    payload = Payload.random(32 * 1024, seed=31)
-    result = invoker.invoke(FanInWorkflow(sources, "reducer"), payload)
-    assert result.branches == 4
-    for outcome in result.outcomes.values():
-        payload.require_match(outcome.delivered)
-    # The reducer received one delivery per mapper.
-    reducer = orchestrator.deployment("reducer")
-    assert reducer.instance.memory.live_allocations >= 4
 
 
 def test_remote_fanout_through_the_network_channel():

@@ -19,22 +19,12 @@ def test_cgroup_accumulates_user_and_kernel_cpu():
     cgroup.charge_cpu(CpuDomain.USER, 0.3)
     assert cgroup.user_cpu_seconds == pytest.approx(0.5)
     assert cgroup.kernel_cpu_seconds == pytest.approx(0.1)
-    assert cgroup.total_cpu_seconds == pytest.approx(0.6)
-
-
-def test_cgroup_percentages_normalise_by_wall_and_cores():
-    cgroup = make_cgroup()
-    cgroup.charge_cpu(CpuDomain.USER, 1.0)
-    assert cgroup.cpu_percent(wall_seconds=1.0, cores=4) == pytest.approx(25.0)
-    assert cgroup.user_cpu_percent(wall_seconds=2.0, cores=1) == pytest.approx(50.0)
-    assert cgroup.kernel_cpu_percent(wall_seconds=1.0, cores=1) == 0.0
-    assert cgroup.cpu_percent(wall_seconds=0.0) == 0.0
 
 
 def test_cgroup_ignores_none_domain_and_rejects_negative():
     cgroup = make_cgroup()
     cgroup.charge_cpu(CpuDomain.NONE, 5.0)
-    assert cgroup.total_cpu_seconds == 0.0
+    assert cgroup.user_cpu_seconds == cgroup.kernel_cpu_seconds == 0.0
     with pytest.raises(CgroupError):
         cgroup.charge_cpu(CpuDomain.USER, -1.0)
     with pytest.raises(CgroupError):
@@ -46,7 +36,7 @@ def test_cgroup_reset_clears_cpu_and_memory():
     cgroup.charge_cpu(CpuDomain.USER, 1.0)
     cgroup.memory.allocate(100)
     cgroup.reset()
-    assert cgroup.total_cpu_seconds == 0.0
+    assert cgroup.user_cpu_seconds == cgroup.kernel_cpu_seconds == 0.0
     assert cgroup.memory.current_bytes == 0
 
 

@@ -44,7 +44,7 @@ def test_namespace_operations_and_errors(kernel, filesystem):
     filesystem.write_file(process, "/a/x.bin", Payload.random(16))
     filesystem.write_file(process, "/a/y.bin", Payload.random(16))
     filesystem.write_file(process, "/b/z.bin", Payload.random(16))
-    assert filesystem.listdir("/a/") == ["/a/x.bin", "/a/y.bin"]
+    assert filesystem.listdir() == ["/a/x.bin", "/a/y.bin", "/b/z.bin"]
     filesystem.unlink(process, "/a/x.bin")
     assert not filesystem.exists("/a/x.bin")
     with pytest.raises(FileSystemError):

@@ -31,10 +31,10 @@ def test_syscall_requires_positive_count(kernel):
 def test_context_switch_charges_and_counts(kernel):
     a = kernel.create_process("a")
     b = kernel.create_process("b")
-    kernel.context_switch(a, b)
+    kernel.context_switch(a)
     assert kernel.ledger.context_switches == 1
     assert a.context_switches == 1
-    assert b.context_switches == 1
+    assert b.context_switches == 0
 
 
 def test_boundary_copies_are_charged_as_copies(kernel):

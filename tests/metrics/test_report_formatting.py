@@ -25,9 +25,8 @@ def test_format_figure_result_handles_missing_points():
         x_label="x",
         x_values=[1, 2, 3],
         series={"short": [0.1]},  # fewer values than x positions
-        unit="s",
     )
-    assert "short (s)" in text
+    assert "short" in text
     assert text.count("\n") >= 4
 
 

@@ -1,74 +1,15 @@
-"""Tests for the timeline / Chrome-trace export."""
-
-import json
+"""Tests for the request-trace / Chrome-trace export."""
 
 import pytest
 
-from repro.experiments.environment import build_pair_setup
 from repro.metrics.timeline import (
-    TimelineError,
-    charges_to_spans,
-    export_chrome_trace,
     export_federation_trace,
     export_traffic_trace,
     federation_trace_events,
-    ledger_to_spans,
     read_trace_events,
     request_trace_events,
-    spans_to_chrome_trace,
 )
 from repro.obs.spans import RequestTrace
-from repro.sim.ledger import CostCategory, CostLedger, CpuDomain
-from repro.workloads.generators import make_payload
-
-
-def _ledger_with_charges():
-    ledger = CostLedger(name="demo")
-    ledger.charge(CostCategory.SERIALIZATION, 0.2, label="serialize")
-    ledger.charge(CostCategory.NETWORK, 1.0, cpu_domain=CpuDomain.NONE, nbytes=100, label="wire")
-    ledger.charge(CostCategory.SYSCALL, 1e-6, cpu_domain=CpuDomain.KERNEL, units=4)
-    return ledger
-
-
-def test_spans_reflect_charges_in_order():
-    ledger = _ledger_with_charges()
-    spans = ledger_to_spans(ledger)
-    assert len(spans) == 3
-    assert spans[0]["category"] == "serialization"
-    assert spans[1]["start_s"] == pytest.approx(0.2)
-    assert spans[2]["units"] == 4
-
-
-def test_minimum_duration_filters_noise():
-    ledger = _ledger_with_charges()
-    spans = ledger_to_spans(ledger, minimum_seconds=0.1)
-    assert {span["category"] for span in spans} == {"serialization", "network"}
-    with pytest.raises(TimelineError):
-        charges_to_spans(ledger.charges, minimum_seconds=-1)
-
-
-def test_chrome_trace_is_valid_json_with_one_event_per_span():
-    ledger = _ledger_with_charges()
-    trace = json.loads(spans_to_chrome_trace(ledger_to_spans(ledger)))
-    events = trace["traceEvents"]
-    assert events[0]["ph"] == "M"  # process metadata
-    complete_events = [event for event in events if event["ph"] == "X"]
-    assert len(complete_events) == 3
-    assert all(event["dur"] > 0 for event in complete_events)
-
-
-def test_export_chrome_trace_for_a_real_transfer(tmp_path):
-    setup = build_pair_setup("wasmedge-http", materialize=False)
-    setup.channel.transfer(setup.source, setup.target, make_payload(10))
-    path = export_chrome_trace(setup.cluster.ledger, str(tmp_path / "trace.json"))
-    with open(path, "r", encoding="utf-8") as handle:
-        trace = json.load(handle)
-    names = {event["name"] for event in trace["traceEvents"] if event["ph"] == "X"}
-    assert any("serialize" in name for name in names)
-    assert any("wire" in name or "network" in str(name) for name in names)
-
-
-# -- request-lifecycle traces (repro.obs.spans -> Perfetto) --------------------------
 
 
 def _trace(request_id=1, node="node-0", dispatch_s=1.0, end_s=3.0,
@@ -143,19 +84,13 @@ def test_zero_duration_stage_slices_survive_export():
     assert ends["service"] == pytest.approx(2.0e6)
 
 
-def test_traffic_trace_round_trip_with_ledger(tmp_path):
-    ledger = _ledger_with_charges()
+def test_traffic_trace_round_trips(tmp_path):
     traces = [_trace(request_id=1), _trace(request_id=2, node="node-1")]
-    path = export_traffic_trace(str(tmp_path / "trace.json"), traces, ledger=ledger)
+    path = export_traffic_trace(str(tmp_path / "trace.json"), traces)
     events = read_trace_events(path)
     async_events = [e for e in events if e["ph"] in ("b", "e")]
-    complete_events = [e for e in events if e["ph"] == "X"]
     assert len(async_events) == 16  # two requests, four begin/end pairs each
-    assert len(complete_events) == 3  # the ledger charges ride along
-    # Ledger lanes are offset past request lanes: no pid collision.
-    request_pids = {e["pid"] for e in async_events}
-    ledger_pids = {e["pid"] for e in complete_events}
-    assert request_pids.isdisjoint(ledger_pids)
+    assert events == request_trace_events(traces)
     # Args survive the round trip.
     outer = [e for e in async_events if e["name"] == "req-tenant-1-1"][0]
     assert outer["args"]["outcome"] == "completed"

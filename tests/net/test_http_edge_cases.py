@@ -1,4 +1,4 @@
-"""Additional HTTP transport behaviours: connection reuse, headers, counters."""
+"""Additional HTTP transport behaviours: connection reuse, headers."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from repro.sim.costs import CostModel
 from repro.sim.ledger import CostCategory, CostLedger
 
 
-def _setup(reuse=True, remote=False):
+def _setup(remote=False):
     model = CostModel.paper_testbed()
     ledger = CostLedger()
     source = Kernel(ledger=ledger, cost_model=model, node_name="src")
@@ -18,12 +18,12 @@ def _setup(reuse=True, remote=False):
     sender = source.create_process("fn-a")
     receiver = target.create_process("fn-b")
     link = NetworkLink(model) if remote else LoopbackLink(model)
-    transport = HttpTransport(source, target, link, reuse_connections=reuse)
+    transport = HttpTransport(source, target, link)
     return ledger, transport, sender, receiver
 
 
 def test_connection_reuse_pays_handshake_once():
-    ledger, transport, sender, receiver = _setup(reuse=True)
+    ledger, transport, sender, receiver = _setup()
     body = Payload.virtual(1024)
     transport.post(sender, receiver, body)
     first = ledger.breakdown().get("network", 0.0)
@@ -34,23 +34,14 @@ def test_connection_reuse_pays_handshake_once():
     assert second - first < first
 
 
-def test_without_reuse_every_request_establishes_a_connection():
-    reuse_ledger, reuse_transport, sender, receiver = _setup(reuse=True)
-    fresh_ledger, fresh_transport, fresh_sender, fresh_receiver = _setup(reuse=False)
-    body = Payload.virtual(1024)
-    for _ in range(3):
-        reuse_transport.post(sender, receiver, body)
-        fresh_transport.post(fresh_sender, fresh_receiver, body)
-    assert fresh_ledger.clock.now > reuse_ledger.clock.now
-
-
 def test_headers_add_a_fixed_number_of_bytes():
-    _, transport, sender, receiver = _setup()
+    ledger, transport, sender, receiver = _setup()
     model = CostModel.paper_testbed()
-    small = transport.post(sender, receiver, Payload.virtual(10))
-    large = transport.post(sender, receiver, Payload.virtual(10_000))
-    assert small.request_bytes - 10 == model.http_header_bytes
-    assert large.request_bytes - 10_000 == model.http_header_bytes
+    for size in (10, 10_000):
+        before = ledger.copied_bytes
+        transport.post(sender, receiver, Payload.virtual(size))
+        # The request is copied into the kernel and out again, headers included.
+        assert ledger.copied_bytes - before == 2 * (size + model.http_header_bytes)
 
 
 def test_remote_and_local_transports_share_the_same_interface():

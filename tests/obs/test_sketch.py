@@ -77,15 +77,6 @@ def test_any_quantile_in_range_is_answerable():
         sketch.quantile(1.5)
 
 
-def test_histogram_rejects_bad_parameters():
-    with pytest.raises(SketchError):
-        LogHistogram(floor=0.0)
-    with pytest.raises(SketchError):
-        LogHistogram(growth=1.0)
-    with pytest.raises(SketchError):
-        LogHistogram(buckets=1)
-
-
 def test_histogram_is_insensitive_to_sample_order():
     # An unrepresentative prefix (a cold-start transient) must not poison
     # the estimate: the same multiset in sorted, reversed, and

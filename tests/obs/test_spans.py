@@ -6,8 +6,8 @@ from repro.obs.spans import (
     RequestTrace,
     SpanError,
     TraceLog,
-    waterfall_from_records,
 )
+from repro.obs.streaming import StreamingTrafficStats
 from repro.traffic.slo import RequestOutcome, RequestRecord
 
 
@@ -83,8 +83,8 @@ def test_trace_rejects_time_travel():
         )
 
 
-def test_trace_log_caps_and_counts_drops():
-    log = TraceLog(capacity=2)
+def test_trace_log_keeps_every_trace_in_order():
+    log = TraceLog()
     for i in range(5):
         log.record(
             RequestTrace(
@@ -92,11 +92,8 @@ def test_trace_log_caps_and_counts_drops():
                 outcome="completed", arrival_s=0.0, end_s=1.0,
             )
         )
-    assert len(log) == 2
-    assert log.dropped == 3
-    assert [t.request_id for t in log.traces] == [0, 1]
-    with pytest.raises(SpanError):
-        TraceLog(capacity=0)
+    assert len(log) == 5
+    assert [t.request_id for t in log.traces] == [0, 1, 2, 3, 4]
 
 
 def test_waterfall_rows_per_class_with_rollup():
@@ -107,7 +104,7 @@ def test_waterfall_rows_per_class_with_rollup():
         make_record(request_id=4, outcome=RequestOutcome.DROPPED,
                     dispatch_s=None, completion_s=None, cold_start_wait_s=0.0),
     ]
-    rows = waterfall_from_records("tenant-1", records)
+    rows = StreamingTrafficStats.of_records(records).waterfall("tenant-1")
     assert [(r.request_class, r.completed) for r in rows] == [
         ("batch", 2),
         ("interactive", 1),
@@ -124,10 +121,10 @@ def test_waterfall_rows_per_class_with_rollup():
 
 
 def test_waterfall_single_class_has_no_rollup_row():
-    rows = waterfall_from_records("m", [make_record()])
+    rows = StreamingTrafficStats.of_records([make_record()]).waterfall("m")
     assert len(rows) == 1
     assert rows[0].request_class == "standard"
 
 
 def test_waterfall_empty_records():
-    assert waterfall_from_records("m", []) == []
+    assert StreamingTrafficStats.of_records([]).waterfall("m") == []

@@ -6,13 +6,12 @@ from repro.platform.deployment import DeployedFunction, DeploymentError
 from repro.platform.cluster import Cluster
 from repro.platform.function import FunctionSpec
 from repro.serialization.serializer import ExecutionEnvironment, Serializer
-from repro.sim.ledger import CostLedger
 from repro.wasm.runtime import RuntimeKind
 
 
 def test_wasm_deployment_requires_vm_and_instance():
-    ledger = CostLedger()
-    cluster = Cluster.single_node(ledger=ledger)
+    cluster = Cluster.single_node()
+    ledger = cluster.ledger
     node = cluster.node("node-a")
     process = node.kernel.create_process("shim")
     serializer = Serializer(ledger=ledger, environment=ExecutionEnvironment.WASM)
@@ -26,8 +25,8 @@ def test_wasm_deployment_requires_vm_and_instance():
 
 
 def test_container_deployment_requires_sandbox():
-    ledger = CostLedger()
-    cluster = Cluster.single_node(ledger=ledger)
+    cluster = Cluster.single_node()
+    ledger = cluster.ledger
     node = cluster.node("node-a")
     process = node.kernel.create_process("sandbox")
     serializer = Serializer(ledger=ledger, environment=ExecutionEnvironment.NATIVE)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.platform.function import FunctionSpec, FunctionSpecError
 from repro.platform.workflow import (
-    FanInWorkflow,
     FanOutWorkflow,
     InvocationPattern,
     SequenceWorkflow,
@@ -60,14 +59,6 @@ def test_fanout_workflow_of_degree():
     assert all(source == "a" for source, _ in workflow.edges)
     with pytest.raises(WorkflowError):
         FanOutWorkflow("a", [])
-
-
-def test_fanin_workflow():
-    workflow = FanInWorkflow(["x", "y"], "sink")
-    assert workflow.pattern is InvocationPattern.FAN_IN
-    assert all(target == "sink" for _, target in workflow.edges)
-    with pytest.raises(WorkflowError):
-        FanInWorkflow([], "sink")
 
 
 def test_workflow_validation():

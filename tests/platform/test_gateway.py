@@ -10,17 +10,16 @@ from repro.platform.gateway import (
     INGRESS_OVERHEAD_S,
     GatewayError,
     IngressGateway,
-    RoutingPolicy,
 )
 from repro.platform.orchestrator import Orchestrator
 from repro.sim.ledger import CostCategory
 from repro.wasm.runtime import RuntimeKind
 
 
-def _gateway(policy=RoutingPolicy.ROUND_ROBIN, nodes=1):
+def _gateway(nodes=1):
     cluster = Cluster.single_node() if nodes == 1 else Cluster.edge_cloud_pair()
     orchestrator = Orchestrator(cluster)
-    return cluster, orchestrator, IngressGateway(orchestrator, policy=policy)
+    return cluster, orchestrator, IngressGateway(orchestrator)
 
 
 def _spec(name="worker"):
@@ -48,17 +47,8 @@ def test_register_deploys_replicas_and_charges_cold_start():
     assert {r.name for r in replicas} == {"worker-r0", "worker-r1", "worker-r2"}
 
 
-def test_round_robin_spreads_requests_evenly():
-    _, _, gateway = _gateway()
-    gateway.register(_spec(), replicas=3, charge_cold_start=False)
-    for _ in range(9):
-        gateway.release_state("worker", _route(gateway))
-    assert set(gateway.served_per_replica("worker").values()) == {3}
-    assert sum(gateway.served_per_replica("worker").values()) == 9
-
-
 def test_least_loaded_prefers_idle_replicas():
-    _, _, gateway = _gateway(policy=RoutingPolicy.LEAST_LOADED)
+    _, _, gateway = _gateway()
     gateway.register(_spec(), replicas=2, charge_cold_start=False)
     first = _route(gateway)   # stays in flight
     second = _route(gateway)
@@ -121,36 +111,8 @@ def test_routed_replica_can_receive_data_through_roadrunner():
     gateway.release_state("worker", target)
 
 
-def _route_under_skew(policy):
-    """Route a fixed request sequence where early requests never finish."""
-    _, _, gateway = _gateway(policy=policy)
-    gateway.register(_spec(), replicas=3, charge_cold_start=False)
-    # Three long-running requests pile onto whatever the policy picks first;
-    # none are released, so in-flight load stays skewed.
-    for _ in range(3):
-        _route(gateway)
-    # Six short requests follow, each released immediately.
-    for _ in range(6):
-        gateway.release_state("worker", _route(gateway))
-    return gateway.served_per_replica("worker"), gateway.in_flight("worker")
-
-
-def test_least_loaded_and_round_robin_diverge_under_skew():
-    rr_served, rr_stuck = _route_under_skew(RoutingPolicy.ROUND_ROBIN)
-    ll_served, ll_stuck = _route_under_skew(RoutingPolicy.LEAST_LOADED)
-    # Round-robin ignores load entirely: every replica gets 3 requests and
-    # every replica carries one stuck request.
-    assert set(rr_served.values()) == {3}
-    assert set(rr_stuck.values()) == {1}
-    # Least-loaded piles nothing further on the replica that is still busy:
-    # the three stuck requests spread out (one each), and later traffic only
-    # ever raises a replica to the current minimum load plus one.
-    assert set(ll_stuck.values()) == {1}
-    assert rr_served != ll_served or rr_stuck != ll_stuck
-
-
 def test_least_loaded_avoids_a_hot_replica():
-    _, _, gateway = _gateway(policy=RoutingPolicy.LEAST_LOADED)
+    _, _, gateway = _gateway()
     first, second = gateway.register(_spec(), replicas=2, charge_cold_start=False)
     # Pin three requests on one replica via the admission hook.
     for _ in range(3):
@@ -258,22 +220,3 @@ def test_release_after_scale_down_shrink_race_raises():
         gateway.release_state("worker", stale)
     # The surviving replica's accounting is untouched.
     assert gateway.in_flight("worker") == {replicas[1].name: 0}
-
-
-def test_round_robin_cursor_stays_bounded_and_rotation_survives():
-    """The cursor normalizes modulo the pool instead of growing forever."""
-    _, _, gateway = _gateway()
-    gateway.register(_spec(), replicas=3, charge_cold_start=False)
-    for _ in range(1000):
-        gateway.release_state("worker", _route(gateway))
-    assert 0 <= gateway._round_robin_cursor["worker"] < 3
-    # Rotation is still even after the long run.
-    assert set(gateway.served_per_replica("worker").values()) == {1000 // 3 + 1} or (
-        max(gateway.served_per_replica("worker").values())
-        - min(gateway.served_per_replica("worker").values())
-        <= 1
-    )
-    # The normalized cursor stays a valid index when the pool then grows.
-    gateway.register(_spec(), replicas=2, charge_cold_start=False)
-    seen = {_route(gateway).deployed.name for _ in range(5)}
-    assert len(seen) == 5  # one full rotation over the grown pool

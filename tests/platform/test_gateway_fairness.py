@@ -9,7 +9,6 @@ from repro.platform.gateway import (
     FairQueue,
     GatewayError,
     IngressGateway,
-    RoutingPolicy,
 )
 from repro.platform.orchestrator import Orchestrator
 from repro.wasm.runtime import RuntimeKind
@@ -147,10 +146,10 @@ def test_queue_rejects_bad_tenants_and_weights():
         FairQueue(starvation_guard=0)
 
 
-def _gateway(policy=RoutingPolicy.LEAST_LOADED):
+def _gateway():
     cluster = Cluster.single_node()
     orchestrator = Orchestrator(cluster)
-    return cluster, IngressGateway(orchestrator, policy=policy)
+    return cluster, IngressGateway(orchestrator)
 
 
 def test_bookkeeping_consistent_across_remove_replica_under_queued_load():

@@ -13,10 +13,10 @@ from tests.conftest import make_container_specs, make_wasm_specs
 
 
 def test_single_node_cluster_shape():
-    cluster = Cluster.single_node(name="solo")
-    assert list(cluster.nodes) == ["solo"]
-    assert cluster.colocated("solo", "solo")
-    assert not cluster.link_between("solo", "solo").is_remote
+    cluster = Cluster.single_node()
+    assert list(cluster.nodes) == ["node-a"]
+    assert cluster.colocated("node-a", "node-a")
+    assert not cluster.link_between("node-a", "node-a").is_remote
 
 
 def test_edge_cloud_pair_shape():

@@ -28,7 +28,6 @@ from repro.platform.gateway import (
     GatewayError,
     IngressGateway,
     IntraTenantOrder,
-    RoutingPolicy,
 )
 from repro.platform.orchestrator import Orchestrator
 from repro.traffic.arrivals import BurstyArrivals, PoissonArrivals
@@ -88,11 +87,10 @@ gateway_op = st.tuples(
 
 @given(
     ops=st.lists(gateway_op, max_size=60),
-    policy=st.sampled_from(list(RoutingPolicy)),
 )
 @settings(max_examples=100, deadline=None)
-def test_gateway_in_flight_total_equals_sum_over_pools(ops, policy):
-    gateway = IngressGateway(Orchestrator(Cluster.single_node()), policy=policy)
+def test_gateway_in_flight_total_equals_sum_over_pools(ops):
+    gateway = IngressGateway(Orchestrator(Cluster.single_node()))
     specs = {
         function: FunctionSpec(function, runtime=RuntimeKind.ROADRUNNER, workflow="wf")
         for function in ("f", "g")

@@ -1,6 +1,6 @@
 """Property tests: the SLO rollups equal the per-metric scans.
 
-``summarize``, ``summarize_classes`` and ``waterfall_from_records`` fold
+``summarize``, ``summarize_classes`` and ``StreamingTrafficStats.waterfall`` fold
 the records once into the exact backend of the streaming accumulator, and
 ``LatencySummary.from_samples`` sorts once.  Their contract is that every
 field is *exactly* (``==``, not approximately) what one list pass per field
@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.stats import LatencySummary, mean, percentile
-from repro.obs.spans import WaterfallRow, waterfall_from_records
+from repro.obs.spans import WaterfallRow
 from repro.obs.streaming import StreamingTrafficStats
 from repro.traffic.slo import (
     RequestOutcome,
@@ -277,7 +277,9 @@ def test_empty_input_gives_zero_rows_for_declared_classes_only():
 @example(ONE_CLASS)
 @example(TWO_CLASSES)
 def test_waterfall_equals_the_record_walk(rows):
-    assert waterfall_from_records("t", rows) == _ref_waterfall_from_records("t", rows)
+    assert StreamingTrafficStats.of_records(rows).waterfall("t") == _ref_waterfall_from_records(
+        "t", rows
+    )
 
 
 COUNT_FIELDS = (

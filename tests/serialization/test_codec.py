@@ -8,13 +8,12 @@ from repro.serialization.codec import (
     CodecError,
     JsonCodec,
     StringCodec,
-    codec_for,
 )
 
 
-@pytest.fixture(params=["string", "json", "binary"])
+@pytest.fixture(params=[StringCodec, JsonCodec, BinaryFrameCodec], ids=["string", "json", "binary"])
 def codec(request):
-    return codec_for(request.param)
+    return request.param()
 
 
 def test_round_trip_preserves_payload(codec):
@@ -79,8 +78,3 @@ def test_json_codec_rejects_malformed_frames():
         codec.decode(codec.encode_object(["no", "body"]))
     with pytest.raises(CodecError):
         codec.decode(codec.encode_object({"body": "zz-not-hex"}))
-
-
-def test_codec_lookup_rejects_unknown_names():
-    with pytest.raises(CodecError):
-        codec_for("msgpack")

@@ -20,8 +20,6 @@ def test_serialize_real_payload_round_trip():
     wire = serializer.serialize(payload)
     restored = serializer.deserialize(wire)
     payload.require_match(restored)
-    assert serializer.serialized_messages == 1
-    assert serializer.deserialized_messages == 1
 
 
 def test_serialize_charges_serialization_categories():
@@ -38,7 +36,8 @@ def test_wasm_serialization_costs_more_than_native():
     payload = Payload.virtual(20 * 1024 * 1024)
     native.serialize(payload)
     wasm.serialize(payload)
-    assert wasm_ledger.serialization_seconds() > 3 * native_ledger.serialization_seconds()
+    serialization = CostCategory.SERIALIZATION
+    assert wasm_ledger.seconds(serialization) > 3 * native_ledger.seconds(serialization)
 
 
 def test_virtual_payload_serialization_inflates_size():

@@ -4,7 +4,6 @@ import pickle
 
 import pytest
 
-from repro.metrics.timeline import charges_to_spans
 from repro.sim.ledger import (
     Charge,
     ClusterLedger,
@@ -101,7 +100,7 @@ def test_ledger_stamps_time_node_and_sequence():
     assert type(first) is Charge
 
 
-def test_charges_to_spans_output_is_unchanged():
+def test_charge_fields_are_unchanged():
     ledger = ClusterLedger()
     node = ledger.shard("node-1")
     ledger.charge(CostCategory.HTTP, 0.25, cpu_domain=CpuDomain.NONE, label="ingress")
@@ -110,25 +109,16 @@ def test_charges_to_spans_output_is_unchanged():
     node.charge(CostCategory.SPLICE, 0.125, cpu_domain=CpuDomain.KERNEL, nbytes=2048, label="splice")
     ledger.charge(CostCategory.NETWORK, 0.0, cpu_domain=CpuDomain.NONE, nbytes=10)
 
-    def span(start, duration, category, domain, label, nbytes, copied, units, node):
-        return {
-            "start_s": start,
-            "duration_s": duration,
-            "category": category,
-            "cpu_domain": domain,
-            "label": label,
-            "bytes": nbytes,
-            "copied": copied,
-            "units": units,
-            "node": node,
-        }
-
-    assert charges_to_spans(ledger.charges) == [
-        span(0.0, 0.25, "http", "none", "ingress", 0, False, 1, "cluster"),
-        span(0.25, 1e-06, "syscall", "kernel", "fn-a:write", 0, False, 4, "node-1"),
-        span(0.250001, 0.5, "memcpy", "user", "copy", 1024, True, 1, "node-1"),
-        span(0.250001, 0.125, "splice", "kernel", "splice", 2048, False, 1, "node-1"),
-        span(0.375001, 0.0, "network", "none", "", 10, False, 1, "cluster"),
+    assert [
+        (c.timestamp, c.seconds, c.category.value, c.cpu_domain.value, c.label, c.nbytes,
+         c.copied, c.units, c.node)
+        for c in ledger.charges
+    ] == [
+        (0.0, 0.25, "http", "none", "ingress", 0, False, 1, "cluster"),
+        (0.25, 1e-06, "syscall", "kernel", "fn-a:write", 0, False, 4, "node-1"),
+        (0.250001, 0.5, "memcpy", "user", "copy", 1024, True, 1, "node-1"),
+        (0.250001, 0.125, "splice", "kernel", "splice", 2048, False, 1, "node-1"),
+        (0.375001, 0.0, "network", "none", "", 10, False, 1, "cluster"),
     ]
 
 

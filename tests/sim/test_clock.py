@@ -21,13 +21,9 @@ def test_clock_rejects_negative_advance():
         SimClock().advance(-0.1)
 
 
-def test_clock_rejects_negative_start():
-    with pytest.raises(ClockError):
-        SimClock(start=-1.0)
-
-
 def test_advance_to_moves_forward_only():
-    clock = SimClock(start=5.0)
+    clock = SimClock()
+    clock.advance(5.0)
     assert clock.advance_to(7.0) == pytest.approx(7.0)
     # Advancing to a time already passed is a no-op, not an error.
     assert clock.advance_to(3.0) == pytest.approx(7.0)
@@ -38,13 +34,6 @@ def test_reset_restores_start_time():
     clock.advance(10.0)
     clock.reset()
     assert clock.now == 0.0
-    clock.reset(start=2.0)
-    assert clock.now == pytest.approx(2.0)
-
-
-def test_reset_rejects_negative_start():
-    with pytest.raises(ClockError):
-        SimClock().reset(start=-2.0)
 
 
 def test_zero_advance_is_allowed():

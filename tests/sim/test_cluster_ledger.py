@@ -71,7 +71,7 @@ def test_totals_aggregate_across_shards():
     cluster.charge(CostCategory.HTTP, 0.3)
     assert cluster.total_seconds() == pytest.approx(0.6)
     assert cluster.seconds(CostCategory.SYSCALL) == pytest.approx(0.1)
-    assert cluster.serialization_seconds() == pytest.approx(0.2)
+    assert cluster.seconds(CostCategory.SERIALIZATION) == pytest.approx(0.2)
     assert cluster.cpu_seconds(CpuDomain.KERNEL) == pytest.approx(0.1)
     assert cluster.copied_bytes == 10
     assert cluster.reference_bytes == 20

@@ -22,8 +22,8 @@ def test_paper_testbed_is_default():
 
 def test_transfer_time_scales_linearly():
     model = CostModel.paper_testbed()
-    one = model.transfer_time(1_000_000, model.memcpy_bandwidth)
-    ten = model.transfer_time(10_000_000, model.memcpy_bandwidth)
+    one = model.transfer_time(1_000_000, model.user_kernel_copy_bandwidth)
+    ten = model.transfer_time(10_000_000, model.user_kernel_copy_bandwidth)
     assert ten == pytest.approx(10 * one)
 
 
@@ -93,7 +93,7 @@ def test_with_overrides_returns_modified_copy():
 
 def test_invalid_parameters_rejected():
     with pytest.raises(CostModelError):
-        CostModel(memcpy_bandwidth=0)
+        CostModel(user_kernel_copy_bandwidth=0)
     with pytest.raises(CostModelError):
         CostModel(wasi_network_efficiency=0)
     with pytest.raises(CostModelError):

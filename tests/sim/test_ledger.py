@@ -10,6 +10,7 @@ from repro.sim.ledger import (
     CpuDomain,
     LedgerError,
     MemoryMeter,
+    SERIALIZATION_CATEGORIES,
 )
 
 
@@ -41,7 +42,7 @@ def test_serialization_seconds_sums_both_directions():
     ledger.charge(CostCategory.SERIALIZATION, 0.2)
     ledger.charge(CostCategory.DESERIALIZATION, 0.3)
     ledger.charge(CostCategory.NETWORK, 1.0)
-    assert ledger.serialization_seconds() == pytest.approx(0.5)
+    assert ledger.seconds(*SERIALIZATION_CATEGORIES) == pytest.approx(0.5)
 
 
 def test_cpu_seconds_split_by_domain():
@@ -148,7 +149,8 @@ def test_charges_are_immutable_records():
 
 
 def test_shared_clock_is_respected():
-    clock = SimClock(start=3.0)
+    clock = SimClock()
+    clock.advance(3.0)
     ledger = CostLedger(clock=clock)
     ledger.charge(CostCategory.NETWORK, 1.0)
     assert clock.now == pytest.approx(4.0)

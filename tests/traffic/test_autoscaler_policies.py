@@ -115,7 +115,7 @@ def test_predictive_policy_prewarms_ahead_of_a_ramp():
     # desired pool exceeds what current demand alone justifies — replicas
     # are provisioned ahead of arrivals (pre-warm), unlike the reactive
     # policy on the same samples.
-    predictive = PredictiveScalingPolicy(horizon_s=10.0, alpha=0.5, beta=0.5)
+    predictive = PredictiveScalingPolicy(horizon_s=10.0)
     reactive = TargetConcurrencyPolicy(1.0)
     service = 0.5
     last_predicted = last_reactive = 0
@@ -138,10 +138,6 @@ def test_predictive_policy_falls_back_to_demand_without_service_estimate():
 def test_predictive_policy_rejects_bad_parameters():
     with pytest.raises(AutoscalerError):
         PredictiveScalingPolicy(horizon_s=-1.0)
-    with pytest.raises(AutoscalerError):
-        PredictiveScalingPolicy(alpha=0.0)
-    with pytest.raises(AutoscalerError):
-        PredictiveScalingPolicy(beta=2.0)
     with pytest.raises(AutoscalerError):
         PredictiveScalingPolicy(target_concurrency=0.0)
 
@@ -186,7 +182,7 @@ def _run_diurnal(policy_factory):
 def test_predictive_pays_fewer_cold_starts_than_reactive_on_diurnal_load():
     reactive = _run_diurnal(lambda: TargetConcurrencyPolicy(1.0)).tenants["app"]
     predictive = _run_diurnal(
-        lambda: PredictiveScalingPolicy(horizon_s=8.0, alpha=0.3, beta=0.3)
+        lambda: PredictiveScalingPolicy(horizon_s=8.0)
     ).tenants["app"]
     # Same seeded arrivals.
     assert reactive.offered == predictive.offered > 0

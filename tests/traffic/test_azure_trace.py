@@ -25,15 +25,6 @@ def test_loads_all_rows_summed_per_minute():
     assert sorted(r.arrival_s for r in requests) == [r.arrival_s for r in requests]
 
 
-def test_function_hash_filter_selects_one_row():
-    requests = load_azure_trace(FIXTURE, function_hash="fn-gamma").generate()
-    # fn-gamma invokes twice in minute 2 and once in minute 4.
-    assert len(requests) == 3
-    assert [r.arrival_s for r in requests] == pytest.approx([60.0, 90.0, 180.0])
-    with pytest.raises(ArrivalError):
-        load_azure_trace(FIXTURE, function_hash="no-such-function")
-
-
 def test_max_minutes_truncates_the_trace():
     requests = load_azure_trace(FIXTURE, max_minutes=2).generate()
     assert len(requests) == 6

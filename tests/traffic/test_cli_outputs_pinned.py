@@ -1,4 +1,4 @@
-"""Pinned bytes of ``repro traffic``: stdout and every export of four runs.
+"""Pinned bytes of ``repro traffic`` and ``repro figures``: stdout and every export.
 
 Refactors of the traffic engine promise byte-identical outputs.  These
 sha256 digests pin what four representative invocations print and write:
@@ -6,7 +6,8 @@ a bursty three-mode comparison, a two-tenant run with classes, WFQ-cost,
 a memory budget, middleware and every export, a two-region federation with
 a regional failure, and a scaling-policy comparison.  The run directory in
 stdout is replaced by a placeholder, and ``manifest.json`` is left out: it
-records wall time and the parsed flags.
+records wall time and the parsed flags.  ``repro figures --export-dir``
+(quick mode) is pinned in both data formats, one file per figure.
 
 Python 3.12 changed ``sum()`` of floats to compensate rounding, which moves
 some summaries in the last bit, so the digests hold on 3.11 only.
@@ -142,3 +143,40 @@ def test_cli_outputs_match_pinned_digests(case, tmp_path):
         if path.name != "manifest.json":
             digests[path.name] = _digest(path.read_bytes())
     assert digests == expected
+
+
+FIGURES = {
+    "csv": {
+        "stdout": "929449357e2477a06894758910d2f807a30c2866b80b6d8364d47206a38738b4",
+        "fig10.csv": "7ff78624374945ba8e1e53eab43d45ee5a194ae658375b065d2bc7a54e92e5ad",
+        "fig2a.csv": "3c57f9a36c5e11527bf421251b7a906a96399416565412e8c7b0bf4ca2f5cf20",
+        "fig2b.csv": "b304f6823c94b409207aa67a10ffbff41d0579ad2c315d8e8fad572544f354fb",
+        "fig6.csv": "f15903202ac94d193867edbdfac3b7c60bd085308b582463ec660d185793716e",
+        "fig7.csv": "860546dcf8f7747b2f9db7c74bcb63055a48666eff83719d00c402a19b669298",
+        "fig8.csv": "94346d152d6d96df7d39fec59457334bf67797fe6e31ca403ae3721678735b4b",
+        "fig9.csv": "9cfc77fa29872ada96f1827fa750219fd265e0b4861cab07b4cce2aba24a9691",
+    },
+    "json": {
+        "stdout": "1fcffe8b05df89ff02c537981e4f199c4c439379bcc9a2cc661896fd9f80aa84",
+        "fig10.json": "d2b39876e61e08e205206b1b8685a4645d360d16943cf200a534a74786a66950",
+        "fig2a.json": "6371a7dc6d7aeb93f7619200bdecba2dfdbc40b10594f904414695cbb025fe75",
+        "fig2b.json": "1207e4d991234cdc04802ea584cd38d825f32927bb171962abfa0054b6285ad3",
+        "fig6.json": "e00426fd940f7f967bd12e9c5ae9ebc54702d08f591a68b96964dd8a5d2ec031",
+        "fig7.json": "73ee54ae6ebda6163a5502a830bb9b848329f6dba65cde11c13e17f2688aaa89",
+        "fig8.json": "3fa24c28a54d686a06b10ebdd80938c7025e412e02d00a79085c0c94fbeff750",
+        "fig9.json": "30bb1efe427a04bf890ce678bd612c05880db2dd4e6472c6662f93bac4017a9a",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FIGURES))
+def test_figure_exports_match_pinned_digests(fmt, tmp_path):
+    run = str(tmp_path)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["figures", "--export-dir", run, "--format", fmt])
+    assert code == 0
+    digests = {"stdout": _digest(out.getvalue().replace(run, "<run>").encode())}
+    for path in sorted(tmp_path.iterdir()):
+        digests[path.name] = _digest(path.read_bytes())
+    assert digests == FIGURES[fmt]

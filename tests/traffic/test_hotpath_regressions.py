@@ -6,8 +6,7 @@ without being allowed to change *what* it computes:
 * ``_merge_timelines`` replaced a global sort with an N-way
   ``heapq.merge`` over the per-tenant step functions;
 * ``_ordered_requests`` replaced the unconditional per-engine sort with a
-  sortedness check, so ``run_comparison`` orders the stream once and every
-  compared engine passes the same tuple through untouched.
+  sortedness check, so an ordered stream passes through untouched.
 
 Each test pins the new implementation against the behaviour (or a direct
 reimplementation) of the code it replaced.
@@ -103,7 +102,7 @@ def test_ordered_requests_sorts_by_arrival_then_id():
 
 
 def test_engine_results_are_order_insensitive():
-    # TrafficEngine.run and run_comparison both canonicalize through
+    # schedule_arrivals canonicalizes every tenant's stream through
     # _ordered_requests, so a shuffled stream must reproduce the sorted
     # stream's summary exactly.
     requests = PoissonArrivals(

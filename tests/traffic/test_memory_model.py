@@ -32,7 +32,7 @@ from repro.traffic.memory import (
     default_replica_rss_mb,
 )
 from repro.traffic.report import render_summary_table
-from repro.traffic.slo import summarize
+from repro.obs.streaming import StreamingTrafficStats
 from repro.traffic.tenants import TenantError, TenantSpec, parse_tenants
 from repro.sim.costs import DEFAULT_COST_MODEL
 
@@ -172,7 +172,9 @@ def test_memory_run_reports_rss_and_cpu_per_1k():
 
 
 def test_zero_served_normalises_to_zero():
-    empty = summarize("idle", "poisson", 1.0, [], rss_mb_seconds=5.0, cpu_seconds=5.0)
+    empty = StreamingTrafficStats.of_records([]).summary(
+        "idle", "poisson", 1.0, rss_mb_seconds=5.0, cpu_seconds=5.0
+    )
     assert empty.served == 0
     assert empty.rss_mb_per_1k == 0.0
     assert empty.cpu_seconds_per_1k == 0.0

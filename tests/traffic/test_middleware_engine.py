@@ -237,7 +237,7 @@ def _full_output(engine_summary_pairs):
 def test_no_pipeline_and_empty_pipeline_are_byte_identical():
     requests = _herd(40, spacing_s=0.05)
     baseline = _run([Request(**vars(r)) for r in requests], middleware=None)
-    empty = _run([Request(**vars(r)) for r in requests], middleware=MiddlewarePipeline())
+    empty = _run([Request(**vars(r)) for r in requests], middleware=MiddlewarePipeline([]))
     assert baseline[1] == empty[1]
     assert baseline[0].records == empty[0].records
     assert _full_output({"roadrunner-user": baseline}) == _full_output(

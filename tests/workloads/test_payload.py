@@ -7,16 +7,13 @@ from repro.workloads.generators import (
     DEFAULT_FANOUT_DEGREES,
     DEFAULT_SWEEP_SIZES_MB,
     WorkloadError,
-    fanout_degrees,
     make_payload,
-    payload_sweep_sizes_mb,
 )
 from repro.workloads.scenarios import (
     ScenarioError,
     image_frame,
     sensor_batch,
     traffic_records,
-    video_frame_stream,
 )
 
 
@@ -78,33 +75,17 @@ def test_make_payload_real_and_virtual():
 
 
 def test_sweep_parameters_match_paper_ranges():
-    assert payload_sweep_sizes_mb() == list(DEFAULT_SWEEP_SIZES_MB)
-    assert max(DEFAULT_SWEEP_SIZES_MB) == 500
-    assert payload_sweep_sizes_mb(maximum_mb=50) == [1, 10, 50]
-    assert fanout_degrees() == list(DEFAULT_FANOUT_DEGREES)
-    assert max(DEFAULT_FANOUT_DEGREES) == 100
-    assert fanout_degrees(maximum=25) == [1, 10, 25]
-    with pytest.raises(WorkloadError):
-        payload_sweep_sizes_mb(0)
-    with pytest.raises(WorkloadError):
-        fanout_degrees(0)
+    assert (min(DEFAULT_SWEEP_SIZES_MB), max(DEFAULT_SWEEP_SIZES_MB)) == (1, 500)
+    assert (min(DEFAULT_FANOUT_DEGREES), max(DEFAULT_FANOUT_DEGREES)) == (1, 100)
 
 
 def test_image_frame_has_header_and_deterministic_pixels():
-    frame = image_frame(width=64, height=32, seed=1)
+    frame = image_frame(width=64, height=32)
     assert frame.content_type == "image/raw"
     assert frame.size == 5 + 64 * 32 * 3
-    assert frame.data == image_frame(width=64, height=32, seed=1).data
+    assert frame.data == image_frame(width=64, height=32).data
     with pytest.raises(ScenarioError):
         image_frame(width=0)
-
-
-def test_video_stream_produces_distinct_frames():
-    frames = video_frame_stream(frames=3, width=32, height=16)
-    assert len(frames) == 3
-    assert frames[0].data != frames[1].data
-    with pytest.raises(ScenarioError):
-        video_frame_stream(frames=0)
 
 
 def test_sensor_batch_and_traffic_records_are_json_text():

@@ -9,7 +9,6 @@ from repro.workloads.traces import (
     bursty_trace,
     compare_modes_on_trace,
     mixed_size_trace,
-    poisson_trace,
     replay_trace,
 )
 
@@ -28,20 +27,8 @@ def test_invocation_and_trace_validation():
         )
 
 
-def test_poisson_trace_is_deterministic_and_respects_duration():
-    first = poisson_trace(rate_per_s=5, duration_s=10, payload_mb=1, seed=3)
-    second = poisson_trace(rate_per_s=5, duration_s=10, payload_mb=1, seed=3)
-    assert first.invocations == second.invocations
-    assert first.duration_s <= 10
-    assert len(first) > 10  # ~50 expected
-    different = poisson_trace(rate_per_s=5, duration_s=10, payload_mb=1, seed=4)
-    assert different.invocations != first.invocations
-    with pytest.raises(TraceError):
-        poisson_trace(rate_per_s=0, duration_s=1)
-
-
 def test_bursty_trace_shape():
-    trace = bursty_trace(bursts=3, burst_size=4, gap_s=5.0, intra_burst_gap_s=0.1)
+    trace = bursty_trace(bursts=3, burst_size=4)
     assert len(trace) == 12
     arrivals = [inv.arrival_s for inv in trace.invocations]
     # The gap between bursts is much larger than within a burst.
@@ -55,7 +42,7 @@ def test_mixed_size_trace_uses_the_declared_sizes():
     assert sizes <= allowed
     assert len(trace) == 50
     with pytest.raises(TraceError):
-        mixed_size_trace(count=10, sizes_mb=(1, 2), weights=(1.0,))
+        mixed_size_trace(count=0)
 
 
 def test_replay_reports_distribution_and_resources():
