@@ -34,7 +34,7 @@ class ProgressReporter:
     ) -> None:
         if interval_s <= 0:
             raise ProgressError("progress interval must be positive, got %r" % interval_s)
-        #: The run's totals, set by the telemetry layer when the run starts.
+        #: The run's totals, given to :meth:`start` (0: unknown, not shown).
         self.total_requests = 0
         self.duration_s = 0.0
         self.interval_s = interval_s
@@ -43,7 +43,10 @@ class ProgressReporter:
         self._started_wall: Optional[float] = None
         self._next_due_s = 0.0
 
-    def start(self) -> None:
+    def start(self, total_requests: int = 0, duration_s: float = 0.0) -> None:
+        """Start the wall clock; the totals frame every line that follows."""
+        self.total_requests = total_requests
+        self.duration_s = duration_s
         self._started_wall = self._clock()
         self._next_due_s = self.interval_s
 

@@ -46,6 +46,21 @@ class SketchError(ValueError):
 HISTOGRAM_FLOOR = 1e-9
 HISTOGRAM_GROWTH = 1.008
 HISTOGRAM_BUCKETS = 4096
+_LAST = HISTOGRAM_BUCKETS - 1
+_LOG_FLOOR = math.log(HISTOGRAM_FLOOR)
+_INV_LOG_GROWTH = 1.0 / math.log(HISTOGRAM_GROWTH)
+_log = math.log
+
+
+def bucket_index(value: float) -> int:
+    """The bucket ``value`` falls in, in every histogram (they share one shape).
+
+    Below ``HISTOGRAM_FLOOR``: 0; past the last bucket: the last.
+    """
+    if value < HISTOGRAM_FLOOR:
+        return 0
+    index = int((_log(value) - _LOG_FLOOR) * _INV_LOG_GROWTH) + 1
+    return index if index < _LAST else _LAST
 
 
 class LogHistogram:
@@ -66,9 +81,6 @@ class LogHistogram:
         self.floor = HISTOGRAM_FLOOR
         self.growth = HISTOGRAM_GROWTH
         self._counts = [0] * HISTOGRAM_BUCKETS
-        self._last = HISTOGRAM_BUCKETS - 1
-        self._inv_log_growth = 1.0 / math.log(HISTOGRAM_GROWTH)
-        self._log_floor = math.log(HISTOGRAM_FLOOR)
         self._count = 0
         self._sum = 0.0
         self._min = 0.0
@@ -78,24 +90,17 @@ class LogHistogram:
     def count(self) -> int:
         return self._count
 
-    def index(self, value: float) -> int:
-        """The bucket ``value`` falls in (below ``floor``: 0; past the end: the last)."""
-        if value < self.floor:
-            return 0
-        index = int((math.log(value) - self._log_floor) * self._inv_log_growth) + 1
-        return index if index < self._last else self._last
-
     def add(self, value: float) -> None:
         value = float(value)
-        # index() and add_at() unrolled: this method runs a dozen times per
-        # simulated request, and each extra frame per observation is
-        # measurable there.
-        if value < self.floor:
+        # bucket_index() and add_at() unrolled: this method runs a dozen
+        # times per simulated request, and each extra frame per observation
+        # is measurable there.
+        if value < HISTOGRAM_FLOOR:
             index = 0
         else:
-            index = int((math.log(value) - self._log_floor) * self._inv_log_growth) + 1
-            if index > self._last:
-                index = self._last
+            index = int((_log(value) - _LOG_FLOOR) * _INV_LOG_GROWTH) + 1
+            if index > _LAST:
+                index = _LAST
         if self._count == 0:
             self._min = self._max = value
         else:
@@ -108,7 +113,7 @@ class LogHistogram:
         self._counts[index] += 1
 
     def add_at(self, value: float, index: int) -> None:
-        """Count a float ``value`` into bucket ``index``, which must be ``self.index(value)``."""
+        """Count a float ``value`` into bucket ``index``, which must be ``bucket_index(value)``."""
         if self._count == 0:
             self._min = self._max = value
         else:
@@ -148,7 +153,7 @@ class LogHistogram:
         return [self._estimate(bisect.bisect_left(running, q * last + 1.0)) for q in qs]
 
     def _estimate(self, index: int) -> float:
-        if index > self._last:
+        if index > _LAST:
             return self._max
         if index == 0:
             estimate = self._min
@@ -213,8 +218,3 @@ class QuantileSketch(LogHistogram):
             p99_s=p99,
             max_s=self._max,
         )
-
-
-#: The bucket a value falls in, in every :class:`QuantileSketch` (they all
-#: have the default histogram shape).
-bucket_index = LogHistogram().index

@@ -41,11 +41,13 @@ from repro.traffic.slo import (
 class Observation:
     """One finished request, reduced once for every stream it belongs to.
 
-    The stage durations mirror the :class:`~repro.traffic.slo.RequestRecord`
-    property definitions float for float, and each duration a sketch will
-    receive carries its :func:`~repro.obs.sketch.bucket_index`, so folding
-    the same request into a tenant, a cluster and a federation rollup costs
-    one ``log`` per stage rather than one per stage per rollup.
+    Built from the request's scalars: no :class:`~repro.traffic.slo.RequestRecord`
+    need exist (:meth:`of_record` reduces one that does).  The stage
+    durations mirror the record's property definitions float for float,
+    and each duration a sketch will receive carries its
+    :func:`~repro.obs.sketch.bucket_index`, so folding the same request
+    into a tenant, a cluster and a federation rollup costs one ``log`` per
+    stage rather than one per stage per rollup.
     """
 
     __slots__ = (
@@ -54,16 +56,20 @@ class Observation:
         "latency_bucket", "queueing_bucket", "service_bucket", "cold_wait_bucket",
     )
 
-    def __init__(self, record: RequestRecord) -> None:
-        arrival = record.arrival_s
-        dispatch = record.dispatch_s
-        completion = record.completion_s
-        outcome = record.outcome
+    def __init__(
+        self,
+        outcome: RequestOutcome,
+        arrival: float,
+        dispatch: Optional[float],
+        completion: Optional[float],
+        cold_wait: float,
+        request_class: str,
+        deadline_s: Optional[float],
+    ) -> None:
         served = outcome in SERVED_OUTCOMES
-        deadline_s = record.deadline_s
         self.outcome = outcome
         self.served = served
-        self.request_class = record.request_class
+        self.request_class = request_class
         self.deadline_s = deadline_s
         self.deadline_met = (
             None if deadline_s is None else (served and completion <= deadline_s)
@@ -75,7 +81,7 @@ class Observation:
             # Completed means dispatched and finished: both stamps exist.
             queueing = float(dispatch - arrival)
             service = float(completion - dispatch)
-            cold_wait = float(record.cold_start_wait_s)
+            cold_wait = float(cold_wait)
             self.queueing_bucket = bucket_index(queueing)
             self.service_bucket = bucket_index(service)
             self.cold_wait_bucket = bucket_index(cold_wait)
@@ -86,6 +92,19 @@ class Observation:
         self.queueing = queueing
         self.service = service
         self.cold_wait = cold_wait
+
+    @classmethod
+    def of_record(cls, record: RequestRecord) -> "Observation":
+        """The observation of a request whose record was built."""
+        return cls(
+            record.outcome,
+            record.arrival_s,
+            record.dispatch_s,
+            record.completion_s,
+            record.cold_start_wait_s,
+            record.request_class,
+            record.deadline_s,
+        )
 
 
 class ExactSamples:
@@ -281,12 +300,8 @@ class StreamingTrafficStats:
         """
         stats = _ExactTrafficStats(declared)
         for record in records:
-            stats.fold(Observation(record))
+            stats.fold(Observation.of_record(record))
         return stats
-
-    def observe(self, record: RequestRecord) -> None:
-        """Fold one finished request in; the record is not retained."""
-        self.fold(Observation(record))
 
     def fold(self, obs: Observation) -> None:
         """Fold one reduced request in (the engine builds one per request)."""
@@ -299,10 +314,6 @@ class StreamingTrafficStats:
         totals.fold(obs)
         if per_class is not totals:
             per_class.fold(obs)
-
-    @property
-    def completed(self) -> int:
-        return self._totals.completed
 
     def class_summaries(self) -> Tuple[ClassSummary, ...]:
         return tuple(

@@ -129,10 +129,7 @@ class Telemetry:
 
     def on_run_start(self, total_requests: int, duration_hint_s: float = 0.0) -> None:
         if self.progress is not None:
-            self.progress.total_requests = total_requests
-            if duration_hint_s > 0:
-                self.progress.duration_s = duration_hint_s
-            self.progress.start()
+            self.progress.start(total_requests, duration_hint_s)
         if self.events is not None:
             self._emit({"event": "run_start", "total_requests": total_requests})
 

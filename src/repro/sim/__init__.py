@@ -22,7 +22,7 @@ from repro.sim.ledger import (
     MemoryMeter,
     NodeLedger,
 )
-from repro.sim.engine import Event, EventLoop, ParallelTracks
+from repro.sim.engine import EventLoop, ParallelTracks
 
 __all__ = [
     "SimClock",
@@ -35,7 +35,6 @@ __all__ = [
     "LedgerSnapshot",
     "MemoryMeter",
     "NodeLedger",
-    "Event",
     "EventLoop",
     "ParallelTracks",
 ]

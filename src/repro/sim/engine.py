@@ -11,8 +11,16 @@ several places need genuine concurrency semantics:
   simulations and can execute in separate worker processes.
 
 :class:`EventLoop` is a classic time-ordered event queue; every traffic run
-executes on one, serially.  :func:`parallel_map` ships whole independent
-simulations to worker processes.  For fan-out we use the simpler
+executes on one, serially.  An event is only a heap entry, the tuple
+``(time, order, action, args)``: no object is built per event.  A traffic
+completion event's ``args`` are the request's scalars, so in sketch mode,
+when no telemetry or middleware reads a
+:class:`~repro.traffic.slo.RequestRecord`, the runtime builds none: it
+reduces a finished request straight to one
+:class:`~repro.obs.streaming.Observation`.
+
+:func:`parallel_map` ships whole independent simulations to worker
+processes.  For fan-out we use the simpler
 :class:`ParallelTracks` helper, which computes the makespan of N per-branch
 duration profiles under a bounded concurrency model — this mirrors how a
 4-core node executes N sandboxes, or how a single-threaded Wasm VM
@@ -27,7 +35,6 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 
@@ -35,25 +42,11 @@ class EngineError(RuntimeError):
     """Raised for scheduling errors (e.g. events in the past)."""
 
 
-@dataclass
-class Event:
-    """An event scheduled at an absolute simulated time.
-
-    ``args`` are passed positionally to ``action`` when the event fires.
-    Hot callers schedule one shared function with per-event ``args`` instead
-    of allocating a closure per event.
-    """
-
-    time: float
-    order: int
-    action: Callable[..., Any]
-    label: str = ""
-    args: Tuple = ()
-
-
-#: Heap entries are ``(time, order, event)`` so the heap compares plain
-#: floats and ints at C speed instead of dataclass ``__lt__`` per sift.
-_HeapEntry = Tuple[float, int, Event]
+#: Heap entries are ``(time, order, action, args)``: the heap compares plain
+#: floats and ints at C speed, and ``order`` is unique, so it never compares
+#: two actions.  ``run`` calls ``action(*args)``; hot callers schedule one
+#: shared function with per-event ``args`` instead of a closure per event.
+_HeapEntry = Tuple[float, int, Callable[..., Any], Tuple]
 
 
 class EventLoop:
@@ -97,11 +90,12 @@ class EventLoop:
         action: Callable[..., Any],
         label: str = "",
         args: Tuple = (),
-    ) -> Event:
+    ) -> None:
         """Schedule ``action`` to run ``delay`` seconds from the current time."""
         if delay < 0:
             raise EngineError("cannot schedule an event in the past (delay=%r)" % delay)
-        return self.schedule_at(self._now + delay, action, label=label, args=args)
+        # Through schedule_at: bench/trace.py patches it and reads ``label``.
+        self.schedule_at(self._now + delay, action, label=label, args=args)
 
     def schedule_at(
         self,
@@ -110,11 +104,13 @@ class EventLoop:
         label: str = "",
         args: Tuple = (),
         order: Optional[int] = None,
-    ) -> Event:
-        """Schedule ``action`` at absolute time ``time``.
+    ) -> None:
+        """Schedule ``action(*args)`` at absolute time ``time``.
 
-        ``order`` pins an explicit tie-break slot previously obtained from
-        :meth:`reserve_orders`; by default the next slot is taken.
+        ``label`` names the event for a tracer that wraps this method; the
+        loop itself keeps no record of it.  ``order`` pins an explicit
+        tie-break slot previously obtained from :meth:`reserve_orders`; by
+        default the next slot is taken.
         """
         if time < self._now:
             raise EngineError(
@@ -123,15 +119,7 @@ class EventLoop:
         if order is None:
             order = self._order
             self._order += 1
-        event = Event(
-            time=time,
-            order=order,
-            action=action,
-            label=label,
-            args=args,
-        )
-        heapq.heappush(self._queue, (time, order, event))
-        return event
+        heapq.heappush(self._queue, (time, order, action, args))
 
     def run(self, until: Optional[float] = None) -> float:
         """Run events until the queue drains or ``until`` is reached.
@@ -144,26 +132,13 @@ class EventLoop:
             if until is not None and queue[0][0] > until:
                 self._now = until
                 return self._now
-            time, _, event = pop(queue)
+            time, _, action, args = pop(queue)
             self._now = time
-            event.action(*event.args)
+            action(*args)
             self._executed += 1
         if until is not None and until > self._now:
             self._now = until
         return self._now
-
-    def step(self) -> Optional[Event]:
-        """Execute exactly one event; return it (or None if the queue is empty)."""
-        if not self._queue:
-            return None
-        time, _, event = heapq.heappop(self._queue)
-        self._now = time
-        event.action(*event.args)
-        self._executed += 1
-        return event
-
-    def pending(self) -> int:
-        return len(self._queue)
 
 
 #: Long-lived worker pool shared by every :func:`parallel_map` call, so
@@ -243,14 +218,6 @@ class ParallelTracks:
         if cpu_seconds < 0 or wait_seconds < 0:
             raise EngineError("track durations must be non-negative")
         self._tracks.append((cpu_seconds, wait_seconds))
-
-    def extend(self, tracks: Sequence[Tuple[float, float]]) -> None:
-        for cpu, wait in tracks:
-            self.add(cpu, wait)
-
-    @property
-    def tracks(self) -> Tuple[Tuple[float, float], ...]:
-        return tuple(self._tracks)
 
     def completion_times(self) -> List[float]:
         """Per-track completion times under list scheduling.

@@ -76,9 +76,9 @@ from repro.platform.gateway import IngressGateway
 from repro.platform.orchestrator import Orchestrator
 from repro.sim.costs import WASM_MAX_PAGES, WASM_PAGE_SIZE, CostModel
 from repro.sim.ledger import CostCategory, CostLedger
-from repro.traffic.arrivals import ArrivalError, Request
+from repro.traffic.arrivals import MAX_OFFERED_REQUESTS, ArrivalError, Request
 from repro.traffic.autoscaler import Autoscaler, LoadSample
-from repro.traffic.slo import RequestOutcome, RequestRecord, TrafficSummary
+from repro.traffic.slo import RequestOutcome, RequestRecord, TrafficSummary, check_times
 from repro.traffic.tenants import CapacityArbiter, MultiTenantSummary, NodeUsage, TenantSpec
 from repro.wasm.linear_memory import LinearMemory
 from repro.wasm.runtime import RuntimeKind
@@ -92,6 +92,14 @@ if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy to avoid
     from repro.obs.telemetry import Telemetry
 
 MB = 1024 * 1024
+
+#: Bound on one request's calibrated service seconds.  Each tenant's
+#: autoscaler ticks once per control interval (1 s by default) while any
+#: request is unfinished, so a service of S seconds costs about S events;
+#: the bound allows as many as :data:`MAX_OFFERED_REQUESTS` allows arrivals.
+#: Only RunC can reach it: the Wasm modes' linear memory bounds their
+#: payloads (:func:`max_payload_bytes`), RunC's staging is unbounded.
+MAX_SERVICE_S = float(MAX_OFFERED_REQUESTS)
 
 
 def max_payload_bytes(mode: str, cost_model: CostModel) -> Optional[int]:
@@ -125,7 +133,8 @@ def calibrated_service_time(
     fresh isolated environment (fresh cluster, ledger shards and clock) —
     the path every figure in the reproduction uses — so it depends only on
     its arguments and a cached value never goes stale.  A payload larger
-    than :func:`max_payload_bytes` is refused with an :class:`ArrivalError`.
+    than :func:`max_payload_bytes`, or one whose service would take longer
+    than :data:`MAX_SERVICE_S`, is refused with an :class:`ArrivalError`.
     """
     key = (mode, payload_bytes)
     latency = cache.get(key)
@@ -138,7 +147,13 @@ def calibrated_service_time(
             )
         setup = build_pair_setup(mode, cost_model=cost_model)
         payload = make_payload(payload_bytes / MB)
-        latency = cache[key] = setup.invoker.invoke(setup.workflow, payload).total_latency_s
+        latency = setup.invoker.invoke(setup.workflow, payload).total_latency_s
+        if latency > MAX_SERVICE_S:
+            raise ArrivalError(
+                "payload_mb %r takes %r s of %s service per request, past the bound of %r s"
+                % (payload_bytes / MB, latency, mode, MAX_SERVICE_S)
+            )
+        cache[key] = latency
     return latency
 
 
@@ -344,7 +359,7 @@ class ClusterRuntime:
         "halted", "last_event_s",
         # The run's inputs and the request path's private state.
         "_pipeline", "_telemetry", "_service_time", "_service_cache", "_counter",
-        "_total_requests", "_observation", "_contexts", "_serials",
+        "_total_requests", "_builds_records", "_observation", "_contexts", "_serials",
     )
 
     def __init__(
@@ -396,13 +411,17 @@ class ClusterRuntime:
         #: Unresolved requests across every region of the run (shared).
         self._counter = counter
         self._total_requests = total_requests
-        #: Sketch mode reduces each record to one observation, folded into
-        #: the tenant's streams; ``None`` in exact mode, which keeps records.
-        self._observation = None
-        if not config.retain_records:
-            from repro.obs.streaming import Observation
+        #: Whether a finished request is built into a RequestRecord: only
+        #: when something reads one (exact mode keeps them, telemetry and
+        #: the pipeline consume them).  Otherwise sketch mode reduces the
+        #: request's scalars straight to one Observation.
+        self._builds_records = (
+            config.retain_records or telemetry is not None or pipeline is not None
+        )
+        # Imported here: repro.obs imports repro.traffic.slo (see above).
+        from repro.obs.streaming import Observation
 
-            self._observation = Observation
+        self._observation = Observation
         #: In-pipeline requests: (tenant, request_id) -> RequestContext.
         #: Parked requests (coalesced followers) live only here and in their
         #: stage until the leader's completion fans them back out.
@@ -486,7 +505,7 @@ class ClusterRuntime:
                 completion = decision.completion_s
                 if completion is not None:
                     self._note(completion)
-                self._end(state, request, decision.outcome, completion)
+                self.resolve(state, request, decision.outcome, completion)
                 return
             if decision.action is AdmitAction.PARK:
                 # Parked behind an identical in-flight request: no queue
@@ -506,7 +525,7 @@ class ClusterRuntime:
                 service = self.service_for(state, request, now)
                 if service is None:
                     queue.pass_through(state.name, shed=True)
-                    self._end(state, request, RequestOutcome.SHED)
+                    self.resolve(state, request, RequestOutcome.SHED)
                 else:
                     queue.pass_through(state.name)
                     self.start(state, request, eligible, service, now)
@@ -520,7 +539,7 @@ class ClusterRuntime:
             deadline=deadline,
         )
         if not admitted:
-            self._end(state, request, RequestOutcome.DROPPED)
+            self.resolve(state, request, RequestOutcome.DROPPED)
             return
         # The timeout event is only materialized if the request is still
         # waiting after the dispatch pass.  Its tie-break slot is
@@ -554,24 +573,14 @@ class ClusterRuntime:
         cold_wait: float,
     ) -> None:
         """One request's completion event: account it, free its replicas."""
-        record = RequestRecord(
-            request_id=request.request_id,
-            function=state.function,
-            outcome=RequestOutcome.COMPLETED,
-            arrival_s=request.arrival_s,
-            dispatch_s=dispatched,
-            completion_s=completion,
-            replica=replica.deployed.name,
-            cold_start_wait_s=cold_wait,
-            request_class=request.request_class,
-            deadline_s=request.deadline_s,
-        )
-        self._release(state, replica, record)
+        self._release(state, replica, dispatched, completion)
         if loser is not None:
             # The hedge's losing attempt is cancelled now: its replica
             # frees the moment the winner answers the client.
-            self._release(state, loser, record)
-        self.resolve(state, record, replica.node)
+            self._release(state, loser, dispatched, completion)
+        self.resolve(
+            state, request, RequestOutcome.COMPLETED, completion, dispatched, cold_wait, replica
+        )
         if self.gateway.queue.total_depth():
             self.dispatch(self.loop.now)
 
@@ -579,7 +588,7 @@ class ClusterRuntime:
         """Time out a request still waiting when its patience ran out."""
         if not self.gateway.queue.cancel(state.name, request.request_id):
             return
-        self._end(state, request, RequestOutcome.TIMED_OUT)
+        self.resolve(state, request, RequestOutcome.TIMED_OUT)
         self._note(self.loop.now)
 
     def tick(self, state: _TenantState) -> None:
@@ -699,7 +708,7 @@ class ClusterRuntime:
                 service = self.service_for(state, request, now)
                 if service is None:
                     queue.shed_head(tenant_name)
-                    self._end(state, request, RequestOutcome.SHED)
+                    self.resolve(state, request, RequestOutcome.SHED)
                 else:
                     queue.pop(tenant_name)
                     self.start(state, request, eligible, service, now)
@@ -915,66 +924,78 @@ class ClusterRuntime:
 
     # -- accounting ------------------------------------------------------------------
 
-    def resolve(self, state: _TenantState, record: RequestRecord, node: str = "") -> None:
-        """One request reached a terminal outcome: account it exactly once.
-
-        The single funnel for every outcome — retained as a record or
-        reduced once and folded into every streaming accumulator it
-        belongs to, counted down, and fanned out to the telemetry sinks.
-        Then the pipeline's completion hooks run in reverse admission order
-        (cache fills, coalesce fan-out); any follow-on records they release
-        — parked duplicates resolved by this outcome — recurse through the
-        same funnel, so each follower is accounted exactly like a request
-        of its own.
-        """
-        observation = self._observation
-        if observation is None:
-            state.records.append(record)
-        else:
-            observation = observation(record)
-            for stream in state.streams:
-                stream.fold(observation)
-        self._counter[0] -= 1
-        telemetry = self._telemetry
-        if telemetry is not None:
-            telemetry.on_request(state.name, record, node)
-            if telemetry.progress is not None:
-                self._progress()
-        pipeline = self._pipeline
-        if pipeline is None:
-            return
-        ctx = self._contexts.pop((state.name, record.request_id), None)
-        if ctx is None:
-            return
-        for follow_ctx, follow_record in pipeline.complete(ctx, record, self.loop.now):
-            if follow_record.completion_s is not None:
-                self._note(follow_record.completion_s)
-            self.resolve(self.by_tenant[follow_ctx.tenant], follow_record, node)
-
-    def _end(
+    def resolve(
         self,
         state: _TenantState,
         request: Request,
         outcome: RequestOutcome,
         completion: Optional[float] = None,
+        dispatched: Optional[float] = None,
+        cold_wait: float = 0.0,
+        replica: Optional[_Replica] = None,
     ) -> None:
-        """Resolve ``request`` with an outcome reached on no replica.
+        """One request reached a terminal outcome: account it exactly once.
 
-        Shed, dropped and timed-out requests have no completion; a gateway
-        short-circuit has one when it served the request (a cache hit).
+        The single funnel for every outcome.  ``completion`` is ``None``
+        for a request nothing served; a request a replica served was
+        ``dispatched`` to ``replica`` and waited ``cold_wait`` for it to
+        warm.  A coalesced follower passes its leader's replica, if any,
+        which places it on that replica's node for telemetry.
+        The request is retained as a record, or reduced once to an
+        :class:`~repro.obs.streaming.Observation` folded into every
+        streaming accumulator it belongs to; either way its times are
+        checked.  It is counted down and fanned out to the telemetry
+        sinks.  Then the pipeline's completion hooks run in reverse
+        admission order (cache fills, coalesce fan-out); any follow-on
+        requests they release — parked duplicates resolved by this
+        outcome — recurse through the same funnel, so each follower is
+        accounted exactly like a request of its own.
         """
-        self.resolve(
-            state,
-            RequestRecord(
+        arrival = request.arrival_s
+        klass = request.request_class
+        deadline = request.deadline_s
+        streams = state.streams
+        if self._builds_records:
+            record = RequestRecord(
                 request_id=request.request_id,
                 function=state.function,
                 outcome=outcome,
-                arrival_s=request.arrival_s,
+                arrival_s=arrival,
+                dispatch_s=dispatched,
                 completion_s=completion,
-                request_class=request.request_class,
-                deadline_s=request.deadline_s,
-            ),
-        )
+                replica="" if dispatched is None else replica.deployed.name,
+                cold_start_wait_s=cold_wait,
+                request_class=klass,
+                deadline_s=deadline,
+            )
+            if not streams:
+                state.records.append(record)
+        else:
+            check_times(request.request_id, outcome, arrival, dispatched, completion)
+        if streams:
+            observation = self._observation(
+                outcome, arrival, dispatched, completion, cold_wait, klass, deadline
+            )
+            for stream in streams:
+                stream.fold(observation)
+        self._counter[0] -= 1
+        telemetry = self._telemetry
+        if telemetry is not None:
+            telemetry.on_request(state.name, record, "" if replica is None else replica.node)
+            if telemetry.progress is not None:
+                self._progress()
+        pipeline = self._pipeline
+        if pipeline is None:
+            return
+        ctx = self._contexts.pop((state.name, request.request_id), None)
+        if ctx is None:
+            return
+        for follower, follow in pipeline.complete(ctx, record, self.loop.now):
+            done = follow.completion_s
+            if done is not None:
+                self._note(done)
+            tenant = self.by_tenant[follower.tenant]
+            self.resolve(tenant, follower.request, follow.outcome, done, replica=replica)
 
     def _take(self, state: _TenantState, gw_states: list) -> _Replica:
         """Let the load balancer pick one of ``gw_states``; mark it busy."""
@@ -985,18 +1006,20 @@ class ClusterRuntime:
         self.node_busy[replica.node] += 1
         return replica
 
-    def _release(self, state: _TenantState, replica: _Replica, record: RequestRecord) -> None:
-        """Free one of ``record``'s replicas at its completion."""
+    def _release(
+        self, state: _TenantState, replica: _Replica, dispatched: float, completion: float
+    ) -> None:
+        """Free one of a request's replicas at its completion."""
         gw_state = replica.gw_state
         self.gateway.release_state(state.function, gw_state)
         self.node_busy[replica.node] -= 1
         if gw_state.in_flight == self.config.per_replica_concurrency - 1:
             state.index_free(replica)
-        replica.idle_since = record.completion_s
+        replica.idle_since = completion
         if self.memory is not None:
             # Replica-busy CPU: the loser of a hedge burned the same wall
             # interval before its cancellation, so it pays too.
-            state.cpu_seconds += record.service_s
+            state.cpu_seconds += completion - dispatched
 
     def _note(self, now: float) -> None:
         """Track the run's last event instant; bring the clock to the loop's."""

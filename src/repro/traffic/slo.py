@@ -59,6 +59,38 @@ SERVED_OUTCOMES = frozenset(
 )
 
 
+def check_times(
+    request_id: int,
+    outcome: RequestOutcome,
+    arrival_s: float,
+    dispatch_s: Optional[float],
+    completion_s: Optional[float],
+) -> None:
+    """Raise :class:`SloError` unless a request's times fit its outcome.
+
+    The invariant of every :class:`RequestRecord`, and of a finished
+    request the runtime reduces without building one.
+    """
+    if outcome is RequestOutcome.COMPLETED:
+        if dispatch_s is None or completion_s is None:
+            raise SloError("completed requests need dispatch and completion times")
+        if not arrival_s <= dispatch_s <= completion_s:
+            raise SloError(
+                "request %d times must be ordered: arrival=%r dispatch=%r completion=%r"
+                % (request_id, arrival_s, dispatch_s, completion_s)
+            )
+    elif outcome in SERVED_OUTCOMES:
+        # Cached / coalesced responses never reached a replica: no
+        # dispatch, but they still completed at a definite instant.
+        if completion_s is None:
+            raise SloError("%s requests need a completion time" % outcome.value)
+        if completion_s < arrival_s:
+            raise SloError(
+                "request %d completed at %r before arriving at %r"
+                % (request_id, completion_s, arrival_s)
+            )
+
+
 @dataclass(frozen=True)
 class RequestRecord:
     """The full timing of one request through the platform.
@@ -83,26 +115,9 @@ class RequestRecord:
     deadline_s: Optional[float] = None  # absolute soft deadline, if any
 
     def __post_init__(self) -> None:
-        if self.outcome is RequestOutcome.COMPLETED:
-            if self.dispatch_s is None or self.completion_s is None:
-                raise SloError("completed requests need dispatch and completion times")
-            if not self.arrival_s <= self.dispatch_s <= self.completion_s:
-                raise SloError(
-                    "request %d times must be ordered: arrival=%r dispatch=%r completion=%r"
-                    % (self.request_id, self.arrival_s, self.dispatch_s, self.completion_s)
-                )
-        elif self.outcome in SERVED_OUTCOMES:
-            # Cached / coalesced responses never reached a replica: no
-            # dispatch, but they still completed at a definite instant.
-            if self.completion_s is None:
-                raise SloError(
-                    "%s requests need a completion time" % self.outcome.value
-                )
-            if self.completion_s < self.arrival_s:
-                raise SloError(
-                    "request %d completed at %r before arriving at %r"
-                    % (self.request_id, self.completion_s, self.arrival_s)
-                )
+        check_times(
+            self.request_id, self.outcome, self.arrival_s, self.dispatch_s, self.completion_s
+        )
 
     @property
     def served(self) -> bool:

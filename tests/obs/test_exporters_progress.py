@@ -7,6 +7,7 @@ import pytest
 
 from repro.obs.exporters import ExporterError, JsonlEventWriter, read_jsonl
 from repro.obs.progress import ProgressError, ProgressReporter
+from repro.obs.telemetry import Telemetry
 
 
 def test_jsonl_writer_round_trip(tmp_path):
@@ -83,8 +84,7 @@ def test_progress_line_format_uses_injected_clock():
     stream = io.StringIO()
     clock = FakeClock()
     reporter = ProgressReporter(interval_s=10.0, stream=stream, clock=clock)
-    reporter.total_requests, reporter.duration_s = 200, 40.0
-    reporter.start()
+    reporter.start(200, 40.0)
     clock.now += 2.5
     reporter.update(20.0, finished=50, replicas=4)
     line = stream.getvalue().strip()
@@ -97,10 +97,29 @@ def test_progress_line_format_uses_injected_clock():
 def test_progress_finish_always_emits_closing_line():
     stream = io.StringIO()
     reporter = ProgressReporter(interval_s=10.0, stream=stream, clock=FakeClock())
-    reporter.duration_s = 5.0
     reporter.finish(5.0, finished=7, replicas=1)  # short run, no update() ever fired
     assert stream.getvalue().count("\n") == 1
     assert stream.getvalue().startswith("[progress] done:")
+
+
+def test_run_start_hands_the_reporter_its_totals():
+    # The run's totals reach the reporter only through start(), which the
+    # telemetry layer calls when the run starts.
+    stream = io.StringIO()
+    clock = FakeClock()
+    telemetry = Telemetry(
+        progress=ProgressReporter(interval_s=10.0, stream=stream, clock=clock)
+    )
+    telemetry.on_run_start(200, duration_hint_s=40.0)
+    clock.now += 2.5
+    telemetry.on_progress(20.0, finished=50, replicas=4)
+    telemetry.on_run_end(40.0, finished=200, replicas=2)
+    assert stream.getvalue().splitlines() == [
+        "[progress] sim 20.0s/40.0s (50%) | 50/200 requests"
+        " | 2 req/s | replicas 4 | wall 2.5s",
+        "[progress] done: sim 40.0s/40.0s (100%) | 200/200 requests"
+        " | 5 req/s | replicas 2 | wall 2.5s",
+    ]
 
 
 def test_progress_rejects_bad_interval():

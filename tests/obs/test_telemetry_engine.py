@@ -11,6 +11,7 @@ from repro.obs import (
     Telemetry,
     TraceLog,
 )
+from repro.obs.streaming import Observation
 from repro.traffic.arrivals import PoissonArrivals
 from repro.traffic.autoscaler import Autoscaler, TargetConcurrencyPolicy
 from repro.traffic.engine import TrafficConfig, TrafficEngine
@@ -155,7 +156,7 @@ def test_streaming_stats_mirror_exact_summary():
     engine, exact, _ = run_engine(retain_records=True)
     stream = StreamingTrafficStats()
     for record in engine.records:
-        stream.observe(record)
+        stream.fold(Observation.of_record(record))
     summary = stream.summary(
         mode=exact.mode,
         pattern=exact.pattern,

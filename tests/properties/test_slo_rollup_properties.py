@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.metrics.stats import LatencySummary, mean, percentile
 from repro.obs.spans import WaterfallRow
-from repro.obs.streaming import StreamingTrafficStats
+from repro.obs.streaming import Observation, StreamingTrafficStats
 from repro.traffic.slo import (
     RequestOutcome,
     RequestRecord,
@@ -294,7 +294,7 @@ COUNT_FIELDS = (
 def test_sketch_class_counts_equal_per_class_scans(rows, declared):
     stats = StreamingTrafficStats(declared_classes=declared)
     for record in rows:
-        stats.observe(record)
+        stats.fold(Observation.of_record(record))
     got = stats.summary("m", "p", 10.0, declared_classes=declared).classes
     expected = _ref_classes(rows, declared)
     assert [row.name for row in got] == [ref["name"] for ref in expected]

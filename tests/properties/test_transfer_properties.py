@@ -76,7 +76,8 @@ def test_roadrunner_serialization_stays_negligible_at_any_size(size_mb):
 )
 def test_makespan_bounds(tracks, workers):
     scheduler = ParallelTracks(workers=workers)
-    scheduler.extend(tracks)
+    for cpu, wait in tracks:
+        scheduler.add(cpu, wait)
     makespan = scheduler.makespan()
     longest = max(cpu + wait for cpu, wait in tracks)
     serial = sum(cpu + wait for cpu, wait in tracks)

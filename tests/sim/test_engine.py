@@ -43,7 +43,10 @@ def test_run_until_stops_before_later_events():
     loop.run(until=2.0)
     assert fired == [1]
     assert loop.now == pytest.approx(2.0)
-    assert loop.pending() == 1
+    assert loop.executed_events == 1
+    loop.run()  # the later event was still queued
+    assert fired == [1, 5]
+    assert loop.executed_events == 2
 
 
 def test_events_can_schedule_further_events():
@@ -60,15 +63,17 @@ def test_events_can_schedule_further_events():
     assert loop.now == pytest.approx(2.0)
 
 
-def test_step_executes_exactly_one_event():
+def test_run_until_an_event_time_executes_that_event():
     loop = EventLoop()
     fired = []
     loop.schedule(1.0, lambda: fired.append("a"))
     loop.schedule(2.0, lambda: fired.append("b"))
-    event = loop.step()
-    assert event is not None and fired == ["a"]
-    assert loop.step() is not None and fired == ["a", "b"]
-    assert loop.step() is None
+    loop.run(until=1.0)
+    assert fired == ["a"] and loop.executed_events == 1
+    loop.run(until=2.0)
+    assert fired == ["a", "b"] and loop.executed_events == 2
+    loop.run()  # nothing left to execute
+    assert loop.executed_events == 2
 
 
 def _square(value):
@@ -122,7 +127,8 @@ def test_empty_tracks_have_zero_makespan():
 
 def test_totals_and_validation():
     tracks = ParallelTracks(workers=2)
-    tracks.extend([(1.0, 0.5), (2.0, 0.25)])
+    tracks.add(1.0, 0.5)
+    tracks.add(2.0, 0.25)
     assert tracks.total_wait_seconds() == pytest.approx(0.75)
     with pytest.raises(EngineError):
         tracks.add(-1.0)

@@ -10,6 +10,9 @@ regression to a hang fails the test instead of blocking the suite.
 A payload larger than a Wasm mode's linear memory can stage raised
 ``OutOfMemoryError``, and one too large to count in bytes raised
 ``OverflowError``; both must exit with status 2 naming ``payload_mb``.
+RunC stages payloads in no linear memory, and a huge RunC payload hung
+(autoscaler ticks across a service time of ~1e297 s); it must exit with
+status 2 naming ``payload_mb``, its service seconds and the bound.
 """
 
 import os
@@ -17,6 +20,10 @@ import subprocess
 import sys
 
 import pytest
+
+from repro.sim.costs import CostModel
+from repro.traffic.arrivals import ArrivalError
+from repro.traffic.cluster_runtime import MAX_SERVICE_S, MB, calibrated_service_time
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
@@ -98,3 +105,32 @@ def test_a_payload_too_large_to_count_in_bytes_exits_2():
         result.stderr
     )
     assert "Traceback" not in result.stderr
+
+
+def test_a_runc_payload_past_the_service_bound_exits_2_within_seconds():
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "traffic", "--modes", "runc-http",
+         "--payload-mb", "1e300", "--duration", "1", "--rps", "10"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "invalid traffic parameters: payload_mb 1e+300 takes " in result.stderr
+    assert "s of runc-http service per request, past the bound of %r s" % MAX_SERVICE_S in (
+        result.stderr
+    )
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_the_service_bound_admits_every_figure_payload():
+    # The figures and the benchmark carry up to 500 MB; RunC's service
+    # time grows about 2 ms per MB, so the bound sits near 5e10 MB.
+    cost_model = CostModel.paper_testbed()
+    for mode in ("roadrunner-user", "roadrunner-kernel", "runc-http", "wasmedge-http"):
+        assert calibrated_service_time({}, mode, 500 * MB, cost_model) < MAX_SERVICE_S
+    with pytest.raises(ArrivalError, match="past the bound"):
+        calibrated_service_time({}, "runc-http", int(1e11 * MB), cost_model)
