@@ -39,10 +39,10 @@ import enum
 import functools
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.traffic.slo import RequestOutcome, RequestRecord
+from repro.traffic.slo import RequestOutcome
 
 
 class MiddlewareError(RuntimeError):
@@ -102,21 +102,28 @@ class Admission:
 
 _PASS = Admission(AdmitAction.PASS)
 
+#: A parked request a terminal outcome resolves: its context, its own
+#: outcome and its completion instant (``None`` when it was not served).
+FollowOn = Tuple["RequestContext", RequestOutcome, Optional[float]]
 
-@dataclass
+
 class RequestContext:
     """One request's trip through the pipeline.
 
     ``request`` stays the engine's opaque request object (anything with
     ``request_id``/``arrival_s``/``function``/``payload_bytes``); no stage
-    changes it.  ``entered`` records which stages admitted the request, so the
+    changes it.  ``key`` is its response-identity digest (function +
+    payload).  ``entered`` records which stages admitted the request, so the
     completion unwind runs exactly those stages' hooks in reverse order.
     """
 
-    tenant: str
-    request: object
-    key: str  # response-identity digest (function + payload)
-    entered: List["MiddlewareStage"] = field(default_factory=list)
+    __slots__ = ("tenant", "request", "key", "entered")
+
+    def __init__(self, tenant: str, request: object, key: str) -> None:
+        self.tenant = tenant
+        self.request = request
+        self.key = key
+        self.entered: List["MiddlewareStage"] = []
 
     @property
     def request_id(self) -> int:
@@ -181,9 +188,18 @@ class MiddlewareStage:
         return plan
 
     def on_complete(
-        self, ctx: RequestContext, record: RequestRecord, now: float
-    ) -> Iterable[Tuple[RequestContext, RequestRecord]]:
-        """React to a terminal outcome; may release parked followers."""
+        self,
+        ctx: RequestContext,
+        outcome: RequestOutcome,
+        completion_s: Optional[float],
+        now: float,
+    ) -> Iterable[FollowOn]:
+        """React to a terminal outcome; may release parked followers.
+
+        ``completion_s`` is when the request was served (``None`` when it
+        was not).  Each follow-on is ``(ctx, outcome, completion_s)`` for a
+        parked request the outcome resolves.
+        """
         return ()
 
 
@@ -232,11 +248,7 @@ class MiddlewarePipeline:
     # -- the request path ----------------------------------------------------------
 
     def context(self, tenant: str, request: object) -> RequestContext:
-        return RequestContext(
-            tenant=tenant,
-            request=request,
-            key=response_key(request.function, request.payload_bytes),
-        )
+        return RequestContext(tenant, request, response_key(request.function, request.payload_bytes))
 
     def admit(self, ctx: RequestContext, now: float) -> Admission:
         """Walk the stages; return the first stopping decision."""
@@ -262,17 +274,22 @@ class MiddlewarePipeline:
         return plan
 
     def complete(
-        self, ctx: RequestContext, record: RequestRecord, now: float
-    ) -> List[Tuple[RequestContext, RequestRecord]]:
+        self,
+        ctx: RequestContext,
+        outcome: RequestOutcome,
+        completion_s: Optional[float],
+        now: float,
+    ) -> List[FollowOn]:
         """Unwind the entered stages (reverse order); collect follow-ons.
 
         Follow-ons are parked requests the outcome resolves (coalesced
-        waiters): the engine accounts each exactly like a request of its
-        own, which recursively unwinds *its* entered stages.
+        waiters), as ``(ctx, outcome, completion_s)``: the engine accounts
+        each exactly like a request of its own, which recursively unwinds
+        *its* entered stages.
         """
-        followons: List[Tuple[RequestContext, RequestRecord]] = []
+        followons: List[FollowOn] = []
         for stage in reversed(ctx.entered):
-            followons.extend(stage.on_complete(ctx, record, now))
+            followons.extend(stage.on_complete(ctx, outcome, completion_s, now))
         return followons
 
     # -- observability -------------------------------------------------------------
@@ -411,9 +428,13 @@ class ResponseCacheStage(MiddlewareStage):
         return Admission.passed()
 
     def on_complete(
-        self, ctx: RequestContext, record: RequestRecord, now: float
-    ) -> Iterable[Tuple[RequestContext, RequestRecord]]:
-        if record.outcome is RequestOutcome.COMPLETED:
+        self,
+        ctx: RequestContext,
+        outcome: RequestOutcome,
+        completion_s: Optional[float],
+        now: float,
+    ) -> Iterable[FollowOn]:
+        if outcome is RequestOutcome.COMPLETED:
             existing = self._entries.pop(ctx.key, None)
             self._entries[ctx.key] = _CacheEntry(
                 expires_s=now + self.ttl_s,
@@ -459,38 +480,23 @@ class CoalesceStage(MiddlewareStage):
         return Admission.passed()
 
     def on_complete(
-        self, ctx: RequestContext, record: RequestRecord, now: float
-    ) -> Iterable[Tuple[RequestContext, RequestRecord]]:
+        self,
+        ctx: RequestContext,
+        outcome: RequestOutcome,
+        completion_s: Optional[float],
+        now: float,
+    ) -> Iterable[FollowOn]:
         if self._leaders.get(ctx.key) != ctx.request_id:
             return ()
         del self._leaders[ctx.key]
         followers = self._followers.pop(ctx.key, [])
-        results: List[Tuple[RequestContext, RequestRecord]] = []
-        for follower in followers:
-            request = follower.request
-            if record.outcome in (RequestOutcome.COMPLETED, RequestOutcome.CACHED):
-                self.count("fanned_out")
-                outcome = RequestOutcome.COALESCED
-                completion: Optional[float] = record.completion_s
-            else:
-                self.count("shared_failures")
-                outcome = record.outcome
-                completion = None
-            results.append(
-                (
-                    follower,
-                    RequestRecord(
-                        request_id=request.request_id,
-                        function=request.function,
-                        outcome=outcome,
-                        arrival_s=request.arrival_s,
-                        completion_s=completion,
-                        request_class=getattr(request, "request_class", "standard"),
-                        deadline_s=getattr(request, "deadline_s", None),
-                    ),
-                )
-            )
-        return results
+        if outcome in (RequestOutcome.COMPLETED, RequestOutcome.CACHED):
+            event, outcome = "fanned_out", RequestOutcome.COALESCED
+        else:
+            event, completion_s = "shared_failures", None
+        for _ in followers:
+            self.count(event)
+        return [(follower, outcome, completion_s) for follower in followers]
 
 
 class HedgeStage(MiddlewareStage):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, Dict, List, Optional, Tuple, Union
+from typing import IO, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.obs.registry import Counter, Gauge, MetricsRegistry, Summary
 
@@ -115,6 +115,28 @@ def parse_prometheus(text: str) -> Dict[str, Dict[str, float]]:
 _encode_sorted = json.JSONEncoder(sort_keys=True).encode
 
 
+def line_template(constants: Mapping[str, object], slots: Iterable[str]) -> str:
+    """A JSONL line for :meth:`JsonlEventWriter.write_line`, keys sorted.
+
+    ``constants`` are encoded into the line once; each key of ``slots``
+    gets a ``%s`` placeholder, filled per event in sorted-key order.
+    """
+    values = {key: _encode_sorted(value).replace("%", "%%") for key, value in constants.items()}
+    values.update((key, "%s") for key in slots)
+    return "{%s}\n" % ", ".join(
+        "%s: %s" % (_encode_sorted(key).replace("%", "%%"), values[key]) for key in sorted(values)
+    )
+
+
+def json_scalars(values: Tuple[object, ...]) -> Tuple[object, ...]:
+    """``values`` with every float replaced by its JSON text.
+
+    For :meth:`JsonlEventWriter.write_line` when a float may be
+    non-finite: JSON spells those ``NaN``/``Infinity``, ``str`` does not.
+    """
+    return tuple(_encode_sorted(value) if isinstance(value, float) else value for value in values)
+
+
 class JsonlEventWriter:
     """A streaming JSONL sink: ``emit`` one structured event per line.
 
@@ -136,6 +158,20 @@ class JsonlEventWriter:
         if self._handle is None:
             raise ExporterError("event writer is closed")
         self._handle.write(_encode_sorted(event) + "\n")
+
+    def write_line(self, template: str, values: Tuple[object, ...]) -> None:
+        """Write one event from a :func:`line_template` and its slot values.
+
+        ``values`` fill the slots in sorted-key order: numbers as they are,
+        strings JSON-encoded (:func:`json.encoder.encode_basestring_ascii`).
+        The line is then byte for byte what :meth:`emit` writes for the same
+        event, since ``str`` of a finite float is its ``repr``; pass
+        non-finite floats through :func:`json_scalars` first.  For events
+        hot enough that building and encoding a dict each time shows.
+        """
+        if self._handle is None:
+            raise ExporterError("event writer is closed")
+        self._handle.write(template % values)
 
     def close(self) -> None:
         if self._handle is not None and self._owns:

@@ -20,9 +20,9 @@ per-tenant/per-class latency-waterfall table
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
-from repro.traffic.slo import RequestOutcome, RequestRecord
+from repro.traffic.slo import SERVED_OUTCOMES, RequestOutcome, RequestRecord, TypedRecord
 
 
 class SpanError(ValueError):
@@ -33,9 +33,8 @@ class SpanError(ValueError):
 STAGES = ("queue", "cold_start", "service")
 
 
-@dataclass(frozen=True)
-class RequestTrace:
-    """One request's lifecycle, decomposed into stages."""
+class _TraceFields(NamedTuple):
+    """The fields of :class:`RequestTrace`, which adds validation."""
 
     tenant: str
     request_id: int
@@ -48,12 +47,40 @@ class RequestTrace:
     node: str = ""
     replica: str = ""
 
-    def __post_init__(self) -> None:
-        if self.end_s < self.arrival_s:
+
+class RequestTrace(TypedRecord, _TraceFields):
+    """One request's lifecycle, decomposed into stages.
+
+    An immutable, validated tuple record, like
+    :class:`~repro.traffic.slo.RequestRecord`.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        tenant: str,
+        request_id: int,
+        request_class: str,
+        outcome: str,
+        arrival_s: float,
+        end_s: float,
+        dispatch_s: Optional[float] = None,
+        cold_start_s: float = 0.0,
+        node: str = "",
+        replica: str = "",
+    ) -> "RequestTrace":
+        if end_s < arrival_s:
             raise SpanError(
-                "request %d ends (%r) before it arrives (%r)"
-                % (self.request_id, self.end_s, self.arrival_s)
+                "request %d ends (%r) before it arrives (%r)" % (request_id, end_s, arrival_s)
             )
+        return tuple.__new__(
+            cls,
+            (
+                tenant, request_id, request_class, outcome, arrival_s, end_s,
+                dispatch_s, cold_start_s, node, replica,
+            ),
+        )
 
     @property
     def completed(self) -> bool:
@@ -95,24 +122,24 @@ class RequestTrace:
     def from_record(
         cls, tenant: str, record: RequestRecord, node: str = ""
     ) -> "RequestTrace":
-        """Derive the trace from an SLO record (the engine's completion view)."""
-        if record.served:
-            end = record.completion_s  # cached/coalesced complete without dispatch
-        elif record.outcome is RequestOutcome.TIMED_OUT and record.dispatch_s is None:
-            end = record.arrival_s  # expiry offset is the engine's, not the record's
-        else:
-            end = record.arrival_s
+        """Derive the trace from an SLO record (the engine's completion view).
+
+        A served request ends at its completion (cached and coalesced ones
+        complete without a dispatch); any other ends where it arrived, since
+        a timeout's expiry offset is the engine's, not the record's.
+        """
+        arrival = record.arrival_s
         return cls(
-            tenant=tenant,
-            request_id=record.request_id,
-            request_class=record.request_class,
-            outcome=record.outcome.value,
-            arrival_s=record.arrival_s,
-            end_s=end if end is not None else record.arrival_s,
-            dispatch_s=record.dispatch_s,
-            cold_start_s=record.cold_start_wait_s,
-            node=node,
-            replica=record.replica,
+            tenant,
+            record.request_id,
+            record.request_class,
+            record.outcome.value,
+            arrival,
+            record.completion_s if record.outcome in SERVED_OUTCOMES else arrival,
+            record.dispatch_s,
+            record.cold_start_wait_s,
+            node,
+            record.replica,
         )
 
 

@@ -47,7 +47,9 @@ class Observation:
     and each duration a sketch will receive carries its
     :func:`~repro.obs.sketch.bucket_index`, so folding the same request
     into a tenant, a cluster and a federation rollup costs one ``log`` per
-    stage rather than one per stage per rollup.
+    stage rather than one per stage per rollup.  An observation only exact
+    accumulators receive is built with ``buckets=False``: every bucket is
+    0, since :class:`ExactSamples` keeps the value and ignores it.
     """
 
     __slots__ = (
@@ -65,6 +67,7 @@ class Observation:
         cold_wait: float,
         request_class: str,
         deadline_s: Optional[float],
+        buckets: bool = True,
     ) -> None:
         served = outcome in SERVED_OUTCOMES
         self.outcome = outcome
@@ -76,15 +79,18 @@ class Observation:
         )
         latency = 0.0 if completion is None else float(completion - arrival)
         self.latency = latency
-        self.latency_bucket = bucket_index(latency) if served else 0
+        self.latency_bucket = bucket_index(latency) if served and buckets else 0
         if outcome is RequestOutcome.COMPLETED:
             # Completed means dispatched and finished: both stamps exist.
             queueing = float(dispatch - arrival)
             service = float(completion - dispatch)
             cold_wait = float(cold_wait)
-            self.queueing_bucket = bucket_index(queueing)
-            self.service_bucket = bucket_index(service)
-            self.cold_wait_bucket = bucket_index(cold_wait)
+            if buckets:
+                self.queueing_bucket = bucket_index(queueing)
+                self.service_bucket = bucket_index(service)
+                self.cold_wait_bucket = bucket_index(cold_wait)
+            else:
+                self.queueing_bucket = self.service_bucket = self.cold_wait_bucket = 0
         else:
             # Only completed requests reach the stage sketches.
             queueing = service = cold_wait = 0.0
@@ -94,7 +100,7 @@ class Observation:
         self.cold_wait = cold_wait
 
     @classmethod
-    def of_record(cls, record: RequestRecord) -> "Observation":
+    def of_record(cls, record: RequestRecord, buckets: bool = True) -> "Observation":
         """The observation of a request whose record was built."""
         return cls(
             record.outcome,
@@ -104,6 +110,7 @@ class Observation:
             record.cold_start_wait_s,
             record.request_class,
             record.deadline_s,
+            buckets,
         )
 
 
@@ -297,10 +304,10 @@ class StreamingTrafficStats:
 
         Its distributions are :class:`ExactSamples`, so every mean sums in
         record order and every percentile is read off the retained samples.
+        More records fold in with :func:`fold_records`.
         """
         stats = _ExactTrafficStats(declared)
-        for record in records:
-            stats.fold(Observation.of_record(record))
+        fold_records(records, (stats,))
         return stats
 
     def fold(self, obs: Observation) -> None:
@@ -388,6 +395,20 @@ class _ExactTrafficStats(StreamingTrafficStats):
     """The accumulator over :class:`ExactSamples` (see ``of_records``)."""
 
     _distribution = ExactSamples
+
+
+def fold_records(
+    records: Iterable[RequestRecord], streams: Sequence[StreamingTrafficStats]
+) -> None:
+    """Fold ``records``, in the order given, into every exact accumulator of ``streams``.
+
+    Each record is reduced once, without bucket indices (see
+    :class:`Observation`), however many accumulators it feeds.
+    """
+    for record in records:
+        observation = Observation.of_record(record, buckets=False)
+        for stream in streams:
+            stream.fold(observation)
 
 
 def _queue_only(stages: StageSketches, cold_p95: float) -> Tuple[float, float]:

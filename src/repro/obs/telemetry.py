@@ -16,9 +16,10 @@ seeded simulation cannot change its results.
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring_ascii
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.obs.exporters import JsonlEventWriter
+from repro.obs.exporters import JsonlEventWriter, json_scalars, line_template
 from repro.obs.progress import ProgressReporter
 from repro.obs.registry import Counter, MetricsRegistry, Summary
 from repro.obs.spans import STAGES, RequestTrace, TraceLog
@@ -26,10 +27,11 @@ from repro.traffic.autoscaler import LoadSample
 from repro.traffic.slo import SERVED_OUTCOMES, RequestOutcome, RequestRecord
 
 #: One (tenant, outcome)'s children: the request counter, the latency
-#: summary (served outcomes) and the queue/cold-start/service summaries
-#: (completed requests).
+#: summary (served outcomes), the queue/cold-start/service summaries
+#: (completed requests) and the JSONL request line's templates without and
+#: with a node.
 _RequestChildren = Tuple[
-    Counter, Optional[Summary], Optional[Tuple[Summary, Summary, Summary]]
+    Counter, Optional[Summary], Optional[Tuple[Summary, Summary, Summary]], str, str
 ]
 
 
@@ -152,60 +154,95 @@ class Telemetry:
 
         They are resolved in the order a request with that outcome first
         touches them, so each family's children keep their creation order.
+        The JSONL request line's templates come with them: the tenant,
+        outcome and region are constants of the pair, and the line's other
+        fields follow from the outcome (served requests add their latency,
+        completed ones their stages, replica and node, if any).
         """
         counter = self._labelled(self._requests, tenant=tenant, outcome=outcome.value)
         latency = stages = None
+        slots: Tuple[str, ...] = ("arrival_s", "class", "id")
         if outcome in SERVED_OUTCOMES:
             latency = self._labelled(self._latency, tenant=tenant)
+            slots += ("latency_s",)
         if outcome is RequestOutcome.COMPLETED:
             stages = tuple(
                 self._labelled(self._stages, tenant=tenant, stage=stage)
                 for stage in STAGES
             )
-        children = (counter, latency, stages)
+            slots += ("queue_s", "cold_start_s", "service_s", "replica")
+        constants = {"event": "request", "tenant": tenant, "outcome": outcome.value}
+        if self.region:
+            constants["region"] = self.region
+        children = (
+            counter,
+            latency,
+            stages,
+            line_template(constants, slots),
+            line_template(constants, slots + ("node",)),
+        )
         self._request_children[(tenant, outcome)] = children
         return children
 
     def on_request(self, tenant: str, record: RequestRecord, node: str = "") -> None:
-        """One request reached a terminal outcome; fan it out everywhere."""
+        """One request reached a terminal outcome; fan it out everywhere.
+
+        Its JSONL line fills the pair's template (see :meth:`_children_for`)
+        with the values in sorted-key order: byte for byte the sorted-key
+        encoding of the event's dict, without building one.
+        """
         outcome = record.outcome
         children = self._request_children.get((tenant, outcome))
         if children is None:
             children = self._children_for(tenant, outcome)
-        counter, latency, stages = children
+        counter, latency, stages, line, node_line = children
         counter.inc()
-        trace = RequestTrace.from_record(tenant, record, node=node)
+        trace = RequestTrace.from_record(tenant, record, node)
         if latency is not None:
             # Cached/coalesced responses count toward client-observed latency
             # even though they never produced backend stage durations.
-            latency.observe(record.latency_s)
+            latency_s = record.latency_s
+            latency.observe(latency_s)
         if stages is not None:
-            durations = (trace.queue_s, trace.cold_start_s, trace.service_s)
-            for summary, duration in zip(stages, durations):
-                summary.observe(duration)
+            queue_s, cold_start_s, service_s = trace.queue_s, trace.cold_start_s, trace.service_s
+            stages[0].observe(queue_s)
+            stages[1].observe(cold_start_s)
+            stages[2].observe(service_s)
         if self.trace_log is not None:
             self.trace_log.record(trace)
-        if self.events is not None:
-            event: Dict[str, object] = {
-                "event": "request",
-                "tenant": tenant,
-                "id": record.request_id,
-                "class": record.request_class,
-                "outcome": outcome.value,
-                "arrival_s": round(record.arrival_s, 9),
-            }
-            if latency is not None:
-                event["latency_s"] = round(record.latency_s, 9)
-            if stages is not None:
-                event["queue_s"] = round(durations[0], 9)
-                event["cold_start_s"] = round(durations[1], 9)
-                event["service_s"] = round(durations[2], 9)
-                event["replica"] = record.replica
-                if node:
-                    event["node"] = node
-            if self.region:
-                event["region"] = self.region
-            self.events.emit(event)
+        events = self.events
+        if events is None:
+            return
+        arrival = round(record.arrival_s, 9)
+        request_class = encode_basestring_ascii(record.request_class)
+        if stages is not None:
+            latency_s = round(latency_s, 9)
+            queue_s = round(queue_s, 9)
+            cold_start_s = round(cold_start_s, 9)
+            service_s = round(service_s, 9)
+            total = arrival + latency_s + queue_s + cold_start_s + service_s
+            replica = encode_basestring_ascii(record.replica)
+            if node:
+                line = node_line
+                values: Tuple[object, ...] = (
+                    arrival, request_class, cold_start_s, record.request_id, latency_s,
+                    encode_basestring_ascii(node), queue_s, replica, service_s,
+                )
+            else:
+                values = (
+                    arrival, request_class, cold_start_s, record.request_id, latency_s,
+                    queue_s, replica, service_s,
+                )
+        elif latency is not None:
+            latency_s = round(latency_s, 9)
+            total = arrival + latency_s
+            values = (arrival, request_class, record.request_id, latency_s)
+        else:
+            total = arrival
+            values = (arrival, request_class, record.request_id)
+        if total - total != 0.0:  # some value is infinite or NaN
+            values = json_scalars(values)
+        events.write_line(line, values)
 
     def on_progress(self, sim_now_s: float, finished: int, replicas: int) -> None:
         if self.progress is not None:

@@ -86,6 +86,7 @@ def assign_classes(
     requests: Sequence[Request],
     classes: Sequence[RequestClass],
     seed: int = 0,
+    function: Optional[str] = None,
 ) -> List[Request]:
     """Stamp a seeded class mix onto a request stream.
 
@@ -94,34 +95,31 @@ def assign_classes(
     count) — never on arrival times — and identical streams get identical
     classes whatever scheduling policy later serves them.  A request's
     absolute deadline is its arrival plus the class's relative deadline.
+    ``function``, when given, names each stamped request's function (a
+    tenant retags its stream this way in the same build).  An empty mix
+    returns the stream as given.
     """
     mix = validate_mix(classes)
     if not mix:
         return list(requests)
     rng = random.Random(seed)
-    # ``choices`` accumulates ``weights`` on every call; passing the running
-    # totals once draws the same classes from the same random numbers.
+    # ``choices`` draws one random number per pick, in order, so one call
+    # for the whole stream draws what one call per request would.
     cum_shares = list(itertools.accumulate(cls.share for cls in mix))
-    stamped: List[Request] = []
-    for request in requests:
-        chosen = rng.choices(mix, cum_weights=cum_shares, k=1)[0]
-        stamped.append(
-            Request(
-                request_id=request.request_id,
-                arrival_s=request.arrival_s,
-                function=request.function,
-                payload_bytes=request.payload_bytes,
-                request_class=chosen.name,
-                priority=chosen.priority,
-                deadline_s=(
-                    request.arrival_s + chosen.deadline_s
-                    if chosen.deadline_s is not None
-                    else None
-                ),
-                hard=chosen.hard,
-            )
+    chosen_classes = rng.choices(mix, cum_weights=cum_shares, k=len(requests))
+    return [
+        Request(
+            request.request_id,
+            request.arrival_s,
+            request.function if function is None else function,
+            request.payload_bytes,
+            chosen.name,
+            chosen.priority,
+            None if chosen.deadline_s is None else request.arrival_s + chosen.deadline_s,
+            chosen.hard,
         )
-    return stamped
+        for request, chosen in zip(requests, chosen_classes)
+    ]
 
 
 # -- config parsing (the ``repro traffic --classes`` format) ------------------------

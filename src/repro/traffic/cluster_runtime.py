@@ -325,9 +325,9 @@ def rollup(
 
     ``stream`` is the accumulator of these states' requests — the one they
     folded into (sketch mode) or one folded from their records
-    (:meth:`~repro.obs.streaming.StreamingTrafficStats.of_records`, exact
-    mode).  The states' counters are summed, which over a single state is
-    its own value bit for bit.
+    (:func:`~repro.obs.streaming.fold_records`, exact mode).  The states'
+    counters are summed, which over a single state is its own value bit
+    for bit.
     """
     return stream.summary(
         mode=mode,
@@ -412,12 +412,10 @@ class ClusterRuntime:
         self._counter = counter
         self._total_requests = total_requests
         #: Whether a finished request is built into a RequestRecord: only
-        #: when something reads one (exact mode keeps them, telemetry and
-        #: the pipeline consume them).  Otherwise sketch mode reduces the
-        #: request's scalars straight to one Observation.
-        self._builds_records = (
-            config.retain_records or telemetry is not None or pipeline is not None
-        )
+        #: when something reads one (exact mode keeps them, telemetry
+        #: consumes them).  Otherwise sketch mode reduces the request's
+        #: scalars straight to one Observation.
+        self._builds_records = config.retain_records or telemetry is not None
         # Imported here: repro.obs imports repro.traffic.slo (see above).
         from repro.obs.streaming import Observation
 
@@ -941,15 +939,17 @@ class ClusterRuntime:
         ``dispatched`` to ``replica`` and waited ``cold_wait`` for it to
         warm.  A coalesced follower passes its leader's replica, if any,
         which places it on that replica's node for telemetry.
-        The request is retained as a record, or reduced once to an
-        :class:`~repro.obs.streaming.Observation` folded into every
-        streaming accumulator it belongs to; either way its times are
-        checked.  It is counted down and fanned out to the telemetry
-        sinks.  Then the pipeline's completion hooks run in reverse
-        admission order (cache fills, coalesce fan-out); any follow-on
-        requests they release — parked duplicates resolved by this
-        outcome — recurse through the same funnel, so each follower is
-        accounted exactly like a request of its own.
+        The request gets its only record here when something reads one
+        (exact mode retains it, telemetry fans it out); in sketch mode it
+        is reduced once to an :class:`~repro.obs.streaming.Observation`
+        folded into every streaming accumulator it belongs to.  Either way
+        its times are checked.  It is counted down and fanned out to the
+        telemetry sinks.  Then the pipeline's completion hooks run in
+        reverse admission order (cache fills, coalesce fan-out) on the
+        outcome and completion instant; any follow-on requests they
+        release — parked duplicates resolved by this outcome — recurse
+        through the same funnel, so each follower is accounted exactly like
+        a request of its own.
         """
         arrival = request.arrival_s
         klass = request.request_class
@@ -957,16 +957,16 @@ class ClusterRuntime:
         streams = state.streams
         if self._builds_records:
             record = RequestRecord(
-                request_id=request.request_id,
-                function=state.function,
-                outcome=outcome,
-                arrival_s=arrival,
-                dispatch_s=dispatched,
-                completion_s=completion,
-                replica="" if dispatched is None else replica.deployed.name,
-                cold_start_wait_s=cold_wait,
-                request_class=klass,
-                deadline_s=deadline,
+                request.request_id,
+                state.function,
+                outcome,
+                arrival,
+                dispatched,
+                completion,
+                "" if dispatched is None else replica.deployed.name,
+                cold_wait,
+                klass,
+                deadline,
             )
             if not streams:
                 state.records.append(record)
@@ -990,12 +990,13 @@ class ClusterRuntime:
         ctx = self._contexts.pop((state.name, request.request_id), None)
         if ctx is None:
             return
-        for follower, follow in pipeline.complete(ctx, record, self.loop.now):
-            done = follow.completion_s
+        for follower, follow_outcome, done in pipeline.complete(
+            ctx, outcome, completion, self.loop.now
+        ):
             if done is not None:
                 self._note(done)
             tenant = self.by_tenant[follower.tenant]
-            self.resolve(tenant, follower.request, follow.outcome, done, replica=replica)
+            self.resolve(tenant, follower.request, follow_outcome, done, replica=replica)
 
     def _take(self, state: _TenantState, gw_states: list) -> _Replica:
         """Let the load balancer pick one of ``gw_states``; mark it busy."""
@@ -1169,24 +1170,31 @@ class ClusterRuntime:
         Also materializes :attr:`records` (per tenant, sorted by request
         id; empty in sketch mode) and :attr:`waterfall` for the driver to
         re-expose.  Each tenant's summary keeps its raw timeline.  Each
-        scope's accumulator feeds both its summary and its waterfall; exact
-        mode folds one scope's records at a time, since each exact
-        accumulator holds every sample of its scope.
+        scope's accumulator feeds both its summary and its waterfall.  Exact
+        mode folds the records in one pass, tenant by tenant in request-id
+        order, each reduced once into its tenant's accumulator and the
+        cluster's; a tenant's accumulator is dropped once read, since each
+        exact accumulator holds every sample of its scope.
         """
-        from repro.obs.streaming import StreamingTrafficStats
+        from repro.obs.streaming import StreamingTrafficStats, fold_records
 
         states = self.states
         tenants: Dict[str, TrafficSummary] = {}
         waterfall: List[WaterfallRow] = []
         self.records = {}
+        declared = sorted({name for state in states for name in state.spec.class_names})
+        cluster_stream = self.cluster_stream
+        exact = cluster_stream is None
+        if exact:
+            cluster_stream = StreamingTrafficStats.of_records((), declared)
         for state in states:
             state.records.sort(key=lambda record: record.request_id)
             self.records[state.name] = state.records
-            stream = (
-                state.streams[0]
-                if state.streams
-                else StreamingTrafficStats.of_records(state.records, state.spec.class_names)
-            )
+            if exact:
+                stream = StreamingTrafficStats.of_records((), state.spec.class_names)
+                fold_records(state.records, (stream, cluster_stream))
+            else:
+                stream = state.streams[0]
             tenants[state.name] = rollup(
                 state.spec.mode,
                 state.spec.pattern_name,
@@ -1198,12 +1206,6 @@ class ClusterRuntime:
             )
             waterfall.extend(stream.waterfall(state.name))
             del stream
-        declared = sorted({name for state in states for name in state.spec.class_names})
-        stream = self.cluster_stream
-        if stream is None:
-            stream = StreamingTrafficStats.of_records(
-                (record for state in states for record in state.records), declared
-            )
         cluster = rollup(
             "cluster",
             "multi-tenant",
@@ -1211,10 +1213,10 @@ class ClusterRuntime:
             states,
             declared,
             _merge_timelines([state.timeline for state in states]),
-            stream,
+            cluster_stream,
         )
         if len(states) > 1:
-            waterfall.extend(stream.waterfall("cluster"))
+            waterfall.extend(cluster_stream.waterfall("cluster"))
         self.waterfall = waterfall
         return MultiTenantSummary(
             fairness=self.fairness.value,

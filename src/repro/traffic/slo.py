@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from repro.metrics.stats import LatencySummary
 
@@ -91,17 +91,37 @@ def check_times(
             )
 
 
-@dataclass(frozen=True)
-class RequestRecord:
-    """The full timing of one request through the platform.
+class TypedRecord:
+    """Record semantics for a tuple-backed record class.
 
-    ``dispatch_s`` and ``completion_s`` are ``None`` for requests that never
-    reached a replica.  For completed requests::
-
-        queueing delay = dispatch - arrival      (time waiting for a replica)
-        service time   = completion - dispatch   (time executing the workflow)
-        latency        = completion - arrival    (what the client observes)
+    Mixed in ahead of a :class:`~typing.NamedTuple` of fields whose
+    subclass validates in ``__new__``.  A record equals only a record of
+    its own class with equal fields, never a plain tuple (nor a record of
+    another class that happens to hold the same values), as a frozen
+    dataclass would; it hashes as the tuple of its fields.  NamedTuple's
+    ``_replace`` copies a record without validating the copy.
     """
+
+    __slots__ = ()
+
+    # Any other tuple is unequal outright: NotImplemented would hand the
+    # comparison to tuple's own, which compares the fields.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return tuple.__ne__(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
+
+    __hash__ = tuple.__hash__
+
+
+class _RecordFields(NamedTuple):
+    """The fields of :class:`RequestRecord`, which adds validation (a
+    NamedTuple class body may not override ``__new__``)."""
 
     request_id: int
     function: str
@@ -114,9 +134,41 @@ class RequestRecord:
     request_class: str = "standard"
     deadline_s: Optional[float] = None  # absolute soft deadline, if any
 
-    def __post_init__(self) -> None:
-        check_times(
-            self.request_id, self.outcome, self.arrival_s, self.dispatch_s, self.completion_s
+
+class RequestRecord(TypedRecord, _RecordFields):
+    """The full timing of one request through the platform.
+
+    An immutable, validated tuple record (see :class:`TypedRecord`).
+    ``dispatch_s`` and ``completion_s`` are ``None`` for requests that never
+    reached a replica.  For completed requests::
+
+        queueing delay = dispatch - arrival      (time waiting for a replica)
+        service time   = completion - dispatch   (time executing the workflow)
+        latency        = completion - arrival    (what the client observes)
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        request_id: int,
+        function: str,
+        outcome: RequestOutcome,
+        arrival_s: float,
+        dispatch_s: Optional[float] = None,
+        completion_s: Optional[float] = None,
+        replica: str = "",
+        cold_start_wait_s: float = 0.0,
+        request_class: str = "standard",
+        deadline_s: Optional[float] = None,
+    ) -> "RequestRecord":
+        check_times(request_id, outcome, arrival_s, dispatch_s, completion_s)
+        return tuple.__new__(
+            cls,
+            (
+                request_id, function, outcome, arrival_s, dispatch_s, completion_s,
+                replica, cold_start_wait_s, request_class, deadline_s,
+            ),
         )
 
     @property

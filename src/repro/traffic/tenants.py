@@ -110,29 +110,29 @@ class TenantSpec:
         A declared class mix is stamped on deterministically: the class
         RNG seed derives from the arrival seed (or zero for explicit
         request lists) and the tenant name, so identical specs always
-        produce identically classed streams.
+        produce identically classed streams.  Each request is built at
+        most once: a classed stream is retagged as it is stamped.
         """
         base = list(self.requests) if self.requests is not None else self.arrivals.generate()
         function = self.function_name
-        stream = [
+        if self.classes:
+            seed = derived_seed(getattr(self.arrivals, "seed", 0) or 0, self.name + "/classes")
+            return assign_classes(base, self.classes, seed=seed, function=function)
+        return [
             request
             if request.function == function
             else Request(
-                request_id=request.request_id,
-                arrival_s=request.arrival_s,
-                function=function,
-                payload_bytes=request.payload_bytes,
-                request_class=request.request_class,
-                priority=request.priority,
-                deadline_s=request.deadline_s,
-                hard=request.hard,
+                request.request_id,
+                request.arrival_s,
+                function,
+                request.payload_bytes,
+                request.request_class,
+                request.priority,
+                request.deadline_s,
+                request.hard,
             )
             for request in base
         ]
-        if self.classes:
-            seed = derived_seed(getattr(self.arrivals, "seed", 0) or 0, self.name + "/classes")
-            stream = assign_classes(stream, self.classes, seed=seed)
-        return stream
 
 
 class CapacityArbiter:

@@ -21,7 +21,7 @@ from repro.gateway.middleware import (
     response_key,
 )
 from repro.traffic.arrivals import Request
-from repro.traffic.slo import RequestOutcome, RequestRecord
+from repro.traffic.slo import SERVED_OUTCOMES, RequestOutcome
 
 MB = 1024 * 1024
 
@@ -35,16 +35,9 @@ def _request(request_id=0, arrival_s=0.0, function="app", payload_bytes=MB):
     )
 
 
-def _record(request, outcome=RequestOutcome.COMPLETED, completion_s=1.0):
-    completed = outcome is RequestOutcome.COMPLETED
-    return RequestRecord(
-        request_id=request.request_id,
-        function=request.function,
-        outcome=outcome,
-        arrival_s=request.arrival_s,
-        dispatch_s=request.arrival_s if completed else None,
-        completion_s=completion_s,
-    )
+def _finished(outcome=RequestOutcome.COMPLETED, completion_s=1.0):
+    """A terminal outcome as the completion hooks take it: (outcome, completion)."""
+    return outcome, completion_s
 
 
 class _Probe(MiddlewareStage):
@@ -60,7 +53,7 @@ class _Probe(MiddlewareStage):
         self.log.append(("admit", self.name))
         return self.decision
 
-    def on_complete(self, ctx, record, now):
+    def on_complete(self, ctx, outcome, completion_s, now):
         self.log.append(("complete", self.name))
         return ()
 
@@ -102,7 +95,7 @@ def test_short_circuit_skips_later_stages_but_unwinds_earlier_ones():
     assert log == [("admit", "early"), ("admit", "stopper")]  # "late" never saw it
     del log[:]
     # Completion unwinds the entered stages in reverse order, "late" excluded.
-    pipeline.complete(ctx, _record(ctx.request, outcome=RequestOutcome.REJECTED), 0.0)
+    pipeline.complete(ctx, *_finished(RequestOutcome.REJECTED, None), 0.0)
     assert log == [("complete", "stopper"), ("complete", "early")]
 
 
@@ -110,7 +103,7 @@ def test_empty_pipeline_passes_everything():
     pipeline = MiddlewarePipeline([])
     ctx = pipeline.context("t", _request())
     assert pipeline.admit(ctx, 0.0).action is AdmitAction.PASS
-    assert pipeline.complete(ctx, _record(ctx.request), 1.0) == []
+    assert pipeline.complete(ctx, *_finished(), 1.0) == []
     assert pipeline.stats() == {}
 
 
@@ -213,7 +206,7 @@ def test_cache_misses_fills_then_hits_until_ttl_expiry():
     pipeline = MiddlewarePipeline([stage])
     first = pipeline.context("t", _request())
     assert pipeline.admit(first, 0.0).action is AdmitAction.PASS  # miss
-    pipeline.complete(first, _record(first.request, completion_s=1.0), 1.0)  # fill
+    pipeline.complete(first, *_finished(completion_s=1.0), 1.0)  # fill
     hit = pipeline.admit(pipeline.context("t", _request(request_id=1, arrival_s=2.0)), 2.0)
     assert hit.action is AdmitAction.SHORT_CIRCUIT
     assert hit.outcome is RequestOutcome.CACHED
@@ -229,7 +222,7 @@ def test_cache_hit_latency_delays_the_served_completion():
     pipeline = MiddlewarePipeline([stage])
     ctx = pipeline.context("t", _request())
     pipeline.admit(ctx, 0.0)
-    pipeline.complete(ctx, _record(ctx.request, completion_s=1.0), 1.0)
+    pipeline.complete(ctx, *_finished(completion_s=1.0), 1.0)
     hit = pipeline.admit(pipeline.context("t", _request(request_id=1, arrival_s=2.0)), 2.0)
     assert hit.completion_s == pytest.approx(2.25)
 
@@ -240,7 +233,7 @@ def test_cache_only_fills_from_completed_outcomes():
     ctx = pipeline.context("t", _request())
     pipeline.admit(ctx, 0.0)
     pipeline.complete(
-        ctx, _record(ctx.request, outcome=RequestOutcome.TIMED_OUT, completion_s=None), 5.0
+        ctx, *_finished(RequestOutcome.TIMED_OUT, None), 5.0
     )
     assert len(stage) == 0
     again = pipeline.admit(pipeline.context("t", _request(request_id=1, arrival_s=6.0)), 6.0)
@@ -254,7 +247,7 @@ def test_cache_evicts_least_recently_used_beyond_capacity():
     def fill(payload_bytes, now):
         ctx = pipeline.context("t", _request(request_id=payload_bytes, payload_bytes=payload_bytes))
         pipeline.admit(ctx, now)
-        pipeline.complete(ctx, _record(ctx.request, completion_s=now), now)
+        pipeline.complete(ctx, *_finished(completion_s=now), now)
 
     fill(1, 0.0)
     fill(2, 1.0)
@@ -294,13 +287,13 @@ def test_coalesce_parks_duplicates_and_fans_the_result_out():
         assert decision.stage == "coalesce"
         followers.append(ctx)
     assert stage.waiting(leader.key) == 3
-    fanned = pipeline.complete(leader, _record(leader.request, completion_s=2.0), 2.0)
+    fanned = pipeline.complete(leader, *_finished(completion_s=2.0), 2.0)
     assert len(fanned) == 3
-    for ctx, record in fanned:
-        assert record.outcome is RequestOutcome.COALESCED
-        assert record.completion_s == pytest.approx(2.0)  # the leader's instant
-        assert record.served
-    assert {record.request_id for _, record in fanned} == {1, 2, 3}
+    for ctx, outcome, completion_s in fanned:
+        assert outcome is RequestOutcome.COALESCED
+        assert outcome in SERVED_OUTCOMES
+        assert completion_s == pytest.approx(2.0)  # the leader's instant
+    assert [ctx for ctx, _, _ in fanned] == followers  # parking order
     assert stage.counters == {"leaders": 1, "parked": 3, "fanned_out": 3}
     # The key is free again: the next identical request becomes a new leader.
     assert pipeline.admit(pipeline.context("t", _request(request_id=4)), 3.0).action is AdmitAction.PASS
@@ -314,12 +307,9 @@ def test_coalesce_shares_the_leaders_failure():
     follower = pipeline.context("t", _request(request_id=1, arrival_s=0.1))
     pipeline.admit(follower, 0.1)
     fanned = pipeline.complete(
-        leader, _record(leader.request, outcome=RequestOutcome.TIMED_OUT, completion_s=None), 5.0
+        leader, *_finished(RequestOutcome.TIMED_OUT, None), 5.0
     )
-    assert len(fanned) == 1
-    _, record = fanned[0]
-    assert record.outcome is RequestOutcome.TIMED_OUT
-    assert record.completion_s is None
+    assert fanned == [(follower, RequestOutcome.TIMED_OUT, None)]
     assert stage.counters["shared_failures"] == 1
 
 
@@ -409,8 +399,8 @@ def test_hedge_trigger_accounts_time_already_spent_queueing():
 
 
 def test_cache_fills_once_from_the_hedged_winner():
-    """A hedged request yields exactly one record -- the winner's -- and the
-    cache must fill from it exactly once; the cancelled loser never reaches
+    """A hedged request yields exactly one completion -- the winner's -- and
+    the cache must fill from it exactly once; the cancelled loser never reaches
     ``on_complete`` at all."""
     seed = _hedge_seed(prob=0.5)
     cache = ResponseCacheStage(ttl_s=100.0)
@@ -424,9 +414,9 @@ def test_cache_fills_once_from_the_hedged_winner():
     primary_done, hedge_done = plan.completion_offsets()
     assert hedge_done < primary_done  # the hedge wins this race
 
-    # The engine materialises ONE record per hedged request: the winner's
+    # The engine completes a hedged request ONCE: at the winner's
     # completion.  The straggling primary is released, never completed.
-    pipeline.complete(ctx, _record(ctx.request, completion_s=hedge_done), hedge_done)
+    pipeline.complete(ctx, *_finished(completion_s=hedge_done), hedge_done)
     assert cache.counters["fills"] == 1
     assert hedge.counters["won"] == 1
 
@@ -438,7 +428,7 @@ def test_cache_fills_once_from_the_hedged_winner():
 
 
 def test_cache_never_fills_from_a_hedged_requests_failure():
-    """Even when a request was hedged, a non-COMPLETED terminal record (e.g.
+    """Even when a request was hedged, a non-COMPLETED terminal outcome (e.g.
     both attempts timed out) must not populate the cache."""
     cache = ResponseCacheStage(ttl_s=100.0)
     hedge = HedgeStage(budget_s=0.5, straggler_prob=0.0)
@@ -448,7 +438,7 @@ def test_cache_never_fills_from_a_hedged_requests_failure():
     plan = pipeline.plan_dispatch(ctx, 0.0, service_s=1.0, spare_replica=True)
     assert plan.hedged
     pipeline.complete(
-        ctx, _record(ctx.request, outcome=RequestOutcome.TIMED_OUT, completion_s=None), 5.0
+        ctx, *_finished(RequestOutcome.TIMED_OUT, None), 5.0
     )
     assert cache.counters.get("fills", 0) == 0
     assert len(cache) == 0

@@ -12,7 +12,6 @@ the same requests into sketches, so its counts must equal the reference
 too.
 """
 
-import dataclasses
 from typing import Dict, List, Sequence, Tuple
 
 from hypothesis import example, given, settings
@@ -205,7 +204,7 @@ declared_lists = st.lists(st.sampled_from(CLASS_NAMES + ("quiet", "idle")), max_
 @st.composite
 def cold_records(draw):
     """A record whose cold-start wait may exceed its queueing delay."""
-    return dataclasses.replace(draw(records()), cold_start_wait_s=draw(durations))
+    return draw(records())._replace(cold_start_wait_s=draw(durations))
 
 
 def _completed(request_id, request_class, queueing, cold_wait, service=0.25):

@@ -1,11 +1,12 @@
 """Record-free completions: sketch mode reduces each request straight to an Observation.
 
-When nothing reads a :class:`RequestRecord` (sketch mode, no telemetry, no
-middleware pipeline), the runtime builds none: it checks the request's
-times with :func:`check_times` and folds one :class:`Observation` built from
-the request's scalars.  That observation must equal, slot for slot, the one
-the record path reduces, and an out-of-order completion must still raise
-the record's :class:`SloError`.
+When nothing reads a :class:`RequestRecord` (sketch mode, no telemetry;
+a middleware pipeline's hooks take the outcome and completion instant), the
+runtime builds none: it checks the request's times with :func:`check_times`
+and folds one :class:`Observation` built from the request's scalars.  That
+observation must equal, slot for slot, the one the record path reduces,
+and an out-of-order completion must still raise the record's
+:class:`SloError`.
 """
 
 import functools
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gateway.middleware import build_pipeline
 from repro.obs.streaming import Observation
 from repro.traffic.arrivals import PoissonArrivals, Request
 from repro.traffic.autoscaler import Autoscaler, TargetConcurrencyPolicy
@@ -82,7 +84,7 @@ def test_scalar_observation_equals_the_record_reduction(scalars):
     assert observation.deadline_met == record.deadline_met
 
 
-def _steady_run(retain_records, requests=None):
+def _steady_run(retain_records, requests=None, middleware=None):
     requests = requests or PoissonArrivals(
         rate_rps=100, duration_s=10, payload_mb=64.0, seed=5
     ).generate()
@@ -90,6 +92,7 @@ def _steady_run(retain_records, requests=None):
         "roadrunner-user",
         autoscaler=Autoscaler(TargetConcurrencyPolicy(1.0), min_replicas=1, max_replicas=1),
         config=TrafficConfig(max_queue=5, queue_timeout_s=2.0, retain_records=retain_records),
+        middleware=middleware,
     )
     return engine.run(requests)
 
@@ -143,18 +146,18 @@ def test_out_of_order_times_raise_the_record_error_on_the_record_free_path(backw
 
 def _count_builds(monkeypatch):
     counts = {"records": 0, "observations": 0}
-    record_init = RequestRecord.__post_init__
+    record_new = RequestRecord.__new__
     observation_init = Observation.__init__
 
-    def counting_record(self):
+    def counting_record(cls, *args, **kwargs):
         counts["records"] += 1
-        record_init(self)
+        return record_new(cls, *args, **kwargs)
 
     def counting_observation(self, *args):
         counts["observations"] += 1
         observation_init(self, *args)
 
-    monkeypatch.setattr(RequestRecord, "__post_init__", counting_record)
+    monkeypatch.setattr(RequestRecord, "__new__", counting_record)
     monkeypatch.setattr(Observation, "__init__", counting_observation)
     return counts
 
@@ -171,3 +174,25 @@ def test_exact_mode_builds_one_record_per_request(monkeypatch):
     summary = _steady_run(retain_records=True)
     assert summary.completed < summary.offered
     assert counts["records"] == summary.offered
+
+
+OUTCOME_COUNTS = (
+    "offered", "completed", "timed_out", "dropped", "shed", "cached", "coalesced",
+    "rate_limited", "rejected",
+)
+
+
+def test_a_pipeline_alone_builds_no_record(monkeypatch):
+    """Coalesced followers and cache hits resolve from the outcome and instant.
+
+    The followers a leader's completion releases are accounted as in an
+    exact-mode run of the same pipeline, without a record built for anyone.
+    """
+    counts = _count_builds(monkeypatch)
+    sketch = _steady_run(False, middleware=build_pipeline(["cache", "coalesce"], cache_ttl_s=0.05))
+    assert counts == {"records": 0, "observations": sketch.offered}
+    exact = _steady_run(True, middleware=build_pipeline(["cache", "coalesce"], cache_ttl_s=0.05))
+    assert sketch.cached and sketch.coalesced and sketch.completed
+    assert [getattr(sketch, name) for name in OUTCOME_COUNTS] == [
+        getattr(exact, name) for name in OUTCOME_COUNTS
+    ]
