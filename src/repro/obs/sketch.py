@@ -20,10 +20,12 @@ list:
   1% of the exact order statistics on a 100k-request run.
 
 Every :class:`QuantileSketch` has the same histogram shape, so a value's
-bucket is the same in all of them: :func:`bucket_index` computes it once and
-:meth:`QuantileSketch.observe_at` folds the value in at that bucket, which
-is how one finished request feeds several streams for the price of one
-``log`` per stage.
+bucket is the same in all of them: :func:`bucket_index` computes it once,
+and :meth:`repro.obs.streaming.Rollups.fold` counts the value into that
+bucket of every rollup a finished request belongs to, updating each
+histogram's fields in place as :meth:`LogHistogram.add` does — one ``log``
+per stage per request, however many rollups it feeds.  An empty histogram's
+running min and max are +/-infinity, so an update needs no first-value case.
 """
 
 from __future__ import annotations
@@ -83,8 +85,8 @@ class LogHistogram:
         self._counts = [0] * HISTOGRAM_BUCKETS
         self._count = 0
         self._sum = 0.0
-        self._min = 0.0
-        self._max = 0.0
+        self._min = math.inf
+        self._max = -math.inf
 
     @property
     def count(self) -> int:
@@ -92,35 +94,19 @@ class LogHistogram:
 
     def add(self, value: float) -> None:
         value = float(value)
-        # bucket_index() and add_at() unrolled: this method runs a dozen
-        # times per simulated request, and each extra frame per observation
-        # is measurable there.
+        # bucket_index() unrolled: with telemetry on, this method runs a
+        # dozen times per simulated request, and each extra frame per
+        # observation is measurable there.
         if value < HISTOGRAM_FLOOR:
             index = 0
         else:
             index = int((_log(value) - _LOG_FLOOR) * _INV_LOG_GROWTH) + 1
             if index > _LAST:
                 index = _LAST
-        if self._count == 0:
-            self._min = self._max = value
-        else:
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
-        self._count += 1
-        self._sum += value
-        self._counts[index] += 1
-
-    def add_at(self, value: float, index: int) -> None:
-        """Count a float ``value`` into bucket ``index``, which must be ``bucket_index(value)``."""
-        if self._count == 0:
-            self._min = self._max = value
-        else:
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
         self._count += 1
         self._sum += value
         self._counts[index] += 1
@@ -131,16 +117,12 @@ class LogHistogram:
         other._counts = list(self._counts)
         return other
 
-    def quantile(self, q: float) -> float:
-        """The estimated ``q``-quantile (0.0 before any sample)."""
-        return self.quantile_many((q,))[0]
-
     def quantile_many(self, qs: Sequence[float]) -> List[float]:
         """The estimates for several quantiles from one walk over the buckets.
 
         Each answer is the bucket holding the target rank (the first whose
         running count reaches it), read back as the bucket's geometric
-        midpoint and clamped to the exact min/max.
+        midpoint and clamped to the exact min/max; 0.0 before any sample.
         """
         for q in qs:
             if not 0.0 < q < 1.0:
@@ -181,10 +163,8 @@ class QuantileSketch(LogHistogram):
         # Always the default shape, so bucket_index() holds for every sketch.
         super().__init__()
 
-    #: Fold in one value; ``observe_at(value, bucket_index(value))`` is the
-    #: same for a float whose bucket the caller already knows.
+    #: Fold in one value.
     observe = LogHistogram.add
-    observe_at = LogHistogram.add_at
 
     @property
     def sum(self) -> float:
@@ -196,11 +176,11 @@ class QuantileSketch(LogHistogram):
 
     @property
     def max(self) -> float:
-        return self._max
+        return self._max if self._count else 0.0
 
     @property
     def min(self) -> float:
-        return self._min
+        return self._min if self._count else 0.0
 
     def quantiles(self) -> Dict[float, float]:
         return dict(zip(self.QUANTILES, self.quantile_many(self.QUANTILES)))

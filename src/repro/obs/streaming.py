@@ -1,19 +1,27 @@
 """SLO accounting: the one rollup behind every summary and waterfall.
 
-:class:`StreamingTrafficStats` folds each finished request (reduced once to
-an :class:`Observation`) into outcome counters and one distribution per
-stage, for the whole scope and per scheduling class.  ``summary()`` reads
-off the :class:`~repro.traffic.slo.TrafficSummary` and ``waterfall()`` the
-per-class stage rows the waterfall table renders.  The formulas exist only
-here; the two modes differ only in the distribution object:
+:class:`StreamingTrafficStats` keeps outcome counters and one distribution
+per stage for the whole scope and per scheduling class.  ``summary()``
+reads off the :class:`~repro.traffic.slo.TrafficSummary` and ``waterfall()``
+the per-class stage rows the waterfall table renders.  The formulas exist
+only here; the two modes differ only in the distribution object and in how
+a finished request gets folded in:
 
 * **sketch mode** (``TrafficConfig(retain_records=False)``) folds every
-  request at completion into :class:`~repro.obs.sketch.QuantileSketch`
-  instances and forgets it — constant memory, sketch-estimated percentiles;
+  request at completion, from its scalars, into
+  :class:`~repro.obs.sketch.QuantileSketch` instances and forgets it —
+  constant memory, sketch-estimated percentiles.  :meth:`Rollups.fold`
+  does it in one frame for every rollup the request belongs to: each
+  stage's bucket is computed once per request, and each histogram is
+  updated in place, with no per-value call;
 * **exact mode** keeps its records (the exports need them) and folds them
-  at rollup time, in request-id order, through
-  :meth:`StreamingTrafficStats.of_records` into :class:`ExactSamples`,
-  which retain every sample packed — the exact means and percentiles.
+  at rollup time, in request-id order, through :func:`fold_records` into
+  :class:`ExactSamples`, which retain every sample packed — the exact
+  means and percentiles.  Each array is sorted once, for its summary.
+
+In both modes a scope's served-latency distribution *is* its completed
+stage-latency one until the scope's first cached or coalesced outcome
+forks it (copy-on-write, as the sole class shares the totals).
 
 Reports, exporters and figures are therefore agnostic to which mode fed them.
 """
@@ -24,7 +32,7 @@ from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.metrics.stats import LatencySummary, _interpolate
+from repro.metrics.stats import LatencySummary
 from repro.obs.sketch import QuantileSketch, bucket_index
 from repro.obs.spans import WaterfallRow
 from repro.traffic.slo import (
@@ -37,81 +45,9 @@ from repro.traffic.slo import (
     _replica_seconds,
 )
 
-
-class Observation:
-    """One finished request, reduced once for every stream it belongs to.
-
-    Built from the request's scalars: no :class:`~repro.traffic.slo.RequestRecord`
-    need exist (:meth:`of_record` reduces one that does).  The stage
-    durations mirror the record's property definitions float for float,
-    and each duration a sketch will receive carries its
-    :func:`~repro.obs.sketch.bucket_index`, so folding the same request
-    into a tenant, a cluster and a federation rollup costs one ``log`` per
-    stage rather than one per stage per rollup.  An observation only exact
-    accumulators receive is built with ``buckets=False``: every bucket is
-    0, since :class:`ExactSamples` keeps the value and ignores it.
-    """
-
-    __slots__ = (
-        "outcome", "served", "request_class", "deadline_s", "deadline_met",
-        "latency", "queueing", "service", "cold_wait",
-        "latency_bucket", "queueing_bucket", "service_bucket", "cold_wait_bucket",
-    )
-
-    def __init__(
-        self,
-        outcome: RequestOutcome,
-        arrival: float,
-        dispatch: Optional[float],
-        completion: Optional[float],
-        cold_wait: float,
-        request_class: str,
-        deadline_s: Optional[float],
-        buckets: bool = True,
-    ) -> None:
-        served = outcome in SERVED_OUTCOMES
-        self.outcome = outcome
-        self.served = served
-        self.request_class = request_class
-        self.deadline_s = deadline_s
-        self.deadline_met = (
-            None if deadline_s is None else (served and completion <= deadline_s)
-        )
-        latency = 0.0 if completion is None else float(completion - arrival)
-        self.latency = latency
-        self.latency_bucket = bucket_index(latency) if served and buckets else 0
-        if outcome is RequestOutcome.COMPLETED:
-            # Completed means dispatched and finished: both stamps exist.
-            queueing = float(dispatch - arrival)
-            service = float(completion - dispatch)
-            cold_wait = float(cold_wait)
-            if buckets:
-                self.queueing_bucket = bucket_index(queueing)
-                self.service_bucket = bucket_index(service)
-                self.cold_wait_bucket = bucket_index(cold_wait)
-            else:
-                self.queueing_bucket = self.service_bucket = self.cold_wait_bucket = 0
-        else:
-            # Only completed requests reach the stage sketches.
-            queueing = service = cold_wait = 0.0
-            self.queueing_bucket = self.service_bucket = self.cold_wait_bucket = 0
-        self.queueing = queueing
-        self.service = service
-        self.cold_wait = cold_wait
-
-    @classmethod
-    def of_record(cls, record: RequestRecord, buckets: bool = True) -> "Observation":
-        """The observation of a request whose record was built."""
-        return cls(
-            record.outcome,
-            record.arrival_s,
-            record.dispatch_s,
-            record.completion_s,
-            record.cold_start_wait_s,
-            record.request_class,
-            record.deadline_s,
-            buckets,
-        )
+# Bound once: on CPython 3.11 looking a member up on its enum class is
+# over 20x slower than reading a module global, and every fold tests it.
+_COMPLETED = RequestOutcome.COMPLETED
 
 
 class ExactSamples:
@@ -119,31 +55,26 @@ class ExactSamples:
 
     The exact-mode backend of :class:`StreamingTrafficStats`, with the part
     of the :class:`~repro.obs.sketch.QuantileSketch` surface the rollup
-    uses.  The mean sums the samples in fold order and a quantile
-    interpolates one sort, exactly as ``LatencySummary.from_samples`` does.
+    uses.  :func:`fold_records` appends to :attr:`values` directly.  The
+    summary sums the samples in fold order and interpolates one sort,
+    exactly as ``LatencySummary.from_samples`` does, and is kept until
+    more samples arrive, so the summary tables and the waterfall sort each
+    array once between them.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_summary")
 
     def __init__(self, values: Optional[array] = None) -> None:
         self.values = array("d") if values is None else values
-
-    def observe_at(self, value: float, bucket: int) -> None:
-        """Keep ``value`` (an exact distribution needs no bucket)."""
-        self.values.append(value)
-
-    @property
-    def mean(self) -> float:
-        values = self.values
-        return sum(values) / len(values) if values else 0.0
-
-    def quantile(self, q: float) -> float:
-        """The ``q``-quantile (0.0 before any sample)."""
-        return _interpolate(sorted(self.values), q * 100.0) if self.values else 0.0
+        self._summary: Optional[LatencySummary] = None
 
     def summary(self) -> LatencySummary:
         values = self.values
-        return LatencySummary.from_samples(values) if values else LatencySummary.empty()
+        summary = self._summary
+        if summary is None or summary.count != len(values):
+            summary = LatencySummary.from_samples(values) if values else LatencySummary.empty()
+            self._summary = summary
+        return summary
 
     def clone(self) -> "ExactSamples":
         return ExactSamples(array("d", self.values))
@@ -157,13 +88,6 @@ class StageSketches:
     queueing: QuantileSketch
     service: QuantileSketch
     cold_wait: QuantileSketch
-
-    def fold(self, obs: Observation) -> None:
-        """Fold one completed request's stage durations in."""
-        self.latency.observe_at(obs.latency, obs.latency_bucket)
-        self.queueing.observe_at(obs.queueing, obs.queueing_bucket)
-        self.service.observe_at(obs.service, obs.service_bucket)
-        self.cold_wait.observe_at(obs.cold_wait, obs.cold_wait_bucket)
 
     def clone(self) -> "StageSketches":
         return StageSketches(
@@ -181,6 +105,9 @@ class _ClassStats:
     stages: StageSketches
     #: Served latency (completed + cached + coalesced) — the stage sketches
     #: stay completed-only so waterfalls keep their backend-stage meaning.
+    #: Until the first cached or coalesced outcome it holds exactly the
+    #: completed latencies, so it *is* ``stages.latency`` (see
+    #: :meth:`served_apart`).
     latency_served: QuantileSketch
     offered: int = 0
     completed: int = 0
@@ -194,33 +121,16 @@ class _ClassStats:
     deadline_total: int = 0
     deadline_met: int = 0
 
-    def fold(self, obs: Observation) -> None:
-        """Count one outcome and fold its durations into the sketches."""
-        self.offered += 1
-        outcome = obs.outcome
-        if outcome is RequestOutcome.COMPLETED:
-            self.completed += 1
-            self.stages.fold(obs)
-        elif outcome is RequestOutcome.TIMED_OUT:
-            self.timed_out += 1
-        elif outcome is RequestOutcome.DROPPED:
-            self.dropped += 1
-        elif outcome is RequestOutcome.SHED:
-            self.shed += 1
-        elif outcome is RequestOutcome.CACHED:
-            self.cached += 1
-        elif outcome is RequestOutcome.COALESCED:
-            self.coalesced += 1
-        elif outcome is RequestOutcome.RATE_LIMITED:
-            self.rate_limited += 1
-        elif outcome is RequestOutcome.REJECTED:
-            self.rejected += 1
-        if obs.served:
-            self.latency_served.observe_at(obs.latency, obs.latency_bucket)
-        if obs.deadline_s is not None:
-            self.deadline_total += 1
-            if obs.deadline_met:
-                self.deadline_met += 1
+    def served_apart(self) -> QuantileSketch:
+        """The served-latency distribution, forked off the stage one if shared.
+
+        Called before the first served latency that is not a completion:
+        from then on the two distributions differ.
+        """
+        served = self.latency_served
+        if served is self.stages.latency:
+            served = self.latency_served = served.clone()
+        return served
 
     def summary(self, name: str) -> ClassSummary:
         return ClassSummary(
@@ -240,15 +150,20 @@ class _ClassStats:
         )
 
     def clone(self) -> "_ClassStats":
+        stages = self.stages.clone()
+        shared = self.latency_served is self.stages.latency
         return replace(
-            self, stages=self.stages.clone(), latency_served=self.latency_served.clone()
+            self,
+            stages=stages,
+            latency_served=stages.latency if shared else self.latency_served.clone(),
         )
 
     @classmethod
     def over(cls, make: Callable[[], QuantileSketch]) -> "_ClassStats":
         """Zeroed counters over fresh ``make()`` distributions."""
+        latency = make()
         return cls(
-            stages=StageSketches(make(), make(), make(), make()), latency_served=make()
+            stages=StageSketches(latency, make(), make(), make()), latency_served=latency
         )
 
 
@@ -263,6 +178,9 @@ class StreamingTrafficStats:
         #: Every outcome across classes; its stage sketches are the scope's.
         self._totals = _ClassStats.over(self._distribution)
         self._classes: Dict[str, _ClassStats] = {}
+        #: Per class, the accumulators one of its requests folds into: the
+        #: totals, then the class's own unless that is the totals.
+        self._scopes: Dict[str, Tuple[_ClassStats, ...]] = {}
         for name in declared_classes:
             self._class_stats(name)
 
@@ -279,22 +197,35 @@ class StreamingTrafficStats:
         """The per-class accumulator, creating it on first sight.
 
         While exactly one class exists it holds exactly the scope-wide
-        contents, so the sole class *is* the totals object (and ``fold``
+        contents, so the sole class *is* the totals object (and a fold
         updates it once).  The moment a second class appears, the sole
         class forks into an independent copy — identical content, tracked
         separately from then on.
         """
         per_class = self._classes.get(name)
         if per_class is None:
+            totals = self._totals
             if len(self._classes) == 1:
                 (sole,) = self._classes
-                if self._classes[sole] is self._totals:
-                    self._classes[sole] = self._totals.clone()
-            per_class = (
-                _ClassStats.over(self._distribution) if self._classes else self._totals
-            )
+                if self._classes[sole] is totals:
+                    fork = self._classes[sole] = totals.clone()
+                    self._scopes[sole] = (totals, fork)
+            per_class = _ClassStats.over(self._distribution) if self._classes else totals
             self._classes[name] = per_class
+            self._scopes[name] = (totals,) if per_class is totals else (totals, per_class)
         return per_class
+
+    def scopes(self, request_class: str) -> Tuple[_ClassStats, ...]:
+        """The accumulators a request of ``request_class`` folds into.
+
+        Resolving the class first matters: a new class forks the sole
+        class off the totals, and that copy must not include the request.
+        """
+        scopes = self._scopes.get(request_class)
+        if scopes is None:
+            self._class_stats(request_class)
+            scopes = self._scopes[request_class]
+        return scopes
 
     @staticmethod
     def of_records(
@@ -309,18 +240,6 @@ class StreamingTrafficStats:
         stats = _ExactTrafficStats(declared)
         fold_records(records, (stats,))
         return stats
-
-    def fold(self, obs: Observation) -> None:
-        """Fold one reduced request in (the engine builds one per request)."""
-        # Resolve the class first: a new class forks the sole class off the
-        # totals, and that copy must not include this request yet.
-        per_class = self._classes.get(obs.request_class)
-        if per_class is None:
-            per_class = self._class_stats(obs.request_class)
-        totals = self._totals
-        totals.fold(obs)
-        if per_class is not totals:
-            per_class.fold(obs)
 
     def class_summaries(self) -> Tuple[ClassSummary, ...]:
         return tuple(
@@ -397,21 +316,174 @@ class _ExactTrafficStats(StreamingTrafficStats):
     _distribution = ExactSamples
 
 
+class Rollups(tuple):
+    """The sketch-mode rollups one tenant's finished requests fold into.
+
+    A tuple of :class:`StreamingTrafficStats`, each object once (the
+    tenant's own first).  :meth:`fold` is the whole per-request cost of
+    sketch-mode accounting.
+    """
+
+    __slots__ = ()
+
+    def fold(
+        self,
+        outcome: RequestOutcome,
+        arrival: float,
+        dispatch: Optional[float],
+        completion: Optional[float],
+        cold_wait: float,
+        request_class: str,
+        deadline_s: Optional[float],
+    ) -> None:
+        """Fold one finished request, from its scalars, into every rollup.
+
+        The stage durations mirror the record's property definitions float
+        for float.  Each one's bucket is computed once and every histogram
+        is updated in place — count, sum, min, max and bucket, exactly as
+        :meth:`~repro.obs.sketch.LogHistogram.add` would — in each scope:
+        the rollup's totals and, when it is not the totals, the class.
+        """
+        if outcome is _COMPLETED:
+            # Completed means dispatched and finished: both stamps exist.
+            latency = float(completion - arrival)
+            queueing = float(dispatch - arrival)
+            service = float(completion - dispatch)
+            cold_wait = float(cold_wait)
+            latency_bucket = bucket_index(latency)
+            service_bucket = bucket_index(service)
+            # A request served on arrival waited for nothing: bucket 0,
+            # which is bucket_index(0.0), without the call.
+            queueing_bucket = bucket_index(queueing) if queueing else 0
+            cold_bucket = bucket_index(cold_wait) if cold_wait else 0
+            met = deadline_s is not None and completion <= deadline_s
+            for stream in self:
+                scopes = stream._scopes.get(request_class) or stream.scopes(request_class)
+                for scope in scopes:
+                    scope.offered += 1
+                    scope.completed += 1
+                    if deadline_s is not None:
+                        scope.deadline_total += 1
+                        if met:
+                            scope.deadline_met += 1
+                    stages = scope.stages
+                    sketch = stages.latency
+                    sketch._count += 1
+                    sketch._sum += latency
+                    sketch._counts[latency_bucket] += 1
+                    if latency < sketch._min:
+                        sketch._min = latency
+                    if latency > sketch._max:
+                        sketch._max = latency
+                    served = scope.latency_served
+                    if served is not sketch:
+                        served._count += 1
+                        served._sum += latency
+                        served._counts[latency_bucket] += 1
+                        if latency < served._min:
+                            served._min = latency
+                        if latency > served._max:
+                            served._max = latency
+                    sketch = stages.queueing
+                    sketch._count += 1
+                    sketch._sum += queueing
+                    sketch._counts[queueing_bucket] += 1
+                    if queueing < sketch._min:
+                        sketch._min = queueing
+                    if queueing > sketch._max:
+                        sketch._max = queueing
+                    sketch = stages.service
+                    sketch._count += 1
+                    sketch._sum += service
+                    sketch._counts[service_bucket] += 1
+                    if service < sketch._min:
+                        sketch._min = service
+                    if service > sketch._max:
+                        sketch._max = service
+                    sketch = stages.cold_wait
+                    sketch._count += 1
+                    sketch._sum += cold_wait
+                    sketch._counts[cold_bucket] += 1
+                    if cold_wait < sketch._min:
+                        sketch._min = cold_wait
+                    if cold_wait > sketch._max:
+                        sketch._max = cold_wait
+            return
+        # Only completed requests reach the stage sketches; a cached or
+        # coalesced one is served, so its latency forks the served sketch.
+        counter = outcome.value
+        served = outcome in SERVED_OUTCOMES
+        if served:
+            latency = float(completion - arrival)
+            latency_bucket = bucket_index(latency)
+        met = served and deadline_s is not None and completion <= deadline_s
+        for stream in self:
+            scopes = stream._scopes.get(request_class) or stream.scopes(request_class)
+            for scope in scopes:
+                scope.offered += 1
+                setattr(scope, counter, getattr(scope, counter) + 1)
+                if deadline_s is not None:
+                    scope.deadline_total += 1
+                    if met:
+                        scope.deadline_met += 1
+                if served:
+                    sketch = scope.served_apart()
+                    sketch._count += 1
+                    sketch._sum += latency
+                    sketch._counts[latency_bucket] += 1
+                    if latency < sketch._min:
+                        sketch._min = latency
+                    if latency > sketch._max:
+                        sketch._max = latency
+
+
 def fold_records(
     records: Iterable[RequestRecord], streams: Sequence[StreamingTrafficStats]
 ) -> None:
     """Fold ``records``, in the order given, into every exact accumulator of ``streams``.
 
-    Each record is reduced once, without bucket indices (see
-    :class:`Observation`), however many accumulators it feeds.
+    Each record's stage durations are computed once, however many
+    accumulators it feeds, and appended straight to each scope's arrays.
     """
     for record in records:
-        observation = Observation.of_record(record, buckets=False)
+        outcome = record.outcome
+        completion = record.completion_s
+        request_class = record.request_class
+        deadline_s = record.deadline_s
+        completed = outcome is _COMPLETED
+        served = outcome in SERVED_OUTCOMES
+        counter = outcome.value
+        if served:
+            # A valid record has a completion time for every served outcome.
+            arrival = record.arrival_s
+            latency = float(completion - arrival)
+            if completed:
+                dispatch = record.dispatch_s
+                queueing = float(dispatch - arrival)
+                service = float(completion - dispatch)
+                cold_wait = float(record.cold_start_wait_s)
+        met = served and deadline_s is not None and completion <= deadline_s
         for stream in streams:
-            stream.fold(observation)
+            for scope in stream.scopes(request_class):
+                scope.offered += 1
+                setattr(scope, counter, getattr(scope, counter) + 1)
+                if deadline_s is not None:
+                    scope.deadline_total += 1
+                    if met:
+                        scope.deadline_met += 1
+                if completed:
+                    stages = scope.stages
+                    stages.latency.values.append(latency)
+                    if scope.latency_served is not stages.latency:
+                        scope.latency_served.values.append(latency)
+                    stages.queueing.values.append(queueing)
+                    stages.service.values.append(service)
+                    stages.cold_wait.values.append(cold_wait)
+                elif served:
+                    scope.served_apart().values.append(latency)
 
 
-def _queue_only(stages: StageSketches, cold_p95: float) -> Tuple[float, float]:
+def _queue_only(stages: StageSketches, cold: LatencySummary) -> Tuple[float, float]:
     """Mean/p95 of the pure-queue wait: queueing minus cold wait, floored at 0.
 
     Exact samples subtract per request (both stage arrays are in fold
@@ -420,30 +492,32 @@ def _queue_only(stages: StageSketches, cold_p95: float) -> Tuple[float, float]:
     """
     queueing, cold_wait = stages.queueing, stages.cold_wait
     if isinstance(queueing, ExactSamples):
-        pure = ExactSamples(
+        pure = LatencySummary.from_samples(
             array("d", (max(0.0, q - c) for q, c in zip(queueing.values, cold_wait.values)))
         )
-        return pure.mean, pure.quantile(0.95)
-    mean_q = max(0.0, queueing.mean - cold_wait.mean)
-    p95_q = max(0.0, queueing.quantile(0.95) - cold_p95)
-    return mean_q, p95_q
+        return pure.mean_s, pure.p95_s
+    queue = queueing.summary()
+    return max(0.0, queue.mean_s - cold.mean_s), max(0.0, queue.p95_s - cold.p95_s)
 
 
 def _row_from_stages(
     label: str, request_class: str, completed: int, stages: StageSketches
 ) -> WaterfallRow:
-    cold_p95 = stages.cold_wait.quantile(0.95)
-    queue_mean, queue_p95 = _queue_only(stages, cold_p95)
+    # A row exists only for completions, so no stage distribution is empty.
+    cold = stages.cold_wait.summary()
+    service = stages.service.summary()
+    total = stages.latency.summary()
+    queue_mean, queue_p95 = _queue_only(stages, cold)
     return WaterfallRow(
         label=label,
         request_class=request_class,
         completed=completed,
         queue_mean_s=queue_mean,
         queue_p95_s=queue_p95,
-        cold_mean_s=stages.cold_wait.mean,
-        cold_p95_s=cold_p95,
-        service_mean_s=stages.service.mean,
-        service_p95_s=stages.service.quantile(0.95),
-        total_mean_s=stages.latency.mean,
-        total_p95_s=stages.latency.quantile(0.95),
+        cold_mean_s=cold.mean_s,
+        cold_p95_s=cold.p95_s,
+        service_mean_s=service.mean_s,
+        service_p95_s=service.p95_s,
+        total_mean_s=total.mean_s,
+        total_p95_s=total.p95_s,
     )

@@ -9,9 +9,13 @@ scales from zero by paying the runtime's cold-start cost, and charges the
 ingress routing overhead per request.
 
 The traffic engine (:mod:`repro.traffic`) drives the gateway under sustained
-load: :meth:`IngressGateway.select_replica` is the admission hook that routes
-only to replicas the engine considers ready and under their concurrency
-limit (:meth:`IngressGateway.release_state` hands each back), and
+load.  It keeps its own least-loaded index of the replicas it considers
+ready and under their concurrency limit, so it makes the load balancer's
+choice itself and hands the gateway only the chosen replica:
+:meth:`IngressGateway.acquire_state` does the in-flight and ingress
+bookkeeping of a routed request and :meth:`IngressGateway.release_state`
+undoes it.  :meth:`IngressGateway.select_replica` is the same choice as a
+scan over a candidate list, for callers without such an index.
 :meth:`IngressGateway.remove_replica` is the scale-down hook the autoscaler
 uses to reclaim idle replicas after their keep-alive expires.
 
@@ -64,6 +68,14 @@ class IntraTenantOrder(enum.Enum):
 
     FIFO = "fifo"  # arrival order (the classic single-class queue)
     EDF = "edf"    # priority tiers, earliest deadline first within a tier
+
+
+# The members the queue tests on every request, bound once: on CPython
+# 3.11 looking a member up on its enum class is over 20x slower than
+# reading a module global.
+_FIFO = FairnessPolicy.FIFO
+_WFQ_COST = FairnessPolicy.WFQ_COST
+_EDF = IntraTenantOrder.EDF
 
 
 @dataclass
@@ -266,7 +278,7 @@ class FairQueue:
         if limit is not None and len(queue.live) >= limit:
             queue.stats.dropped += 1
             return False
-        if not queue.live and self.policy is not FairnessPolicy.FIFO:
+        if not queue.live and self.policy is not _FIFO:
             # Re-entering after idleness: catch up to the current virtual
             # time so the backlog built by others is not leapfrogged, and
             # shed any stale skip count — a fresh backlog has earned no
@@ -274,7 +286,7 @@ class FairQueue:
             queue.finish_tag = max(queue.finish_tag, self._virtual)
             queue.skipped = 0
         cost = queue.cost_estimate if queue.cost_estimate is not None else self._default_cost()
-        if self.intra is IntraTenantOrder.EDF:
+        if self.intra is _EDF:
             entry = _Entry(
                 priority=priority,
                 deadline=deadline if deadline is not None else math.inf,
@@ -334,7 +346,7 @@ class FairQueue:
             (queue,) = self._tenants.values()
             return [queue.name]
         backlogged = [queue for queue in self._tenants.values() if queue.live]
-        if self.policy is FairnessPolicy.FIFO:
+        if self.policy is _FIFO:
             # With EDF inside a tenant, "arrival order" means the arrival
             # seq of whichever entry the tenant would dispatch next.
             backlogged.sort(key=lambda queue: self._head(queue).seq)
@@ -390,9 +402,9 @@ class FairQueue:
         queue.live.discard(entry.item_id)
         self._depth -= 1
         queue.stats.dispatched += 1
-        if self.policy is not FairnessPolicy.FIFO:
+        if self.policy is not _FIFO:
             self._virtual = max(self._virtual, queue.finish_tag)
-            advance = entry.cost if self.policy is FairnessPolicy.WFQ_COST else 1.0
+            advance = entry.cost if self.policy is _WFQ_COST else 1.0
             queue.finish_tag += advance / queue.weight
             queue.skipped = 0
             for other in self._tenants.values():
@@ -422,14 +434,14 @@ class FairQueue:
             stats.shed += 1
         else:
             stats.dispatched += 1
-        if self.policy is FairnessPolicy.FIFO:
+        if self.policy is _FIFO:
             return
         queue.finish_tag = max(queue.finish_tag, self._virtual)
         queue.skipped = 0
         if shed:
             return
         self._virtual = max(self._virtual, queue.finish_tag)
-        if self.policy is FairnessPolicy.WFQ_COST:
+        if self.policy is _WFQ_COST:
             cost = queue.cost_estimate if queue.cost_estimate is not None else self._default_cost()
             queue.finish_tag += cost / queue.weight
         else:
@@ -469,9 +481,10 @@ class FairQueue:
         return queue.items[0] if queue.items else None
 
     def _require(self, tenant: str) -> _TenantQueue:
-        if tenant not in self._tenants:
+        queue = self._tenants.get(tenant)
+        if queue is None:
             raise GatewayError("tenant %r is not registered with the queue" % tenant)
-        return self._tenants[tenant]
+        return queue
 
 
 #: Fixed per-request ingress cost (routing table lookup, connection handling).
@@ -486,10 +499,6 @@ class _ReplicaState:
     #: Set when the replica leaves the pool, so releasing a held handle
     #: after scale-down raises instead of corrupting in-flight counts.
     retired: bool = False
-    #: Opaque caller attachment: the traffic engine stores its own replica
-    #: view here so :meth:`IngressGateway.select_replica` results map back
-    #: without a name lookup.
-    handle: Optional[object] = None
     #: The owning gateway's token and function name, so a handle released
     #: to another gateway or function raises instead of corrupting its
     #: counts.
@@ -596,11 +605,9 @@ class IngressGateway:
         ``candidates`` are the pool's :class:`_ReplicaState` handles (from
         :meth:`pool_states`) the caller considers available — warmed up,
         under their concurrency limit.  The least-loaded candidate wins, the
-        first in pool order on a tie.  The per-request ingress ledger charge is *deferred*:
-        the count accumulates per function and :meth:`flush_deferred_ingress`
-        emits one batched charge per function, so million-request runs do
-        not allocate a million Charge rows.  The caller gives the handle
-        back with :meth:`release_state` when the request finishes.
+        first in pool order on a tie, and is acquired with
+        :meth:`acquire_state`.  The traffic engine makes this choice off its
+        own index instead and acquires the winner directly.
         """
         if not candidates:
             raise GatewayError("no eligible replicas for function %r" % function)
@@ -608,11 +615,24 @@ class IngressGateway:
             state = candidates[0]
         else:
             state = min(candidates, key=_in_flight_of)
+        self.acquire_state(function, state)
+        return state
+
+    def acquire_state(self, function: str, state: _ReplicaState) -> None:
+        """Route one request to ``state``, a replica the caller chose.
+
+        The load balancer's bookkeeping: in-flight and served counts go up.
+        The per-request ingress ledger charge is *deferred*: the count
+        accumulates per function and :meth:`flush_deferred_ingress` emits
+        one batched charge per function, so million-request runs do not
+        allocate a million Charge rows.  The caller gives the handle back
+        with :meth:`release_state` when the request finishes.
+        """
         state.in_flight += 1
         state.served += 1
         self._in_flight += 1
-        self._deferred_ingress[function] = self._deferred_ingress.get(function, 0) + 1
-        return state
+        deferred = self._deferred_ingress
+        deferred[function] = deferred.get(function, 0) + 1
 
     def release_state(self, function: str, state: _ReplicaState) -> None:
         """Mark a routed request as finished (load-balancer bookkeeping).
@@ -636,7 +656,7 @@ class IngressGateway:
         self._in_flight -= 1
 
     def flush_deferred_ingress(self) -> None:
-        """Charge the ingress overhead accumulated by :meth:`select_replica`.
+        """Charge the ingress overhead accumulated by :meth:`acquire_state`.
 
         One batched charge per function (``units`` = request count) keeps the
         ledger totals equal to per-request charging while the charge list

@@ -16,8 +16,8 @@ executes on one, serially.  An event is only a heap entry, the tuple
 completion event's ``args`` are the request's scalars, so in sketch mode,
 when no telemetry or middleware reads a
 :class:`~repro.traffic.slo.RequestRecord`, the runtime builds none: it
-reduces a finished request straight to one
-:class:`~repro.obs.streaming.Observation`.
+folds a finished request's scalars straight into its rollups
+(:meth:`~repro.obs.streaming.Rollups.fold`).
 
 :func:`parallel_map` ships whole independent simulations to worker
 processes.  For fan-out we use the simpler

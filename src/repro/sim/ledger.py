@@ -94,9 +94,18 @@ class _ChargeFields(NamedTuple):
 
 
 class Charge(_ChargeFields):
-    """A single accounted operation: an immutable, validated tuple record."""
+    """A single accounted operation: an immutable, validated tuple record.
+
+    A copy made with ``_replace`` (or ``_make``) is validated too.
+    """
 
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable) -> "Charge":
+        # NamedTuple's _make, which _replace calls, would build the tuple
+        # directly and skip the validating __new__.
+        return cls(*iterable)
 
     def __new__(
         cls,

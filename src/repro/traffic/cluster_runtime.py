@@ -14,7 +14,7 @@ the cluster), :meth:`~ClusterRuntime.complete`,
 and :meth:`~ClusterRuntime.warm` (a replica finished its cold start).
 Every control decision is a method of its own:
 :meth:`~ClusterRuntime.service_for` (serve or shed),
-:meth:`~ClusterRuntime.candidates`, :meth:`~ClusterRuntime.dispatch`,
+:meth:`~ClusterRuntime.pick` (which replica), :meth:`~ClusterRuntime.dispatch`,
 :meth:`~ClusterRuntime.start`, :meth:`~ClusterRuntime.add_replicas`,
 :meth:`~ClusterRuntime.drop_replica`,
 :meth:`~ClusterRuntime.evict_over_budget` and
@@ -35,14 +35,17 @@ mode.
 Dispatch costs O(1) queue work per request and never scans a pool:
 
 * **The free index.**  Each tenant keeps the replicas that are ready and
-  under ``per_replica_concurrency``, in pool (registration) order, keyed
-  by a registration serial.  Selection takes a replica out when it fills,
-  release puts it back, dropping it removes it.  Registered replicas wait
-  in a pending list until a scan sees their ``ready_at`` pass — lazily,
+  under ``per_replica_concurrency``, ordered by (in-flight count, pool
+  position), the position being a registration serial.  The load
+  balancer's least-loaded pick, first in pool order on a tie, is then the
+  first indexed replica on a node with a free core (:meth:`~ClusterRuntime.pick`),
+  and a hedge takes the next such replica.  Selection re-keys a replica
+  one step up, or takes it out when it fills; release re-keys it one step
+  down, or puts it back; dropping it removes it.  Registered replicas wait
+  in a pending list until a pick sees their ``ready_at`` pass — lazily,
   not at their ``warm`` event, so every event at that instant sees them
-  exactly as a pool scan would.  A dispatch attempt's candidates are the
-  index filtered by free node cores, handed to the same load balancer,
-  so the least-loaded tie-break is unchanged.
+  exactly as a pool scan would.  The gateway keeps its in-flight and
+  ingress bookkeeping (:meth:`~repro.platform.gateway.IngressGateway.acquire_state`).
 * **The empty-queue pass-through.**  A request that arrives at an empty
   queue while its tenant has a candidate is the head the next dispatch
   pass would take, so :meth:`~ClusterRuntime.admit` serves (or sheds) it
@@ -88,10 +91,15 @@ if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy to avoid
     # a cycle through repro.obs (whose modules import repro.traffic.slo).
     from repro.gateway.middleware import MiddlewarePipeline, RequestContext
     from repro.obs.spans import WaterfallRow
-    from repro.obs.streaming import StreamingTrafficStats
+    from repro.obs.streaming import Rollups, StreamingTrafficStats
     from repro.obs.telemetry import Telemetry
 
 MB = 1024 * 1024
+
+# Bound once: on CPython 3.11 looking a member up on its enum class is
+# over 20x slower than reading a module global, and every completion event
+# passes it.
+_COMPLETED = RequestOutcome.COMPLETED
 
 #: Bound on one request's calibrated service seconds.  Each tenant's
 #: autoscaler ticks once per control interval (1 s by default) while any
@@ -179,7 +187,9 @@ class _Replica:
 
     Only warm-up and idleness live here; in-flight counts stay in the
     gateway (the load balancer's bookkeeping is the single source of
-    truth — the engine samples it through the admission hooks).
+    truth — the runtime reads it off ``gw_state``, which
+    :meth:`~repro.platform.gateway.IngressGateway.acquire_state` and
+    :meth:`~repro.platform.gateway.IngressGateway.release_state` update).
     """
 
     deployed: DeployedFunction
@@ -196,8 +206,8 @@ class _Replica:
     #: ``deployed.node_name`` cached as a plain attribute (property calls on
     #: the deployment object showed up in million-request profiles).
     node: str = ""
-    #: Registration serial: pool order is registration order, so it keys
-    #: the replica's place in its tenant's free index.
+    #: Registration serial: pool order is registration order, so it breaks
+    #: in-flight ties in its tenant's free index.
     serial: int = 0
 
 
@@ -211,18 +221,19 @@ class _TenantState:
     requests: List[Request]
     replicas: List[_Replica] = field(default_factory=list)
     #: The free index: replicas that are ready and under their concurrency
-    #: limit, in pool order, with their serials in ``free_keys`` (the
-    #: parallel list ``bisect`` searches).
+    #: limit, ordered by (in-flight count, registration serial) — least
+    #: loaded first, pool order on a tie — with those keys in ``free_keys``
+    #: (the parallel list ``bisect`` searches).
     free: List[_Replica] = field(default_factory=list)
-    free_keys: List[int] = field(default_factory=list)
-    #: Registered replicas not yet seen ready, in pool order; a scan
+    free_keys: List[Tuple[int, int]] = field(default_factory=list)
+    #: Registered replicas not yet seen ready, in pool order; a pick
     #: promotes each into ``free`` once its ``ready_at`` has passed.
     pending: List[_Replica] = field(default_factory=list)
     records: List[RequestRecord] = field(default_factory=list)
     #: Streaming accumulators, built instead of ``records`` in sketch mode
     #: by :func:`attach_streams`: every rollup this tenant's finished
     #: requests fold into, each object once.  The first is the tenant's own.
-    streams: Tuple[StreamingTrafficStats, ...] = ()
+    streams: Rollups = ()
     timeline: List[Tuple[float, int]] = field(default_factory=list)
     cold_starts: int = 0
     cold_start_seconds: float = 0.0
@@ -244,13 +255,15 @@ class _TenantState:
         self.function = self.spec.function_name
 
     def index_free(self, replica: _Replica) -> None:
-        """Put ``replica`` into the free index at its pool position."""
-        at = bisect_left(self.free_keys, replica.serial)
-        self.free_keys.insert(at, replica.serial)
+        """Put ``replica`` into the free index under its current in-flight count."""
+        key = (replica.gw_state.in_flight, replica.serial)
+        at = bisect_left(self.free_keys, key)
+        self.free_keys.insert(at, key)
         self.free.insert(at, replica)
 
-    def unindex_free(self, replica: _Replica) -> None:
-        at = bisect_left(self.free_keys, replica.serial)
+    def unindex_free(self, replica: _Replica, in_flight: int) -> None:
+        """Take ``replica`` out of the index, where it sits under ``in_flight``."""
+        at = bisect_left(self.free_keys, (in_flight, replica.serial))
         del self.free_keys[at]
         del self.free[at]
 
@@ -269,7 +282,7 @@ def attach_streams(
     tenant's requests into an identical accumulator, so the two are one
     object, folded once per request.
     """
-    from repro.obs.streaming import StreamingTrafficStats
+    from repro.obs.streaming import Rollups, StreamingTrafficStats
 
     own = [StreamingTrafficStats(declared_classes=state.spec.class_names) for state in states]
     if len(states) == 1 and not states[0].spec.class_names:
@@ -280,7 +293,7 @@ def attach_streams(
         streams = (stream,) if stream is cluster else (stream, cluster)
         if outer_cluster is not None:
             streams += (outer_tenants[state.name], outer_cluster)
-        state.streams = streams
+        state.streams = Rollups(streams)
     return cluster
 
 
@@ -359,7 +372,7 @@ class ClusterRuntime:
         "halted", "last_event_s",
         # The run's inputs and the request path's private state.
         "_pipeline", "_telemetry", "_service_time", "_service_cache", "_counter",
-        "_total_requests", "_builds_records", "_observation", "_contexts", "_serials",
+        "_total_requests", "_builds_records", "_contexts", "_serials",
     )
 
     def __init__(
@@ -413,13 +426,9 @@ class ClusterRuntime:
         self._total_requests = total_requests
         #: Whether a finished request is built into a RequestRecord: only
         #: when something reads one (exact mode keeps them, telemetry
-        #: consumes them).  Otherwise sketch mode reduces the request's
-        #: scalars straight to one Observation.
+        #: consumes them).  Otherwise sketch mode folds the request's
+        #: scalars straight into its rollups.
         self._builds_records = config.retain_records or telemetry is not None
-        # Imported here: repro.obs imports repro.traffic.slo (see above).
-        from repro.obs.streaming import Observation
-
-        self._observation = Observation
         #: In-pipeline requests: (tenant, request_id) -> RequestContext.
         #: Parked requests (coalesced followers) live only here and in their
         #: stage until the leader's completion fans them back out.
@@ -486,16 +495,20 @@ class ClusterRuntime:
 
     def admit(self, state: _TenantState, request: Request) -> None:
         """One request enters the cluster: serve, queue, shed or drop it."""
-        self._note(request.arrival_s)
+        loop = self.loop
+        now = loop.now
+        # _note(arrival), inlined: this runs once per request.
+        arrival = request.arrival_s
+        if arrival > self.last_event_s:
+            self.last_event_s = arrival
+        self.clock.advance_to(now)
         state.arrivals_since_tick += 1
-        priority = request.priority
-        deadline = request.deadline_s
         pipeline = self._pipeline
         if pipeline is not None:
             from repro.gateway.middleware import AdmitAction
 
             ctx = pipeline.context(state.name, request)
-            decision = pipeline.admit(ctx, request.arrival_s)
+            decision = pipeline.admit(ctx, arrival)
             self._contexts[(state.name, request.request_id)] = ctx
             if decision.action is AdmitAction.SHORT_CIRCUIT:
                 # Terminal at the gateway: a cache hit (served, with a
@@ -511,30 +524,28 @@ class ClusterRuntime:
                 # failure) resolves it through the pipeline unwind.
                 return
         queue = self.gateway.queue
-        loop = self.loop
         if not self.halted and not queue.total_depth():
             # Nothing waits ahead of this request: if a replica is free
             # it is the head a dispatch pass would take, so serve it
             # straight away — the queue accounts it as an enqueue plus
             # a pop (or shed) without ever holding it.
-            now = loop.now
-            eligible = self.candidates(state, now)
-            if eligible:
+            at = self.pick(state, now)
+            if at >= 0:
                 service = self.service_for(state, request, now)
                 if service is None:
                     queue.pass_through(state.name, shed=True)
                     self.resolve(state, request, RequestOutcome.SHED)
                 else:
                     queue.pass_through(state.name)
-                    self.start(state, request, eligible, service, now)
+                    self.start(state, request, at, service, now)
                 return
         admitted = queue.enqueue(
             state.name,
             request.request_id,
             request,
             limit=self.config.max_queue,
-            priority=priority,
-            deadline=deadline,
+            priority=request.priority,
+            deadline=request.deadline_s,
         )
         if not admitted:
             self.resolve(state, request, RequestOutcome.DROPPED)
@@ -544,14 +555,14 @@ class ClusterRuntime:
         # reserved *before* dispatching, so when it is scheduled it
         # sorts exactly where an eagerly scheduled timeout would have.
         timeout_order = loop.reserve_orders(1)
-        self.dispatch(loop.now)
+        self.dispatch(now)
         if queue.is_queued(state.name, request.request_id):
-            timeout_at = request.arrival_s + self.config.queue_timeout_s
-            if timeout_at < loop.now:
+            timeout_at = arrival + self.config.queue_timeout_s
+            if timeout_at < now:
                 # A request handed over a WAN link arrives with part of
                 # its patience already spent; an exhausted budget times
                 # out immediately rather than scheduling into the past.
-                timeout_at = loop.now
+                timeout_at = now
             loop.schedule_at(
                 timeout_at,
                 self.expire,
@@ -576,9 +587,7 @@ class ClusterRuntime:
             # The hedge's losing attempt is cancelled now: its replica
             # frees the moment the winner answers the client.
             self._release(state, loser, dispatched, completion)
-        self.resolve(
-            state, request, RequestOutcome.COMPLETED, completion, dispatched, cold_wait, replica
-        )
+        self.resolve(state, request, _COMPLETED, completion, dispatched, cold_wait, replica)
         if self.gateway.queue.total_depth():
             self.dispatch(self.loop.now)
 
@@ -660,14 +669,16 @@ class ClusterRuntime:
             return None
         return service
 
-    def candidates(self, state: _TenantState, now: float) -> List[_Replica]:
-        """The replicas a request of ``state`` may start on, in pool order.
+    def pick(self, state: _TenantState, now: float) -> int:
+        """Where in ``state.free`` a request of ``state`` starts at ``now``; -1 if nowhere.
 
-        Ready, under their concurrency limit (the free index) and on a
-        node with a free core.  Warmed-up replicas join the index here,
-        at the first scan that sees them ready, so any event at their
-        ``ready_at`` instant finds them, whether or not it fires before
-        their ``warm`` event.
+        The load balancer's choice among the replicas that are ready,
+        under their concurrency limit and on a node with a free core: the
+        least loaded, first in pool order on a tie — the first such entry
+        of the free index, which is ordered that way.  Warmed-up replicas
+        join the index here, at the first pick that sees them ready, so any
+        event at their ``ready_at`` instant finds them, whether or not it
+        fires before their ``warm`` event.
         """
         if state.pending:
             waiting = []
@@ -677,9 +688,17 @@ class ClusterRuntime:
                 else:
                     waiting.append(replica)
             state.pending = waiting
+        return self._eligible_after(state.free, -1)
+
+    def _eligible_after(self, free: List[_Replica], after: int) -> int:
+        """The first position past ``after`` whose replica's node has a free core, or -1."""
         node_busy = self.node_busy
         cores = self.cores
-        return [replica for replica in state.free if node_busy[replica.node] < cores[replica.node]]
+        for at in range(after + 1, len(free)):
+            node = free[at].node
+            if node_busy[node] < cores[node]:
+                return at
+        return -1
 
     def dispatch(self, now: float) -> None:
         """Move queued requests onto available replicas.
@@ -699,8 +718,8 @@ class ClusterRuntime:
         while True:
             for tenant_name in queue.dispatch_order():
                 state = by_tenant[tenant_name]
-                eligible = self.candidates(state, now)
-                if not eligible:
+                at = self.pick(state, now)
+                if at < 0:
                     continue
                 request = queue.peek(tenant_name)
                 service = self.service_for(state, request, now)
@@ -709,7 +728,7 @@ class ClusterRuntime:
                     self.resolve(state, request, RequestOutcome.SHED)
                 else:
                     queue.pop(tenant_name)
-                    self.start(state, request, eligible, service, now)
+                    self.start(state, request, at, service, now)
                 break  # re-evaluate fair order after every dispatch or shed
             else:
                 return
@@ -720,11 +739,11 @@ class ClusterRuntime:
         self,
         state: _TenantState,
         request: Request,
-        eligible: List[_Replica],
+        at: int,
         service: float,
         now: float,
     ) -> None:
-        """Serve one request the queue let go, on one of ``eligible``.
+        """Serve one request the queue let go, on the replica :meth:`pick` found at ``at``.
 
         The queued path (:meth:`dispatch`) and the empty-queue path
         (:meth:`admit`) share this body after their queue decision.
@@ -732,21 +751,22 @@ class ClusterRuntime:
         memory = self.memory
         # Give the pipeline's dispatch hooks a say: the hedge stage
         # applies its seeded straggler jitter and decides whether a
-        # backup attempt races on a spare replica.
+        # backup attempt races on a spare replica: the next eligible one.
         plan = None
         if self._pipeline is not None:
             ctx = self._contexts.get((state.name, request.request_id))
             if ctx is not None:
+                spare = self._eligible_after(state.free, at)
                 plan = self._pipeline.plan_dispatch(
-                    ctx, now, service, spare_replica=len(eligible) > 1
+                    ctx, now, service, spare_replica=spare >= 0
                 )
                 service = plan.service_s
         loser: Optional[_Replica] = None
-        if plan is not None and plan.hedged and len(eligible) > 1:
-            primary = self._take(state, [replica.gw_state for replica in eligible])
-            hedge = self._take(
-                state, [replica.gw_state for replica in eligible if replica is not primary]
-            )
+        if plan is not None and plan.hedged and spare >= 0:
+            # The spare sits past the primary and keys above it, so taking
+            # it first leaves the primary where the pick found it.
+            hedge = self._take(state, spare)
+            primary = self._take(state, at)
             primary_done, hedge_offset = plan.completion_offsets()
             if memory is not None:
                 # Each attempt slows by its own node's pressure.
@@ -761,7 +781,7 @@ class ClusterRuntime:
                 replica, loser = primary, hedge
                 completion = now + primary_done
         else:
-            replica = self._take(state, [replica.gw_state for replica in eligible])
+            replica = self._take(state, at)
             if memory is not None:
                 # Memory pressure on the chosen node slows the service;
                 # the EWMA below sees the inflated time, so scaling
@@ -777,7 +797,10 @@ class ClusterRuntime:
         # replica cold-start: the overlap of [arrival, dispatch] with
         # the warm-up window, not the whole delay.
         cold_wait = max(0.0, min(replica.cold_s, replica.ready_at - request.arrival_s))
-        self._note(completion)
+        # _note(completion), inlined: this runs once per request.
+        if completion > self.last_event_s:
+            self.last_event_s = completion
+        self.clock.advance_to(now)
         self.loop.schedule_at(
             completion,
             self.complete,
@@ -811,12 +834,9 @@ class ClusterRuntime:
                 node=deployed.node_name,
                 serial=next(self._serials),
             )
-            # Bind the gateway's load-balancer state both ways: the
-            # dispatch loop reads in-flight counts off the replica and
-            # maps selection results back without any name lookups.
-            gw_state = gateway.pool_states(state.function)[-1]
-            gw_state.handle = replica
-            replica.gw_state = gw_state
+            # Hold the gateway's load-balancer state: the dispatch loop
+            # reads in-flight counts off the replica without name lookups.
+            replica.gw_state = gateway.pool_states(state.function)[-1]
             state.replicas.append(replica)
             state.pending.append(replica)
             if self.memory is not None:
@@ -839,11 +859,11 @@ class ClusterRuntime:
         self.gateway.remove_replica(state.function, replica.deployed)
         state.replicas.remove(replica)
         # Only idle replicas are dropped, so it is in the free index
-        # unless no scan has seen it ready yet.
+        # (under no load) unless no pick has seen it ready yet.
         if any(other is replica for other in state.pending):
             state.pending = [other for other in state.pending if other is not replica]
         else:
-            state.unindex_free(replica)
+            state.unindex_free(replica, 0)
         if self.memory is not None:
             state.rss_mb_seconds += replica.rss_mb * max(0.0, now - replica.born_s)
             self.memory.free(replica.deployed.node_name, replica.rss_mb)
@@ -940,10 +960,10 @@ class ClusterRuntime:
         warm.  A coalesced follower passes its leader's replica, if any,
         which places it on that replica's node for telemetry.
         The request gets its only record here when something reads one
-        (exact mode retains it, telemetry fans it out); in sketch mode it
-        is reduced once to an :class:`~repro.obs.streaming.Observation`
-        folded into every streaming accumulator it belongs to.  Either way
-        its times are checked.  It is counted down and fanned out to the
+        (exact mode retains it, telemetry fans it out); in sketch mode its
+        scalars are folded, in one :meth:`~repro.obs.streaming.Rollups.fold`,
+        into every streaming accumulator it belongs to.  Either way its
+        times are checked.  It is counted down and fanned out to the
         telemetry sinks.  Then the pipeline's completion hooks run in
         reverse admission order (cache fills, coalesce fan-out) on the
         outcome and completion instant; any follow-on requests they
@@ -973,11 +993,7 @@ class ClusterRuntime:
         else:
             check_times(request.request_id, outcome, arrival, dispatched, completion)
         if streams:
-            observation = self._observation(
-                outcome, arrival, dispatched, completion, cold_wait, klass, deadline
-            )
-            for stream in streams:
-                stream.fold(observation)
+            streams.fold(outcome, arrival, dispatched, completion, cold_wait, klass, deadline)
         self._counter[0] -= 1
         telemetry = self._telemetry
         if telemetry is not None:
@@ -998,12 +1014,16 @@ class ClusterRuntime:
             tenant = self.by_tenant[follower.tenant]
             self.resolve(tenant, follower.request, follow_outcome, done, replica=replica)
 
-    def _take(self, state: _TenantState, gw_states: list) -> _Replica:
-        """Let the load balancer pick one of ``gw_states``; mark it busy."""
-        chosen = self.gateway.select_replica(state.function, gw_states)
-        replica = chosen.handle
-        if chosen.in_flight == self.config.per_replica_concurrency:
-            state.unindex_free(replica)
+    def _take(self, state: _TenantState, at: int) -> _Replica:
+        """Route one request to the replica at ``at`` in the free index; mark it busy."""
+        free = state.free
+        replica = free[at]
+        gw_state = replica.gw_state
+        self.gateway.acquire_state(state.function, gw_state)
+        del free[at]
+        del state.free_keys[at]
+        if gw_state.in_flight < self.config.per_replica_concurrency:
+            state.index_free(replica)
         self.node_busy[replica.node] += 1
         return replica
 
@@ -1014,8 +1034,11 @@ class ClusterRuntime:
         gw_state = replica.gw_state
         self.gateway.release_state(state.function, gw_state)
         self.node_busy[replica.node] -= 1
-        if gw_state.in_flight == self.config.per_replica_concurrency - 1:
-            state.index_free(replica)
+        in_flight = gw_state.in_flight
+        if in_flight < self.config.per_replica_concurrency - 1:
+            # Still indexed, one request more loaded: re-key it.
+            state.unindex_free(replica, in_flight + 1)
+        state.index_free(replica)
         replica.idle_since = completion
         if self.memory is not None:
             # Replica-busy CPU: the loser of a hedge burned the same wall

@@ -48,6 +48,7 @@ serial comparison under the same seeds.
 from __future__ import annotations
 
 import heapq
+import itertools
 
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Type
@@ -216,39 +217,48 @@ def schedule_arrivals(
     Arrivals are *not* pre-scheduled: a million heap entries up front
     would dominate the run's memory and heap-sift work.  Instead the
     per-tenant streams — each already in (arrival_s, request_id) order —
-    are lazily merged, one order slot per arrival is reserved so
-    tie-breaking matches the old pre-scheduled order exactly, and each
-    arrival event chains the next one from the merged iterator.
+    are lazily merged (a lone tenant's stream is iterated as it is), one
+    order slot per arrival is reserved so tie-breaking matches the old
+    pre-scheduled order exactly, and each arrival event chains the next
+    one from the merged iterator.
     """
+    if len(states) == 1:
+        (state,) = states
+        arrivals: Iterator[Tuple[_TenantState, Request]] = zip(
+            itertools.repeat(state), _ordered_requests(state.requests)
+        )
+    else:
 
-    def tenant_entries(
-        index: int, state: _TenantState, requests: Sequence[Request]
-    ) -> "Iterator[Tuple[float, int, int, _TenantState, Request]]":
-        for request in requests:
-            yield (request.arrival_s, index, request.request_id, state, request)
+        def tenant_entries(
+            index: int, state: _TenantState, requests: Sequence[Request]
+        ) -> "Iterator[Tuple[float, int, int, _TenantState, Request]]":
+            for request in requests:
+                yield (request.arrival_s, index, request.request_id, state, request)
 
-    streams = [
-        tenant_entries(index, state, _ordered_requests(state.requests))
-        for index, state in enumerate(states)
-    ]
-    # ``heapq.merge`` with already-sorted streams reproduces the old
-    # ``sorted(all_entries, key=entry[:3])`` order: keys differ across
-    # tenants (the index is part of the key) and within a tenant the
-    # stream order is preserved for ties, exactly like a stable sort.
-    arrival_iter = heapq.merge(*streams, key=lambda entry: entry[:3])
+        streams = [
+            tenant_entries(index, state, _ordered_requests(state.requests))
+            for index, state in enumerate(states)
+        ]
+        # ``heapq.merge`` with already-sorted streams reproduces the old
+        # ``sorted(all_entries, key=entry[:3])`` order: keys differ across
+        # tenants (the index is part of the key) and within a tenant the
+        # stream order is preserved for ties, exactly like a stable sort.
+        arrivals = (
+            entry[3:] for entry in heapq.merge(*streams, key=lambda entry: entry[:3])
+        )
     arrival_base = loop.reserve_orders(total_requests)
     arrival_slot = 0
 
     def advance_arrivals() -> None:
         nonlocal arrival_slot
-        entry = next(arrival_iter, None)
+        entry = next(arrivals, None)
         if entry is None:
             return
         loop.schedule_at(
-            entry[0],
+            entry[1].arrival_s,
             arrival_event,
             label="arrive",
-            args=(entry[3], entry[4]),
+            args=entry,
             order=arrival_base + arrival_slot,
         )
         arrival_slot += 1

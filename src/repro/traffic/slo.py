@@ -58,6 +58,11 @@ SERVED_OUTCOMES = frozenset(
     {RequestOutcome.COMPLETED, RequestOutcome.CACHED, RequestOutcome.COALESCED}
 )
 
+# Bound once: on CPython 3.11 looking a member up on its enum class is
+# over 20x slower than reading a module global, and every finished request
+# is checked against it.
+_COMPLETED = RequestOutcome.COMPLETED
+
 
 def check_times(
     request_id: int,
@@ -71,7 +76,7 @@ def check_times(
     The invariant of every :class:`RequestRecord`, and of a finished
     request the runtime reduces without building one.
     """
-    if outcome is RequestOutcome.COMPLETED:
+    if outcome is _COMPLETED:
         if dispatch_s is None or completion_s is None:
             raise SloError("completed requests need dispatch and completion times")
         if not arrival_s <= dispatch_s <= completion_s:
@@ -98,11 +103,18 @@ class TypedRecord:
     subclass validates in ``__new__``.  A record equals only a record of
     its own class with equal fields, never a plain tuple (nor a record of
     another class that happens to hold the same values), as a frozen
-    dataclass would; it hashes as the tuple of its fields.  NamedTuple's
-    ``_replace`` copies a record without validating the copy.
+    dataclass would; it hashes as the tuple of its fields.  A copy made
+    with NamedTuple's ``_replace`` (or ``_make``) is validated like any
+    other record.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        # NamedTuple's _make, which _replace calls, would build the tuple
+        # directly and skip the validating __new__.
+        return cls(*iterable)
 
     # Any other tuple is unequal outright: NotImplemented would hand the
     # comparison to tuple's own, which compares the fields.

@@ -23,7 +23,7 @@ def test_uniform_distribution_within_one_percent(q):
     for value in values:
         sketch.observe(value)
     exact = percentile(values, q * 100.0)
-    assert sketch.quantile(q) == pytest.approx(exact, rel=0.01)
+    assert sketch.quantile_many((q,))[0] == pytest.approx(exact, rel=0.01)
 
 
 @pytest.mark.parametrize("q", [0.5, 0.95, 0.99])
@@ -34,7 +34,7 @@ def test_exponential_distribution_within_one_percent(q):
     for value in values:
         sketch.observe(value)
     exact = percentile(values, q * 100.0)
-    assert sketch.quantile(q) == pytest.approx(exact, rel=0.01)
+    assert sketch.quantile_many((q,))[0] == pytest.approx(exact, rel=0.01)
 
 
 def test_sketch_tracks_exact_scalars():
@@ -70,11 +70,11 @@ def test_any_quantile_in_range_is_answerable():
     values = [rng.uniform(0.0, 1.0) for _ in range(10_000)]
     for value in values:
         sketch.observe(value)
-    assert sketch.quantile(0.25) == pytest.approx(percentile(values, 25.0), rel=0.02)
+    assert sketch.quantile_many((0.25,))[0] == pytest.approx(percentile(values, 25.0), rel=0.02)
     with pytest.raises(SketchError):
-        sketch.quantile(0.0)
+        sketch.quantile_many((0.0,))[0]
     with pytest.raises(SketchError):
-        sketch.quantile(1.5)
+        sketch.quantile_many((1.5,))[0]
 
 
 def test_histogram_is_insensitive_to_sample_order():
@@ -105,8 +105,8 @@ def test_histogram_bounds_answers_by_running_extremes():
     histogram = LogHistogram()
     histogram.add(5.0)
     histogram.add(7.0)
-    assert histogram.quantile(0.01) >= 5.0
-    assert histogram.quantile(0.99) <= 7.0
+    assert histogram.quantile_many((0.01,))[0] >= 5.0
+    assert histogram.quantile_many((0.99,))[0] <= 7.0
     with pytest.raises(SketchError):
-        histogram.quantile(1.0)
-    assert LogHistogram().quantile(0.5) == 0.0
+        histogram.quantile_many((1.0,))[0]
+    assert LogHistogram().quantile_many((0.5,))[0] == 0.0

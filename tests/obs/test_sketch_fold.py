@@ -1,20 +1,27 @@
 """Fold-once equivalence: a value added at its known bucket is an observe.
 
-The engine reduces each finished request once (:class:`Observation`, with
-every stage's bucket index) and folds it into every rollup it belongs to.
-That must leave each sketch exactly as observing the raw values would, and
-a sketch-mode federation must count every outcome exactly like the
+The engine folds each finished request, from its scalars, into every
+rollup it belongs to in one frame (:meth:`Rollups.fold`): each stage's
+bucket index is computed once, each histogram updated in place, and a
+scope's served-latency sketch is its stage-latency sketch until the first
+cached or coalesced outcome forks it.  That must leave every scope — the
+totals and each class — exactly as feeding it the raw values one
+``LogHistogram.add`` at a time would, field for field and bucket for
+bucket; the exact fold must append exactly those values; and a
+sketch-mode federation must count every outcome exactly like the
 record-retaining run.
 """
 
+import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.sketch import LogHistogram, QuantileSketch, bucket_index
-from repro.obs.streaming import Observation, StreamingTrafficStats
+from repro.obs.streaming import Rollups, StreamingTrafficStats
 from repro.traffic.arrivals import PoissonArrivals
 from repro.traffic.engine import MultiTenantTrafficEngine, TrafficConfig
 from repro.traffic.federation import ClusterSpec, FederatedTrafficEngine
@@ -35,14 +42,31 @@ def _state(sketch):
     return (sketch._counts, sketch.count, sketch.sum, sketch.min, sketch.max, sketch.summary())
 
 
+def _fold(stream, record):
+    """Fold one record into a sketch-mode accumulator, from its scalars, as the runtime does."""
+    Rollups((stream,)).fold(
+        record.outcome,
+        record.arrival_s,
+        record.dispatch_s,
+        record.completion_s,
+        record.cold_start_wait_s,
+        record.request_class,
+        record.deadline_s,
+    )
+
+
 @given(drawn=values)
 @settings(max_examples=150, deadline=None)
 def test_observe_at_a_precomputed_index_is_observe(drawn):
-    observed, folded = QuantileSketch(), QuantileSketch()
+    # Each value is a completed request's latency and service time (it
+    # arrives and is dispatched at 0), folded at its precomputed bucket.
+    observed, stream = QuantileSketch(), StreamingTrafficStats()
     for value in drawn:
         observed.observe(value)
-        folded.observe_at(float(value), bucket_index(float(value)))
-    assert _state(folded) == _state(observed)
+        Rollups((stream,)).fold(RequestOutcome.COMPLETED, 0.0, 0.0, value, 0.0, "c", None)
+    assert _state(stream.stages.latency) == _state(observed)
+    assert _state(stream.stages.service) == _state(observed)
+    assert QuantileSketch().min == QuantileSketch().max == 0.0  # empty reads as before
 
 
 def test_bucket_index_edges():
@@ -81,6 +105,164 @@ def test_quantile_many_reads_each_quantile_from_the_same_bucket(drawn, qs):
     )
 
 
+# -- one-frame fold against per-value adds, scope by scope ----------------------------
+
+COUNTERS = (
+    "offered", "completed", "timed_out", "dropped", "shed", "cached", "coalesced",
+    "rate_limited", "rejected", "deadline_total", "deadline_met",
+)
+STAGES = ("latency", "queueing", "service", "cold_wait")
+
+
+def _reference(records):
+    """Per scope ("" for the totals, else the class): counters and the five
+    distributions, each fed its raw values in fold order."""
+    scopes = {}
+    for record in records:
+        for name in ("", record.request_class):
+            entry = scopes.setdefault(name, _empty_scope())
+            counters, values = entry["counters"], entry["values"]
+            counters["offered"] += 1
+            counters[record.outcome.value] += 1
+            if record.deadline_s is not None:
+                counters["deadline_total"] += 1
+                counters["deadline_met"] += bool(record.deadline_met)
+            if record.outcome is RequestOutcome.COMPLETED:
+                values["latency"].append(record.latency_s)
+                values["queueing"].append(record.queueing_delay_s)
+                values["service"].append(record.service_s)
+                values["cold_wait"].append(record.cold_start_wait_s)
+            if record.served:
+                values["served"].append(record.latency_s)
+    return scopes
+
+
+def _empty_scope():
+    return {
+        "counters": dict.fromkeys(COUNTERS, 0),
+        "values": {key: [] for key in STAGES + ("served",)},
+    }
+
+
+def _histogram(values):
+    histogram = LogHistogram()
+    for value in values:
+        histogram.add(value)
+    return histogram
+
+
+def _fields(histogram):
+    # repr keeps floats bit-exact (and tells -0.0 from 0.0); the bucket
+    # list compares as it is.
+    return {
+        name: repr(value) if isinstance(value, float) else value
+        for name, value in vars(histogram).items()
+    }
+
+
+def _distributions(stats):
+    return dict(
+        {name: getattr(stats.stages, name) for name in STAGES}, served=stats.latency_served
+    )
+
+
+def _assert_scopes_match(stream, exact, records, declared):
+    reference = _reference(records)
+    got = {"": stream._totals}
+    got.update(stream._classes)
+    got_exact = {"": exact._totals}
+    got_exact.update(exact._classes)
+    assert sorted(got) == sorted(got_exact) == sorted(set(reference) | set(declared) | {""})
+    for name, stats in got.items():
+        entry = reference.get(name) or _empty_scope()
+        assert {counter: getattr(stats, counter) for counter in COUNTERS} == entry["counters"]
+        assert {
+            counter: getattr(got_exact[name], counter) for counter in COUNTERS
+        } == entry["counters"]
+        sketches = _distributions(stats)
+        samples = _distributions(got_exact[name])
+        for key, values in entry["values"].items():
+            assert _fields(sketches[key]) == _fields(_histogram(values)), (name, key)
+            assert samples[key].values == array("d", values), (name, key)
+        # Copy-on-write: the served sketch is the stage one until a cached
+        # or coalesced outcome of this scope forks it.
+        counters = entry["counters"]
+        shared = not (counters["cached"] or counters["coalesced"])
+        assert (stats.latency_served is stats.stages.latency) == shared
+        assert (got_exact[name].latency_served is got_exact[name].stages.latency) == shared
+
+
+CLASSES = ("gold", "silver", "bronze")
+
+
+def _outcome_stream(seed, count):
+    """``count`` valid records over every outcome, drawn from ``seed``, with
+    zero, sub-floor and ordinary durations, and classes that appear
+    mid-stream."""
+    rng = random.Random(seed)
+    outcomes = list(RequestOutcome)
+
+    def duration():
+        return rng.choice((0.0, 1e-12, 0.003, rng.uniform(0.0, 50.0)))
+
+    records = []
+    clock = 0.0
+    for request_id in range(count):
+        outcome = rng.choice(outcomes)
+        clock += rng.uniform(0.0, 2.0)
+        dispatch = completion = None
+        cold_wait = 0.0
+        if outcome is RequestOutcome.COMPLETED:
+            dispatch = clock + duration()
+            completion = dispatch + duration()
+            cold_wait = duration()
+        elif outcome in (RequestOutcome.CACHED, RequestOutcome.COALESCED):
+            completion = clock + duration()
+        records.append(
+            RequestRecord(
+                request_id=request_id,
+                function="f",
+                outcome=outcome,
+                arrival_s=clock,
+                dispatch_s=dispatch,
+                completion_s=completion,
+                cold_start_wait_s=cold_wait,
+                # Later classes only become drawable later in the stream.
+                request_class=rng.choice(CLASSES[: 1 + request_id // 12]),
+                deadline_s=rng.choice((None, clock + duration())),
+            )
+        )
+    return records
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.integers(min_value=0, max_value=40),
+    declared=st.lists(st.sampled_from(CLASSES), max_size=2, unique=True),
+)
+@settings(max_examples=200, deadline=None)
+def test_one_frame_fold_equals_per_value_adds_in_every_scope(seed, count, declared):
+    records = _outcome_stream(seed, count)
+    stream = StreamingTrafficStats(declared_classes=declared)
+    for record in records:
+        _fold(stream, record)
+    exact = StreamingTrafficStats.of_records(records, declared)
+    _assert_scopes_match(stream, exact, records, declared)
+
+
+def test_one_frame_fold_feeds_every_rollup_of_the_tuple():
+    first, second = StreamingTrafficStats(), StreamingTrafficStats(declared_classes=["gold"])
+    rollups = Rollups((first, second))
+    rollups.fold(RequestOutcome.COMPLETED, 1.0, 1.5, 2.5, 0.25, "gold", 3.0)
+    rollups.fold(RequestOutcome.CACHED, 2.0, None, 2.125, 0.0, "gold", 2.0)
+    rollups.fold(RequestOutcome.DROPPED, 3.0, None, None, 0.0, "gold", None)
+    for stream in (first, second):
+        assert stream._totals.offered == 3 and stream._totals.deadline_met == 1
+        assert _fields(stream._totals.latency_served) == _fields(_histogram([1.5, 0.125]))
+        assert _fields(stream.stages.latency) == _fields(_histogram([1.5]))
+    assert math.isinf(StreamingTrafficStats().stages.latency._min)  # nothing folded yet
+
+
 def test_scalar_fold_matches_record_fold_for_every_outcome():
     rng = random.Random(5)
     outcomes = list(RequestOutcome)
@@ -107,24 +289,16 @@ def test_scalar_fold_matches_record_fold_for_every_outcome():
                 deadline_s=rng.choice([None, arrival + 0.05]),
             )
         )
-    from_records, from_scalars = StreamingTrafficStats(), StreamingTrafficStats()
+    from_scalars = StreamingTrafficStats()
     for record in records:
-        from_records.fold(Observation.of_record(record))
-        from_scalars.fold(
-            Observation(
-                record.outcome,
-                record.arrival_s,
-                record.dispatch_s,
-                record.completion_s,
-                record.cold_start_wait_s,
-                record.request_class,
-                record.deadline_s,
-            )
-        )
-    assert repr(from_scalars.summary("m", "p", 10.0)) == repr(
-        from_records.summary("m", "p", 10.0)
-    )
-    assert from_scalars.waterfall("t") == from_records.waterfall("t")
+        _fold(from_scalars, record)
+    exact = StreamingTrafficStats.of_records(records)
+    _assert_scopes_match(from_scalars, exact, records, ())
+    summary = from_scalars.summary("m", "p", 10.0)
+    assert (summary.offered, summary.completed) == (exact.offered, exact._totals.completed)
+    assert [row.request_class for row in from_scalars.waterfall("t")] == [
+        row.request_class for row in exact.waterfall("t")
+    ] == ["bronze", "gold", "(all)"]
 
 
 def test_a_new_class_does_not_fork_the_request_into_the_sole_declared_class():
@@ -141,7 +315,7 @@ def test_a_new_class_does_not_fork_the_request_into_the_sole_declared_class():
             completion_s=0.2,
             request_class=name,
         )
-        stats.fold(Observation.of_record(record))
+        _fold(stats, record)
     rows = {row.name: row for row in stats.summary("m", "p", 1.0).classes}
     assert (rows["quiet"].offered, rows["quiet"].completed) == (0, 0)
     assert rows["quiet"].latency.count == 0

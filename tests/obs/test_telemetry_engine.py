@@ -11,11 +11,24 @@ from repro.obs import (
     Telemetry,
     TraceLog,
 )
-from repro.obs.streaming import Observation
+from repro.obs.streaming import Rollups
 from repro.traffic.arrivals import PoissonArrivals
 from repro.traffic.autoscaler import Autoscaler, TargetConcurrencyPolicy
 from repro.traffic.engine import TrafficConfig, TrafficEngine
 from repro.traffic.slo import RequestOutcome
+
+
+def _fold(stream, record):
+    """Fold one record into a sketch-mode accumulator, from its scalars, as the runtime does."""
+    Rollups((stream,)).fold(
+        record.outcome,
+        record.arrival_s,
+        record.dispatch_s,
+        record.completion_s,
+        record.cold_start_wait_s,
+        record.request_class,
+        record.deadline_s,
+    )
 
 
 def make_autoscaler():
@@ -156,7 +169,7 @@ def test_streaming_stats_mirror_exact_summary():
     engine, exact, _ = run_engine(retain_records=True)
     stream = StreamingTrafficStats()
     for record in engine.records:
-        stream.fold(Observation.of_record(record))
+        _fold(stream, record)
     summary = stream.summary(
         mode=exact.mode,
         pattern=exact.pattern,

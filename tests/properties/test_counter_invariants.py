@@ -6,10 +6,12 @@ region's load reads in O(1).  Each counter must equal the scan it replaced
 after any sequence of the operations that change it, and the federation's
 ``load()`` must equal the old scan formula at every router decision.
 
-:class:`ClusterRuntime` keeps a per-tenant index of free replicas, so a
-dispatch attempt does not scan the pool: the candidates it offers the load
-balancer must equal the pool scan they replaced at every dispatch attempt,
-and the ``warmth`` router's probe must equal its scan at every decision.
+:class:`ClusterRuntime` keeps a per-tenant index of free replicas, ordered
+least loaded first, so a dispatch attempt does not scan the pool: at every
+dispatch attempt the index's entries on nodes with a free core must equal
+the pool scan they replaced, in least-loaded order, and its pick the scan's
+``min`` by in-flight count; the ``warmth`` router's probe must equal its
+scan at every decision.
 Every run must also end back at baseline: no node busy, nothing in flight
 or queued, and each replica in exactly one of its tenant's free index or
 pending list.
@@ -207,7 +209,9 @@ def _scan_candidates(runtime, state, now):
 def _check_candidates_at_every_dispatch(mp, seen):
     """Instrument every runtime built under ``mp``: before each dispatch
     decision (every queue-depth probe and dispatch-order pass), each
-    tenant's indexed candidates must equal the scan, element for element."""
+    tenant's indexed candidates must equal the scan, element for element,
+    least loaded first (pool order on a tie), and its pick the scan's
+    least-loaded candidate."""
     build = ClusterRuntime.__init__
 
     def instrumented(runtime, **kwargs):
@@ -216,9 +220,17 @@ def _check_candidates_at_every_dispatch(mp, seen):
 
         def check():
             now = runtime.loop.now
+            node_busy, cores = runtime.node_busy, runtime.cores
             for state in runtime.states:
-                assert list(map(id, runtime.candidates(state, now))) == list(
-                    map(id, _scan_candidates(runtime, state, now))
+                at = runtime.pick(state, now)
+                indexed = [
+                    replica for replica in state.free if node_busy[replica.node] < cores[replica.node]
+                ]
+                scan = _scan_candidates(runtime, state, now)
+                in_flight = lambda replica: replica.gw_state.in_flight  # noqa: E731
+                assert list(map(id, indexed)) == list(map(id, sorted(scan, key=in_flight)))
+                assert (state.free[at] if at >= 0 else None) is (
+                    min(scan, key=in_flight) if scan else None
                 )
             seen["checks"] += 1
 

@@ -19,13 +19,27 @@ from hypothesis import strategies as st
 
 from repro.metrics.stats import LatencySummary, mean, percentile
 from repro.obs.spans import WaterfallRow
-from repro.obs.streaming import Observation, StreamingTrafficStats
+from repro.obs.streaming import Rollups, StreamingTrafficStats
 from repro.traffic.slo import (
     RequestOutcome,
     RequestRecord,
     summarize,
     summarize_classes,
 )
+
+
+def _fold(stream, record):
+    """Fold one record into a sketch-mode accumulator, from its scalars, as the runtime does."""
+    Rollups((stream,)).fold(
+        record.outcome,
+        record.arrival_s,
+        record.dispatch_s,
+        record.completion_s,
+        record.cold_start_wait_s,
+        record.request_class,
+        record.deadline_s,
+    )
+
 
 # -- the multi-pass reference ---------------------------------------------------------
 
@@ -293,7 +307,7 @@ COUNT_FIELDS = (
 def test_sketch_class_counts_equal_per_class_scans(rows, declared):
     stats = StreamingTrafficStats(declared_classes=declared)
     for record in rows:
-        stats.fold(Observation.of_record(record))
+        _fold(stats, record)
     got = stats.summary("m", "p", 10.0, declared_classes=declared).classes
     expected = _ref_classes(rows, declared)
     assert [row.name for row in got] == [ref["name"] for ref in expected]

@@ -148,6 +148,18 @@ def test_charges_are_immutable_records():
         charge.seconds = 1.0  # type: ignore[misc]
 
 
+def test_a_replaced_charge_is_validated_like_a_constructed_one():
+    charge = Charge(CostCategory.MEMCPY, 0.1)
+    with pytest.raises(LedgerError, match="non-negative"):
+        charge._replace(seconds=-5.0)
+    with pytest.raises(LedgerError, match="units"):
+        charge._replace(units=0)
+    with pytest.raises(LedgerError):
+        Charge._make((CostCategory.MEMCPY, 0.1, CpuDomain.USER, -1))
+    copy = charge._replace(seconds=0.25)
+    assert type(copy) is Charge and copy == Charge(CostCategory.MEMCPY, 0.25)
+
+
 def test_shared_clock_is_respected():
     clock = SimClock()
     clock.advance(3.0)

@@ -1,12 +1,13 @@
-"""Record-free completions: sketch mode reduces each request straight to an Observation.
+"""Record-free completions: sketch mode folds each request's scalars straight in.
 
 When nothing reads a :class:`RequestRecord` (sketch mode, no telemetry;
 a middleware pipeline's hooks take the outcome and completion instant), the
-runtime builds none: it checks the request's times with :func:`check_times`
-and folds one :class:`Observation` built from the request's scalars.  That
-observation must equal, slot for slot, the one the record path reduces,
-and an out-of-order completion must still raise the record's
-:class:`SloError`.
+runtime builds none, and no other per-request object either: it checks the
+request's times with :func:`check_times` and folds its scalars, in one
+:meth:`Rollups.fold` call, into every rollup the request belongs to.  That
+fold must agree with the record's own definitions, each request must be
+folded exactly once into each of its rollups, and an out-of-order
+completion must still raise the record's :class:`SloError`.
 """
 
 import functools
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gateway.middleware import build_pipeline
-from repro.obs.streaming import Observation
+from repro.obs.streaming import Rollups, StreamingTrafficStats
 from repro.traffic.arrivals import PoissonArrivals, Request
 from repro.traffic.autoscaler import Autoscaler, TargetConcurrencyPolicy
 from repro.traffic.cluster_runtime import ClusterRuntime
@@ -62,26 +63,39 @@ def _record(request_id, outcome, arrival, dispatch, completion, cold_wait, klass
     )
 
 
-def _slots(observation):
-    # repr keeps floats bit-exact and tells 0 from 0.0 and False from None.
-    return [repr(getattr(observation, name)) for name in Observation.__slots__]
+STAGE_VALUES = (
+    ("latency", "latency_s"),
+    ("queueing", "queueing_delay_s"),
+    ("service", "service_s"),
+    ("cold_wait", "cold_start_wait_s"),
+)
 
 
 @given(scalars=finished_requests())
 @settings(max_examples=300, deadline=None)
-def test_scalar_observation_equals_the_record_reduction(scalars):
+def test_scalar_fold_equals_the_record_reduction(scalars):
     record = _record(7, *scalars)
-    observation = Observation(*scalars)
-    assert _slots(observation) == _slots(Observation.of_record(record))
-    # The stage durations mirror the record's own definitions.
+    folded = StreamingTrafficStats()
+    Rollups((folded,)).fold(*scalars)
+    exact = StreamingTrafficStats.of_records([record])
+    for stats in (folded._totals, exact._totals):
+        assert (stats.offered, getattr(stats, record.outcome.value)) == (1, 1)
+        assert stats.deadline_total == (record.deadline_s is not None)
+        assert stats.deadline_met == bool(record.deadline_met)
+    # The stage durations mirror the record's own definitions, bit for bit
+    # (repr tells 0 from 0.0), in the sketch's running sum and the samples.
+    completed = record.outcome is RequestOutcome.COMPLETED
+    for stage, name in STAGE_VALUES:
+        sketch = getattr(folded.stages, stage)
+        samples = getattr(exact.stages, stage).values
+        assert sketch.count == len(samples) == int(completed)
+        if completed:
+            assert repr(sketch.sum) == repr(samples[0]) == repr(float(getattr(record, name)))
+    served = folded._totals.latency_served
+    assert served.count == int(record.served)
     if record.served:
-        assert observation.latency == record.latency_s
-    if record.outcome is RequestOutcome.COMPLETED:
-        assert (observation.queueing, observation.service) == (
-            record.queueing_delay_s,
-            record.service_s,
-        )
-    assert observation.deadline_met == record.deadline_met
+        assert repr(served.sum) == repr(float(record.latency_s))
+        assert exact._totals.latency_served.values.tolist() == [record.latency_s]
 
 
 def _steady_run(retain_records, requests=None, middleware=None):
@@ -145,28 +159,50 @@ def test_out_of_order_times_raise_the_record_error_on_the_record_free_path(backw
 
 
 def _count_builds(monkeypatch):
-    counts = {"records": 0, "observations": 0}
+    """Count RequestRecord builds, fold calls and the folds each rollup receives."""
+    counts = {"records": 0, "folds": 0, "per_rollup": {}}
     record_new = RequestRecord.__new__
-    observation_init = Observation.__init__
+    fold = Rollups.fold
 
     def counting_record(cls, *args, **kwargs):
         counts["records"] += 1
         return record_new(cls, *args, **kwargs)
 
-    def counting_observation(self, *args):
-        counts["observations"] += 1
-        observation_init(self, *args)
+    def counting_fold(rollups, *args):
+        counts["folds"] += 1
+        assert len(set(map(id, rollups))) == len(rollups)  # each rollup once
+        for stream in rollups:
+            counts["per_rollup"][id(stream)] = (
+                stream,
+                counts["per_rollup"].get(id(stream), (stream, 0))[1] + 1,
+            )
+        fold(rollups, *args)
 
     monkeypatch.setattr(RequestRecord, "__new__", counting_record)
-    monkeypatch.setattr(Observation, "__init__", counting_observation)
+    monkeypatch.setattr(Rollups, "fold", counting_fold)
     return counts
 
 
-def test_sketch_mode_builds_no_record_and_one_observation_per_request(monkeypatch):
+def _assert_folded_once_per_scope(counts, offered):
+    """One fold call per offered request, and every rollup folded exactly
+    once per request it counts, into each of the request's scopes."""
+    assert counts["records"] == 0
+    assert counts["folds"] == offered
+    rollups = counts["per_rollup"].values()
+    assert rollups and max(folds for _, folds in rollups) == offered
+    for stream, folds in rollups:
+        assert stream.offered == folds
+        totals = stream._totals
+        assert sum(
+            stats.offered for stats in stream._classes.values() if stats is not totals
+        ) in (0, folds)
+
+
+def test_sketch_mode_folds_each_request_once_per_scope(monkeypatch):
     counts = _count_builds(monkeypatch)
     summary = _steady_run(retain_records=False)
     assert summary.completed < summary.offered  # drops and timeouts too
-    assert counts == {"records": 0, "observations": summary.offered}
+    _assert_folded_once_per_scope(counts, summary.offered)
 
 
 def test_exact_mode_builds_one_record_per_request(monkeypatch):
@@ -190,7 +226,7 @@ def test_a_pipeline_alone_builds_no_record(monkeypatch):
     """
     counts = _count_builds(monkeypatch)
     sketch = _steady_run(False, middleware=build_pipeline(["cache", "coalesce"], cache_ttl_s=0.05))
-    assert counts == {"records": 0, "observations": sketch.offered}
+    _assert_folded_once_per_scope(counts, sketch.offered)
     exact = _steady_run(True, middleware=build_pipeline(["cache", "coalesce"], cache_ttl_s=0.05))
     assert sketch.cached and sketch.coalesced and sketch.completed
     assert [getattr(sketch, name) for name in OUTCOME_COUNTS] == [

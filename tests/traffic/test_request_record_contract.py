@@ -139,3 +139,16 @@ def test_replace_returns_the_same_class(make):
     assert type(copy) is type(record)
     assert copy.request_class == "bronze"
     assert copy._replace(request_class=record.request_class) == record
+
+
+def test_a_replaced_record_is_validated_like_a_constructed_one():
+    dropped = RequestRecord(1, "f", RequestOutcome.DROPPED, 0.0)
+    # A completed record needs dispatch and completion times.
+    with pytest.raises(SloError, match="dispatch and completion"):
+        dropped._replace(outcome=RequestOutcome.COMPLETED)
+    with pytest.raises(SloError, match="ordered"):
+        _record()._replace(dispatch_s=0.25)  # dispatched before it arrived
+    with pytest.raises(SloError):
+        RequestRecord._make(tuple(dropped)[:2] + (RequestOutcome.CACHED, 0.0))
+    with pytest.raises(SpanError, match="before it arrives"):
+        _trace()._replace(end_s=0.0)
