@@ -18,6 +18,11 @@ from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 from repro.sim.ledger import CostCategory, CostLedger, CpuDomain
 
 
+# Members charged per operation, bound once (see repro.sim.ledger).
+_COLD_START = CostCategory.COLD_START
+_USER = CpuDomain.USER
+
+
 class RunCError(RuntimeError):
     """Raised for invalid sandbox operations."""
 
@@ -73,15 +78,16 @@ class RunCRuntime:
             )
         if charge_cold_start:
             self.ledger.charge(
-                CostCategory.COLD_START,
+                _COLD_START,
                 self.cold_start_time(bundle.image),
-                cpu_domain=CpuDomain.USER,
+                cpu_domain=_USER,
                 nbytes=bundle.image.size_bytes,
                 copied=True,
                 label="runc-cold-start:%s" % bundle.name,
             )
         self.sandboxes_created += 1
         sandbox_name = "%s-%d" % (bundle.name, self.sandboxes_created)
-        baseline = int(self.cost_model.container_baseline_rss_mb * 1024 * 1024)
-        process = self.kernel.create_process(sandbox_name, baseline_rss_bytes=baseline)
+        process = self.kernel.create_process(
+            sandbox_name, baseline_rss_bytes=self.cost_model.container_baseline_rss_bytes
+        )
         return ContainerSandbox(name=sandbox_name, bundle=bundle, process=process)

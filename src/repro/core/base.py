@@ -17,6 +17,11 @@ from repro.platform.deployment import DeployedFunction
 from repro.sim.ledger import CostCategory, CpuDomain
 
 
+# Members charged per operation, bound once (see repro.sim.ledger).
+_SERIALIZATION = CostCategory.SERIALIZATION
+_USER = CpuDomain.USER
+
+
 class RoadrunnerChannelBase(DataPassingChannel):
     """Base class holding the per-function shim cache and the config."""
 
@@ -55,13 +60,13 @@ class RoadrunnerChannelBase(DataPassingChannel):
         )
         # Guest-side work happens on the source's host: charge its shard.
         self.node_ledger(source).charge(
-            CostCategory.SERIALIZATION,
+            _SERIALIZATION,
             preparation,
-            cpu_domain=CpuDomain.USER,
+            cpu_domain=_USER,
             nbytes=0,
             label="pointer-handoff:%s" % source.name,
         )
-        source.process.charge_cpu(CpuDomain.USER, preparation)
+        source.process.charge_cpu(_USER, preparation)
         return shim
 
     def _move(self, source, target, payload):  # pragma: no cover - abstract passthrough

@@ -57,7 +57,8 @@ class RoadrunnerConfig:
 
     @classmethod
     def default(cls) -> "RoadrunnerConfig":
-        return cls()
+        """The paper's configuration; one shared instance (it is immutable)."""
+        return _DEFAULT
 
     @classmethod
     def no_zero_copy(cls) -> "RoadrunnerConfig":
@@ -78,3 +79,6 @@ class RoadrunnerConfig:
     def effective_batch_factor(self) -> int:
         """The batch factor the channels should apply (1 when disabled)."""
         return self.syscall_batch_factor if self.syscall_batching else 1
+
+
+_DEFAULT = RoadrunnerConfig()

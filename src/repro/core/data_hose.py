@@ -20,6 +20,11 @@ from repro.payload import Payload
 from repro.sim.ledger import CostCategory, CpuDomain
 
 
+# Members charged per operation, bound once (see repro.sim.ledger).
+_SPLICE = CostCategory.SPLICE
+_KERNEL = CpuDomain.KERNEL
+
+
 class DataHoseError(RuntimeError):
     """Raised for invalid data-hose usage."""
 
@@ -41,12 +46,12 @@ class VirtualDataHose:
         # Creating the hose costs a pipe2() plus an F_SETPIPE_SZ resize.
         self.kernel.syscall(owner, "pipe2(%s)" % name)
         self.kernel.ledger.charge(
-            CostCategory.SPLICE,
+            _SPLICE,
             self.kernel.cost_model.data_hose_setup_overhead,
-            cpu_domain=CpuDomain.KERNEL,
+            cpu_domain=_KERNEL,
             label="hose-setup:%s" % name,
         )
-        owner.charge_cpu(CpuDomain.KERNEL, self.kernel.cost_model.data_hose_setup_overhead)
+        owner.charge_cpu(_KERNEL, self.kernel.cost_model.data_hose_setup_overhead)
         self.pipe = Pipe(
             kernel=kernel,
             capacity=capacity if capacity is not None else DEFAULT_PIPE_CAPACITY,

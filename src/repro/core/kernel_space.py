@@ -19,6 +19,11 @@ from repro.platform.deployment import DeployedFunction
 from repro.sim.ledger import CostCategory, CpuDomain
 
 
+# Members charged per operation, bound once (see repro.sim.ledger).
+_IPC = CostCategory.IPC
+_USER = CpuDomain.USER
+
+
 class KernelSpaceChannel(RoadrunnerChannelBase):
     """Roadrunner (Kernel space): same host, Unix-socket IPC, serialization-free."""
 
@@ -92,10 +97,10 @@ class KernelSpaceChannel(RoadrunnerChannelBase):
         # Per-request async bookkeeping on both shims (tokio-style executors).
         async_cost = self.cluster.cost_model.async_task_overhead
         self.node_ledger(source).charge(
-            CostCategory.IPC,
+            _IPC,
             async_cost,
-            cpu_domain=CpuDomain.USER,
+            cpu_domain=_USER,
             label="ipc-async-overhead",
         )
-        source.process.charge_cpu(CpuDomain.USER, async_cost)
+        source.process.charge_cpu(_USER, async_cost)
         return received

@@ -23,6 +23,11 @@ from repro.platform.deployment import DeployedFunction
 from repro.sim.ledger import CostCategory, CpuDomain
 
 
+# Members charged per operation, bound once (see repro.sim.ledger).
+_NETWORK = CostCategory.NETWORK
+_USER = CpuDomain.USER
+
+
 class NetworkChannel(RoadrunnerChannelBase):
     """Roadrunner (Network): inter-node, serialization-free, near-zero copy."""
 
@@ -119,10 +124,10 @@ class NetworkChannel(RoadrunnerChannelBase):
         # Async bookkeeping for the two shims' executors.
         async_cost = self.cluster.cost_model.async_task_overhead
         self.node_ledger(source).charge(
-            CostCategory.NETWORK,
+            _NETWORK,
             async_cost,
-            cpu_domain=CpuDomain.USER,
+            cpu_domain=_USER,
             label="network-async-overhead",
         )
-        source.process.charge_cpu(CpuDomain.USER, async_cost)
+        source.process.charge_cpu(_USER, async_cost)
         return received

@@ -9,31 +9,44 @@ access is validated against this registry before touching linear memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
+
+from repro.record import TypedRecord
 
 
 class RegistryError(RuntimeError):
     """Raised for unregistered or out-of-bounds region access."""
 
 
-@dataclass(frozen=True)
-class MemoryRegion:
-    """One registered (function, address, length) region."""
-
+class _RegionFields(NamedTuple):
     function: str
     address: int
     length: int
     workflow: str = "default"
     tenant: str = "default"
 
-    def __post_init__(self) -> None:
-        if not self.function:
+
+class MemoryRegion(TypedRecord, _RegionFields):
+    """One registered (function, address, length) region (a validated tuple
+    record, see :class:`~repro.record.TypedRecord`)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        function: str,
+        address: int,
+        length: int,
+        workflow: str = "default",
+        tenant: str = "default",
+    ) -> "MemoryRegion":
+        if not function:
             raise RegistryError("region needs a function name")
-        if self.address < 0 or self.length <= 0:
+        if address < 0 or length <= 0:
             raise RegistryError(
-                "invalid region bounds (address=%d, length=%d)" % (self.address, self.length)
+                "invalid region bounds (address=%d, length=%d)" % (address, length)
             )
+        return tuple.__new__(cls, (function, address, length, workflow, tenant))
 
     @property
     def end(self) -> int:

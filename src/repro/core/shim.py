@@ -40,16 +40,13 @@ class RoadrunnerShim:
                 "the Roadrunner shim attaches to Wasm deployments; %r is not one" % deployed.name
             )
         self.deployed = deployed
+        self.function_name = deployed.name
         self.cluster = cluster
         self.registry = MemoryRegionRegistry()
         self.config = config if config is not None else RoadrunnerConfig.default()
         self.host_api: HostMemoryApi = deployed.vm.host_api()
 
     # -- identity ---------------------------------------------------------------
-
-    @property
-    def function_name(self) -> str:
-        return self.deployed.name
 
     @property
     def node_name(self) -> str:

@@ -17,6 +17,11 @@ from repro.platform.deployment import DeployedFunction
 from repro.sim.ledger import CostCategory, CpuDomain
 
 
+# Members charged per operation, bound once (see repro.sim.ledger).
+_TRANSFER = CostCategory.TRANSFER
+_USER = CpuDomain.USER
+
+
 class UserSpaceChannel(RoadrunnerChannelBase):
     """Roadrunner (User space): intra-VM, near-zero copy, serialization-free."""
 
@@ -65,10 +70,10 @@ class UserSpaceChannel(RoadrunnerChannelBase):
         # The transfer stays within one process: charge the (tiny) metadata
         # cost of updating the shim's region table on the owning node.
         self.node_ledger(source).charge(
-            CostCategory.TRANSFER,
+            _TRANSFER,
             source.vm.cost_model.region_metadata_overhead,
-            cpu_domain=CpuDomain.USER,
+            cpu_domain=_USER,
             label="user-space-handoff",
         )
-        source.process.charge_cpu(CpuDomain.USER, source.vm.cost_model.region_metadata_overhead)
+        source.process.charge_cpu(_USER, source.vm.cost_model.region_metadata_overhead)
         return data

@@ -10,15 +10,23 @@ Every evaluated configuration is described by a mode label:
 ``wasmedge-http``      two WasmEdge functions exchanging serialized HTTP payloads
 ====================  ==========================================================
 
-``build_pair_setup`` / ``build_fanout_setup`` assemble a fresh, isolated
-environment (cluster, ledger, deployments, channel, workflow, invoker) for one
-measurement so repetitions never share state.
+``build_pair_setup`` / ``build_fanout_setup`` assemble an isolated
+environment for one measurement.  Everything a transfer can change is built
+fresh per call: the cluster with its ledger shards and clock, the memory
+meters, kernels, processes and cgroups, the Wasm VMs and linear memories, the
+container sandboxes, the channel and the invoker.  Only immutable parts are
+shared between setups: the function specs (per mode and names), the
+workflows and the stateless string codec.  Within a setup, the functions on
+one node share that node's serializer, which holds no per-transfer state.
+A measurement therefore never sees another's state, and building a setup
+costs no more than its mutable parts.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.baselines.runc_http import RunCHttpChannel
 from repro.baselines.wasmedge_http import WasmEdgeHttpChannel
@@ -119,10 +127,12 @@ def _make_channel(
     return WasmEdgeHttpChannel(cluster)
 
 
-def _specs(mode: str, names: Sequence[str]) -> List[FunctionSpec]:
+@functools.lru_cache(maxsize=64)
+def _specs(mode: str, names: Tuple[str, ...]) -> Tuple[FunctionSpec, ...]:
+    """The (immutable) specs of ``names`` in ``mode``, built once per pair."""
     kind = _runtime_kind(mode)
     requires_wasi = kind is not RuntimeKind.RUNC
-    return [
+    return tuple(
         FunctionSpec(
             name=name,
             runtime=kind,
@@ -131,7 +141,19 @@ def _specs(mode: str, names: Sequence[str]) -> List[FunctionSpec]:
             tenant="tenant-1",
         )
         for name in names
-    ]
+    )
+
+
+#: The a->b chain every pair setup runs (a workflow is immutable).
+_PAIR_NAMES = ("fn-a", "fn-b")
+_PAIR_WORKFLOW = SequenceWorkflow(list(_PAIR_NAMES), name="chain-a-b")
+
+
+@functools.lru_cache(maxsize=64)
+def _fanout_layout(degree: int) -> Tuple[Tuple[str, ...], FanOutWorkflow]:
+    """Target names and the (immutable) workflow of a fan-out of ``degree``."""
+    targets = tuple("fn-b-%d" % i for i in range(degree))
+    return targets, FanOutWorkflow(source="fn-a", targets=targets, name="fan-out-%d" % degree)
 
 
 def build_pair_setup(
@@ -145,25 +167,25 @@ def build_pair_setup(
     _validate_mode(mode, internode)
     cluster = _make_cluster(internode, cost_model)
     orchestrator = Orchestrator(cluster)
-    specs = _specs(mode, ["fn-a", "fn-b"])
-    nodes = list(cluster.nodes)
+    nodes = cluster.node_names
     placement = {"fn-a": nodes[0], "fn-b": nodes[-1] if internode else nodes[0]}
     share_vm_key = "shared-vm" if mode == "roadrunner-user" else None
     deployments = orchestrator.deploy_all(
-        specs, placement=placement, share_vm_key=share_vm_key, materialize=materialize
+        _specs(mode, _PAIR_NAMES),
+        placement=placement,
+        share_vm_key=share_vm_key,
+        materialize=materialize,
     )
     channel = _make_channel(mode, cluster, config)
-    workflow = SequenceWorkflow(["fn-a", "fn-b"], name="chain-a-b")
-    invoker = Invoker(orchestrator, channel)
     return TransferSetup(
         mode=mode,
         cluster=cluster,
         orchestrator=orchestrator,
         channel=channel,
-        workflow=workflow,
+        workflow=_PAIR_WORKFLOW,
         source=deployments[0],
         targets=[deployments[1]],
-        invoker=invoker,
+        invoker=Invoker(orchestrator, channel),
     )
 
 
@@ -174,19 +196,19 @@ def build_fanout_setup(mode: str, degree: int, internode: bool = False) -> Trans
     _validate_mode(mode, internode)
     cluster = _make_cluster(internode, DEFAULT_COST_MODEL)
     orchestrator = Orchestrator(cluster)
-    target_names = ["fn-b-%d" % i for i in range(degree)]
-    specs = _specs(mode, ["fn-a"] + target_names)
-    nodes = list(cluster.nodes)
+    target_names, workflow = _fanout_layout(degree)
+    nodes = cluster.node_names
     target_node = nodes[-1] if internode else nodes[0]
-    placement = {"fn-a": nodes[0]}
-    placement.update({name: target_node for name in target_names})
+    placement = dict.fromkeys(target_names, target_node)
+    placement["fn-a"] = nodes[0]
     share_vm_key = "shared-vm" if mode == "roadrunner-user" else None
     deployments = orchestrator.deploy_all(
-        specs, placement=placement, share_vm_key=share_vm_key, materialize=False
+        _specs(mode, ("fn-a",) + target_names),
+        placement=placement,
+        share_vm_key=share_vm_key,
+        materialize=False,
     )
     channel = _make_channel(mode, cluster, None)
-    workflow = FanOutWorkflow(source="fn-a", targets=target_names, name="fan-out-%d" % degree)
-    invoker = Invoker(orchestrator, channel)
     return TransferSetup(
         mode=mode,
         cluster=cluster,
@@ -195,5 +217,5 @@ def build_fanout_setup(mode: str, degree: int, internode: bool = False) -> Trans
         workflow=workflow,
         source=deployments[0],
         targets=deployments[1:],
-        invoker=invoker,
+        invoker=Invoker(orchestrator, channel),
     )

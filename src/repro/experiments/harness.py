@@ -3,7 +3,9 @@
 The paper executes every configuration 10 times and reports the mean
 (Sec. 6.2).  The reproduction is deterministic, so every repetition would
 yield the same sample: each configuration runs once, in a freshly built
-environment — nothing is shared between measurements.
+environment.  Measurements share no mutable state; what ``build_pair_setup``
+and ``build_fanout_setup`` reuse across them (function specs, workflows,
+stateless codecs) is immutable — see :mod:`repro.experiments.environment`.
 """
 
 from __future__ import annotations

@@ -93,14 +93,26 @@ class Admission:
     def short_circuit(
         cls, outcome: RequestOutcome, completion_s: Optional[float] = None
     ) -> "Admission":
-        return cls(AdmitAction.SHORT_CIRCUIT, outcome=outcome, completion_s=completion_s)
+        return cls(_SHORT_CIRCUIT, outcome=outcome, completion_s=completion_s)
 
     @classmethod
     def parked(cls) -> "Admission":
-        return cls(AdmitAction.PARK)
+        return cls(_PARK)
 
 
 _PASS = Admission(AdmitAction.PASS)
+
+# Members read per request, bound once: a module global is a dict hit, an
+# ``Enum`` class attribute a descriptor call.
+_SHORT_CIRCUIT = AdmitAction.SHORT_CIRCUIT
+_PARK = AdmitAction.PARK
+#: The decisions that stop the admission walk.
+_STOPS = (_SHORT_CIRCUIT, _PARK)
+_COMPLETED = RequestOutcome.COMPLETED
+_CACHED = RequestOutcome.CACHED
+_COALESCED = RequestOutcome.COALESCED
+_REJECTED = RequestOutcome.REJECTED
+_RATE_LIMITED = RequestOutcome.RATE_LIMITED
 
 #: A parked request a terminal outcome resolves: its context, its own
 #: outcome and its completion instant (``None`` when it was not served).
@@ -255,7 +267,7 @@ class MiddlewarePipeline:
         for stage in self.stages:
             ctx.entered.append(stage)
             decision = stage.on_admit(ctx, now)
-            if decision.action in (AdmitAction.SHORT_CIRCUIT, AdmitAction.PARK):
+            if decision.action in _STOPS:
                 return Admission(
                     action=decision.action,
                     outcome=decision.outcome,
@@ -327,11 +339,11 @@ class AuthQuotaStage(MiddlewareStage):
     def on_admit(self, ctx: RequestContext, now: float) -> Admission:
         if self.allow is not None and ctx.tenant not in self.allow:
             self.count("denied_auth")
-            return Admission.short_circuit(RequestOutcome.REJECTED)
+            return Admission.short_circuit(_REJECTED)
         used = self._admitted.get(ctx.tenant, 0)
         if self.quota is not None and used >= self.quota:
             self.count("denied_quota")
-            return Admission.short_circuit(RequestOutcome.REJECTED)
+            return Admission.short_circuit(_REJECTED)
         self._admitted[ctx.tenant] = used + 1
         self.count("authorized")
         return Admission.passed()
@@ -368,7 +380,7 @@ class TokenBucketStage(MiddlewareStage):
         if balance < 1.0:
             self._buckets[ctx.tenant] = (balance, now)
             self.count("rejected")
-            return Admission.short_circuit(RequestOutcome.RATE_LIMITED)
+            return Admission.short_circuit(_RATE_LIMITED)
         self._buckets[ctx.tenant] = (balance - 1.0, now)
         self.count("allowed")
         return Admission.passed()
@@ -420,7 +432,7 @@ class ResponseCacheStage(MiddlewareStage):
                 self._entries[ctx.key] = entry
                 self.count("hits")
                 return Admission.short_circuit(
-                    RequestOutcome.CACHED, completion_s=now + self.hit_latency_s
+                    _CACHED, completion_s=now + self.hit_latency_s
                 )
             del self._entries[ctx.key]
             self.count("expired")
@@ -434,7 +446,7 @@ class ResponseCacheStage(MiddlewareStage):
         completion_s: Optional[float],
         now: float,
     ) -> Iterable[FollowOn]:
-        if outcome is RequestOutcome.COMPLETED:
+        if outcome is _COMPLETED:
             existing = self._entries.pop(ctx.key, None)
             self._entries[ctx.key] = _CacheEntry(
                 expires_s=now + self.ttl_s,
@@ -490,8 +502,8 @@ class CoalesceStage(MiddlewareStage):
             return ()
         del self._leaders[ctx.key]
         followers = self._followers.pop(ctx.key, [])
-        if outcome in (RequestOutcome.COMPLETED, RequestOutcome.CACHED):
-            event, outcome = "fanned_out", RequestOutcome.COALESCED
+        if outcome is _COMPLETED or outcome is _CACHED:
+            event, outcome = "fanned_out", _COALESCED
         else:
             event, completion_s = "shared_failures", None
         for _ in followers:

@@ -14,6 +14,12 @@ from __future__ import annotations
 from repro.sim.ledger import CpuDomain, MemoryMeter
 
 
+# Members charged per operation, bound once (see repro.sim.ledger).
+_KERNEL = CpuDomain.KERNEL
+_NO_CPU = CpuDomain.NONE
+_USER = CpuDomain.USER
+
+
 class CgroupError(ValueError):
     """Raised for invalid accounting operations."""
 
@@ -33,11 +39,11 @@ class Cgroup:
         """Add ``seconds`` of CPU time in ``domain`` (USER or KERNEL)."""
         if seconds < 0:
             raise CgroupError("cpu charge must be non-negative, got %r" % seconds)
-        if domain is CpuDomain.KERNEL:
+        if domain is _KERNEL:
             self._kernel_seconds += seconds
-        elif domain is CpuDomain.USER:
+        elif domain is _USER:
             self._user_seconds += seconds
-        elif domain is not CpuDomain.NONE:
+        elif domain is not _NO_CPU:
             raise CgroupError("unknown CPU domain %r" % (domain,))
 
     @property

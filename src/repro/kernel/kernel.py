@@ -20,6 +20,14 @@ from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 from repro.sim.ledger import CostCategory, CostLedger, CpuDomain, MemoryMeter
 
 
+# Members charged per operation, bound once (see repro.sim.ledger).
+_SYSCALL = CostCategory.SYSCALL
+_CONTEXT_SWITCH = CostCategory.CONTEXT_SWITCH
+_MEMCPY = CostCategory.MEMCPY
+_SPLICE = CostCategory.SPLICE
+_KERNEL = CpuDomain.KERNEL
+
+
 class KernelError(RuntimeError):
     """Raised for invalid kernel operations."""
 
@@ -44,8 +52,9 @@ class Kernel:
     def create_process(self, name: str, baseline_rss_bytes: int = 0) -> Process:
         """Spawn a process with its own cgroup and memory meter."""
         pid = next(self._pid_counter)
-        meter = self.ledger.meter("%s/%s" % (self.node_name, name), baseline_rss_bytes)
-        cgroup = Cgroup(name="%s/%s" % (self.node_name, name), memory=meter)
+        path = "%s/%s" % (self.node_name, name)
+        meter = self.ledger.meter(path, baseline_rss_bytes)
+        cgroup = Cgroup(name=path, memory=meter)
         process = Process(pid=pid, name=name, cgroup=cgroup)
         self._processes[pid] = process
         return process
@@ -83,13 +92,13 @@ class Kernel:
             raise KernelError("syscall count must be >= 1")
         seconds = self.cost_model.syscall_time(count)
         self.ledger.charge(
-            CostCategory.SYSCALL,
+            _SYSCALL,
             seconds,
-            cpu_domain=CpuDomain.KERNEL,
+            cpu_domain=_KERNEL,
             label="%s:%s" % (process.name, name),
             units=count,
         )
-        process.charge_cpu(CpuDomain.KERNEL, seconds)
+        process.charge_cpu(_KERNEL, seconds)
         process.note_syscall(count)
         return seconds
 
@@ -97,12 +106,12 @@ class Kernel:
         """Charge one context switch away from ``from_process``."""
         seconds = self.cost_model.context_switch_overhead
         self.ledger.charge(
-            CostCategory.CONTEXT_SWITCH,
+            _CONTEXT_SWITCH,
             seconds,
-            cpu_domain=CpuDomain.KERNEL,
+            cpu_domain=_KERNEL,
             label="switch:%s" % from_process.name,
         )
-        from_process.charge_cpu(CpuDomain.KERNEL, seconds)
+        from_process.charge_cpu(_KERNEL, seconds)
         from_process.note_context_switch()
         return seconds
 
@@ -110,42 +119,42 @@ class Kernel:
         """Copy ``nbytes`` from user space into kernel buffers."""
         seconds = self.cost_model.user_kernel_copy_time(nbytes)
         self.ledger.charge(
-            CostCategory.MEMCPY,
+            _MEMCPY,
             seconds,
-            cpu_domain=CpuDomain.KERNEL,
+            cpu_domain=_KERNEL,
             nbytes=nbytes,
             copied=True,
             label=label or "%s:user->kernel" % process.name,
         )
-        process.charge_cpu(CpuDomain.KERNEL, seconds)
+        process.charge_cpu(_KERNEL, seconds)
         return seconds
 
     def copy_kernel_to_user(self, process: Process, nbytes: int, label: str = "") -> float:
         """Copy ``nbytes`` from kernel buffers into user space."""
         seconds = self.cost_model.user_kernel_copy_time(nbytes)
         self.ledger.charge(
-            CostCategory.MEMCPY,
+            _MEMCPY,
             seconds,
-            cpu_domain=CpuDomain.KERNEL,
+            cpu_domain=_KERNEL,
             nbytes=nbytes,
             copied=True,
             label=label or "%s:kernel->user" % process.name,
         )
-        process.charge_cpu(CpuDomain.KERNEL, seconds)
+        process.charge_cpu(_KERNEL, seconds)
         return seconds
 
     def splice_pages(self, process: Process, nbytes: int, label: str = "") -> float:
         """Gift/steal page references (vmsplice/splice) — no byte copy."""
         seconds = self.cost_model.splice_time(nbytes)
         self.ledger.charge(
-            CostCategory.SPLICE,
+            _SPLICE,
             seconds,
-            cpu_domain=CpuDomain.KERNEL,
+            cpu_domain=_KERNEL,
             nbytes=nbytes,
             copied=False,
             label=label or "%s:splice" % process.name,
         )
-        process.charge_cpu(CpuDomain.KERNEL, seconds)
+        process.charge_cpu(_KERNEL, seconds)
         return seconds
 
     def track_kernel_buffer(self, process: Process, buffer: "KernelBuffer") -> None:

@@ -28,18 +28,23 @@ class Process:
         self.syscall_count = 0
         self.context_switches = 0
 
+    # The liveness test is inline on these per-charge paths; the raising
+    # helper runs only for an exited process.
     def charge_cpu(self, domain: CpuDomain, seconds: float) -> None:
-        self._require_alive()
+        if not self.alive:
+            self._require_alive()
         self.cgroup.charge_cpu(domain, seconds)
 
     def note_syscall(self, count: int = 1) -> None:
-        self._require_alive()
+        if not self.alive:
+            self._require_alive()
         if count < 0:
             raise ProcessError("syscall count must be non-negative")
         self.syscall_count += count
 
     def note_context_switch(self) -> None:
-        self._require_alive()
+        if not self.alive:
+            self._require_alive()
         self.context_switches += 1
 
     def exit(self) -> None:

@@ -23,6 +23,15 @@ from repro.payload import Payload
 from repro.sim.ledger import CostCategory, CpuDomain
 
 
+# Members charged per operation, bound once (see repro.sim.ledger).
+_IPC = CostCategory.IPC
+_NETWORK = CostCategory.NETWORK
+_WASM_IO = CostCategory.WASM_IO
+_KERNEL = CpuDomain.KERNEL
+_NO_CPU = CpuDomain.NONE
+_USER = CpuDomain.USER
+
+
 class SocketError(RuntimeError):
     """Raised for invalid socket operations."""
 
@@ -54,9 +63,9 @@ class UnixSocketPair:
         self.kernel.syscall(client, "connect(%s)" % self.name)
         self.kernel.syscall(server, "accept(%s)" % self.name)
         self.kernel.ledger.charge(
-            CostCategory.IPC,
+            _IPC,
             self.kernel.cost_model.unix_socket_setup_overhead,
-            cpu_domain=CpuDomain.KERNEL,
+            cpu_domain=_KERNEL,
             label="uds-setup:%s" % self.name,
         )
         self._connected = True
@@ -75,14 +84,14 @@ class UnixSocketPair:
         # we book the sender's half here and the receiver's half in recv().
         half_copy = payload.size / self.kernel.cost_model.unix_socket_bandwidth / 2.0
         self.kernel.ledger.charge(
-            CostCategory.IPC,
+            _IPC,
             half_copy,
-            cpu_domain=CpuDomain.KERNEL,
+            cpu_domain=_KERNEL,
             nbytes=payload.size,
             copied=True,
             label="uds-send:%s" % self.name,
         )
-        sender.charge_cpu(CpuDomain.KERNEL, half_copy)
+        sender.charge_cpu(_KERNEL, half_copy)
         buffer = KernelBuffer(payload=payload.copy(), copied=True, producer=sender.name)
         self.kernel.track_kernel_buffer(sender, buffer)
         self._queue.append(buffer)
@@ -99,14 +108,14 @@ class UnixSocketPair:
         self.kernel.syscall(receiver, "recvmsg(%s)" % self.name, count=chunk_syscalls)
         half_copy = buffer.size / self.kernel.cost_model.unix_socket_bandwidth / 2.0
         self.kernel.ledger.charge(
-            CostCategory.IPC,
+            _IPC,
             half_copy,
-            cpu_domain=CpuDomain.KERNEL,
+            cpu_domain=_KERNEL,
             nbytes=buffer.size,
             copied=True,
             label="uds-recv:%s" % self.name,
         )
-        receiver.charge_cpu(CpuDomain.KERNEL, half_copy)
+        receiver.charge_cpu(_KERNEL, half_copy)
         # Release against the meter that allocated (the sender's): the old
         # receiver-side free charged the wrong process's accounting.
         self.kernel.release_kernel_buffer(buffer)
@@ -150,9 +159,9 @@ class TcpConnection:
         self.target_kernel.syscall(server, "accept(%s)" % self.name)
         setup = self.source_kernel.cost_model.tcp_setup_overhead
         self.source_kernel.ledger.charge(
-            CostCategory.NETWORK,
+            _NETWORK,
             setup,
-            cpu_domain=CpuDomain.NONE,
+            cpu_domain=_NO_CPU,
             label="tcp-handshake:%s" % self.name,
         )
         self._established = True
@@ -183,9 +192,9 @@ class TcpConnection:
     def _transmit(self, sender: Process, buffer: KernelBuffer, wasi_mediated: bool) -> None:
         wire_seconds = self.link.transfer_seconds(buffer.size, wasi_mediated=wasi_mediated)
         self.source_kernel.ledger.charge(
-            CostCategory.NETWORK,
+            _NETWORK,
             wire_seconds,
-            cpu_domain=CpuDomain.NONE,
+            cpu_domain=_NO_CPU,
             nbytes=buffer.size,
             copied=False,
             label="wire:%s" % self.name,
@@ -204,12 +213,12 @@ class TcpConnection:
             # Each WASI socket read adds a host-call round trip per chunk.
             extra = chunk_syscalls * self.target_kernel.cost_model.wasi_call_overhead
             self.target_kernel.ledger.charge(
-                CostCategory.WASM_IO,
+                _WASM_IO,
                 extra,
-                cpu_domain=CpuDomain.USER,
+                cpu_domain=_USER,
                 label="wasi-recv:%s" % self.name,
             )
-            receiver.charge_cpu(CpuDomain.USER, extra)
+            receiver.charge_cpu(_USER, extra)
         return buffer.payload
 
     def recv_spliced(self, receiver: Process, target_pipe: Pipe) -> KernelBuffer:

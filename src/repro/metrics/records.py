@@ -10,20 +10,23 @@ RAM, copies).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
+from repro.record import TypedRecord
 from repro.sim.ledger import (
+    CATEGORY_NAMES,
     SERIALIZATION_CATEGORIES,
     CostCategory,
     CostLedger,
     CpuDomain,
 )
 
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True)
-class TransferMetrics:
-    """Measurements for one logical data transfer (or one fan-out branch)."""
+
+class _MetricsFields(NamedTuple):
+    """The fields of :class:`TransferMetrics`, which gives each record its
+    own empty dicts by default (a NamedTuple default would be shared)."""
 
     mode: str
     payload_bytes: int
@@ -38,10 +41,46 @@ class TransferMetrics:
     syscalls: int
     context_switches: int
     peak_memory_mb: float
-    breakdown: Dict[str, float] = field(default_factory=dict)
+    breakdown: Dict[str, float]
     #: Charged seconds per ledger shard ("" for a standalone ledger) — the
     #: per-node attribution of this transfer's cost.
-    node_seconds: Dict[str, float] = field(default_factory=dict)
+    node_seconds: Dict[str, float]
+
+
+class TransferMetrics(TypedRecord, _MetricsFields):
+    """Measurements for one logical data transfer (or one fan-out branch).
+
+    An immutable tuple record (see :class:`~repro.record.TypedRecord`);
+    ``breakdown`` and ``node_seconds`` default to fresh empty dicts.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        mode: str,
+        payload_bytes: int,
+        total_latency_s: float,
+        serialization_s: float,
+        wasm_io_s: float,
+        transfer_s: float,
+        cpu_user_s: float,
+        cpu_kernel_s: float,
+        copied_bytes: int,
+        reference_bytes: int,
+        syscalls: int,
+        context_switches: int,
+        peak_memory_mb: float,
+        breakdown: Optional[Dict[str, float]] = None,
+        node_seconds: Optional[Dict[str, float]] = None,
+    ) -> "TransferMetrics":
+        return _tuple_new(cls, (
+            mode, payload_bytes, total_latency_s, serialization_s, wasm_io_s, transfer_s,
+            cpu_user_s, cpu_kernel_s, copied_bytes, reference_bytes, syscalls,
+            context_switches, peak_memory_mb,
+            {} if breakdown is None else breakdown,
+            {} if node_seconds is None else node_seconds,
+        ))
 
     @property
     def cpu_total_s(self) -> float:
@@ -82,6 +121,9 @@ _CATEGORY_METRIC[CostCategory.WASM_IO] = 1
 _CATEGORY_METRIC.update(dict.fromkeys(_TRANSFER_CATEGORIES, 2))
 #: CPU-time slot of each domain's seconds in ``LedgerWindow._build``.
 _DOMAIN_METRIC: Dict[CpuDomain, int] = {CpuDomain.USER: 0, CpuDomain.KERNEL: 1, CpuDomain.NONE: 2}
+# Members tested per charge, bound once (see repro.sim.ledger).
+_SYSCALL = CostCategory.SYSCALL
+_CONTEXT_SWITCH = CostCategory.CONTEXT_SWITCH
 
 
 class LedgerWindow:
@@ -120,50 +162,63 @@ class LedgerWindow:
     def _build(self) -> TransferMetrics:
         """Reduce the window's charges in one pass.
 
-        Each float metric collects its operands in charge order and sums
-        them with ``sum()`` at the end, so it equals the per-metric
-        ``sum(<generator>)`` scan exactly on every Python version (3.12's
-        ``sum()`` compensates rounding, a running ``+=`` would not).
+        The charges come from the ledger in timeline order (one shard's
+        slice as it stands, several shards merge-sorted).  Each float
+        metric collects its operands in that order and sums them with
+        ``sum()`` at the end, so it equals the per-metric ``sum(<generator>)``
+        scan exactly on every Python version (3.12's ``sum()`` compensates
+        rounding, a running ``+=`` would not).  The breakdown and per-node
+        dicts are running ``+=`` folds, as the scans they replace were.
         """
-        charges = self.ledger.charges_since(self._start)
-        total = self.ledger.clock.now - self._start_time
+        ledger = self.ledger
+        charges = ledger.charges_since(self._start)
+        total = ledger.clock.now - self._start_time
         # Operands of each float metric, in charge order: serialization,
         # Wasm VM I/O, transfer, none (by category); user, kernel, none
         # (by CPU domain).
-        by_metric: Tuple[List[float], ...] = ([], [], [], [])
-        by_domain: Tuple[List[float], ...] = ([], [], [])
+        serialization: List[float] = []
+        wasm_io: List[float] = []
+        transfer: List[float] = []
+        user: List[float] = []
+        kernel: List[float] = []
+        by_metric = (serialization.append, wasm_io.append, transfer.append, [].append)
+        by_domain = (user.append, kernel.append, [].append)
         copied = referenced = syscalls = switches = 0
         by_category: Dict[CostCategory, float] = {}
         node_seconds: Dict[str, float] = {}
+        category_seconds = by_category.get
+        seconds_of_node = node_seconds.get
+        metric_slot = _CATEGORY_METRIC.__getitem__
+        domain_slot = _DOMAIN_METRIC.__getitem__
         for category, seconds, domain, nbytes, was_copied, _, _, units, node, _ in charges:
-            by_metric[_CATEGORY_METRIC[category]].append(seconds)
-            by_domain[_DOMAIN_METRIC[domain]].append(seconds)
-            if category is CostCategory.SYSCALL:
+            by_metric[metric_slot(category)](seconds)
+            by_domain[domain_slot(domain)](seconds)
+            if category is _SYSCALL:
                 syscalls += units
-            elif category is CostCategory.CONTEXT_SWITCH:
+            elif category is _CONTEXT_SWITCH:
                 switches += 1
             if was_copied:
                 copied += nbytes
             elif nbytes:
                 referenced += nbytes
-            by_category[category] = by_category.get(category, 0.0) + seconds
-            node_seconds[node] = node_seconds.get(node, 0.0) + seconds
+            by_category[category] = category_seconds(category, 0.0) + seconds
+            node_seconds[node] = seconds_of_node(node, 0.0) + seconds
         return TransferMetrics(
-            mode=self.mode,
-            payload_bytes=self.payload_bytes,
-            total_latency_s=total,
-            serialization_s=sum(by_metric[0]),
-            wasm_io_s=sum(by_metric[1]),
-            transfer_s=sum(by_metric[2]),
-            cpu_user_s=sum(by_domain[0]),
-            cpu_kernel_s=sum(by_domain[1]),
-            copied_bytes=copied,
-            reference_bytes=referenced,
-            syscalls=syscalls,
-            context_switches=switches,
-            peak_memory_mb=self.ledger.peak_memory_mb(),
+            self.mode,
+            self.payload_bytes,
+            total,
+            sum(serialization),
+            sum(wasm_io),
+            sum(transfer),
+            sum(user),
+            sum(kernel),
+            copied,
+            referenced,
+            syscalls,
+            switches,
+            ledger.peak_memory_mb(),
             # Keyed by member while folding: same first-seen key order and
             # per-key addition order as keying by ``category.value``.
-            breakdown={category.value: seconds for category, seconds in by_category.items()},
-            node_seconds=node_seconds,
+            {CATEGORY_NAMES[category]: seconds for category, seconds in by_category.items()},
+            node_seconds,
         )

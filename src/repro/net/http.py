@@ -9,7 +9,7 @@ so the breakdown panels can separate "transfer" from "serialization".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
@@ -17,15 +17,25 @@ from repro.kernel.sockets import TcpConnection
 from repro.net.link import NetworkLink
 from repro.net.nic import Nic
 from repro.payload import Payload
+from repro.record import TypedRecord
 from repro.sim.ledger import CostCategory, CpuDomain
 
 
-@dataclass(frozen=True)
-class HttpResponse:
-    """Result of one request/response exchange."""
+# Members charged per operation, bound once (see repro.sim.ledger).
+_HTTP = CostCategory.HTTP
+_USER = CpuDomain.USER
 
+
+class _ResponseFields(NamedTuple):
     status: int
     body: Payload
+
+
+class HttpResponse(TypedRecord, _ResponseFields):
+    """Result of one request/response exchange (a tuple record, see
+    :class:`~repro.record.TypedRecord`)."""
+
+    __slots__ = ()
 
 
 class HttpTransport:
@@ -66,12 +76,12 @@ class HttpTransport:
             else cost_model.http_request_overhead_native
         )
         self.source_kernel.ledger.charge(
-            CostCategory.HTTP,
+            _HTTP,
             overhead,
-            cpu_domain=CpuDomain.USER,
+            cpu_domain=_USER,
             label="http-overhead:%s" % self.name,
         )
-        sender.charge_cpu(CpuDomain.USER, overhead)
+        sender.charge_cpu(_USER, overhead)
 
         request_bytes = body.size + cost_model.http_header_bytes
         on_wire = body.with_size(request_bytes) if body.is_virtual else Payload.from_bytes(

@@ -12,6 +12,11 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.sim.ledger import CostCategory, CpuDomain
 
+# Members charged per operation, bound once (see repro.sim.ledger).
+_NETWORK = CostCategory.NETWORK
+_KERNEL = CpuDomain.KERNEL
+
+
 #: Per-packet driver/interrupt cost, folded across interrupt coalescing.
 PER_PACKET_SECONDS = 0.15e-6
 
@@ -36,12 +41,12 @@ class Nic:
         packets = self._packets(nbytes)
         seconds = packets * PER_PACKET_SECONDS
         self.kernel.ledger.charge(
-            CostCategory.NETWORK,
+            _NETWORK,
             seconds,
-            cpu_domain=CpuDomain.KERNEL,
+            cpu_domain=_KERNEL,
             label="nic-tx:%s" % self.name,
         )
-        process.charge_cpu(CpuDomain.KERNEL, seconds)
+        process.charge_cpu(_KERNEL, seconds)
         return seconds
 
     def receive(self, process: Process, nbytes: int) -> float:
@@ -49,10 +54,10 @@ class Nic:
         packets = self._packets(nbytes)
         seconds = packets * PER_PACKET_SECONDS
         self.kernel.ledger.charge(
-            CostCategory.NETWORK,
+            _NETWORK,
             seconds,
-            cpu_domain=CpuDomain.KERNEL,
+            cpu_domain=_KERNEL,
             label="nic-rx:%s" % self.name,
         )
-        process.charge_cpu(CpuDomain.KERNEL, seconds)
+        process.charge_cpu(_KERNEL, seconds)
         return seconds

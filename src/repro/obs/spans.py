@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
-from repro.traffic.slo import SERVED_OUTCOMES, RequestOutcome, RequestRecord, TypedRecord
+from repro.record import TypedRecord
+from repro.traffic.slo import SERVED_OUTCOMES, RequestOutcome, RequestRecord
 
 
 class SpanError(ValueError):

@@ -20,12 +20,16 @@ from __future__ import annotations
 
 import hashlib
 import zlib
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
+
+from repro.record import TypedRecord
 
 
 class PayloadError(ValueError):
     """Raised for invalid payload construction or integrity violations."""
+
+
+_tuple_new = tuple.__new__
 
 
 def _fingerprint_bytes(data: bytes) -> str:
@@ -36,32 +40,48 @@ def _fingerprint_virtual(size: int) -> str:
     return "virtual-%d-0" % size
 
 
-@dataclass(frozen=True)
-class Payload:
-    """An immutable description of a message body."""
-
+class _PayloadFields(NamedTuple):
     size: int
-    data: Optional[bytes] = None
-    fingerprint: str = ""
-    content_type: str = "application/octet-stream"
+    data: Optional[bytes]
+    fingerprint: str
+    content_type: str
     #: Serialized payloads remember the original (pre-serialization) fingerprint
     #: so the deserialized result can be matched back to the source.
-    origin_fingerprint: str = ""
+    origin_fingerprint: str
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise PayloadError("payload size must be non-negative, got %r" % self.size)
-        if self.data is not None and len(self.data) != self.size:
+
+class Payload(TypedRecord, _PayloadFields):
+    """An immutable description of a message body.
+
+    A validated tuple record (see :class:`~repro.record.TypedRecord`).  An
+    empty ``fingerprint`` is derived from the contents (or, for a virtual
+    payload, the size); an empty ``origin_fingerprint`` is the fingerprint.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        size: int,
+        data: Optional[bytes] = None,
+        fingerprint: str = "",
+        content_type: str = "application/octet-stream",
+        origin_fingerprint: str = "",
+    ) -> "Payload":
+        if size < 0:
+            raise PayloadError("payload size must be non-negative, got %r" % size)
+        if data is not None and len(data) != size:
             raise PayloadError(
-                "payload size %d does not match data length %d" % (self.size, len(self.data))
+                "payload size %d does not match data length %d" % (size, len(data))
             )
-        if not self.fingerprint:
-            if self.data is not None:
-                object.__setattr__(self, "fingerprint", _fingerprint_bytes(self.data))
+        if not fingerprint:
+            if data is not None:
+                fingerprint = _fingerprint_bytes(data)
             else:
-                object.__setattr__(self, "fingerprint", _fingerprint_virtual(self.size))
-        if not self.origin_fingerprint:
-            object.__setattr__(self, "origin_fingerprint", self.fingerprint)
+                fingerprint = _fingerprint_virtual(size)
+        if not origin_fingerprint:
+            origin_fingerprint = fingerprint
+        return _tuple_new(cls, (size, data, fingerprint, content_type, origin_fingerprint))
 
     # -- constructors ---------------------------------------------------------
 
@@ -125,9 +145,13 @@ class Payload:
 
     def copy(self) -> "Payload":
         """A physical copy (same contents, same fingerprint)."""
-        if self.data is not None:
-            return replace(self, data=bytes(self.data))
-        return replace(self)
+        size, data, fingerprint, content_type, origin_fingerprint = self
+        if data is not None:
+            data = bytes(data)
+        # The fields come from a valid payload: nothing to check again.
+        return _tuple_new(
+            self.__class__, (size, data, fingerprint, content_type, origin_fingerprint)
+        )
 
     def crc(self) -> int:
         """A quick integrity checksum (0 for virtual payloads)."""

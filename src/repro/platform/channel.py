@@ -10,11 +10,12 @@ never special-case any of them.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.metrics.records import LedgerWindow, TransferMetrics
 from repro.payload import Payload
 from repro.platform.deployment import DeployedFunction
+from repro.record import TypedRecord
 from repro.sim.ledger import CostLedger
 
 
@@ -22,12 +23,18 @@ class ChannelError(RuntimeError):
     """Raised when a channel cannot serve a transfer (placement, trust, mode)."""
 
 
-@dataclass(frozen=True)
-class TransferOutcome:
-    """What a channel returns: the delivered payload plus its measurements."""
-
+class _OutcomeFields(NamedTuple):
     delivered: Payload
     metrics: TransferMetrics
+
+
+class TransferOutcome(TypedRecord, _OutcomeFields):
+    """What a channel returns: the delivered payload plus its measurements.
+
+    An immutable tuple record (see :class:`~repro.record.TypedRecord`).
+    """
+
+    __slots__ = ()
 
     def verify_against(self, sent: Payload) -> None:
         """Raise if the delivered payload does not match what was sent."""
@@ -85,7 +92,7 @@ class DataPassingChannel(ABC):
         with LedgerWindow(self.ledger, mode=self.mode, payload_bytes=payload.size) as window:
             delivered = self._move(source, target, payload)
         self.transfers += 1
-        outcome = TransferOutcome(delivered=delivered, metrics=window.metrics)
+        outcome = TransferOutcome(delivered, window.metrics)
         # Every transfer is integrity-checked; a channel that corrupts or
         # drops data should fail loudly rather than report a great latency.
         outcome.verify_against(payload)

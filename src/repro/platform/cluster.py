@@ -15,7 +15,7 @@ per sandbox via cgroups and per node via the shards.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.net.link import NetworkLink
 from repro.net.topology import Topology
@@ -51,6 +51,7 @@ class Cluster:
             self.ledger = ClusterLedger(name="cluster")
         self.topology = Topology(cost_model)
         self._nodes: Dict[str, ClusterNode] = {}
+        self._node_names: Tuple[str, ...] = ()
 
     def add_node(self, name: str) -> ClusterNode:
         if name in self._nodes:
@@ -62,6 +63,7 @@ class Cluster:
             cost_model=self.cost_model,
         )
         self._nodes[name] = node
+        self._node_names += (name,)
         return node
 
     def node_ledger(self, name: str):
@@ -85,6 +87,11 @@ class Cluster:
     @property
     def nodes(self) -> Dict[str, ClusterNode]:
         return dict(self._nodes)
+
+    @property
+    def node_names(self) -> Tuple[str, ...]:
+        """Node names in creation order (no copy: the tuple is immutable)."""
+        return self._node_names
 
     def link_between(self, a: str, b: str) -> NetworkLink:
         return self.topology.link_between(a, b)

@@ -14,7 +14,7 @@ serializer speed applies (native vs Wasm).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.container.runc import ContainerSandbox
@@ -42,9 +42,15 @@ class DeployedFunction:
     instance: Optional[WasmInstance] = None
     wasi: Optional[WasiInterface] = None
     sandbox: Optional[ContainerSandbox] = None
+    #: The spec's name and runtime packaging, copied once: channels read
+    #: them on every transfer.
+    name: str = field(init=False, repr=False, compare=False)
+    is_wasm: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.spec.is_wasm:
+        self.name = self.spec.name
+        self.is_wasm = self.spec.is_wasm
+        if self.is_wasm:
             if self.vm is None or self.instance is None:
                 raise DeploymentError(
                     "Wasm function %r deployed without a VM/instance" % self.spec.name
@@ -56,14 +62,6 @@ class DeployedFunction:
                 )
 
     # -- convenience ------------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
-    def is_wasm(self) -> bool:
-        return self.spec.is_wasm
 
     @property
     def cgroup(self):

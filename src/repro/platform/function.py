@@ -9,9 +9,13 @@ which forwards its payload unchanged.  Deployment turns a spec into a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.wasm.runtime import RuntimeKind
+
+
+#: Runtimes that package a function as a Wasm module.
+_WASM_RUNTIMES = (RuntimeKind.WASMEDGE, RuntimeKind.ROADRUNNER)
 
 
 class FunctionSpecError(ValueError):
@@ -29,6 +33,8 @@ class FunctionSpec:
     binary_size: int = 3_190_000
     workflow: str = "default"
     tenant: str = "default"
+    #: Whether the function runs as a Wasm module (set from ``runtime``).
+    is_wasm: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -37,10 +43,9 @@ class FunctionSpec:
             raise FunctionSpecError("memory limit must be positive")
         if self.binary_size <= 0:
             raise FunctionSpecError("binary size must be positive")
-
-    @property
-    def is_wasm(self) -> bool:
-        return self.runtime in (RuntimeKind.WASMEDGE, RuntimeKind.ROADRUNNER)
+        # Derived once: deployment and every channel's placement check read
+        # it.  The field stays out of init, equality, hashing and the repr.
+        object.__setattr__(self, "is_wasm", self.runtime in _WASM_RUNTIMES)
 
     def renamed(self, name: str) -> "FunctionSpec":
         """A copy with a different name (used when fanning out replicas)."""

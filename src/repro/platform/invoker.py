@@ -11,8 +11,8 @@ overlap — work does not disappear by being parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Sequence
+import operator
+from typing import Dict, List, NamedTuple, Sequence
 
 from repro.metrics.records import TransferMetrics
 from repro.payload import Payload
@@ -20,6 +20,7 @@ from repro.platform.channel import DataPassingChannel, TransferOutcome
 from repro.platform.deployment import DeployedFunction
 from repro.platform.orchestrator import Orchestrator
 from repro.platform.workflow import InvocationPattern, Workflow
+from repro.record import TypedRecord
 from repro.sim.engine import ParallelTracks
 
 
@@ -27,23 +28,27 @@ class InvokerError(RuntimeError):
     """Raised when a workflow references functions that are not deployed."""
 
 
-@dataclass(frozen=True)
-class WorkflowResult:
-    """Outcome of one workflow execution.
-
-    ``total_latency_s`` is the makespan of the whole workflow.  For parallel
-    workflows ``mean_branch_latency_s`` is the mean per-branch completion time
-    (the latency an individual request observes under contention), which is
-    what the paper's fan-out latency panels report, while throughput counts
-    all branches completed over the makespan.
-    """
-
+class _WorkflowResultFields(NamedTuple):
     workflow: Workflow
     outcomes: Dict[str, TransferOutcome]
     total_latency_s: float
     aggregate: TransferMetrics
     mean_branch_latency_s: float = 0.0
     branches: int = 1
+
+
+class WorkflowResult(TypedRecord, _WorkflowResultFields):
+    """Outcome of one workflow execution.
+
+    ``total_latency_s`` is the makespan of the whole workflow.  For parallel
+    workflows ``mean_branch_latency_s`` is the mean per-branch completion time
+    (the latency an individual request observes under contention), which is
+    what the paper's fan-out latency panels report, while throughput counts
+    all branches completed over the makespan.  An immutable tuple record
+    (see :class:`~repro.record.TypedRecord`).
+    """
+
+    __slots__ = ()
 
     @property
     def throughput_rps(self) -> float:
@@ -78,16 +83,17 @@ class Invoker:
             outcome = self.channel.transfer(source, target, current)
             outcomes["%s->%s" % (source_name, target_name)] = outcome
             current = outcome.delivered
-        total = sum(o.metrics.total_latency_s for o in outcomes.values())
-        aggregate = _combine(list(outcomes.values()), total, self.channel.mode, payload.size)
-        return WorkflowResult(
-            workflow=workflow,
-            outcomes=outcomes,
-            total_latency_s=total,
-            aggregate=aggregate,
-            mean_branch_latency_s=total,
-            branches=1,
-        )
+        if len(outcomes) == 1:
+            # One edge (the a->b pair): its window already measured the
+            # workflow, in this mode and at this payload size; summing one
+            # operand (``sum([x]) == x``, ``max([x]) == x``) would rebuild
+            # an equal record.
+            aggregate = outcome.metrics
+            total = aggregate.total_latency_s
+        else:
+            total = sum(o.metrics.total_latency_s for o in outcomes.values())
+            aggregate = _combine(list(outcomes.values()), total, self.channel.mode, payload.size)
+        return WorkflowResult(workflow, outcomes, total, aggregate, total, 1)
 
     # -- fan-out / fan-in ---------------------------------------------------------------------
 
@@ -106,12 +112,7 @@ class Invoker:
         total = tracks.makespan()
         aggregate = _combine(list(outcomes.values()), total, self.channel.mode, payload.size)
         return WorkflowResult(
-            workflow=workflow,
-            outcomes=outcomes,
-            total_latency_s=total,
-            aggregate=aggregate,
-            mean_branch_latency_s=tracks.mean_completion(),
-            branches=len(workflow.edges),
+            workflow, outcomes, total, aggregate, tracks.mean_completion(), len(workflow.edges)
         )
 
     def _workers(self, workflow: Workflow) -> int:
@@ -131,39 +132,52 @@ class Invoker:
             raise InvokerError("workflow references undeployed function %r" % name) from exc
 
 
+#: The metrics ``_combine`` sums across edges, in field order.
+_SUMMED = operator.attrgetter(
+    "serialization_s",
+    "wasm_io_s",
+    "transfer_s",
+    "cpu_user_s",
+    "cpu_kernel_s",
+    "copied_bytes",
+    "reference_bytes",
+    "syscalls",
+    "context_switches",
+)
+
+
 def _combine(
     outcomes: Sequence[TransferOutcome],
     total_latency_s: float,
     mode: str,
     payload_bytes: int,
 ) -> TransferMetrics:
-    """Aggregate per-edge metrics into one workflow-level record."""
+    """Aggregate per-edge metrics into one workflow-level record.
+
+    Each summed metric is ``sum()`` over the edges in order, as a scan per
+    metric would give.
+    """
     if not outcomes:
         raise InvokerError("cannot combine zero outcomes")
     breakdown: Dict[str, float] = {}
     node_seconds: Dict[str, float] = {}
+    metrics: List[TransferMetrics] = []
     for outcome in outcomes:
-        for key, value in outcome.metrics.breakdown.items():
+        edge = outcome.metrics
+        metrics.append(edge)
+        for key, value in edge.breakdown.items():
             breakdown[key] = breakdown.get(key, 0.0) + value
         # Per-node attribution survives aggregation: each edge already knows
         # which ledger shards its charges landed on.
-        for node, value in outcome.metrics.node_seconds.items():
+        for node, value in edge.node_seconds.items():
             node_seconds[node] = node_seconds.get(node, 0.0) + value
-    metrics = [o.metrics for o in outcomes]
+    sums = [sum(column) for column in zip(*map(_SUMMED, metrics))]
     return TransferMetrics(
-        mode=mode,
-        payload_bytes=payload_bytes,
-        total_latency_s=total_latency_s,
-        serialization_s=sum(m.serialization_s for m in metrics),
-        wasm_io_s=sum(m.wasm_io_s for m in metrics),
-        transfer_s=sum(m.transfer_s for m in metrics),
-        cpu_user_s=sum(m.cpu_user_s for m in metrics),
-        cpu_kernel_s=sum(m.cpu_kernel_s for m in metrics),
-        copied_bytes=sum(m.copied_bytes for m in metrics),
-        reference_bytes=sum(m.reference_bytes for m in metrics),
-        syscalls=sum(m.syscalls for m in metrics),
-        context_switches=sum(m.context_switches for m in metrics),
-        peak_memory_mb=max(m.peak_memory_mb for m in metrics),
-        breakdown=breakdown,
-        node_seconds=node_seconds,
+        mode,
+        payload_bytes,
+        total_latency_s,
+        *sums,
+        max([m.peak_memory_mb for m in metrics]),
+        breakdown,
+        node_seconds,
     )

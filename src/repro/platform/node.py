@@ -15,7 +15,7 @@ cluster ledger merges the shards for reporting.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.container.containerd import Containerd
 from repro.container.image import ContainerImage
@@ -31,6 +31,10 @@ from repro.wasm.module import WasmModule
 from repro.wasm.runtime import WasmRuntime
 from repro.wasm.vm import WasmVM
 from repro.wasm.wasi import WasiInterface
+
+
+_NATIVE = ExecutionEnvironment.NATIVE
+_WASM = ExecutionEnvironment.WASM
 
 
 class NodeError(RuntimeError):
@@ -57,6 +61,17 @@ class ClusterNode:
         self._deployed = 0
         # Shared-VM bookkeeping: one shim process per VM created on this node.
         self._vm_processes: dict = {}
+        #: One stateless serializer per execution environment, made on first use.
+        self._serializers: Dict[ExecutionEnvironment, Serializer] = {}
+
+    def serializer(self, environment: ExecutionEnvironment) -> Serializer:
+        """This node's serializer for ``environment`` (shared by its functions)."""
+        serializer = self._serializers.get(environment)
+        if serializer is None:
+            serializer = self._serializers[environment] = Serializer(
+                ledger=self.ledger, cost_model=self.cost_model, environment=environment
+            )
+        return serializer
 
     # -- deployment -----------------------------------------------------------------
 
@@ -79,16 +94,11 @@ class ClusterNode:
             charge_cold_start=charge_cold_start,
         )
         sandbox = handle.sandbox
-        serializer = Serializer(
-            ledger=self.ledger,
-            cost_model=self.cost_model,
-            environment=ExecutionEnvironment.NATIVE,
-        )
         return DeployedFunction(
             spec=spec,
             node_name=self.name,
             process=sandbox.process,
-            serializer=serializer,
+            serializer=self.serializer(_NATIVE),
             sandbox=sandbox,
         )
 
@@ -136,21 +146,17 @@ class ClusterNode:
                 materialize=materialize,
                 charge_cold_start=charge_cold_start,
             )
-            baseline = int(self.cost_model.wasm_baseline_rss_mb * 1024 * 1024)
-            process = self.kernel.create_process("shim-%s" % spec.name, baseline_rss_bytes=baseline)
+            process = self.kernel.create_process(
+                "shim-%s" % spec.name, baseline_rss_bytes=self.cost_model.wasm_baseline_rss_bytes
+            )
             self._vm_processes[vm.name] = process
         instance = self.wasm_runtime.load_module(vm, module, charge_cold_start=charge_cold_start)
         wasi = WasiInterface(vm=vm, process=process) if spec.requires_wasi else None
-        serializer = Serializer(
-            ledger=self.ledger,
-            cost_model=self.cost_model,
-            environment=ExecutionEnvironment.WASM,
-        )
         return DeployedFunction(
             spec=spec,
             node_name=self.name,
             process=process,
-            serializer=serializer,
+            serializer=self.serializer(_WASM),
             vm=vm,
             instance=instance,
             wasi=wasi,

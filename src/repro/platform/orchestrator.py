@@ -38,18 +38,19 @@ class Orchestrator:
         placement: Optional[Dict[str, str]] = None,
     ) -> Dict[str, str]:
         """Return a function->node mapping, validating any explicit placement."""
-        nodes = list(self.cluster.nodes)
+        nodes = self.cluster.node_names
         if not nodes:
             raise PlacementError("the cluster has no nodes")
         result: Dict[str, str] = {}
         for index, spec in enumerate(specs):
-            if placement and spec.name in placement:
-                node = placement[spec.name]
-                if node not in self.cluster.nodes:
-                    raise PlacementError("placement maps %r to unknown node %r" % (spec.name, node))
+            name = spec.name
+            if placement and name in placement:
+                node = placement[name]
+                if node not in nodes:
+                    raise PlacementError("placement maps %r to unknown node %r" % (name, node))
             else:
                 node = nodes[index % len(nodes)]
-            result[spec.name] = node
+            result[name] = node
         return result
 
     # -- deployment ----------------------------------------------------------------------
@@ -85,7 +86,7 @@ class Orchestrator:
                 charge_cold_start=charge_cold_start,
             )
             if share_vm_key is not None and shared_vm is None:
-                self._shared_vms["%s/%s" % (node_name, share_vm_key)] = deployed.vm
+                self._shared_vms[vm_key] = deployed.vm
         self._deployments[spec.name] = deployed
         return deployed
 

@@ -25,9 +25,28 @@ class ExecutionEnvironment(enum.Enum):
     NATIVE = "native"
     WASM = "wasm"
 
+    __hash__ = object.__hash__  # identity hash, as for repro.sim.ledger's enums
+
+
+#: One codec for every serializer: it holds no state.
+_CODEC = StringCodec()
+# Members charged per operation, bound once (see repro.sim.ledger).
+_SERIALIZATION = CostCategory.SERIALIZATION
+_DESERIALIZATION = CostCategory.DESERIALIZATION
+_USER = CpuDomain.USER
+#: The (serialize, deserialize) charge labels of each environment.
+_LABELS = {
+    environment: ("serialize:%s" % environment.value, "deserialize:%s" % environment.value)
+    for environment in ExecutionEnvironment
+}
+
 
 class Serializer:
-    """Serializes/deserializes payloads, charging environment-specific costs."""
+    """Serializes/deserializes payloads, charging environment-specific costs.
+
+    A serializer holds no per-transfer state, so a node keeps one per
+    execution environment and every function deployed there shares it.
+    """
 
     def __init__(
         self,
@@ -38,53 +57,53 @@ class Serializer:
         self.ledger = ledger
         self.cost_model = cost_model
         self.environment = environment
-        self.codec = StringCodec()
-
-    @property
-    def in_wasm(self) -> bool:
-        return self.environment is ExecutionEnvironment.WASM
+        self.codec = _CODEC
+        self.in_wasm = environment is ExecutionEnvironment.WASM
+        self._serialize_label, self._deserialize_label = _LABELS[environment]
 
     def serialize(self, payload: Payload, cgroup=None) -> Payload:
         """Produce the wire representation of ``payload`` and charge its cost."""
-        seconds = self.cost_model.serialize_time(payload.size, in_wasm=self.in_wasm)
+        cost_model = self.cost_model
+        size = payload.size
+        seconds = cost_model.serialize_time(size, in_wasm=self.in_wasm)
         self.ledger.charge(
-            CostCategory.SERIALIZATION,
+            _SERIALIZATION,
             seconds,
-            cpu_domain=CpuDomain.USER,
-            nbytes=payload.size,
+            cpu_domain=_USER,
+            nbytes=size,
             copied=True,
-            label="serialize:%s" % self.environment.value,
+            label=self._serialize_label,
         )
         if cgroup is not None:
-            cgroup.charge_cpu(CpuDomain.USER, seconds)
-            cgroup.memory.allocate(self.cost_model.serialized_size(payload.size))
-        if payload.is_real:
+            cgroup.charge_cpu(_USER, seconds)
+            cgroup.memory.allocate(cost_model.serialized_size(size))
+        if payload.data is not None:
             return Payload.from_bytes(self.codec.encode(payload), content_type="application/x-frame")
-        return payload.with_size(self.cost_model.serialized_size(payload.size))
+        return payload.with_size(cost_model.serialized_size(size))
 
     def deserialize(self, wire_payload: Payload, original_size: Optional[int] = None, cgroup=None) -> Payload:
         """Reconstruct the original payload from its wire representation."""
         size = original_size if original_size is not None else wire_payload.size
         seconds = self.cost_model.deserialize_time(size, in_wasm=self.in_wasm)
         self.ledger.charge(
-            CostCategory.DESERIALIZATION,
+            _DESERIALIZATION,
             seconds,
-            cpu_domain=CpuDomain.USER,
+            cpu_domain=_USER,
             nbytes=size,
             copied=True,
-            label="deserialize:%s" % self.environment.value,
+            label=self._deserialize_label,
         )
         if cgroup is not None:
-            cgroup.charge_cpu(CpuDomain.USER, seconds)
+            cgroup.charge_cpu(_USER, seconds)
             cgroup.memory.allocate(size)
-        if wire_payload.is_real:
-            return self.codec.decode(wire_payload.data)  # type: ignore[arg-type]
+        if wire_payload.data is not None:
+            return self.codec.decode(wire_payload.data)
         if original_size is None:
             raise ValueError("deserializing a virtual payload requires the original size")
         return Payload(
-            size=original_size,
-            data=None,
-            fingerprint=wire_payload.origin_fingerprint,
-            content_type=wire_payload.content_type,
-            origin_fingerprint=wire_payload.origin_fingerprint,
+            original_size,
+            None,
+            wire_payload.origin_fingerprint,
+            wire_payload.content_type,
+            wire_payload.origin_fingerprint,
         )

@@ -15,7 +15,12 @@ class ClockError(ValueError):
 
 
 class SimClock:
-    """A monotonically increasing simulated clock measured in seconds."""
+    """A monotonically increasing simulated clock measured in seconds.
+
+    :meth:`repro.sim.ledger.CostLedger.charge`, the one per-operation
+    caller, steps ``_now`` in its own frame: it has already refused a
+    negative duration, which is the only check :meth:`advance` adds.
+    """
 
     __slots__ = ("_now",)
 

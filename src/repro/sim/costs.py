@@ -23,6 +23,7 @@ per figure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Dict
 
@@ -198,6 +199,16 @@ class CostModel:
         return replace(self, **kwargs)
 
     # -- derived helpers ---------------------------------------------------------
+
+    # Sandbox baselines in bytes, derived once per model (every deployment
+    # reads one); cached in the instance dict, outside the dataclass fields.
+    @functools.cached_property
+    def wasm_baseline_rss_bytes(self) -> int:
+        return int(self.wasm_baseline_rss_mb * MiB)
+
+    @functools.cached_property
+    def container_baseline_rss_bytes(self) -> int:
+        return int(self.container_baseline_rss_mb * MiB)
 
     def transfer_time(self, nbytes: int, bandwidth: float) -> float:
         """Seconds to move ``nbytes`` at ``bandwidth`` bytes/second."""

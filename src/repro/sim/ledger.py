@@ -69,6 +69,18 @@ class CpuDomain(enum.Enum):
     __hash__ = object.__hash__  # identity hash, as for CostCategory
 
 
+#: Members the accounting path tests per charge, bound once: a module
+#: global is a dict hit, an ``Enum`` class attribute a descriptor call.
+_USER = CpuDomain.USER
+_NO_CPU = CpuDomain.NONE
+_SYSCALL = CostCategory.SYSCALL
+_CONTEXT_SWITCH = CostCategory.CONTEXT_SWITCH
+#: Report name of each category (``member.value`` is a descriptor call too).
+CATEGORY_NAMES: Dict[CostCategory, str] = {category: category.value for category in CostCategory}
+
+_tuple_new = tuple.__new__
+
+
 class LedgerError(ValueError):
     """Raised for invalid charges."""
 
@@ -91,6 +103,15 @@ class _ChargeFields(NamedTuple):
     #: Per-shard append sequence; with ``(timestamp, node)`` it totally
     #: orders the merged cluster timeline.
     seq: int = 0
+
+
+def _refuse_charge(seconds: float, nbytes: int, units: int) -> None:
+    """Raise the :class:`LedgerError` for whichever charge field is invalid."""
+    if seconds < 0:
+        raise LedgerError("charge duration must be non-negative, got %r" % seconds)
+    if nbytes < 0:
+        raise LedgerError("charge nbytes must be non-negative, got %r" % nbytes)
+    raise LedgerError("charge units must be >= 1, got %r" % units)
 
 
 class Charge(_ChargeFields):
@@ -120,13 +141,9 @@ class Charge(_ChargeFields):
         node: str = "",
         seq: int = 0,
     ) -> "Charge":
-        if seconds < 0:
-            raise LedgerError("charge duration must be non-negative, got %r" % seconds)
-        if nbytes < 0:
-            raise LedgerError("charge nbytes must be non-negative, got %r" % nbytes)
-        if units < 1:
-            raise LedgerError("charge units must be >= 1, got %r" % units)
-        return tuple.__new__(
+        if seconds < 0 or nbytes < 0 or units < 1:
+            _refuse_charge(seconds, nbytes, units)
+        return _tuple_new(
             cls,
             (category, seconds, cpu_domain, nbytes, copied, label, timestamp, units, node, seq),
         )
@@ -228,15 +245,19 @@ class CostLedger:
         self.clock = clock if clock is not None else SimClock()
         self._charges: List[Charge] = []
         self._meters: Dict[str, MemoryMeter] = {}
+        # Running totals, folded lazily: ``charge`` only appends, and the
+        # first read after new charges folds them in from ``_folded`` (a
+        # cursor into the append log) with the same ``+=`` in append order,
+        # so each total equals the left-to-right scan bit for bit.  A
+        # transfer's charges then cost nothing here unless something reads
+        # the totals, and a caller polling totals while charging (e.g.
+        # cold-start deltas per replica) folds each charge once, not a scan
+        # per poll.
+        self._folded = 0
         self._copied_bytes = 0
         self._reference_bytes = 0
         self._syscalls = 0
         self._context_switches = 0
-        # Running totals, maintained in charge order so each equals the
-        # equivalent left-to-right scan bit-for-bit.  They turn
-        # total_seconds()/seconds(cat)/cpu_seconds() from O(charges) scans
-        # into O(1) lookups — the scans were a hidden quadratic for callers
-        # polling totals while charging (e.g. cold-start deltas per replica).
         self._total_seconds = 0.0
         self._category_seconds: Dict[CostCategory, float] = {}
         self._domain_seconds: Dict[CpuDomain, float] = {}
@@ -251,7 +272,7 @@ class CostLedger:
         category: CostCategory,
         seconds: float,
         *,
-        cpu_domain: CpuDomain = CpuDomain.USER,
+        cpu_domain: CpuDomain = _USER,
         nbytes: int = 0,
         copied: bool = False,
         label: str = "",
@@ -266,33 +287,56 @@ class CostLedger:
         ``units`` records how many underlying operations the charge batches
         (e.g. chunked syscalls); every unit counts as one syscall.
         """
+        # One frame: Charge's checks, its tuple and the clock step inline.
+        if seconds < 0 or nbytes < 0 or units < 1:
+            _refuse_charge(seconds, nbytes, units)
         charges = self._charges
         clock = self.clock
-        entry = Charge(
+        entry = _tuple_new(Charge, (
             category, seconds, cpu_domain, nbytes, copied, label,
-            clock.now, units, self.node_name, len(charges),
-        )
+            clock._now, units, self.node_name, len(charges),
+        ))
         charges.append(entry)
-        # Running totals fold in append order (see __init__).
-        self._total_seconds += seconds
-        totals = self._category_seconds
-        totals[category] = totals.get(category, 0.0) + seconds
-        totals = self._domain_seconds
-        totals[cpu_domain] = totals.get(cpu_domain, 0.0) + seconds
-        if cpu_domain is not CpuDomain.NONE:
-            self._cpu_seconds_all += seconds
-        if nbytes:
-            if copied:
-                self._copied_bytes += nbytes
-            else:
-                self._reference_bytes += nbytes
-        if category is CostCategory.SYSCALL:
-            self._syscalls += units
-        elif category is CostCategory.CONTEXT_SWITCH:
-            self._context_switches += 1
         if wall_time and seconds:
-            clock.advance(seconds)
+            # SimClock.advance's own check is the ``seconds < 0`` above.
+            clock._now += seconds
         return entry
+
+    def _fold(self) -> None:
+        """Fold the charges appended since the last read into the totals."""
+        charges = self._charges
+        if self._folded == len(charges):
+            return
+        categories = self._category_seconds
+        domains = self._domain_seconds
+        total = self._total_seconds
+        cpu = self._cpu_seconds_all
+        copied_bytes = self._copied_bytes
+        reference_bytes = self._reference_bytes
+        syscalls = self._syscalls
+        switches = self._context_switches
+        for category, seconds, domain, nbytes, copied, _, _, units, _, _ in charges[self._folded:]:
+            total += seconds
+            categories[category] = categories.get(category, 0.0) + seconds
+            domains[domain] = domains.get(domain, 0.0) + seconds
+            if domain is not _NO_CPU:
+                cpu += seconds
+            if nbytes:
+                if copied:
+                    copied_bytes += nbytes
+                else:
+                    reference_bytes += nbytes
+            if category is _SYSCALL:
+                syscalls += units
+            elif category is _CONTEXT_SWITCH:
+                switches += 1
+        self._total_seconds = total
+        self._cpu_seconds_all = cpu
+        self._copied_bytes = copied_bytes
+        self._reference_bytes = reference_bytes
+        self._syscalls = syscalls
+        self._context_switches = switches
+        self._folded = len(charges)
 
     def count_syscalls(self, count: int) -> None:
         """Record additional syscalls batched into a single charge."""
@@ -332,12 +376,14 @@ class CostLedger:
 
     def total_seconds(self) -> float:
         """Total simulated wall time of all charges."""
+        self._fold()
         return self._total_seconds
 
     def seconds(self, *categories: CostCategory) -> float:
         if len(categories) == 1:
             # The running per-category total accumulates in exactly the order
             # a filtered scan would visit, so the fast path is bit-identical.
+            self._fold()
             return self._category_seconds.get(categories[0], 0.0)
         # Multiple categories interleave in the charge stream; summing the
         # per-category totals would reassociate the float additions, so keep
@@ -346,6 +392,7 @@ class CostLedger:
         return sum(c.seconds for c in self._charges if c.category in wanted)
 
     def cpu_seconds(self, domain: Optional[CpuDomain] = None) -> float:
+        self._fold()
         if domain is None:
             return self._cpu_seconds_all
         return self._domain_seconds.get(domain, 0.0)
@@ -353,19 +400,23 @@ class CostLedger:
     @property
     def copied_bytes(self) -> int:
         """Bytes that were physically copied."""
+        self._fold()
         return self._copied_bytes
 
     @property
     def reference_bytes(self) -> int:
         """Bytes moved by reference (zero-copy paths)."""
+        self._fold()
         return self._reference_bytes
 
     @property
     def syscalls(self) -> int:
+        self._fold()
         return self._syscalls
 
     @property
     def context_switches(self) -> int:
+        self._fold()
         return self._context_switches
 
     def peak_memory_bytes(self) -> int:
@@ -382,8 +433,9 @@ class CostLedger:
         """Seconds per category name (stable keys for reports)."""
         # _category_seconds shares both the first-seen key order and the
         # per-key accumulation order of the old full scan.
+        self._fold()
         return {
-            category.value: seconds
+            CATEGORY_NAMES[category]: seconds
             for category, seconds in self._category_seconds.items()
         }
 
@@ -393,6 +445,7 @@ class CostLedger:
             meter._total = None  # a Cgroup may still hold it
         self._meters.clear()
         self._peak_total.bytes = 0
+        self._folded = 0
         self._copied_bytes = 0
         self._reference_bytes = 0
         self._syscalls = 0
@@ -558,22 +611,30 @@ class ClusterLedger:
         return sum(len(shard) for shard in self._shard_list)
 
     def snapshot(self) -> LedgerSnapshot:
-        return LedgerSnapshot(
-            positions=tuple(
-                (shard.node_name, len(shard)) for shard in self._shard_list
-            )
-        )
+        positions = []
+        for shard in self._shard_list:
+            positions.append((shard.node_name, len(shard._charges)))
+        return LedgerSnapshot(positions=tuple(positions))
 
     def charges_since(self, snapshot: LedgerSnapshot) -> Tuple[Charge, ...]:
         """Merged charges recorded after ``snapshot``, in timeline order.
 
         Shards created after the snapshot contribute from their beginning.
+        When only one shard has new charges they are already in timeline
+        order: its clock only moves forward between resets, and its ``seq``
+        numbers rise, so the merge sort is skipped.
         """
         positions = dict(snapshot.positions)
         fresh: List[Charge] = []
+        sources = 0
         for shard in self._shard_list:
-            fresh.extend(shard._charges[positions.get(shard.node_name, 0):])
-        fresh.sort(key=_merge_key)
+            charges = shard._charges
+            start = positions.get(shard.node_name, 0)
+            if len(charges) > start:
+                fresh.extend(charges[start:])
+                sources += 1
+        if sources > 1:
+            fresh.sort(key=_merge_key)
         return tuple(fresh)
 
     def total_seconds(self) -> float:
@@ -603,7 +664,10 @@ class ClusterLedger:
 
     def peak_memory_bytes(self) -> int:
         """Cluster RAM: per-node peaks aggregate (sum of shard peaks)."""
-        return sum(shard._peak_total.bytes for shard in self._shard_list)
+        total = 0
+        for shard in self._shard_list:
+            total += shard._peak_total.bytes
+        return total
 
     def peak_memory_mb(self) -> float:
         return self.peak_memory_bytes() / (1024.0 * 1024.0)

@@ -100,6 +100,21 @@ MB = 1024 * 1024
 # over 20x slower than reading a module global, and every completion event
 # passes it.
 _COMPLETED = RequestOutcome.COMPLETED
+_SHED = RequestOutcome.SHED
+_DROPPED = RequestOutcome.DROPPED
+_TIMED_OUT = RequestOutcome.TIMED_OUT
+# The AdmitAction members ``admit`` tests, bound when the first runtime
+# with a middleware pipeline is built: repro.gateway.middleware imports
+# repro.traffic.slo, so importing it here at load time would be a cycle.
+_SHORT_CIRCUIT = _PARK = None
+
+
+def _bind_admit_actions() -> None:
+    global _SHORT_CIRCUIT, _PARK
+    from repro.gateway.middleware import AdmitAction
+
+    _SHORT_CIRCUIT, _PARK = AdmitAction.SHORT_CIRCUIT, AdmitAction.PARK
+
 
 #: Bound on one request's calibrated service seconds.  Each tenant's
 #: autoscaler ticks once per control interval (1 s by default) while any
@@ -418,6 +433,8 @@ class ClusterRuntime:
         #: The latest instant any request arrived, was served or timed out.
         self.last_event_s = 0.0
         self._pipeline = pipeline
+        if pipeline is not None and _PARK is None:
+            _bind_admit_actions()
         self._telemetry = telemetry
         self._service_time = service_time
         self._service_cache = service_cache
@@ -505,12 +522,10 @@ class ClusterRuntime:
         state.arrivals_since_tick += 1
         pipeline = self._pipeline
         if pipeline is not None:
-            from repro.gateway.middleware import AdmitAction
-
             ctx = pipeline.context(state.name, request)
             decision = pipeline.admit(ctx, arrival)
             self._contexts[(state.name, request.request_id)] = ctx
-            if decision.action is AdmitAction.SHORT_CIRCUIT:
+            if decision.action is _SHORT_CIRCUIT:
                 # Terminal at the gateway: a cache hit (served, with a
                 # completion instant) or a refusal (rate limit / auth).
                 completion = decision.completion_s
@@ -518,7 +533,7 @@ class ClusterRuntime:
                     self._note(completion)
                 self.resolve(state, request, decision.outcome, completion)
                 return
-            if decision.action is AdmitAction.PARK:
+            if decision.action is _PARK:
                 # Parked behind an identical in-flight request: no queue
                 # slot, no timeout event — the leader's completion (or
                 # failure) resolves it through the pipeline unwind.
@@ -534,7 +549,7 @@ class ClusterRuntime:
                 service = self.service_for(state, request, now)
                 if service is None:
                     queue.pass_through(state.name, shed=True)
-                    self.resolve(state, request, RequestOutcome.SHED)
+                    self.resolve(state, request, _SHED)
                 else:
                     queue.pass_through(state.name)
                     self.start(state, request, at, service, now)
@@ -548,7 +563,7 @@ class ClusterRuntime:
             deadline=request.deadline_s,
         )
         if not admitted:
-            self.resolve(state, request, RequestOutcome.DROPPED)
+            self.resolve(state, request, _DROPPED)
             return
         # The timeout event is only materialized if the request is still
         # waiting after the dispatch pass.  Its tie-break slot is
@@ -595,7 +610,7 @@ class ClusterRuntime:
         """Time out a request still waiting when its patience ran out."""
         if not self.gateway.queue.cancel(state.name, request.request_id):
             return
-        self.resolve(state, request, RequestOutcome.TIMED_OUT)
+        self.resolve(state, request, _TIMED_OUT)
         self._note(self.loop.now)
 
     def tick(self, state: _TenantState) -> None:
@@ -725,7 +740,7 @@ class ClusterRuntime:
                 service = self.service_for(state, request, now)
                 if service is None:
                     queue.shed_head(tenant_name)
-                    self.resolve(state, request, RequestOutcome.SHED)
+                    self.resolve(state, request, _SHED)
                 else:
                     queue.pop(tenant_name)
                     self.start(state, request, at, service, now)

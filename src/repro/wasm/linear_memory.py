@@ -224,7 +224,7 @@ class LinearMemory:
                 "allocation of %d bytes at %d cannot hold a %d byte payload"
                 % (self._allocations[address], address, payload.size)
             )
-        if payload.is_real and self._materialize:
+        if self._materialize and payload.is_real:
             self.write(address, payload.data)  # type: ignore[arg-type]
         self._segments[address] = payload
 
@@ -237,7 +237,7 @@ class LinearMemory:
                     "stored payload at %d has %d bytes, read requested %d"
                     % (address, segment.size, length)
                 )
-            if segment.is_real and self._materialize:
+            if self._materialize and segment.is_real:
                 # Re-read from the backing store so corruption would be caught.
                 return Payload.from_bytes(self.read(address, length), segment.content_type)
             return segment

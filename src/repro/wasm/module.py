@@ -8,10 +8,10 @@ Roadrunner's shim talks to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.payload import Payload
+from repro.record import TypedRecord
 from repro.wasm.linear_memory import LinearMemory
 
 
@@ -19,19 +19,26 @@ class ModuleError(RuntimeError):
     """Raised for invalid module definitions or lookups."""
 
 
-@dataclass(frozen=True)
-class WasmModule:
-    """A compiled Wasm binary."""
-
+class _ModuleFields(NamedTuple):
     name: str
     binary_size: int = 3_190_000  # ~3.19 MB, the paper's Fig. 2a example binary
     requires_wasi: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.name:
+
+class WasmModule(TypedRecord, _ModuleFields):
+    """A compiled Wasm binary (a validated tuple record, see
+    :class:`~repro.record.TypedRecord`)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, name: str, binary_size: int = 3_190_000, requires_wasi: bool = False
+    ) -> "WasmModule":
+        if not name:
             raise ModuleError("module name must be non-empty")
-        if self.binary_size <= 0:
+        if binary_size <= 0:
             raise ModuleError("binary_size must be positive")
+        return tuple.__new__(cls, (name, binary_size, requires_wasi))
 
 
 class WasmInstance:
@@ -39,14 +46,11 @@ class WasmInstance:
 
     def __init__(self, module: WasmModule, memory: LinearMemory, vm_name: str) -> None:
         self.module = module
+        self.name = module.name
         self.memory = memory
         self.vm_name = vm_name
         self._input_address: Optional[int] = None
         self._output_address: Optional[int] = None
-
-    @property
-    def name(self) -> str:
-        return self.module.name
 
     # -- guest-visible data slots --------------------------------------------------
 

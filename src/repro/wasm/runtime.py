@@ -18,6 +18,11 @@ from repro.wasm.module import WasmModule
 from repro.wasm.vm import WasmVM
 
 
+# Members charged per operation, bound once (see repro.sim.ledger).
+_COLD_START = CostCategory.COLD_START
+_USER = CpuDomain.USER
+
+
 class RuntimeKind(enum.Enum):
     """The runtimes compared in the evaluation."""
 
@@ -51,9 +56,9 @@ class WasmRuntime:
         vm_name = name or "wasmedge-vm-%d" % self._vm_counter
         if charge_cold_start:
             self.ledger.charge(
-                CostCategory.COLD_START,
+                _COLD_START,
                 self.cost_model.wasm_vm_setup,
-                cpu_domain=CpuDomain.USER,
+                cpu_domain=_USER,
                 label="wasm-vm-setup:%s" % vm_name,
             )
         return WasmVM(
@@ -72,9 +77,9 @@ class WasmRuntime:
                 module.binary_size, self.cost_model.wasm_instantiate_bandwidth
             )
             self.ledger.charge(
-                CostCategory.COLD_START,
+                _COLD_START,
                 compile_time,
-                cpu_domain=CpuDomain.USER,
+                cpu_domain=_USER,
                 nbytes=module.binary_size,
                 copied=True,
                 label="wasm-compile:%s" % module.name,

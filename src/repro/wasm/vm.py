@@ -19,6 +19,11 @@ from repro.wasm.linear_memory import LinearMemory
 from repro.wasm.module import WasmInstance, WasmModule
 
 
+# Members charged per operation, bound once (see repro.sim.ledger).
+_WASM_IO = CostCategory.WASM_IO
+_USER = CpuDomain.USER
+
+
 class VmError(RuntimeError):
     """Raised for invalid VM operations (unknown instances, tenant mismatch)."""
 
@@ -42,8 +47,7 @@ class WasmVM:
         self.workflow = workflow
         self.materialize = materialize
         self._instances: Dict[str, WasmInstance] = {}
-        baseline = int(cost_model.wasm_baseline_rss_mb * 1024 * 1024)
-        self.meter: MemoryMeter = ledger.meter(name, baseline_bytes=baseline)
+        self.meter: MemoryMeter = ledger.meter(name, baseline_bytes=cost_model.wasm_baseline_rss_bytes)
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -99,9 +103,9 @@ class HostMemoryApi:
 
     def _charge_io(self, nbytes: int, label: str) -> None:
         self.vm.ledger.charge(
-            CostCategory.WASM_IO,
+            _WASM_IO,
             self.vm.cost_model.wasm_io_time(nbytes),
-            cpu_domain=CpuDomain.USER,
+            cpu_domain=_USER,
             nbytes=nbytes,
             copied=True,
             label=label,
@@ -128,9 +132,9 @@ class HostMemoryApi:
         # Allocation is cheap relative to copies, but it is not free: charge
         # the metadata overhead once.
         self.vm.ledger.charge(
-            CostCategory.WASM_IO,
+            _WASM_IO,
             self.vm.cost_model.region_metadata_overhead,
-            cpu_domain=CpuDomain.USER,
+            cpu_domain=_USER,
             label="allocate_memory:%s" % module_name,
         )
         return address
@@ -140,9 +144,9 @@ class HostMemoryApi:
         instance = self.vm.instance(module_name)
         length = instance.memory.deallocate(address)
         self.vm.ledger.charge(
-            CostCategory.WASM_IO,
+            _WASM_IO,
             self.vm.cost_model.region_metadata_overhead,
-            cpu_domain=CpuDomain.USER,
+            cpu_domain=_USER,
             label="deallocate_memory:%s" % module_name,
         )
         return length
@@ -152,9 +156,9 @@ class HostMemoryApi:
         instance = self.vm.instance(module_name)
         pointer, length = instance.memory.locate(address)
         self.vm.ledger.charge(
-            CostCategory.WASM_IO,
+            _WASM_IO,
             self.vm.cost_model.region_metadata_overhead,
-            cpu_domain=CpuDomain.USER,
+            cpu_domain=_USER,
             label="locate_memory_region:%s" % module_name,
         )
         return pointer, length

@@ -16,6 +16,11 @@ from repro.wasm.module import WasmInstance
 from repro.wasm.vm import WasmVM
 
 
+# Members charged per operation, bound once (see repro.sim.ledger).
+_WASM_IO = CostCategory.WASM_IO
+_USER = CpuDomain.USER
+
+
 class WasiError(RuntimeError):
     """Raised when a WASI capability is missing or misused."""
 
@@ -32,24 +37,24 @@ class WasiInterface:
     def _charge_call(self, label: str) -> None:
         seconds = self.vm.cost_model.wasi_call_overhead
         self.vm.ledger.charge(
-            CostCategory.WASM_IO,
+            _WASM_IO,
             seconds,
-            cpu_domain=CpuDomain.USER,
+            cpu_domain=_USER,
             label="wasi:%s" % label,
         )
-        self.process.charge_cpu(CpuDomain.USER, seconds)
+        self.process.charge_cpu(_USER, seconds)
 
     def _charge_boundary_copy(self, nbytes: int, label: str) -> None:
         seconds = self.vm.cost_model.wasm_io_time(nbytes)
         self.vm.ledger.charge(
-            CostCategory.WASM_IO,
+            _WASM_IO,
             seconds,
-            cpu_domain=CpuDomain.USER,
+            cpu_domain=_USER,
             nbytes=nbytes,
             copied=True,
             label="wasi-copy:%s" % label,
         )
-        self.process.charge_cpu(CpuDomain.USER, seconds)
+        self.process.charge_cpu(_USER, seconds)
 
     # -- data movement across the VM boundary --------------------------------------
 

@@ -4,7 +4,10 @@
 that every metric is *exactly* (``==``, not approximately) what one scan per
 metric over the same charges gives — the float sums in the same order, the
 breakdown and per-node dicts with the same keys in the same order — for any
-interleaving of charges across the shards of a cluster ledger.
+interleaving of charges across the shards of a cluster ledger.  The
+reference order is the merged timeline by definition: every shard's new
+charges sorted by ``(timestamp, node, seq)``, which the ledger skips
+sorting when only one shard has new charges.
 """
 
 from hypothesis import given
@@ -116,9 +119,25 @@ def _charge(shards, entry):
     )
 
 
+def _merge_scan(ledger, start):
+    """The window's charges by the definition of the merged timeline: every
+    shard's charges after ``start``, sorted by ``(timestamp, node, seq)``."""
+    positions = dict(start.positions)
+    if isinstance(ledger, ClusterLedger):
+        shards = [ledger.cluster_shard] + list(ledger.shards().values())
+    else:
+        shards = [ledger]
+    fresh = []
+    for shard in shards:
+        fresh.extend(list(shard)[positions.get(shard.node_name, 0):])
+    return sorted(fresh, key=lambda c: (c.timestamp, c.node, c.seq))
+
+
 def _assert_window_matches_scans(ledger, window, start, start_time):
     metrics = window.metrics
-    expected = _scans(ledger.charges_since(start))
+    merged = _merge_scan(ledger, start)
+    assert list(ledger.charges_since(start)) == merged
+    expected = _scans(merged)
     measured = _measured(metrics)
     assert measured == expected
     # Types too: a metric no charge fed stays the int 0 a bare sum() gives.
@@ -161,4 +180,25 @@ def test_standalone_window_equals_per_metric_scans(before, inside):
     with LedgerWindow(ledger, mode="m", payload_bytes=1) as window:
         for entry in inside:
             _charge([ledger], entry)
+    _assert_window_matches_scans(ledger, window, start, start_time)
+
+
+@given(
+    nodes=st.integers(min_value=1, max_value=3),
+    before=charge_lists(max_size=10),
+    shard=st.integers(min_value=0, max_value=3),
+    inside=charge_lists(max_size=60),
+)
+def test_single_shard_window_equals_sorted_merge_scan(nodes, before, shard, inside):
+    # Every charge inside the window lands on one drawn shard: the window
+    # takes that shard's slice as it stands, without the merge sort.
+    ledger = ClusterLedger()
+    shards = [ledger] + [ledger.shard("node-%d" % i) for i in range(nodes)]
+    for entry in before:
+        _charge(shards, entry)
+    start, start_time = ledger.snapshot(), ledger.clock.now
+    with LedgerWindow(ledger, mode="m", payload_bytes=1) as window:
+        for entry in inside:
+            _charge(shards, (shard,) + entry[1:])
+    assert len({c.node for c in ledger.charges_since(start)}) <= 1
     _assert_window_matches_scans(ledger, window, start, start_time)

@@ -80,7 +80,7 @@ KEEP = {
     # NamedTuple's ``_replace`` builds its copy through ``_make``; the
     # overrides validate the copied fields as the constructor does.
     "repro.sim.ledger.Charge._make": OUTSIDE_INPUT,
-    "repro.traffic.slo.TypedRecord._make": OUTSIDE_INPUT,
+    "repro.record.TypedRecord._make": OUTSIDE_INPUT,
     # bench/trace.py wraps ``repro.kernel.filesystem:VirtualFileSystem.*``
     # and raises on a class with no public function left.
     "repro.kernel.filesystem.VirtualFileSystem.listdir": BENCH,
