@@ -34,9 +34,9 @@ def main() -> None:
         latency_row = [degree]
         throughput_row = [degree]
         for mode in INTRA_NODE_MODES:
-            aggregate = measure_fanout(mode, degree=degree, payload_mb=PAYLOAD_MB)
-            latency_row.append(round(aggregate.mean_branch_latency_s, 5))
-            throughput_row.append(round(aggregate.throughput_rps, 1))
+            result = measure_fanout(mode, degree=degree, payload_mb=PAYLOAD_MB)
+            latency_row.append(round(result.mean_branch_latency_s, 5))
+            throughput_row.append(round(result.throughput_rps, 1))
         latency_rows.append(latency_row)
         throughput_rows.append(throughput_row)
 

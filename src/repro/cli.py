@@ -63,6 +63,7 @@ from repro.obs import (
 )
 from repro.platform.gateway import FairnessPolicy, IntraTenantOrder
 from repro.platform.runtime_selector import RuntimeSelector, WorkflowProfile
+from repro.sim.costs import DEFAULT_COST_MODEL, MiB
 from repro.traffic.arrivals import ARRIVAL_PATTERNS, load_azure_trace, make_arrivals
 from repro.traffic.autoscaler import AutoscalerError
 from repro.traffic.classes import RequestClassError, assign_classes, parse_classes
@@ -93,7 +94,10 @@ from repro.traffic.report import (
     render_traffic_report,
     render_waterfall_table,
 )
+from repro.traffic.cluster_runtime import max_payload_bytes
 from repro.traffic.tenants import TenantError, TenantSpec, derived_seed, parse_tenants
+from repro.wasm.linear_memory import OutOfMemoryError
+from repro.workloads.generators import FANOUT_PAYLOAD_MB
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -109,20 +113,58 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
+def _payload_bytes(payload_mb: float) -> int:
+    """``--payload-mb`` of ``claims`` and ``select`` in bytes.
+
+    Both commands move the payload through a WasmEdge chain, the Wasm mode
+    that holds the most per payload byte, so its :func:`max_payload_bytes`
+    bounds the flag.  Raises ``ValueError`` outside ``[1 byte, bound]``.
+    """
+    payload_bytes = int(payload_mb * MiB)
+    if payload_bytes < 1:
+        raise ValueError("--payload-mb must be at least one byte, got %r" % payload_mb)
+    largest = max_payload_bytes("wasmedge-http", DEFAULT_COST_MODEL)
+    if payload_bytes > largest:
+        raise ValueError(
+            "--payload-mb %r exceeds the largest wasmedge-http payload, %r MB (%d bytes)"
+            % (payload_mb, largest / MiB, largest)
+        )
+    return payload_bytes
+
+
 def _cmd_claims(args: argparse.Namespace) -> int:
-    checks = evaluate_claims(payload_mb=args.payload_mb, fanout_degree=args.fanout)
+    try:
+        _payload_bytes(args.payload_mb)
+        if args.fanout < 1:
+            raise ValueError("--fanout must be at least 1, got %d" % args.fanout)
+    except ValueError as exc:
+        print("invalid claims parameters: %s" % exc, file=sys.stderr)
+        return 2
+    try:
+        checks = evaluate_claims(payload_mb=args.payload_mb, fanout_degree=args.fanout)
+    except OutOfMemoryError as exc:
+        print(
+            "invalid claims parameters: a %d-branch fan-out of %g MB does not fit in "
+            "a Wasm linear memory (%s)" % (args.fanout, FANOUT_PAYLOAD_MB, exc),
+            file=sys.stderr,
+        )
+        return 2
     print(render_claims(checks))
     return 0 if all(c.satisfied for c in checks) else 1
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    profile = WorkflowProfile(
-        payload_bytes=int(args.payload_mb * 1024 * 1024),
-        invocations_per_second=args.rate,
-        hops=args.hops,
-        cold_start_fraction=args.cold_start_fraction,
-        colocatable=not args.remote,
-    )
+    try:
+        profile = WorkflowProfile(
+            payload_bytes=_payload_bytes(args.payload_mb),
+            invocations_per_second=args.rate,
+            hops=args.hops,
+            cold_start_fraction=args.cold_start_fraction,
+            colocatable=not args.remote,
+        )
+    except ValueError as exc:
+        print("invalid select parameters: %s" % exc, file=sys.stderr)
+        return 2
     recommendation = RuntimeSelector().recommend(profile)
     print("Recommended runtime      : %s" % recommendation.runtime.value)
     print("Recommended data passing : %s" % recommendation.data_passing.value)
@@ -653,15 +695,15 @@ def build_parser() -> argparse.ArgumentParser:
     figures.set_defaults(handler=_cmd_figures)
 
     claims = subparsers.add_parser("claims", help="evaluate the headline claims")
-    claims.add_argument("--payload-mb", type=float, default=100.0)
+    claims.add_argument("--payload-mb", type=_finite_float, default=100.0)
     claims.add_argument("--fanout", type=int, default=50)
     claims.set_defaults(handler=_cmd_claims)
 
     select = subparsers.add_parser("select", help="run the dynamic runtime selector")
-    select.add_argument("--payload-mb", type=float, default=10.0)
-    select.add_argument("--rate", type=float, default=5.0, help="invocations per second")
+    select.add_argument("--payload-mb", type=_finite_float, default=10.0)
+    select.add_argument("--rate", type=_finite_float, default=5.0, help="invocations per second")
     select.add_argument("--hops", type=int, default=1)
-    select.add_argument("--cold-start-fraction", type=float, default=0.01)
+    select.add_argument("--cold-start-fraction", type=_finite_float, default=0.01)
     select.add_argument("--remote", action="store_true", help="stages cannot be colocated")
     select.set_defaults(handler=_cmd_select)
 

@@ -15,7 +15,7 @@ from repro.experiments.environment import (
     build_fanout_setup,
     build_pair_setup,
 )
-from repro.experiments.harness import measure_fanout, measure_pair, sweep_pair
+from repro.experiments.harness import measure_fanout, measure_pair
 from repro.experiments.fig2 import run_fig2a, run_fig2b
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.fig7 import run_fig7
@@ -40,7 +40,6 @@ __all__ = [
     "build_fanout_setup",
     "measure_pair",
     "measure_fanout",
-    "sweep_pair",
     "run_fig2a",
     "run_fig2b",
     "run_fig6",

@@ -46,37 +46,37 @@ def evaluate_claims(payload_mb: float = 100, fanout_degree: int = 50) -> List[Cl
     runc = measure_pair("runc-http", payload_mb)
     wasm = measure_pair("wasmedge-http", payload_mb)
 
-    user_vs_wasm = improvement_percent(wasm.mean_latency_s, rr_user.mean_latency_s)
+    user_vs_wasm = improvement_percent(wasm.total_latency_s, rr_user.total_latency_s)
     checks.append(ClaimCheck(
         "intra-user-vs-wasmedge",
         "Intra-node latency, Roadrunner (User space) vs WasmEdge",
         "-44% to -89%", "-" + _pct(user_vs_wasm), user_vs_wasm >= 44.0,
     ))
-    user_vs_runc = improvement_percent(runc.mean_latency_s, rr_user.mean_latency_s)
+    user_vs_runc = improvement_percent(runc.total_latency_s, rr_user.total_latency_s)
     checks.append(ClaimCheck(
         "intra-user-vs-runc",
         "Intra-node latency, Roadrunner (User space) vs RunC",
         "-10% to -80%", "-" + _pct(user_vs_runc), user_vs_runc >= 10.0,
     ))
-    kernel_vs_wasm = improvement_percent(wasm.mean_latency_s, rr_kernel.mean_latency_s)
+    kernel_vs_wasm = improvement_percent(wasm.total_latency_s, rr_kernel.total_latency_s)
     checks.append(ClaimCheck(
         "intra-kernel-vs-wasmedge",
         "Intra-node latency, Roadrunner (Kernel space) vs WasmEdge",
         "-76% to -83%", "-" + _pct(kernel_vs_wasm), kernel_vs_wasm >= 70.0,
     ))
-    kernel_vs_runc = improvement_percent(runc.mean_latency_s, rr_kernel.mean_latency_s)
+    kernel_vs_runc = improvement_percent(runc.total_latency_s, rr_kernel.total_latency_s)
     checks.append(ClaimCheck(
         "intra-kernel-vs-runc",
         "Intra-node latency, Roadrunner (Kernel space) vs RunC",
         "up to -13%", "-" + _pct(kernel_vs_runc), kernel_vs_runc > 0.0,
     ))
-    cpu_reduction = improvement_percent(wasm.mean_cpu_total_s, rr_user.mean_cpu_total_s)
+    cpu_reduction = improvement_percent(wasm.cpu_total_s, rr_user.cpu_total_s)
     checks.append(ClaimCheck(
         "intra-cpu",
         "Intra-node CPU usage, Roadrunner vs WasmEdge",
         "up to -94%", "-" + _pct(cpu_reduction), cpu_reduction >= 80.0,
     ))
-    ram_reduction = improvement_percent(wasm.mean_peak_memory_mb, rr_user.mean_peak_memory_mb)
+    ram_reduction = improvement_percent(wasm.peak_memory_mb, rr_user.peak_memory_mb)
     checks.append(ClaimCheck(
         "intra-ram",
         "Intra-node RAM usage, Roadrunner vs WasmEdge",
@@ -88,25 +88,25 @@ def evaluate_claims(payload_mb: float = 100, fanout_degree: int = 50) -> List[Cl
     runc_net = measure_pair("runc-http", payload_mb, internode=True)
     wasm_net = measure_pair("wasmedge-http", payload_mb, internode=True)
 
-    net_vs_wasm = improvement_percent(wasm_net.mean_latency_s, rr_net.mean_latency_s)
+    net_vs_wasm = improvement_percent(wasm_net.total_latency_s, rr_net.total_latency_s)
     checks.append(ClaimCheck(
         "inter-total-vs-wasmedge",
         "Inter-node total latency, Roadrunner vs WasmEdge",
         "-62%", "-" + _pct(net_vs_wasm), 45.0 <= net_vs_wasm <= 75.0,
     ))
-    net_vs_runc = improvement_percent(runc_net.mean_latency_s, rr_net.mean_latency_s)
+    net_vs_runc = improvement_percent(runc_net.total_latency_s, rr_net.total_latency_s)
     checks.append(ClaimCheck(
         "inter-total-vs-runc",
         "Inter-node total latency, Roadrunner vs RunC",
         "-7%", "-" + _pct(net_vs_runc), 0.0 < net_vs_runc <= 25.0,
     ))
-    ser_vs_wasm = improvement_percent(wasm_net.mean_serialization_s, rr_net.mean_serialization_s)
+    ser_vs_wasm = improvement_percent(wasm_net.serialization_s, rr_net.serialization_s)
     checks.append(ClaimCheck(
         "inter-serialization-vs-wasmedge",
         "Inter-node serialization overhead, Roadrunner vs WasmEdge",
         "-97%", "-" + _pct(ser_vs_wasm), ser_vs_wasm >= 97.0,
     ))
-    ser_vs_runc = improvement_percent(runc_net.mean_serialization_s, rr_net.mean_serialization_s)
+    ser_vs_runc = improvement_percent(runc_net.serialization_s, rr_net.serialization_s)
     checks.append(ClaimCheck(
         "inter-serialization-vs-runc",
         "Inter-node serialization overhead, Roadrunner vs RunC",
@@ -116,7 +116,7 @@ def evaluate_claims(payload_mb: float = 100, fanout_degree: int = 50) -> List[Cl
     # Throughput -----------------------------------------------------------------------
     rr_small = measure_pair("roadrunner-user", 1)
     wasm_small = measure_pair("wasmedge-http", 1)
-    throughput_gain = speedup(wasm_small.mean_latency_s, rr_small.mean_latency_s)
+    throughput_gain = speedup(wasm_small.total_latency_s, rr_small.total_latency_s)
     checks.append(ClaimCheck(
         "throughput",
         "Throughput, Roadrunner (User space) vs WasmEdge, 1 MB payloads",

@@ -108,9 +108,9 @@ def run_fig2b() -> FigureResult:
     )
     for size in FIG2B_SIZES_MB:
         for label, mode in (("Cont", "runc-http"), ("Wasm", "wasmedge-http")):
-            aggregate = measure_pair(mode, payload_mb=size, internode=False)
-            total = aggregate.mean_latency_s
-            serialization = aggregate.mean_serialization_s
+            metrics = measure_pair(mode, payload_mb=size, internode=False)
+            total = metrics.total_latency_s
+            serialization = metrics.serialization_s
             transfer = max(total - serialization, 0.0)
             if total <= 0:  # pragma: no cover - defensive
                 continue

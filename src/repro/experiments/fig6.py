@@ -38,10 +38,12 @@ def run_fig6() -> FigureResult:
     )
     for runtime in FIG6_RUNTIMES:
         mode = _MODE_BY_RUNTIME[runtime]
-        aggregate = measure_pair(mode, BREAKDOWN_PAYLOAD_MB, internode=True)
-        total = aggregate.mean_latency_s
-        serialization = aggregate.mean_serialization_s
-        wasm_io = aggregate.mean_wasm_io_s
+        metrics = measure_pair(mode, BREAKDOWN_PAYLOAD_MB, internode=True)
+        total = metrics.total_latency_s
+        serialization = metrics.serialization_s
+        # A mode with no Wasm VM I/O charges sums to the int 0; the panel
+        # plots the float 0.0.
+        wasm_io = float(metrics.wasm_io_s)
         transfer = max(total - serialization - wasm_io, 0.0)
         result.add_point(PANEL_BREAKDOWN, "Transfer", transfer)
         result.add_point(PANEL_BREAKDOWN, "Serialization", serialization)

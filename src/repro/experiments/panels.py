@@ -1,4 +1,4 @@
-"""The eight-panel sweep figures (7-10): panel definitions and one builder per shape.
+"""The eight-panel sweep figures (7-10): panel definitions and their one builder.
 
 Figs. 7 and 8 sweep the payload size of an a->b chain, Figs. 9 and 10 the
 degree of a 10 MB fan-out; each pair differs only in its modes and in
@@ -7,11 +7,11 @@ whether the functions share a node.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
-from repro.experiments.harness import sweep_fanout, sweep_pair
+from repro.experiments.harness import measure_fanout, measure_pair
 from repro.experiments.results import FigureResult
-from repro.metrics.collector import AggregateMetrics
+from repro.metrics.records import TransferMetrics
 from repro.sim.costs import DEFAULT_COST_MODEL
 from repro.workloads.generators import (
     DEFAULT_FANOUT_DEGREES,
@@ -72,107 +72,89 @@ def _cpu_percent(cpu_seconds: float, reference_wall_s: float, cores: int) -> flo
     return 100.0 * cpu_seconds / (reference_wall_s * cores)
 
 
-def add_eight_panel_point(
+def add_panel_point(
     result: FigureResult,
     mode: str,
-    aggregate: AggregateMetrics,
+    metrics: TransferMetrics,
+    latency_s: float,
+    transfers: int,
     cores: int,
-    reference_wall_s: float = 0.0,
+    reference_wall_s: float,
 ) -> None:
-    """Append one sweep point (one x value, one mode) to all eight panels."""
+    """Append one sweep point (one x value, one mode) to all eight panels.
+
+    ``metrics`` is the run's record (a fan-out's sums over its branches,
+    with the makespan as ``total_latency_s``), ``latency_s`` what one of its
+    ``transfers`` transfers sees, and ``reference_wall_s`` the window the
+    CPU percentages share.
+    """
     label = mode_label(mode)
-    reference = reference_wall_s if reference_wall_s > 0 else aggregate.mean_latency_s
-    serialization_rps = aggregate.mean_serialization_throughput_rps
-    if serialization_rps == float("inf"):
-        serialization_rps = SERIALIZATION_RPS_CAP
-    result.add_point(PANEL_TOTAL_LATENCY, label, aggregate.mean_latency_s)
-    result.add_point(PANEL_TOTAL_THROUGHPUT, label, aggregate.mean_throughput_rps)
-    result.add_point(PANEL_SERIALIZATION_LATENCY, label, aggregate.mean_serialization_s)
-    result.add_point(PANEL_SERIALIZATION_THROUGHPUT, label, serialization_rps)
+    total = metrics.total_latency_s
+    serialization = metrics.serialization_s
+    result.add_point(PANEL_TOTAL_LATENCY, label, latency_s)
     result.add_point(
-        PANEL_TOTAL_CPU, label, _cpu_percent(aggregate.mean_cpu_total_s, reference, cores)
+        PANEL_TOTAL_THROUGHPUT, label, transfers / total if total > 0 else float("inf")
+    )
+    result.add_point(PANEL_SERIALIZATION_LATENCY, label, serialization / transfers)
+    result.add_point(
+        PANEL_SERIALIZATION_THROUGHPUT,
+        label,
+        transfers / serialization if serialization > 0 else SERIALIZATION_RPS_CAP,
     )
     result.add_point(
-        PANEL_USER_CPU, label, _cpu_percent(aggregate.mean_cpu_user_s, reference, cores)
+        PANEL_TOTAL_CPU, label, _cpu_percent(metrics.cpu_total_s, reference_wall_s, cores)
     )
     result.add_point(
-        PANEL_KERNEL_CPU, label, _cpu_percent(aggregate.mean_cpu_kernel_s, reference, cores)
+        PANEL_USER_CPU, label, _cpu_percent(metrics.cpu_user_s, reference_wall_s, cores)
     )
-    result.add_point(PANEL_RAM, label, aggregate.mean_peak_memory_mb)
+    result.add_point(
+        PANEL_KERNEL_CPU, label, _cpu_percent(metrics.cpu_kernel_s, reference_wall_s, cores)
+    )
+    result.add_point(PANEL_RAM, label, metrics.peak_memory_mb)
 
 
-def add_fanout_panel_point(
-    result: FigureResult,
-    mode: str,
-    aggregate,
-    cores: int,
-    reference_wall_s: float = 0.0,
-) -> None:
-    """Append one fan-out sweep point (a :class:`FanoutAggregate`) to all panels."""
-    label = mode_label(mode)
-    reference = reference_wall_s if reference_wall_s > 0 else aggregate.makespan_s
-    serialization_rps = aggregate.serialization_throughput_rps
-    if serialization_rps == float("inf"):
-        serialization_rps = SERIALIZATION_RPS_CAP
-    per_branch_serialization = (
-        aggregate.serialization_s_total / aggregate.degree if aggregate.degree else 0.0
-    )
-    result.add_point(PANEL_TOTAL_LATENCY, label, aggregate.mean_branch_latency_s)
-    result.add_point(PANEL_TOTAL_THROUGHPUT, label, aggregate.throughput_rps)
-    result.add_point(PANEL_SERIALIZATION_LATENCY, label, per_branch_serialization)
-    result.add_point(PANEL_SERIALIZATION_THROUGHPUT, label, serialization_rps)
-    result.add_point(
-        PANEL_TOTAL_CPU, label, _cpu_percent(aggregate.cpu_total_s, reference, cores)
-    )
-    result.add_point(
-        PANEL_USER_CPU, label, _cpu_percent(aggregate.cpu_user_s_total, reference, cores)
-    )
-    result.add_point(
-        PANEL_KERNEL_CPU, label, _cpu_percent(aggregate.cpu_kernel_s_total, reference, cores)
-    )
-    result.add_point(PANEL_RAM, label, aggregate.peak_memory_mb)
+def _pair_point(mode: str, size_mb: float, internode: bool) -> Tuple[TransferMetrics, float, int]:
+    metrics = measure_pair(mode, size_mb, internode=internode)
+    return metrics, metrics.total_latency_s, 1
 
 
-def payload_sweep_figure(
+def _fanout_point(mode: str, degree: int, internode: bool) -> Tuple[TransferMetrics, float, int]:
+    result = measure_fanout(mode, degree, FANOUT_PAYLOAD_MB, internode=internode)
+    return result.aggregate, result.mean_branch_latency_s, result.branches
+
+
+class Sweep(NamedTuple):
+    """The x axis of a sweep figure and how one of its points is measured."""
+
+    x_label: str
+    defaults: Sequence
+    #: ``measure(mode, x, internode)`` -> (metrics, per-transfer latency, transfers).
+    measure: Callable[[str, Any, bool], Tuple[TransferMetrics, float, int]]
+
+
+#: Figs. 7 and 8: a->b pairs over payload sizes.
+PAYLOAD_SWEEP = Sweep("Input Size (MB)", DEFAULT_SWEEP_SIZES_MB, _pair_point)
+#: Figs. 9 and 10: fan-outs of a 10 MB payload over degrees.
+FANOUT_SWEEP = Sweep("Fanout Degree", DEFAULT_FANOUT_DEGREES, _fanout_point)
+
+
+def sweep_figure(
     figure: str,
     title: str,
+    sweep: Sweep,
     modes: Sequence[str],
     internode: bool,
-    sizes_mb: Optional[Sequence[float]],
+    x_values: Optional[Sequence],
 ) -> FigureResult:
-    """Figs. 7 and 8: the eight panels over payload sizes (all sizes when ``None``)."""
-    sizes = list(sizes_mb) if sizes_mb is not None else list(DEFAULT_SWEEP_SIZES_MB)
-    result = FigureResult(figure=figure, title=title, x_label="Input Size (MB)", x_values=sizes)
-    sweep = sweep_pair(modes, sizes, internode=internode)
+    """Figs. 7-10: the eight panels over ``x_values`` (the sweep's defaults when ``None``)."""
+    xs = list(x_values) if x_values is not None else list(sweep.defaults)
+    result = FigureResult(figure=figure, title=title, x_label=sweep.x_label, x_values=xs)
     cores = DEFAULT_COST_MODEL.cores_per_node
-    for size in sizes:
+    for x in xs:
+        points = [(mode,) + sweep.measure(mode, x, internode) for mode in modes]
         # CPU percentages are reported over a common measurement window: the
-        # slowest runtime at this payload size.
-        reference = max(sweep[mode][size].mean_latency_s for mode in modes)
-        for mode in modes:
-            add_eight_panel_point(result, mode, sweep[mode][size], cores, reference_wall_s=reference)
-    return result
-
-
-def fanout_sweep_figure(
-    figure: str,
-    placement: str,
-    modes: Sequence[str],
-    internode: bool,
-    degrees: Optional[Sequence[int]],
-) -> FigureResult:
-    """Figs. 9 and 10: the eight panels over fan-out degrees (all degrees when ``None``)."""
-    swept = list(degrees) if degrees is not None else list(DEFAULT_FANOUT_DEGREES)
-    result = FigureResult(
-        figure=figure,
-        title="%s fan-out scalability with %g MB transfers" % (placement, FANOUT_PAYLOAD_MB),
-        x_label="Fanout Degree",
-        x_values=swept,
-    )
-    sweep = sweep_fanout(modes, swept, FANOUT_PAYLOAD_MB, internode=internode)
-    cores = DEFAULT_COST_MODEL.cores_per_node
-    for degree in swept:
-        reference = max(sweep[mode][degree].makespan_s for mode in modes)
-        for mode in modes:
-            add_fanout_panel_point(result, mode, sweep[mode][degree], cores, reference_wall_s=reference)
+        # slowest runtime at this x value.
+        reference = max(metrics.total_latency_s for _, metrics, _, _ in points)
+        for mode, metrics, latency_s, transfers in points:
+            add_panel_point(result, mode, metrics, latency_s, transfers, cores, reference)
     return result

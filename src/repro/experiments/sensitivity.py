@@ -82,8 +82,8 @@ def sweep_parameter(
             SensitivityPoint(
                 parameter=parameter,
                 value=value,
-                roadrunner_latency_s=roadrunner.mean_latency_s,
-                baseline_latency_s=baseline.mean_latency_s,
+                roadrunner_latency_s=roadrunner.total_latency_s,
+                baseline_latency_s=baseline.total_latency_s,
             )
         )
     return SensitivityResult(parameter=parameter, payload_mb=payload_mb, points=points)

@@ -2,12 +2,11 @@
 
 :class:`~repro.metrics.records.TransferMetrics` captures one data transfer;
 :class:`~repro.metrics.records.LedgerWindow` measures it by snapshotting the
-cost ledger around the transfer; the collector folds samples into means; the
-report module renders the tables the experiment harness prints.
+cost ledger around the transfer, and every figure reads that record as it
+stands; the report module renders the tables the experiment harness prints.
 """
 
 from repro.metrics.records import LedgerWindow, TransferMetrics
-from repro.metrics.collector import AggregateMetrics
 from repro.metrics.report import format_latency_summaries, format_table, format_figure_result
 from repro.metrics.stats import LatencySummary, mean, p50, p95, p99, percentile
 from repro.metrics.export import (
@@ -26,7 +25,6 @@ from repro.metrics.export import (
 __all__ = [
     "LedgerWindow",
     "TransferMetrics",
-    "AggregateMetrics",
     "LatencySummary",
     "percentile",
     "mean",

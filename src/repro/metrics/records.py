@@ -93,13 +93,6 @@ class TransferMetrics(TypedRecord, _MetricsFields):
             return float("inf")
         return 1.0 / self.total_latency_s
 
-    @property
-    def serialization_throughput_rps(self) -> float:
-        """Throughput considering only the serialization component."""
-        if self.serialization_s <= 0:
-            return float("inf")
-        return 1.0 / self.serialization_s
-
 
 #: Categories counted as "transfer" (everything that moves bytes, minus
 #: serialization and Wasm VM I/O which the paper breaks out separately).

@@ -24,6 +24,7 @@ per figure.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Dict
 
@@ -45,8 +46,28 @@ class CostModelError(ValueError):
 
 
 def _require_positive(name: str, value: float) -> None:
-    if value <= 0:
+    if not value > 0:  # also refuses NaN
         raise CostModelError("%s must be positive, got %r" % (name, value))
+
+
+#: The fields of :class:`CostModel` that must be positive: the bandwidths,
+#: which divide byte counts, and the serialized-size ratio.  Every other
+#: field (overheads, RTT, sizes, RSS) must be >= 0, and all must be finite.
+_RATE_FIELDS = frozenset((
+    "user_kernel_copy_bandwidth",
+    "wasm_memory_copy_bandwidth",
+    "native_serialize_bandwidth",
+    "native_deserialize_bandwidth",
+    "wasm_serialize_bandwidth",
+    "wasm_deserialize_bandwidth",
+    "serialized_inflation",
+    "pointer_registration_bandwidth",
+    "unix_socket_bandwidth",
+    "loopback_http_bandwidth",
+    "network_bandwidth",
+    "image_unpack_bandwidth",
+    "wasm_instantiate_bandwidth",
+))
 
 
 @dataclass(frozen=True)
@@ -158,29 +179,22 @@ class CostModel:
     wasm_baseline_rss_mb: float = 9.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "user_kernel_copy_bandwidth",
-            "wasm_memory_copy_bandwidth",
-            "native_serialize_bandwidth",
-            "native_deserialize_bandwidth",
-            "wasm_serialize_bandwidth",
-            "wasm_deserialize_bandwidth",
-            "unix_socket_bandwidth",
-            "loopback_http_bandwidth",
-            "network_bandwidth",
-            "image_unpack_bandwidth",
-            "wasm_instantiate_bandwidth",
-        ):
-            _require_positive(name, getattr(self, name))
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise CostModelError("%s must be finite, got %r" % (name, value))
+            if name in _RATE_FIELDS:
+                _require_positive(name, value)
+            elif value < 0:
+                raise CostModelError("%s must be non-negative, got %r" % (name, value))
         if not 0 < self.wasi_network_efficiency <= 1:
             raise CostModelError(
                 "wasi_network_efficiency must be in (0, 1], got %r"
                 % self.wasi_network_efficiency
             )
-        if self.cores_per_node < 1:
-            raise CostModelError("cores_per_node must be >= 1")
-        if self.syscall_chunk_size < 1 or self.mtu_bytes < 1:
-            raise CostModelError("chunk sizes must be >= 1")
+        for name in ("cores_per_node", "syscall_chunk_size", "mtu_bytes"):
+            if getattr(self, name) < 1:
+                raise CostModelError("%s must be >= 1, got %r" % (name, getattr(self, name)))
 
     # -- constructors ----------------------------------------------------------
 

@@ -71,7 +71,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from typing import TYPE_CHECKING
 
-from repro.experiments.environment import build_pair_setup
+from repro.experiments.harness import measure_pair
 from repro.platform.deployment import DeployedFunction
 from repro.platform.cluster import Cluster
 from repro.platform.function import FunctionSpec
@@ -85,7 +85,6 @@ from repro.traffic.slo import RequestOutcome, RequestRecord, TrafficSummary, che
 from repro.traffic.tenants import CapacityArbiter, MultiTenantSummary, NodeUsage, TenantSpec
 from repro.wasm.linear_memory import LinearMemory
 from repro.wasm.runtime import RuntimeKind
-from repro.workloads.generators import make_payload
 
 if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy to avoid
     # a cycle through repro.obs (whose modules import repro.traffic.slo).
@@ -152,12 +151,13 @@ def calibrated_service_time(
 ) -> float:
     """Workflow latency for one (mode, payload size), measured once into ``cache``.
 
-    The measurement invokes the canonical two-function chain through a
-    fresh isolated environment (fresh cluster, ledger shards and clock) —
-    the path every figure in the reproduction uses — so it depends only on
-    its arguments and a cached value never goes stale.  A payload larger
-    than :func:`max_payload_bytes`, or one whose service would take longer
-    than :data:`MAX_SERVICE_S`, is refused with an :class:`ArrivalError`.
+    The measurement is :func:`~repro.experiments.harness.measure_pair`: the
+    canonical two-function chain in a fresh isolated environment (fresh
+    cluster, ledger shards and clock), the path every figure in the
+    reproduction uses, so it depends only on its arguments and a cached
+    value never goes stale.  A payload larger than :func:`max_payload_bytes`,
+    or one whose service would take longer than :data:`MAX_SERVICE_S`, is
+    refused with an :class:`ArrivalError`.
     """
     key = (mode, payload_bytes)
     latency = cache.get(key)
@@ -168,9 +168,7 @@ def calibrated_service_time(
                 "payload_mb %r (%d bytes) exceeds the largest %s payload, %r MB (%d bytes)"
                 % (payload_bytes / MB, payload_bytes, mode, largest / MB, largest)
             )
-        setup = build_pair_setup(mode, cost_model=cost_model)
-        payload = make_payload(payload_bytes / MB)
-        latency = setup.invoker.invoke(setup.workflow, payload).total_latency_s
+        latency = measure_pair(mode, payload_bytes / MB, cost_model=cost_model).total_latency_s
         if latency > MAX_SERVICE_S:
             raise ArrivalError(
                 "payload_mb %r takes %r s of %s service per request, past the bound of %r s"

@@ -15,10 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments.environment import build_pair_setup
 from repro.metrics.records import TransferMetrics
 from repro.metrics.stats import mean, p95
-from repro.workloads.generators import make_payload
 
 MB = 1024 * 1024
 
@@ -131,15 +129,17 @@ def replay_trace(trace: InvocationTrace, mode: str) -> TraceReplayResult:
     Transfers with the same payload size share a cached measurement (the
     simulation is deterministic), so replaying long traces stays cheap.
     """
+    # Imported here: the harness imports repro.workloads, whose package
+    # imports this module.
+    from repro.experiments.harness import measure_pair
+
     cache: Dict[int, TransferMetrics] = {}
     latencies: List[float] = []
     total_cpu = 0.0
     for invocation in trace.invocations:
         metrics = cache.get(invocation.payload_bytes)
         if metrics is None:
-            setup = build_pair_setup(mode)
-            payload = make_payload(invocation.payload_bytes / MB)
-            metrics = setup.channel.transfer(setup.source, setup.target, payload).metrics
+            metrics = measure_pair(mode, invocation.payload_bytes / MB)
             cache[invocation.payload_bytes] = metrics
         latencies.append(metrics.total_latency_s)
         total_cpu += metrics.cpu_total_s

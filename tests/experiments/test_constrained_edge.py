@@ -23,7 +23,7 @@ def test_ordering_survives_on_a_true_100mbps_link(constrained):
     rr = measure_pair("roadrunner-network", 50, internode=True, cost_model=constrained)
     runc = measure_pair("runc-http", 50, internode=True, cost_model=constrained)
     wasm = measure_pair("wasmedge-http", 50, internode=True, cost_model=constrained)
-    assert rr.mean_latency_s < runc.mean_latency_s < wasm.mean_latency_s
+    assert rr.total_latency_s < runc.total_latency_s < wasm.total_latency_s
 
 
 def test_relative_gap_narrows_but_serialization_gain_remains(constrained):
@@ -32,16 +32,16 @@ def test_relative_gap_narrows_but_serialization_gain_remains(constrained):
     wasm_fast = measure_pair("wasmedge-http", 50, internode=True, cost_model=fast)
     rr_slow = measure_pair("roadrunner-network", 50, internode=True, cost_model=constrained)
     wasm_slow = measure_pair("wasmedge-http", 50, internode=True, cost_model=constrained)
-    gap_fast = improvement_percent(wasm_fast.mean_latency_s, rr_fast.mean_latency_s)
-    gap_slow = improvement_percent(wasm_slow.mean_latency_s, rr_slow.mean_latency_s)
+    gap_fast = improvement_percent(wasm_fast.total_latency_s, rr_fast.total_latency_s)
+    gap_slow = improvement_percent(wasm_slow.total_latency_s, rr_slow.total_latency_s)
     assert gap_slow < gap_fast
     assert gap_slow > 0
     # Serialization is still effectively eliminated regardless of the wire.
-    assert improvement_percent(wasm_slow.mean_serialization_s, rr_slow.mean_serialization_s) >= 97.0
+    assert improvement_percent(wasm_slow.serialization_s, rr_slow.serialization_s) >= 97.0
 
 
 def test_absolute_latency_is_dominated_by_the_wire(constrained):
     rr = measure_pair("roadrunner-network", 50, internode=True, cost_model=constrained)
     wire_floor = (50 * 1024 * 1024) / constrained.network_bandwidth
-    assert rr.mean_latency_s >= wire_floor
-    assert rr.mean_latency_s < 1.5 * wire_floor + 1.0
+    assert rr.total_latency_s >= wire_floor
+    assert rr.total_latency_s < 1.5 * wire_floor + 1.0

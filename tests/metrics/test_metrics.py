@@ -1,8 +1,7 @@
-"""Unit tests for transfer metrics, the ledger window, collectors and reports."""
+"""Unit tests for transfer metrics, the ledger window and reports."""
 
 import pytest
 
-from repro.metrics.collector import CollectorError, aggregate_samples
 from repro.metrics.records import LedgerWindow, TransferMetrics
 from repro.metrics.report import format_figure_result, format_table, improvement_percent, speedup
 from repro.sim.ledger import CostCategory, CostLedger, CpuDomain
@@ -29,7 +28,6 @@ def make_metrics(mode="m", latency=1.0, serialization=0.2, payload=1000, cpu_use
 def test_transfer_metrics_derived_quantities():
     metrics = make_metrics(latency=2.0, serialization=0.5)
     assert metrics.throughput_rps == pytest.approx(0.5)
-    assert metrics.serialization_throughput_rps == pytest.approx(2.0)
     assert metrics.cpu_total_s == pytest.approx(0.4)
 
 
@@ -54,22 +52,6 @@ def test_ledger_window_before_close_raises():
     window = LedgerWindow(ledger, mode="test", payload_bytes=1)
     with pytest.raises(RuntimeError):
         _ = window.metrics
-
-
-def test_collector_groups_and_aggregates():
-    aggregate = aggregate_samples([make_metrics(latency=1.0), make_metrics(latency=3.0)])
-    assert aggregate.samples == 2
-    assert aggregate.mean_latency_s == pytest.approx(2.0)
-    assert aggregate.max_latency_s == pytest.approx(3.0)
-    assert aggregate.mean_throughput_rps == pytest.approx(0.5)
-    assert aggregate.mean_cpu_total_s == pytest.approx(0.4)
-
-
-def test_collector_errors():
-    with pytest.raises(CollectorError):
-        aggregate_samples([])
-    with pytest.raises(CollectorError):
-        aggregate_samples([make_metrics(mode="a"), make_metrics(mode="b")])
 
 
 def test_format_table_aligns_columns():

@@ -100,6 +100,50 @@ def test_invalid_parameters_rejected():
         CostModel(cores_per_node=0)
 
 
+FIELDS = sorted(CostModel.__dataclass_fields__)
+BANDWIDTHS = [name for name in FIELDS if name.endswith("_bandwidth")]
+ZERO_ALLOWED = [
+    name for name in FIELDS
+    if name.endswith(("_overhead", "_overhead_native", "_overhead_wasm", "_setup", "_rss_mb"))
+    or name in ("network_rtt", "http_header_bytes")
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", FIELDS)
+def test_every_field_must_be_finite(name, value):
+    # NaN passed the old ``value <= 0`` checks and surfaced later as a NaN
+    # latency (e.g. a sensitivity sweep of serialize_setup_overhead).
+    with pytest.raises(CostModelError, match="^%s must be finite" % name):
+        DEFAULT_COST_MODEL.with_overrides(**{name: value})
+
+
+@pytest.mark.parametrize("name", BANDWIDTHS)
+def test_every_bandwidth_must_be_positive(name):
+    # pointer_registration_bandwidth=0 used to fail only inside a transfer.
+    for value in (0.0, -1.0):
+        with pytest.raises(CostModelError, match="^%s must be positive" % name):
+            CostModel(**{name: value})
+
+
+@pytest.mark.parametrize("name", ZERO_ALLOWED)
+def test_overheads_rtt_and_rss_accept_zero_but_not_negatives(name):
+    assert getattr(CostModel(**{name: 0}), name) == 0
+    with pytest.raises(CostModelError, match="^%s must be non-negative" % name):
+        CostModel(**{name: -1})
+
+
+def test_field_groups_cover_the_model():
+    ratios = {"serialized_inflation", "wasi_network_efficiency"}
+    counts = {"syscall_chunk_size", "mtu_bytes", "cores_per_node"}
+    assert set(FIELDS) == set(BANDWIDTHS) | set(ZERO_ALLOWED) | ratios | counts
+    with pytest.raises(CostModelError, match="^serialized_inflation must be positive"):
+        CostModel(serialized_inflation=0)
+    for name in counts:
+        with pytest.raises(CostModelError, match="^%s must be >= 1" % name):
+            CostModel(**{name: 0})
+
+
 def test_describe_lists_every_field():
     model = CostModel.paper_testbed()
     described = model.describe()

@@ -1,4 +1,4 @@
-"""Pinned bytes of ``repro traffic`` and ``repro figures``: stdout and every export.
+"""Pinned bytes of ``repro traffic``, ``figures`` and ``claims``: stdout and every export.
 
 Refactors of the traffic engine promise byte-identical outputs.  These
 sha256 digests pin what four representative invocations print and write:
@@ -7,7 +7,8 @@ a memory budget, middleware and every export, a two-region federation with
 a regional failure, and a scaling-policy comparison.  The run directory in
 stdout is replaced by a placeholder, and ``manifest.json`` is left out: it
 records wall time and the parsed flags.  ``repro figures --export-dir``
-(quick mode) is pinned in both data formats, one file per figure.
+(quick mode) is pinned in both data formats, one file per figure, and the
+``repro claims`` table with its default arguments.
 
 Python 3.12 changed ``sum()`` of floats to compensate rounding, which moves
 some summaries in the last bit, so the digests hold on 3.11 only.
@@ -180,3 +181,14 @@ def test_figure_exports_match_pinned_digests(fmt, tmp_path):
     for path in sorted(tmp_path.iterdir()):
         digests[path.name] = _digest(path.read_bytes())
     assert digests == FIGURES[fmt]
+
+
+CLAIMS_STDOUT = "e83ee8e737df59032187a894a604954c5ddcf6aab316790e6d7d64edec816e07"
+
+
+def test_claims_table_matches_pinned_digest():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["claims"])
+    assert code == 0
+    assert _digest(out.getvalue().encode()) == CLAIMS_STDOUT
