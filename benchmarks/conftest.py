@@ -2,7 +2,7 @@
 
 Each benchmark regenerates one of the paper's figures (or an ablation) and
 writes the rendered table to ``results/`` so the regenerated rows can be
-inspected after a run; EXPERIMENTS.md is written against those outputs.
+inspected after a run.
 """
 
 from __future__ import annotations

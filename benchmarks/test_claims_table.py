@@ -1,6 +1,6 @@
 """Benchmark: evaluate every headline claim and persist the comparison table.
 
-This is the machine-checkable companion to EXPERIMENTS.md: it measures the
+This is the machine-checkable form of ``repro claims``: it measures the
 experiments behind each headline claim of the paper (at the 100 MB / fan-out
 50 operating points), writes the paper-vs-measured table to
 ``results/claims.txt`` and fails if any claim's direction or conservative

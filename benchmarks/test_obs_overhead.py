@@ -7,10 +7,11 @@ Three gates protect the observability layer's core promises:
    instrumented run of the same seeded stream: attaching every sink
    (registry, trace log, event stream, progress) cannot perturb a single
    simulated event.
-2. **On is bounded** — the fully instrumented run finishes within ``3x``
-   the uninstrumented wall-clock (measured ~1.9x; the slack absorbs CI
-   noise).  Per-request work is a few counter bumps, one trace record and
-   one JSON line.
+2. **On is bounded** — the fully instrumented run costs within ``3x`` the
+   uninstrumented run's process CPU time (measured 1.7-2.2x; the slack
+   absorbs CI noise).  CPU time, not wall clock, so another process on a
+   busy host cannot fail the gate.  Per-request work is a few counter
+   bumps, one trace record and one JSON line.
 3. **Sketch mode is honest** — ``retain_records=False`` keeps no
    per-request records at all, yet its p50/p95/p99 stay within 1% of the
    exact order statistics on a 100k-request run whose latency distribution
@@ -33,7 +34,7 @@ from repro.traffic import (
 )
 from repro.traffic.report import render_traffic_report
 
-#: The stated instrumentation-overhead bound (wall-clock on / wall-clock off).
+#: The stated instrumentation-overhead bound (CPU time on / CPU time off).
 OVERHEAD_BOUND = 3.0
 
 #: The stated sketch-accuracy bound (relative error vs exact percentiles).
@@ -94,12 +95,13 @@ def test_instrumentation_overhead_under_bound(benchmark):
     requests = PoissonArrivals(rate_rps=100.0, duration_s=20.0, payload_mb=1.0, seed=5).generate()
 
     def timed(telemetry_factory):
-        # Best-of-three absorbs scheduler jitter on shared CI runners.
+        # Both runs are in-process with sinks on StringIO, so process CPU
+        # time covers all their work; best-of-three absorbs cache jitter.
         best = float("inf")
         for _ in range(3):
-            started = time.perf_counter()
+            started = time.process_time()
             _run(requests, telemetry=telemetry_factory())
-            best = min(best, time.perf_counter() - started)
+            best = min(best, time.process_time() - started)
         return best
 
     def measure():

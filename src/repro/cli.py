@@ -19,10 +19,8 @@ Commands
               ``--compare-policies`` run the same seeded arrivals under
               several scaling policies and print/export the comparison;
               with ``--trace-file`` replay an Azure Functions invocations-
-              per-minute trace; with ``--parallel-nodes`` run the compared
-              ``--modes`` or ``--compare-policies`` simulations in worker
-              processes (identical results; each simulation itself stays
-              serial).
+              per-minute trace.  Compared ``--modes`` or
+              ``--compare-policies`` simulations run one after another.
 """
 
 from __future__ import annotations
@@ -470,12 +468,6 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
     if args.export_nodes:
         _note_ignored("--export-nodes", "--modes")
     wants_telemetry = _wants_telemetry(args)
-    if wants_telemetry and args.parallel and len(modes) > 1:
-        print(
-            "note: telemetry sinks cannot cross process boundaries; "
-            "running the mode comparison serially",
-            file=sys.stderr,
-        )
     # Per-mode telemetry stacks: export files get a -<mode> suffix when the
     # comparison covers more than one runtime.
     telemetries: Dict[str, Optional[Telemetry]] = {}
@@ -500,7 +492,6 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
             config=TrafficConfig(**config_kwargs),
             pattern="azure" if args.trace_file else args.pattern,
             intra=intra,
-            parallel=args.parallel and not wants_telemetry,
             telemetry_factory=telemetry_for if wants_telemetry else None,
             waterfalls_out=waterfalls,
             middleware_factory=(lambda mode: _build_middleware(args)) if args.middleware else None,
@@ -649,7 +640,6 @@ def _cmd_compare_policies(
             starvation_guard=args.starvation_guard,
             intra=intra,
             oversubscription=args.oversubscription,
-            parallel=args.parallel,
         )
     except (ValueError, TenantError, TrafficEngineError, AutoscalerError) as exc:
         print("invalid traffic parameters: %s" % exc, file=sys.stderr)
@@ -758,13 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
     traffic.add_argument("--control-interval", type=_finite_float, default=1.0, help="autoscaler tick period")
     traffic.add_argument("--initial-replicas", type=int, default=1)
     traffic.add_argument("--nodes", type=int, default=4)
-    traffic.add_argument(
-        "--parallel-nodes", action="store_true", dest="parallel",
-        help="run each compared simulation (several --modes, or "
-        "--compare-policies) in its own worker process; every simulation "
-        "still executes serially, and summaries and figures are identical "
-        "to a serial comparison under the same seeds",
-    )
     traffic.add_argument("--timeout", type=_finite_float, default=30.0, help="queueing timeout per request")
     traffic.add_argument(
         "--node-memory-mb", type=_finite_float, default=0.0,

@@ -1,8 +1,8 @@
 """Programmatic check of the paper's headline claims.
 
-EXPERIMENTS.md is the narrative version; this module computes the same
-paper-vs-measured comparison as data, so the CLI can print it and tests can
-assert it.  Each claim records the paper's reported value, the measured value
+This module computes the paper-vs-measured comparison as data, so the CLI
+can print it (``repro claims``, persisted as ``results/claims.txt``) and
+tests can assert it.  Each claim records the paper's reported value, the measured value
 from the reproduction, and whether the measured value satisfies a
 conservative acceptance rule (same direction, at or beyond a lower bound).
 """

@@ -3,8 +3,8 @@
 A :class:`FigureResult` mirrors one figure of the paper: an x axis (payload
 size, fan-out degree, or a categorical axis), a set of panels (total latency,
 throughput, CPU, RAM, ...), and for each panel one series per runtime.
-EXPERIMENTS.md is generated from these objects, and the benchmark suite
-asserts the paper's headline ratios against them.
+The ``results/fig*.txt`` tables are rendered from these objects, and the
+benchmark suite asserts the paper's headline ratios against them.
 """
 
 from __future__ import annotations

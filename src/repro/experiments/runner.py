@@ -2,7 +2,7 @@
 
 ``python -m repro.experiments`` runs all figures with reduced sweeps (so a
 laptop finishes in seconds) and prints the tables; ``run_all`` is also what
-EXPERIMENTS.md is generated from.
+``repro figures`` prints.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ Calibration targets (from the paper):
 * throughput improves up to 69x vs WasmEdge for small payloads (Sec. 1).
 
 The absolute values are synthetic but internally consistent; only the shape
-of the comparison is claimed, and EXPERIMENTS.md records paper-vs-measured
-per figure.
+of the comparison is claimed, and the ``repro claims`` table
+(``results/claims.txt``) records paper-vs-measured for each headline claim.
 """
 
 from __future__ import annotations

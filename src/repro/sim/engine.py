@@ -1,41 +1,33 @@
-"""A discrete-event loop, a process-parallel map and a makespan helper.
+"""A discrete-event loop and a makespan helper.
 
 Most of the reproduction is sequential accounting on a shared ledger, but
-several places need genuine concurrency semantics:
+two places need genuine concurrency semantics:
 
 * the fan-out experiments (Figs. 9 and 10), where one source function feeds
   N targets and the runtimes differ in how much of that work can overlap;
 * the network link, where transmissions from different connections share
-  bandwidth;
-* compared runs (runtime modes, scaling policies), which are independent
-  simulations and can execute in separate worker processes.
+  bandwidth.
 
 :class:`EventLoop` is a classic time-ordered event queue; every traffic run
-executes on one, serially.  An event is only a heap entry, the tuple
-``(time, order, action, args)``: no object is built per event.  A traffic
-completion event's ``args`` are the request's scalars, so in sketch mode,
-when no telemetry or middleware reads a
+executes on one, serially, and compared runs (runtime modes, scaling
+policies) simply run one after another in the same process.  An event is
+only a heap entry, the tuple ``(time, order, action, args)``: no object is
+built per event.  A traffic completion event's ``args`` are the request's
+scalars, so in sketch mode, when no telemetry or middleware reads a
 :class:`~repro.traffic.slo.RequestRecord`, the runtime builds none: it
 folds a finished request's scalars straight into its rollups
 (:meth:`~repro.obs.streaming.Rollups.fold`).
 
-:func:`parallel_map` ships whole independent simulations to worker
-processes.  For fan-out we use the simpler
-:class:`ParallelTracks` helper, which computes the makespan of N per-branch
-duration profiles under a bounded concurrency model — this mirrors how a
-4-core node executes N sandboxes, or how a single-threaded Wasm VM
-serialises all branches.
+:class:`ParallelTracks` serves fan-out: it computes the makespan of N
+per-branch duration profiles under a bounded concurrency model — this
+mirrors how a 4-core node executes N sandboxes, or how a single-threaded
+Wasm VM serialises all branches.
 """
 
 from __future__ import annotations
 
-import atexit
 import heapq
-import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class EngineError(RuntimeError):
@@ -139,58 +131,6 @@ class EventLoop:
         if until is not None and until > self._now:
             self._now = until
         return self._now
-
-
-#: Long-lived worker pool shared by every :func:`parallel_map` call, so
-#: repeated comparisons (``run_comparison``, policy sweeps) stop paying
-#: process spin-up per invocation.  Recreated on demand after a
-#: worker crash; shut down at interpreter exit.
-_shared_pool: Optional[ProcessPoolExecutor] = None
-
-
-def _discard_shared_pool() -> None:
-    global _shared_pool
-    pool, _shared_pool = _shared_pool, None
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _get_shared_pool() -> ProcessPoolExecutor:
-    global _shared_pool
-    if _shared_pool is None:
-        _shared_pool = ProcessPoolExecutor(max_workers=os.cpu_count() or 1)
-        atexit.register(_discard_shared_pool)
-    return _shared_pool
-
-
-def parallel_map(fn: Callable[..., Any], items: Sequence[Tuple]) -> List[Any]:
-    """Run ``fn(*item)`` for every item, concurrently, results in input order.
-
-    The process-pool path is for *independent simulations* — each call must
-    be self-contained (its own cluster, ledger shards and clock) and both
-    the arguments and the result must pickle.  Falls back to a serial map
-    when there is nothing to parallelize or worker processes cannot be
-    spawned, so callers never need a fallback of their own; either way the
-    result list is deterministic and ordered like ``items``.  Every call
-    shares one long-lived process pool across the interpreter.
-    """
-    if len(items) <= 1 or (os.cpu_count() or 1) < 2:
-        return [fn(*item) for item in items]
-    try:
-        # The function and its arguments must cross the process boundary; a
-        # lambda or closure-based factory degrades to the serial path rather
-        # than failing the run.
-        pickle.dumps((fn, tuple(items)))
-    except Exception:
-        return [fn(*item) for item in items]
-    try:
-        return list(_get_shared_pool().map(fn, *zip(*items)))
-    except (OSError, BrokenProcessPool):
-        # A dead worker poisons the whole executor: drop it so the next
-        # call starts fresh, and finish this one serially.  Exceptions
-        # raised by ``fn`` itself still propagate to the caller.
-        _discard_shared_pool()
-        return [fn(*item) for item in items]
 
 
 class ParallelTracks:

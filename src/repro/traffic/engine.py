@@ -20,9 +20,10 @@ autoscaler from absorbing the whole cluster.
 
 One driver runs all of it.  The single-stream :class:`TrafficEngine` is the
 one-tenant case of :class:`MultiTenantTrafficEngine`, which in turn is a
-one-region federation: its run is the
-:class:`~repro.traffic.federation.FederatedTrafficEngine` simulation over
-one region named ``traffic``, and its summary is that region's
+one-region federation: it builds a
+:class:`~repro.traffic.federation.FederatedTrafficEngine` over one region
+named ``traffic`` once, each run is that federation's simulation, and its
+summary is that region's
 :class:`~repro.traffic.cluster_runtime.ClusterRuntime` snapshot.
 
 Service times come from the same machinery as every figure in the
@@ -40,9 +41,8 @@ node of the serving cluster charges its own
 :class:`~repro.sim.ledger.NodeLedger`), which is what per-node usage
 rollups read.  Compared runs (:func:`run_comparison`,
 :func:`~repro.traffic.policies.compare_scaling_policies`) are independent
-simulations and can ship whole to worker processes, which is where
-multi-core hosts win their wall-clock; the results are identical to the
-serial comparison under the same seeds.
+simulations that run one after another in this process; shipping each to
+a worker process did not reliably pay for its pickling on a two-core host.
 """
 
 from __future__ import annotations
@@ -56,9 +56,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Ty
 from typing import TYPE_CHECKING
 
 from repro.platform.gateway import FairnessPolicy, IntraTenantOrder
-from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
-from repro.sim.engine import EventLoop, parallel_map
+from repro.sim.engine import EventLoop
 from repro.traffic.arrivals import Request
 
 from repro.traffic.cluster_runtime import MB, _TenantState, calibrated_service_time
@@ -271,7 +270,18 @@ def schedule_arrivals(
 
 
 class MultiTenantTrafficEngine:
-    """Drives several tenants' arrival streams over one shared cluster."""
+    """Drives several tenants' arrival streams over one shared cluster.
+
+    The constructor builds the one-region federation every run drives —
+    region ``traffic`` with this config's nodes — so each :meth:`run` only
+    simulates.  Every run regenerates the tenants' streams and builds fresh
+    autoscalers, as a freshly built engine's run would.
+
+    ``middleware`` is the optional gateway chain every request is threaded
+    through (:mod:`repro.gateway.middleware`); ``None`` — or a pipeline with
+    no enabled stages — leaves the request path byte-identical to a run
+    without one.
+    """
 
     def __init__(
         self,
@@ -286,26 +296,25 @@ class MultiTenantTrafficEngine:
         telemetry: Optional[Telemetry] = None,
         middleware: Optional[MiddlewarePipeline] = None,
     ) -> None:
+        from repro.traffic.federation import ClusterSpec, FederatedTrafficEngine
+
+        # Validated here first so misconfigurations raise this engine's
+        # TrafficEngineError rather than the federation's subclass.
         validate_tenants(tenants, TrafficEngineError, oversubscription, starvation_guard)
-        self.tenants = list(tenants)
-        self.config = config or TrafficConfig()
-        self.fairness = fairness
-        self.starvation_guard = starvation_guard
-        self.intra = intra
-        self.oversubscription = oversubscription
-        self.autoscaler_factory = autoscaler_factory or (
-            lambda: Autoscaler(TargetConcurrencyPolicy(1.0))
+        config = config or TrafficConfig()
+        self._federation = FederatedTrafficEngine(
+            tenants,
+            [ClusterSpec(region="traffic", nodes=config.nodes)],
+            config=config,
+            fairness=fairness,
+            starvation_guard=starvation_guard,
+            autoscaler_factory=autoscaler_factory,
+            oversubscription=oversubscription,
+            intra=intra,
+            telemetry_factory=lambda region: telemetry,
+            middleware_factory=lambda region: middleware,
+            service_cache=service_cache,
         )
-        self.clock = SimClock()
-        self._service_cache: Dict[Tuple[str, int], float] = (
-            service_cache if service_cache is not None else {}
-        )
-        self.telemetry = telemetry
-        #: Optional gateway middleware chain every request is threaded
-        #: through (:mod:`repro.gateway.middleware`).  ``None`` — or a
-        #: pipeline with no enabled stages — leaves the request path
-        #: byte-identical to a run without one.
-        self.middleware = middleware
         #: Per-stage middleware counters of the last run ({} without one).
         self.middleware_stats: Dict[str, Dict[str, int]] = {}
         #: Per-tenant records of the last run (sorted by request id).
@@ -322,27 +331,10 @@ class MultiTenantTrafficEngine:
     def run(self) -> MultiTenantSummary:
         """Admit, queue, execute and account every tenant's stream.
 
-        The run is a one-region federation — region ``traffic`` with this
-        config's nodes — driven by the federation's own simulation; the
-        summary is that region's snapshot, and no federation-wide rollup
-        is built.
+        The run is the one-region federation's own simulation; the summary
+        is that region's snapshot, and no federation-wide rollup is built.
         """
-        from repro.traffic.federation import ClusterSpec, FederatedTrafficEngine
-
-        federation = FederatedTrafficEngine(
-            self.tenants,
-            [ClusterSpec(region="traffic", nodes=self.config.nodes)],
-            config=self.config,
-            fairness=self.fairness,
-            starvation_guard=self.starvation_guard,
-            autoscaler_factory=self.autoscaler_factory,
-            oversubscription=self.oversubscription,
-            intra=self.intra,
-            telemetry_factory=lambda region: self.telemetry,
-            middleware_factory=lambda region: self.middleware,
-            service_cache=self._service_cache,
-        )
-        runtimes, duration, _ = federation._simulate(self.clock, self._service_time)
+        runtimes, duration, _ = self._federation._simulate(self._service_time)
         runtime = runtimes["traffic"]
         summary = runtime.snapshot(duration)
         self.records = runtime.records
@@ -357,8 +349,9 @@ class MultiTenantTrafficEngine:
         # This is the one-region simulation's calibration entry point;
         # FederatedTrafficEngine has its own only because bench/trace.py
         # names each in its own class body.
+        federation = self._federation
         return calibrated_service_time(
-            self._service_cache, mode, payload_bytes, self.config.cost_model
+            federation._service_cache, mode, payload_bytes, federation.config.cost_model
         )
 
 
@@ -439,35 +432,6 @@ class TrafficEngine:
         return result.tenants["tenant-1"]
 
 
-def _run_single_mode(
-    mode: str,
-    requests: Sequence[Request],
-    autoscaler: Optional[Autoscaler],
-    config: Optional[TrafficConfig],
-    pattern: str,
-    intra: IntraTenantOrder,
-    telemetry: Optional[Telemetry] = None,
-    middleware: Optional[MiddlewarePipeline] = None,
-) -> Tuple[TrafficSummary, List[WaterfallRow], Dict[str, Dict[str, int]]]:
-    """One mode's complete simulation — the unit of process-level parallelism.
-
-    Module-level and built from plain data, so a worker process can run an
-    entire cluster (nodes, ledger shards, clock and all) independently.
-    Returns the summary plus the run's waterfall rows and middleware
-    counters, which pickle back to the parent alongside it.
-    """
-    engine = TrafficEngine(
-        mode,
-        autoscaler=autoscaler,
-        config=config,
-        intra=intra,
-        telemetry=telemetry,
-        middleware=middleware,
-    )
-    summary = engine.run(requests, pattern=pattern)
-    return summary, engine.waterfall, engine.middleware_stats
-
-
 def run_comparison(
     requests: Sequence[Request],
     modes: Sequence[str] = ("roadrunner-user", "runc-http"),
@@ -475,58 +439,39 @@ def run_comparison(
     config: Optional[TrafficConfig] = None,
     pattern: str = "trace",
     intra: IntraTenantOrder = IntraTenantOrder.FIFO,
-    parallel: bool = False,
     telemetry_factory: Optional[Callable[[str], Telemetry]] = None,
     waterfalls_out: Optional[Dict[str, List[WaterfallRow]]] = None,
     middleware_factory: Optional[Callable[[str], MiddlewarePipeline]] = None,
     middleware_out: Optional[Dict[str, Dict[str, Dict[str, int]]]] = None,
 ) -> Dict[str, TrafficSummary]:
-    """Run the *same* arrival stream against several runtimes.
+    """Run the *same* arrival stream against several runtimes, one after another.
 
     Each mode gets a fresh engine and a fresh autoscaler (from
     ``autoscaler_factory``, defaulting to target-concurrency 1.0) so no
     state leaks between the compared runs — the arrival stream is the only
-    thing they share.  With ``parallel`` each mode's whole simulation (its
-    own cluster, per-node ledger shards and clock) runs in a worker
-    process; results are identical to the serial comparison because every
-    run is independent and seeded.
+    thing they share.
 
     ``telemetry_factory`` builds one :class:`~repro.obs.telemetry.Telemetry`
-    per mode (called with the mode name); its sinks hold open file handles,
-    so it requires the serial path.  ``waterfalls_out`` collects each
+    per mode (called with the mode name); ``waterfalls_out`` collects each
     mode's waterfall rows.
     ``middleware_factory`` builds one fresh
     :class:`~repro.gateway.middleware.MiddlewarePipeline` per mode (stage
     state like caches and token buckets must not leak between compared
     runs); ``middleware_out`` collects each mode's per-stage counters.
     """
-    if telemetry_factory is not None and parallel:
-        raise TrafficEngineError(
-            "telemetry sinks cannot cross process boundaries; "
-            "run the comparison serially to attach telemetry"
-        )
-    jobs = [
-        (
-            mode,
-            requests,
-            autoscaler_factory() if autoscaler_factory else None,
-            config,
-            pattern,
-            intra,
-            telemetry_factory(mode) if telemetry_factory else None,
-            middleware_factory(mode) if middleware_factory else None,
-        )
-        for mode in modes
-    ]
-    if parallel:
-        results = parallel_map(_run_single_mode, jobs)
-    else:
-        results = [_run_single_mode(*job) for job in jobs]
     summaries: Dict[str, TrafficSummary] = {}
-    for mode, (summary, waterfall, middleware_stats) in zip(modes, results):
-        summaries[mode] = summary
+    for mode in modes:
+        engine = TrafficEngine(
+            mode,
+            autoscaler=autoscaler_factory() if autoscaler_factory else None,
+            config=config,
+            intra=intra,
+            telemetry=telemetry_factory(mode) if telemetry_factory else None,
+            middleware=middleware_factory(mode) if middleware_factory else None,
+        )
+        summaries[mode] = engine.run(requests, pattern=pattern)
         if waterfalls_out is not None:
-            waterfalls_out[mode] = waterfall
+            waterfalls_out[mode] = engine.waterfall
         if middleware_out is not None:
-            middleware_out[mode] = middleware_stats
+            middleware_out[mode] = engine.middleware_stats
     return summaries

@@ -497,7 +497,7 @@ class FederatedTrafficEngine:
             }
             cluster_stream = StreamingTrafficStats()
         runtimes, duration, failed_regions = self._simulate(
-            self.clock, self._service_time, tenant_streams, cluster_stream
+            self._service_time, tenant_streams, cluster_stream
         )
         region_summaries = {
             region: runtimes[region].snapshot(duration) for region in self.regions
@@ -547,7 +547,6 @@ class FederatedTrafficEngine:
 
     def _simulate(
         self,
-        clock: SimClock,
         service_time: Callable[[str, int], float],
         tenant_streams: Optional[Dict[str, StreamingTrafficStats]] = None,
         cluster_stream: Optional[StreamingTrafficStats] = None,
@@ -557,8 +556,8 @@ class FederatedTrafficEngine:
         This is the one traffic simulation, shared by :meth:`run` and by
         :meth:`MultiTenantTrafficEngine.run
         <repro.traffic.engine.MultiTenantTrafficEngine.run>`, which drives
-        a one-region federation through it on its own ``clock`` and
-        calibrates through its own ``service_time``.  Returns the runtimes
+        a one-region federation through it and calibrates through its own
+        ``service_time``.  Returns the runtimes
         by region, the run's duration and the regions failed during it;
         rolling up is left to the caller (the single-cluster engine only
         snapshots its one region).  In sketch mode every tenant also folds
@@ -578,6 +577,7 @@ class FederatedTrafficEngine:
             raise FederationError("cannot run with zero requests across all tenants")
         retain = self.config.retain_records
 
+        clock = self.clock
         clock.reset()
         loop = EventLoop()
         counter = [total_requests]

@@ -4,8 +4,7 @@ The question an operator actually asks of an autoscaler is comparative:
 given *my* traffic, which policy holds p99 and the deadline-met ratio at
 the fewest cold starts and replica-seconds?  This module answers it the way
 every figure in the reproduction does — byte-identical seeded arrivals,
-one engine run per candidate, nothing shared between runs — which is also
-why candidates can run in parallel worker processes:
+one engine run per candidate, no policy state shared between runs:
 
 * :func:`autoscaler_factory` builds the named policy's fresh-per-run
   factory (stateful policies like step/predictive must never leak state
@@ -77,40 +76,6 @@ def make_scaling_policy(
     )
 
 
-class AutoscalerFactory:
-    """A picklable factory producing one fresh autoscaler (and policy) per call.
-
-    A plain class (not a closure) so a factory can cross process boundaries:
-    parallel policy comparisons ship the factory to worker processes, each of
-    which builds its own fresh, stateful policy instances.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        min_replicas: int = 1,
-        max_replicas: int = 64,
-        keep_alive_s: float = 30.0,
-        control_interval_s: float = 1.0,
-        **policy_kwargs,
-    ) -> None:
-        self.name = name
-        self.min_replicas = min_replicas
-        self.max_replicas = max_replicas
-        self.keep_alive_s = keep_alive_s
-        self.control_interval_s = control_interval_s
-        self.policy_kwargs = dict(policy_kwargs)
-
-    def __call__(self) -> Autoscaler:
-        return Autoscaler(
-            make_scaling_policy(self.name, **self.policy_kwargs),
-            min_replicas=self.min_replicas,
-            max_replicas=self.max_replicas,
-            keep_alive_s=self.keep_alive_s,
-            control_interval_s=self.control_interval_s,
-        )
-
-
 def autoscaler_factory(
     name: str,
     min_replicas: int = 1,
@@ -120,38 +85,17 @@ def autoscaler_factory(
     **policy_kwargs,
 ) -> Callable[[], Autoscaler]:
     """A factory producing one fresh autoscaler (and policy) per call."""
-    return AutoscalerFactory(
-        name,
-        min_replicas=min_replicas,
-        max_replicas=max_replicas,
-        keep_alive_s=keep_alive_s,
-        control_interval_s=control_interval_s,
-        **policy_kwargs,
-    )
 
+    def build() -> Autoscaler:
+        return Autoscaler(
+            make_scaling_policy(name, **policy_kwargs),
+            min_replicas=min_replicas,
+            max_replicas=max_replicas,
+            keep_alive_s=keep_alive_s,
+            control_interval_s=control_interval_s,
+        )
 
-def _run_policy(
-    tenants: Tuple[TenantSpec, ...],
-    factory: Callable[[], Autoscaler],
-    config: Optional[TrafficConfig],
-    fairness: FairnessPolicy,
-    starvation_guard: int,
-    intra: IntraTenantOrder,
-    oversubscription: float,
-    service_cache: Optional[Dict[Tuple[str, int], float]] = None,
-) -> MultiTenantSummary:
-    """One policy's complete shared-cluster simulation (process-parallel unit)."""
-    engine = MultiTenantTrafficEngine(
-        tenants,
-        config=config,
-        fairness=fairness,
-        starvation_guard=starvation_guard,
-        autoscaler_factory=factory,
-        oversubscription=oversubscription,
-        service_cache=service_cache,
-        intra=intra,
-    )
-    return engine.run()
+    return build
 
 
 def compare_scaling_policies(
@@ -162,36 +106,32 @@ def compare_scaling_policies(
     starvation_guard: int = 32,
     intra: IntraTenantOrder = IntraTenantOrder.FIFO,
     oversubscription: float = 2.0,
-    parallel: bool = False,
 ) -> Dict[str, MultiTenantSummary]:
     """Run the same tenant specs once per policy, sharing only the arrivals.
 
     ``policies`` maps a label (usually the policy name) to an autoscaler
     factory; each run builds fresh autoscalers through it.  Tenant arrival
     processes are seeded, so every run regenerates byte-identical streams —
-    any difference in the summaries is the policy's doing.  With
-    ``parallel`` each policy's whole simulation runs in a worker process
-    (factories from :class:`AutoscalerFactory` pickle; a closure factory
-    silently falls back to the serial path) — results are identical either
-    way because the runs share nothing.
+    any difference in the summaries is the policy's doing.  The runs go one
+    after another and share only the deterministic service-time cache,
+    which saves calibration time and changes no result.
     """
     if not policies:
         raise AutoscalerError("need at least one policy to compare")
-    from repro.sim.engine import parallel_map
-
-    specs = tuple(tenants)
-    jobs = [
-        (specs, factory, config, fairness, starvation_guard, intra, oversubscription)
-        for factory in policies.values()
-    ]
-    if parallel:
-        summaries = parallel_map(_run_policy, jobs)
-    else:
-        # The deterministic service-time cache is shareable within one
-        # process; sharing it across the serial runs only saves time.
-        service_cache: Dict[Tuple[str, int], float] = {}
-        summaries = [_run_policy(*job, service_cache=service_cache) for job in jobs]
-    return {label: summary for label, summary in zip(policies, summaries)}
+    service_cache: Dict[Tuple[str, int], float] = {}
+    return {
+        label: MultiTenantTrafficEngine(
+            tenants,
+            config=config,
+            fairness=fairness,
+            starvation_guard=starvation_guard,
+            autoscaler_factory=factory,
+            oversubscription=oversubscription,
+            service_cache=service_cache,
+            intra=intra,
+        ).run()
+        for label, factory in policies.items()
+    }
 
 
 def policy_cluster_summaries(

@@ -17,20 +17,8 @@ from repro.workloads.scenarios import (
     sensor_batch,
     traffic_records,
 )
-from repro.workloads.traces import (
-    InvocationTrace,
-    bursty_trace,
-    compare_modes_on_trace,
-    mixed_size_trace,
-    replay_trace,
-)
 
 __all__ = [
-    "InvocationTrace",
-    "bursty_trace",
-    "compare_modes_on_trace",
-    "mixed_size_trace",
-    "replay_trace",
     "DEFAULT_FANOUT_DEGREES",
     "DEFAULT_SWEEP_SIZES_MB",
     "make_payload",

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from repro.experiments.harness import measure_pair
 from repro.metrics.records import TransferMetrics
 from repro.metrics.stats import mean, p95
 
@@ -129,10 +130,6 @@ def replay_trace(trace: InvocationTrace, mode: str) -> TraceReplayResult:
     Transfers with the same payload size share a cached measurement (the
     simulation is deterministic), so replaying long traces stays cheap.
     """
-    # Imported here: the harness imports repro.workloads, whose package
-    # imports this module.
-    from repro.experiments.harness import measure_pair
-
     cache: Dict[int, TransferMetrics] = {}
     latencies: List[float] = []
     total_cpu = 0.0

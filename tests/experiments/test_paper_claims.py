@@ -2,8 +2,9 @@
 
 Absolute numbers cannot transfer from the authors' testbed to a simulation,
 so each claim is checked as a *shape*: who wins, in which direction, and with
-a conservative lower bound on the improvement.  EXPERIMENTS.md records the
-exact measured values next to the paper's.
+a conservative lower bound on the improvement.  The ``repro claims`` table
+(``results/claims.txt``) records the exact measured values next to the
+paper's.
 """
 
 import pytest

@@ -1,8 +1,8 @@
-"""Unit tests for the event loop, the parallel map and the makespan helper."""
+"""Unit tests for the event loop and the makespan helper."""
 
 import pytest
 
-from repro.sim.engine import EngineError, EventLoop, ParallelTracks, parallel_map
+from repro.sim.engine import EngineError, EventLoop, ParallelTracks
 
 
 def test_events_run_in_time_order():
@@ -74,19 +74,6 @@ def test_run_until_an_event_time_executes_that_event():
     assert fired == ["a", "b"] and loop.executed_events == 2
     loop.run()  # nothing left to execute
     assert loop.executed_events == 2
-
-
-def _square(value):
-    return value * value
-
-
-def test_parallel_map_preserves_input_order():
-    items = [(n,) for n in range(12)]
-    assert parallel_map(_square, items) == [n * n for n in range(12)]
-
-
-def test_parallel_map_single_item_runs_inline():
-    assert parallel_map(_square, [(7,)]) == [49]
 
 
 def test_parallel_tracks_single_worker_sums_cpu():

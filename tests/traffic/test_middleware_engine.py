@@ -355,20 +355,3 @@ def test_run_comparison_builds_one_pipeline_per_mode():
     # Fresh stage state per mode: both runs saw one miss, not a shared cache.
     assert middleware_out["roadrunner-user"]["cache"]["misses"] == 1
     assert middleware_out["runc-http"]["cache"]["misses"] == 1
-
-
-def test_run_comparison_parallel_matches_serial_with_middleware():
-    requests = _herd(15, spacing_s=0.3)
-    outs = []
-    for parallel in (False, True):
-        middleware_out = {}
-        results = run_comparison(
-            requests,
-            modes=["roadrunner-user", "runc-http"],
-            parallel=parallel,
-            middleware_factory=lambda mode: build_pipeline(["cache", "coalesce"]),
-            middleware_out=middleware_out,
-        )
-        outs.append((results, middleware_out))
-    assert outs[0][0] == outs[1][0]
-    assert outs[0][1] == outs[1][1]
