@@ -155,7 +155,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
     try:
         profile = WorkflowProfile(
             payload_bytes=_payload_bytes(args.payload_mb),
-            invocations_per_second=args.rate,
             hops=args.hops,
             cold_start_fraction=args.cold_start_fraction,
             colocatable=not args.remote,
@@ -691,7 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     select = subparsers.add_parser("select", help="run the dynamic runtime selector")
     select.add_argument("--payload-mb", type=_finite_float, default=10.0)
-    select.add_argument("--rate", type=_finite_float, default=5.0, help="invocations per second")
     select.add_argument("--hops", type=int, default=1)
     select.add_argument("--cold-start-fraction", type=_finite_float, default=0.01)
     select.add_argument("--remote", action="store_true", help="stages cannot be colocated")

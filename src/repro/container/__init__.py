@@ -8,7 +8,7 @@ shim appear to the orchestrator as an ordinary container (Sec. 3.2.2).
 """
 
 from repro.container.image import ContainerImage, WasmImage
-from repro.container.oci import OciBundle, OciRuntimeSpec
+from repro.container.oci import OciBundle
 from repro.container.runc import RunCRuntime, ContainerSandbox
 from repro.container.containerd import Containerd, SandboxHandle
 
@@ -16,7 +16,6 @@ __all__ = [
     "ContainerImage",
     "WasmImage",
     "OciBundle",
-    "OciRuntimeSpec",
     "RunCRuntime",
     "ContainerSandbox",
     "Containerd",

@@ -21,15 +21,12 @@ class ContainerImage:
 
     name: str
     size_bytes: int = 77 * MiB
-    layers: int = 6
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ImageError("image name must be non-empty")
         if self.size_bytes <= 0:
             raise ImageError("image size must be positive")
-        if self.layers < 1:
-            raise ImageError("an image has at least one layer")
 
     @classmethod
     def hello_world(cls) -> "ContainerImage":
@@ -39,7 +36,7 @@ class ContainerImage:
     @classmethod
     def resize_image(cls) -> "ContainerImage":
         """The paper's "Resize Image" container (~76.8 MB)."""
-        return cls(name="resize-image:latest", size_bytes=int(76.8 * MiB), layers=8)
+        return cls(name="resize-image:latest", size_bytes=int(76.8 * MiB))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,7 @@
 The defaults reproduce the paper's system.  The ablation benchmarks flip the
 two headline mechanisms off one at a time (zero-copy pipes vs copying pipes,
 serialization-free pointer passing vs codec-based transfer) to show that each
-contributes to the reported gains, and expose the IPC chunk size the
-kernel-space mode uses.
+contributes to the reported gains.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ class RoadrunnerConfig:
     #: Pass pointers/raw memory instead of running a codec.  When False every
     #: transfer serializes like the baselines do (ablation).
     serialization_free: bool = True
-    #: Chunk size for kernel-space IPC transfers.
-    ipc_chunk_bytes: int = 256 * 1024
     #: Batch multiple socket syscalls per kernel entry (sendmmsg-style).  The
     #: paper lists syscall batching as future work (Sec. 9); it is implemented
     #: here as an opt-in extension.
@@ -47,8 +44,6 @@ class RoadrunnerConfig:
     enforce_trust_domain: bool = True
 
     def __post_init__(self) -> None:
-        if self.ipc_chunk_bytes <= 0:
-            raise ConfigError("ipc_chunk_bytes must be positive")
         if self.syscall_batch_factor < 1:
             raise ConfigError("syscall_batch_factor must be >= 1")
 

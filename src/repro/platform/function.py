@@ -29,7 +29,6 @@ class FunctionSpec:
     name: str
     runtime: RuntimeKind = RuntimeKind.WASMEDGE
     requires_wasi: bool = True
-    memory_limit_mb: int = 512
     binary_size: int = 3_190_000
     workflow: str = "default"
     tenant: str = "default"
@@ -39,8 +38,6 @@ class FunctionSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise FunctionSpecError("function name must be non-empty")
-        if self.memory_limit_mb <= 0:
-            raise FunctionSpecError("memory limit must be positive")
         if self.binary_size <= 0:
             raise FunctionSpecError("binary size must be positive")
         # Derived once: deployment and every channel's placement check read
@@ -53,7 +50,6 @@ class FunctionSpec:
             name=name,
             runtime=self.runtime,
             requires_wasi=self.requires_wasi,
-            memory_limit_mb=self.memory_limit_mb,
             binary_size=self.binary_size,
             workflow=self.workflow,
             tenant=self.tenant,

@@ -5,10 +5,16 @@ virtualization runtime that can autonomously select the runtime type, e.g.,
 container and Wasm, and select the most suitable runtime for specific
 serverless workflows based on workload and environment characteristics."
 
-This module implements that selector as a cost-model-driven estimator: given
-a workflow profile (payload size, invocation rate, chain length, how often a
-cold start is paid, whether the stages can be colocated), it estimates the
-per-invocation cost of each candidate configuration and recommends one.
+This module implements that selector on top of the simulator: given a
+workflow profile (payload size, chain length, how often a cold start is
+paid, whether the stages can be colocated), it runs one a->b transfer of the
+payload in every candidate mode and reads the substrate's transfer record,
+adds the runtime's own cold-start latency weighted by how often it is paid,
+and recommends the cheapest candidate.  Every estimate is therefore the
+number the figures would report for the same hop.  A payload larger than a
+Wasm linear memory raises the substrate's
+:class:`~repro.wasm.linear_memory.OutOfMemoryError` for the Wasm candidates;
+``repro select`` bounds ``--payload-mb`` below that size.
 """
 
 from __future__ import annotations
@@ -17,7 +23,11 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.sim.costs import DEFAULT_COST_MODEL
+from repro.container.image import ContainerImage, MiB
+from repro.experiments.environment import INTER_NODE_MODES, INTRA_NODE_MODES
+from repro.experiments.harness import measure_pair
+from repro.platform.cluster import Cluster
+from repro.wasm.module import WasmModule
 from repro.wasm.runtime import RuntimeKind
 
 
@@ -34,30 +44,39 @@ class DataPassingMode(enum.Enum):
     ROADRUNNER_NETWORK = "roadrunner_network"
 
 
+#: Candidate label -> (simulated mode, runtime, data passing), in the order
+#: candidates are listed (the first of equally cheap candidates wins).
+CANDIDATES = {
+    "runc+http": ("runc-http", RuntimeKind.RUNC, DataPassingMode.HTTP),
+    "wasm+http": ("wasmedge-http", RuntimeKind.WASMEDGE, DataPassingMode.HTTP),
+    "wasm+roadrunner-user": (
+        "roadrunner-user", RuntimeKind.ROADRUNNER, DataPassingMode.ROADRUNNER_USER
+    ),
+    "wasm+roadrunner-kernel": (
+        "roadrunner-kernel", RuntimeKind.ROADRUNNER, DataPassingMode.ROADRUNNER_KERNEL
+    ),
+    "wasm+roadrunner-network": (
+        "roadrunner-network", RuntimeKind.ROADRUNNER, DataPassingMode.ROADRUNNER_NETWORK
+    ),
+}
+
+
 @dataclass(frozen=True)
 class WorkflowProfile:
     """What the selector needs to know about a workflow."""
 
     #: Mean payload exchanged between consecutive stages, in bytes.
     payload_bytes: int
-    #: Invocations per second the workflow sustains.
-    invocations_per_second: float = 1.0
     #: Number of data-passing hops per invocation (stages - 1).
     hops: int = 1
     #: Fraction of invocations that pay a cold start (0..1).
     cold_start_fraction: float = 0.01
     #: Whether all stages can be placed on one node (same trust domain).
     colocatable: bool = True
-    #: Container image size (bytes) if packaged as a container.
-    container_image_bytes: int = 77 * 1024 * 1024
-    #: Wasm binary size (bytes) if packaged as Wasm.
-    wasm_binary_bytes: int = 3_190_000
 
     def __post_init__(self) -> None:
         if self.payload_bytes <= 0:
             raise SelectorError("payload_bytes must be positive")
-        if self.invocations_per_second <= 0:
-            raise SelectorError("invocations_per_second must be positive")
         if self.hops < 1:
             raise SelectorError("a workflow needs at least one hop")
         if not 0.0 <= self.cold_start_fraction <= 1.0:
@@ -76,97 +95,42 @@ class RuntimeRecommendation:
 
 
 class RuntimeSelector:
-    """Estimates per-invocation latency for each candidate and picks the best."""
+    """Prices each candidate with the simulator and picks the cheapest."""
 
-    # -- per-candidate estimators ------------------------------------------------
-
-    def _cold_start(self, profile: WorkflowProfile, runtime: RuntimeKind) -> float:
-        model = DEFAULT_COST_MODEL
-        if runtime is RuntimeKind.RUNC:
-            unpack = model.transfer_time(profile.container_image_bytes, model.image_unpack_bandwidth)
-            per_start = unpack + model.container_sandbox_setup
-        else:
-            per_start = model.wasm_vm_setup + model.transfer_time(
-                profile.wasm_binary_bytes, model.wasm_instantiate_bandwidth
-            )
-        return per_start * profile.cold_start_fraction
-
-    def _http_hop(self, profile: WorkflowProfile, in_wasm: bool) -> float:
-        model = DEFAULT_COST_MODEL
-        size = profile.payload_bytes
-        serialization = model.serialize_time(size, in_wasm) + model.deserialize_time(size, in_wasm)
-        overhead = (
-            model.http_request_overhead_wasm if in_wasm else model.http_request_overhead_native
-        )
-        wire_bytes = model.serialized_size(size)
-        if profile.colocatable:
-            wire = wire_bytes / model.loopback_http_bandwidth
-        else:
-            wire = model.network_transfer_time(wire_bytes, wasi_mediated=in_wasm)
-        copies = 2 * model.user_kernel_copy_time(size)
-        boundary = 2 * model.wasm_io_time(size) if in_wasm else 0.0
-        return serialization + overhead + wire + copies + boundary
-
-    def _roadrunner_hop(self, profile: WorkflowProfile, mode: DataPassingMode) -> float:
-        model = DEFAULT_COST_MODEL
-        size = profile.payload_bytes
-        wasm_io = 2 * model.wasm_io_time(size)
-        preparation = model.region_metadata_overhead + model.transfer_time(
-            size, model.pointer_registration_bandwidth
-        )
-        if mode is DataPassingMode.ROADRUNNER_USER:
-            return wasm_io + preparation
-        if mode is DataPassingMode.ROADRUNNER_KERNEL:
-            ipc = size / model.unix_socket_bandwidth + model.async_task_overhead
-            return wasm_io + preparation + ipc
-        wire = model.network_transfer_time(size) + model.splice_time(size) * 2
-        return wasm_io + preparation + wire + model.data_hose_setup_overhead * 2
-
-    # -- selection -----------------------------------------------------------------
+    def __init__(self) -> None:
+        # One cold start of each runtime, as the substrate charges it for the
+        # default images (a ~77 MiB container, a ~3.19 MB Wasm binary).
+        node = Cluster.single_node().node("node-a")
+        wasm = node.wasm_runtime.cold_start_time(WasmModule(name="selector.wasm"))
+        self.cold_start_s = {
+            RuntimeKind.RUNC: node.runc.cold_start_time(ContainerImage(name="selector:latest")),
+            RuntimeKind.WASMEDGE: wasm,
+            RuntimeKind.ROADRUNNER: wasm,
+        }
 
     def evaluate(self, profile: WorkflowProfile) -> Dict[str, float]:
         """Per-invocation latency estimate for every candidate configuration."""
-        hops = profile.hops
-        candidates: Dict[str, float] = {
-            "runc+http": hops * self._http_hop(profile, in_wasm=False)
-            + self._cold_start(profile, RuntimeKind.RUNC),
-            "wasm+http": hops * self._http_hop(profile, in_wasm=True)
-            + self._cold_start(profile, RuntimeKind.WASMEDGE),
+        internode = not profile.colocatable
+        modes = INTER_NODE_MODES if internode else INTRA_NODE_MODES
+        payload_mb = profile.payload_bytes / MiB
+        return {
+            label: profile.hops * measure_pair(mode, payload_mb, internode=internode).total_latency_s
+            + profile.cold_start_fraction * self.cold_start_s[runtime]
+            for label, (mode, runtime, _) in CANDIDATES.items()
+            if mode in modes
         }
-        if profile.colocatable:
-            candidates["wasm+roadrunner-user"] = hops * self._roadrunner_hop(
-                profile, DataPassingMode.ROADRUNNER_USER
-            ) + self._cold_start(profile, RuntimeKind.ROADRUNNER)
-            candidates["wasm+roadrunner-kernel"] = hops * self._roadrunner_hop(
-                profile, DataPassingMode.ROADRUNNER_KERNEL
-            ) + self._cold_start(profile, RuntimeKind.ROADRUNNER)
-        else:
-            candidates["wasm+roadrunner-network"] = hops * self._roadrunner_hop(
-                profile, DataPassingMode.ROADRUNNER_NETWORK
-            ) + self._cold_start(profile, RuntimeKind.ROADRUNNER)
-        return candidates
 
     def recommend(self, profile: WorkflowProfile) -> RuntimeRecommendation:
         """Pick the cheapest candidate for the profile."""
         candidates = self.evaluate(profile)
         best_name = min(candidates, key=candidates.get)
-        runtime = RuntimeKind.RUNC if best_name.startswith("runc") else RuntimeKind.ROADRUNNER
-        if best_name == "wasm+http":
-            runtime = RuntimeKind.WASMEDGE
-        mode = {
-            "runc+http": DataPassingMode.HTTP,
-            "wasm+http": DataPassingMode.HTTP,
-            "wasm+roadrunner-user": DataPassingMode.ROADRUNNER_USER,
-            "wasm+roadrunner-kernel": DataPassingMode.ROADRUNNER_KERNEL,
-            "wasm+roadrunner-network": DataPassingMode.ROADRUNNER_NETWORK,
-        }[best_name]
-        rationale = self._rationale(profile, best_name, candidates)
+        _, runtime, data_passing = CANDIDATES[best_name]
         return RuntimeRecommendation(
             runtime=runtime,
-            data_passing=mode,
+            data_passing=data_passing,
             estimated_latency_s=candidates[best_name],
             per_candidate_latency_s=candidates,
-            rationale=rationale,
+            rationale=self._rationale(profile, best_name, candidates),
         )
 
     @staticmethod

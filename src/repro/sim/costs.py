@@ -265,13 +265,6 @@ class CostModel:
         pages = -(-nbytes // HOST_PAGE_SIZE) if nbytes > 0 else 1
         return pages * self.splice_page_overhead
 
-    def network_transfer_time(self, nbytes: int, wasi_mediated: bool = False) -> float:
-        """One-way wire time for ``nbytes`` plus half an RTT of latency."""
-        bandwidth = self.network_bandwidth
-        if wasi_mediated:
-            bandwidth *= self.wasi_network_efficiency
-        return self.network_rtt / 2.0 + self.transfer_time(nbytes, bandwidth)
-
     def describe(self) -> Dict[str, float]:
         """A flat dict of every parameter (useful for experiment metadata)."""
         out: Dict[str, float] = {}

@@ -47,6 +47,7 @@ a worker process did not reliably pay for its pickling on a two-core host.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 
@@ -360,7 +361,9 @@ class TrafficEngine:
 
     The single-tenant special case of :class:`MultiTenantTrafficEngine`:
     one function, one pool, a FIFO admission queue — exactly the regime the
-    sustained-load benchmarks compare runtimes under.
+    sustained-load benchmarks compare runtimes under.  Every :meth:`run`
+    scales with its own copy of ``autoscaler``, so one run's policy state
+    (a cooldown, a forecast) never carries into the next.
     """
 
     def __init__(
@@ -412,7 +415,7 @@ class TrafficEngine:
             [tenant],
             config=self.config,
             fairness=FairnessPolicy.FIFO,
-            autoscaler_factory=lambda: self.autoscaler,
+            autoscaler_factory=lambda: copy.deepcopy(self.autoscaler),
             oversubscription=1.0,  # replicas beyond the cores could never serve
             service_cache=self._service_cache,
             intra=self.intra,

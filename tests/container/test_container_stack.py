@@ -4,7 +4,7 @@ import pytest
 
 from repro.container.containerd import Containerd, ContainerdError
 from repro.container.image import ContainerImage, ImageError, WasmImage
-from repro.container.oci import OciBundle, OciError, OciRuntimeSpec
+from repro.container.oci import OciBundle, OciError
 from repro.container.runc import RunCError, RunCRuntime
 from repro.kernel.kernel import Kernel
 from repro.sim.costs import CostModel
@@ -33,11 +33,7 @@ def test_image_validation():
         WasmImage(name="x", size_bytes=-1)
 
 
-def test_oci_spec_and_bundle_validation():
-    with pytest.raises(OciError):
-        OciRuntimeSpec(memory_limit_bytes=0)
-    with pytest.raises(OciError):
-        OciRuntimeSpec(cpu_quota_cores=0)
+def test_oci_bundle_validation():
     with pytest.raises(OciError):
         OciBundle(name="", image=ContainerImage.hello_world())
     bundle = OciBundle(name="fn", image=WasmImage.hello_world(), runtime_class="roadrunner-shim")

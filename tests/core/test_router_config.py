@@ -13,9 +13,10 @@ def test_config_defaults_and_ablations():
     assert config.zero_copy and config.serialization_free
     assert not RoadrunnerConfig.no_zero_copy().zero_copy
     assert not RoadrunnerConfig.with_serialization().serialization_free
-    assert RoadrunnerConfig().with_overrides(ipc_chunk_bytes=1024).ipc_chunk_bytes == 1024
+    batched = RoadrunnerConfig().with_overrides(syscall_batching=True)
+    assert batched.effective_batch_factor == batched.syscall_batch_factor
     with pytest.raises(ConfigError):
-        RoadrunnerConfig(ipc_chunk_bytes=0)
+        RoadrunnerConfig(syscall_batch_factor=0)
 
 
 def test_router_selects_user_space_for_shared_vm(shared_vm_pair):

@@ -25,8 +25,6 @@ def test_spec_validation():
     with pytest.raises(FunctionSpecError):
         FunctionSpec("")
     with pytest.raises(FunctionSpecError):
-        FunctionSpec("fn", memory_limit_mb=0)
-    with pytest.raises(FunctionSpecError):
         FunctionSpec("fn", binary_size=0)
 
 

@@ -65,19 +65,6 @@ def test_splice_is_cheaper_than_copy_for_large_payloads():
     assert model.splice_time(nbytes) < model.user_kernel_copy_time(nbytes)
 
 
-def test_network_transfer_includes_propagation_delay():
-    model = CostModel.paper_testbed()
-    assert model.network_transfer_time(0) == pytest.approx(model.network_rtt / 2.0)
-
-
-def test_wasi_mediation_reduces_network_goodput():
-    model = CostModel.paper_testbed()
-    nbytes = 50 * 1024 * 1024
-    assert model.network_transfer_time(nbytes, wasi_mediated=True) > model.network_transfer_time(
-        nbytes
-    )
-
-
 def test_constrained_edge_matches_paper_text():
     model = CostModel.constrained_edge()
     assert model.network_bandwidth == pytest.approx(100.0e6 / 8.0)

@@ -20,11 +20,18 @@ once (the program files; tests are not scanned) and fail on:
   ``*args`` or ``**kwargs`` is skipped, since its arguments cannot be seen;
 * *fields*: an attribute assigned on ``self``, or a class-level annotated
   field, whose name no program file reads as an attribute or names in a
-  string.  Writing a field nothing reads is bookkeeping without a reader.
+  string.  Writing a field nothing reads is bookkeeping without a reader;
+* *validated-only fields*: a class-level field whose every read in the
+  program files (as an attribute or a word in a string) sits in its own
+  class's ``__post_init__``.  A field that is checked and never acted on
+  is an input that changes nothing.
 
 Matching is by bare name, so a use of any same-named attribute counts: the
-checks find dead names, not every dead path.  Anything a check finds fails
-it unless that check's keep-dict names it with one of :data:`REASONS`.
+checks find dead names, not every dead path.  A field whose name another
+attribute also carries (``spec``, ``layers``, ``args``) passes every check
+even when nothing acts on it; such fields are found by reading, not here.
+Anything a check finds fails it unless that check's keep-dict names it with
+one of :data:`REASONS`; validated-only fields have no keep-dict.
 """
 
 import ast
@@ -350,6 +357,29 @@ def unread_fields():
     return found
 
 
+def validated_only_fields():
+    """``qualname.field`` of every class-level field read only by its own ``__post_init__``."""
+    uses = _uses()
+    found = set()
+    for module, tree in _src():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            post_init = [m for m in node.body if _is_method(m) and m.name == "__post_init__"]
+            if not post_init:
+                continue
+            inside = _Uses()
+            inside.visit(post_init[0])
+            for m in node.body:
+                if not (isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name)):
+                    continue
+                name = m.target.id
+                reads = inside.attributes[name] + inside.words[name]
+                if reads and reads == uses.attributes[name] + uses.words[name]:
+                    found.add("%s.%s.%s" % (module, node.name, name))
+    return found
+
+
 def _check(found, keep):
     assert sorted(found - set(keep)) == [], "found by the check and not kept"
     assert sorted(set(keep) - found) == [], "keep entries that are gone or now used"
@@ -366,3 +396,7 @@ def test_every_defaulted_parameter_is_passed_or_kept():
 
 def test_every_stored_field_is_read_or_kept():
     _check(unread_fields(), KEEP_FIELDS)
+
+
+def test_no_field_is_only_validated():
+    assert sorted(validated_only_fields()) == []

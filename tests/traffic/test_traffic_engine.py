@@ -6,6 +6,7 @@ from repro.traffic.arrivals import PoissonArrivals, BurstyArrivals, Request
 from repro.traffic.autoscaler import (
     Autoscaler,
     NoScalingPolicy,
+    StepScalingPolicy,
     TargetConcurrencyPolicy,
 )
 from repro.traffic.engine import TrafficConfig, TrafficEngine, TrafficEngineError, run_comparison
@@ -117,6 +118,23 @@ def test_same_stream_same_summary():
     requests = PoissonArrivals(rate_rps=30, duration_s=10, seed=8).generate()
     results = [TrafficEngine("roadrunner-user").run(requests, pattern="poisson") for _ in range(2)]
     assert results[0] == results[1]
+
+
+def test_consecutive_runs_on_one_engine_give_the_same_summary():
+    # A step policy keeps a cooldown between decisions; each run must scale
+    # with a fresh copy of it, not with the state the previous run left.
+    requests = BurstyArrivals(
+        on_rate_rps=200, duration_s=20, on_s=5, off_s=5, payload_mb=4.0, seed=1
+    ).generate()
+    engine = TrafficEngine(
+        "wasmedge-http",
+        autoscaler=Autoscaler(StepScalingPolicy(), max_replicas=16),
+        config=TrafficConfig(nodes=2, retain_records=False),
+    )
+    first = engine.run(requests, pattern="bursty")
+    second = engine.run(requests, pattern="bursty")
+    assert first.cold_starts > 0
+    assert second == first
 
 
 def test_run_comparison_shares_the_stream_across_modes():
