@@ -71,7 +71,7 @@ def test_over_budget_cluster_evicts_and_survives(results_dir):
 
     # The evictor fired, and every kill is visible in the summary rollup.
     assert budgeted.cluster.oom_evictions > 0
-    assert len(engine.evictions) == budgeted.cluster.oom_evictions
+    assert len(engine.runtime.evictions) == budgeted.cluster.oom_evictions
     # Evicted replicas restart later: strictly more cold starts than the
     # memory-free twin of the same workload.
     assert budgeted.cluster.cold_starts > free.cluster.cold_starts

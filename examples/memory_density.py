@@ -81,7 +81,7 @@ def main() -> int:
     print()
 
     print("OOM evictions (time, tenant, replica):")
-    for when, tenant, replica in engine.evictions:
+    for when, tenant, replica in engine.runtime.evictions:
         print("  t=%7.3fs  %-10s %s" % (when, tenant, replica))
     print()
     print("Cold starts: %d unbounded -> %d budgeted (evicted replicas must"

@@ -75,6 +75,7 @@ from repro.traffic.engine import (
 from repro.traffic.federation import (
     ROUTER_POLICIES,
     FederatedTrafficEngine,
+    FederationError,
     parse_clusters,
     parse_fail_spec,
 )
@@ -436,9 +437,9 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
             print("invalid traffic parameters: %s" % exc, file=sys.stderr)
             return 2
         print(render_multi_tenant_report(result))
-        if engine.waterfall:
+        if engine.runtime.waterfall:
             print()
-            print(render_waterfall_table(engine.waterfall))
+            print(render_waterfall_table(engine.runtime.waterfall))
         outputs = _drain_telemetry(args, telemetry)
         if args.export:
             path = write_figure(multi_tenant_to_figure(result), args.export, fmt=args.format)
@@ -540,6 +541,8 @@ def _cmd_federation(
         fail_at: Dict[str, float] = {}
         for spec in args.fail_region or []:
             region, time_s = parse_fail_spec(spec)
+            if region in fail_at:
+                raise FederationError("--fail-region names region %r twice" % region)
             fail_at[region] = time_s
         tenants, intra = _tenant_list(args, classes)
         wants_telemetry = _wants_telemetry(args)

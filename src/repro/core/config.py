@@ -8,7 +8,7 @@ contributes to the reported gains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
@@ -46,9 +46,6 @@ class RoadrunnerConfig:
     def __post_init__(self) -> None:
         if self.syscall_batch_factor < 1:
             raise ConfigError("syscall_batch_factor must be >= 1")
-
-    def with_overrides(self, **kwargs) -> "RoadrunnerConfig":
-        return replace(self, **kwargs)
 
     @classmethod
     def default(cls) -> "RoadrunnerConfig":

@@ -14,7 +14,9 @@ This module generates those streams:
   :class:`~repro.workloads.traces.InvocationTrace`;
 * :func:`load_azure_trace` — the public Azure Functions invocations-per-
   minute CSV format mapped onto :class:`TraceArrivals`, so real FaaS
-  workload shapes replay through the same engine as the synthetic ones.
+  workload shapes replay through the same engine as the synthetic ones;
+* :func:`schedule_arrivals` — feeds every tenant's stream into a run's
+  event loop, lazily and in order.
 
 All generators are seeded and produce identical streams for identical
 parameters, so two runtimes can be compared under *the same* arrivals — the
@@ -25,13 +27,19 @@ swept.
 from __future__ import annotations
 
 import csv
+import heapq
+import itertools
 import math
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.workloads.traces import Invocation, InvocationTrace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.engine import EventLoop
+    from repro.traffic.cluster_runtime import _TenantState
 
 MB = 1024 * 1024
 
@@ -397,3 +405,82 @@ def load_azure_trace(
         raise ArrivalError("Azure trace %r contains zero invocations" % path)
     trace = InvocationTrace(name="azure", invocations=tuple(invocations))
     return TraceArrivals(trace, function="app")
+
+
+def _ordered_requests(requests: Sequence[Request]) -> Sequence[Request]:
+    """The stream in canonical (arrival, id) order, without a needless copy.
+
+    Generators emit arrivals in order, so an already-ordered stream (the
+    common case) passes through untouched; explicit request lists may
+    arrive unordered and are sorted.
+    """
+    if all(
+        (left.arrival_s, left.request_id) <= (right.arrival_s, right.request_id)
+        for left, right in zip(requests, requests[1:])
+    ):
+        return requests
+    return sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+
+
+def schedule_arrivals(
+    loop: EventLoop,
+    states: Sequence[_TenantState],
+    admit: Callable[[_TenantState, Request], None],
+    total_requests: int,
+) -> None:
+    """Chain every tenant's arrivals through ``admit``, lazily and in order.
+
+    Arrivals are *not* pre-scheduled: a million heap entries up front
+    would dominate the run's memory and heap-sift work.  Instead the
+    per-tenant streams — each already in (arrival_s, request_id) order —
+    are lazily merged (a lone tenant's stream is iterated as it is), one
+    order slot per arrival is reserved so tie-breaking matches the old
+    pre-scheduled order exactly, and each arrival event chains the next
+    one from the merged iterator.
+    """
+    if len(states) == 1:
+        (state,) = states
+        arrivals: Iterator[Tuple[_TenantState, Request]] = zip(
+            itertools.repeat(state), _ordered_requests(state.requests)
+        )
+    else:
+
+        def tenant_entries(
+            index: int, state: _TenantState, requests: Sequence[Request]
+        ) -> "Iterator[Tuple[float, int, int, _TenantState, Request]]":
+            for request in requests:
+                yield (request.arrival_s, index, request.request_id, state, request)
+
+        streams = [
+            tenant_entries(index, state, _ordered_requests(state.requests))
+            for index, state in enumerate(states)
+        ]
+        # ``heapq.merge`` with already-sorted streams reproduces the old
+        # ``sorted(all_entries, key=entry[:3])`` order: keys differ across
+        # tenants (the index is part of the key) and within a tenant the
+        # stream order is preserved for ties, exactly like a stable sort.
+        arrivals = (
+            entry[3:] for entry in heapq.merge(*streams, key=lambda entry: entry[:3])
+        )
+    arrival_base = loop.reserve_orders(total_requests)
+    arrival_slot = 0
+
+    def advance_arrivals() -> None:
+        nonlocal arrival_slot
+        entry = next(arrivals, None)
+        if entry is None:
+            return
+        loop.schedule_at(
+            entry[1].arrival_s,
+            arrival_event,
+            label="arrive",
+            args=entry,
+            order=arrival_base + arrival_slot,
+        )
+        arrival_slot += 1
+
+    def arrival_event(state: _TenantState, request: Request) -> None:
+        admit(state, request)
+        advance_arrivals()
+
+    advance_arrivals()

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 
 class AutoscalerError(ValueError):
@@ -281,15 +281,12 @@ class Autoscaler:
         self.max_replicas = max_replicas
         self.keep_alive_s = keep_alive_s
         self.control_interval_s = control_interval_s
-        self.decisions: List[ScalingDecision] = []
 
     def evaluate(self, sample: LoadSample) -> ScalingDecision:
         """Clamp the policy's desire to [min_replicas, max_replicas]."""
         desired = self.policy.desired_replicas(sample)
         desired = max(self.min_replicas, min(self.max_replicas, desired))
-        decision = ScalingDecision(time_s=sample.time_s, current=sample.replicas, desired=desired)
-        self.decisions.append(decision)
-        return decision
+        return ScalingDecision(time_s=sample.time_s, current=sample.replicas, desired=desired)
 
     def effective_keep_alive_s(self, memory_pressure: float = 0.0) -> float:
         """The keep-alive window, discounted by node memory pressure.

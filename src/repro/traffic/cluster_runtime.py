@@ -22,11 +22,12 @@ Every control decision is a method of its own:
 :meth:`~ClusterRuntime.resolve`, and :meth:`~ClusterRuntime.snapshot`
 rolls the run up into a :class:`~repro.traffic.tenants.MultiTenantSummary`.
 
-Its one driver is the federation layer (:mod:`repro.traffic.federation`),
+Its one driver is :class:`~repro.traffic.federation.FederatedTrafficEngine`,
 which instantiates one runtime per region over one shared
-:class:`~repro.sim.engine.EventLoop` behind a global router; the
-single-cluster :class:`~repro.traffic.engine.MultiTenantTrafficEngine` is
-a one-region federation that returns its region's :meth:`snapshot`.
+:class:`~repro.sim.engine.EventLoop` behind a global router and hands each
+its own calibration entry point; the single-cluster
+:class:`~repro.traffic.engine.MultiTenantTrafficEngine` is that driver
+built over one region, and its run returns the region's :meth:`snapshot`.
 Every summary — per tenant, per cluster, federation-wide — goes through
 :func:`rollup`, which reads one
 :class:`~repro.obs.streaming.StreamingTrafficStats` accumulator in either
@@ -62,6 +63,7 @@ Dispatch costs O(1) queue work per request and never scans a pool:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from bisect import bisect_left
@@ -146,35 +148,31 @@ def max_payload_bytes(mode: str, cost_model: CostModel) -> Optional[int]:
     return largest
 
 
-def calibrated_service_time(
-    cache: Dict[Tuple[str, int], float], mode: str, payload_bytes: int, cost_model: CostModel
-) -> float:
-    """Workflow latency for one (mode, payload size), measured once into ``cache``.
+@functools.lru_cache(maxsize=None)
+def calibrated_service_time(mode: str, payload_bytes: int, cost_model: CostModel) -> float:
+    """Workflow latency for one (mode, payload size, cost model), measured once per process.
 
     The measurement is :func:`~repro.experiments.harness.measure_pair`: the
     canonical two-function chain in a fresh isolated environment (fresh
     cluster, ledger shards and clock), the path every figure in the
-    reproduction uses, so it depends only on its arguments and a cached
-    value never goes stale.  A payload larger than :func:`max_payload_bytes`,
-    or one whose service would take longer than :data:`MAX_SERVICE_S`, is
-    refused with an :class:`ArrivalError`.
+    reproduction uses.  It depends only on its arguments, so the value is
+    memoised here for every engine and run of the process and never goes
+    stale.  A payload larger than :func:`max_payload_bytes`, or one whose
+    service would take longer than :data:`MAX_SERVICE_S`, is refused with
+    an :class:`ArrivalError` (and nothing is memoised).
     """
-    key = (mode, payload_bytes)
-    latency = cache.get(key)
-    if latency is None:
-        largest = max_payload_bytes(mode, cost_model)
-        if largest is not None and payload_bytes > largest:
-            raise ArrivalError(
-                "payload_mb %r (%d bytes) exceeds the largest %s payload, %r MB (%d bytes)"
-                % (payload_bytes / MB, payload_bytes, mode, largest / MB, largest)
-            )
-        latency = measure_pair(mode, payload_bytes / MB, cost_model=cost_model).total_latency_s
-        if latency > MAX_SERVICE_S:
-            raise ArrivalError(
-                "payload_mb %r takes %r s of %s service per request, past the bound of %r s"
-                % (payload_bytes / MB, latency, mode, MAX_SERVICE_S)
-            )
-        cache[key] = latency
+    largest = max_payload_bytes(mode, cost_model)
+    if largest is not None and payload_bytes > largest:
+        raise ArrivalError(
+            "payload_mb %r (%d bytes) exceeds the largest %s payload, %r MB (%d bytes)"
+            % (payload_bytes / MB, payload_bytes, mode, largest / MB, largest)
+        )
+    latency = measure_pair(mode, payload_bytes / MB, cost_model=cost_model).total_latency_s
+    if latency > MAX_SERVICE_S:
+        raise ArrivalError(
+            "payload_mb %r takes %r s of %s service per request, past the bound of %r s"
+            % (payload_bytes / MB, latency, mode, MAX_SERVICE_S)
+        )
     return latency
 
 
@@ -400,7 +398,6 @@ class ClusterRuntime:
         clock,
         loop,
         service_time: Callable[[str, int], float],
-        service_cache: Dict[Tuple[str, int], float],
         counter: List[int],
         total_requests: int,
         telemetry: Optional[Telemetry] = None,
@@ -435,7 +432,9 @@ class ClusterRuntime:
             _bind_admit_actions()
         self._telemetry = telemetry
         self._service_time = service_time
-        self._service_cache = service_cache
+        #: This run's service times by (mode, payload bytes), read on every
+        #: start; ``service_time`` fills it.
+        self._service_cache: Dict[Tuple[str, int], float] = {}
         #: Unresolved requests across every region of the run (shared).
         self._counter = counter
         self._total_requests = total_requests
@@ -677,7 +676,7 @@ class ClusterRuntime:
         key = (state.spec.mode, request.payload_bytes)
         service = self._service_cache.get(key)
         if service is None:
-            service = self._service_time(key[0], key[1])
+            service = self._service_cache[key] = self._service_time(key[0], key[1])
         if request.hard and request.deadline_s is not None and now + service > request.deadline_s:
             return None
         return service

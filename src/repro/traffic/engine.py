@@ -18,21 +18,24 @@ dispatched either globally FIFO or by weighted fair queueing — and a
 :class:`~repro.traffic.tenants.CapacityArbiter` keeps any one tenant's
 autoscaler from absorbing the whole cluster.
 
-One driver runs all of it.  The single-stream :class:`TrafficEngine` is the
-one-tenant case of :class:`MultiTenantTrafficEngine`, which in turn is a
-one-region federation: it builds a
-:class:`~repro.traffic.federation.FederatedTrafficEngine` over one region
-named ``traffic`` once, each run is that federation's simulation, and its
-summary is that region's
-:class:`~repro.traffic.cluster_runtime.ClusterRuntime` snapshot.
+One driver runs all of it:
+:class:`~repro.traffic.federation.FederatedTrafficEngine`, which
+validates its tenants once and owns the one simulation.
+:class:`MultiTenantTrafficEngine` is its one-region constructor (region
+``traffic``, one telemetry sink, one middleware pipeline) whose run returns
+that region's :class:`~repro.traffic.cluster_runtime.ClusterRuntime`
+snapshot.  The single-stream :class:`TrafficEngine` builds one such
+engine per run around a one-tenant spec.
 
 Service times come from the same machinery as every figure in the
-reproduction: each distinct (mode, payload size) is invoked once through an
-isolated :func:`~repro.experiments.environment.build_pair_setup`
-environment and cached — the simulation is deterministic, so the
-per-request cost of a given transfer never varies.  Contention is then
-modelled by the engine's concurrency bounds rather than by re-simulating
-every transfer, which keeps hundred-thousand-request runs cheap.
+reproduction: each distinct (mode, payload size, cost model) is invoked
+once per process through an isolated
+:func:`~repro.experiments.environment.build_pair_setup` environment and
+memoised by :func:`~repro.traffic.cluster_runtime.calibrated_service_time`
+— the simulation is deterministic, so the per-request cost of a given
+transfer never varies.  Contention is then modelled by the engine's
+concurrency bounds rather than by re-simulating every transfer, which
+keeps hundred-thousand-request runs cheap.
 
 Everything is driven by one serial :class:`~repro.sim.engine.EventLoop`,
 so a seeded run is exactly reproducible: same arrivals, same scaling
@@ -48,21 +51,20 @@ a worker process did not reliably pay for its pickling on a two-core host.
 from __future__ import annotations
 
 import copy
-import heapq
-import itertools
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from dataclasses import replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from typing import TYPE_CHECKING
 
 from repro.platform.gateway import FairnessPolicy, IntraTenantOrder
-from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
-from repro.sim.engine import EventLoop
-from repro.traffic.arrivals import Request
-
-from repro.traffic.cluster_runtime import MB, _TenantState, calibrated_service_time
+# schedule_arrivals is re-exported by name: bench/trace.py wraps
+# ``repro.traffic.engine:schedule_arrivals``.
+from repro.traffic.arrivals import Request, schedule_arrivals
+from repro.traffic.cluster_runtime import MB, ClusterRuntime
 from repro.traffic.autoscaler import Autoscaler, TargetConcurrencyPolicy
+from repro.traffic.config import TRAFFIC_MODES, TrafficConfig, TrafficEngineError
+from repro.traffic.federation import ClusterSpec, FederatedTrafficEngine
 from repro.traffic.slo import RequestRecord, TrafficSummary
 from repro.traffic.tenants import MultiTenantSummary, TenantSpec
 
@@ -81,202 +83,20 @@ __all__ = [
     "TrafficEngine",
     "MultiTenantTrafficEngine",
     "run_comparison",
+    "schedule_arrivals",
 ]
 
-#: Modes the traffic engine can drive (single-node deployments).
-TRAFFIC_MODES: Tuple[str, ...] = (
-    "roadrunner-user",
-    "roadrunner-kernel",
-    "runc-http",
-    "wasmedge-http",
-)
+#: The one region of a :class:`MultiTenantTrafficEngine`.
+REGION = "traffic"
 
 
-class TrafficEngineError(RuntimeError):
-    """Raised for invalid engine configurations or request streams."""
-
-
-@dataclass(frozen=True)
-class TrafficConfig:
-    """Knobs of one sustained-load run."""
-
-    #: Nodes in the serving cluster; replicas spread round-robin across them.
-    nodes: int = 4
-    #: Concurrent requests one replica serves (1 = FaaS single-concurrency).
-    per_replica_concurrency: int = 1
-    #: Replicas registered (and cold-started) per tenant before the first arrival.
-    initial_replicas: int = 1
-    #: Admission bound per tenant: arrivals beyond this queue depth are dropped.
-    max_queue: int = 10_000
-    #: Requests queued longer than this time out (never reach a replica).
-    queue_timeout_s: float = 30.0
-    cost_model: CostModel = DEFAULT_COST_MODEL
-    #: Keep one RequestRecord per request (exact percentiles, O(requests)
-    #: memory).  False switches the engine to streaming accumulators and
-    #: log-histogram quantile sketches: summaries keep their shape, memory
-    #: stays constant.
-    retain_records: bool = True
-    #: Per-node RSS budget in MB.  0 (the default) disables the memory
-    #: model entirely: replicas carry no footprint, services never inflate,
-    #: the evictor never runs, and every output stays byte-identical to a
-    #: run built before the model existed.
-    node_memory_mb: float = 0.0
-    #: Per-replica RSS override in MB (``None`` = each tenant's runtime
-    #: profile default: the container baseline for runc, the Wasm baseline
-    #: otherwise).  Tenant specs can override per tenant via ``rss_mb``.
-    replica_rss_mb: Optional[float] = None
-    #: Fraction of the node budget above which service times inflate (the
-    #: multiplier then climbs linearly to ``1 + DEFAULT_PRESSURE_SLOPE`` at
-    #: the budget; see :mod:`repro.traffic.memory`).
-    pressure_knee: float = 0.85
-
-    def __post_init__(self) -> None:
-        if self.nodes < 1:
-            raise TrafficEngineError("need at least one node")
-        if self.per_replica_concurrency < 1:
-            raise TrafficEngineError("per_replica_concurrency must be >= 1")
-        if self.initial_replicas < 0:
-            raise TrafficEngineError("initial_replicas must be non-negative")
-        if self.max_queue < 1:
-            raise TrafficEngineError("max_queue must be >= 1")
-        if self.queue_timeout_s <= 0:
-            raise TrafficEngineError("queue_timeout_s must be positive")
-        if self.node_memory_mb < 0:
-            raise TrafficEngineError("node_memory_mb must be non-negative")
-        if self.replica_rss_mb is not None and self.replica_rss_mb <= 0:
-            raise TrafficEngineError("replica_rss_mb must be positive")
-        if not 0.0 < self.pressure_knee < 1.0:
-            raise TrafficEngineError("pressure_knee must be in (0, 1)")
-
-    @property
-    def memory_enabled(self) -> bool:
-        """Whether this run models memory at all."""
-        return self.node_memory_mb > 0
-
-
-def validate_tenants(
-    tenants: Sequence[TenantSpec],
-    error: Type[TrafficEngineError],
-    oversubscription: float,
-    starvation_guard: int,
-) -> List[str]:
-    """Check an engine's tenants and gateway knobs; return the tenant names.
-
-    Every engine needs the same guarantees: at least one tenant, unique
-    names (``cluster`` is reserved for the cluster-wide rollup), unique
-    functions, known modes, ``oversubscription >= 1`` and
-    ``starvation_guard >= 1``.  Failures raise ``error``, so each engine
-    reports them under its own exception class.
-    """
-    if not tenants:
-        raise error("need at least one tenant")
-    names = [tenant.name for tenant in tenants]
-    if len(set(names)) != len(names):
-        raise error("tenant names must be unique, got %s" % names)
-    if "cluster" in names:
-        raise error("tenant name 'cluster' is reserved for the cluster-wide rollup")
-    functions = [tenant.function_name for tenant in tenants]
-    if len(set(functions)) != len(functions):
-        raise error("tenant functions must be unique, got %s" % functions)
-    for tenant in tenants:
-        if tenant.mode not in TRAFFIC_MODES:
-            raise error(
-                "tenant %r: unknown traffic mode %r (known: %s)"
-                % (tenant.name, tenant.mode, ", ".join(TRAFFIC_MODES))
-            )
-    if oversubscription < 1.0:
-        raise error("oversubscription must be >= 1.0")
-    if starvation_guard < 1:
-        raise error("starvation_guard must be >= 1")
-    return names
-
-
-def _ordered_requests(requests: Sequence[Request]) -> Sequence[Request]:
-    """The stream in canonical (arrival, id) order, without a needless copy.
-
-    Generators emit arrivals in order, so an already-ordered stream (the
-    common case) passes through untouched; explicit request lists may
-    arrive unordered and are sorted.
-    """
-    if all(
-        (left.arrival_s, left.request_id) <= (right.arrival_s, right.request_id)
-        for left, right in zip(requests, requests[1:])
-    ):
-        return requests
-    return sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-
-
-def schedule_arrivals(
-    loop: EventLoop,
-    states: Sequence[_TenantState],
-    admit: Callable[[_TenantState, Request], None],
-    total_requests: int,
-) -> None:
-    """Chain every tenant's arrivals through ``admit``, lazily and in order.
-
-    Arrivals are *not* pre-scheduled: a million heap entries up front
-    would dominate the run's memory and heap-sift work.  Instead the
-    per-tenant streams — each already in (arrival_s, request_id) order —
-    are lazily merged (a lone tenant's stream is iterated as it is), one
-    order slot per arrival is reserved so tie-breaking matches the old
-    pre-scheduled order exactly, and each arrival event chains the next
-    one from the merged iterator.
-    """
-    if len(states) == 1:
-        (state,) = states
-        arrivals: Iterator[Tuple[_TenantState, Request]] = zip(
-            itertools.repeat(state), _ordered_requests(state.requests)
-        )
-    else:
-
-        def tenant_entries(
-            index: int, state: _TenantState, requests: Sequence[Request]
-        ) -> "Iterator[Tuple[float, int, int, _TenantState, Request]]":
-            for request in requests:
-                yield (request.arrival_s, index, request.request_id, state, request)
-
-        streams = [
-            tenant_entries(index, state, _ordered_requests(state.requests))
-            for index, state in enumerate(states)
-        ]
-        # ``heapq.merge`` with already-sorted streams reproduces the old
-        # ``sorted(all_entries, key=entry[:3])`` order: keys differ across
-        # tenants (the index is part of the key) and within a tenant the
-        # stream order is preserved for ties, exactly like a stable sort.
-        arrivals = (
-            entry[3:] for entry in heapq.merge(*streams, key=lambda entry: entry[:3])
-        )
-    arrival_base = loop.reserve_orders(total_requests)
-    arrival_slot = 0
-
-    def advance_arrivals() -> None:
-        nonlocal arrival_slot
-        entry = next(arrivals, None)
-        if entry is None:
-            return
-        loop.schedule_at(
-            entry[1].arrival_s,
-            arrival_event,
-            label="arrive",
-            args=entry,
-            order=arrival_base + arrival_slot,
-        )
-        arrival_slot += 1
-
-    def arrival_event(state: _TenantState, request: Request) -> None:
-        admit(state, request)
-        advance_arrivals()
-
-    advance_arrivals()
-
-
-class MultiTenantTrafficEngine:
+class MultiTenantTrafficEngine(FederatedTrafficEngine):
     """Drives several tenants' arrival streams over one shared cluster.
 
-    The constructor builds the one-region federation every run drives —
-    region ``traffic`` with this config's nodes — so each :meth:`run` only
-    simulates.  Every run regenerates the tenants' streams and builds fresh
-    autoscalers, as a freshly built engine's run would.
+    A one-region federation: region ``traffic`` with this config's nodes,
+    one telemetry sink and one middleware pipeline.  Every :meth:`run`
+    regenerates the tenants' streams and builds fresh autoscalers, as a
+    freshly built engine's run would, and returns that region's summary.
 
     ``middleware`` is the optional gateway chain every request is threaded
     through (:mod:`repro.gateway.middleware`); ``None`` — or a pipeline with
@@ -292,20 +112,14 @@ class MultiTenantTrafficEngine:
         starvation_guard: int = 32,
         autoscaler_factory: Optional[Callable[[], Autoscaler]] = None,
         oversubscription: float = 2.0,
-        service_cache: Optional[Dict[Tuple[str, int], float]] = None,
         intra: IntraTenantOrder = IntraTenantOrder.FIFO,
         telemetry: Optional[Telemetry] = None,
         middleware: Optional[MiddlewarePipeline] = None,
     ) -> None:
-        from repro.traffic.federation import ClusterSpec, FederatedTrafficEngine
-
-        # Validated here first so misconfigurations raise this engine's
-        # TrafficEngineError rather than the federation's subclass.
-        validate_tenants(tenants, TrafficEngineError, oversubscription, starvation_guard)
         config = config or TrafficConfig()
-        self._federation = FederatedTrafficEngine(
+        super().__init__(
             tenants,
-            [ClusterSpec(region="traffic", nodes=config.nodes)],
+            [ClusterSpec(region=REGION, nodes=config.nodes)],
             config=config,
             fairness=fairness,
             starvation_guard=starvation_guard,
@@ -314,46 +128,25 @@ class MultiTenantTrafficEngine:
             intra=intra,
             telemetry_factory=lambda region: telemetry,
             middleware_factory=lambda region: middleware,
-            service_cache=service_cache,
         )
-        #: Per-stage middleware counters of the last run ({} without one).
-        self.middleware_stats: Dict[str, Dict[str, int]] = {}
-        #: Per-tenant records of the last run (sorted by request id).
-        #: Empty lists in sketch mode — nothing is retained there.
-        self.records: Dict[str, List[RequestRecord]] = {}
-        #: OOM evictions of the last run, in firing order: (time, tenant,
-        #: replica name).  Empty unless the memory model ran.
-        self.evictions: List[Tuple[float, str, str]] = []
-        #: Latency-waterfall rows of the last run (per tenant + cluster).
-        self.waterfall: List[WaterfallRow] = []
 
-    # -- public API -----------------------------------------------------------------
+    @property
+    def runtime(self) -> ClusterRuntime:
+        """The last run's cluster: its records, waterfall, evictions and middleware counters."""
+        return self.runtimes[REGION]
 
     def run(self) -> MultiTenantSummary:
         """Admit, queue, execute and account every tenant's stream.
 
-        The run is the one-region federation's own simulation; the summary
-        is that region's snapshot, and no federation-wide rollup is built.
+        The summary is the one region's snapshot; no federation-wide
+        rollup is built.
         """
-        runtimes, duration, _ = self._federation._simulate(self._service_time)
-        runtime = runtimes["traffic"]
-        summary = runtime.snapshot(duration)
-        self.records = runtime.records
-        self.waterfall = runtime.waterfall
-        self.evictions = runtime.evictions
-        self.middleware_stats = runtime.middleware_stats
-        return summary
+        duration, _ = self._simulate()
+        return self.runtime.snapshot(duration)
 
-    # -- service times ---------------------------------------------------------------
-
-    def _service_time(self, mode: str, payload_bytes: int) -> float:
-        # This is the one-region simulation's calibration entry point;
-        # FederatedTrafficEngine has its own only because bench/trace.py
-        # names each in its own class body.
-        federation = self._federation
-        return calibrated_service_time(
-            federation._service_cache, mode, payload_bytes, federation.config.cost_model
-        )
+    # Bound in this class's own body so bench/trace.py can name the
+    # one-region calibration entry point.
+    _service_time = FederatedTrafficEngine._service_time
 
 
 class TrafficEngine:
@@ -389,7 +182,6 @@ class TrafficEngine:
         self.records: List[RequestRecord] = []
         self.waterfall: List[WaterfallRow] = []
         self.evictions: List[Tuple[float, str, str]] = []
-        self._service_cache: Dict[Tuple[str, int], float] = {}
 
     def run(self, requests: Sequence[Request], pattern: str = "trace") -> TrafficSummary:
         """Admit, queue, execute and account every request in the stream."""
@@ -417,19 +209,19 @@ class TrafficEngine:
             fairness=FairnessPolicy.FIFO,
             autoscaler_factory=lambda: copy.deepcopy(self.autoscaler),
             oversubscription=1.0,  # replicas beyond the cores could never serve
-            service_cache=self._service_cache,
             intra=self.intra,
             telemetry=self.telemetry,
             middleware=self.middleware,
         )
         result = engine.run()
-        self.middleware_stats = engine.middleware_stats
-        self.records = engine.records["tenant-1"]
-        self.evictions = engine.evictions
+        runtime = engine.runtime
+        self.middleware_stats = runtime.middleware_stats
+        self.records = runtime.records["tenant-1"]
+        self.evictions = runtime.evictions
         # Relabel the internal tenant's waterfall rows with the mode name.
         self.waterfall = [
             replace(row, label=self.mode)
-            for row in engine.waterfall
+            for row in runtime.waterfall
             if row.label == "tenant-1"
         ]
         return result.tenants["tenant-1"]

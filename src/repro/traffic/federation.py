@@ -34,11 +34,12 @@ transit toward a region that dies before it lands is bounced onward the
 same way.
 
 The single-cluster :class:`~repro.traffic.engine.MultiTenantTrafficEngine`
-runs through this module's driver as a one-region federation named
-``"traffic"``, so a federation of exactly one cluster of that name
-reproduces it request for request by construction (a contract test pins
-it).  A sole region never asks the router for a placement and builds no
-WAN; the engine, which returns only the region's own summary, also
+is this driver's one-region constructor (region ``"traffic"``): it
+inherits the validation and :meth:`FederatedTrafficEngine._simulate`
+unchanged, so a federation of exactly one cluster of that name reproduces
+it request for request by construction (a contract test pins it).  A sole
+region never asks the router for a placement and builds no WAN; the
+one-region engine, which returns only the region's own summary, also
 builds no federation-wide accumulators.
 """
 
@@ -63,7 +64,7 @@ from repro.net.topology import Topology
 from repro.platform.gateway import FairnessPolicy, IntraTenantOrder
 from repro.sim.clock import SimClock
 from repro.sim.engine import EventLoop
-from repro.traffic.arrivals import Request
+from repro.traffic.arrivals import Request, schedule_arrivals
 from repro.traffic.autoscaler import Autoscaler, TargetConcurrencyPolicy
 from repro.traffic.classes import json_number, read_json_array
 from repro.traffic.cluster_runtime import (
@@ -75,12 +76,7 @@ from repro.traffic.cluster_runtime import (
     calibrated_service_time,
     rollup,
 )
-from repro.traffic.engine import (
-    TrafficConfig,
-    TrafficEngineError,
-    schedule_arrivals,
-    validate_tenants,
-)
+from repro.traffic.config import TrafficConfig, TrafficEngineError, validate_tenants
 from repro.traffic.slo import RequestRecord, TrafficSummary
 from repro.traffic.tenants import MultiTenantSummary, TenantSpec
 
@@ -401,9 +397,8 @@ class FederatedTrafficEngine:
         telemetry_factory: Optional[Callable[[str], "Telemetry"]] = None,
         middleware_factory: Optional[Callable[[str], "MiddlewarePipeline"]] = None,
         fail_at: Optional[Mapping[str, float]] = None,
-        service_cache: Optional[Dict[Tuple[str, int], float]] = None,
     ) -> None:
-        names = validate_tenants(tenants, FederationError, oversubscription, starvation_guard)
+        names = validate_tenants(tenants, oversubscription, starvation_guard)
         if not clusters:
             raise FederationError("need at least one cluster")
         regions = [cluster.region for cluster in clusters]
@@ -457,13 +452,9 @@ class FederatedTrafficEngine:
         self.middleware_factory = middleware_factory
         self.fail_at = dict(fail_at or {})
         self.clock = SimClock()
-        self._service_cache: Dict[Tuple[str, int], float] = (
-            service_cache if service_cache is not None else {}
-        )
-        #: Per-region per-tenant records of the last run (retained mode).
-        self.records: Dict[str, Dict[str, List[RequestRecord]]] = {}
-        #: Per-region OOM evictions of the last run.
-        self.evictions: Dict[str, List[Tuple[float, str, str]]] = {}
+        #: Per-region runtimes of the last run: each region's records,
+        #: waterfall, OOM evictions and middleware counters.
+        self.runtimes: Dict[str, ClusterRuntime] = {}
         #: The router of the last run (placement + WAN accounting).
         self.router: Optional[GlobalRouter] = None
         #: Per-region telemetry sinks of the last run (for the CLI to drain).
@@ -472,12 +463,8 @@ class FederatedTrafficEngine:
     # -- service times ---------------------------------------------------------------
 
     def _service_time(self, mode: str, payload_bytes: int) -> float:
-        # This and MultiTenantTrafficEngine._service_time are each their
-        # run's calibration entry point; both exist because bench/trace.py
-        # names each in its own class body.
-        return calibrated_service_time(
-            self._service_cache, mode, payload_bytes, self.config.cost_model
-        )
+        # Every runtime's calibration entry point (bench/trace.py names it).
+        return calibrated_service_time(mode, payload_bytes, self.config.cost_model)
 
     # -- the run ---------------------------------------------------------------------
 
@@ -496,13 +483,11 @@ class FederatedTrafficEngine:
                 for tenant in self.tenants
             }
             cluster_stream = StreamingTrafficStats()
-        runtimes, duration, failed_regions = self._simulate(
-            self._service_time, tenant_streams, cluster_stream
-        )
+        duration, failed_regions = self._simulate(tenant_streams, cluster_stream)
+        runtimes = self.runtimes
         region_summaries = {
             region: runtimes[region].snapshot(duration) for region in self.regions
         }
-        self.records = {region: runtimes[region].records for region in self.regions}
 
         # Federation-wide rollups: each tenant across every region, then
         # every tenant and region together.  Exact mode folds each scope's
@@ -547,22 +532,19 @@ class FederatedTrafficEngine:
 
     def _simulate(
         self,
-        service_time: Callable[[str, int], float],
         tenant_streams: Optional[Dict[str, StreamingTrafficStats]] = None,
         cluster_stream: Optional[StreamingTrafficStats] = None,
-    ) -> Tuple[Dict[str, ClusterRuntime], float, Tuple[str, ...]]:
+    ) -> Tuple[float, Tuple[str, ...]]:
         """Build the regions, run every arrival to its outcome, settle the charges.
 
         This is the one traffic simulation, shared by :meth:`run` and by
-        :meth:`MultiTenantTrafficEngine.run
-        <repro.traffic.engine.MultiTenantTrafficEngine.run>`, which drives
-        a one-region federation through it and calibrates through its own
-        ``service_time``.  Returns the runtimes
-        by region, the run's duration and the regions failed during it;
-        rolling up is left to the caller (the single-cluster engine only
-        snapshots its one region).  In sketch mode every tenant also folds
-        into ``tenant_streams[name]`` and ``cluster_stream`` when given
-        (the federation-wide rollups).
+        the one-region :meth:`MultiTenantTrafficEngine.run
+        <repro.traffic.engine.MultiTenantTrafficEngine.run>`.  It leaves
+        the runtimes by region in :attr:`runtimes` and returns the run's
+        duration and the regions failed during it; rolling up is left to
+        the caller (the one-region engine only snapshots its region).  In
+        sketch mode every tenant also folds into ``tenant_streams[name]``
+        and ``cluster_stream`` when given (the federation-wide rollups).
 
         A sole region has no routing decision to make, so its arrivals go
         straight to :meth:`ClusterRuntime.admit` (unless it can fail, when
@@ -623,8 +605,7 @@ class FederatedTrafficEngine:
                 oversubscription=self.oversubscription,
                 clock=clock,
                 loop=loop,
-                service_time=service_time,
-                service_cache=self._service_cache,
+                service_time=self._service_time,
                 counter=counter,
                 total_requests=total_requests,
                 telemetry=telemetry,
@@ -633,7 +614,7 @@ class FederatedTrafficEngine:
                 region=region,
                 node_prefix=region,
             )
-        self.evictions = {region: runtimes[region].evictions for region in regions}
+        self.runtimes = runtimes
 
         # The WAN: a full mesh, one topology node per region.  A sole region
         # never ships a request anywhere, so it builds none.
@@ -781,7 +762,7 @@ class FederatedTrafficEngine:
                 total_requests,
                 sum(len(state.replicas) for state in runtimes[region].states),
             )
-        return runtimes, duration, tuple(failed_regions)
+        return duration, tuple(failed_regions)
 
 
 def _by_request_id(states: Sequence[_TenantState]) -> List[RequestRecord]:

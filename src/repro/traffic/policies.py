@@ -113,12 +113,11 @@ def compare_scaling_policies(
     factory; each run builds fresh autoscalers through it.  Tenant arrival
     processes are seeded, so every run regenerates byte-identical streams —
     any difference in the summaries is the policy's doing.  The runs go one
-    after another and share only the deterministic service-time cache,
-    which saves calibration time and changes no result.
+    after another; calibration is memoised per process, so only the first
+    run measures each service time.
     """
     if not policies:
         raise AutoscalerError("need at least one policy to compare")
-    service_cache: Dict[Tuple[str, int], float] = {}
     return {
         label: MultiTenantTrafficEngine(
             tenants,
@@ -127,7 +126,6 @@ def compare_scaling_policies(
             starvation_guard=starvation_guard,
             autoscaler_factory=factory,
             oversubscription=oversubscription,
-            service_cache=service_cache,
             intra=intra,
         ).run()
         for label, factory in policies.items()

@@ -13,7 +13,7 @@ def test_config_defaults_and_ablations():
     assert config.zero_copy and config.serialization_free
     assert not RoadrunnerConfig.no_zero_copy().zero_copy
     assert not RoadrunnerConfig.with_serialization().serialization_free
-    batched = RoadrunnerConfig().with_overrides(syscall_batching=True)
+    batched = RoadrunnerConfig.with_syscall_batching()
     assert batched.effective_batch_factor == batched.syscall_batch_factor
     with pytest.raises(ConfigError):
         RoadrunnerConfig(syscall_batch_factor=0)

@@ -131,7 +131,7 @@ def test_snapshot_rollups_equal_one_fold_per_scope():
     duration = summary.cluster.duration_s
     waterfall = []
     for spec in specs:
-        rows = engine.records[spec.name]
+        rows = engine.runtime.records[spec.name]
         assert [record.request_id for record in rows] == sorted(
             record.request_id for record in rows
         )
@@ -143,11 +143,11 @@ def test_snapshot_rollups_equal_one_fold_per_scope():
         waterfall.extend(stats.waterfall(spec.name))
     declared = sorted({name for spec in specs for name in spec.class_names})
     stats = StreamingTrafficStats.of_records(
-        itertools.chain.from_iterable(engine.records[spec.name] for spec in specs), declared
+        itertools.chain.from_iterable(engine.runtime.records[spec.name] for spec in specs), declared
     )
     expected = stats.summary("cluster", "multi-tenant", duration, declared_classes=declared)
     assert _record_fields(summary.cluster) == _record_fields(expected)
-    assert engine.waterfall == waterfall + stats.waterfall("cluster")
+    assert engine.runtime.waterfall == waterfall + stats.waterfall("cluster")
     # The run exercised what the property is about.
     by_class = {row.name: row for row in summary.tenants["classed"].classes}
     assert sorted(by_class) == ["batch", "interactive", "never"]

@@ -140,8 +140,8 @@ def test_single_cluster_federation_is_request_for_request_identical(params):
     )
     summary = federated.run()
     assert repr(summary.region("traffic")) == repr(expected)
-    assert federated.records["traffic"] == baseline.records
-    assert federated.evictions["traffic"] == baseline.evictions
+    assert federated.runtimes["traffic"].records == baseline.runtime.records
+    assert federated.runtimes["traffic"].evictions == baseline.runtime.evictions
     # The federation-wide rollups are the region's own, except that their
     # timelines are merged across regions, which collapses same-instant
     # entries (the region's per-tenant summaries keep the raw timeline).

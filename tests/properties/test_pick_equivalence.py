@@ -49,7 +49,6 @@ def _runtime(concurrency, nodes):
         clock=SimClock(),
         loop=EventLoop(),
         service_time=lambda mode, payload: 0.001,
-        service_cache={},
         counter=[0],
         total_requests=0,
     )

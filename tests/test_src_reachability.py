@@ -20,7 +20,9 @@ once (the program files; tests are not scanned) and fail on:
   ``*args`` or ``**kwargs`` is skipped, since its arguments cannot be seen;
 * *fields*: an attribute assigned on ``self``, or a class-level annotated
   field, whose name no program file reads as an attribute or names in a
-  string.  Writing a field nothing reads is bookkeeping without a reader;
+  string.  Writing a field nothing reads is bookkeeping without a reader,
+  and ``owner.field.append(...)`` (or ``extend``, ``add``, ``insert``)
+  writes to the field rather than reading it;
 * *validated-only fields*: a class-level field whose every read in the
   program files (as an attribute or a word in a string) sits in its own
   class's ``__post_init__``.  A field that is checked and never acted on
@@ -43,6 +45,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAM = ("src", "examples", "benchmarks", "bench")
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: Container methods whose receiver is written to, not read.
+MUTATORS = frozenset(("append", "extend", "add", "insert"))
 
 # The only reasons to keep what a check finds.
 OUTSIDE_INPUT = "a safety check on outside input keeps using it"
@@ -195,6 +199,23 @@ class _Uses(ast.NodeVisitor):
             self.words.update(WORD.findall(node.value))
 
     def visit_Call(self, node):
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in MUTATORS
+            and isinstance(func.value, ast.Attribute)
+        ):
+            # ``owner.field.append(x)`` writes to the field; it does not read it.
+            self._count_call(node)
+            self.attributes[func.attr] += 1
+            self.visit(func.value.value)
+            for child in (*node.args, *node.keywords):
+                self.visit(child)
+            return
+        self._count_call(node)
+        self.generic_visit(node)
+
+    def _count_call(self, node):
         spread = any(isinstance(a, ast.Starred) for a in node.args) or any(
             k.arg is None for k in node.keywords
         )
@@ -204,7 +225,6 @@ class _Uses(ast.NodeVisitor):
             entry = self.passed[callee]
             entry[0] = max(entry[0], len(node.args))
             entry[1].update(k.arg for k in node.keywords if k.arg)
-        self.generic_visit(node)
 
     def _callees(self, func):
         enclosing = self._classes[-1] if self._classes else None

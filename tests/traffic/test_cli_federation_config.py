@@ -2,12 +2,13 @@
 
 Each of these used to run to exit status 0 or surface a bare Python
 message: a NaN failure time, a ``--fail-region`` with no ``--clusters`` to
-fail, a fractional or boolean node count silently coerced by ``int()``, a
-NaN memory budget, a non-numeric node count reported as ``invalid literal
-for int()``, a ``--clusters`` file path parsed as inline JSON, and gateway
-knobs (``--oversubscription``, ``--starvation-guard``) checked only on the
-single-cluster path.  Each must now exit with status 2 and a message that
-names the flag or the field.  The CLI runs in a child process with a
+fail, a region named by two ``--fail-region`` specs (the second overwrote
+the first), a fractional or boolean node count silently coerced by
+``int()``, a NaN memory budget, a non-numeric node count reported as
+``invalid literal for int()``, a ``--clusters`` file path parsed as inline
+JSON, and gateway knobs (``--oversubscription``, ``--starvation-guard``)
+checked only on the single-cluster path.  Each must now exit with status 2
+and a message that names the flag or the field.  The CLI runs in a child process with a
 timeout, so a regression to a hang fails the test instead of blocking the
 suite.
 """
@@ -53,6 +54,16 @@ def test_non_finite_fail_time_is_refused():
 def test_fail_region_without_clusters_is_refused():
     result = _traffic("--fail-region", "garbage")
     _assert_refused(result, "--fail-region needs --clusters")
+
+
+def test_fail_region_naming_a_region_twice_is_refused():
+    # The second spec used to overwrite the first, silently running one failure.
+    result = _traffic(
+        "--clusters", TWO_REGIONS, "--fail-region", "a@1", "--fail-region", "a@5"
+    )
+    _assert_refused(
+        result, "invalid traffic parameters: --fail-region names region 'a' twice"
+    )
 
 
 @pytest.mark.parametrize(

@@ -131,6 +131,6 @@ def test_the_service_bound_admits_every_figure_payload():
     # time grows about 2 ms per MB, so the bound sits near 5e10 MB.
     cost_model = CostModel.paper_testbed()
     for mode in ("roadrunner-user", "roadrunner-kernel", "runc-http", "wasmedge-http"):
-        assert calibrated_service_time({}, mode, 500 * MB, cost_model) < MAX_SERVICE_S
+        assert calibrated_service_time(mode, 500 * MB, cost_model) < MAX_SERVICE_S
     with pytest.raises(ArrivalError, match="past the bound"):
-        calibrated_service_time({}, "runc-http", int(1e11 * MB), cost_model)
+        calibrated_service_time("runc-http", int(1e11 * MB), cost_model)

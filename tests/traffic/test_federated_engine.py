@@ -107,7 +107,7 @@ def test_single_cluster_federation_matches_unfederated_engine():
     region = summary.region("traffic")
     assert repr(region) == repr(expected)
     for name in ("steady", "spiky"):
-        assert engine.records["traffic"][name] == baseline.records[name]
+        assert engine.runtimes["traffic"].records[name] == baseline.runtime.records[name]
     # The global rollup over one region IS that region.
     assert repr(summary.tenants) == repr(expected.tenants)
     assert summary.router.remote == 0 and summary.router.wan_bytes == 0

@@ -18,10 +18,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.traffic.arrivals import MB, PoissonArrivals, Request
+from repro.traffic.arrivals import MB, PoissonArrivals, Request, _ordered_requests
 from repro.traffic.autoscaler import Autoscaler, FixedReplicasPolicy
 from repro.traffic.cluster_runtime import _merge_timelines
-from repro.traffic.engine import TrafficConfig, TrafficEngine, _ordered_requests
+from repro.traffic.engine import TrafficConfig, TrafficEngine
 
 
 # -- _merge_timelines vs the global sort it replaced -------------------------------

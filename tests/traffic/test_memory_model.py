@@ -134,16 +134,16 @@ def test_evictor_fires_and_forces_future_cold_starts():
     free_engine, free = _run(node_memory_mb=0.0)
     engine, pressured = _run()
     assert free.cluster.oom_evictions == 0
-    assert not free_engine.evictions
+    assert not free_engine.runtime.evictions
     # Under a 60 MB budget the evictor reclaims idle replicas...
     assert pressured.cluster.oom_evictions > 0
-    assert len(engine.evictions) == pressured.cluster.oom_evictions
+    assert len(engine.runtime.evictions) == pressured.cluster.oom_evictions
     # ...and each victim's tenant must cold-start again to serve later load.
     assert pressured.cluster.cold_starts > free.cluster.cold_starts
     # Eviction log rows are (time, tenant, replica) in chronological order.
-    times = [row[0] for row in engine.evictions]
+    times = [row[0] for row in engine.runtime.evictions]
     assert times == sorted(times)
-    tenants = {row[1] for row in engine.evictions}
+    tenants = {row[1] for row in engine.runtime.evictions}
     assert tenants <= {"alpha", "bravo"}
 
 
@@ -186,8 +186,8 @@ def test_zero_served_normalises_to_zero():
 def test_identical_seeds_reproduce_the_eviction_order():
     first_engine, first = _run()
     second_engine, second = _run()
-    assert first_engine.evictions  # the scenario actually evicts
-    assert first_engine.evictions == second_engine.evictions
+    assert first_engine.runtime.evictions  # the scenario actually evicts
+    assert first_engine.runtime.evictions == second_engine.runtime.evictions
     assert first.tenants == second.tenants
     assert first.cluster == second.cluster
 

@@ -157,8 +157,8 @@ def test_auth_allow_list_rejects_a_whole_tenant():
     assert result.tenants["bad"].rejected == 3
     assert result.tenants["bad"].completed == 0
     assert result.cluster.rejected == 3
-    assert engine.middleware_stats["auth"] == {"authorized": 3, "denied_auth": 3}
-    assert result.middleware == engine.middleware_stats
+    assert engine.runtime.middleware_stats["auth"] == {"authorized": 3, "denied_auth": 3}
+    assert result.middleware == engine.runtime.middleware_stats
 
 
 # -- hedging --------------------------------------------------------------------------

@@ -257,7 +257,7 @@ def test_two_tenants_complete_on_a_shared_cluster():
     assert result.cluster.completed == 10
     assert set(result.weights) == {"a", "b"}
     # Per-tenant records kept separately, sorted by request id.
-    assert [r.request_id for r in engine.records["a"]] == list(range(6))
+    assert [r.request_id for r in engine.runtime.records["a"]] == list(range(6))
     with pytest.raises(TenantError):
         result.tenant("ghost")
 
