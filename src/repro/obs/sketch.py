@@ -22,9 +22,11 @@ list:
 Every :class:`QuantileSketch` has the same histogram shape, so a value's
 bucket is the same in all of them: :func:`bucket_index` computes it once,
 and :meth:`repro.obs.streaming.Rollups.fold` counts the value into that
-bucket of every rollup a finished request belongs to, updating each
+bucket of the finest rollup a finished request belongs to, updating the
 histogram's fields in place as :meth:`LogHistogram.add` does — one ``log``
-per stage per request, however many rollups it feeds.  An empty histogram's
+per stage per request.  The same shape makes histograms merge exactly
+(:meth:`LogHistogram.absorb`): bucket counts add, min and max compare, so
+a coarser rollup is its members' merge, read once.  An empty histogram's
 running min and max are +/-infinity, so an update needs no first-value case.
 """
 
@@ -34,7 +36,8 @@ import bisect
 import copy
 import itertools
 import math
-from typing import Dict, List, Sequence
+from operator import add
+from typing import Dict, Iterable, List, Sequence
 
 from repro.metrics.stats import LatencySummary
 
@@ -116,6 +119,33 @@ class LogHistogram:
         other = copy.copy(self)
         other._counts = list(self._counts)
         return other
+
+    def absorb(self, parts: Iterable["LogHistogram"]) -> None:
+        """Set every field but the running sum to that of ``parts`` combined.
+
+        Counts, min and max merge exactly, so the result equals a histogram
+        fed every part's values, in any order.  The float ``_sum`` does not:
+        its rounding depends on the order the values were added, so it is
+        left as it is, for the caller to keep running.  A part adds only
+        its occupied buckets, from its min's bucket to its max's.
+        """
+        counts = [0] * HISTOGRAM_BUCKETS
+        count = 0
+        low, high = math.inf, -math.inf
+        for part in parts:
+            if not part._count:
+                continue
+            count += part._count
+            if part._min < low:
+                low = part._min
+            if part._max > high:
+                high = part._max
+            first, last = bucket_index(part._min), bucket_index(part._max) + 1
+            counts[first:last] = map(add, counts[first:last], part._counts[first:last])
+        self._counts = counts
+        self._count = count
+        self._min = low
+        self._max = high
 
     def quantile_many(self, qs: Sequence[float]) -> List[float]:
         """The estimates for several quantiles from one walk over the buckets.

@@ -11,9 +11,17 @@ a finished request gets folded in:
   request at completion, from its scalars, into
   :class:`~repro.obs.sketch.QuantileSketch` instances and forgets it —
   constant memory, sketch-estimated percentiles.  :meth:`Rollups.fold`
-  does it in one frame for every rollup the request belongs to: each
-  stage's bucket is computed once per request, and each histogram is
-  updated in place, with no per-value call;
+  does it in one frame: each stage's bucket is computed once per request,
+  and the finest rollup the request belongs to (its tenant's, in its
+  region) is updated in place, with no per-value call.  The coarser
+  rollups (the region's cluster, a federation's tenant and cluster) are
+  folded once and read merged: per request they keep only each stage's
+  running ``_sum`` and their served-sketch forks; counters, bucket
+  counts, min and max are merged from their member rollups when first
+  read (:meth:`StreamingTrafficStats.summary` and the other readers),
+  class by class, adding each member's occupied buckets only.  The float
+  sum is the one field whose rounding depends on fold order, so it is the
+  one kept running;
 * **exact mode** keeps its records (the exports need them) and folds them
   at rollup time, in request-id order, through :func:`fold_records` into
   :class:`ExactSamples`, which retain every sample packed — the exact
@@ -49,6 +57,12 @@ from repro.traffic.slo import (
 # over 20x slower than reading a module global, and every fold tests it.
 _COMPLETED = RequestOutcome.COMPLETED
 
+#: The outcome and deadline counters of one :class:`_ClassStats`.
+_COUNTERS = (
+    "offered", "completed", "timed_out", "dropped", "shed", "cached", "coalesced",
+    "rate_limited", "rejected", "deadline_total", "deadline_met",
+)
+
 
 class ExactSamples:
     """An exact distribution: every sample, packed, in fold order.
@@ -78,6 +92,10 @@ class ExactSamples:
 
     def clone(self) -> "ExactSamples":
         return ExactSamples(array("d", self.values))
+
+
+#: The stage fields of :class:`StageSketches`.
+_STAGES = ("latency", "queueing", "service", "cold_wait")
 
 
 @dataclass
@@ -158,6 +176,20 @@ class _ClassStats:
             latency_served=stages.latency if shared else self.latency_served.clone(),
         )
 
+    def absorb(self, parts: Sequence["_ClassStats"]) -> None:
+        """Become ``parts`` merged: every field but the running sums.
+
+        The served sketch merges apart only when it is forked, and then
+        every part's served sketch is its scope's served latencies.
+        """
+        for name in _COUNTERS:
+            setattr(self, name, sum(getattr(part, name) for part in parts))
+        stages = self.stages
+        for name in _STAGES:
+            getattr(stages, name).absorb([getattr(part.stages, name) for part in parts])
+        if self.latency_served is not stages.latency:
+            self.latency_served.absorb([part.latency_served for part in parts])
+
     @classmethod
     def over(cls, make: Callable[[], QuantileSketch]) -> "_ClassStats":
         """Zeroed counters over fresh ``make()`` distributions."""
@@ -181,16 +213,45 @@ class StreamingTrafficStats:
         #: Per class, the accumulators one of its requests folds into: the
         #: totals, then the class's own unless that is the totals.
         self._scopes: Dict[str, Tuple[_ClassStats, ...]] = {}
+        #: A coarser rollup's members, the finest rollups folded in full
+        #: (see :class:`Rollups`), and the requests they had offered when
+        #: last merged in.
+        self._members: List[StreamingTrafficStats] = []
+        self._merged = 0
         for name in declared_classes:
             self._class_stats(name)
 
+    def _read(self) -> None:
+        """Merge the members in, if any request folded since the last merge.
+
+        Every scope but the running sums is rebuilt from the members: the
+        totals from theirs, each class from their class of that name.  A
+        class that is the totals (the sole class) is merged with it.
+        """
+        members = self._members
+        if not members:
+            return
+        offered = sum(member._totals.offered for member in members)
+        if offered == self._merged:
+            return
+        totals = self._totals
+        totals.absorb([member._totals for member in members])
+        for name, stats in self._classes.items():
+            if stats is not totals:
+                stats.absorb(
+                    [member._classes[name] for member in members if name in member._classes]
+                )
+        self._merged = offered
+
     @property
     def offered(self) -> int:
+        self._read()
         return self._totals.offered
 
     @property
     def stages(self) -> StageSketches:
         """The scope-wide stage sketches (completed requests only)."""
+        self._read()
         return self._totals.stages
 
     def _class_stats(self, name: str) -> _ClassStats:
@@ -242,6 +303,7 @@ class StreamingTrafficStats:
         return stats
 
     def class_summaries(self) -> Tuple[ClassSummary, ...]:
+        self._read()
         return tuple(
             self._classes[name].summary(name) for name in sorted(self._classes)
         )
@@ -264,6 +326,7 @@ class StreamingTrafficStats:
             raise SloError("duration must be positive")
         for name in declared_classes:  # zero-request classes still export rows
             self._class_stats(name)
+        self._read()
         totals = self._totals
         return TrafficSummary(
             mode=mode,
@@ -298,6 +361,7 @@ class StreamingTrafficStats:
         Only classes with completions get a row; with more than one row an
         ``(all)`` rollup row closes the group.
         """
+        self._read()
         rows = [
             _row_from_stages(label, name, stats.completed, stats.stages)
             for name, stats in sorted(self._classes.items())
@@ -319,12 +383,24 @@ class _ExactTrafficStats(StreamingTrafficStats):
 class Rollups(tuple):
     """The sketch-mode rollups one tenant's finished requests fold into.
 
-    A tuple of :class:`StreamingTrafficStats`, each object once (the
-    tenant's own first).  :meth:`fold` is the whole per-request cost of
-    sketch-mode accounting.
+    A tuple of :class:`StreamingTrafficStats`, each object once: the
+    finest first, the tenant's own (in its region), then the coarser ones
+    it belongs to.  Building it makes the finest a member of each coarser
+    one, which merges its members in when read.  :meth:`fold` is the whole
+    per-request cost of sketch-mode accounting.
     """
 
-    __slots__ = ()
+    def __new__(cls, streams: Sequence[StreamingTrafficStats]) -> "Rollups":
+        rollups = super().__new__(cls, streams)
+        finest = rollups[0]
+        if finest._members:
+            raise SloError("a rollup with members cannot be a request's finest")
+        #: The coarser rollups: each keeps only running sums per request.
+        rollups.coarse = rollups[1:]
+        for stream in rollups.coarse:
+            if finest not in stream._members:
+                stream._members.append(finest)
+        return rollups
 
     def fold(
         self,
@@ -340,10 +416,15 @@ class Rollups(tuple):
 
         The stage durations mirror the record's property definitions float
         for float.  Each one's bucket is computed once and every histogram
-        is updated in place — count, sum, min, max and bucket, exactly as
-        :meth:`~repro.obs.sketch.LogHistogram.add` would — in each scope:
-        the rollup's totals and, when it is not the totals, the class.
+        of the finest rollup is updated in place — count, sum, min, max and
+        bucket, exactly as :meth:`~repro.obs.sketch.LogHistogram.add` would
+        — in each scope: the rollup's totals and, when it is not the
+        totals, the class.  In each scope of the coarser rollups only the
+        running sums move (and a served sketch forks); the rest is merged
+        at read.
         """
+        stream = self[0]
+        scopes = stream._scopes.get(request_class) or stream.scopes(request_class)
         if outcome is _COMPLETED:
             # Completed means dispatched and finished: both stamps exist.
             latency = float(completion - arrival)
@@ -357,57 +438,66 @@ class Rollups(tuple):
             queueing_bucket = bucket_index(queueing) if queueing else 0
             cold_bucket = bucket_index(cold_wait) if cold_wait else 0
             met = deadline_s is not None and completion <= deadline_s
-            for stream in self:
-                scopes = stream._scopes.get(request_class) or stream.scopes(request_class)
-                for scope in scopes:
-                    scope.offered += 1
-                    scope.completed += 1
-                    if deadline_s is not None:
-                        scope.deadline_total += 1
-                        if met:
-                            scope.deadline_met += 1
+            for scope in scopes:
+                scope.offered += 1
+                scope.completed += 1
+                if deadline_s is not None:
+                    scope.deadline_total += 1
+                    if met:
+                        scope.deadline_met += 1
+                stages = scope.stages
+                sketch = stages.latency
+                sketch._count += 1
+                sketch._sum += latency
+                sketch._counts[latency_bucket] += 1
+                if latency < sketch._min:
+                    sketch._min = latency
+                if latency > sketch._max:
+                    sketch._max = latency
+                served = scope.latency_served
+                if served is not sketch:
+                    served._count += 1
+                    served._sum += latency
+                    served._counts[latency_bucket] += 1
+                    if latency < served._min:
+                        served._min = latency
+                    if latency > served._max:
+                        served._max = latency
+                sketch = stages.queueing
+                sketch._count += 1
+                sketch._sum += queueing
+                sketch._counts[queueing_bucket] += 1
+                if queueing < sketch._min:
+                    sketch._min = queueing
+                if queueing > sketch._max:
+                    sketch._max = queueing
+                sketch = stages.service
+                sketch._count += 1
+                sketch._sum += service
+                sketch._counts[service_bucket] += 1
+                if service < sketch._min:
+                    sketch._min = service
+                if service > sketch._max:
+                    sketch._max = service
+                sketch = stages.cold_wait
+                sketch._count += 1
+                sketch._sum += cold_wait
+                sketch._counts[cold_bucket] += 1
+                if cold_wait < sketch._min:
+                    sketch._min = cold_wait
+                if cold_wait > sketch._max:
+                    sketch._max = cold_wait
+            for stream in self.coarse:
+                for scope in stream._scopes.get(request_class) or stream.scopes(request_class):
                     stages = scope.stages
                     sketch = stages.latency
-                    sketch._count += 1
                     sketch._sum += latency
-                    sketch._counts[latency_bucket] += 1
-                    if latency < sketch._min:
-                        sketch._min = latency
-                    if latency > sketch._max:
-                        sketch._max = latency
                     served = scope.latency_served
                     if served is not sketch:
-                        served._count += 1
                         served._sum += latency
-                        served._counts[latency_bucket] += 1
-                        if latency < served._min:
-                            served._min = latency
-                        if latency > served._max:
-                            served._max = latency
-                    sketch = stages.queueing
-                    sketch._count += 1
-                    sketch._sum += queueing
-                    sketch._counts[queueing_bucket] += 1
-                    if queueing < sketch._min:
-                        sketch._min = queueing
-                    if queueing > sketch._max:
-                        sketch._max = queueing
-                    sketch = stages.service
-                    sketch._count += 1
-                    sketch._sum += service
-                    sketch._counts[service_bucket] += 1
-                    if service < sketch._min:
-                        sketch._min = service
-                    if service > sketch._max:
-                        sketch._max = service
-                    sketch = stages.cold_wait
-                    sketch._count += 1
-                    sketch._sum += cold_wait
-                    sketch._counts[cold_bucket] += 1
-                    if cold_wait < sketch._min:
-                        sketch._min = cold_wait
-                    if cold_wait > sketch._max:
-                        sketch._max = cold_wait
+                    stages.queueing._sum += queueing
+                    stages.service._sum += service
+                    stages.cold_wait._sum += cold_wait
             return
         # Only completed requests reach the stage sketches; a cached or
         # coalesced one is served, so its latency forks the served sketch.
@@ -417,24 +507,28 @@ class Rollups(tuple):
             latency = float(completion - arrival)
             latency_bucket = bucket_index(latency)
         met = served and deadline_s is not None and completion <= deadline_s
-        for stream in self:
+        for scope in scopes:
+            scope.offered += 1
+            setattr(scope, counter, getattr(scope, counter) + 1)
+            if deadline_s is not None:
+                scope.deadline_total += 1
+                if met:
+                    scope.deadline_met += 1
+            if served:
+                sketch = scope.served_apart()
+                sketch._count += 1
+                sketch._sum += latency
+                sketch._counts[latency_bucket] += 1
+                if latency < sketch._min:
+                    sketch._min = latency
+                if latency > sketch._max:
+                    sketch._max = latency
+        for stream in self.coarse:
+            # Resolved even when nothing is summed: the class must exist.
             scopes = stream._scopes.get(request_class) or stream.scopes(request_class)
-            for scope in scopes:
-                scope.offered += 1
-                setattr(scope, counter, getattr(scope, counter) + 1)
-                if deadline_s is not None:
-                    scope.deadline_total += 1
-                    if met:
-                        scope.deadline_met += 1
-                if served:
-                    sketch = scope.served_apart()
-                    sketch._count += 1
-                    sketch._sum += latency
-                    sketch._counts[latency_bucket] += 1
-                    if latency < sketch._min:
-                        sketch._min = latency
-                    if latency > sketch._max:
-                        sketch._max = latency
+            if served:
+                for scope in scopes:
+                    scope.served_apart()._sum += latency
 
 
 def fold_records(

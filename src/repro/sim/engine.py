@@ -18,6 +18,15 @@ scalars, so in sketch mode, when no telemetry or middleware reads a
 folds a finished request's scalars straight into its rollups
 (:meth:`~repro.obs.streaming.Rollups.fold`).
 
+Events known in order up front — a run's arrivals — need not pass through
+the heap at all: :meth:`EventLoop.feed` hands the loop one lazily produced,
+already ordered stream of heap-shaped entries, and :meth:`EventLoop.run`
+merges the stream's head against the heap's top with one tuple compare.
+Entries carry order slots from :meth:`EventLoop.reserve_orders`, so the
+execution order is exactly that of scheduling each entry with
+``schedule_at(order=)``; the stream is pulled one entry at a time, so it
+never sits in memory whole.
+
 :class:`ParallelTracks` serves fan-out: it computes the makespan of N
 per-branch duration profiles under a bounded concurrency model — this
 mirrors how a 4-core node executes N sandboxes, or how a single-threaded
@@ -27,7 +36,7 @@ Wasm VM serialises all branches.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 
 class EngineError(RuntimeError):
@@ -44,12 +53,19 @@ _HeapEntry = Tuple[float, int, Callable[..., Any], Tuple]
 class EventLoop:
     """Minimal discrete-event simulator.
 
-    Events are executed in non-decreasing time order; ties break by insertion
-    order so behaviour is deterministic.
+    Events are executed in non-decreasing time order; ties break by order
+    slot — insertion order, unless a slot was reserved — so behaviour is
+    deterministic.  Events come from the heap and from at most one fed
+    stream (:meth:`feed`), merged as they run.
     """
 
     def __init__(self) -> None:
         self._queue: List[_HeapEntry] = []
+        #: The fed stream and its pending head (``None`` once drained):
+        #: the head is pulled before it runs, so ``run(until=)`` can stop
+        #: short of it and leave it for the next call.
+        self._feed: Iterator[_HeapEntry] = iter(())
+        self._head: Optional[_HeapEntry] = None
         self._order = 0
         self._now = 0.0
         self._executed = 0
@@ -66,9 +82,9 @@ class EventLoop:
         """Reserve ``count`` consecutive tie-break slots; return the first.
 
         Lets a caller pin the relative order of events it will schedule
-        *later* (lazily) against events scheduled in between — the traffic
-        engine reserves one slot per arrival up front, then materializes
-        arrival events on demand without disturbing tie-breaking.
+        or feed *later* (lazily) against events scheduled in between — the
+        traffic engine reserves one slot per arrival up front, then feeds
+        its arrivals on demand without disturbing tie-breaking.
         """
         if count < 0:
             raise EngineError("cannot reserve a negative order block")
@@ -113,24 +129,60 @@ class EventLoop:
             self._order += 1
         heapq.heappush(self._queue, (time, order, action, args))
 
+    def feed(self, entries: Iterable[_HeapEntry]) -> None:
+        """Run ``entries`` as events, pulled one at a time as the run reaches them.
+
+        ``entries`` are heap entries ``(time, order, action, args)`` in
+        non-decreasing ``(time, order)`` order, none before :attr:`now`,
+        each ``order`` a slot reserved with :meth:`reserve_orders`.  They
+        run exactly as if each had been passed to :meth:`schedule_at` with
+        its ``order``.  One stream at a time: a loop whose fed stream still
+        has entries refuses another.
+        """
+        if self._head is not None:
+            raise EngineError("the loop is still running a fed stream")
+        feed = iter(entries)
+        head = next(feed, None)
+        if head is not None and head[0] < self._now:
+            raise EngineError(
+                "cannot feed an event at t=%r before now=%r" % (head[0], self._now)
+            )
+        self._feed = feed
+        self._head = head
+
     def run(self, until: Optional[float] = None) -> float:
-        """Run events until the queue drains or ``until`` is reached.
+        """Run events until the queue and the fed stream drain or ``until`` is reached.
 
         Returns the simulated time after the run.
         """
         queue = self._queue
         pop = heapq.heappop
-        while queue:
-            if until is not None and queue[0][0] > until:
-                self._now = until
-                return self._now
-            time, _, action, args = pop(queue)
-            self._now = time
-            action(*args)
-            self._executed += 1
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+        feed = self._feed
+        head = self._head
+        try:
+            while True:
+                # Entries never tie: ``order`` is unique, so the compare
+                # stops at it and never reaches an action.
+                if head is not None and (not queue or head < queue[0]):
+                    if until is not None and head[0] > until:
+                        break
+                    time, _, action, args = head
+                    head = next(feed, None)
+                elif queue:
+                    if until is not None and queue[0][0] > until:
+                        break
+                    time, _, action, args = pop(queue)
+                else:
+                    if until is not None and until > self._now:
+                        self._now = until
+                    return self._now
+                self._now = time
+                action(*args)
+                self._executed += 1
+        finally:
+            self._head = head
+        self._now = until
+        return until
 
 
 class ParallelTracks:

@@ -16,7 +16,7 @@ This module generates those streams:
   minute CSV format mapped onto :class:`TraceArrivals`, so real FaaS
   workload shapes replay through the same engine as the synthetic ones;
 * :func:`schedule_arrivals` — feeds every tenant's stream into a run's
-  event loop, lazily and in order.
+  event loop as one lazily merged, ordered stream.
 
 All generators are seeded and produce identical streams for identical
 parameters, so two runtimes can be compared under *the same* arrivals — the
@@ -33,6 +33,7 @@ import math
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.workloads.traces import Invocation, InvocationTrace
@@ -407,6 +408,9 @@ def load_azure_trace(
     return TraceArrivals(trace, function="app")
 
 
+_ARRIVAL_S = attrgetter("arrival_s")
+
+
 def _ordered_requests(requests: Sequence[Request]) -> Sequence[Request]:
     """The stream in canonical (arrival, id) order, without a needless copy.
 
@@ -428,59 +432,50 @@ def schedule_arrivals(
     admit: Callable[[_TenantState, Request], None],
     total_requests: int,
 ) -> None:
-    """Chain every tenant's arrivals through ``admit``, lazily and in order.
+    """Feed every tenant's arrivals to ``loop`` as one lazy stream of ``admit`` events.
 
     Arrivals are *not* pre-scheduled: a million heap entries up front
     would dominate the run's memory and heap-sift work.  Instead the
     per-tenant streams — each already in (arrival_s, request_id) order —
     are lazily merged (a lone tenant's stream is iterated as it is), one
     order slot per arrival is reserved so tie-breaking matches the old
-    pre-scheduled order exactly, and each arrival event chains the next
-    one from the merged iterator.
+    pre-scheduled order exactly, and the merged stream is fed to the loop
+    (:meth:`~repro.sim.engine.EventLoop.feed`), which pulls each arrival
+    as the run reaches it and never pushes one onto its heap.
     """
+    base = loop.reserve_orders(total_requests)
     if len(states) == 1:
         (state,) = states
-        arrivals: Iterator[Tuple[_TenantState, Request]] = zip(
-            itertools.repeat(state), _ordered_requests(state.requests)
+        requests = _ordered_requests(state.requests)
+        loop.feed(
+            zip(
+                map(_ARRIVAL_S, requests),
+                itertools.count(base),
+                itertools.repeat(admit),
+                zip(itertools.repeat(state), requests),
+            )
         )
-    else:
-
-        def tenant_entries(
-            index: int, state: _TenantState, requests: Sequence[Request]
-        ) -> "Iterator[Tuple[float, int, int, _TenantState, Request]]":
-            for request in requests:
-                yield (request.arrival_s, index, request.request_id, state, request)
-
-        streams = [
-            tenant_entries(index, state, _ordered_requests(state.requests))
-            for index, state in enumerate(states)
-        ]
-        # ``heapq.merge`` with already-sorted streams reproduces the old
-        # ``sorted(all_entries, key=entry[:3])`` order: keys differ across
-        # tenants (the index is part of the key) and within a tenant the
-        # stream order is preserved for ties, exactly like a stable sort.
-        arrivals = (
-            entry[3:] for entry in heapq.merge(*streams, key=lambda entry: entry[:3])
+        return
+    # ``heapq.merge`` with already-sorted streams reproduces the old
+    # ``sorted(all_entries, key=(arrival_s, tenant index, request_id))``
+    # order: the merge only compares the heads of different tenants, whose
+    # (arrival_s, index) keys never tie, and keeps each tenant's own order.
+    def tenant_stream(
+        index: int, state: _TenantState
+    ) -> "Iterator[Tuple[float, int, Tuple[_TenantState, Request]]]":
+        requests = _ordered_requests(state.requests)
+        return zip(
+            map(_ARRIVAL_S, requests),
+            itertools.repeat(index),
+            zip(itertools.repeat(state), requests),
         )
-    arrival_base = loop.reserve_orders(total_requests)
-    arrival_slot = 0
 
-    def advance_arrivals() -> None:
-        nonlocal arrival_slot
-        entry = next(arrivals, None)
-        if entry is None:
-            return
-        loop.schedule_at(
-            entry[1].arrival_s,
-            arrival_event,
-            label="arrive",
-            args=entry,
-            order=arrival_base + arrival_slot,
-        )
-        arrival_slot += 1
+    merged = heapq.merge(*(tenant_stream(index, state) for index, state in enumerate(states)))
 
-    def arrival_event(state: _TenantState, request: Request) -> None:
-        admit(state, request)
-        advance_arrivals()
+    def entries() -> Iterator[Tuple[float, int, Callable[..., None], Tuple]]:
+        order = base
+        for arrival_s, _, args in merged:
+            yield (arrival_s, order, admit, args)
+            order += 1
 
-    advance_arrivals()
+    loop.feed(entries())

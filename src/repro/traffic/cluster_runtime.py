@@ -243,7 +243,8 @@ class _TenantState:
     records: List[RequestRecord] = field(default_factory=list)
     #: Streaming accumulators, built instead of ``records`` in sketch mode
     #: by :func:`attach_streams`: every rollup this tenant's finished
-    #: requests fold into, each object once.  The first is the tenant's own.
+    #: requests fold into, each object once.  The first is the tenant's
+    #: own, the only one folded in full.
     streams: Rollups = ()
     timeline: List[Tuple[float, int]] = field(default_factory=list)
     cold_starts: int = 0
@@ -286,12 +287,14 @@ def attach_streams(
 ) -> StreamingTrafficStats:
     """Give each tenant the sketch-mode rollups it folds into; return the cluster's.
 
-    Each tenant folds into its own rollup and the cluster's, then — when a
-    federation passes them — into its federation-wide tenant rollup
-    (``outer_tenants[name]``) and the federation-wide ``outer_cluster``.
-    A single classless tenant's cluster rollup would fold exactly the
-    tenant's requests into an identical accumulator, so the two are one
-    object, folded once per request.
+    Each tenant folds in full into its own rollup, the finest, which
+    :class:`~repro.obs.streaming.Rollups` makes a member of the coarser
+    ones: the cluster's and — when a federation passes them — its
+    federation-wide tenant rollup (``outer_tenants[name]``) and the
+    federation-wide ``outer_cluster``.  Those keep running sums per
+    request and merge their members when read.  A single classless
+    tenant's cluster rollup would hold exactly the tenant's requests, so
+    the two are one object, folded once per request.
     """
     from repro.obs.streaming import Rollups, StreamingTrafficStats
 

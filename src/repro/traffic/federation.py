@@ -268,6 +268,8 @@ class GlobalRouter:
         self._index = {region: index for index, region in enumerate(self._regions)}
         self._home = dict(home)
         self._runtimes = runtimes
+        #: (region, runtime) in registration order, for the one-pass walk.
+        self._runtime_order = [(region, runtimes[region]) for region in self._regions]
         self._rng = random.Random(seed)
         #: data-gravity stickiness: (tenant, payload key) -> region.
         self._sticky: Dict[Tuple[str, int], str] = {}
@@ -275,9 +277,39 @@ class GlobalRouter:
             policy=policy, placements={region: 0 for region in self._regions}
         )
 
+    def _least_loaded(self, tenant: str, exclude: Optional[str]) -> Optional[str]:
+        """The least-loaded live region, unsaturated ones first, in one pass.
+
+        Regions are walked once in registration order, keeping the best
+        unsaturated and the best live region under the key (load, home
+        first, registration index): a later region replaces a best only
+        when strictly better, so the index tie-break needs no compare.
+        """
+        home = self._home[tenant]
+        best = best_live = None
+        best_load = best_live_load = 0
+        for region, runtime in self._runtime_order:
+            if region == exclude or runtime.halted:
+                continue
+            load = runtime.load()
+            if (
+                best_live is None
+                or load < best_live_load
+                or (load == best_live_load and region == home)
+            ):
+                best_live, best_live_load = region, load
+            if not runtime.saturated(tenant) and (
+                best is None or load < best_load or (load == best_load and region == home)
+            ):
+                best, best_load = region, load
+        return best_live if best is None else best
+
     def _choose(
         self, tenant: str, request: Request, now: float, exclude: Optional[str]
     ) -> Optional[str]:
+        policy = self.policy
+        if policy == "least-loaded":
+            return self._least_loaded(tenant, exclude)
         runtimes = self._runtimes
         candidates = [
             region
@@ -291,18 +323,8 @@ class GlobalRouter:
             region for region in candidates if not runtimes[region].saturated(tenant)
         ]
         pool = unsaturated or candidates
-        policy = self.policy
         if policy == "locality":
             return home if home in pool else pool[0]
-        if policy == "least-loaded":
-            return min(
-                pool,
-                key=lambda region: (
-                    runtimes[region].load(),
-                    0 if region == home else 1,
-                    self._index[region],
-                ),
-            )
         if policy == "warmth":
             return min(
                 pool,

@@ -250,15 +250,33 @@ def test_one_frame_fold_equals_per_value_adds_in_every_scope(seed, count, declar
     _assert_scopes_match(stream, exact, records, declared)
 
 
+def _sketch(values):
+    sketch = QuantileSketch()
+    for value in values:
+        sketch.observe(value)
+    return sketch
+
+
 def test_one_frame_fold_feeds_every_rollup_of_the_tuple():
+    # The first rollup is the finest; building the tuple makes it a member
+    # of the second, which folds running sums only and merges at read.
     first, second = StreamingTrafficStats(), StreamingTrafficStats(declared_classes=["gold"])
     rollups = Rollups((first, second))
+    assert second._members == [first]
     rollups.fold(RequestOutcome.COMPLETED, 1.0, 1.5, 2.5, 0.25, "gold", 3.0)
     rollups.fold(RequestOutcome.CACHED, 2.0, None, 2.125, 0.0, "gold", 2.0)
     rollups.fold(RequestOutcome.DROPPED, 3.0, None, None, 0.0, "gold", None)
     for stream in (first, second):
-        assert stream._totals.offered == 3 and stream._totals.deadline_met == 1
-        assert _fields(stream._totals.latency_served) == _fields(_histogram([1.5, 0.125]))
+        summary = stream.summary("m", "p", 1.0)
+        (gold,) = summary.classes
+        assert (summary.offered, summary.completed, summary.cached, summary.dropped) == (
+            3, 1, 1, 1
+        )
+        assert (gold.name, gold.offered, gold.deadline_total, gold.deadline_met) == (
+            "gold", 3, 2, 1
+        )
+        assert summary.latency == gold.latency == _sketch([1.5, 0.125]).summary()
+        assert summary.service == _sketch([1.0]).summary()
         assert _fields(stream.stages.latency) == _fields(_histogram([1.5]))
     assert math.isinf(StreamingTrafficStats().stages.latency._min)  # nothing folded yet
 

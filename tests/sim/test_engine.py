@@ -76,6 +76,31 @@ def test_run_until_an_event_time_executes_that_event():
     assert loop.executed_events == 2
 
 
+def test_fed_entries_merge_with_scheduled_events_by_time_then_order():
+    loop = EventLoop()
+    fired = []
+    loop.schedule(1.0, fired.append, args=("scheduled first",))
+    base = loop.reserve_orders(2)
+    loop.schedule(1.0, fired.append, args=("scheduled last",))
+    loop.feed(iter([(0.5, base, fired.append, ("fed",)), (1.0, base + 1, fired.append, ("tie",))]))
+    assert loop.run(until=0.75) == 0.75 and fired == ["fed"]
+    loop.run()
+    assert fired == ["fed", "scheduled first", "tie", "scheduled last"]
+    assert loop.executed_events == 4 and loop.now == 1.0
+
+
+def test_feed_refuses_a_second_stream_and_the_past():
+    loop = EventLoop()
+    loop.feed(iter([(1.0, loop.reserve_orders(1), lambda: None, ())]))
+    with pytest.raises(EngineError):
+        loop.feed(iter([]))
+    loop.run()
+    with pytest.raises(EngineError):
+        loop.feed(iter([(0.5, loop.reserve_orders(1), lambda: None, ())]))
+    loop.feed(iter([]))  # a drained stream may be followed by another
+    assert loop.run() == 1.0
+
+
 def test_parallel_tracks_single_worker_sums_cpu():
     tracks = ParallelTracks(workers=1)
     tracks.add(1.0, 0.0)
